@@ -44,13 +44,10 @@ from .criterion import (
     LinearMeridian,
     PowerLaw,
     WillamWarnke,
-    cap_h,
     cap_h1,
 )
 from .errors import InsufficientData, ParseError, ValidationError
-from .invariants import invariants
-
-_THETA_MAX = math.pi / 3.0
+from .invariants import _THETA_MAX, invariants
 
 FITTABLE = ("M", "pc", "c", "m", "alpha", "beta", "gamma", "Gamma", "A", "e", "k", "n")
 
@@ -295,20 +292,15 @@ def _surface_q_array(crit: Criterion, p: np.ndarray, theta: np.ndarray):
     """Vectorized surface radius; NaN where the surface does not exist."""
     g = np.asarray(crit.shape.g(theta), dtype=float)
     out = np.full(p.shape, math.nan)
-    if isinstance(crit.meridian, CapMeridian):
-        mer = crit.meridian
-        phi = (p + mer.c) / (mer.pc + mer.c)
-        ok = (phi >= 0.0) & (phi <= 1.0)
-        h = np.maximum(0.0, cap_h(np.where(ok, phi, 0.5), mer.m, mer.alpha))
-        f = -mer.M * mer.pc * np.sqrt(h)
-    else:
-        f = -crit.meridian.Gamma * (p + crit.meridian.c)
-        ok = f <= 0.0
+    # +inf outside a cap, > 0 beyond the tension apex of a linear meridian
+    f = crit.meridian.f_array(p)
+    ok = f <= 0.0
+    f = np.where(ok, f, 0.0)
     if crit.A == 0.0:
         q = -f * g / crit.B
     else:
         bg = crit.B / g
-        q = (-bg + np.sqrt(bg * bg - 4.0 * crit.A * np.where(ok, f, 0.0))) / (2.0 * crit.A)
+        q = (-bg + np.sqrt(bg * bg - 4.0 * crit.A * f)) / (2.0 * crit.A)
     out[ok] = q[ok]
     return out
 
@@ -341,16 +333,12 @@ def residual_vector(crit: Criterion, dataset: FitDataset, mode: str) -> np.ndarr
     if mode != "function_value":
         raise ValidationError(f"unknown residual mode {mode!r}")
     g = np.asarray(crit.shape.g(th), dtype=float)
+    f = crit.meridian.f_array(p)
+    inside = np.isfinite(f)
+    f = np.where(inside, f, 0.0)
     if isinstance(crit.meridian, CapMeridian):
-        mer = crit.meridian
-        phi = (p + mer.c) / (mer.pc + mer.c)
-        inside = (phi >= 0.0) & (phi <= 1.0)
-        h = np.maximum(0.0, cap_h(np.where(inside, phi, 0.5), mer.m, mer.alpha))
-        f = -mer.M * mer.pc * np.sqrt(h)
-        floor = 0.01 * mer.pc
+        floor = 0.01 * crit.meridian.pc
     else:
-        f = -crit.meridian.Gamma * (p + crit.meridian.c)
-        inside = np.ones(p.shape, dtype=bool)
         floor = 0.01 * max(float(np.mean(crit.B * q)), 1e-30)
     F = crit.A * q**2 + crit.B * q / g + f
     s0 = np.maximum(np.maximum(crit.B * q, np.abs(f)), floor)

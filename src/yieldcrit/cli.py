@@ -74,7 +74,11 @@ def _emit(text: str, output: str | None):
 
 
 def _json_dumps(obj) -> str:
-    return json.dumps(obj, indent=2) + "\n"
+    """Strict JSON: a NaN or infinity in a result is an error, exit 2."""
+    try:
+        return json.dumps(obj, indent=2, allow_nan=False) + "\n"
+    except ValueError as exc:
+        raise YieldCritError(f"result is not finite: {exc}") from None
 
 
 def _load_criterion(args) -> Criterion:

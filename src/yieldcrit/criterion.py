@@ -34,19 +34,20 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CornerCase, DegenerateState, DomainError, ValidationError
-from .invariants import Invariants, invariants
+from .invariants import EPS_MERIDIAN, _THETA_MAX, Invariants, invariants, invariants_array
 
 # Gradient evaluation margin at the cap ends: inside Phi < DELTA_PHI or
 # Phi > 1 - DELTA_PHI the square root in a(p) loses all precision and the
 # apex limit must be used instead.
 DELTA_PHI = 1e-10
 
-# Below this |sin 3 theta| the perpendicular deviatoric direction is an
-# exact 0/0 and the gradient is assembled from its smooth limit (the
-# c-coefficient vanishes there as well).
-EPS_MERIDIAN = 1e-12
 
-_THETA_MAX = math.pi / 3.0
+def _check_finite(obj, *names):
+    """ValidationError unless every named field of ``obj`` is a finite number."""
+    for name in names:
+        value = getattr(obj, name)
+        if not math.isfinite(value):
+            raise ValidationError(f"{name} must be finite, got {value}")
 
 
 def _check_theta(theta) -> np.ndarray:
@@ -76,6 +77,7 @@ class CosineLode:
     kind = "bp"
 
     def __post_init__(self):
+        _check_finite(self, "beta", "gamma")
         if not (0.0 <= self.gamma < 1.0):
             raise ValidationError(f"gamma must lie in [0, 1), got {self.gamma}")
 
@@ -125,6 +127,7 @@ class PowerLaw:
     kind = "power-law"
 
     def __post_init__(self):
+        _check_finite(self, "beta", "n")
         if self.beta < 0.0:
             raise ValidationError(f"beta must be nonnegative, got {self.beta}")
         if self.n <= 0.0:
@@ -168,6 +171,7 @@ class WillamWarnke:
     kind = "willam-warnke"
 
     def __post_init__(self):
+        _check_finite(self, "e")
         if not (0.5 < self.e <= 1.0):
             raise ValidationError(f"e must lie in (0.5, 1], got {self.e}")
 
@@ -231,6 +235,7 @@ class GudehusArgyris:
     kind = "gudehus-argyris"
 
     def __post_init__(self):
+        _check_finite(self, "k")
         if not (0.777 < self.k <= 1.0):
             raise ValidationError(f"k must lie in (0.777, 1], got {self.k}")
 
@@ -340,6 +345,7 @@ class CapMeridian:
     alpha: float
 
     def __post_init__(self):
+        _check_finite(self, "M", "pc", "c", "m", "alpha")
         if self.M <= 0.0:
             raise ValidationError(f"M must be positive, got {self.M}")
         if self.pc <= 0.0:
@@ -362,6 +368,13 @@ class CapMeridian:
         h = float(cap_h(phi, self.m, self.alpha))
         return -self.M * self.pc * math.sqrt(max(0.0, h))
 
+    def f_array(self, p: np.ndarray) -> np.ndarray:
+        """Meridian value over an array of pressures; +inf outside the cap."""
+        phi = self.phi(p)
+        inside = (phi >= 0.0) & (phi <= 1.0)
+        h = np.maximum(0.0, cap_h(np.where(inside, phi, 0.5), self.m, self.alpha))
+        return np.where(inside, -self.M * self.pc * np.sqrt(h), math.inf)
+
     def df(self, p: float) -> float:
         """df/dp on the open interior of the cap; caller guards the ends."""
         phi = self.phi(p)
@@ -381,12 +394,16 @@ class LinearMeridian:
     c: float
 
     def __post_init__(self):
+        _check_finite(self, "Gamma", "c")
         if self.Gamma <= 0.0:
             raise ValidationError(f"Gamma must be positive, got {self.Gamma}")
         if self.c < 0.0:
             raise ValidationError(f"c must be nonnegative, got {self.c}")
 
     def f(self, p: float) -> float:
+        return -self.Gamma * (p + self.c)
+
+    def f_array(self, p: np.ndarray) -> np.ndarray:
         return -self.Gamma * (p + self.c)
 
     def df(self, p: float) -> float:
@@ -498,6 +515,7 @@ class Criterion:
     B: float = 1.0
 
     def __post_init__(self):
+        _check_finite(self, "A", "B")
         if self.A < 0.0:
             raise ValidationError(f"A must be nonnegative, got {self.A}")
         if self.B <= 0.0:
@@ -602,6 +620,19 @@ def yield_value(stress, crit: Criterion) -> float:
     """
     inv = invariants(stress)
     return yield_value_inv(inv, crit)
+
+
+def yield_value_array(stress, crit: Criterion) -> np.ndarray:
+    """F at each row of an (N, 3) batch of principal stresses.
+
+    The batch form of :func:`yield_value`: +inf outside the effective
+    domain of a cap meridian, and only A q^2 + f(p) on hydrostatic states.
+    """
+    p, q, theta, hydrostatic = invariants_array(stress)
+    fp = crit.meridian.f_array(p)
+    g = np.asarray(crit.shape.g(theta), dtype=float)
+    deviatoric = np.where(hydrostatic, 0.0, crit.B * q / g)
+    return crit.A * q**2 + deviatoric + fp
 
 
 def yield_value_inv(inv: Invariants, crit: Criterion) -> float:

@@ -56,3 +56,7 @@ class OutsideCap(YieldCritError):
 
 class EmptySlice(YieldCritError):
     """A requested section contains no interior point."""
+
+
+class NonConvexSlice(YieldCritError):
+    """A section ray crosses the yield surface more than once."""

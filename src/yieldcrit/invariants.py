@@ -35,6 +35,9 @@ EPS_HYDROSTATIC = 1e-12
 # and the perpendicular direction is undefined.
 EPS_MERIDIAN = 1e-12
 
+# Upper end of the Lode angle range [0, pi/3].
+_THETA_MAX = math.pi / 3.0
+
 
 @dataclass(frozen=True)
 class Invariants:
@@ -97,6 +100,28 @@ def invariants(stress) -> Invariants:
     return Invariants(p=p, q=q, theta=theta, hydrostatic=False)
 
 
+def invariants_array(stress):
+    """(p, q, theta, hydrostatic) arrays for an (N, 3) batch of principal stresses.
+
+    The batch form of :func:`invariants`, with the same clamp and the same
+    hydrostatic threshold and convention (theta = 0 where the flag is set).
+    """
+    sig = np.asarray(stress, dtype=float).reshape(-1, 3)
+    if not np.all(np.isfinite(sig)):
+        raise DomainError("stress components must be finite")
+    tr = sig[:, 0] + sig[:, 1] + sig[:, 2]
+    p = -tr / 3.0
+    s = sig - (tr / 3.0)[:, None]
+    j2 = 0.5 * (s[:, 0] * s[:, 0] + s[:, 1] * s[:, 1] + s[:, 2] * s[:, 2])
+    q = np.sqrt(3.0 * j2)
+    hydrostatic = q <= EPS_HYDROSTATIC * np.maximum(1.0, np.abs(p))
+    s3 = s**3
+    j3 = (s3[:, 0] + s3[:, 1] + s3[:, 2]) / 3.0
+    arg = 1.5 * math.sqrt(3.0) * j3 / np.where(hydrostatic, 1.0, j2) ** 1.5
+    theta = np.where(hydrostatic, 0.0, np.arccos(np.clip(arg, -1.0, 1.0)) / 3.0)
+    return p, q, theta, hydrostatic
+
+
 def invariant_gradients(stress):
     """Gradients of p, J2, J3 and theta with respect to principal stress.
 
@@ -144,9 +169,6 @@ def deviatoric_frame(stress) -> DeviatoricFrame:
         raise DegenerateDirection("deviatoric direction undefined at q = 0")
     s = _deviator(sig)
     s_tilde = math.sqrt(1.5) * s / inv.q
-    # Cayley-Hamilton consistency of the normalized deviator.
-    quartic = float(np.dot(s_tilde**2, s_tilde**2))
-    assert abs(quartic - 0.5) < 1e-9, f"s_tilde**2 . s_tilde**2 = {quartic}, expected 0.5"
     sin3t = math.sin(3.0 * inv.theta)
     if abs(sin3t) <= EPS_MERIDIAN:
         return DeviatoricFrame(s_tilde=s_tilde, s_tilde_perp=np.zeros(3), defined=False)
@@ -161,7 +183,7 @@ def principal_from_invariants(p: float, q: float, theta: float) -> np.ndarray:
     The inverse of :func:`invariants` up to permutation:
     sigma_k = -p + (2q/3) cos(theta - 2 pi k / 3).
     """
-    if not (-1e-12 <= theta <= math.pi / 3.0 + 1e-12):
+    if not (-1e-12 <= theta <= _THETA_MAX + 1e-12):
         raise DomainError(f"theta must lie in [0, pi/3], got {theta}")
     if q < 0.0:
         raise DomainError(f"q must be nonnegative, got {q}")

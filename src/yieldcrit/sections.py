@@ -9,7 +9,10 @@ Sampling strategies:
   * biaxial (sigma3 = 0): convex ray-shooting from an interior point.
     Convexity of a certified criterion makes the sublevel set convex, so
     each ray crosses the surface exactly once and bisection resolves the
-    crossing to machine precision.
+    crossing to machine precision.  All rays are resolved together: each
+    doubling and bisection step is one batch evaluation of F over the rays
+    still in play, and a batched probe along every ray checks the
+    one-crossing contract (NonConvexSlice otherwise).
 
 Every emitted sample satisfies the yield condition to a normalized
 residual of 1e-10 or better.  Curves serialize to CSV (with a '#' header
@@ -25,11 +28,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import minimize_scalar
 
-from .criterion import CapMeridian, Criterion, surface_q, yield_value
-from .errors import EmptySlice, OutsideCap, UnboundedDomain
-from .invariants import invariants
-
-_THETA_MAX = math.pi / 3.0
+from .criterion import CapMeridian, Criterion, surface_q, yield_value, yield_value_array
+from .errors import EmptySlice, NonConvexSlice, OutsideCap, UnboundedDomain
+from .invariants import _THETA_MAX, invariants
 
 
 @dataclass(frozen=True)
@@ -136,8 +137,9 @@ def sample_deviatoric(
     )
 
 
-def _biaxial_F(crit: Criterion, x: float, y: float) -> float:
-    return yield_value((x, y, 0.0), crit)
+def _slice_F(crit: Criterion, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """F at the points (x, y, 0) of the sigma3 = 0 slice, in one batch."""
+    return yield_value_array(np.column_stack([x, y, np.zeros_like(x)]), crit)
 
 
 def _biaxial_center(crit: Criterion) -> tuple[float, float]:
@@ -155,7 +157,7 @@ def _biaxial_center(crit: Criterion) -> tuple[float, float]:
         ref = crit.meridian.c + 1.0
         s_lo, s_hi = -1e3 * ref, 1.5 * crit.meridian.c
     res = minimize_scalar(
-        lambda s: _biaxial_F(crit, s, s), bounds=(s_lo, s_hi), method="bounded",
+        lambda s: yield_value((s, s, 0.0), crit), bounds=(s_lo, s_hi), method="bounded",
         options={"xatol": 1e-12 * max(1.0, abs(s_lo), abs(s_hi))},
     )
     if not (res.fun < 0.0):
@@ -163,30 +165,50 @@ def _biaxial_center(crit: Criterion) -> tuple[float, float]:
     return float(res.x), float(res.fun)
 
 
-def _ray_crossing(crit: Criterion, cx: float, cy: float, dx: float, dy: float, t0: float) -> float:
-    """Unique F = 0 crossing along the ray (cx, cy) + t (dx, dy), t > 0."""
-    t_hi = t0
+def _ray_crossings(
+    crit: Criterion, cx: float, cy: float, d: np.ndarray, t0: float
+) -> np.ndarray:
+    """F = 0 crossing t > 0 along each ray (cx, cy) + t d[j], d of shape (n, 2).
+
+    Per ray: double t from t0 until F > 0, then bisect [0, t] until the
+    midpoint rounds onto an end.  Each step evaluates F once, in one batch
+    over the rays still in play.
+    """
+    dx, dy = d[:, 0], d[:, 1]
+
+    def positive(t, rays):
+        return _slice_F(crit, cx + t * dx[rays], cy + t * dy[rays]) > 0.0
+
+    t_hi = np.full(len(d), float(t0))
+    rays = np.arange(len(d))
     for _ in range(200):
-        if _biaxial_F(crit, cx + t_hi * dx, cy + t_hi * dy) > 0.0:
+        rays = rays[~positive(t_hi[rays], rays)]
+        if rays.size == 0:
             break
-        t_hi *= 2.0
+        t_hi[rays] *= 2.0
     else:
         raise UnboundedDomain("ray never leaves the elastic range; slice is unbounded")
-    t_lo = 0.0
+    t_lo = np.zeros(len(d))
+    rays = np.arange(len(d))
     for _ in range(200):
-        mid = 0.5 * (t_lo + t_hi)
-        if mid == t_lo or mid == t_hi:
+        mid = 0.5 * (t_lo[rays] + t_hi[rays])
+        going = (mid != t_lo[rays]) & (mid != t_hi[rays])
+        rays, mid = rays[going], mid[going]
+        if rays.size == 0:
             break
-        if _biaxial_F(crit, cx + mid * dx, cy + mid * dy) > 0.0:
-            t_hi = mid
-        else:
-            t_lo = mid
-    t = t_lo if t_lo > 0.0 else t_hi
+        out = positive(mid, rays)
+        t_hi[rays[out]] = mid[out]
+        t_lo[rays[~out]] = mid[~out]
+    t = np.where(t_lo > 0.0, t_lo, t_hi)
     # Convexity contract: F < 0 strictly between the center and the crossing.
-    probe = np.linspace(0.05, 0.95, 19) * t
-    for tp in probe:
-        assert _biaxial_F(crit, cx + tp * dx, cy + tp * dy) < 0.0, (
-            "F changed sign more than once along a ray; the criterion is not convex"
+    tp = (t[:, None] * np.linspace(0.05, 0.95, 19)).ravel()
+    fp = _slice_F(crit, cx + tp * np.repeat(dx, 19), cy + tp * np.repeat(dy, 19))
+    if not np.all(fp < 0.0):
+        bad = int(np.argmin(fp < 0.0)) // 19
+        raise NonConvexSlice(
+            f"F changed sign more than once along ray {bad} "
+            f"(direction {d[bad, 0]:.6g}, {d[bad, 1]:.6g}); "
+            "the criterion is not convex"
         )
     return t
 
@@ -194,10 +216,11 @@ def _ray_crossing(crit: Criterion, cx: float, cy: float, dx: float, dy: float, t
 def sample_biaxial(crit: Criterion, n: int = 200, normalize: bool = False) -> SectionCurve:
     """Trace the biaxial yield locus {F(sigma1, sigma2, 0) = 0}.
 
-    Rays are shot from the interior minimum of F along the diagonal; each
-    crossing is resolved by bisection to machine precision.  ``normalize``
+    n rays are shot from the interior minimum of F along the diagonal and
+    resolved together by bisection to machine precision.  ``normalize``
     divides both axes by the computed uniaxial tensile intercept, which
-    must be positive for the option to make sense.
+    must be positive for the option to make sense.  Raises NonConvexSlice
+    when F changes sign more than once along a ray.
     """
     if n < 3:
         raise ValueError(f"need at least 3 rays, got {n}")
@@ -206,18 +229,16 @@ def sample_biaxial(crit: Criterion, n: int = 200, normalize: bool = False) -> Se
         scale = crit.meridian.pc + crit.meridian.c
     else:
         scale = crit.meridian.c + 1.0
-    pts = np.empty((n, 2))
-    for j in range(n):
-        phi = 2.0 * math.pi * j / n
-        dx, dy = math.cos(phi), math.sin(phi)
-        t = _ray_crossing(crit, s_center, s_center, dx, dy, 1e-3 * scale)
-        x, y = s_center + t * dx, s_center + t * dy
-        # A ray that lands on a cap apex (the origin, for c = 0) stops a
-        # rounding error short of the exact root, where F has a square
-        # root singularity; snap to the root itself.
-        if max(abs(x), abs(y)) <= 1e-9 * scale and _biaxial_F(crit, 0.0, 0.0) == 0.0:
-            x = y = 0.0
-        pts[j] = (x, y)
+    phis = [2.0 * math.pi * j / n for j in range(n)]
+    d = np.array([(math.cos(phi), math.sin(phi)) for phi in phis])
+    t = _ray_crossings(crit, s_center, s_center, d, 1e-3 * scale)
+    pts = s_center + t[:, None] * d
+    # A ray that lands on a cap apex (the origin, for c = 0) stops a
+    # rounding error short of the exact root, where F has a square root
+    # singularity; snap to the root itself.
+    near = np.max(np.abs(pts), axis=1) <= 1e-9 * scale
+    if near.any() and _slice_F(crit, np.zeros(1), np.zeros(1))[0] == 0.0:
+        pts[near] = 0.0
     if normalize:
         ft = _uniaxial_tensile_intercept(crit, scale)
         pts = pts / ft
@@ -231,9 +252,9 @@ def sample_biaxial(crit: Criterion, n: int = 200, normalize: bool = False) -> Se
 
 
 def _uniaxial_tensile_intercept(crit: Criterion, scale: float) -> float:
-    if not (_biaxial_F(crit, 0.0, 0.0) < 0.0):
+    if not (_slice_F(crit, np.zeros(1), np.zeros(1))[0] < 0.0):
         raise EmptySlice("origin is not inside the surface; no tensile intercept to normalize by")
-    return _ray_crossing(crit, 0.0, 0.0, 1.0, 0.0, 1e-3 * scale)
+    return float(_ray_crossings(crit, 0.0, 0.0, np.array([[1.0, 0.0]]), 1e-3 * scale)[0])
 
 
 def polygon_is_convex(points: np.ndarray, tol: float = 1e-9) -> bool:

@@ -127,6 +127,26 @@ class TestCheckConvexity:
         assert code == 0
 
 
+class TestNonFiniteParams:
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"M": NaN, "pc": 1.0, "c": 0.1, "m": Infinity, "alpha": 1.0, "beta": 1.0, "gamma": 0.0}',
+            '{"M": 1.0, "pc": Infinity, "c": 0.1, "m": 2.0, "alpha": 1.0, "beta": 1.0, "gamma": 0.0}',
+        ],
+    )
+    @pytest.mark.parametrize(
+        "argv", [["eval", "--stress=-1,0,0"], ["eval", "--stress=-1,0,0", "--unchecked"], ["check-convexity"]]
+    )
+    def test_rejected_with_exit_2(self, capsys, tmp_path, text, argv):
+        path = tmp_path / "nonfinite.json"
+        path.write_text(text, encoding="utf-8")
+        code, out, err = run(capsys, argv + ["--params", str(path)])
+        assert code == 2
+        assert "NaN" not in out and "Infinity" not in out
+        assert "must be finite" in err
+
+
 class TestSection:
     def test_meridian_csv_deterministic(self, capsys, cam_clay_file):
         argv = ["section", "meridian", "--params", cam_clay_file, "--theta", "0", "-n", "9"]

@@ -385,6 +385,27 @@ class TestYieldParams:
         p = YieldParams.unchecked(M=1, pc=1, c=0, m=2, alpha=1, beta=4.5, gamma=0.5)
         assert p.beta == 4.5
 
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_non_finite_rejected(self, bad):
+        native = dict(M=1.0, pc=1.0, c=0.1, m=2.0, alpha=1.0, beta=1.0, gamma=0.0)
+        for name in native:
+            with pytest.raises(ValidationError, match="finite"):
+                YieldParams(**dict(native, **{name: bad}))
+        builders = [
+            lambda v: LinearMeridian(Gamma=v, c=0.0),
+            lambda v: LinearMeridian(Gamma=1.0, c=v),
+            lambda v: CosineLode(beta=v, gamma=0.0),
+            lambda v: PowerLaw(beta=v, n=2.0),
+            lambda v: PowerLaw(beta=0.5, n=v),
+            lambda v: WillamWarnke(e=v),
+            lambda v: GudehusArgyris(k=v),
+            lambda v: Criterion(meridian=LinearMeridian(1.0, 0.0), shape=CosineLode(1.0, 0.0), A=v),
+            lambda v: Criterion(meridian=LinearMeridian(1.0, 0.0), shape=CosineLode(1.0, 0.0), B=v),
+        ]
+        for build in builders:
+            with pytest.raises(ValidationError, match="finite"):
+                build(bad)
+
     def test_limit_mode_substitutions(self):
         p, warnings = YieldParams.limit_mode(M=1, pc=1, c=0, m=2, alpha=0.0, beta=1, gamma=1.0)
         assert p.gamma == 1.0 - 1e-9

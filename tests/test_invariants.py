@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from yieldcrit import (
@@ -226,3 +226,15 @@ class TestDeviatoricFrame:
             np.testing.assert_allclose(
                 frame.s_tilde_perp, -math.sqrt(2.0 / 3.0) * inv.q * dtheta, atol=1e-10
             )
+
+
+@given(st.tuples(st.floats(-1e6, 1e6), st.floats(-1e6, 1e6), st.floats(-1e6, 1e6)))
+@settings(max_examples=200)
+def test_deviatoric_frame_cayley_hamilton(sig):
+    # s_tilde is a traceless unit tensor, so sum(s_tilde^4) = 1/2.  The
+    # trace of the computed deviator carries a rounding error of order
+    # eps |p| / q, so states close to the hydrostatic axis are left out.
+    inv = invariants(sig)
+    assume(inv.q > 1e-5 * max(1.0, abs(inv.p)))
+    s_tilde = deviatoric_frame(sig).s_tilde
+    assert float(np.dot(s_tilde**2, s_tilde**2)) == pytest.approx(0.5, abs=1e-9)
