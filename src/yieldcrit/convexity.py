@@ -161,6 +161,9 @@ def nonconvex_demo(p: float, q: float, a: float, b: float) -> float:
         raise DomainError(f"a and b must be positive, got a={a}, b={b}")
     return (p / a) ** 4 - (p / a) ** 2 + (q / b) ** 2
 
+def _finite_or_none(x: float) -> float | None:
+    return x if math.isfinite(x) else None
+
 @dataclass(frozen=True)
 class ConvexityReport:
     """Outcome of certifying a criterion.
@@ -169,7 +172,9 @@ class ConvexityReport:
     None for the other shapes, whose admissible parameter ranges appear in
     the notes).  The worst-witness pairs record where each grid scan was
     tightest; margins within +-1e-9 of zero are flagged as boundary cases
-    in the notes rather than failed.
+    in the notes rather than failed.  A scan with no finite witness (a
+    linear meridian, or meridian parameters out of range) carries NaN or
+    infinite values, which :meth:`to_dict` writes as None.
     """
 
     admissible: bool
@@ -181,15 +186,19 @@ class ConvexityReport:
     notes: tuple[str, ...]
 
     def to_dict(self) -> dict:
+        """Plain JSON-safe dict; a NaN or infinite witness value becomes None."""
         return {
             "admissible": self.admissible,
             "beta_interval": list(self.beta_interval) if self.beta_interval else None,
             "meridian_ok": self.meridian_ok,
-            "meridian_worst": {"phi": self.meridian_worst[0], "margin": self.meridian_worst[1]},
+            "meridian_worst": {
+                "phi": _finite_or_none(self.meridian_worst[0]),
+                "margin": _finite_or_none(self.meridian_worst[1]),
+            },
             "deviatoric_ok": self.deviatoric_ok,
             "deviatoric_worst": {
-                "theta": self.deviatoric_worst[0],
-                "margin": self.deviatoric_worst[1],
+                "theta": _finite_or_none(self.deviatoric_worst[0]),
+                "margin": _finite_or_none(self.deviatoric_worst[1]),
             },
             "notes": list(self.notes),
         }

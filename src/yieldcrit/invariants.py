@@ -105,8 +105,13 @@ def invariants_array(stress):
 
     The batch form of :func:`invariants`, with the same clamp and the same
     hydrostatic threshold and convention (theta = 0 where the flag is set).
+    A single triple of shape (3,) is taken as a batch of one; any other
+    shape than (3,) or (N, 3) raises DomainError.
     """
-    sig = np.asarray(stress, dtype=float).reshape(-1, 3)
+    sig = np.asarray(stress, dtype=float)
+    if sig.ndim not in (1, 2) or sig.shape[-1] != 3:
+        raise DomainError(f"stress must have shape (3,) or (N, 3), got {sig.shape}")
+    sig = sig.reshape(-1, 3)
     if not np.all(np.isfinite(sig)):
         raise DomainError("stress components must be finite")
     tr = sig[:, 0] + sig[:, 1] + sig[:, 2]

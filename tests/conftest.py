@@ -18,7 +18,7 @@ from yieldcrit import Criterion, YieldParams, principal_from_invariants, surface
 # Property tests draw the same examples on every run (seeded from each
 # test's own source), so no result depends on a lucky draw or on examples
 # saved from an earlier run.
-settings.register_profile("derandomized", derandomize=True, deadline=None)
+settings.register_profile("derandomized", derandomize=True)
 settings.load_profile("derandomized")
 
 

@@ -125,6 +125,19 @@ def test_array_invariants_flag_hydrostatic_states_like_the_scalar_path():
     assert theta[0] == theta[3] == 0.0
 
 
+@pytest.mark.parametrize("shape", [(3, 2), (6,), (2, 3, 3), ()])
+def test_array_invariants_refuse_other_shapes(shape):
+    with pytest.raises(DomainError):
+        invariants_array(np.zeros(shape))
+
+
+def test_array_invariants_take_one_triple_as_a_batch_of_one():
+    p, q, theta, hydrostatic = invariants_array([1.0, 0.0, 0.0])
+    inv = invariants([1.0, 0.0, 0.0])
+    assert p.shape == (1,)
+    assert (p[0], q[0], hydrostatic[0]) == (inv.p, inv.q, inv.hydrostatic)
+
+
 def test_array_F_refuses_non_finite_stress():
     crit = YieldParams(M=1.0, pc=1.0, c=0.1, m=2.0, alpha=1.0, beta=1.0, gamma=0.0).criterion()
     with pytest.raises(DomainError):

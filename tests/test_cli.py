@@ -147,6 +147,20 @@ class TestNonFiniteParams:
         assert "must be finite" in err
 
 
+class TestLinearMeridianCheck:
+    def test_admissible_report_with_null_meridian_witness(self, capsys, tmp_path):
+        path = tmp_path / "linear.json"
+        path.write_text(
+            json.dumps({"meridian": "linear", "Gamma": 0.8, "c": 0.2, "beta": 1.0, "gamma": 0.0}),
+            encoding="utf-8",
+        )
+        code, out, err = run(capsys, ["check-convexity", "--params", str(path)])
+        assert code == 0, err
+        report = json.loads(out, parse_constant=lambda c: pytest.fail(f"non-finite {c} in JSON"))
+        assert report["admissible"] is True
+        assert report["meridian_worst"] == {"phi": None, "margin": None}
+
+
 class TestSection:
     def test_meridian_csv_deterministic(self, capsys, cam_clay_file):
         argv = ["section", "meridian", "--params", cam_clay_file, "--theta", "0", "-n", "9"]

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -22,7 +23,7 @@ from yieldcrit import (
     powerlaw_beta_max,
     yield_value,
 )
-from yieldcrit.convexity import powerlaw_quadratic
+from yieldcrit.convexity import ConvexityReport, powerlaw_quadratic
 from conftest import fd_hessian, random_params
 
 PI3 = math.pi / 3.0
@@ -351,6 +352,21 @@ class TestCertify:
             "deviatoric_worst",
             "notes",
         }
+
+    def test_report_dict_writes_non_finite_witness_as_none(self):
+        report = ConvexityReport(
+            admissible=False,
+            beta_interval=None,
+            meridian_ok=False,
+            meridian_worst=(math.nan, -math.inf),
+            deviatoric_ok=False,
+            deviatoric_worst=(0.5, math.inf),
+            notes=(),
+        )
+        d = report.to_dict()
+        assert d["meridian_worst"] == {"phi": None, "margin": None}
+        assert d["deviatoric_worst"] == {"theta": 0.5, "margin": None}
+        json.dumps(d, allow_nan=False)
 
 
 def CosineLodeProblem():
