@@ -33,7 +33,6 @@ from dataclasses import dataclass, replace
 from typing import Mapping
 
 import numpy as np
-from scipy.optimize import least_squares, minimize
 
 from .convexity import ConvexityReport, certify
 from .criterion import (
@@ -50,6 +49,28 @@ from .errors import InsufficientData, ParseError, ValidationError
 from .invariants import _THETA_MAX, invariants
 
 FITTABLE = ("M", "pc", "c", "m", "alpha", "beta", "gamma", "Gamma", "A", "e", "k", "n")
+
+_OPTIMIZERS = ("least_squares", "minimize")
+
+
+def _bind_optimizers() -> None:
+    """Make scipy's optimizers module globals, keeping any name already set.
+
+    Importing scipy.optimize takes most of a CLI process's start-up and
+    only :func:`fit` needs it, so it is loaded on first use.  A name set
+    before (a wrapped optimizer, say) is the one ``fit`` calls.
+    """
+    from scipy import optimize
+
+    for attr in _OPTIMIZERS:
+        globals().setdefault(attr, getattr(optimize, attr))
+
+
+def __getattr__(name: str):
+    if name not in _OPTIMIZERS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    _bind_optimizers()
+    return globals()[name]
 
 
 # ---------------------------------------------------------------------------
@@ -72,10 +93,12 @@ class FitDataset:
             raise ValidationError(f"points must be an (n, 3) array, got shape {pts.shape}")
         if w.shape != (pts.shape[0],):
             raise ValidationError("weights must match the number of points")
-        if np.any(w <= 0.0):
-            raise ValidationError("weights must be positive")
+        if not np.all(np.isfinite(pts)):
+            raise ValidationError("points must be finite")
+        if not np.all((w > 0.0) & np.isfinite(w)):
+            raise ValidationError("weights must be positive and finite")
         th = pts[:, 2]
-        if np.any(th < -1e-12) or np.any(th > _THETA_MAX + 1e-12):
+        if not np.all((-1e-12 <= th) & (th <= _THETA_MAX + 1e-12)):
             raise ValidationError("theta entries must lie in [0, pi/3]")
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "weights", w)
@@ -137,6 +160,8 @@ def load_dataset(source, meta: Mapping[str, str] | None = None) -> FitDataset:
             values = [float(f) for f in fields]
         except ValueError as exc:
             raise ParseError(str(exc), lineno)
+        if not all(math.isfinite(v) for v in values):
+            raise ValidationError(f"line {lineno}: values must be finite, got {line!r}")
         w = values[3] if has_w else 1.0
         if w <= 0.0:
             raise ValidationError(f"line {lineno}: weight must be positive, got {w}")
@@ -518,6 +543,7 @@ def fit(
         raise InsufficientData(
             f"{len(dataset)} points cannot determine {len(names)} free parameters"
         )
+    _bind_optimizers()
     mode = problem.residual_mode
     lo = np.array([problem.bound_of(n)[0] for n in names])
     hi = np.array([problem.bound_of(n)[1] for n in names])

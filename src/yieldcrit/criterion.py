@@ -52,7 +52,7 @@ def _check_finite(obj, *names):
 
 def _check_theta(theta) -> np.ndarray:
     th = np.asarray(theta, dtype=float)
-    if np.any(th < -1e-12) or np.any(th > _THETA_MAX + 1e-12):
+    if not np.all((-1e-12 <= th) & (th <= _THETA_MAX + 1e-12)):  # NaN fails too
         raise DomainError(f"theta must lie in [0, pi/3], got {theta}")
     return th
 
@@ -361,9 +361,11 @@ class CapMeridian:
         return (p + self.c) / (self.pc + self.c)
 
     def f(self, p: float) -> float:
-        """Meridian value; +inf outside the cap [-c, pc]."""
+        """Meridian value; +inf outside the cap [-c, pc], DomainError for NaN p."""
         phi = self.phi(p)
-        if phi < 0.0 or phi > 1.0:
+        if not (0.0 <= phi <= 1.0):
+            if math.isnan(phi):
+                raise DomainError(f"p must be a number, got {p}")
             return math.inf
         h = float(cap_h(phi, self.m, self.alpha))
         return -self.M * self.pc * math.sqrt(max(0.0, h))
@@ -401,6 +403,9 @@ class LinearMeridian:
             raise ValidationError(f"c must be nonnegative, got {self.c}")
 
     def f(self, p: float) -> float:
+        """Meridian value; DomainError for NaN p."""
+        if math.isnan(p):
+            raise DomainError(f"p must be a number, got {p}")
         return -self.Gamma * (p + self.c)
 
     def f_array(self, p: np.ndarray) -> np.ndarray:

@@ -12,7 +12,10 @@ Sampling strategies:
     crossing to machine precision.  All rays are resolved together: each
     doubling and bisection step is one batch evaluation of F over the rays
     still in play, and a batched probe along every ray checks the
-    one-crossing contract (NonConvexSlice otherwise).
+    one-crossing contract (NonConvexSlice otherwise).  The interior point
+    is the minimum of F along the diagonal sigma1 = sigma2, found by a
+    bounded Brent search ported from scipy's ``minimize_scalar(...,
+    method="bounded")`` step for step, so this module needs no scipy.
 
 Every emitted sample satisfies the yield condition to a normalized
 residual of 1e-10 or better.  Curves serialize to CSV (with a '#' header
@@ -26,7 +29,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .criterion import CapMeridian, Criterion, surface_q, yield_value, yield_value_array
 from .errors import EmptySlice, NonConvexSlice, OutsideCap, UnboundedDomain
@@ -156,13 +158,85 @@ def _biaxial_center(crit: Criterion) -> tuple[float, float]:
     else:
         ref = crit.meridian.c + 1.0
         s_lo, s_hi = -1e3 * ref, 1.5 * crit.meridian.c
-    res = minimize_scalar(
-        lambda s: yield_value((s, s, 0.0), crit), bounds=(s_lo, s_hi), method="bounded",
-        options={"xatol": 1e-12 * max(1.0, abs(s_lo), abs(s_hi))},
+    s, F = minimize_scalar(
+        lambda s: yield_value((s, s, 0.0), crit), s_lo, s_hi,
+        xatol=1e-12 * max(1.0, abs(s_lo), abs(s_hi)),
     )
-    if not (res.fun < 0.0):
+    if not (F < 0.0):
         raise EmptySlice("no interior point with F < 0 on the sigma3 = 0 slice")
-    return float(res.x), float(res.fun)
+    return s, F
+
+
+_GOLDEN = 0.5 * (3.0 - math.sqrt(5.0))
+_SQRT_EPS = math.sqrt(2.2e-16)
+
+
+def minimize_scalar(fun, a: float, b: float, xatol: float) -> tuple[float, float]:
+    """Minimum (x, fun(x)) of a scalar function on the finite bracket [a, b].
+
+    Brent's bounded search: golden-section steps, with a parabolic step
+    through the three best points whenever it lands inside the bracket.
+    It takes the same steps, in the same floating-point order, as scipy's
+    ``minimize_scalar(fun, bounds=(a, b), method="bounded",
+    options={"xatol": xatol})``, so it returns the same bits.
+    """
+    xf = nfc = fulc = a + _GOLDEN * (b - a)
+    fx = ffulc = fnfc = fun(xf)
+    num = 1
+    rat = e = 0.0
+    xm = 0.5 * (a + b)
+    tol1 = _SQRT_EPS * abs(xf) + xatol / 3.0
+    tol2 = 2.0 * tol1
+    while abs(xf - xm) > tol2 - 0.5 * (b - a):
+        golden = True
+        if abs(e) > tol1:
+            # parabola through (xf, fx), (nfc, fnfc), (fulc, ffulc)
+            r = (xf - nfc) * (fx - ffulc)
+            q = (xf - fulc) * (fx - fnfc)
+            p = (xf - fulc) * q - (xf - nfc) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            r = e
+            e = rat
+            if abs(p) < abs(0.5 * q * r) and p > q * (a - xf) and p < q * (b - xf):
+                golden = False
+                rat = p / q
+                x = xf + rat
+                if (x - a) < tol2 or (b - x) < tol2:
+                    rat = tol1 if xm - xf >= 0.0 else -tol1
+        if golden:
+            e = (a - xf) if xf >= xm else (b - xf)
+            rat = _GOLDEN * e
+        # a step of at least tol1, the sign of rat (+ for rat == 0)
+        x = xf + (1.0 if rat >= 0.0 else -1.0) * max(abs(rat), tol1)
+        fu = fun(x)
+        num += 1
+        if fu <= fx:
+            if x >= xf:
+                a = xf
+            else:
+                b = xf
+            fulc, ffulc = nfc, fnfc
+            nfc, fnfc = xf, fx
+            xf, fx = x, fu
+        else:
+            if x < xf:
+                a = x
+            else:
+                b = x
+            if fu <= fnfc or nfc == xf:
+                fulc, ffulc = nfc, fnfc
+                nfc, fnfc = x, fu
+            elif fu <= ffulc or fulc == xf or fulc == nfc:
+                fulc, ffulc = x, fu
+        xm = 0.5 * (a + b)
+        tol1 = _SQRT_EPS * abs(xf) + xatol / 3.0
+        tol2 = 2.0 * tol1
+        if num >= 500:  # scipy's default maxiter
+            break
+    return float(xf), float(fx)
 
 
 def _ray_crossings(

@@ -12,6 +12,7 @@ import sys
 
 import numpy as np
 import pytest
+import scipy.optimize
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -29,6 +30,7 @@ from yieldcrit import (
     VonMises,
     WillamWarnke,
     YieldParams,
+    certify,
     invariants,
     invariants_array,
     normalized_residual,
@@ -225,6 +227,98 @@ def test_batched_crossings_match_scalar_oracle(name, normalize):
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * extent)
     if not normalize:
         assert max(normalized_residual(crit, (x, y, 0.0)) for x, y in got) <= 1e-10
+
+
+# ---------------------------------------------------------------------------
+# The biaxial center: the in-house bounded search against scipy's
+# ---------------------------------------------------------------------------
+
+
+def _center_and_steps(crit, search):
+    """_biaxial_center(crit) run through ``search``, with every point it tried."""
+    tried = []
+
+    def logged(fun, a, b, xatol):
+        return search(lambda s: tried.append(s) or fun(s), a, b, xatol)
+
+    saved = sections.minimize_scalar
+    sections.minimize_scalar = logged
+    try:
+        center = tuple(v.hex() for v in sections._biaxial_center(crit))
+    except EmptySlice:
+        center = "EmptySlice"
+    finally:
+        sections.minimize_scalar = saved
+    return center, [float(s).hex() for s in tried]
+
+
+def _scipy_bounded(fun, a, b, xatol):
+    res = scipy.optimize.minimize_scalar(
+        fun, bounds=(a, b), method="bounded", options={"xatol": xatol}
+    )
+    return float(res.x), float(res.fun)
+
+
+def _assert_search_matches_scipy(crit):
+    ours = _center_and_steps(crit, sections.minimize_scalar)
+    assert ours == _center_and_steps(crit, _scipy_bounded)
+    return ours[0]
+
+
+@given(criteria())
+@settings(max_examples=200)
+def test_bounded_search_takes_scipys_steps(crit_span):
+    _assert_search_matches_scipy(crit_span[0])
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_CRITERIA))
+def test_bounded_search_matches_scipy_on_named_criteria(name):
+    assert _assert_search_matches_scipy(ORACLE_CRITERIA[name]) != "EmptySlice"
+
+
+def test_bounded_search_matches_scipy_on_certified_criteria(rng):
+    from conftest import random_params
+
+    for _ in range(40):
+        crit = random_params(rng).criterion()
+        assert certify(crit).admissible
+        _assert_search_matches_scipy(crit)
+
+
+PLAIN_FUNCTIONS = {
+    "constant": lambda x: 1.0,
+    "rising": lambda x: x,
+    "falling": lambda x: -x,
+    "kink": lambda x: abs(x - 0.3),
+    "centered-parabola": lambda x: x * x,
+    "step": lambda x: 0.0 if x < 0.25 else 1.0,
+    "wavy": lambda x: math.sin(5.0 * x) + 0.1 * x * x,
+    "staircase": lambda x: float(round(4.0 * (x + 0.77))) ** 2,
+    "minimum-beyond-the-bracket": lambda x: (x - 5.0) ** 2,
+}
+
+
+@pytest.mark.parametrize("name", sorted(PLAIN_FUNCTIONS))
+@pytest.mark.parametrize(
+    "bracket", [(-1.0, 1.0), (0.0, 3.0), (-2.0, 1e-3), (-2.0, 2.0), (0.0, 0.125)]
+)
+@pytest.mark.parametrize("xatol", [1e-9, 0.1])
+def test_bounded_search_matches_scipy_on_plain_functions(name, bracket, xatol):
+    fun = PLAIN_FUNCTIONS[name]
+    runs = []
+    for search in (sections.minimize_scalar, _scipy_bounded):
+        tried = []
+        x, fx = search(lambda s: tried.append(s) or fun(s), *bracket, xatol)
+        runs.append((x.hex(), fx.hex(), [float(s).hex() for s in tried]))
+    assert runs[0] == runs[1]
+
+
+def test_empty_slices_stay_empty():
+    # F >= 0 all along the diagonal: a cone too narrow to hold (s, s, 0)
+    cone = Criterion(meridian=LinearMeridian(Gamma=0.2, c=0.0), shape=CosineLode(1.0, 0.0))
+    assert _assert_search_matches_scipy(cone) == "EmptySlice"
+    with pytest.raises(EmptySlice):
+        sample_biaxial(cone, 8)
 
 
 # ---------------------------------------------------------------------------

@@ -74,6 +74,13 @@ class TestLoadDataset:
         with pytest.raises(ValidationError):
             load_dataset("p,q,theta,w\n0.5,0.3,0.1,0\n")
 
+    @pytest.mark.parametrize(
+        "row", ["nan,0.3,0.1,1", "0.5,nan,0.1,1", "0.5,0.3,nan,1", "0.5,0.3,0.1,nan", "inf,0.3,0.1,1"]
+    )
+    def test_non_finite_value_names_line(self, row):
+        with pytest.raises(ValidationError, match="line 3: values must be finite"):
+            load_dataset(f"p,q,theta,w\n0.5,0.3,0.1,1\n{row}\n")
+
     def test_unknown_header(self):
         with pytest.raises(ParseError):
             load_dataset("a,b,c\n1,2,3\n")
@@ -88,6 +95,17 @@ class TestLoadDataset:
     def test_empty_file(self):
         with pytest.raises(ParseError):
             load_dataset("p,q,theta\n")
+
+
+class TestFitDataset:
+    def test_nan_theta_row(self):
+        with pytest.raises(ValidationError, match="finite"):
+            FitDataset(points=np.array([[0.5, 0.3, 0.1], [0.5, 0.3, math.nan]]), weights=np.ones(2))
+
+    @pytest.mark.parametrize("weight", [math.nan, math.inf, 0.0])
+    def test_weight_must_be_positive_and_finite(self, weight):
+        with pytest.raises(ValidationError, match="weights"):
+            FitDataset(points=np.array([[0.5, 0.3, 0.1]]), weights=np.array([weight]))
 
 
 class TestResiduals:

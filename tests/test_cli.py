@@ -236,6 +236,20 @@ class TestFit:
         assert code == 2
         assert "free" in err
 
+    @pytest.mark.parametrize("row", ["0.5,0.3,nan", "nan,0.3,0.1"])
+    def test_non_finite_row_is_refused_before_fitting(self, capsys, tmp_path, row):
+        data = tmp_path / "d.csv"
+        data.write_text(f"p,q,theta\n0.5,0.3,0\n{row}\n", encoding="utf-8")
+        problem = tmp_path / "p.json"
+        problem.write_text(
+            json.dumps({"criterion": CAM_CLAY, "free": ["M"], "residual_mode": "meridian_distance"}),
+            encoding="utf-8",
+        )
+        code, out, err = run(capsys, ["fit", "--data", str(data), "--problem", str(problem)])
+        assert code == 2
+        assert out == ""
+        assert "line 3" in err
+
 
 class TestCompare:
     def test_gurson_curves(self, capsys):

@@ -81,6 +81,12 @@ class TestDeviatoricG:
         with pytest.raises(DomainError):
             deviatoric_g(PI3 + 0.1, CosineLode(1.0, 0.0))
 
+    def test_nan_theta_is_a_domain_error(self):
+        with pytest.raises(DomainError):
+            deviatoric_g(math.nan, CosineLode(1.0, 0.0))
+        with pytest.raises(DomainError):
+            deviatoric_g(np.array([0.1, math.nan]), CosineLode(1.0, 0.0))
+
     def test_positive_for_all_shapes(self, rng):
         shapes = [
             CosineLode(beta=rng.uniform(0, 2), gamma=rng.uniform(0, 0.99)),
@@ -178,6 +184,20 @@ class TestSurfaceQ:
     def test_none_outside(self):
         assert surface_q(CAM_CLAY.pc * 1.5, 0.0, CAM_CLAY.criterion()) is None
         assert surface_q(-0.5, 0.0, CAM_CLAY.criterion()) is None
+
+    def test_nan_theta_is_a_domain_error(self):
+        with pytest.raises(DomainError, match="theta"):
+            surface_q(0.5, math.nan, CAM_CLAY.criterion())
+
+    def test_nan_pressure_is_a_domain_error(self):
+        # not a point on the cap apex (f = 0, q = 0)
+        with pytest.raises(DomainError, match="p must be a number"):
+            surface_q(math.nan, 0.3, CAM_CLAY.criterion())
+        with pytest.raises(DomainError):
+            meridian_f(math.nan, CAM_CLAY)
+        cone = Criterion(meridian=LinearMeridian(Gamma=1.0, c=0.1), shape=CosineLode(1.0, 0.0))
+        with pytest.raises(DomainError, match="p must be a number"):
+            surface_q(math.nan, 0.3, cone)
 
     def test_quadratic_extension_root(self, rng):
         crit = Criterion.from_params(CAM_CLAY, A=0.8, B=1.2)
