@@ -43,10 +43,12 @@ from .criterion import (
     LinearMeridian,
     PowerLaw,
     WillamWarnke,
+    _surface_q_body,
+    _yield_body,
     cap_h1,
 )
 from .errors import InsufficientData, ParseError, ValidationError
-from .invariants import _THETA_MAX, invariants
+from .invariants import _theta_in_range, invariants
 
 FITTABLE = ("M", "pc", "c", "m", "alpha", "beta", "gamma", "Gamma", "A", "e", "k", "n")
 
@@ -97,8 +99,7 @@ class FitDataset:
             raise ValidationError("points must be finite")
         if not np.all((w > 0.0) & np.isfinite(w)):
             raise ValidationError("weights must be positive and finite")
-        th = pts[:, 2]
-        if not np.all((-1e-12 <= th) & (th <= _THETA_MAX + 1e-12)):
+        if not _theta_in_range(pts[:, 2]):
             raise ValidationError("theta entries must lie in [0, pi/3]")
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "weights", w)
@@ -172,7 +173,7 @@ def load_dataset(source, meta: Mapping[str, str] | None = None) -> FitDataset:
             p, q, th = values[:3]
             if q < 0.0:
                 raise ValidationError(f"line {lineno}: q must be nonnegative, got {q}")
-            if not (-1e-12 <= th <= _THETA_MAX + 1e-12):
+            if not _theta_in_range(th):
                 raise ValidationError(f"line {lineno}: theta={th} outside [0, pi/3]")
             rows.append((p, q, th))
         weights.append(w)
@@ -313,28 +314,10 @@ class FitProblem:
 # ---------------------------------------------------------------------------
 
 
-def _surface_q_array(crit: Criterion, p: np.ndarray, theta: np.ndarray):
-    """Vectorized surface radius; NaN where the surface does not exist."""
-    g = np.asarray(crit.shape.g(theta), dtype=float)
-    out = np.full(p.shape, math.nan)
-    # +inf outside a cap, > 0 beyond the tension apex of a linear meridian
-    f = crit.meridian.f_array(p)
-    ok = f <= 0.0
-    f = np.where(ok, f, 0.0)
-    if crit.A == 0.0:
-        q = -f * g / crit.B
-    else:
-        bg = crit.B / g
-        q = (-bg + np.sqrt(bg * bg - 4.0 * crit.A * f)) / (2.0 * crit.A)
-    out[ok] = q[ok]
-    return out
-
-
 def _cap_distance(crit: Criterion, p: np.ndarray) -> np.ndarray:
     """dist(Phi, [0,1]) for cap meridians, a scaled analogue otherwise."""
     if isinstance(crit.meridian, CapMeridian):
-        mer = crit.meridian
-        phi = (p + mer.c) / (mer.pc + mer.c)
+        phi = crit.meridian.phi(p)
         return np.maximum(0.0, np.maximum(-phi, phi - 1.0))
     scale = max(crit.meridian.c, float(np.mean(np.abs(p))), 1e-30)
     return np.maximum(0.0, -(p + crit.meridian.c)) / scale
@@ -342,30 +325,28 @@ def _cap_distance(crit: Criterion, p: np.ndarray) -> np.ndarray:
 
 def residual_vector(crit: Criterion, dataset: FitDataset, mode: str) -> np.ndarray:
     """Weighted, normalized residuals of a criterion against a dataset."""
-    p = dataset.points[:, 0]
-    q = dataset.points[:, 1]
-    th = dataset.points[:, 2]
+    p, q, th = dataset.points.T
     w = dataset.weights
-    qs = _surface_q_array(crit, p, th)
-    outside = np.isnan(qs)
+    f = crit.meridian.f_array(p)
+    g = crit.shape.g(th)
     penalty = w * (1.0 + _cap_distance(crit, p))
     if mode == "meridian_distance":
+        # the surface radius is NaN where it does not exist
+        qs = _surface_q_body(f, g, crit, np)
+        outside = np.isnan(qs)
         qbar = float(np.mean(q))
         if qbar <= 0.0:
             qbar = 1.0
-        r = np.where(outside, penalty, w * (q - np.where(outside, 0.0, qs)) / qbar)
-        return r
+        return np.where(outside, penalty, w * (q - np.where(outside, 0.0, qs)) / qbar)
     if mode != "function_value":
         raise ValidationError(f"unknown residual mode {mode!r}")
-    g = np.asarray(crit.shape.g(th), dtype=float)
-    f = crit.meridian.f_array(p)
     inside = np.isfinite(f)
     f = np.where(inside, f, 0.0)
     if isinstance(crit.meridian, CapMeridian):
         floor = 0.01 * crit.meridian.pc
     else:
         floor = 0.01 * max(float(np.mean(crit.B * q)), 1e-30)
-    F = crit.A * q**2 + crit.B * q / g + f
+    F = _yield_body(f, q, g, False, crit, np)
     s0 = np.maximum(np.maximum(crit.B * q, np.abs(f)), floor)
     return np.where(inside, w * F / s0, penalty)
 
@@ -405,8 +386,7 @@ def _cap_partials(crit: Criterion, dataset: FitDataset, mode: str, names) -> dic
     point where the meridian root vanishes (h = 0, a cap end) gets a zero
     entry, since sqrt(h) has no derivative there.
     """
-    p = dataset.points[:, 0]
-    q = dataset.points[:, 1]
+    p, q, th = dataset.points.T
     w = dataset.weights
     mer = crit.meridian
     span = mer.pc + mer.c
@@ -434,7 +414,7 @@ def _cap_partials(crit: Criterion, dataset: FitDataset, mode: str, names) -> dic
 
     # every residual depends on the parameters through f alone, apart
     # from the pc-scaled floor of s0 in function_value mode
-    g = np.asarray(crit.shape.g(dataset.points[:, 2]), dtype=float)
+    g = crit.shape.g(th)
     floor_pc = 0.0
     if mode == "meridian_distance":
         qbar = float(np.mean(q))

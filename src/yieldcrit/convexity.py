@@ -28,35 +28,31 @@ from dataclasses import dataclass
 import numpy as np
 
 from .criterion import (
+    BOUNDARY_TOL,
+    DELTA_PHI,
     CapMeridian,
     CosineLode,
     Criterion,
     GudehusArgyris,
     PowerLaw,
     WillamWarnke,
+    beta_in_convex_interval,
     cap_h,
     cap_h1,
     cap_h2,
     lode_beta_bound,
 )
 from .errors import DegenerateState, DomainError
-
-# Margins within this band of zero are genuine convexity limits and are
-# reported as "boundary" rather than pass/fail.
-BOUNDARY_TOL = 1e-9
+from .invariants import FLOAT, _lode_angle, _theta_in_range
 
 # Grid densities; every scanned quantity is a smooth trigonometric or
 # polynomial expression with few oscillations.
 PHI_GRID_N = 2048
 THETA_GRID_N = 2048
-_DELTA_PHI = 1e-10
 
-def beta_bound(gamma: float) -> float:
-    """Convexity bound for the native shape's beta, in (2, 4].
-
-    The deviatoric section is convex iff 2 - bound <= beta <= bound.
-    """
-    return lode_beta_bound(gamma)
+# Convexity bound for the native shape's beta, in (2, 4]: the deviatoric
+# section is convex iff 2 - bound <= beta <= bound.
+beta_bound = lode_beta_bound
 
 def meridian_convexity_check(alpha: float, m: float, grid_n: int = PHI_GRID_N):
     """Grid check of (h')^2 - 2 h'' h >= 0 on (0, 1).
@@ -70,7 +66,7 @@ def meridian_convexity_check(alpha: float, m: float, grid_n: int = PHI_GRID_N):
         raise DomainError(f"grid_n must be at least 2, got {grid_n}")
     if not (0.0 < alpha < 2.0) or m <= 1.0:
         return False, (math.nan, -math.inf)
-    phi = np.linspace(_DELTA_PHI, 1.0 - _DELTA_PHI, grid_n)
+    phi = np.linspace(DELTA_PHI, 1.0 - DELTA_PHI, grid_n)
     h = cap_h(phi, m, alpha)
     h1 = cap_h1(phi, m, alpha)
     h2 = cap_h2(phi, m, alpha)
@@ -86,12 +82,11 @@ def deviatoric_curvature(theta, shape):
     Nonnegative on [0, pi/3] (with g > 0) iff the deviatoric section is
     convex.
     """
-    th = np.asarray(theta, dtype=float)
-    if np.any(th < -1e-12) or np.any(th > math.pi / 3.0 + 1e-12):
+    if not _theta_in_range(theta):
         raise DomainError(f"theta must lie in [0, pi/3], got {theta}")
-    g = shape.g(th)
-    g1 = shape.dg(th)
-    g2 = shape.d2g(th)
+    g = shape.g(theta)
+    g1 = shape.dg(theta)
+    g2 = shape.d2g(theta)
     out = g * g + 2.0 * g1 * g1 - g * g2
     return float(out) if np.ndim(theta) == 0 else out
 
@@ -114,10 +109,9 @@ def hessian_qg(s1: float, s2: float, shape) -> np.ndarray:
     s3 = -s1 - s2
     j2 = 0.5 * (s1 * s1 + s2 * s2 + s3 * s3)
     j3 = s1 * s2 * s3
-    arg = 1.5 * math.sqrt(3.0) * j3 / j2**1.5
-    theta = math.acos(min(1.0, max(-1.0, arg))) / 3.0
-    g = float(shape.g(theta))
-    curv = float(deviatoric_curvature(theta, shape))
+    theta = _lode_angle(j2, j3, FLOAT)
+    g = shape.g(theta)
+    curv = deviatoric_curvature(theta, shape)
     mvec = np.array([s2, -s1])
     return 27.0 / 4.0 * curv / (q**3 * g**3) * np.outer(mvec, mvec)
 
@@ -252,11 +246,9 @@ def certify(crit: Criterion) -> ConvexityReport:
     interval_ok = True
     shape = crit.shape
     if isinstance(shape, CosineLode):
-        bound = lode_beta_bound(shape.gamma)
-        beta_interval = (2.0 - bound, bound)
-        lo, hi = beta_interval
-        if shape.beta < lo - BOUNDARY_TOL or shape.beta > hi + BOUNDARY_TOL:
-            interval_ok = False
+        interval_ok, lo, hi = beta_in_convex_interval(shape.beta, shape.gamma)
+        beta_interval = (lo, hi)
+        if not interval_ok:
             notes.append(
                 f"beta={shape.beta:.6g} outside the convex interval "
                 f"[{lo:.6g}, {hi:.6g}] for gamma={shape.gamma:.6g}"

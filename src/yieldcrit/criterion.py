@@ -34,12 +34,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CornerCase, DegenerateState, DomainError, ValidationError
-from .invariants import EPS_MERIDIAN, _THETA_MAX, Invariants, invariants, invariants_array
+from .invariants import EPS_MERIDIAN, FLOAT, _perp, _principal, _theta_in_range, namespace
+from .invariants import invariants, invariants_array
 
 # Gradient evaluation margin at the cap ends: inside Phi < DELTA_PHI or
 # Phi > 1 - DELTA_PHI the square root in a(p) loses all precision and the
 # apex limit must be used instead.
 DELTA_PHI = 1e-10
+
+# Margins within this band of zero are genuine convexity limits: a beta
+# this close outside the native shape's convex interval still counts.
+BOUNDARY_TOL = 1e-9
+
+_SQRT15 = math.sqrt(1.5)
 
 
 def _check_finite(obj, *names):
@@ -48,13 +55,6 @@ def _check_finite(obj, *names):
         value = getattr(obj, name)
         if not math.isfinite(value):
             raise ValidationError(f"{name} must be finite, got {value}")
-
-
-def _check_theta(theta) -> np.ndarray:
-    th = np.asarray(theta, dtype=float)
-    if not np.all((-1e-12 <= th) & (th <= _THETA_MAX + 1e-12)):  # NaN fails too
-        raise DomainError(f"theta must lie in [0, pi/3], got {theta}")
-    return th
 
 
 # ---------------------------------------------------------------------------
@@ -81,32 +81,31 @@ class CosineLode:
         if not (0.0 <= self.gamma < 1.0):
             raise ValidationError(f"gamma must lie in [0, 1), got {self.gamma}")
 
-    def _psi(self, th):
-        return self.beta * math.pi / 6.0 - np.arccos(self.gamma * np.cos(3.0 * th)) / 3.0
+    def _psi(self, xp, th):
+        return self.beta * math.pi / 6.0 - xp.arccos(self.gamma * xp.cos(3.0 * th)) / 3.0
 
     def g(self, theta):
-        return 1.0 / np.cos(self._psi(np.asarray(theta, dtype=float)))
+        xp, th = namespace(theta)
+        return 1.0 / xp.cos(self._psi(xp, th))
 
     def dg(self, theta):
-        th = np.asarray(theta, dtype=float)
-        u = self.gamma * np.cos(3.0 * th)
-        w = np.sqrt(1.0 - u * u)
-        psi = self._psi(th)
-        psi1 = -self.gamma * np.sin(3.0 * th) / w
-        return np.tan(psi) * psi1 / np.cos(psi)
+        xp, th = namespace(theta)
+        u = self.gamma * xp.cos(3.0 * th)
+        w = xp.sqrt(1.0 - u * u)
+        psi = self._psi(xp, th)
+        psi1 = -self.gamma * xp.sin(3.0 * th) / w
+        return xp.tan(psi) * psi1 / xp.cos(psi)
 
     def d2g(self, theta):
-        th = np.asarray(theta, dtype=float)
-        u = self.gamma * np.cos(3.0 * th)
-        w = np.sqrt(1.0 - u * u)
-        psi = self._psi(th)
-        g = 1.0 / np.cos(psi)
-        t = np.tan(psi)
-        psi1 = -self.gamma * np.sin(3.0 * th) / w
-        psi2 = (
-            -3.0 * self.gamma * np.cos(3.0 * th) / w
-            + 3.0 * self.gamma**3 * np.cos(3.0 * th) * np.sin(3.0 * th) ** 2 / w**3
-        )
+        xp, th = namespace(theta)
+        c3, s3 = xp.cos(3.0 * th), xp.sin(3.0 * th)
+        u = self.gamma * c3
+        w = xp.sqrt(1.0 - u * u)
+        psi = self._psi(xp, th)
+        g = 1.0 / xp.cos(psi)
+        t = xp.tan(psi)
+        psi1 = -self.gamma * s3 / w
+        psi2 = -3.0 * self.gamma * c3 / w + 3.0 * self.gamma**3 * c3 * s3**2 / w**3
         return g * ((t * t + g * g) * psi1 * psi1 + t * psi2)
 
     def to_dict(self) -> dict:
@@ -133,23 +132,24 @@ class PowerLaw:
         if self.n <= 0.0:
             raise ValidationError(f"n must be positive, got {self.n}")
 
-    def _v(self, th):
-        return 1.0 + self.beta * (1.0 + np.cos(3.0 * th))
+    def _v(self, xp, th):
+        return 1.0 + self.beta * (1.0 + xp.cos(3.0 * th))
 
     def g(self, theta):
-        return self._v(np.asarray(theta, dtype=float)) ** (-1.0 / self.n)
+        xp, th = namespace(theta)
+        return self._v(xp, th) ** (-1.0 / self.n)
 
     def dg(self, theta):
-        th = np.asarray(theta, dtype=float)
-        v = self._v(th)
-        v1 = -3.0 * self.beta * np.sin(3.0 * th)
+        xp, th = namespace(theta)
+        v = self._v(xp, th)
+        v1 = -3.0 * self.beta * xp.sin(3.0 * th)
         return (-1.0 / self.n) * v ** (-1.0 / self.n - 1.0) * v1
 
     def d2g(self, theta):
-        th = np.asarray(theta, dtype=float)
-        v = self._v(th)
-        v1 = -3.0 * self.beta * np.sin(3.0 * th)
-        v2 = -9.0 * self.beta * np.cos(3.0 * th)
+        xp, th = namespace(theta)
+        v = self._v(xp, th)
+        v1 = -3.0 * self.beta * xp.sin(3.0 * th)
+        v2 = -9.0 * self.beta * xp.cos(3.0 * th)
         e = -1.0 / self.n
         return e * (e - 1.0) * v ** (e - 2.0) * v1 * v1 + e * v ** (e - 1.0) * v2
 
@@ -175,23 +175,22 @@ class WillamWarnke:
         if not (0.5 < self.e <= 1.0):
             raise ValidationError(f"e must lie in (0.5, 1], got {self.e}")
 
-    def _parts(self, u):
+    def _parts(self, xp, u):
         c2 = 1.0 - self.e * self.e
         t = 2.0 * self.e - 1.0
-        rho = 4.0 * c2 * u * u + 5.0 * self.e * self.e - 4.0 * self.e
-        return c2, t, rho
+        # rho is (2e - 1)^2 > 0 at u = 1/2, where rounding can take it just below 0
+        r = xp.sqrt(xp.maximum(0.0, 4.0 * c2 * u * u + 5.0 * self.e * self.e - 4.0 * self.e))
+        return c2, t, r
 
     def g(self, theta):
-        u = np.cos(np.asarray(theta, dtype=float))
-        c2, t, rho = self._parts(u)
-        num = 2.0 * c2 * u + t * np.sqrt(rho)
-        den = 4.0 * c2 * u * u + t * t
-        return num / den
+        xp, th = namespace(theta)
+        u = xp.cos(th)
+        c2, t, r = self._parts(xp, u)
+        return (2.0 * c2 * u + t * r) / (4.0 * c2 * u * u + t * t)
 
-    def _du(self, u):
+    def _du(self, xp, u):
         # dg/du and d2g/du2; theta derivatives follow by the chain rule.
-        c2, t, rho = self._parts(u)
-        r = np.sqrt(rho)
+        c2, t, r = self._parts(xp, u)
         rho_u = 8.0 * c2 * u
         num = 2.0 * c2 * u + t * r
         den = 4.0 * c2 * u * u + t * t
@@ -208,14 +207,15 @@ class WillamWarnke:
         return g_u, g_uu
 
     def dg(self, theta):
-        th = np.asarray(theta, dtype=float)
-        g_u, _ = self._du(np.cos(th))
-        return g_u * (-np.sin(th))
+        xp, th = namespace(theta)
+        g_u, _ = self._du(xp, xp.cos(th))
+        return g_u * (-xp.sin(th))
 
     def d2g(self, theta):
-        th = np.asarray(theta, dtype=float)
-        g_u, g_uu = self._du(np.cos(th))
-        return g_uu * np.sin(th) ** 2 + g_u * (-np.cos(th))
+        xp, th = namespace(theta)
+        g_u, g_uu = self._du(xp, xp.cos(th))
+        s = xp.sin(th)
+        return g_uu * s**2 + g_u * (-xp.cos(th))
 
     def to_dict(self) -> dict:
         return {"kind": "willam-warnke", "e": self.e}
@@ -239,23 +239,24 @@ class GudehusArgyris:
         if not (0.777 < self.k <= 1.0):
             raise ValidationError(f"k must lie in (0.777, 1], got {self.k}")
 
-    def _d(self, th):
-        return 1.0 + self.k + (1.0 - self.k) * np.cos(3.0 * th)
+    def _d(self, xp, th):
+        return 1.0 + self.k + (1.0 - self.k) * xp.cos(3.0 * th)
 
     def g(self, theta):
-        return 2.0 * self.k / self._d(np.asarray(theta, dtype=float))
+        xp, th = namespace(theta)
+        return 2.0 * self.k / self._d(xp, th)
 
     def dg(self, theta):
-        th = np.asarray(theta, dtype=float)
-        d = self._d(th)
-        d1 = -3.0 * (1.0 - self.k) * np.sin(3.0 * th)
+        xp, th = namespace(theta)
+        d = self._d(xp, th)
+        d1 = -3.0 * (1.0 - self.k) * xp.sin(3.0 * th)
         return -2.0 * self.k * d1 / d**2
 
     def d2g(self, theta):
-        th = np.asarray(theta, dtype=float)
-        d = self._d(th)
-        d1 = -3.0 * (1.0 - self.k) * np.sin(3.0 * th)
-        d2 = -9.0 * (1.0 - self.k) * np.cos(3.0 * th)
+        xp, th = namespace(theta)
+        d = self._d(xp, th)
+        d1 = -3.0 * (1.0 - self.k) * xp.sin(3.0 * th)
+        d2 = -9.0 * (1.0 - self.k) * xp.cos(3.0 * th)
         return -2.0 * self.k * d2 / d**2 + 4.0 * self.k * d1 * d1 / d**3
 
     def to_dict(self) -> dict:
@@ -307,20 +308,26 @@ def lode_beta_bound(gamma: float) -> float:
     return 3.0 - (6.0 / math.pi) * math.atan(num / den)
 
 
+def beta_in_convex_interval(beta: float, gamma: float) -> tuple[bool, float, float]:
+    """(ok, lo, hi): the native shape's convex beta interval [lo, hi] at gamma,
+    and whether beta lies in it to within BOUNDARY_TOL."""
+    hi = lode_beta_bound(gamma)
+    lo = 2.0 - hi
+    return lo - BOUNDARY_TOL <= beta <= hi + BOUNDARY_TOL, lo, hi
+
+
 # ---------------------------------------------------------------------------
 # Meridians
 # ---------------------------------------------------------------------------
 
 
 def cap_h(phi, m: float, alpha: float):
-    """h(Phi) = (Phi - Phi^m)(2(1-alpha)Phi + alpha); f = -M pc sqrt(h)."""
-    phi = np.asarray(phi, dtype=float)
+    """h(Phi) = (Phi - Phi^m)(2(1-alpha)Phi + alpha); f = -M pc sqrt(h), Phi in [0, 1]."""
     return (phi - phi**m) * (2.0 * (1.0 - alpha) * phi + alpha)
 
 
 def cap_h1(phi, m: float, alpha: float):
     """First derivative dh/dPhi."""
-    phi = np.asarray(phi, dtype=float)
     return (1.0 - m * phi ** (m - 1.0)) * (2.0 * (1.0 - alpha) * phi + alpha) + 2.0 * (
         1.0 - alpha
     ) * (phi - phi**m)
@@ -328,14 +335,27 @@ def cap_h1(phi, m: float, alpha: float):
 
 def cap_h2(phi, m: float, alpha: float):
     """Second derivative d2h/dPhi2."""
-    phi = np.asarray(phi, dtype=float)
     return -m * (m - 1.0) * phi ** (m - 2.0) * (2.0 * (1.0 - alpha) * phi + alpha) + 4.0 * (
         1.0 - alpha
     ) * (1.0 - m * phi ** (m - 1.0))
 
 
+class _Meridian:
+    """f(p) for a float and f_array(p) for an array, over one body ``_f(p, xp)``."""
+
+    def f(self, p: float) -> float:
+        """Meridian value; +inf outside a cap, DomainError for NaN p."""
+        if math.isnan(p):
+            raise DomainError(f"p must be a number, got {p}")
+        return self._f(p, FLOAT)
+
+    def f_array(self, p: np.ndarray) -> np.ndarray:
+        """Meridian value over an array of pressures; +inf outside a cap."""
+        return self._f(np.asarray(p, dtype=float), np)
+
+
 @dataclass(frozen=True)
-class CapMeridian:
+class CapMeridian(_Meridian):
     """Bounded meridian with tension apex at -c and compression apex at pc."""
 
     M: float
@@ -360,36 +380,26 @@ class CapMeridian:
     def phi(self, p: float) -> float:
         return (p + self.c) / (self.pc + self.c)
 
-    def f(self, p: float) -> float:
-        """Meridian value; +inf outside the cap [-c, pc], DomainError for NaN p."""
-        phi = self.phi(p)
-        if not (0.0 <= phi <= 1.0):
-            if math.isnan(phi):
-                raise DomainError(f"p must be a number, got {p}")
-            return math.inf
-        h = float(cap_h(phi, self.m, self.alpha))
-        return -self.M * self.pc * math.sqrt(max(0.0, h))
-
-    def f_array(self, p: np.ndarray) -> np.ndarray:
-        """Meridian value over an array of pressures; +inf outside the cap."""
+    def _f(self, p, xp):
         phi = self.phi(p)
         inside = (phi >= 0.0) & (phi <= 1.0)
-        h = np.maximum(0.0, cap_h(np.where(inside, phi, 0.5), self.m, self.alpha))
-        return np.where(inside, -self.M * self.pc * np.sqrt(h), math.inf)
+        h = xp.maximum(0.0, cap_h(xp.where(inside, phi, 0.5), self.m, self.alpha))
+        return xp.where(inside, -self.M * self.pc * xp.sqrt(h), math.inf)
 
-    def df(self, p: float) -> float:
-        """df/dp on the open interior of the cap; caller guards the ends."""
+    def df(self, p):
+        """df/dp (a float or an array) on the open interior of the cap; caller guards the ends."""
+        xp, p = namespace(p)
         phi = self.phi(p)
-        h = float(cap_h(phi, self.m, self.alpha))
-        h1 = float(cap_h1(phi, self.m, self.alpha))
-        return -self.M * self.pc * h1 / (2.0 * math.sqrt(h)) / (self.pc + self.c)
+        h = cap_h(phi, self.m, self.alpha)
+        h1 = cap_h1(phi, self.m, self.alpha)
+        return -self.M * self.pc * h1 / (2.0 * xp.sqrt(h)) / (self.pc + self.c)
 
     def to_dict(self) -> dict:
         return {"M": self.M, "pc": self.pc, "c": self.c, "m": self.m, "alpha": self.alpha}
 
 
 @dataclass(frozen=True)
-class LinearMeridian:
+class LinearMeridian(_Meridian):
     """Open conical meridian f(p) = -Gamma (p + c)."""
 
     Gamma: float
@@ -402,13 +412,7 @@ class LinearMeridian:
         if self.c < 0.0:
             raise ValidationError(f"c must be nonnegative, got {self.c}")
 
-    def f(self, p: float) -> float:
-        """Meridian value; DomainError for NaN p."""
-        if math.isnan(p):
-            raise DomainError(f"p must be a number, got {p}")
-        return -self.Gamma * (p + self.c)
-
-    def f_array(self, p: np.ndarray) -> np.ndarray:
+    def _f(self, p, xp):
         return -self.Gamma * (p + self.c)
 
     def df(self, p: float) -> float:
@@ -448,14 +452,15 @@ class YieldParams:
     gamma: float
 
     def __post_init__(self):
-        # Range checks delegate to the meridian/shape constructors.
-        CapMeridian(self.M, self.pc, self.c, self.m, self.alpha)
+        # Range checks delegate to the meridian/shape constructors; the
+        # validated meridian is kept for meridian().
+        object.__setattr__(self, "_meridian", CapMeridian(self.M, self.pc, self.c, self.m, self.alpha))
         CosineLode(self.beta, self.gamma)
-        bound = lode_beta_bound(self.gamma)
-        if not (2.0 - bound - 1e-9 <= self.beta <= bound + 1e-9):
+        ok, lo, hi = beta_in_convex_interval(self.beta, self.gamma)
+        if not ok:
             raise ValidationError(
                 f"beta={self.beta} outside the convex interval "
-                f"[{2.0 - bound:.6g}, {bound:.6g}] for gamma={self.gamma}; "
+                f"[{lo:.6g}, {hi:.6g}] for gamma={self.gamma}; "
                 "use YieldParams.unchecked to bypass"
             )
 
@@ -488,7 +493,10 @@ class YieldParams:
         return cls(M, pc, c, m, alpha, beta, gamma), tuple(warnings)
 
     def meridian(self) -> CapMeridian:
-        return CapMeridian(self.M, self.pc, self.c, self.m, self.alpha)
+        # a record from unchecked() has none kept, and is validated here
+        return self.__dict__.get("_meridian") or CapMeridian(
+            self.M, self.pc, self.c, self.m, self.alpha
+        )
 
     def shape(self) -> CosineLode:
         return CosineLode(self.beta, self.gamma)
@@ -526,23 +534,11 @@ class Criterion:
         if self.B <= 0.0:
             raise ValidationError(f"B must be positive, got {self.B}")
 
-    @classmethod
-    def from_params(cls, params: YieldParams, A: float = 0.0, B: float = 1.0) -> "Criterion":
-        return cls(
-            meridian=CapMeridian(params.M, params.pc, params.c, params.m, params.alpha),
-            shape=CosineLode(params.beta, params.gamma),
-            A=A,
-            B=B,
-        )
+    from_params = staticmethod(YieldParams.criterion)
 
     def to_dict(self) -> dict:
-        d: dict = {}
-        if isinstance(self.meridian, CapMeridian):
-            d["meridian"] = "bp"
-            d.update(self.meridian.to_dict())
-        else:
-            d["meridian"] = "linear"
-            d.update(self.meridian.to_dict())
+        d: dict = {"meridian": "bp" if isinstance(self.meridian, CapMeridian) else "linear"}
+        d.update(self.meridian.to_dict())
         if isinstance(self.shape, CosineLode):
             d["beta"] = self.shape.beta
             d["gamma"] = self.shape.gamma
@@ -566,13 +562,7 @@ def criterion_from_dict(d: dict, unchecked: bool = False) -> Criterion:
     kind = d.get("meridian", "bp")
     try:
         if kind == "bp":
-            meridian = CapMeridian(
-                M=float(d["M"]),
-                pc=float(d["pc"]),
-                c=float(d["c"]),
-                m=float(d["m"]),
-                alpha=float(d["alpha"]),
-            )
+            meridian = CapMeridian(*(float(d[name]) for name in _PARAM_NAMES[:5]))
         elif kind == "linear":
             meridian = LinearMeridian(Gamma=float(d["Gamma"]), c=float(d.get("c", 0.0)))
         else:
@@ -588,8 +578,7 @@ def criterion_from_dict(d: dict, unchecked: bool = False) -> Criterion:
             raise ValidationError(f"missing parameter {exc.args[0]!r} for deviatoric shape")
     crit = Criterion(meridian=meridian, shape=shape, A=float(d.get("A", 0.0)), B=float(d.get("B", 1.0)))
     if not unchecked and isinstance(meridian, CapMeridian) and isinstance(shape, CosineLode):
-        bound = lode_beta_bound(shape.gamma)
-        if not (2.0 - bound - 1e-9 <= shape.beta <= bound + 1e-9):
+        if not beta_in_convex_interval(shape.beta, shape.gamma)[0]:
             raise ValidationError(
                 f"beta={shape.beta} outside the convex interval for gamma={shape.gamma}"
             )
@@ -603,7 +592,7 @@ def criterion_from_dict(d: dict, unchecked: bool = False) -> Criterion:
 
 def meridian_f(p: float, params: YieldParams) -> float:
     """Native meridian function f(p); +inf outside the cap [-c, pc]."""
-    return CapMeridian(params.M, params.pc, params.c, params.m, params.alpha).f(p)
+    return params.meridian().f(p)
 
 
 def deviatoric_g(theta, shape) -> float | np.ndarray:
@@ -612,9 +601,16 @@ def deviatoric_g(theta, shape) -> float | np.ndarray:
     theta must lie in [0, pi/3] (scalar or array); raises DomainError
     otherwise.
     """
-    th = _check_theta(theta)
-    out = shape.g(th)
+    if not _theta_in_range(theta):
+        raise DomainError(f"theta must lie in [0, pi/3], got {theta}")
+    out = shape.g(theta)
     return float(out) if np.ndim(theta) == 0 else out
+
+
+def _yield_body(fp, q, g, hydrostatic, crit: Criterion, xp):
+    """F from f(p), q and g(theta), as floats or arrays: +inf wherever f(p)
+    is, and no deviatoric term on hydrostatic states."""
+    return crit.A * q * q + xp.where(hydrostatic, 0.0, crit.B * q / g) + fp
 
 
 def yield_value(stress, crit: Criterion) -> float:
@@ -624,7 +620,8 @@ def yield_value(stress, crit: Criterion) -> float:
     hydrostatic states the deviatoric terms vanish and only f(p) remains.
     """
     inv = invariants(stress)
-    return yield_value_inv(inv, crit)
+    fp, g = crit.meridian.f(inv.p), crit.shape.g(inv.theta)
+    return _yield_body(fp, inv.q, g, inv.hydrostatic, crit, FLOAT)
 
 
 def yield_value_array(stress, crit: Criterion) -> np.ndarray:
@@ -634,21 +631,21 @@ def yield_value_array(stress, crit: Criterion) -> np.ndarray:
     domain of a cap meridian, and only A q^2 + f(p) on hydrostatic states.
     """
     p, q, theta, hydrostatic = invariants_array(stress)
-    fp = crit.meridian.f_array(p)
-    g = np.asarray(crit.shape.g(theta), dtype=float)
-    deviatoric = np.where(hydrostatic, 0.0, crit.B * q / g)
-    return crit.A * q**2 + deviatoric + fp
+    return _yield_body(crit.meridian.f_array(p), q, crit.shape.g(theta), hydrostatic, crit, np)
 
 
-def yield_value_inv(inv: Invariants, crit: Criterion) -> float:
-    """Evaluate F directly from an invariant triple."""
-    fp = crit.meridian.f(inv.p)
-    if math.isinf(fp):
-        return math.inf
-    if inv.hydrostatic or inv.q == 0.0:
-        return crit.A * inv.q**2 + fp
-    g = float(crit.shape.g(inv.theta))
-    return crit.A * inv.q**2 + crit.B * inv.q / g + fp
+def _surface_q_body(fp, g, crit: Criterion, xp):
+    """Surface radius from f(p) and g(theta), as floats or arrays; NaN where
+    f(p) is +inf (outside a cap) or positive (beyond a linear meridian's apex)."""
+    ok = fp <= 0.0
+    f = xp.where(ok, fp, 0.0)
+    if crit.A == 0.0:
+        q = -f * g / crit.B
+    else:
+        # f <= 0, so the discriminant is at least (B/g)^2 and the root is >= 0
+        bg = crit.B / g
+        q = (-bg + xp.sqrt(bg * bg - 4.0 * crit.A * f)) / (2.0 * crit.A)
+    return xp.where(ok, q, math.nan)
 
 
 def surface_q(p: float, theta: float, crit: Criterion) -> float | None:
@@ -658,19 +655,10 @@ def surface_q(p: float, theta: float, crit: Criterion) -> float | None:
     of A q^2 + B q / g + f(p) = 0.  Returns None when p lies outside the
     effective domain of a cap meridian.
     """
-    _check_theta(theta)
-    fp = crit.meridian.f(p)
-    if math.isinf(fp) or fp > 0.0:
-        # outside the cap, or a linear meridian beyond its tension apex
-        return None
-    g = float(crit.shape.g(theta))
-    if crit.A == 0.0:
-        return -fp * g / crit.B
-    # f <= 0 here, so the discriminant is at least (B/g)^2 and the root
-    # is nonnegative.
-    bg = crit.B / g
-    disc = bg * bg - 4.0 * crit.A * fp
-    return (-bg + math.sqrt(disc)) / (2.0 * crit.A)
+    if not _theta_in_range(theta):
+        raise DomainError(f"theta must lie in [0, pi/3], got {theta}")
+    q = _surface_q_body(crit.meridian.f(p), crit.shape.g(theta), crit, FLOAT)
+    return None if math.isnan(q) else q
 
 
 @dataclass(frozen=True)
@@ -697,8 +685,8 @@ def gradient(stress, crit: Criterion) -> GradientDecomposition:
         At q = 0 or, for the cap meridian, within DELTA_PHI of the cap
         ends, where the caller should use :func:`normal_limits`.
     """
-    sig = np.asarray(stress, dtype=float).reshape(3)
-    inv = invariants(sig)
+    s1, s2, s3 = _principal(stress)
+    inv = invariants((s1, s2, s3))
     if inv.hydrostatic:
         raise DegenerateState("gradient decomposition needs q > 0")
     if isinstance(crit.meridian, CapMeridian):
@@ -708,21 +696,19 @@ def gradient(stress, crit: Criterion) -> GradientDecomposition:
                 f"Phi={phi:.3g} too close to the cap ends; use normal_limits"
             )
     a = -crit.meridian.df(inv.p) / 3.0
-    g = float(crit.shape.g(inv.theta))
-    b = math.sqrt(1.5) * (crit.B / g + 2.0 * crit.A * inv.q)
-    s = sig - sig.sum() / 3.0
-    s_tilde = math.sqrt(1.5) * s / inv.q
+    g = crit.shape.g(inv.theta)
+    b = _SQRT15 * (crit.B / g + 2.0 * crit.A * inv.q)
+    st = [_SQRT15 * (s + inv.p) / inv.q for s in (s1, s2, s3)]
     sin3t = math.sin(3.0 * inv.theta)
     if abs(sin3t) <= EPS_MERIDIAN:
         # Smooth limit on a deviatoric meridian: the c-term drops out.
         c = 0.0
-        tensor = a * np.ones(3) + b * s_tilde
+        tensor = [a + b * t for t in st]
     else:
-        dg = float(crit.shape.dg(inv.theta))
-        c = math.sqrt(1.5) * crit.B * dg / g**2
+        c = _SQRT15 * crit.B * crit.shape.dg(inv.theta) / g**2
         cos3t = math.cos(3.0 * inv.theta)
-        perp = (math.sqrt(6.0) * (s_tilde**2 - 1.0 / 3.0) - cos3t * s_tilde) / sin3t
-        tensor = a * np.ones(3) + b * s_tilde + c * perp
+        tensor = [a + b * t + c * _perp(t, cos3t, sin3t) for t in st]
+    tensor = np.array(tensor)
     norm = math.sqrt(3.0 * a * a + b * b + c * c)
     return GradientDecomposition(a=a, b=b, c=c, tensor=tensor, unit_normal=tensor / norm)
 

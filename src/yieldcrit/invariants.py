@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -37,6 +38,34 @@ EPS_MERIDIAN = 1e-12
 
 # Upper end of the Lode angle range [0, pi/3].
 _THETA_MAX = math.pi / 3.0
+
+_LODE = 1.5 * math.sqrt(3.0)
+_SQRT6 = math.sqrt(6.0)
+
+# Each formula is written once over a namespace ``xp``: numpy for arrays,
+# or FLOAT, the same names over ``math`` for one state in plain floats.
+# Unlike numpy, ``math`` raises on sqrt(-x), float / and ** on a zero
+# divisor or an overflow, and max(0.0, nan) is 0.0, so the bodies keep
+# their arguments in range.  They multiply rather than use ** where both
+# paths must round alike (numpy's vector pow is not libm's) or where
+# numpy's pow is slow (a negative base).
+FLOAT = SimpleNamespace(
+    sqrt=math.sqrt,
+    arccos=math.acos,
+    cos=math.cos,
+    sin=math.sin,
+    tan=math.tan,
+    where=lambda cond, a, b: a if cond else b,
+    clip=lambda x, lo, hi: min(max(x, lo), hi),  # NaN stays NaN, as in numpy
+    maximum=max,
+)
+
+
+def namespace(x):
+    """``(FLOAT, x)`` for a real number, ``(numpy, x as a float array)`` otherwise."""
+    if isinstance(x, (float, int)):
+        return FLOAT, x
+    return np, np.asarray(x, dtype=float)
 
 
 @dataclass(frozen=True)
@@ -68,15 +97,47 @@ class DeviatoricFrame:
     defined: bool
 
 
-def _as_principal(stress) -> np.ndarray:
-    sig = np.asarray(stress, dtype=float).reshape(3)
-    if not np.all(np.isfinite(sig)):
-        raise DomainError(f"stress components must be finite, got {sig}")
-    return sig
+def _principal(stress) -> tuple[float, float, float]:
+    """A 3-tuple or 3-list, or anything numpy reshapes to (3,), as three finite floats."""
+    if isinstance(stress, (tuple, list)) and len(stress) == 3:
+        s1, s2, s3 = float(stress[0]), float(stress[1]), float(stress[2])
+    else:
+        s1, s2, s3 = np.asarray(stress, dtype=float).reshape(3).tolist()
+    if not (math.isfinite(s1) and math.isfinite(s2) and math.isfinite(s3)):
+        raise DomainError(f"stress components must be finite, got {np.array([s1, s2, s3])}")
+    return s1, s2, s3
 
 
-def _deviator(sig: np.ndarray) -> np.ndarray:
-    return sig - sig.sum() / 3.0
+def _lode_angle(j2, j3, xp):
+    """theta = acos(3 sqrt(3)/2 J3 / J2^(3/2)) / 3, the argument clamped to [-1, 1]."""
+    return xp.arccos(xp.clip(_LODE * j3 / (j2 * xp.sqrt(j2)), -1.0, 1.0)) / 3.0
+
+
+def _invariant_body(s1, s2, s3, xp):
+    """(p, q, theta, hydrostatic) of principal stresses given as floats or columns."""
+    tr = s1 + s2 + s3
+    p = -tr / 3.0
+    mean = tr / 3.0
+    d1, d2, d3 = s1 - mean, s2 - mean, s3 - mean
+    j2 = 0.5 * (d1 * d1 + d2 * d2 + d3 * d3)
+    q = xp.sqrt(3.0 * j2)
+    hydrostatic = q <= EPS_HYDROSTATIC * xp.maximum(1.0, abs(p))
+    j3 = (d1 * d1 * d1 + d2 * d2 * d2 + d3 * d3 * d3) / 3.0
+    theta = xp.where(hydrostatic, 0.0, _lode_angle(xp.where(hydrostatic, 1.0, j2), j3, xp))
+    return p, q, theta, hydrostatic
+
+
+def _theta_in_range(theta) -> bool:
+    """True when theta (a number or an array) lies in [0, pi/3] to 1e-12; False for NaN."""
+    if isinstance(theta, (float, int)):
+        return -1e-12 <= theta <= _THETA_MAX + 1e-12
+    th = np.asarray(theta, dtype=float)
+    return bool(np.all((-1e-12 <= th) & (th <= _THETA_MAX + 1e-12)))
+
+
+def _perp(s_tilde, cos3t: float, sin3t: float):
+    """s_tilde_perp from s_tilde, componentwise (floats or arrays), off the meridians."""
+    return (_SQRT6 * (s_tilde * s_tilde - 1.0 / 3.0) - cos3t * s_tilde) / sin3t
 
 
 def invariants(stress) -> Invariants:
@@ -86,18 +147,7 @@ def invariants(stress) -> Invariants:
     floating-point drift near triaxial states, and hydrostatic states get
     theta = 0 with the flag set.
     """
-    sig = _as_principal(stress)
-    p = -float(sig.sum()) / 3.0
-    s = _deviator(sig)
-    j2 = 0.5 * float(np.dot(s, s))
-    q = math.sqrt(3.0 * j2)
-    if q <= EPS_HYDROSTATIC * max(1.0, abs(p)):
-        return Invariants(p=p, q=q, theta=0.0, hydrostatic=True)
-    j3 = float(np.sum(s**3)) / 3.0
-    arg = 1.5 * math.sqrt(3.0) * j3 / j2**1.5
-    arg = min(1.0, max(-1.0, arg))
-    theta = math.acos(arg) / 3.0
-    return Invariants(p=p, q=q, theta=theta, hydrostatic=False)
+    return Invariants(*_invariant_body(*_principal(stress), FLOAT))
 
 
 def invariants_array(stress):
@@ -114,17 +164,7 @@ def invariants_array(stress):
     sig = sig.reshape(-1, 3)
     if not np.all(np.isfinite(sig)):
         raise DomainError("stress components must be finite")
-    tr = sig[:, 0] + sig[:, 1] + sig[:, 2]
-    p = -tr / 3.0
-    s = sig - (tr / 3.0)[:, None]
-    j2 = 0.5 * (s[:, 0] * s[:, 0] + s[:, 1] * s[:, 1] + s[:, 2] * s[:, 2])
-    q = np.sqrt(3.0 * j2)
-    hydrostatic = q <= EPS_HYDROSTATIC * np.maximum(1.0, np.abs(p))
-    s3 = s**3
-    j3 = (s3[:, 0] + s3[:, 1] + s3[:, 2]) / 3.0
-    arg = 1.5 * math.sqrt(3.0) * j3 / np.where(hydrostatic, 1.0, j2) ** 1.5
-    theta = np.where(hydrostatic, 0.0, np.arccos(np.clip(arg, -1.0, 1.0)) / 3.0)
-    return p, q, theta, hydrostatic
+    return _invariant_body(sig[:, 0], sig[:, 1], sig[:, 2], np)
 
 
 def invariant_gradients(stress):
@@ -143,11 +183,11 @@ def invariant_gradients(stress):
         the caller must switch to the smooth-limit form of the criterion
         gradient instead.
     """
-    sig = _as_principal(stress)
+    sig = np.array(_principal(stress))
     inv = invariants(sig)
     if inv.hydrostatic:
         raise DegenerateDirection("theta gradient undefined at a hydrostatic state")
-    s = _deviator(sig)
+    s = sig + inv.p
     dp = np.full(3, -1.0 / 3.0)
     dj2 = s.copy()
     s2 = s * s
@@ -168,18 +208,16 @@ def deviatoric_frame(stress) -> DeviatoricFrame:
     Raises DegenerateDirection when q = 0.  On a deviatoric meridian the
     perpendicular direction is a 0/0 limit, so ``defined`` is False there.
     """
-    sig = _as_principal(stress)
+    sig = np.array(_principal(stress))
     inv = invariants(sig)
     if inv.hydrostatic:
         raise DegenerateDirection("deviatoric direction undefined at q = 0")
-    s = _deviator(sig)
-    s_tilde = math.sqrt(1.5) * s / inv.q
+    s_tilde = math.sqrt(1.5) * (sig + inv.p) / inv.q
     sin3t = math.sin(3.0 * inv.theta)
     if abs(sin3t) <= EPS_MERIDIAN:
         return DeviatoricFrame(s_tilde=s_tilde, s_tilde_perp=np.zeros(3), defined=False)
     cos3t = math.cos(3.0 * inv.theta)
-    perp = (math.sqrt(6.0) * (s_tilde**2 - 1.0 / 3.0) - cos3t * s_tilde) / sin3t
-    return DeviatoricFrame(s_tilde=s_tilde, s_tilde_perp=perp, defined=True)
+    return DeviatoricFrame(s_tilde=s_tilde, s_tilde_perp=_perp(s_tilde, cos3t, sin3t), defined=True)
 
 
 def principal_from_invariants(p: float, q: float, theta: float) -> np.ndarray:
@@ -188,8 +226,10 @@ def principal_from_invariants(p: float, q: float, theta: float) -> np.ndarray:
     The inverse of :func:`invariants` up to permutation:
     sigma_k = -p + (2q/3) cos(theta - 2 pi k / 3).
     """
-    if not (-1e-12 <= theta <= _THETA_MAX + 1e-12):
+    if not _theta_in_range(theta):
         raise DomainError(f"theta must lie in [0, pi/3], got {theta}")
+    if not (math.isfinite(p) and math.isfinite(q)):
+        raise DomainError(f"p and q must be finite, got p={p}, q={q}")
     if q < 0.0:
         raise DomainError(f"q must be nonnegative, got {q}")
     k = np.arange(3)

@@ -132,7 +132,7 @@ class LimitRealization:
     warnings: tuple[str, ...] = ()
 
     def criterion(self) -> Criterion:
-        return Criterion.from_params(self.params)
+        return self.params.criterion()
 
 
 def _cm_angle_terms(beta: float) -> tuple[float, float]:
@@ -201,11 +201,7 @@ def realize(criterion: ClassicalCriterion, scale_exponent: int = 6) -> LimitReal
         warn.append("gamma -> 1 realized as 1-1e-9 (piecewise-linear limit)")
     elif isinstance(criterion, CoulombMohr):
         beta = (6.0 / math.pi) * math.atan(math.sqrt(3.0) / (2.0 * r + 1.0))
-        c1, c2 = _cm_angle_terms(beta)
-        M = 3.0 * (r * c2 - c1) / (math.sqrt(2.0) * (r + 1.0))
-        c = fc * (c2 + c1) / (3.0 * r * c2 - 3.0 * c1)
-        gamma = _GAMMA_LIMIT
-        warn.append("gamma -> 1 realized as 1-1e-9 (piecewise-linear limit)")
+        return coulomb_mohr_generalized(fc, r, beta, k)
     else:
         raise DomainError(f"unknown classical criterion {criterion!r}")
 

@@ -1,8 +1,9 @@
 """The batch (N, 3) evaluation of F and the batched biaxial ray bisection.
 
 The array F is checked against the scalar ``yield_value`` state by state,
-and ``sample_biaxial`` against a scalar bisection oracle that resolves one
-ray at a time with the same bracket and stop rule.
+every formula body shared by the float and the array path is checked on
+both, and ``sample_biaxial`` against a scalar bisection oracle that
+resolves one ray at a time with the same bracket and stop rule.
 """
 
 import math
@@ -38,9 +39,11 @@ from yieldcrit import (
     realize,
     sample_biaxial,
     sections,
+    surface_q,
     yield_value,
     yield_value_array,
 )
+from yieldcrit.criterion import DELTA_PHI, _surface_q_body
 
 PI3 = math.pi / 3.0
 
@@ -144,6 +147,54 @@ def test_array_F_refuses_non_finite_stress():
     crit = YieldParams(M=1.0, pc=1.0, c=0.1, m=2.0, alpha=1.0, beta=1.0, gamma=0.0).criterion()
     with pytest.raises(DomainError):
         yield_value_array(np.array([[0.0, 0.0, 0.0], [math.nan, 0.0, 0.0]]), crit)
+
+
+# ---------------------------------------------------------------------------
+# One formula body for a float and for a one-row array
+# ---------------------------------------------------------------------------
+
+
+def _agree(x, y, scale=1.0):
+    """x, from the float path, is a Python float equal to the one-row y to 1e-12."""
+    assert type(x) is float, type(x)
+    y = float(np.asarray(y).reshape(-1)[0])
+    if math.isinf(x) or math.isinf(y):
+        assert x == y
+    else:
+        assert abs(x - y) <= 1e-12 * max(abs(x), abs(y), scale), (x, y)
+
+
+@given(criteria(), states)
+@settings(max_examples=300)
+def test_float_path_matches_one_row_array(crit_span, state):
+    crit, span = crit_span
+    sig = tuple(float(v) for v in _stress(state, span))
+    row = np.array([sig])
+    inv = invariants(sig)
+    p, q, theta, hydrostatic = invariants_array(row)
+    size = abs(inv.p) + inv.q
+    _agree(inv.p, p, size)
+    _agree(inv.q, q, size)
+    _agree(inv.theta, theta)
+    assert hydrostatic[0] == inv.hydrostatic
+
+    f = crit.meridian.f(inv.p)
+    _agree(f, crit.meridian.f_array(p), size)
+    if not isinstance(crit.meridian, CapMeridian) or DELTA_PHI < crit.meridian.phi(inv.p) < 1.0 - DELTA_PHI:
+        _agree(crit.meridian.df(inv.p), crit.meridian.df(p))
+    for th in (inv.theta, 0.0, PI3):
+        for name in ("g", "dg", "d2g"):
+            body = getattr(crit.shape, name)
+            _agree(body(th), body(np.array([th])))
+
+    g = crit.shape.g(inv.theta)
+    scale = crit.A * inv.q**2 + crit.B * inv.q / g + (0.0 if math.isinf(f) else abs(f))
+    _agree(yield_value(sig, crit), yield_value_array(row, crit), scale)
+    qs = surface_q(inv.p, inv.theta, crit)
+    qs_array = _surface_q_body(crit.meridian.f_array(p), crit.shape.g(theta), crit, np)
+    assert (qs is None) == bool(np.isnan(qs_array[0]))
+    if qs is not None:
+        _agree(qs, qs_array, size)
 
 
 # ---------------------------------------------------------------------------

@@ -118,6 +118,11 @@ class TestDeviatoricCurvature:
         with pytest.raises(DomainError):
             deviatoric_curvature(-0.2, CosineLode(1.0, 0.0))
 
+    @pytest.mark.parametrize("theta", [math.nan, np.array([0.1, math.nan])])
+    def test_nan_theta(self, theta):
+        with pytest.raises(DomainError):
+            deviatoric_curvature(theta, CosineLode(1.0, 0.0))
+
 
 class TestHessian:
     SHAPES = [

@@ -120,6 +120,11 @@ class TestPrincipalFromInvariants:
         with pytest.raises(DomainError):
             principal_from_invariants(0.0, -1.0, 0.1)
 
+    @pytest.mark.parametrize("p, q", [(0.5, math.nan), (math.nan, 1.0), (math.inf, 1.0), (0.5, math.inf)])
+    def test_non_finite_p_or_q(self, p, q):
+        with pytest.raises(DomainError):
+            principal_from_invariants(p, q, 0.3)
+
 
 class TestInvariantGradients:
     def test_dp_constant(self):
