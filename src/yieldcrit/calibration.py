@@ -13,15 +13,21 @@ Points falling outside the elastic cap do not see the raw +inf of the
 meridian function; they get a finite penalty residual w (1 + dist) so the
 objective stays continuous for the optimizer.
 
-The driver is a bounded trust-region least-squares search (scipy's
-``trf``, Jacobian-scaled) on the box of parameter bounds itself.  It works
-in log(value) for a parameter whose positive bounds span more than a
-factor of 10 and in the value otherwise.  Its Jacobian is closed-form when
-every free parameter belongs to a cap meridian (M, pc, c, m, alpha) and
-taken by forward differences otherwise.  When no initial guess is
-supplied it runs from seeded starts drawn uniformly in those coordinates;
-a bounded simplex search takes over only for a start whose residuals are
-not finite.  Fits are deterministic given (dataset, init, seed).
+The search is the Trust Region Reflective method (:mod:`yieldcrit.trf`,
+an in-house port of scipy's ``trf``, Jacobian-scaled) on the box of
+parameter bounds itself.  It works in log(value) for a parameter whose
+positive bounds span more than a factor of 10 and in the value otherwise.
+Its Jacobian is closed-form when every free parameter belongs to a cap
+meridian (M, pc, c, m, alpha) and taken by forward differences otherwise.
+When no initial guess is supplied it runs from seeded starts drawn
+uniformly in those coordinates, all in lockstep: the residuals of every
+start come from one array evaluation, with the free parameters as
+columns of the criterion (:meth:`FitProblem.rows`), and no validated
+Criterion is built per evaluation.  A start whose initial residuals are
+not finite takes no step; there is no fallback search.  A fit reports
+``converged`` only for a convex result that, with several starts, at
+least two starts agree on.  Fits are deterministic given (dataset, init,
+seed).
 """
 
 from __future__ import annotations
@@ -34,6 +40,7 @@ from typing import Mapping
 
 import numpy as np
 
+from . import trf
 from .convexity import ConvexityReport, certify
 from .criterion import (
     CapMeridian,
@@ -52,27 +59,15 @@ from .invariants import _theta_in_range, invariants
 
 FITTABLE = ("M", "pc", "c", "m", "alpha", "beta", "gamma", "Gamma", "A", "e", "k", "n")
 
-_OPTIMIZERS = ("least_squares", "minimize")
-
-
-def _bind_optimizers() -> None:
-    """Make scipy's optimizers module globals, keeping any name already set.
-
-    Importing scipy.optimize takes most of a CLI process's start-up and
-    only :func:`fit` needs it, so it is loaded on first use.  A name set
-    before (a wrapped optimizer, say) is the one ``fit`` calls.
-    """
-    from scipy import optimize
-
-    for attr in _OPTIMIZERS:
-        globals().setdefault(attr, getattr(optimize, attr))
-
 
 def __getattr__(name: str):
-    if name not in _OPTIMIZERS:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    _bind_optimizers()
-    return globals()[name]
+    # perfbench's tracer (perfbench/families.py) wraps these scipy names
+    # when it traces; fit calls neither, and nothing else loads scipy
+    if name in ("least_squares", "minimize"):
+        from scipy import optimize
+
+        return getattr(optimize, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -308,6 +303,31 @@ class FitProblem:
             shape = replace(shape, **shape_kw)
         return replace(self.template, meridian=mer, shape=shape, **crit_kw)
 
+    def rows(self, values: np.ndarray) -> Criterion:
+        """The template with free parameter j set to column j of ``values``.
+
+        One row of ``values`` per fit start, so each free field is an (n, 1)
+        column and every formula body broadcasts over the starts.  Not
+        validated: the search keeps its points inside admissible bounds.
+        """
+        fields: dict = {"criterion": {}, "meridian": {}, "shape": {}}
+        for j, name in enumerate(self.free):
+            fields[self._locate(name)][name] = values[:, j : j + 1]
+        t = self.template
+        return _unvalidated(
+            t,
+            meridian=_unvalidated(t.meridian, **fields["meridian"]),
+            shape=_unvalidated(t.shape, **fields["shape"]),
+            **fields["criterion"],
+        )
+
+
+def _unvalidated(record, **fields):
+    """A frozen record with some fields replaced, without its checks."""
+    new = object.__new__(type(record))
+    new.__dict__.update(record.__dict__, **fields)
+    return new
+
 
 # ---------------------------------------------------------------------------
 # Residuals
@@ -319,12 +339,16 @@ def _cap_distance(crit: Criterion, p: np.ndarray) -> np.ndarray:
     if isinstance(crit.meridian, CapMeridian):
         phi = crit.meridian.phi(p)
         return np.maximum(0.0, np.maximum(-phi, phi - 1.0))
-    scale = max(crit.meridian.c, float(np.mean(np.abs(p))), 1e-30)
+    scale = np.maximum(np.maximum(crit.meridian.c, np.mean(np.abs(p))), 1e-30)
     return np.maximum(0.0, -(p + crit.meridian.c)) / scale
 
 
 def residual_vector(crit: Criterion, dataset: FitDataset, mode: str) -> np.ndarray:
-    """Weighted, normalized residuals of a criterion against a dataset."""
+    """Weighted, normalized residuals of a criterion against a dataset.
+
+    For a criterion from :meth:`FitProblem.rows` the result has one row of
+    residuals per row of parameter values.
+    """
     p, q, th = dataset.points.T
     w = dataset.weights
     f = crit.meridian.f_array(p)
@@ -384,7 +408,9 @@ def _cap_partials(crit: Criterion, dataset: FitDataset, mode: str, names) -> dic
     Follows the branches of :func:`residual_vector` at fixed branch choice:
     a point outside the cap sees the derivative of its penalty, and a
     point where the meridian root vanishes (h = 0, a cap end) gets a zero
-    entry, since sqrt(h) has no derivative there.
+    entry, since sqrt(h) has no derivative there.  Like the residuals, the
+    columns have one row per start for a criterion from
+    :meth:`FitProblem.rows`.
     """
     p, q, th = dataset.points.T
     w = dataset.weights
@@ -450,8 +476,28 @@ def _cap_partials(crit: Criterion, dataset: FitDataset, mode: str, names) -> dic
 
 
 @dataclass(frozen=True)
+class FitStart:
+    """One start of a fit: where it began, where it ended and the rms there,
+    the residual evaluations it spent (difference Jacobians included) and
+    why it stopped: a ``trf`` stop test ("gtol", "ftol", "xtol",
+    "ftol+xtol"), "budget" once its evaluations ran out, or "nonfinite"
+    when its initial residuals were not finite and it took no step."""
+
+    start: tuple[tuple[str, float], ...]
+    values: tuple[tuple[str, float], ...]
+    rms: float
+    evaluations: int
+    stop: str
+
+
+@dataclass(frozen=True)
 class FitResult:
-    """Calibrated criterion with residual statistics and a convexity audit."""
+    """Calibrated criterion with residual statistics and a convexity audit.
+
+    ``n_agree`` counts the starts whose final rms is within
+    1e-10 + 1e-6 rms of the winner's, the winner included; ``starts`` has
+    one record per start.
+    """
 
     criterion: Criterion
     values: tuple[tuple[str, float], ...]
@@ -459,6 +505,8 @@ class FitResult:
     iterations: int
     converged: bool
     convexity: ConvexityReport
+    n_agree: int
+    starts: tuple[FitStart, ...]
 
     def to_dict(self) -> dict:
         d = self.criterion.to_dict()
@@ -473,7 +521,8 @@ class _SearchCoordinates:
     """The coordinates the optimizer works in, one per free parameter.
 
     A parameter whose positive bounds span more than a factor of 10 is
-    searched in log(value), any other in the value itself.
+    searched in log(value), any other in the value itself.  Points are
+    rows of an (n, k) array, one per start.
     """
 
     def __init__(self, lo: np.ndarray, hi: np.ndarray):
@@ -487,8 +536,12 @@ class _SearchCoordinates:
     def values(self, u: np.ndarray) -> np.ndarray:
         """Parameter values, clipped so that rounding in exp stays in bounds."""
         v = np.array(u, dtype=float)
-        v[self.logs] = np.exp(v[self.logs])
+        v[:, self.logs] = np.exp(v[:, self.logs])
         return np.clip(v, self.lo, self.hi)
+
+
+def _rms(r: np.ndarray) -> np.ndarray:
+    return np.sqrt(np.mean(r * r, axis=-1))
 
 
 def fit(
@@ -500,30 +553,32 @@ def fit(
 ) -> FitResult:
     """Calibrate the problem's free parameters against the dataset.
 
-    Each run is a bounded trust-region least-squares search (scipy's
-    ``trf`` on the box of bounds, Jacobian-scaled) in coordinates that are
-    logarithmic for a parameter whose positive bounds span more than a
-    factor of 10 and linear otherwise.  When every free parameter belongs
-    to a cap meridian (M, pc, c, m, alpha) the Jacobian is closed-form;
-    otherwise it is taken by forward differences.  Each run may take about
-    200 steps.  A single run starts from ``init`` when given; otherwise
-    ``n_starts`` seeded starts are drawn uniformly in the search
-    coordinates, inside the central 90% of each interval, and the best
-    result wins, ties broken by start index so the outcome is
-    deterministic.  The returned rms never exceeds the rms at the initial
-    point.  ``converged`` is False when no run converged or when the result
-    fails convexity certification; the best parameters so far are still
-    returned.
+    The search is the Trust Region Reflective method on the box of bounds
+    (:mod:`yieldcrit.trf`, a port of scipy's ``trf``, Jacobian-scaled) in
+    coordinates that are logarithmic for a parameter whose positive bounds
+    span more than a factor of 10 and linear otherwise.  When every free
+    parameter belongs to a cap meridian (M, pc, c, m, alpha) the Jacobian
+    is closed-form; otherwise it is taken by forward differences.  Each
+    start may make 200 residual evaluations, difference Jacobians aside.
+    A single start is ``init`` when given; otherwise ``n_starts`` seeded
+    starts are drawn uniformly in the search coordinates, inside the
+    central 90% of each interval.  All starts run in lockstep, and the
+    best result wins, ties broken by start index, so the outcome is
+    deterministic.  A start whose initial residuals are not finite takes
+    no step.  The returned rms never exceeds the rms at the start point.
+
+    ``converged`` needs a convex result (convexity certification) and,
+    with two or more starts, at least two starts that agree on the winning
+    rms (``n_agree >= 2``); a single start must have met a stop test.  The
+    best parameters so far are returned either way.
 
     Raises InsufficientData when the dataset has fewer points than there
     are free parameters.
     """
     names = problem.free
-    if len(dataset) < len(names):
-        raise InsufficientData(
-            f"{len(dataset)} points cannot determine {len(names)} free parameters"
-        )
-    _bind_optimizers()
+    k = len(names)
+    if len(dataset) < k:
+        raise InsufficientData(f"{len(dataset)} points cannot determine {k} free parameters")
     mode = problem.residual_mode
     lo = np.array([problem.bound_of(n)[0] for n in names])
     hi = np.array([problem.bound_of(n)[1] for n in names])
@@ -533,71 +588,80 @@ def fit(
     )
 
     def resid_v(v: np.ndarray) -> np.ndarray:
-        return residual_vector(problem.with_values(dict(zip(names, v))), dataset, mode)
+        r = residual_vector(problem.rows(v), dataset, mode)
+        return np.broadcast_to(r, (len(v), len(dataset)))
 
     def resid_u(u: np.ndarray) -> np.ndarray:
         return resid_v(box.values(u))
 
-    def jac_u(u: np.ndarray) -> np.ndarray:
+    def jac_u(u: np.ndarray, r: np.ndarray) -> np.ndarray:
         v = box.values(u)
-        cols = _cap_partials(problem.with_values(dict(zip(names, v))), dataset, mode, names)
-        # chain rule d/du = v d/dv on the log coordinates
-        return np.column_stack([cols[n] for n in names]) * np.where(box.logs, v, 1.0)
+        if closed:
+            cols = _cap_partials(problem.rows(v), dataset, mode, names)
+            J = np.stack([np.broadcast_to(cols[n], r.shape) for n in names], axis=-1)
+            # chain rule d/du = v d/dv on the log coordinates
+            return J * np.where(box.logs, v, 1.0)[:, None, :]
+        return trf.difference_jacobian(resid_u, u, r, box.ulo, box.uhi)
 
     if init is not None:
         missing = [n for n in names if n not in init]
         if missing:
             raise ValidationError(f"init must cover every free parameter; missing {missing}")
-        v0 = np.clip(np.array([init[n] for n in names], dtype=float), lo, hi)
-        starts = [(box.coords(v0), v0)]
+        v0 = np.clip(np.array([[init[n] for n in names]], dtype=float), lo, hi)
+        u0 = trf.strictly_feasible(box.coords(v0), box.ulo, box.uhi, 1e-10)
+        f0, r0 = resid_u(u0), resid_v(v0)
     else:
         rng = np.random.default_rng(seed)
-        starts = []
-        for _ in range(n_starts):
-            u0 = box.ulo + (box.uhi - box.ulo) * rng.uniform(0.05, 0.95, size=len(names))
-            starts.append((u0, box.values(u0)))
+        u0 = box.ulo + (box.uhi - box.ulo) * rng.uniform(0.05, 0.95, size=(n_starts, k))
+        v0 = box.values(u0)
+        f0 = r0 = resid_v(v0)
 
-    best = None  # (rms, start_index, values, nfev, success)
-    for idx, (u0, v0) in enumerate(starts):
-        r0 = resid_v(v0)
-        cand = (float(np.sqrt(np.mean(r0 * r0))), idx, v0, 0, False)
-        try:
-            res = least_squares(
-                resid_u,
-                u0,
-                jac=jac_u if closed else "2-point",
-                bounds=(box.ulo, box.uhi),
-                method="trf",
-                x_scale="jac",
-                max_nfev=_MAX_STEPS,
-            )
-        except ValueError:
-            # least_squares refuses a start whose residuals are not finite;
-            # fall back to a bounded simplex search on the summed squares.
-            res = minimize(
-                lambda u: float(np.sum(resid_u(u) ** 2)),
-                u0,
-                method="Nelder-Mead",
-                bounds=list(zip(box.ulo, box.uhi)),
-                options={"maxiter": 2000, "xatol": 1e-12, "fatol": 1e-16},
-            )
-            rms1 = math.sqrt(res.fun / len(dataset))
-        else:
-            rms1 = float(np.sqrt(np.mean(res.fun**2)))
-        if rms1 <= cand[0]:
-            cand = (rms1, idx, box.values(res.x), int(res.nfev), bool(res.success))
-        if best is None or (cand[0], cand[1]) < (best[0], best[1]):
-            best = cand
+    n = len(u0)
+    rms = _rms(r0)
+    rms[np.isnan(rms)] = np.inf
+    v, nfev, evaluations = v0.copy(), np.ones(n, dtype=int), np.ones(n, dtype=int)
+    stops = ["nonfinite"] * n
+    improved = np.zeros(n, dtype=bool)
+    ok = np.flatnonzero(np.all(np.isfinite(f0), axis=1))
+    if ok.size:
+        x, f, nfev[ok], njev, status = trf.solve(
+            resid_u, jac_u, u0[ok], f0[ok], box.ulo, box.uhi, _MAX_STEPS
+        )
+        evaluations[ok] = nfev[ok] + (0 if closed else k * njev)
+        for j, code in zip(ok, status):
+            stops[j] = trf.STOPS[code]
+        rms1 = _rms(f)
+        improved[ok] = won = rms1 <= rms[ok]
+        rms[ok[won]], v[ok[won]] = rms1[won], box.values(x[won])
 
-    rms, _, v, nfev, success = best
-    values = {n: float(x) for n, x in zip(names, v)}
+    best = int(np.argmin(rms))
+    values = {name: float(x) for name, x in zip(names, v[best])}
     crit = problem.with_values(values)
     report = certify(crit)
+    with np.errstate(invalid="ignore"):  # inf - inf where no start had finite residuals
+        agree = (rms == rms[best]) | (np.abs(rms - rms[best]) <= 1e-10 + 1e-6 * rms[best])
+    n_agree = int(np.sum(agree))
+    if n > 1:
+        converged = n_agree >= 2
+    else:
+        converged = bool(improved[0]) and stops[0] not in ("budget", "nonfinite")
+    starts = tuple(
+        FitStart(
+            start=tuple(zip(names, map(float, v0[j]))),
+            values=tuple(zip(names, map(float, v[j]))),
+            rms=float(rms[j]),
+            evaluations=int(evaluations[j]),
+            stop=stops[j],
+        )
+        for j in range(n)
+    )
     return FitResult(
         criterion=crit,
         values=tuple(values.items()),
-        rms=rms,
-        iterations=nfev,
-        converged=bool(success and report.admissible),
+        rms=float(rms[best]),
+        iterations=int(nfev[best]) if improved[best] else 0,
+        converged=bool(converged and report.admissible),
         convexity=report,
+        n_agree=n_agree,
+        starts=starts,
     )

@@ -43,7 +43,7 @@ from .criterion import (
     lode_beta_bound,
 )
 from .errors import DegenerateState, DomainError
-from .invariants import FLOAT, _lode_angle, _theta_in_range
+from .invariants import FLOAT, _lode_angle, _theta_in_range, _check_stress
 
 # Grid densities; every scanned quantity is a smooth trigonometric or
 # polynomial expression with few oscillations.
@@ -100,13 +100,14 @@ def hessian_qg(s1: float, s2: float, shape) -> np.ndarray:
     a rank-one matrix.  The mixed q-theta terms cancel identically, which
     is what makes this compact form possible.  Continuous across the
     deviatoric meridians (sin 3 theta = 0).  Raises DegenerateState at
-    q = 0.
+    q = 0, and DomainError where :func:`invariants` would.
     """
+    s3 = -s1 - s2
+    _check_stress((s1, s2, s3))
     q2 = 3.0 * (s1 * s1 + s1 * s2 + s2 * s2)
     if q2 <= 0.0:
         raise DegenerateState("Hessian of q/g undefined at q = 0")
     q = math.sqrt(q2)
-    s3 = -s1 - s2
     j2 = 0.5 * (s1 * s1 + s2 * s2 + s3 * s3)
     j3 = s1 * s2 * s3
     theta = _lode_angle(j2, j3, FLOAT)

@@ -639,12 +639,20 @@ def _surface_q_body(fp, g, crit: Criterion, xp):
     f(p) is +inf (outside a cap) or positive (beyond a linear meridian's apex)."""
     ok = fp <= 0.0
     f = xp.where(ok, fp, 0.0)
-    if crit.A == 0.0:
+    A = crit.A
+    if isinstance(A, np.ndarray):
+        # a batched fit carries A as a column: the rows where it is 0 take
+        # the linear root, the others the quadratic one below
+        zero = A == 0.0
+        a = np.where(zero, 1.0, A)
+        bg = crit.B / g
+        q = np.where(zero, -f * g / crit.B, (-bg + np.sqrt(bg * bg - 4.0 * a * f)) / (2.0 * a))
+    elif A == 0.0:
         q = -f * g / crit.B
     else:
         # f <= 0, so the discriminant is at least (B/g)^2 and the root is >= 0
         bg = crit.B / g
-        q = (-bg + xp.sqrt(bg * bg - 4.0 * crit.A * f)) / (2.0 * crit.A)
+        q = (-bg + xp.sqrt(bg * bg - 4.0 * A * f)) / (2.0 * A)
     return xp.where(ok, q, math.nan)
 
 

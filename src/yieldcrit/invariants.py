@@ -36,6 +36,11 @@ EPS_HYDROSTATIC = 1e-12
 # and the perpendicular direction is undefined.
 EPS_MERIDIAN = 1e-12
 
+# Largest stress component magnitude accepted.  The Lode angle needs
+# J2^(3/2) and J3, up to about 15 max|sigma|^3, to stay finite in double
+# precision, which ends near 2e102.
+STRESS_MAX = 1e100
+
 # Upper end of the Lode angle range [0, pi/3].
 _THETA_MAX = math.pi / 3.0
 
@@ -97,15 +102,32 @@ class DeviatoricFrame:
     defined: bool
 
 
-def _principal(stress) -> tuple[float, float, float]:
-    """A 3-tuple or 3-list, or anything numpy reshapes to (3,), as three finite floats."""
-    if isinstance(stress, (tuple, list)) and len(stress) == 3:
-        s1, s2, s3 = float(stress[0]), float(stress[1]), float(stress[2])
+def _check_stress(sig) -> None:
+    """DomainError unless every component of ``sig`` (a tuple of three
+    floats or an (N, 3) array) is finite and at most STRESS_MAX in magnitude."""
+    if isinstance(sig, tuple):
+        s1, s2, s3 = sig
+        if abs(s1) <= STRESS_MAX and abs(s2) <= STRESS_MAX and abs(s3) <= STRESS_MAX:
+            return
+        bad = list(sig)
     else:
-        s1, s2, s3 = np.asarray(stress, dtype=float).reshape(3).tolist()
-    if not (math.isfinite(s1) and math.isfinite(s2) and math.isfinite(s3)):
-        raise DomainError(f"stress components must be finite, got {np.array([s1, s2, s3])}")
-    return s1, s2, s3
+        # the largest magnitude is NaN if any component is
+        if np.abs(sig).max(initial=0.0) <= STRESS_MAX:
+            return
+        bad = sig[~np.all(np.abs(sig) <= STRESS_MAX, axis=-1)][0].tolist()
+    raise DomainError(
+        f"stress components must be finite and at most {STRESS_MAX:g} in magnitude, got {bad}"
+    )
+
+
+def _principal(stress) -> tuple[float, float, float]:
+    """A 3-tuple or 3-list, or anything numpy reshapes to (3,), as three checked floats."""
+    if isinstance(stress, (tuple, list)) and len(stress) == 3:
+        sig = float(stress[0]), float(stress[1]), float(stress[2])
+    else:
+        sig = tuple(np.asarray(stress, dtype=float).reshape(3).tolist())
+    _check_stress(sig)
+    return sig
 
 
 def _lode_angle(j2, j3, xp):
@@ -162,8 +184,7 @@ def invariants_array(stress):
     if sig.ndim not in (1, 2) or sig.shape[-1] != 3:
         raise DomainError(f"stress must have shape (3,) or (N, 3), got {sig.shape}")
     sig = sig.reshape(-1, 3)
-    if not np.all(np.isfinite(sig)):
-        raise DomainError("stress components must be finite")
+    _check_stress(sig)
     return _invariant_body(sig[:, 0], sig[:, 1], sig[:, 2], np)
 
 

@@ -149,6 +149,15 @@ def test_array_F_refuses_non_finite_stress():
         yield_value_array(np.array([[0.0, 0.0, 0.0], [math.nan, 0.0, 0.0]]), crit)
 
 
+def test_scalar_and_array_F_refuse_overflowing_stress():
+    # J2^(3/2) overflows past about 2e102, where theta and F would be NaN
+    crit = YieldParams(M=1.0, pc=1.0, c=0.1, m=2.0, alpha=1.0, beta=1.0, gamma=0.0).criterion()
+    with pytest.raises(DomainError, match="at most 1e\\+100"):
+        yield_value((1e120, 0.0, 0.0), crit)
+    with pytest.raises(DomainError, match="at most 1e\\+100"):
+        yield_value_array(np.array([[0.0, 0.0, 0.0], [1e120, 0.0, 0.0]]), crit)
+
+
 # ---------------------------------------------------------------------------
 # One formula body for a float and for a one-row array
 # ---------------------------------------------------------------------------

@@ -68,6 +68,12 @@ class TestEval:
         assert d["F"] == "+inf"
         assert d["gradient"] is None
 
+    def test_overflowing_stress_exits_2(self, capsys, cam_clay_file):
+        code, out, err = run(capsys, ["eval", "--params", cam_clay_file, "--stress=1e120,0,0"])
+        assert code == 2
+        assert out == ""
+        assert "at most 1e+100" in err
+
     def test_interior_gradient(self, capsys, cam_clay_file):
         code, out, _ = run(
             capsys, ["eval", "--params", cam_clay_file, "--stress=-0.4,-0.5,-0.6"]

@@ -230,6 +230,12 @@ class TestHessian:
         with pytest.raises(DegenerateState):
             hessian_qg(0.0, 0.0, CosineLode(1.0, 0.0))
 
+    @pytest.mark.parametrize("s1, s2", [(1e120, 0.0), (math.nan, 0.0), (0.0, math.inf)])
+    def test_overflowing_or_nonfinite_state(self, s1, s2):
+        # q**3 would overflow, or the state is no number
+        with pytest.raises(DomainError, match="must be finite and at most"):
+            hessian_qg(s1, s2, CosineLode(1.0, 0.0))
+
 
 class TestPowerLawBound:
     def test_convexity_limit_pair(self):

@@ -12,8 +12,10 @@ from yieldcrit import (
     deviatoric_frame,
     invariant_gradients,
     invariants,
+    invariants_array,
     principal_from_invariants,
 )
+from yieldcrit.invariants import STRESS_MAX
 from conftest import fd_gradient
 
 PI3 = math.pi / 3.0
@@ -44,6 +46,21 @@ class TestInvariants:
     def test_nonfinite_rejected(self):
         with pytest.raises(DomainError):
             invariants((math.nan, 0.0, 0.0))
+
+    @pytest.mark.parametrize("sig", [(1e120, 0.0, 0.0), (0.0, -2e100, 1.0), (1e308, 1e308, 1e308)])
+    def test_overflowing_stress_rejected(self, sig):
+        # J2^(3/2) would overflow, leaving theta NaN
+        with pytest.raises(DomainError, match="at most 1e\\+100"):
+            invariants(sig)
+        with pytest.raises(DomainError, match="at most 1e\\+100"):
+            invariants_array(np.array([(1.0, 0.0, 0.0), sig]))
+
+    def test_largest_accepted_stress_is_finite(self):
+        for sig in [(STRESS_MAX, 0.0, 0.0), (STRESS_MAX, -STRESS_MAX, 0.3 * STRESS_MAX)]:
+            inv = invariants(sig)
+            assert all(math.isfinite(x) for x in (inv.p, inv.q, inv.theta))
+            p, q, theta, _ = invariants_array(np.array([sig]))
+            assert np.all(np.isfinite([p, q, theta]))
 
     @given(
         st.tuples(
