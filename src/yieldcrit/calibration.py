@@ -573,7 +573,8 @@ def fit(
     best parameters so far are returned either way.
 
     Raises InsufficientData when the dataset has fewer points than there
-    are free parameters.
+    are free parameters, and ValidationError for an ``init`` that misses a
+    free parameter or fewer than one seeded start.
     """
     names = problem.free
     k = len(names)
@@ -610,6 +611,8 @@ def fit(
         v0 = np.clip(np.array([[init[n] for n in names]], dtype=float), lo, hi)
         u0 = trf.strictly_feasible(box.coords(v0), box.ulo, box.uhi, 1e-10)
         f0, r0 = resid_u(u0), resid_v(v0)
+    elif n_starts < 1:
+        raise ValidationError(f"n_starts must be at least 1, got {n_starts}")
     else:
         rng = np.random.default_rng(seed)
         u0 = box.ulo + (box.uhi - box.ulo) * rng.uniform(0.05, 0.95, size=(n_starts, k))

@@ -253,6 +253,13 @@ class TestFit:
         assert values["M"] > 0.0
         assert result.convexity.admissible
 
+    @pytest.mark.parametrize("n_starts", [0, -1])
+    def test_needs_a_start(self, n_starts):
+        ds = surface_dataset(CAM_CLAY, n=10)
+        problem = FitProblem(template=CAM_CLAY.criterion(), free=("M",))
+        with pytest.raises(ValidationError, match="n_starts"):
+            fit(problem, ds, n_starts=n_starts)
+
     def test_init_must_cover_free(self):
         ds = surface_dataset(CAM_CLAY, n=10)
         problem = FitProblem(template=CAM_CLAY.criterion(), free=("M", "m"))
