@@ -8,11 +8,14 @@ Sampling strategies:
     the six-fold symmetry of isotropy;
   * biaxial (sigma3 = 0): convex ray-shooting from an interior point.
     Convexity of a certified criterion makes the sublevel set convex, so
-    each ray crosses the surface exactly once and bisection resolves the
-    crossing to machine precision.  All rays are resolved together: each
-    doubling and bisection step is one batch evaluation of F over the rays
-    still in play, and a batched probe along every ray checks the
-    one-crossing contract (NonConvexSlice otherwise).  The interior point
+    each ray crosses the surface exactly once.  All rays are resolved
+    together, each step one batch evaluation of F over the rays still in
+    play: one batch of doubling steps brackets every crossing, and then
+    each step tries the midpoint of each bracket plus a chord and a secant
+    root that the convexity of F places on either side of the crossing,
+    until the bracket is two adjacent floats (about ten steps for 200 rays,
+    where bisection took about 55).  A batched probe along every ray checks
+    the one-crossing contract (NonConvexSlice otherwise).  The interior point
     is the minimum of F along the diagonal sigma1 = sigma2, found by a
     bounded Brent search ported from scipy's ``minimize_scalar(...,
     method="bounded")`` step for step, so this module needs no scipy.
@@ -31,8 +34,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .criterion import CapMeridian, Criterion, surface_q, yield_value, yield_value_array
-from .errors import EmptySlice, NonConvexSlice, OutsideCap, UnboundedDomain
-from .invariants import _THETA_MAX, invariants
+from .errors import (
+    DomainError,
+    EmptySlice,
+    NonConvexSlice,
+    OutsideCap,
+    UnboundedDomain,
+    ValidationError,
+)
+from .invariants import _THETA_MAX, STRESS_MAX, invariants
 
 
 @dataclass(frozen=True)
@@ -78,7 +88,7 @@ def sample_meridian(
     explicit ``p_range`` is required there.
     """
     if n < 2:
-        raise ValueError(f"need at least 2 sample points, got {n}")
+        raise ValidationError(f"need at least 2 sample points, got {n}")
     if p_range is None:
         if not isinstance(crit.meridian, CapMeridian):
             raise UnboundedDomain(
@@ -108,14 +118,19 @@ def sample_deviatoric(
     different shapes coincide at triaxial compression.
     """
     if n < 2:
-        raise ValueError(f"need at least 2 sample points, got {n}")
+        raise ValidationError(f"need at least 2 sample points, got {n}")
     if isinstance(crit.meridian, CapMeridian):
         phi = crit.meridian.phi(at_p)
         if not (0.0 < phi < 1.0):
             raise OutsideCap(f"p={at_p} has Phi={phi:.6g} outside (0, 1)")
     thetas = np.linspace(0.0, _THETA_MAX, n)
-    radii = np.array([surface_q(at_p, float(t), crit) for t in thetas])
+    radii = [surface_q(at_p, float(t), crit) for t in thetas]
+    if None in radii:
+        raise EmptySlice(f"p={at_p} lies beyond the apex of the meridian; the section is empty")
+    radii = np.array(radii)
     if normalize:
+        if not radii[-1] > 0.0:
+            raise DomainError(f"p={at_p} is the apex of the meridian; no radius to normalize by")
         radii = radii / radii[-1]
     # Six-fold expansion: alternate direct and mirrored copies of the
     # fundamental sector, dropping duplicated joints.
@@ -239,41 +254,131 @@ def minimize_scalar(fun, a: float, b: float, xatol: float) -> tuple[float, float
     return float(xf), float(fx)
 
 
+# The first _LADDER doubling rungs of every ray take one batch.
+_LADDER = 16
+# Where a ray whose upper end has F = +inf tries its bracket in one step.
+_CUTS = (np.arange(1, 16) / 16.0)[:, None]
+# Chord and secant roots are moved this far outward (2 to 4 ulp).
+_DOWN, _UP = 1.0 - 2.0**-51, 1.0 + 2.0**-51
+
+
+def _narrow(ends: np.ndarray, g, pts: np.ndarray, fp: np.ndarray) -> None:
+    """Shrink the brackets ends[:6, g] = (a, fa, b, fb, c, fc) in place by
+    points pts (a column per ray) with F values fp: b becomes the smallest
+    point with F > 0, c the next and a the largest point below b with
+    F <= 0."""
+    pts = np.concatenate((ends[0:6:2, g], pts))
+    fp = np.concatenate((ends[1:6:2, g], fp))
+    pos = fp > 0.0
+    above = np.where(pos, pts, math.inf)
+    hi = above.argmin(axis=0)
+    m = np.arange(pts.shape[1])
+    b = pts[hi, m]
+    nxt = np.where(above > b, above, math.inf).argmin(axis=0)
+    lo = np.where(pos | (pts >= b), -math.inf, pts).argmax(axis=0)
+    idx = np.array([lo, hi, nxt])
+    ends[0:6:2, g] = pts[idx, m]
+    ends[1:6:2, g] = fp[idx, m]
+
+
 def _ray_crossings(
     crit: Criterion, cx: float, cy: float, d: np.ndarray, t0: float
 ) -> np.ndarray:
     """F = 0 crossing t > 0 along each ray (cx, cy) + t d[j], d of shape (n, 2).
 
-    Per ray: double t from t0 until F > 0, then bisect [0, t] until the
-    midpoint rounds onto an end.  Each step evaluates F once, in one batch
-    over the rays still in play.
+    Per ray, the first of t0, 2 t0, 4 t0, ... with F > 0 is the upper end
+    of a bracket and the rung below it (or 0) the lower end.  The first
+    _LADDER rungs of all rays take one batch evaluation of F; a ray with no
+    positive rung among them goes on doubling one batch at a time, up to
+    200 rungs.  Then each step evaluates, in one batch over the rays still
+    in play, three points per ray: the midpoint of the bracket, the root of
+    the chord through its ends and the root of the secant through the two
+    nearest points with F > 0.  Since F is convex, the chord root lies at
+    or below the crossing and the secant root at or above it; each is
+    nudged 2-4 ulp outward.  A ray whose upper end has F = +inf (past a
+    cap apex) tries 15 evenly spaced points instead.  The bracket becomes
+    the largest point with F <= 0 below the smallest point with F > 0, so
+    it at least halves per step whether or not F is convex, and a ray
+    stops when the midpoint rounds onto an end.
     """
+    n = len(d)
     dx, dy = d[:, 0], d[:, 1]
-
-    def positive(t, rays):
-        return _slice_F(crit, cx + t * dx[rays], cy + t * dy[rays]) > 0.0
-
-    t_hi = np.full(len(d), float(t0))
-    rays = np.arange(len(d))
-    for _ in range(200):
-        rays = rays[~positive(t_hi[rays], rays)]
-        if rays.size == 0:
-            break
-        t_hi[rays] *= 2.0
-    else:
-        raise UnboundedDomain("ray never leaves the elastic range; slice is unbounded")
-    t_lo = np.zeros(len(d))
-    rays = np.arange(len(d))
-    for _ in range(200):
-        mid = 0.5 * (t_lo[rays] + t_hi[rays])
-        going = (mid != t_lo[rays]) & (mid != t_hi[rays])
-        rays, mid = rays[going], mid[going]
-        if rays.size == 0:
-            break
-        out = positive(mid, rays)
-        t_hi[rays[out]] = mid[out]
-        t_lo[rays[~out]] = mid[~out]
-    t = np.where(t_lo > 0.0, t_lo, t_hi)
+    # -- doubling ----------------------------------------------------------
+    rungs = t0 * 2.0 ** np.arange(_LADDER)  # t0 doubled k times, exactly
+    x, y = cx + rungs * dx[:, None], cy + rungs * dy[:, None]
+    # Doubling reaches a rung only after every rung below it, so the batch
+    # stops short of the first rung past STRESS_MAX (where F would raise).
+    safe = np.logical_and.accumulate(
+        (np.abs(x) <= STRESS_MAX) & (np.abs(y) <= STRESS_MAX), axis=1
+    )
+    f_rung = np.full((n, _LADDER), math.nan)
+    f_ev = _slice_F(crit, np.append(x[safe], cx), np.append(y[safe], cy))
+    f_rung[safe], f_center = f_ev[:-1], f_ev[-1]
+    rows = np.arange(n)
+    k = np.argmax(f_rung > 0.0, axis=1)
+    lo = np.maximum(k - 1, 0)
+    a = np.where(k > 0, rungs[lo], 0.0)
+    fa = np.where(k > 0, f_rung[rows, lo], f_center)
+    b, fb = rungs[k], f_rung[rows, k]
+    # the rung above the upper end, when it has F > 0, seeds the secant
+    hi = np.minimum(k + 1, _LADDER - 1)
+    fc = np.where((k < hi) & (f_rung[rows, hi] > 0.0), f_rung[rows, hi], math.inf)
+    c = np.where(fc < math.inf, rungs[hi], math.inf)
+    rays = np.flatnonzero(~(fb > 0.0))
+    if rays.size:
+        done = safe[rays].sum(axis=1)  # the next rung to try
+        t = t0 * 2.0**done
+        a[rays] = t / 2.0
+        fa[rays] = np.where(done > 0, f_rung[rays, done - 1], f_center)
+        for _ in range(200 - _LADDER):
+            v = _slice_F(crit, cx + t * dx[rays], cy + t * dy[rays])
+            out = v > 0.0
+            b[rays[out]], fb[rays[out]] = t[out], v[out]
+            rays, t, v = rays[~out], t[~out], v[~out]
+            if rays.size == 0:
+                break
+            a[rays], fa[rays] = t, v
+            t = 2.0 * t
+        else:
+            raise UnboundedDomain("ray never leaves the elastic range; slice is unbounded")
+    # -- bracketing --------------------------------------------------------
+    # one column per ray still in play: a, fa, b, fb, c, fc and its direction
+    ends = np.array([a, fa, b, fb, c, fc, dx, dy])
+    t = np.empty(n)
+    rays = rows
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for _ in range(200):
+            a, fa, b, fb, c, fc = ends[:6]
+            mid = 0.5 * (a + b)
+            going = (mid != a) & (mid != b)
+            if not going.all():
+                t[rays[~going]] = np.where(a > 0.0, a, b)[~going]
+                rays, mid, ends = rays[going], mid[going], ends[:, going]
+                if rays.size == 0:
+                    break
+                a, fa, b, fb, c, fc = ends[:6]
+            chord = (a - fa * (b - a) / (fb - fa)) * _DOWN
+            secant = (b - fb * (c - b) / (fc - fb)) * _UP
+            pts = np.array([chord, secant, mid])
+            pts = np.where((pts > a) & (pts < b), pts, mid)
+            wall = fb == math.inf
+            if not wall.any():
+                fp = _slice_F(crit, (cx + pts * ends[6]).ravel(), (cy + pts * ends[7]).ravel())
+                _narrow(ends, slice(None), pts, fp.reshape(pts.shape))
+                continue
+            # past a cap apex: 15 points for these rays, three for the rest
+            blocks = [(np.flatnonzero(~wall), pts[:, ~wall])]
+            w = np.flatnonzero(wall)
+            blocks.append((w, a[w] + (b - a)[w] * _CUTS))
+            x = np.concatenate([(cx + p * ends[6, g]).ravel() for g, p in blocks])
+            y = np.concatenate([(cy + p * ends[7, g]).ravel() for g, p in blocks])
+            fp = _slice_F(crit, x, y)
+            start = 0
+            for g, p in blocks:
+                _narrow(ends, g, p, fp[start : start + p.size].reshape(p.shape))
+                start += p.size
+    # rays still open after 200 steps, as bisection would leave them
+    t[rays] = np.where(ends[0] > 0.0, ends[0], ends[2])
     # Convexity contract: F < 0 strictly between the center and the crossing.
     tp = (t[:, None] * np.linspace(0.05, 0.95, 19)).ravel()
     fp = _slice_F(crit, cx + tp * np.repeat(dx, 19), cy + tp * np.repeat(dy, 19))
@@ -291,13 +396,13 @@ def sample_biaxial(crit: Criterion, n: int = 200, normalize: bool = False) -> Se
     """Trace the biaxial yield locus {F(sigma1, sigma2, 0) = 0}.
 
     n rays are shot from the interior minimum of F along the diagonal and
-    resolved together by bisection to machine precision.  ``normalize``
-    divides both axes by the computed uniaxial tensile intercept, which
-    must be positive for the option to make sense.  Raises NonConvexSlice
-    when F changes sign more than once along a ray.
+    resolved together to machine precision (see ``_ray_crossings``).
+    ``normalize`` divides both axes by the computed uniaxial tensile
+    intercept, which must be positive for the option to make sense.
+    Raises NonConvexSlice when F changes sign more than once along a ray.
     """
     if n < 3:
-        raise ValueError(f"need at least 3 rays, got {n}")
+        raise ValidationError(f"need at least 3 rays, got {n}")
     s_center, _ = _biaxial_center(crit)
     if isinstance(crit.meridian, CapMeridian):
         scale = crit.meridian.pc + crit.meridian.c
@@ -364,6 +469,8 @@ def curve_to_csv(curve: SectionCurve) -> str:
 def curve_to_svg(curve: SectionCurve, width: int = 640, height: int = 480) -> str:
     """Self-contained SVG with one closed path, auto-fit viewBox and axes."""
     pts = curve.samples[np.all(np.isfinite(curve.samples), axis=1)]
+    if len(pts) == 0:
+        raise EmptySlice(f"the {curve.kind} curve has no finite sample to draw")
     xs, ys = pts[:, 0], -pts[:, 1]  # SVG y axis points down
     x0, x1 = float(xs.min()), float(xs.max())
     y0, y1 = float(ys.min()), float(ys.max())

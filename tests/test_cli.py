@@ -1,8 +1,13 @@
+import contextlib
+import io
 import json
 import math
+import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from yieldcrit.cli import main
 
@@ -197,6 +202,63 @@ class TestSection:
         )
         assert code == 0
         assert out.strip().split("\n")[1] == "sigma1,sigma2"
+
+
+# One file per meridian kind and apex: c = 0 puts a cap apex at the origin.
+SECTION_PARAMS = {
+    "cam-clay": CAM_CLAY,
+    "cap": {
+        "M": 0.9, "pc": 2.0, "c": 0.3, "m": 2.2, "alpha": 0.9, "beta": 0.5, "gamma": 0.7, "A": 0.1
+    },
+    "linear": {"meridian": "linear", "Gamma": 1.0, "c": 1.0, "beta": 1.0, "gamma": 0.5},
+    "cone": {"meridian": "linear", "Gamma": 0.8, "c": 0.0, "beta": 0.0, "gamma": 0.0},
+}
+
+
+@pytest.fixture(scope="module")
+def section_files(tmp_path_factory):
+    base = tmp_path_factory.mktemp("params")
+    files = {}
+    for name, d in SECTION_PARAMS.items():
+        files[name] = str(base / f"{name}.json")
+        with open(files[name], "w", encoding="utf-8") as fh:
+            json.dump(d, fh)
+    return files
+
+
+@given(
+    kind=st.sampled_from(["meridian", "deviatoric", "biaxial"]),
+    params=st.sampled_from(sorted(SECTION_PARAMS)),
+    n=st.integers(-2, 8),
+    # the apices of the files and points beyond them
+    p=st.one_of(st.sampled_from([-2.0, -1.0, -0.3, 0.0, 2.0]), st.floats(-3.0, 3.0)),
+    theta=st.floats(-1.0, 2.0),
+    normalize=st.booleans(),
+    fmt=st.sampled_from(["csv", "svg"]),
+)
+@settings(max_examples=200, deadline=None)
+def test_section_fuzz(section_files, kind, params, n, p, theta, normalize, fmt):
+    argv = ["section", kind, "--params", section_files[params], "-n", str(n)]
+    argv += [f"--p={p!r}", f"--theta={theta!r}", "--format", fmt]
+    argv += ["--normalize"] if normalize else []
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    out, err = out.getvalue(), err.getvalue()
+    assert code in (0, 1, 2), (argv, code, err)
+    if code != 0:
+        assert out == "" and err, argv
+        assert "Traceback" not in err
+        return
+    if fmt == "svg":
+        assert ET.fromstring(out).tag.endswith("svg")
+        return
+    lines = out.split("\n")
+    assert lines[0].startswith("# ") and lines[-1] == ""
+    assert isinstance(json.loads(lines[0][2:]), dict)
+    rows = [[float(v) for v in line.split(",")] for line in lines[2:-1]]
+    assert len(rows) == {"meridian": n, "deviatoric": 6 * (n - 1), "biaxial": n}[kind]
+    assert all(len(r) == 2 and all(math.isfinite(v) for v in r) for r in rows), argv
 
 
 class TestFit:
