@@ -256,19 +256,20 @@ def minimize_scalar(fun, a: float, b: float, xatol: float) -> tuple[float, float
 
 # The first _LADDER doubling rungs of every ray take one batch.
 _LADDER = 16
-# Where a ray whose upper end has F = +inf tries its bracket in one step.
-_CUTS = (np.arange(1, 16) / 16.0)[:, None]
+# Stand-ins for a chord or secant root outside the bracket, as fractions
+# of it (the midpoint, last, is always inside).
+_QUARTERS = np.array([[0.25], [0.75], [0.5]])
 # Chord and secant roots are moved this far outward (2 to 4 ulp).
 _DOWN, _UP = 1.0 - 2.0**-51, 1.0 + 2.0**-51
 
 
-def _narrow(ends: np.ndarray, g, pts: np.ndarray, fp: np.ndarray) -> None:
-    """Shrink the brackets ends[:6, g] = (a, fa, b, fb, c, fc) in place by
+def _narrow(ends: np.ndarray, pts: np.ndarray, fp: np.ndarray) -> None:
+    """Shrink the brackets ends[:6] = (a, fa, b, fb, c, fc) in place by
     points pts (a column per ray) with F values fp: b becomes the smallest
     point with F > 0, c the next and a the largest point below b with
     F <= 0."""
-    pts = np.concatenate((ends[0:6:2, g], pts))
-    fp = np.concatenate((ends[1:6:2, g], fp))
+    pts = np.concatenate((ends[0:6:2], pts))
+    fp = np.concatenate((ends[1:6:2], fp))
     pos = fp > 0.0
     above = np.where(pos, pts, math.inf)
     hi = above.argmin(axis=0)
@@ -277,8 +278,8 @@ def _narrow(ends: np.ndarray, g, pts: np.ndarray, fp: np.ndarray) -> None:
     nxt = np.where(above > b, above, math.inf).argmin(axis=0)
     lo = np.where(pos | (pts >= b), -math.inf, pts).argmax(axis=0)
     idx = np.array([lo, hi, nxt])
-    ends[0:6:2, g] = pts[idx, m]
-    ends[1:6:2, g] = fp[idx, m]
+    ends[0:6:2] = pts[idx, m]
+    ends[1:6:2] = fp[idx, m]
 
 
 def _ray_crossings(
@@ -295,11 +296,12 @@ def _ray_crossings(
     the chord through its ends and the root of the secant through the two
     nearest points with F > 0.  Since F is convex, the chord root lies at
     or below the crossing and the secant root at or above it; each is
-    nudged 2-4 ulp outward.  A ray whose upper end has F = +inf (past a
-    cap apex) tries 15 evenly spaced points instead.  The bracket becomes
-    the largest point with F <= 0 below the smallest point with F > 0, so
-    it at least halves per step whether or not F is convex, and a ray
-    stops when the midpoint rounds onto an end.
+    nudged 2-4 ulp outward.  A root that falls outside the bracket is
+    replaced by a quarter point of it; past a cap apex, where F = +inf at
+    the upper end, both are, so such a ray quarters its bracket.  The
+    bracket becomes the largest point with F <= 0 below the smallest point
+    with F > 0, so it at least halves per step whether or not F is convex,
+    and a ray stops when the midpoint rounds onto an end.
     """
     n = len(d)
     dx, dy = d[:, 0], d[:, 1]
@@ -360,23 +362,10 @@ def _ray_crossings(
             chord = (a - fa * (b - a) / (fb - fa)) * _DOWN
             secant = (b - fb * (c - b) / (fc - fb)) * _UP
             pts = np.array([chord, secant, mid])
-            pts = np.where((pts > a) & (pts < b), pts, mid)
-            wall = fb == math.inf
-            if not wall.any():
-                fp = _slice_F(crit, (cx + pts * ends[6]).ravel(), (cy + pts * ends[7]).ravel())
-                _narrow(ends, slice(None), pts, fp.reshape(pts.shape))
-                continue
-            # past a cap apex: 15 points for these rays, three for the rest
-            blocks = [(np.flatnonzero(~wall), pts[:, ~wall])]
-            w = np.flatnonzero(wall)
-            blocks.append((w, a[w] + (b - a)[w] * _CUTS))
-            x = np.concatenate([(cx + p * ends[6, g]).ravel() for g, p in blocks])
-            y = np.concatenate([(cy + p * ends[7, g]).ravel() for g, p in blocks])
-            fp = _slice_F(crit, x, y)
-            start = 0
-            for g, p in blocks:
-                _narrow(ends, g, p, fp[start : start + p.size].reshape(p.shape))
-                start += p.size
+            # F = +inf at b (past a cap apex) puts both roots outside
+            pts = np.where((pts > a) & (pts < b), pts, a + (b - a) * _QUARTERS)
+            fp = _slice_F(crit, (cx + pts * ends[6]).ravel(), (cy + pts * ends[7]).ravel())
+            _narrow(ends, pts, fp.reshape(pts.shape))
     # rays still open after 200 steps, as bisection would leave them
     t[rays] = np.where(ends[0] > 0.0, ends[0], ends[2])
     # Convexity contract: F < 0 strictly between the center and the crossing.
