@@ -28,10 +28,10 @@ from .criterion import (
     Criterion,
     criterion_from_dict,
     gradient,
-    surface_q,
+    surface_q_array,
     yield_value,
 )
-from .errors import YieldCritError
+from .errors import DomainError, YieldCritError
 from .invariants import invariants
 from .limits import (
     CoulombMohr,
@@ -45,7 +45,14 @@ from .limits import (
     newman_invariants,
     realize,
 )
-from .sections import curve_to_csv, curve_to_svg, sample_biaxial, sample_deviatoric, sample_meridian
+from .sections import (
+    check_sample_count,
+    curve_to_csv,
+    curve_to_svg,
+    sample_biaxial,
+    sample_deviatoric,
+    sample_meridian,
+)
 
 USAGE_EXIT = 1
 DOMAIN_EXIT = 2
@@ -117,6 +124,18 @@ def _add_params_args(p: argparse.ArgumentParser):
     )
 
 
+def _numbers(text: str, flag: str, count: int) -> list[float]:
+    """The ``count`` comma-separated numbers of a flag value such as ``--stress=-1,0,0``."""
+    words = {2: "two", 3: "three"}[count]
+    try:
+        parts = [float(v) for v in text.split(",")]
+    except ValueError:
+        raise YieldCritError(f"{flag} must be {words} comma-separated numbers, got {text!r}")
+    if len(parts) != count:
+        raise YieldCritError(f"{flag} must have exactly {words} components, got {len(parts)}")
+    return parts
+
+
 def _finite_or_str(x: float):
     if math.isinf(x):
         return "+inf" if x > 0 else "-inf"
@@ -130,12 +149,7 @@ def _finite_or_str(x: float):
 
 def _cmd_eval(args) -> int:
     crit = _load_criterion(args)
-    try:
-        parts = [float(v) for v in args.stress.split(",")]
-    except ValueError:
-        raise YieldCritError(f"--stress must be three comma-separated numbers, got {args.stress!r}")
-    if len(parts) != 3:
-        raise YieldCritError(f"--stress must have exactly three components, got {len(parts)}")
+    parts = _numbers(args.stress, "--stress", 3)
     inv = invariants(parts)
     F = yield_value(parts, crit)
     out = {
@@ -160,7 +174,8 @@ def _cmd_section(args) -> int:
     crit = _load_criterion(args)
     theta = math.radians(args.theta) if args.degrees else args.theta
     if args.which == "meridian":
-        curve = sample_meridian(crit, theta, args.n)
+        p_range = None if args.p_range is None else _numbers(args.p_range, "--p-range", 2)
+        curve = sample_meridian(crit, theta, args.n, p_range=p_range)
     elif args.which == "deviatoric":
         curve = sample_deviatoric(crit, args.p, args.n, normalize=args.normalize)
     else:
@@ -205,7 +220,7 @@ def _cmd_fit(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    rows = ["p,q_model,q_reference"]
+    check_sample_count(args.n)
     if args.which == "gurson":
         params = gurson_equivalent(args.f, args.sigma_m, args.q1, args.q2, args.q3)
         crit = params.criterion()
@@ -219,19 +234,19 @@ def _cmd_compare(args) -> int:
             **crit.to_dict(),
         }
         ps = np.linspace(-params.c, params.pc, args.n)
-        for p in ps:
-            qm = surface_q(float(p), 0.0, crit)
-            qr = gurson_meridian_q(float(p), args.f, args.sigma_m, args.q1, args.q2, args.q3)
-            rows.append(f"{float(p)!r},{float(qm)!r},{float(qr)!r}")
+        qs = surface_q_array(ps, 0.0, crit)
+        q_ref = gurson_meridian_q(ps, args.f, args.sigma_m, args.q1, args.q2, args.q3)
     else:
         crit = _load_criterion(args)
         header = {"comparison": "newman", "fc": args.fc, **crit.to_dict()}
-        s3s = np.linspace(0.0, args.sigma3_max * args.fc, args.n)
-        for s3 in s3s:
-            p, q_ref, theta = newman_invariants(float(s3), args.fc)
-            qm = surface_q(p, theta, crit)
-            rows.append(f"{p!r},{float('nan') if qm is None else float(qm)!r},{q_ref!r}")
-    text = "# " + json.dumps(header) + "\n" + "\n".join(rows) + "\n"
+        s3_max = args.sigma3_max * args.fc
+        if not math.isfinite(s3_max):
+            raise DomainError(f"--sigma3-max times --fc must be finite, got {s3_max}")
+        s3s = np.linspace(0.0, s3_max, args.n)
+        ps, q_ref, thetas = np.array([newman_invariants(float(s3), args.fc) for s3 in s3s]).T
+        qs = surface_q_array(ps, thetas, crit)
+    rows = [f"{p!r},{q!r},{r!r}" for p, q, r in zip(ps.tolist(), qs.tolist(), q_ref.tolist())]
+    text = "# " + json.dumps(header) + "\np,q_model,q_reference\n" + "\n".join(rows) + "\n"
     _emit(text, args.output)
     return 0
 
@@ -291,6 +306,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--theta", type=float, default=0.0, help="Lode angle for meridian sections")
     p.add_argument("--degrees", action="store_true", help="interpret --theta in degrees")
     p.add_argument("--p", type=float, default=0.0, help="pressure for deviatoric sections")
+    p.add_argument(
+        "--p-range",
+        dest="p_range",
+        help="pressure range LO,HI for meridian sections, needed on a linear meridian "
+        "(use --p-range=-1,2 for a negative LO); default the cap [-c, pc]",
+    )
     p.add_argument("-n", type=int, default=200, help="sample count")
     p.add_argument("--normalize", action="store_true")
     p.add_argument("--format", choices=["csv", "svg"], default="csv")

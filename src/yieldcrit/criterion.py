@@ -669,6 +669,27 @@ def surface_q(p: float, theta: float, crit: Criterion) -> float | None:
     return None if math.isnan(q) else q
 
 
+def surface_q_array(p, theta, crit: Criterion) -> np.ndarray:
+    """Deviatoric radius of the yield surface over arrays of p and theta.
+
+    The batch form of :func:`surface_q`: p and theta broadcast against each
+    other, and the result is NaN wherever :func:`surface_q` returns None.
+    Raises DomainError for a theta outside [0, pi/3], a NaN p, or shapes
+    that do not broadcast.
+    """
+    p = np.asarray(p, dtype=float)
+    theta = np.asarray(theta, dtype=float)
+    try:
+        np.broadcast_shapes(p.shape, theta.shape)
+    except ValueError:
+        raise DomainError(f"p and theta do not broadcast: shapes {p.shape} and {theta.shape}")
+    if not _theta_in_range(theta):
+        raise DomainError(f"theta must lie in [0, pi/3], got {theta}")
+    if np.isnan(p).any():
+        raise DomainError("p must be a number, got nan")
+    return _surface_q_body(crit.meridian.f_array(p), crit.shape.g(theta), crit, np)
+
+
 @dataclass(frozen=True)
 class GradientDecomposition:
     """dF/dsigma = a I + b s_tilde + c s_tilde_perp, plus the unit normal.

@@ -2,10 +2,12 @@
 
 Sampling strategies:
 
-  * meridian: q = q_surface(p, theta) on a uniform p grid over the cap;
+  * meridian: q = q_surface(p, theta) on a uniform p grid over the cap,
+    all radii in one batched surface-radius call;
   * deviatoric: the polar curve r(theta) = q_surface(at_p, theta) on the
-    fundamental sector [0, pi/3], expanded to the full deviatoric plane by
-    the six-fold symmetry of isotropy;
+    fundamental sector [0, pi/3], again one batched call, expanded to the
+    full deviatoric plane by the six-fold symmetry of isotropy in one
+    array expression;
   * biaxial (sigma3 = 0): convex ray-shooting from an interior point.
     Convexity of a certified criterion makes the sublevel set convex, so
     each ray crosses the surface exactly once.  All rays are resolved
@@ -33,7 +35,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .criterion import CapMeridian, Criterion, surface_q, yield_value, yield_value_array
+from .criterion import CapMeridian, Criterion, surface_q_array, yield_value, yield_value_array
+# No sampler calls the scalar surface_q any more; it stays a module attribute
+# because perfbench's --trace 1 wraps sections.surface_q by name.
+from .criterion import surface_q  # noqa: F401
 from .errors import (
     DomainError,
     EmptySlice,
@@ -78,6 +83,12 @@ def normalized_residual(crit: Criterion, stress) -> float:
     return abs(F) / s0
 
 
+def check_sample_count(n: int) -> None:
+    """ValidationError unless a curve of ``n`` samples has at least two."""
+    if n < 2:
+        raise ValidationError(f"need at least 2 sample points, got {n}")
+
+
 def sample_meridian(
     crit: Criterion, theta: float, n: int, p_range: tuple[float, float] | None = None
 ) -> SectionCurve:
@@ -87,23 +98,32 @@ def sample_meridian(
     apices with q = 0).  A linear meridian has no finite cap, so an
     explicit ``p_range`` is required there.
     """
-    if n < 2:
-        raise ValidationError(f"need at least 2 sample points, got {n}")
+    check_sample_count(n)
     if p_range is None:
         if not isinstance(crit.meridian, CapMeridian):
             raise UnboundedDomain(
                 "linear meridian has an unbounded domain; pass an explicit p_range"
             )
         p_range = (-crit.meridian.c, crit.meridian.pc)
+    if not (math.isfinite(p_range[0]) and math.isfinite(p_range[1])):
+        raise DomainError(f"p_range must have finite ends, got {tuple(p_range)}")
     ps = np.linspace(p_range[0], p_range[1], n)
-    qs = []
-    for p in ps:
-        q = surface_q(float(p), theta, crit)
-        qs.append(math.nan if q is None else q)
-    samples = np.column_stack([ps, qs])
+    samples = np.column_stack([ps, surface_q_array(ps, theta, crit)])
     return SectionCurve(
         kind="meridian", samples=samples, xlabel="p", ylabel="q", params_echo=_echo(crit)
     )
+
+
+def _six_fold(thetas: np.ndarray, radii: np.ndarray) -> np.ndarray:
+    """The closed curve of the polar sector r(theta), theta in [0, pi/3], in
+    the full deviatoric plane: sectors alternate direct and mirrored copies,
+    and the joints they share (with phi = 2 pi, which is phi = 0) appear once."""
+    sector = np.arange(6)[:, None]
+    odd = sector % 2 == 1
+    phis = sector * _THETA_MAX + np.where(odd, _THETA_MAX - thetas[::-1], thetas)
+    rr = np.where(odd, radii[::-1], radii)
+    xy = np.stack([rr * np.cos(phis), rr * np.sin(phis)], axis=-1)  # (6, n, 2)
+    return np.concatenate([xy[0, :1], xy[:, 1:].reshape(-1, 2)[:-1]])
 
 
 def sample_deviatoric(
@@ -117,38 +137,20 @@ def sample_deviatoric(
     along +x).  ``normalize`` divides by the radius at theta = pi/3 so
     different shapes coincide at triaxial compression.
     """
-    if n < 2:
-        raise ValidationError(f"need at least 2 sample points, got {n}")
+    check_sample_count(n)
     if isinstance(crit.meridian, CapMeridian):
         phi = crit.meridian.phi(at_p)
         if not (0.0 < phi < 1.0):
             raise OutsideCap(f"p={at_p} has Phi={phi:.6g} outside (0, 1)")
     thetas = np.linspace(0.0, _THETA_MAX, n)
-    radii = [surface_q(at_p, float(t), crit) for t in thetas]
-    if None in radii:
+    radii = surface_q_array(at_p, thetas, crit)
+    if np.isnan(radii).any():
         raise EmptySlice(f"p={at_p} lies beyond the apex of the meridian; the section is empty")
-    radii = np.array(radii)
     if normalize:
         if not radii[-1] > 0.0:
             raise DomainError(f"p={at_p} is the apex of the meridian; no radius to normalize by")
         radii = radii / radii[-1]
-    # Six-fold expansion: alternate direct and mirrored copies of the
-    # fundamental sector, dropping duplicated joints.
-    xs: list[float] = []
-    ys: list[float] = []
-    for sector in range(6):
-        base = sector * _THETA_MAX
-        if sector % 2 == 0:
-            phis = base + thetas
-            rr = radii
-        else:
-            phis = base + (_THETA_MAX - thetas[::-1])
-            rr = radii[::-1]
-        start = 1 if sector > 0 else 0
-        xs.extend(rr[start:] * np.cos(phis[start:]))
-        ys.extend(rr[start:] * np.sin(phis[start:]))
-    # Last point coincides with the first (phi = 2 pi); drop it.
-    samples = np.column_stack([xs[:-1], ys[:-1]])
+    samples = _six_fold(thetas, radii)
     return SectionCurve(
         kind="deviatoric", samples=samples, xlabel="x", ylabel="y", params_echo=_echo(crit)
     )

@@ -10,6 +10,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -27,6 +28,7 @@ from yieldcrit import (
     GudehusArgyris,
     LinearMeridian,
     NonConvexSlice,
+    OutsideCap,
     PowerLaw,
     VonMises,
     WillamWarnke,
@@ -40,6 +42,7 @@ from yieldcrit import (
     sample_biaxial,
     sections,
     surface_q,
+    surface_q_array,
     yield_value,
     yield_value_array,
 )
@@ -425,3 +428,196 @@ def test_second_sign_change_raises_under_optimize_flag():
     )
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "raised False"
+
+
+# ---------------------------------------------------------------------------
+# The surface radius in one batch, and the samplers built on it
+# ---------------------------------------------------------------------------
+
+
+def _fractions_to_p(crit, span, xs):
+    """Pressures -c + x span: x < 0 lies beyond the tension apex, x > 1 past a cap."""
+    c = crit.meridian.c
+    return [-c + x * span for x in xs]
+
+
+@given(
+    criteria(),
+    st.lists(
+        st.one_of(st.floats(-0.5, 1.5), st.sampled_from([0.0, 1.0, -1e-9, 1.0 + 1e-9])),
+        min_size=1,
+        max_size=20,
+    ),
+    st.lists(st.one_of(st.floats(0.0, PI3), st.sampled_from([0.0, PI3])), min_size=1, max_size=5),
+)
+@settings(max_examples=300)
+def test_array_surface_radius_matches_scalar(crit_span, xs, thetas):
+    crit, span = crit_span
+    ps = np.array(_fractions_to_p(crit, span, xs))
+    if isinstance(crit.meridian, CapMeridian):
+        ps = np.append(ps, [-crit.meridian.c, crit.meridian.pc])
+    ths = np.array(thetas)
+    # a column of pressures against a row of angles, and each of them alone
+    grid = surface_q_array(ps[:, None], ths[None, :], crit)
+    assert grid.shape == (len(ps), len(ths))
+    for j, th in enumerate(thetas):
+        np.testing.assert_array_equal(surface_q_array(ps, th, crit), grid[:, j])
+    for i, p in enumerate(ps):
+        np.testing.assert_array_equal(surface_q_array(p, ths, crit), grid[i])
+        for j, th in enumerate(thetas):
+            want = surface_q(float(p), th, crit)
+            got = grid[i, j]
+            assert (want is None) == bool(np.isnan(got)), (p, th, want, got)
+            if want is not None:
+                assert abs(got - want) <= 1e-12 * max(abs(want), span), (p, th, want, got)
+
+
+def test_array_surface_radius_refuses_what_the_scalar_refuses():
+    crit = ORACLE_CRITERIA["rock-A"]
+    for theta in (math.nan, -0.1, PI3 + 1e-9, [0.0, math.nan]):
+        with pytest.raises(DomainError, match="theta"):
+            surface_q_array(0.5, theta, crit)
+    with pytest.raises(DomainError, match="theta"):
+        surface_q(0.5, math.nan, crit)
+    for p in (math.nan, [0.5, math.nan]):
+        with pytest.raises(DomainError, match="p must be a number"):
+            surface_q_array(p, 0.3, crit)
+    with pytest.raises(DomainError, match="p must be a number"):
+        surface_q(math.nan, 0.3, crit)
+    with pytest.raises(DomainError, match="broadcast"):
+        surface_q_array(np.zeros(3), np.zeros(2), crit)
+
+
+def _oracle_meridian(crit, theta, n, p_range=None):
+    """q(p) one scalar ``surface_q`` call at a time; NaN where it returns None."""
+    if p_range is None:
+        p_range = (-crit.meridian.c, crit.meridian.pc)
+    ps = np.linspace(p_range[0], p_range[1], n)
+    qs = [surface_q(float(p), theta, crit) for p in ps]
+    return np.column_stack([ps, [math.nan if q is None else q for q in qs]])
+
+
+def _oracle_six_fold(thetas, radii):
+    """The closed deviatoric curve, built sector by sector into lists."""
+    xs, ys = [], []
+    for sector in range(6):
+        base = sector * PI3
+        if sector % 2 == 0:
+            phis, rr = base + thetas, radii
+        else:
+            phis, rr = base + (PI3 - thetas[::-1]), radii[::-1]
+        start = 1 if sector > 0 else 0
+        xs.extend(rr[start:] * np.cos(phis[start:]))
+        ys.extend(rr[start:] * np.sin(phis[start:]))
+    return np.column_stack([xs[:-1], ys[:-1]])
+
+
+def _oracle_deviatoric(crit, at_p, n, normalize=False):
+    """r(theta) one scalar ``surface_q`` call at a time, expanded sector by sector."""
+    thetas = np.linspace(0.0, PI3, n)
+    radii = np.array([surface_q(at_p, float(t), crit) for t in thetas])
+    if normalize:
+        radii = radii / radii[-1]
+    return _oracle_six_fold(thetas, radii)
+
+
+def _curve_gap(got, want):
+    """Largest coordinate gap over the curve extent; NaN must sit in the same places."""
+    np.testing.assert_array_equal(np.isnan(got), np.isnan(want))
+    ok = ~np.isnan(want)
+    extent = float(np.max(np.abs(want[ok]), initial=0.0))
+    gap = float(np.max(np.abs(got[ok] - want[ok]), initial=0.0))
+    return gap / extent if extent > 0.0 else gap
+
+
+@given(criteria(), st.floats(0.0, PI3), st.integers(2, 40))
+@settings(max_examples=150)
+def test_meridian_matches_scalar_loop(crit_span, theta, n):
+    crit, span = crit_span
+    if isinstance(crit.meridian, CapMeridian):
+        p_range = None
+    else:
+        # from beyond the apex to well inside the cone
+        p_range = tuple(_fractions_to_p(crit, span, (-0.5, 1.5)))
+    got = sections.sample_meridian(crit, theta, n, p_range=p_range).samples
+    assert _curve_gap(got, _oracle_meridian(crit, theta, n, p_range)) <= 1e-12
+
+
+@given(criteria(), st.floats(0.01, 0.99), st.integers(2, 40), st.booleans())
+@settings(max_examples=150)
+def test_deviatoric_matches_scalar_loop(crit_span, x, n, normalize):
+    crit, span = crit_span
+    at_p = _fractions_to_p(crit, span, (x,))[0]
+    got = sections.sample_deviatoric(crit, at_p, n, normalize=normalize).samples
+    want = _oracle_deviatoric(crit, at_p, n, normalize)
+    assert got.shape == (6 * (n - 1), 2)
+    assert _curve_gap(got, want) <= 1e-12
+
+
+@pytest.mark.parametrize("n", [2, 3, 17, 200])
+def test_six_fold_expansion_is_the_sector_loop_bit_for_bit(n, rng):
+    thetas = np.linspace(0.0, PI3, n)
+    radii = rng.uniform(0.5, 2.0, n)
+    np.testing.assert_array_equal(sections._six_fold(thetas, radii), _oracle_six_fold(thetas, radii))
+
+
+def test_sampler_errors_stay_typed():
+    cap = ORACLE_CRITERIA["rock-A"]
+    cone = Criterion(meridian=LinearMeridian(Gamma=1.0, c=0.5), shape=CosineLode(1.0, 0.5))
+    with pytest.raises(DomainError):
+        sections.sample_meridian(cap, math.nan, 10)
+    with warnings.catch_warnings():
+        # the ends are refused before numpy can warn about them
+        warnings.simplefilter("error")
+        for p_range in ((0.0, math.inf), (math.nan, 1.0), (-math.inf, 0.0)):
+            with pytest.raises(DomainError, match="finite"):
+                sections.sample_meridian(cone, 0.0, 10, p_range=p_range)
+    with pytest.raises(EmptySlice):
+        sections.sample_deviatoric(cone, -1.0, 10)
+    with pytest.raises(DomainError, match="apex"):
+        sections.sample_deviatoric(cone, -0.5, 10, normalize=True)
+    with pytest.raises(OutsideCap):
+        sections.sample_deviatoric(cap, 2.0, 10)
+    with pytest.raises(DomainError):
+        sections.sample_deviatoric(cone, math.nan, 10)
+
+
+def _perfbench_section_cases(seeds):
+    """The section benchmark's criteria with its theta and at_p, seed by seed."""
+    here = os.path.dirname(__file__)
+    sys.path.insert(0, os.path.join(os.path.dirname(here), "perfbench"))
+    try:
+        import reference
+    finally:
+        sys.path.pop(0)
+    for seed in seeds:
+        rng = reference.rng_for(seed, "sections")
+        specs = [reference.section_spec(rng, i) for i in range(8)]
+        for spec in specs:
+            theta = float(rng.uniform(0.0, reference.PI3))
+            at_p = float(rng.uniform(0.2, 0.8)) * (spec["pc"] + spec["c"]) - spec["c"]
+            yield yieldcrit.criterion_from_dict(spec), theta, at_p
+
+
+@pytest.mark.sweep
+def test_sweep_sections_against_the_scalar_loop():
+    # 80 meridian and 80 deviatoric curves at n = 200: the criteria of the
+    # section benchmark for seeds 1-10.  ``pytest -m sweep -s`` prints the
+    # summary lines.
+    stats = {"meridian": [0, 0, 0.0], "deviatoric": [0, 0, 0.0]}
+    for crit, theta, at_p in _perfbench_section_cases(range(1, 11)):
+        for kind, got, want in (
+            ("meridian", sections.sample_meridian(crit, theta, 200), _oracle_meridian(crit, theta, 200)),
+            ("deviatoric", sections.sample_deviatoric(crit, at_p, 200), _oracle_deviatoric(crit, at_p, 200)),
+        ):
+            gap = _curve_gap(got.samples, want)
+            assert gap <= 1e-12, (kind, gap)
+            s = stats[kind]
+            s[0] += int(np.sum((got.samples == want) | (np.isnan(got.samples) & np.isnan(want))))
+            s[1] += want.size
+            s[2] = max(s[2], gap)
+    for kind, (same, total, worst) in stats.items():
+        print(
+            f"\n80 {kind} curves: worst gap {worst:.3g} of the curve extent, "
+            f"{same} of {total} coordinates bit-identical"
+        )

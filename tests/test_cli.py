@@ -361,3 +361,119 @@ class TestUsageErrors:
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, ["check-convexity", "--params", "/nonexistent.json"])
         assert code == 2
+
+
+# ---------------------------------------------------------------------------
+# compare and the meridian --p-range: sample counts, ranges and fuzz
+# ---------------------------------------------------------------------------
+
+
+def _compare_argv(which, n, value, sigma_m, path):
+    if which == "gurson":
+        return ["compare", "gurson", f"--f={value!r}", f"--sigma-m={sigma_m!r}", "-n", str(n)]
+    return ["compare", "newman", "--params", path, f"--fc={value!r}", "-n", str(n)]
+
+
+@pytest.mark.parametrize("which", ["gurson", "newman"])
+@pytest.mark.parametrize("n", [-2, -1, 0, 1])
+def test_compare_refuses_fewer_than_two_samples(capsys, section_files, which, n):
+    code, out, err = run(capsys, _compare_argv(which, n, 0.1, 1.0, section_files["cap"]))
+    assert code == 2
+    assert out == ""
+    assert f"need at least 2 sample points, got {n}" in err
+
+
+@pytest.mark.parametrize(
+    "which, value, params", [("gurson", 0.1, "cap"), ("newman", 1.0, "cap"), ("newman", 2.0, "linear")]
+)
+def test_compare_matches_a_scalar_loop(capsys, section_files, which, value, params):
+    from yieldcrit import criterion_from_dict, gurson_equivalent, newman_invariants, surface_q
+    from yieldcrit.limits import gurson_meridian_q
+
+    code, out, _ = run(capsys, _compare_argv(which, 15, value, 1.0, section_files[params]))
+    assert code == 0
+    got = np.array([[float(v) for v in line.split(",")] for line in out.split("\n")[2:-1]])
+    want = []
+    if which == "gurson":
+        gp = gurson_equivalent(value, 1.0)
+        for p in np.linspace(-gp.c, gp.pc, 15):
+            p = float(p)
+            want.append((p, surface_q(p, 0.0, gp.criterion()), gurson_meridian_q(p, value, 1.0)))
+    else:
+        crit = criterion_from_dict(SECTION_PARAMS[params])
+        for s3 in np.linspace(0.0, 2.0 * value, 15):
+            p, q_ref, theta = newman_invariants(float(s3), value)
+            q = surface_q(p, theta, crit)
+            want.append((p, math.nan if q is None else q, q_ref))
+    want = np.array(want)
+    np.testing.assert_array_equal(np.isnan(got), np.isnan(want))
+    ok = ~np.isnan(want)
+    assert np.max(np.abs(got[ok] - want[ok])) <= 1e-12 * np.max(np.abs(want[ok]))
+
+
+class TestMeridianRange:
+    def test_linear_meridian_samples_the_given_range(self, capsys, section_files):
+        argv = ["section", "meridian", "--params", section_files["linear"], "-n", "5"]
+        code, out, err = run(capsys, argv)
+        assert code == 2 and "p_range" in err
+        code, out, _ = run(capsys, argv + ["--p-range=-2,3"])
+        assert code == 0
+        rows = [[float(v) for v in line.split(",")] for line in out.split("\n")[2:-1]]
+        assert [r[0] for r in rows] == [-2.0, -0.75, 0.5, 1.75, 3.0]
+        # beyond the apex at p = -c = -1 the section is empty
+        assert math.isnan(rows[0][1]) and rows[1][1] > 0.0
+
+    def test_cap_meridian_bytes_without_a_range(self, capsys, section_files):
+        from yieldcrit import criterion_from_dict, curve_to_csv, sample_meridian
+
+        code, out, _ = run(
+            capsys, ["section", "meridian", "--params", section_files["cap"], "--theta=0.3", "-n", "7"]
+        )
+        assert code == 0
+        crit = criterion_from_dict(SECTION_PARAMS["cap"])
+        assert out == curve_to_csv(sample_meridian(crit, 0.3, 7))
+
+    @pytest.mark.parametrize("text", ["1", "1,2,3", "a,b", "0,inf", "nan,1", ""])
+    def test_bad_range_exits_2(self, capsys, section_files, text):
+        argv = ["section", "meridian", "--params", section_files["linear"], f"--p-range={text}"]
+        code, out, err = run(capsys, argv)
+        assert code == 2
+        assert out == "" and "p-range" in err.replace("_", "-")
+
+
+special = st.sampled_from([math.nan, math.inf, -math.inf, 0.0])
+
+
+@given(
+    which=st.sampled_from(["gurson", "newman", "meridian"]),
+    params=st.sampled_from(sorted(SECTION_PARAMS)),
+    n=st.integers(-2, 8),
+    value=st.one_of(st.floats(-0.5, 1.0), st.floats(1.0, 50.0), special),
+    sigma_m=st.one_of(st.floats(-1.0, 10.0), special),
+    hi=st.one_of(st.floats(-3.0, 5.0), special),
+)
+@settings(max_examples=200, deadline=None)
+def test_compare_fuzz(section_files, which, params, n, value, sigma_m, hi):
+    # value is --f for gurson, --fc for newman and the low end of the range
+    # for a meridian section; sigma_m is --sigma-m for gurson
+    if which == "meridian":
+        path = section_files["linear" if params == "cap" else params]
+        argv = ["section", "meridian", "--params", path, "-n", str(n), f"--p-range={value!r},{hi!r}"]
+    else:
+        argv = _compare_argv(which, n, value, sigma_m, section_files[params])
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    out, err = out.getvalue(), err.getvalue()
+    assert code in (0, 1, 2), (argv, code, err)
+    if code != 0:
+        assert out == "" and err, argv
+        assert "Traceback" not in err
+        return
+    lines = out.split("\n")
+    assert lines[0].startswith("# ") and lines[-1] == ""
+    assert isinstance(json.loads(lines[0][2:]), dict)
+    assert lines[1] == ("p,q" if which == "meridian" else "p,q_model,q_reference")
+    rows = [[float(v) for v in line.split(",")] for line in lines[2:-1]]
+    assert n >= 2 and len(rows) == n, argv
+    assert all(len(r) == len(lines[1].split(",")) for r in rows), argv
