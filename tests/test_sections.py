@@ -198,3 +198,21 @@ class TestPolygonHelper:
     def test_dented_polygon_is_not(self):
         dented = np.array([[0, 0], [1, 0], [0.5, 0.2], [0.5, 1]], dtype=float)
         assert not polygon_is_convex(dented)
+
+
+class TestNormalizedResidual:
+    def test_linear_meridian_floor(self):
+        # near the cone's apex on the hydrostatic axis q = 0 and |f| is
+        # small, so the floor 0.01 Gamma (|p| + c) sets the scale
+        crit = Criterion(meridian=LinearMeridian(Gamma=1.5, c=1.0), shape=CosineLode(1.0, 0.0))
+        stress = (0.999, 0.999, 0.999)
+        p = -0.999
+        f = -1.5 * (p + 1.0)
+        expected = abs(f) / (0.01 * 1.5 * (abs(p) + 1.0))
+        assert normalized_residual(crit, stress) == pytest.approx(expected, rel=1e-12)
+        assert expected < 0.1  # |f| as the divisor would give 1
+
+    def test_outside_cap_is_infinite(self):
+        crit = CAM_CLAY.criterion()
+        assert normalized_residual(crit, (-2.0, -2.0, -2.0)) == math.inf
+        assert normalized_residual(crit, (-2.0, -1.0, -3.0)) == math.inf
