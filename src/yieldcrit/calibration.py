@@ -42,18 +42,7 @@ import numpy as np
 
 from . import trf
 from .convexity import ConvexityReport, certify
-from .criterion import (
-    CapMeridian,
-    CosineLode,
-    Criterion,
-    GudehusArgyris,
-    LinearMeridian,
-    PowerLaw,
-    WillamWarnke,
-    _surface_q_body,
-    _yield_body,
-    cap_h1,
-)
+from .criterion import CapMeridian, Criterion, _params, _surface_q_body, _yield_body, cap_h1
 from .errors import InsufficientData, ParseError, ValidationError
 from .invariants import _theta_in_range, invariants
 
@@ -237,19 +226,10 @@ class FitProblem:
                         ) from None
 
     def _locate(self, name: str) -> str:
-        mer, shape = self.template.meridian, self.template.shape
-        if name in ("M", "pc", "c", "m", "alpha") and isinstance(mer, CapMeridian):
-            return "meridian"
-        if name in ("Gamma", "c") and isinstance(mer, LinearMeridian):
-            return "meridian"
-        if name in ("beta", "gamma") and isinstance(shape, CosineLode):
-            return "shape"
-        if name in ("beta", "n") and isinstance(shape, PowerLaw):
-            return "shape"
-        if name == "e" and isinstance(shape, WillamWarnke):
-            return "shape"
-        if name == "k" and isinstance(shape, GudehusArgyris):
-            return "shape"
+        """The record of the template that holds ``name``: meridian, shape or criterion."""
+        for where in ("meridian", "shape"):
+            if name in _params(type(getattr(self.template, where))):
+                return where
         if name == "A":
             return "criterion"
         raise ValidationError(f"parameter {name!r} does not apply to this template")
@@ -265,12 +245,8 @@ class FitProblem:
         if name == "pc":
             return (current / 1e3, current * 1e3)
         if name == "c":
-            if current > 0.0:
-                ref = current
-            elif isinstance(self.template.meridian, CapMeridian):
-                ref = self.template.meridian.pc
-            else:
-                ref = 1.0
+            # c = 0 takes the scale of the meridian: pc for a cap, 1 for a cone
+            ref = current if current > 0.0 else self.template.meridian.scale
             return (0.0, 10.0 * ref)
         if name == "A":
             ref = current if current > 0.0 else 1.0
@@ -279,29 +255,12 @@ class FitProblem:
 
     def value_of(self, name: str) -> float:
         where = self._locate(name)
-        if where == "criterion":
-            return getattr(self.template, name)
-        return getattr(self.template.meridian if where == "meridian" else self.template.shape, name)
+        t = self.template
+        return getattr(t if where == "criterion" else getattr(t, where), name)
 
     def with_values(self, values: Mapping[str, float]) -> Criterion:
         """Template with the given parameter overrides applied."""
-        mer, shape = self.template.meridian, self.template.shape
-        crit_kw = {}
-        mer_kw = {}
-        shape_kw = {}
-        for name, value in values.items():
-            where = self._locate(name)
-            if where == "criterion":
-                crit_kw[name] = float(value)
-            elif where == "meridian":
-                mer_kw[name] = float(value)
-            else:
-                shape_kw[name] = float(value)
-        if mer_kw:
-            mer = replace(mer, **mer_kw)
-        if shape_kw:
-            shape = replace(shape, **shape_kw)
-        return replace(self.template, meridian=mer, shape=shape, **crit_kw)
+        return self._set({name: float(v) for name, v in values.items()}, replace)
 
     def rows(self, values: np.ndarray) -> Criterion:
         """The template with free parameter j set to column j of ``values``.
@@ -310,15 +269,20 @@ class FitProblem:
         column and every formula body broadcasts over the starts.  Not
         validated: the search keeps its points inside admissible bounds.
         """
-        fields: dict = {"criterion": {}, "meridian": {}, "shape": {}}
-        for j, name in enumerate(self.free):
-            fields[self._locate(name)][name] = values[:, j : j + 1]
+        columns = {name: values[:, j : j + 1] for j, name in enumerate(self.free)}
+        return self._set(columns, _unvalidated)
+
+    def _set(self, values: Mapping, rebuild) -> Criterion:
+        """The template with the named parameters set, each record rebuilt by ``rebuild``."""
+        changes: dict = {"criterion": {}, "meridian": {}, "shape": {}}
+        for name, value in values.items():
+            changes[self._locate(name)][name] = value
         t = self.template
-        return _unvalidated(
+        return rebuild(
             t,
-            meridian=_unvalidated(t.meridian, **fields["meridian"]),
-            shape=_unvalidated(t.shape, **fields["shape"]),
-            **fields["criterion"],
+            meridian=rebuild(t.meridian, **changes["meridian"]),
+            shape=rebuild(t.shape, **changes["shape"]),
+            **changes["criterion"],
         )
 
 
@@ -392,9 +356,6 @@ def goodness(crit: Criterion, dataset: FitDataset, mode: str = "meridian_distanc
     r = residual_vector(crit, dataset, mode)
     return float(np.sqrt(np.mean(r * r))), float(np.max(np.abs(r))), r
 
-
-# Cap-meridian parameters, whose residual derivatives have a closed form.
-_CAP_PARAMS = ("M", "pc", "c", "m", "alpha")
 
 # Residual evaluations allowed per trust-region run.  ``trf`` counts one
 # per trial step and none for a difference Jacobian, so a run with n free
@@ -584,8 +545,9 @@ def fit(
     lo = np.array([problem.bound_of(n)[0] for n in names])
     hi = np.array([problem.bound_of(n)[1] for n in names])
     box = _SearchCoordinates(lo, hi)
+    # cap-meridian parameters have closed-form residual derivatives
     closed = isinstance(problem.template.meridian, CapMeridian) and all(
-        n in _CAP_PARAMS for n in names
+        problem._locate(n) == "meridian" for n in names
     )
 
     def resid_v(v: np.ndarray) -> np.ndarray:

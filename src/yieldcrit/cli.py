@@ -18,6 +18,7 @@ import json
 import math
 import os
 import sys
+from dataclasses import fields
 
 import numpy as np
 
@@ -222,20 +223,14 @@ def _cmd_fit(args) -> int:
 def _cmd_compare(args) -> int:
     check_sample_count(args.n)
     if args.which == "gurson":
-        params = gurson_equivalent(args.f, args.sigma_m, args.q1, args.q2, args.q3)
+        # the Gurson-Tvergaard inputs, in the order both limits functions take them
+        inputs = {name: getattr(args, name) for name in ("f", "sigma_m", "q1", "q2", "q3")}
+        params = gurson_equivalent(*inputs.values())
         crit = params.criterion()
-        header = {
-            "comparison": "gurson",
-            "f": args.f,
-            "sigma_m": args.sigma_m,
-            "q1": args.q1,
-            "q2": args.q2,
-            "q3": args.q3,
-            **crit.to_dict(),
-        }
+        header = {"comparison": "gurson", **inputs, **crit.to_dict()}
         ps = np.linspace(-params.c, params.pc, args.n)
         qs = surface_q_array(ps, 0.0, crit)
-        q_ref = gurson_meridian_q(ps, args.f, args.sigma_m, args.q1, args.q2, args.q3)
+        q_ref = gurson_meridian_q(ps, *inputs.values())
     else:
         crit = _load_criterion(args)
         header = {"comparison": "newman", "fc": args.fc, **crit.to_dict()}
@@ -251,26 +246,24 @@ def _cmd_compare(args) -> int:
     return 0
 
 
-_REALIZE_BUILDERS = {
-    "von-mises": lambda a: VonMises(ft=_req(a, "ft")),
-    "tresca": lambda a: Tresca(ft=_req(a, "ft")),
-    "drucker-prager": lambda a: DruckerPrager(fc=_req(a, "fc"), r=_req(a, "r")),
-    "modified-tresca": lambda a: ModifiedTresca(fc=_req(a, "fc"), r=_req(a, "r")),
-    "coulomb-mohr": lambda a: CoulombMohr(fc=_req(a, "fc"), r=_req(a, "r")),
-    "cam-clay": lambda a: ModifiedCamClay(M=_req(a, "M"), pc=_req(a, "pc")),
+# realize's kinds; each takes its record's fields from the flags of the same name
+_CLASSICAL = {
+    "von-mises": VonMises,
+    "tresca": Tresca,
+    "drucker-prager": DruckerPrager,
+    "modified-tresca": ModifiedTresca,
+    "coulomb-mohr": CoulombMohr,
+    "cam-clay": ModifiedCamClay,
 }
 
 
-def _req(args, name: str) -> float:
-    v = getattr(args, name)
-    if v is None:
-        raise YieldCritError(f"realize {args.which} requires --{name}")
-    return v
-
-
 def _cmd_realize(args) -> int:
-    criterion = _REALIZE_BUILDERS[args.which](args)
-    real = realize(criterion, scale_exponent=args.k)
+    cls = _CLASSICAL[args.which]
+    values = {f.name: getattr(args, f.name) for f in fields(cls)}
+    for name, v in values.items():
+        if v is None:
+            raise YieldCritError(f"realize {args.which} requires --{name}")
+    real = realize(cls(**values), scale_exponent=args.k)
     out = real.criterion().to_dict()
     out["scale_exponent"] = real.scale_exponent
     if real.warnings:
@@ -349,7 +342,7 @@ def build_parser() -> argparse.ArgumentParser:
     pn.set_defaults(handler=_cmd_compare)
 
     p = sub.add_parser("realize", help="parameter JSON for a classical criterion")
-    p.add_argument("which", choices=sorted(_REALIZE_BUILDERS))
+    p.add_argument("which", choices=sorted(_CLASSICAL))
     p.add_argument("--ft", type=float, help="uniaxial tensile strength")
     p.add_argument("--fc", type=float, help="uniaxial compressive strength")
     p.add_argument("--r", type=float, help="strength ratio fc/ft")

@@ -29,7 +29,8 @@ the opposite sign convention).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from functools import cache
 
 import numpy as np
 
@@ -49,10 +50,21 @@ BOUNDARY_TOL = 1e-9
 _SQRT15 = math.sqrt(1.5)
 
 
-def _check_finite(obj, *names):
-    """ValidationError unless every named field of ``obj`` is a finite number."""
-    for name in names:
-        value = getattr(obj, name)
+@cache
+def _params(cls) -> tuple[str, ...]:
+    """The parameter names of a record class: its fields annotated ``float``,
+    in order, the one list of them (read by the finite check, the dict forms
+    and the fit's parameter lookup)."""
+    return tuple(f.name for f in fields(cls) if f.type == "float")
+
+
+def _param_dict(record) -> dict:
+    return {name: getattr(record, name) for name in _params(type(record))}
+
+
+def _check_finite(record):
+    """ValidationError unless every parameter of ``record`` is a finite number."""
+    for name, value in _param_dict(record).items():
         if not math.isfinite(value):
             raise ValidationError(f"{name} must be finite, got {value}")
 
@@ -62,8 +74,15 @@ def _check_finite(obj, *names):
 # ---------------------------------------------------------------------------
 
 
+class _Shape:
+    """A deviatoric shape; its dict form is its kind and its parameters."""
+
+    def to_dict(self) -> dict:
+        return {"kind": self.kind, **_param_dict(self)}
+
+
 @dataclass(frozen=True)
-class CosineLode:
+class CosineLode(_Shape):
     """Native deviatoric shape 1/cos(beta pi/6 - acos(gamma cos 3t)/3).
 
     gamma in [0, 1) smooths/sharpens the section (gamma -> 1 approaches a
@@ -77,7 +96,7 @@ class CosineLode:
     kind = "bp"
 
     def __post_init__(self):
-        _check_finite(self, "beta", "gamma")
+        _check_finite(self)
         if not (0.0 <= self.gamma < 1.0):
             raise ValidationError(f"gamma must lie in [0, 1), got {self.gamma}")
 
@@ -108,12 +127,9 @@ class CosineLode:
         psi2 = -3.0 * self.gamma * c3 / w + 3.0 * self.gamma**3 * c3 * s3**2 / w**3
         return g * ((t * t + g * g) * psi1 * psi1 + t * psi2)
 
-    def to_dict(self) -> dict:
-        return {"kind": "bp", "beta": self.beta, "gamma": self.gamma}
-
 
 @dataclass(frozen=True)
-class PowerLaw:
+class PowerLaw(_Shape):
     """Smooth deviatoric shape (1 + beta (1 + cos 3t))^(-1/n).
 
     Approaches (without reaching) the triangular section as beta grows; it
@@ -126,7 +142,7 @@ class PowerLaw:
     kind = "power-law"
 
     def __post_init__(self):
-        _check_finite(self, "beta", "n")
+        _check_finite(self)
         if self.beta < 0.0:
             raise ValidationError(f"beta must be nonnegative, got {self.beta}")
         if self.n <= 0.0:
@@ -153,12 +169,9 @@ class PowerLaw:
         e = -1.0 / self.n
         return e * (e - 1.0) * v ** (e - 2.0) * v1 * v1 + e * v ** (e - 1.0) * v2
 
-    def to_dict(self) -> dict:
-        return {"kind": "power-law", "beta": self.beta, "n": self.n}
-
 
 @dataclass(frozen=True)
-class WillamWarnke:
+class WillamWarnke(_Shape):
     """Elliptic deviatoric interpolation with eccentricity e in (0.5, 1].
 
     e = 1 is the circle; e -> 0.5 approaches the triangular (lower
@@ -171,7 +184,7 @@ class WillamWarnke:
     kind = "willam-warnke"
 
     def __post_init__(self):
-        _check_finite(self, "e")
+        _check_finite(self)
         if not (0.5 < self.e <= 1.0):
             raise ValidationError(f"e must lie in (0.5, 1], got {self.e}")
 
@@ -217,12 +230,9 @@ class WillamWarnke:
         s = xp.sin(th)
         return g_uu * s**2 + g_u * (-xp.cos(th))
 
-    def to_dict(self) -> dict:
-        return {"kind": "willam-warnke", "e": self.e}
-
 
 @dataclass(frozen=True)
-class GudehusArgyris:
+class GudehusArgyris(_Shape):
     """Rational deviatoric shape 2k / (1 + k + (1-k) cos 3t), k in (0.777, 1].
 
     k = 1 is the circle.  The printed lower bound 0.777 slightly undershoots
@@ -235,7 +245,7 @@ class GudehusArgyris:
     kind = "gudehus-argyris"
 
     def __post_init__(self):
-        _check_finite(self, "k")
+        _check_finite(self)
         if not (0.777 < self.k <= 1.0):
             raise ValidationError(f"k must lie in (0.777, 1], got {self.k}")
 
@@ -259,16 +269,8 @@ class GudehusArgyris:
         d2 = -9.0 * (1.0 - self.k) * xp.cos(3.0 * th)
         return -2.0 * self.k * d2 / d**2 + 4.0 * self.k * d1 * d1 / d**3
 
-    def to_dict(self) -> dict:
-        return {"kind": "gudehus-argyris", "k": self.k}
 
-
-SHAPE_KINDS = {
-    "bp": CosineLode,
-    "power-law": PowerLaw,
-    "willam-warnke": WillamWarnke,
-    "gudehus-argyris": GudehusArgyris,
-}
+SHAPE_KINDS = {cls.kind: cls for cls in (CosineLode, PowerLaw, WillamWarnke, GudehusArgyris)}
 
 
 def shape_from_dict(d: dict):
@@ -341,7 +343,8 @@ def cap_h2(phi, m: float, alpha: float):
 
 
 class _Meridian:
-    """f(p) for a float and f_array(p) for an array, over one body ``_f(p, xp)``."""
+    """f(p) for a float and f_array(p) for an array, over one body ``_f(p, xp)``;
+    ``kind`` names it in the dict form and ``scale`` is its stress scale."""
 
     def f(self, p: float) -> float:
         """Meridian value; +inf outside a cap, DomainError for NaN p."""
@@ -352,6 +355,8 @@ class _Meridian:
     def f_array(self, p: np.ndarray) -> np.ndarray:
         """Meridian value over an array of pressures; +inf outside a cap."""
         return self._f(np.asarray(p, dtype=float), np)
+
+    to_dict = _param_dict
 
 
 @dataclass(frozen=True)
@@ -364,8 +369,10 @@ class CapMeridian(_Meridian):
     m: float
     alpha: float
 
+    kind = "bp"
+
     def __post_init__(self):
-        _check_finite(self, "M", "pc", "c", "m", "alpha")
+        _check_finite(self)
         if self.M <= 0.0:
             raise ValidationError(f"M must be positive, got {self.M}")
         if self.pc <= 0.0:
@@ -376,6 +383,10 @@ class CapMeridian(_Meridian):
             raise ValidationError(f"m must exceed 1, got {self.m}")
         if not (0.0 < self.alpha < 2.0):
             raise ValidationError(f"alpha must lie in (0, 2), got {self.alpha}")
+
+    @property
+    def scale(self) -> float:
+        return self.pc + self.c
 
     def phi(self, p: float) -> float:
         return (p + self.c) / (self.pc + self.c)
@@ -394,9 +405,6 @@ class CapMeridian(_Meridian):
         h1 = cap_h1(phi, self.m, self.alpha)
         return -self.M * self.pc * h1 / (2.0 * xp.sqrt(h)) / (self.pc + self.c)
 
-    def to_dict(self) -> dict:
-        return {"M": self.M, "pc": self.pc, "c": self.c, "m": self.m, "alpha": self.alpha}
-
 
 @dataclass(frozen=True)
 class LinearMeridian(_Meridian):
@@ -405,12 +413,18 @@ class LinearMeridian(_Meridian):
     Gamma: float
     c: float
 
+    kind = "linear"
+
     def __post_init__(self):
-        _check_finite(self, "Gamma", "c")
+        _check_finite(self)
         if self.Gamma <= 0.0:
             raise ValidationError(f"Gamma must be positive, got {self.Gamma}")
         if self.c < 0.0:
             raise ValidationError(f"c must be nonnegative, got {self.c}")
+
+    @property
+    def scale(self) -> float:
+        return self.c + 1.0
 
     def _f(self, p, xp):
         return -self.Gamma * (p + self.c)
@@ -418,15 +432,10 @@ class LinearMeridian(_Meridian):
     def df(self, p: float) -> float:
         return -self.Gamma
 
-    def to_dict(self) -> dict:
-        return {"Gamma": self.Gamma, "c": self.c}
-
 
 # ---------------------------------------------------------------------------
 # The seven-parameter record
 # ---------------------------------------------------------------------------
-
-_PARAM_NAMES = ("M", "pc", "c", "m", "alpha", "beta", "gamma")
 
 
 @dataclass(frozen=True)
@@ -454,8 +463,8 @@ class YieldParams:
     def __post_init__(self):
         # Range checks delegate to the meridian/shape constructors; the
         # validated meridian is kept for meridian().
-        object.__setattr__(self, "_meridian", CapMeridian(self.M, self.pc, self.c, self.m, self.alpha))
-        CosineLode(self.beta, self.gamma)
+        object.__setattr__(self, "_meridian", self.meridian())
+        self.shape()
         ok, lo, hi = beta_in_convex_interval(self.beta, self.gamma)
         if not ok:
             raise ValidationError(
@@ -468,7 +477,7 @@ class YieldParams:
     def unchecked(cls, M, pc, c, m, alpha, beta, gamma) -> "YieldParams":
         """Construct without any validation.  Downstream code may reject."""
         obj = object.__new__(cls)
-        for name, value in zip(_PARAM_NAMES, (M, pc, c, m, alpha, beta, gamma)):
+        for name, value in zip(_params(cls), (M, pc, c, m, alpha, beta, gamma)):
             object.__setattr__(obj, name, float(value))
         return obj
 
@@ -504,8 +513,7 @@ class YieldParams:
     def criterion(self, A: float = 0.0, B: float = 1.0) -> "Criterion":
         return Criterion(meridian=self.meridian(), shape=self.shape(), A=A, B=B)
 
-    def to_dict(self) -> dict:
-        return {name: getattr(self, name) for name in _PARAM_NAMES}
+    to_dict = _param_dict
 
 
 # ---------------------------------------------------------------------------
@@ -528,7 +536,7 @@ class Criterion:
     B: float = 1.0
 
     def __post_init__(self):
-        _check_finite(self, "A", "B")
+        _check_finite(self)
         if self.A < 0.0:
             raise ValidationError(f"A must be nonnegative, got {self.A}")
         if self.B <= 0.0:
@@ -537,16 +545,13 @@ class Criterion:
     from_params = staticmethod(YieldParams.criterion)
 
     def to_dict(self) -> dict:
-        d: dict = {"meridian": "bp" if isinstance(self.meridian, CapMeridian) else "linear"}
-        d.update(self.meridian.to_dict())
+        """The parameter-file form; the native shape's beta and gamma go inline."""
+        d = {"meridian": self.meridian.kind, **self.meridian.to_dict()}
         if isinstance(self.shape, CosineLode):
-            d["beta"] = self.shape.beta
-            d["gamma"] = self.shape.gamma
+            d.update(_param_dict(self.shape))
         else:
             d["deviatoric"] = self.shape.to_dict()
-        d["A"] = self.A
-        d["B"] = self.B
-        return d
+        return {**d, **_param_dict(self)}
 
 
 def criterion_from_dict(d: dict, unchecked: bool = False) -> Criterion:
@@ -562,7 +567,7 @@ def criterion_from_dict(d: dict, unchecked: bool = False) -> Criterion:
     kind = d.get("meridian", "bp")
     try:
         if kind == "bp":
-            meridian = CapMeridian(*(float(d[name]) for name in _PARAM_NAMES[:5]))
+            meridian = CapMeridian(*(float(d[name]) for name in _params(CapMeridian)))
         elif kind == "linear":
             meridian = LinearMeridian(Gamma=float(d["Gamma"]), c=float(d.get("c", 0.0)))
         else:
@@ -573,7 +578,7 @@ def criterion_from_dict(d: dict, unchecked: bool = False) -> Criterion:
         shape = shape_from_dict(d["deviatoric"])
     else:
         try:
-            shape = CosineLode(beta=float(d["beta"]), gamma=float(d["gamma"]))
+            shape = CosineLode(*(float(d[name]) for name in _params(CosineLode)))
         except KeyError as exc:
             raise ValidationError(f"missing parameter {exc.args[0]!r} for deviatoric shape")
     crit = Criterion(meridian=meridian, shape=shape, A=float(d.get("A", 0.0)), B=float(d.get("B", 1.0)))

@@ -38,59 +38,58 @@ def _alpha_corner(k: int) -> float:
     return 10.0 ** -(k + 6)
 
 
+def _require_finite(**values):
+    """DomainError naming the first of the inputs that is not a finite number."""
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise DomainError(f"{name} must be finite, got {value}")
+
+
 @dataclass(frozen=True)
-class VonMises:
+class _TensileStrength:
+    """A pressure-insensitive criterion; ft > 0 is the uniaxial strength."""
+
+    ft: float
+
+    def __post_init__(self):
+        _require_finite(**vars(self))
+        if self.ft <= 0.0:
+            raise DomainError(f"ft must be positive, got {self.ft}")
+
+
+@dataclass(frozen=True)
+class _StrengthRatio:
+    """A pressure-sensitive criterion; fc > 0 and r = fc/ft >= 1."""
+
+    fc: float
+    r: float
+
+    def __post_init__(self):
+        _require_finite(**vars(self))
+        if self.fc <= 0.0:
+            raise DomainError(f"fc must be positive, got {self.fc}")
+        if self.r < 1.0:
+            raise DomainError(f"r = fc/ft must be at least 1 for real materials, got {self.r}")
+
+
+class VonMises(_TensileStrength):
     """Pressure-insensitive circle; ft is the uniaxial strength."""
 
-    ft: float
 
-    def __post_init__(self):
-        if self.ft <= 0.0:
-            raise DomainError(f"ft must be positive, got {self.ft}")
-
-
-@dataclass(frozen=True)
-class DruckerPrager:
+class DruckerPrager(_StrengthRatio):
     """Cone with circular section; r = fc/ft >= 1."""
 
-    fc: float
-    r: float
 
-    def __post_init__(self):
-        _check_fc_r(self.fc, self.r)
-
-
-@dataclass(frozen=True)
-class Tresca:
+class Tresca(_TensileStrength):
     """Pressure-insensitive hexagon; ft is the uniaxial strength."""
 
-    ft: float
 
-    def __post_init__(self):
-        if self.ft <= 0.0:
-            raise DomainError(f"ft must be positive, got {self.ft}")
-
-
-@dataclass(frozen=True)
-class ModifiedTresca:
+class ModifiedTresca(_StrengthRatio):
     """Cone with hexagonal section; r = fc/ft >= 1."""
 
-    fc: float
-    r: float
 
-    def __post_init__(self):
-        _check_fc_r(self.fc, self.r)
-
-
-@dataclass(frozen=True)
-class CoulombMohr:
+class CoulombMohr(_StrengthRatio):
     """Frictional hexagonal pyramid; r = fc/ft >= 1."""
-
-    fc: float
-    r: float
-
-    def __post_init__(self):
-        _check_fc_r(self.fc, self.r)
 
 
 @dataclass(frozen=True)
@@ -101,20 +100,12 @@ class ModifiedCamClay:
     pc: float
 
     def __post_init__(self):
+        _require_finite(**vars(self))
         if self.M <= 0.0 or self.pc <= 0.0:
             raise DomainError(f"M and pc must be positive, got M={self.M}, pc={self.pc}")
 
 
-ClassicalCriterion = (
-    VonMises | DruckerPrager | Tresca | ModifiedTresca | CoulombMohr | ModifiedCamClay
-)
-
-
-def _check_fc_r(fc: float, r: float):
-    if fc <= 0.0:
-        raise DomainError(f"fc must be positive, got {fc}")
-    if r < 1.0:
-        raise DomainError(f"r = fc/ft must be at least 1 for real materials, got {r}")
+ClassicalCriterion = _TensileStrength | _StrengthRatio | ModifiedCamClay
 
 
 @dataclass(frozen=True)
@@ -135,10 +126,13 @@ class LimitRealization:
         return self.params.criterion()
 
 
-def _cm_angle_terms(beta: float) -> tuple[float, float]:
-    # cos(beta pi/6) and cos(beta pi/6 - pi/3), the two projections that
-    # enter the Coulomb-Mohr M and c expressions.
-    return math.cos(beta * math.pi / 6.0), math.cos(beta * math.pi / 6.0 - math.pi / 3.0)
+def _exponent(scale_exponent) -> int:
+    """The surrogate exponent k: a finite number of at least 3, as an int."""
+    _require_finite(scale_exponent=scale_exponent)
+    k = int(scale_exponent)
+    if k < 3:
+        raise DomainError(f"scale_exponent must be at least 3, got {scale_exponent}")
+    return k
 
 
 def realize(criterion: ClassicalCriterion, scale_exponent: int = 6) -> LimitRealization:
@@ -148,9 +142,9 @@ def realize(criterion: ClassicalCriterion, scale_exponent: int = 6) -> LimitReal
     the reference strength, so uniaxial strengths are reproduced with a
     relative error of order 10^-scale_exponent (k >= 3 required).
     """
-    k = int(scale_exponent)
-    if k < 3:
-        raise DomainError(f"scale_exponent must be at least 3, got {scale_exponent}")
+    if not isinstance(criterion, ClassicalCriterion):
+        raise DomainError(f"unknown classical criterion {criterion!r}")
+    k = _exponent(scale_exponent)
     scale = 10.0**k
     warn: list[str] = []
 
@@ -161,7 +155,7 @@ def realize(criterion: ClassicalCriterion, scale_exponent: int = 6) -> LimitReal
         )
         return LimitRealization(params=params, scale_exponent=k, warnings=())
 
-    if isinstance(criterion, (VonMises, Tresca)):
+    if isinstance(criterion, _TensileStrength):
         ft = criterion.ft
         pc = scale * ft
         if isinstance(criterion, VonMises):
@@ -199,11 +193,9 @@ def realize(criterion: ClassicalCriterion, scale_exponent: int = 6) -> LimitReal
         c = 2.0 * fc / (3.0 * (r - 1.0))
         beta, gamma = 1.0, _GAMMA_LIMIT
         warn.append("gamma -> 1 realized as 1-1e-9 (piecewise-linear limit)")
-    elif isinstance(criterion, CoulombMohr):
+    else:  # Coulomb-Mohr
         beta = (6.0 / math.pi) * math.atan(math.sqrt(3.0) / (2.0 * r + 1.0))
         return coulomb_mohr_generalized(fc, r, beta, k)
-    else:
-        raise DomainError(f"unknown classical criterion {criterion!r}")
 
     alpha = _alpha_corner(k)
     warn.append(f"alpha = 0 realized as {alpha:g} (corner limit)")
@@ -223,11 +215,11 @@ def coulomb_mohr_generalized(
     plain Coulomb-Mohr realization.  Raises DomainError when the M or c
     expressions are not positive for the given (r, beta).
     """
-    _check_fc_r(fc, r)
-    k = int(scale_exponent)
-    if k < 3:
-        raise DomainError(f"scale_exponent must be at least 3, got {scale_exponent}")
-    c1, c2 = _cm_angle_terms(beta)
+    CoulombMohr(fc=fc, r=r)  # the same checks on fc and r
+    _require_finite(beta=beta)
+    k = _exponent(scale_exponent)
+    # the two projections that enter the Coulomb-Mohr M and c expressions
+    c1, c2 = math.cos(beta * math.pi / 6.0), math.cos(beta * math.pi / 6.0 - math.pi / 3.0)
     den = 3.0 * r * c2 - 3.0 * c1
     if den <= 0.0:
         raise DomainError(
@@ -265,6 +257,7 @@ def deshpande_fleck_to_bp(Y: float, alpha_df: float) -> YieldParams:
     c = pc = (Y/alpha_df) sqrt(1 + (alpha_df/3)^2), with the elliptic
     meridian (m = 2, alpha = 1) and circular section (beta = 1, gamma = 0).
     """
+    _require_finite(Y=Y, alpha_df=alpha_df)
     if Y <= 0.0 or alpha_df <= 0.0:
         raise DomainError(f"Y and alpha_df must be positive, got Y={Y}, alpha_df={alpha_df}")
     pc = (Y / alpha_df) * math.sqrt(1.0 + (alpha_df / 3.0) ** 2)
@@ -283,6 +276,7 @@ def bp_to_deshpande_fleck(M: float, pc: float, c: float) -> tuple[float, float]:
     Returns (Y, alpha_df) with alpha_df = M/2 and
     Y = c M / (2 sqrt(1 + (M/6)^2)).
     """
+    _require_finite(M=M, pc=pc, c=c)
     if M <= 0.0 or pc <= 0.0 or c <= 0.0:
         raise DomainError(f"M, pc and c must be positive, got M={M}, pc={pc}, c={c}")
     if abs(pc - c) > 1e-12 * max(pc, c):
@@ -312,6 +306,7 @@ def gurson_equivalent(
     """
     if not (0.0 < f_void < 1.0):
         raise DomainError(f"void fraction must lie in (0, 1), got {f_void}")
+    _require_finite(sigma_m=sigma_m, q1=q1, q2=q2, q3=q3)
     if sigma_m <= 0.0:
         raise DomainError(f"matrix flow stress must be positive, got {sigma_m}")
     arg = (1.0 + q3 * f_void**2) / (2.0 * f_void * q1)
@@ -336,6 +331,7 @@ def gurson_yield(
     the compression-positive mean pressure of this library.  Zero porosity
     reduces it to the von Mises form (q/sigma_m)^2 - 1.
     """
+    _require_finite(f_void=f_void, sigma_m=sigma_m, q1=q1, q2=q2, q3=q3)
     if sigma_m <= 0.0:
         raise DomainError(f"matrix flow stress must be positive, got {sigma_m}")
     inv = invariants(stress)
@@ -355,6 +351,7 @@ def gurson_meridian_q(
     Vectorized in p; entries where the surface does not reach (cosh term
     too large) come back as NaN.
     """
+    _require_finite(f_void=f_void, sigma_m=sigma_m, q1=q1, q2=q2, q3=q3)
     p = np.asarray(p, dtype=float)
     radicand = 1.0 + q3 * f_void**2 - 2.0 * q1 * f_void * np.cosh(3.0 * q2 * p / (2.0 * sigma_m))
     out = np.full(p.shape, math.nan)
@@ -375,6 +372,7 @@ def newman_strength(sigma3: float, fc: float) -> float:
     pressure and fc > 0 the uniaxial compressive strength, both as
     magnitudes.
     """
+    _require_finite(sigma3=sigma3, fc=fc)
     if fc <= 0.0:
         raise DomainError(f"fc must be positive, got {fc}")
     if sigma3 < 0.0:

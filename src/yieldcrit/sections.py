@@ -163,18 +163,15 @@ def _slice_F(crit: Criterion, x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 def _biaxial_center(crit: Criterion) -> tuple[float, float]:
     """Interior point of the sigma3 = 0 slice, found on the diagonal."""
-    if isinstance(crit.meridian, CapMeridian):
+    if crit.meridian.kind == "bp":
         # p = -2s/3 along (s, s, 0); the cap bounds the search bracket.
         s_lo = -1.5 * crit.meridian.pc
         s_hi = 1.5 * crit.meridian.c
         span = s_hi - s_lo
         s_lo += 1e-9 * span
         s_hi -= 1e-9 * span
-        if span <= 0.0:
-            raise EmptySlice("empty cap on the biaxial diagonal")
     else:
-        ref = crit.meridian.c + 1.0
-        s_lo, s_hi = -1e3 * ref, 1.5 * crit.meridian.c
+        s_lo, s_hi = -1e3 * crit.meridian.scale, 1.5 * crit.meridian.c
     s, F = minimize_scalar(
         lambda s: yield_value((s, s, 0.0), crit), s_lo, s_hi,
         xatol=1e-12 * max(1.0, abs(s_lo), abs(s_hi)),
@@ -395,10 +392,7 @@ def sample_biaxial(crit: Criterion, n: int = 200, normalize: bool = False) -> Se
     if n < 3:
         raise ValidationError(f"need at least 3 rays, got {n}")
     s_center, _ = _biaxial_center(crit)
-    if isinstance(crit.meridian, CapMeridian):
-        scale = crit.meridian.pc + crit.meridian.c
-    else:
-        scale = crit.meridian.c + 1.0
+    scale = crit.meridian.scale
     phis = [2.0 * math.pi * j / n for j in range(n)]
     d = np.array([(math.cos(phi), math.sin(phi)) for phi in phis])
     t = _ray_crossings(crit, s_center, s_center, d, 1e-3 * scale)

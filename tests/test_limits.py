@@ -20,6 +20,7 @@ from yieldcrit import (
     gurson_equivalent,
     gurson_meridian_q,
     gurson_yield,
+    newman_invariants,
     newman_strength,
     principal_from_invariants,
     realize,
@@ -270,3 +271,46 @@ class TestNewman:
             newman_strength(-0.1, 1.0)
         with pytest.raises(DomainError):
             newman_strength(0.0, 0.0)
+
+
+NAN, INF = math.nan, math.inf
+
+
+@pytest.mark.parametrize(
+    "call, name, bad",
+    [
+        (lambda: newman_strength(NAN, 30.0), "sigma3", NAN),
+        (lambda: newman_strength(1.0, NAN), "fc", NAN),
+        (lambda: newman_invariants(1.0, INF), "fc", INF),
+        (lambda: VonMises(ft=NAN), "ft", NAN),
+        (lambda: Tresca(ft=INF), "ft", INF),
+        (lambda: DruckerPrager(fc=INF, r=2.0), "fc", INF),
+        (lambda: ModifiedTresca(fc=1.0, r=NAN), "r", NAN),
+        (lambda: CoulombMohr(fc=-INF, r=2.0), "fc", -INF),
+        (lambda: ModifiedCamClay(M=NAN, pc=1.0), "M", NAN),
+        (lambda: ModifiedCamClay(M=1.0, pc=INF), "pc", INF),
+        (lambda: gurson_equivalent(0.1, NAN), "sigma_m", NAN),
+        (lambda: gurson_equivalent(0.1, 1.0, q2=INF), "q2", INF),
+        (lambda: gurson_yield((0.0, 0.0, 0.0), 0.1, NAN), "sigma_m", NAN),
+        (lambda: gurson_yield((0.0, 0.0, 0.0), NAN, 1.0), "f_void", NAN),
+        (lambda: gurson_meridian_q(0.0, 0.1, NAN), "sigma_m", NAN),
+        (lambda: gurson_meridian_q([0.0, 0.1], 0.1, 1.0, q1=NAN), "q1", NAN),
+        (lambda: bp_to_deshpande_fleck(NAN, 1.0, 1.0), "M", NAN),
+        (lambda: bp_to_deshpande_fleck(1.0, 1.0, INF), "c", INF),
+        (lambda: deshpande_fleck_to_bp(NAN, 0.5), "Y", NAN),
+        (lambda: deshpande_fleck_to_bp(1.0, INF), "alpha_df", INF),
+        (lambda: realize(VonMises(ft=1.0), scale_exponent=NAN), "scale_exponent", NAN),
+        (lambda: realize(CoulombMohr(fc=1.0, r=2.0), scale_exponent=INF), "scale_exponent", INF),
+        (lambda: coulomb_mohr_generalized(1.0, 2.0, NAN), "beta", NAN),
+        (lambda: coulomb_mohr_generalized(NAN, 2.0, 0.5), "fc", NAN),
+    ],
+)
+def test_non_finite_input_is_a_domain_error(call, name, bad):
+    with pytest.raises(DomainError) as info:
+        call()
+    assert str(info.value) == f"{name} must be finite, got {bad}"
+
+
+def test_realize_refuses_an_unknown_criterion():
+    with pytest.raises(DomainError, match="unknown classical criterion"):
+        realize("von-mises")

@@ -64,7 +64,7 @@ def test_criterion_round_trip(meridian, shape, A):
     crit = Criterion(meridian=meridian, shape=shape, A=A, B=1.5)
     d = crit.to_dict()
     assert d["meridian"] == ("bp" if isinstance(meridian, CapMeridian) else "linear")
-    assert criterion_from_dict(d, unchecked=True) == crit
+    assert criterion_from_dict(d) == crit
 
 
 def test_criterion_dict_layout():
