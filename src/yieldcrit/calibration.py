@@ -42,7 +42,7 @@ import numpy as np
 
 from . import trf
 from .convexity import ConvexityReport, certify
-from .criterion import CapMeridian, Criterion, _params, _surface_q_body, _yield_body, cap_h1
+from .criterion import CapMeridian, Criterion, _params, _record, _surface_q_body, _yield_body, cap_h1
 from .errors import InsufficientData, ParseError, ValidationError
 from .invariants import _theta_in_range, invariants
 
@@ -288,9 +288,7 @@ class FitProblem:
 
 def _unvalidated(record, **fields):
     """A frozen record with some fields replaced, without its checks."""
-    new = object.__new__(type(record))
-    new.__dict__.update(record.__dict__, **fields)
-    return new
+    return _record(type(record), record.__dict__, **fields)
 
 
 # ---------------------------------------------------------------------------

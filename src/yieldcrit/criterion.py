@@ -35,8 +35,10 @@ from functools import cache
 import numpy as np
 
 from .errors import CornerCase, DegenerateState, DomainError, ValidationError
-from .invariants import EPS_MERIDIAN, FLOAT, _perp, _principal, _theta_in_range, namespace
-from .invariants import invariants, invariants_array
+from .invariants import EPS_MERIDIAN, FLOAT, _invariant_body, _perp, _principal, _theta_in_range
+from .invariants import invariants_array, namespace
+# Unused here; kept because perfbench's --trace 1 wraps criterion.invariants by name.
+from .invariants import invariants  # noqa: F401
 
 # Gradient evaluation margin at the cap ends: inside Phi < DELTA_PHI or
 # Phi > 1 - DELTA_PHI the square root in a(p) loses all precision and the
@@ -58,8 +60,25 @@ def _params(cls) -> tuple[str, ...]:
     return tuple(f.name for f in fields(cls) if f.type == "float")
 
 
+def _record(cls, fields=(), **changes):
+    """A ``cls`` record of ``fields`` and ``changes``, made without ``__init__`` or its checks."""
+    obj = object.__new__(cls)
+    obj.__dict__.update(fields, **changes)
+    return obj
+
+
 def _param_dict(record) -> dict:
     return {name: getattr(record, name) for name in _params(type(record))}
+
+
+def _number(d: dict, name: str, default=None, of: str = "") -> float:
+    """``d[name]`` as a float, ``default`` if absent; else a ValidationError naming the key."""
+    if name not in d and default is None:
+        raise ValidationError(f"missing parameter {name!r} for {of}")
+    try:
+        return float(d.get(name, default))
+    except (TypeError, ValueError):  # only a given value can fail: every default is a number
+        raise ValidationError(f"{name} must be a number, got {d[name]!r}") from None
 
 
 def _check_finite(record):
@@ -283,7 +302,7 @@ def shape_from_dict(d: dict):
         cls = SHAPE_KINDS[kind]
     except KeyError:
         raise ValidationError(f"unknown deviatoric kind {kind!r}")
-    args = {k: float(v) for k, v in d.items() if k != "kind"}
+    args = {k: _number(d, k) for k in d if k != "kind"}
     try:
         return cls(**args)
     except TypeError as exc:
@@ -476,10 +495,7 @@ class YieldParams:
     @classmethod
     def unchecked(cls, M, pc, c, m, alpha, beta, gamma) -> "YieldParams":
         """Construct without any validation.  Downstream code may reject."""
-        obj = object.__new__(cls)
-        for name, value in zip(_params(cls), (M, pc, c, m, alpha, beta, gamma)):
-            object.__setattr__(obj, name, float(value))
-        return obj
+        return _record(cls, zip(_params(cls), map(float, (M, pc, c, m, alpha, beta, gamma))))
 
     @classmethod
     def limit_mode(cls, M, pc, c, m, alpha, beta, gamma):
@@ -565,23 +581,18 @@ def criterion_from_dict(d: dict, unchecked: bool = False) -> Criterion:
     if not isinstance(d, dict):
         raise ValidationError(f"parameter JSON must be an object, got {type(d).__name__}")
     kind = d.get("meridian", "bp")
-    try:
-        if kind == "bp":
-            meridian = CapMeridian(*(float(d[name]) for name in _params(CapMeridian)))
-        elif kind == "linear":
-            meridian = LinearMeridian(Gamma=float(d["Gamma"]), c=float(d.get("c", 0.0)))
-        else:
-            raise ValidationError(f"unknown meridian kind {kind!r}")
-    except KeyError as exc:
-        raise ValidationError(f"missing parameter {exc.args[0]!r} for meridian {kind!r}")
+    of = f"meridian {kind!r}"
+    if kind == "bp":
+        meridian = CapMeridian(*(_number(d, name, of=of) for name in _params(CapMeridian)))
+    elif kind == "linear":
+        meridian = LinearMeridian(Gamma=_number(d, "Gamma", of=of), c=_number(d, "c", 0.0))
+    else:
+        raise ValidationError(f"unknown meridian kind {kind!r}")
     if "deviatoric" in d:
         shape = shape_from_dict(d["deviatoric"])
     else:
-        try:
-            shape = CosineLode(*(float(d[name]) for name in _params(CosineLode)))
-        except KeyError as exc:
-            raise ValidationError(f"missing parameter {exc.args[0]!r} for deviatoric shape")
-    crit = Criterion(meridian=meridian, shape=shape, A=float(d.get("A", 0.0)), B=float(d.get("B", 1.0)))
+        shape = CosineLode(*(_number(d, k, of="deviatoric shape") for k in _params(CosineLode)))
+    crit = Criterion(meridian=meridian, shape=shape, A=_number(d, "A", 0.0), B=_number(d, "B", 1.0))
     if not unchecked and isinstance(meridian, CapMeridian) and isinstance(shape, CosineLode):
         if not beta_in_convex_interval(shape.beta, shape.gamma)[0]:
             raise ValidationError(
@@ -624,9 +635,8 @@ def yield_value(stress, crit: Criterion) -> float:
     Returns +inf outside the effective domain of a cap meridian.  For
     hydrostatic states the deviatoric terms vanish and only f(p) remains.
     """
-    inv = invariants(stress)
-    fp, g = crit.meridian.f(inv.p), crit.shape.g(inv.theta)
-    return _yield_body(fp, inv.q, g, inv.hydrostatic, crit, FLOAT)
+    p, q, theta, hydrostatic = _invariant_body(*_principal(stress), FLOAT)
+    return _yield_body(crit.meridian.f(p), q, crit.shape.g(theta), hydrostatic, crit, FLOAT)
 
 
 def yield_value_array(stress, crit: Criterion) -> np.ndarray:
@@ -720,31 +730,32 @@ def gradient(stress, crit: Criterion) -> GradientDecomposition:
         ends, where the caller should use :func:`normal_limits`.
     """
     s1, s2, s3 = _principal(stress)
-    inv = invariants((s1, s2, s3))
-    if inv.hydrostatic:
+    p, q, theta, hydrostatic = _invariant_body(s1, s2, s3, FLOAT)
+    if hydrostatic:
         raise DegenerateState("gradient decomposition needs q > 0")
     if isinstance(crit.meridian, CapMeridian):
-        phi = crit.meridian.phi(inv.p)
+        phi = crit.meridian.phi(p)
         if not (DELTA_PHI < phi < 1.0 - DELTA_PHI):
-            raise DegenerateState(
-                f"Phi={phi:.3g} too close to the cap ends; use normal_limits"
-            )
-    a = -crit.meridian.df(inv.p) / 3.0
-    g = crit.shape.g(inv.theta)
-    b = _SQRT15 * (crit.B / g + 2.0 * crit.A * inv.q)
-    st = [_SQRT15 * (s + inv.p) / inv.q for s in (s1, s2, s3)]
-    sin3t = math.sin(3.0 * inv.theta)
+            raise DegenerateState(f"Phi={phi:.3g} too close to the cap ends; use normal_limits")
+    a = -crit.meridian.df(p) / 3.0
+    g = crit.shape.g(theta)
+    b = _SQRT15 * (crit.B / g + 2.0 * crit.A * q)
+    u1, u2, u3 = _SQRT15 * (s1 + p) / q, _SQRT15 * (s2 + p) / q, _SQRT15 * (s3 + p) / q
+    sin3t = math.sin(3.0 * theta)
     if abs(sin3t) <= EPS_MERIDIAN:
         # Smooth limit on a deviatoric meridian: the c-term drops out.
         c = 0.0
-        tensor = [a + b * t for t in st]
+        t1, t2, t3 = a + b * u1, a + b * u2, a + b * u3
     else:
-        c = _SQRT15 * crit.B * crit.shape.dg(inv.theta) / g**2
-        cos3t = math.cos(3.0 * inv.theta)
-        tensor = [a + b * t + c * _perp(t, cos3t, sin3t) for t in st]
-    tensor = np.array(tensor)
+        c = _SQRT15 * crit.B * crit.shape.dg(theta) / g**2
+        cos3t = math.cos(3.0 * theta)
+        t1 = a + b * u1 + c * _perp(u1, cos3t, sin3t)
+        t2 = a + b * u2 + c * _perp(u2, cos3t, sin3t)
+        t3 = a + b * u3 + c * _perp(u3, cos3t, sin3t)
     norm = math.sqrt(3.0 * a * a + b * b + c * c)
-    return GradientDecomposition(a=a, b=b, c=c, tensor=tensor, unit_normal=tensor / norm)
+    # one array for both fields; a float quotient rounds as numpy's does
+    flat = np.array((t1, t2, t3, t1 / norm, t2 / norm, t3 / norm))
+    return _record(GradientDecomposition, a=a, b=b, c=c, tensor=flat[:3], unit_normal=flat[3:])
 
 
 def normal_limits(which: str, params: YieldParams) -> np.ndarray:

@@ -204,22 +204,21 @@ def invariant_gradients(stress):
         the caller must switch to the smooth-limit form of the criterion
         gradient instead.
     """
-    sig = np.array(_principal(stress))
-    inv = invariants(sig)
-    if inv.hydrostatic:
+    sig = _principal(stress)
+    p, q, theta, hydrostatic = _invariant_body(*sig, FLOAT)
+    if hydrostatic:
         raise DegenerateDirection("theta gradient undefined at a hydrostatic state")
-    s = sig + inv.p
+    dj2 = np.array(sig) + p  # S
     dp = np.full(3, -1.0 / 3.0)
-    dj2 = s.copy()
-    s2 = s * s
+    s2 = dj2 * dj2
     dj3 = s2 - s2.sum() / 3.0
-    sin3t = math.sin(3.0 * inv.theta)
+    sin3t = math.sin(3.0 * theta)
     if abs(sin3t) <= EPS_MERIDIAN:
         raise DegenerateDirection(
-            f"theta gradient undefined on a deviatoric meridian (theta={inv.theta:.6g})"
+            f"theta gradient undefined on a deviatoric meridian (theta={theta:.6g})"
         )
-    cos3t = math.cos(3.0 * inv.theta)
-    dtheta = -9.0 / (2.0 * inv.q**3 * sin3t) * (dj3 - inv.q * cos3t / 3.0 * s)
+    cos3t = math.cos(3.0 * theta)
+    dtheta = -9.0 / (2.0 * q**3 * sin3t) * (dj3 - q * cos3t / 3.0 * dj2)
     return dp, dj2, dj3, dtheta
 
 
@@ -229,15 +228,15 @@ def deviatoric_frame(stress) -> DeviatoricFrame:
     Raises DegenerateDirection when q = 0.  On a deviatoric meridian the
     perpendicular direction is a 0/0 limit, so ``defined`` is False there.
     """
-    sig = np.array(_principal(stress))
-    inv = invariants(sig)
-    if inv.hydrostatic:
+    sig = _principal(stress)
+    p, q, theta, hydrostatic = _invariant_body(*sig, FLOAT)
+    if hydrostatic:
         raise DegenerateDirection("deviatoric direction undefined at q = 0")
-    s_tilde = math.sqrt(1.5) * (sig + inv.p) / inv.q
-    sin3t = math.sin(3.0 * inv.theta)
+    s_tilde = math.sqrt(1.5) * (np.array(sig) + p) / q
+    sin3t = math.sin(3.0 * theta)
     if abs(sin3t) <= EPS_MERIDIAN:
         return DeviatoricFrame(s_tilde=s_tilde, s_tilde_perp=np.zeros(3), defined=False)
-    cos3t = math.cos(3.0 * inv.theta)
+    cos3t = math.cos(3.0 * theta)
     return DeviatoricFrame(s_tilde=s_tilde, s_tilde_perp=_perp(s_tilde, cos3t, sin3t), defined=True)
 
 

@@ -45,6 +45,13 @@ def _require_finite(**values):
             raise DomainError(f"{name} must be finite, got {value}")
 
 
+def _gurson_inputs(**values):
+    """DomainError unless every input is finite and the matrix flow stress positive."""
+    _require_finite(**values)
+    if values["sigma_m"] <= 0.0:
+        raise DomainError(f"matrix flow stress must be positive, got {values['sigma_m']}")
+
+
 @dataclass(frozen=True)
 class _TensileStrength:
     """A pressure-insensitive criterion; ft > 0 is the uniaxial strength."""
@@ -306,9 +313,7 @@ def gurson_equivalent(
     """
     if not (0.0 < f_void < 1.0):
         raise DomainError(f"void fraction must lie in (0, 1), got {f_void}")
-    _require_finite(sigma_m=sigma_m, q1=q1, q2=q2, q3=q3)
-    if sigma_m <= 0.0:
-        raise DomainError(f"matrix flow stress must be positive, got {sigma_m}")
+    _gurson_inputs(sigma_m=sigma_m, q1=q1, q2=q2, q3=q3)
     arg = (1.0 + q3 * f_void**2) / (2.0 * f_void * q1)
     if arg < 1.0:
         raise DomainError(f"acosh argument {arg:.6g} < 1: porosity too large for q1={q1}, q3={q3}")
@@ -331,9 +336,7 @@ def gurson_yield(
     the compression-positive mean pressure of this library.  Zero porosity
     reduces it to the von Mises form (q/sigma_m)^2 - 1.
     """
-    _require_finite(f_void=f_void, sigma_m=sigma_m, q1=q1, q2=q2, q3=q3)
-    if sigma_m <= 0.0:
-        raise DomainError(f"matrix flow stress must be positive, got {sigma_m}")
+    _gurson_inputs(f_void=f_void, sigma_m=sigma_m, q1=q1, q2=q2, q3=q3)
     inv = invariants(stress)
     return (
         (inv.q / sigma_m) ** 2
@@ -349,9 +352,9 @@ def gurson_meridian_q(
     """Deviatoric radius of the Gurson-Tvergaard surface at pressure p.
 
     Vectorized in p; entries where the surface does not reach (cosh term
-    too large) come back as NaN.
+    too large) come back as NaN.  Raises DomainError for sigma_m <= 0.
     """
-    _require_finite(f_void=f_void, sigma_m=sigma_m, q1=q1, q2=q2, q3=q3)
+    _gurson_inputs(f_void=f_void, sigma_m=sigma_m, q1=q1, q2=q2, q3=q3)
     p = np.asarray(p, dtype=float)
     radicand = 1.0 + q3 * f_void**2 - 2.0 * q1 * f_void * np.cosh(3.0 * q2 * p / (2.0 * sigma_m))
     out = np.full(p.shape, math.nan)

@@ -35,9 +35,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .criterion import CapMeridian, Criterion, surface_q_array, yield_value, yield_value_array
-# No sampler calls the scalar surface_q any more; it stays a module attribute
-# because perfbench's --trace 1 wraps sections.surface_q by name.
+from .criterion import CapMeridian, Criterion, _yield_body, surface_q_array, yield_value
+from .criterion import yield_value_array
+# Unused here; kept because perfbench's --trace 1 wraps sections.surface_q and .invariants by name.
 from .criterion import surface_q  # noqa: F401
 from .errors import (
     DomainError,
@@ -47,7 +47,8 @@ from .errors import (
     UnboundedDomain,
     ValidationError,
 )
-from .invariants import _THETA_MAX, STRESS_MAX, invariants
+from .invariants import _THETA_MAX, FLOAT, STRESS_MAX, _invariant_body, _principal
+from .invariants import invariants  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -70,16 +71,16 @@ def _echo(crit: Criterion) -> tuple[tuple[str, object], ...]:
 
 def normalized_residual(crit: Criterion, stress) -> float:
     """|F| normalized by the local magnitude of the competing terms."""
-    inv = invariants(stress)
-    f = crit.meridian.f(inv.p)
-    F = yield_value(stress, crit)
+    p, q, theta, hydrostatic = _invariant_body(*_principal(stress), FLOAT)
+    f = crit.meridian.f(p)
+    F = _yield_body(f, q, crit.shape.g(theta), hydrostatic, crit, FLOAT)
     if math.isinf(F):
         return math.inf
     if isinstance(crit.meridian, CapMeridian):
         floor = 0.01 * crit.meridian.pc
     else:
-        floor = 0.01 * crit.meridian.Gamma * (abs(inv.p) + crit.meridian.c)
-    s0 = max(crit.B * inv.q, abs(f), floor, 1e-300)
+        floor = 0.01 * crit.meridian.Gamma * (abs(p) + crit.meridian.c)
+    s0 = max(crit.B * q, abs(f), floor, 1e-300)
     return abs(F) / s0
 
 

@@ -158,6 +158,35 @@ class TestNonFiniteParams:
         assert "must be finite" in err
 
 
+class TestNonNumericParams:
+    @pytest.mark.parametrize(
+        "params, key, value",
+        [
+            ({**CAM_CLAY, "M": "x"}, "M", "'x'"),
+            ({**CAM_CLAY, "A": None}, "A", "None"),
+            (
+                {
+                    **{k: v for k, v in CAM_CLAY.items() if k not in ("beta", "gamma")},
+                    "deviatoric": {"kind": "bp", "beta": "a", "gamma": 0.0},
+                },
+                "beta",
+                "'a'",
+            ),
+        ],
+        ids=["M", "A", "deviatoric-beta"],
+    )
+    @pytest.mark.parametrize(
+        "argv", [["eval", "--stress=-0.5,0,0"], ["eval", "--stress=-0.5,0,0", "--unchecked"], ["check-convexity"]]
+    )
+    def test_rejected_with_exit_2(self, capsys, tmp_path, params, key, value, argv):
+        path = tmp_path / "nonnumeric.json"
+        path.write_text(json.dumps(params), encoding="utf-8")
+        code, out, err = run(capsys, argv + ["--params", str(path)])
+        assert code == 2
+        assert out == ""
+        assert err == f"yieldcrit: {key} must be a number, got {value}\n"
+
+
 class TestLinearMeridianCheck:
     def test_admissible_report_with_null_meridian_witness(self, capsys, tmp_path):
         path = tmp_path / "linear.json"

@@ -4,14 +4,17 @@
   raises a typed error, not one that ``python -O`` strips.
 * No unused module-level imports.  An import kept on purpose (for example
   a module attribute that a tracer wraps by name) carries ``# noqa: F401``.
+* Every module attribute that perfbench's tracer wraps by name exists.
 """
 
 import ast
+import importlib
 import pathlib
 
 import pytest
 
-SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "yieldcrit"
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "yieldcrit"
 MODULES = sorted(SRC.glob("*.py"))
 
 
@@ -81,3 +84,25 @@ def test_unused_imports_are_found():
         "x: os.PathLike = arr(1)\n"
     )
     assert _unused_imports(text) == ["math (line 2)"]
+
+
+def _tracer_patches():
+    """The (module, attribute, span) rows of ``PATCHES`` and ``CLI_PATCHES`` in
+    perfbench/families.py, read from its source without importing perfbench."""
+    tree = _tree(ROOT / "perfbench" / "families.py")
+    rows = {}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and len(node.targets) == 1:
+            name = getattr(node.targets[0], "id", None)
+            if name in ("PATCHES", "CLI_PATCHES"):
+                rows[name] = ast.literal_eval(node.value)
+    assert set(rows) == {"PATCHES", "CLI_PATCHES"}
+    return rows["PATCHES"] + rows["CLI_PATCHES"]
+
+
+@pytest.mark.parametrize("mod, attr", [row[:2] for row in _tracer_patches()], ids="{}".format)
+def test_tracer_patch_targets_exist(mod, attr):
+    # --trace 1 wraps each yieldcrit.<mod>.<attr> by name and stops with an
+    # AttributeError if a refactor drops one
+    module = importlib.import_module(f"yieldcrit.{mod}")
+    assert callable(getattr(module, attr, None)), f"yieldcrit.{mod} has no attribute {attr!r}"

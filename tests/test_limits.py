@@ -311,6 +311,23 @@ def test_non_finite_input_is_a_domain_error(call, name, bad):
     assert str(info.value) == f"{name} must be finite, got {bad}"
 
 
+@pytest.mark.parametrize("sigma_m", [-1.0, 0.0])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda s: gurson_meridian_q([0.5, 1.0], 0.1, s),
+        lambda s: gurson_meridian_q(0.5, 0.1, s),
+        lambda s: gurson_equivalent(0.1, s),
+        lambda s: gurson_yield((0.0, 0.0, 0.0), 0.1, s),
+    ],
+    ids=["meridian-q-array", "meridian-q-scalar", "equivalent", "yield"],
+)
+def test_gurson_refuses_a_nonpositive_flow_stress(call, sigma_m):
+    with pytest.raises(DomainError) as info:
+        call(sigma_m)
+    assert str(info.value) == f"matrix flow stress must be positive, got {sigma_m}"
+
+
 def test_realize_refuses_an_unknown_criterion():
     with pytest.raises(DomainError, match="unknown classical criterion"):
         realize("von-mises")
