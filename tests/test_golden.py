@@ -1,4 +1,5 @@
-"""The per-state kernel against its golden record, ``tests/golden/kernel.json``.
+"""The per-state kernel and the fitter against their golden records,
+``tests/golden/kernel.json`` and ``tests/golden/fits.json``.
 
 ``invariants``, ``yield_value``, ``surface_q`` and ``gradient`` must give
 every recorded number to within 1e-12 relative to the state's scale (1 for
@@ -6,6 +7,11 @@ angles and the dimensionless gradient terms), and every recorded
 DegenerateState message exactly.  The tolerance, not bit equality, is the
 contract, so that no result depends on one build of numpy or libm; the
 test prints how many numbers came out bit-identical.
+
+Every recorded fit must give its winning values, rms and every start's
+start point, end point and rms to within 1e-12 relative (1 for an rms,
+which is dimensionless), and its ``n_agree``, ``iterations`` and every
+start's ``evaluations`` and ``stop`` exactly.
 """
 
 from __future__ import annotations
@@ -22,6 +28,7 @@ from yieldcrit.criterion import SHAPE_KINDS
 
 GOLDEN = pathlib.Path(__file__).resolve().parent / "golden" / "kernel.json"
 CASES = json.loads(GOLDEN.read_text(encoding="utf-8"))["cases"]
+FITS = json.loads((GOLDEN.parent / "fits.json").read_text(encoding="utf-8"))
 REL = 1e-12
 
 
@@ -85,3 +92,43 @@ def test_kernel_matches_golden_record(capsys):
         _check_case(case, tally)
     with capsys.disabled():
         print(f"\ngolden kernel record: {sum(tally)} of {len(tally)} numbers bit-identical")
+
+
+def test_fit_record_covers_both_jacobians_and_modes():
+    cases = FITS["cases"]
+    assert len({case["dataset"] for case in cases}) == 14
+    assert {case["mode"] for case in cases} == {"meridian_distance", "function_value"}
+    assert {case["seed"] for case in cases} >= {0, 1}
+    # free parameters outside the meridian take the difference Jacobian
+    assert any("beta" in case["free"] for case in cases)
+
+
+def _check_fit(case: dict, tally: list) -> None:
+    problem = yc.FitProblem(
+        template=yc.criterion_from_dict(case["template"]),
+        free=tuple(case["free"]),
+        residual_mode=case["mode"],
+    )
+    points = np.array(FITS["datasets"][case["dataset"]])
+    dataset = yc.FitDataset(points=points, weights=np.ones(len(points)))
+    result = yc.fit(problem, dataset, seed=case["seed"], n_starts=case["n_starts"])
+    where = f"{case['dataset']} / {case['mode']} seed {case['seed']}"
+    assert [n for n, _ in result.values] == case["free"], where
+    _compare([v for _, v in result.values], case["values"], 0.0, f"{where}: values", tally)
+    _compare(result.rms, case["rms"], 1.0, f"{where}: rms", tally)
+    got = (result.n_agree, result.iterations, len(result.starts))
+    assert got == (case["n_agree"], case["iterations"], len(case["starts"])), where
+    for j, (start, want) in enumerate(zip(result.starts, case["starts"])):
+        at = f"{where} start {j}"
+        assert (start.evaluations, start.stop) == (want["evaluations"], want["stop"]), at
+        _compare([v for _, v in start.start], want["start"], 0.0, f"{at}: start", tally)
+        _compare([v for _, v in start.values], want["values"], 0.0, f"{at}: values", tally)
+        _compare(start.rms, want["rms"], 1.0, f"{at}: rms", tally)
+
+
+def test_fits_match_golden_record(capsys):
+    tally: list = []
+    for case in FITS["cases"]:
+        _check_fit(case, tally)
+    with capsys.disabled():
+        print(f"\ngolden fit record: {sum(tally)} of {len(tally)} numbers bit-identical")
