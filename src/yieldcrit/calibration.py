@@ -17,14 +17,15 @@ The search is the Trust Region Reflective method (:mod:`yieldcrit.trf`,
 an in-house port of scipy's ``trf``, Jacobian-scaled) on the box of
 parameter bounds itself.  It works in log(value) for a parameter whose
 positive bounds span more than a factor of 10 and in the value otherwise.
-Its Jacobian is closed-form when every free parameter belongs to a cap
-meridian (M, pc, c, m, alpha) and taken by forward differences otherwise.
-When no initial guess is supplied it runs from seeded starts drawn
-uniformly in those coordinates, all in lockstep: the residuals of every
-start come from one array evaluation, with the free parameters as
-columns of the criterion (:meth:`FitProblem.rows`), and no validated
-Criterion is built per evaluation.  A start whose initial residuals are
-not finite takes no step; there is no fallback search.  A fit reports
+Its Jacobian is taken by forward differences unless every free parameter
+belongs to a cap meridian (M, pc, c, m, alpha); then it is closed-form,
+its partials read from the meridian body the residuals use.  Without an
+initial guess it runs seeded starts drawn uniformly in those coordinates,
+all in lockstep: each step is one model call that gives the residuals,
+and the closed-form Jacobian, of every start in one array evaluation,
+with the free parameters as columns of the criterion
+(:meth:`FitProblem.rows`).  A start whose initial residuals are not
+finite takes no step; there is no fallback search.  A fit reports
 ``converged`` only for a convex result that, with several starts, at
 least two starts agree on.  Fits are deterministic given (dataset, init,
 seed).
@@ -90,10 +91,6 @@ class FitDataset:
 
     def __len__(self) -> int:
         return self.points.shape[0]
-
-
-def _dataset_from_rows(rows, weights, meta) -> FitDataset:
-    return FitDataset(points=np.array(rows, dtype=float), weights=np.array(weights), meta=meta)
 
 
 def load_dataset(source, meta: Mapping[str, str] | None = None) -> FitDataset:
@@ -164,7 +161,7 @@ def load_dataset(source, meta: Mapping[str, str] | None = None) -> FitDataset:
     if header is None or not rows:
         raise ParseError("no data rows found", None)
     meta_t = tuple(sorted((meta or {}).items()))
-    return _dataset_from_rows(rows, weights, meta_t)
+    return FitDataset(points=np.array(rows, dtype=float), weights=np.array(weights), meta=meta_t)
 
 
 # ---------------------------------------------------------------------------
@@ -296,93 +293,54 @@ def _unvalidated(record, **fields):
 # ---------------------------------------------------------------------------
 
 
-def _cap_distance(crit: Criterion, p: np.ndarray) -> np.ndarray:
-    """dist(Phi, [0,1]) for cap meridians, a scaled analogue otherwise."""
-    if isinstance(crit.meridian, CapMeridian):
-        phi = crit.meridian.phi(p)
-        return np.maximum(0.0, np.maximum(-phi, phi - 1.0))
-    scale = np.maximum(np.maximum(crit.meridian.c, np.mean(np.abs(p))), 1e-30)
-    return np.maximum(0.0, -(p + crit.meridian.c)) / scale
-
-
-def residual_vector(crit: Criterion, dataset: FitDataset, mode: str) -> np.ndarray:
-    """Weighted, normalized residuals of a criterion against a dataset.
-
-    For a criterion from :meth:`FitProblem.rows` the result has one row of
-    residuals per row of parameter values.
-    """
+def _columns(dataset: FitDataset, shape=None) -> tuple:
+    """(p, q, theta, weights, mean(q) or 1 where it is not positive, and
+    g(theta) of ``shape`` or None): what the residuals read of a dataset."""
     p, q, th = dataset.points.T
-    w = dataset.weights
-    f = crit.meridian.f_array(p)
-    g = crit.shape.g(th)
-    penalty = w * (1.0 + _cap_distance(crit, p))
+    qbar = float(np.mean(q))
+    g = None if shape is None else shape.g(th)
+    return p, q, th, dataset.weights, qbar if qbar > 0.0 else 1.0, g
+
+
+def _model(crit: Criterion, data: tuple, mode: str, names=()):
+    """(residuals, columns or None): the residuals of a criterion against
+    the data and, in the same pass, the closed-form derivative column of
+    each cap-meridian parameter in ``names``.  The derivatives hold the
+    branch fixed: a point outside the cap sees the derivative of its
+    penalty, and one where h = 0 (a cap end) a zero entry.  For a criterion
+    from :meth:`FitProblem.rows` both have one row per row of values."""
+    if mode not in ("meridian_distance", "function_value"):
+        raise ValidationError(f"unknown residual mode {mode!r}")
+    p, q, th, w, qbar, g = data
+    g = crit.shape.g(th) if g is None else g
+    mer = crit.meridian
+    if cap := isinstance(mer, CapMeridian):
+        phi, inside, ph, phm, h, root = mer._body(p, np)
+        f_in = -mer.M * mer.pc * root
+        f = np.where(inside, f_in, math.inf)
+        # the penalty grows with dist(Phi, [0, 1])
+        dist = np.maximum(0.0, np.maximum(-phi, phi - 1.0))
+    else:
+        f = mer.f_array(p)
+        scale = np.maximum(np.maximum(mer.c, np.mean(np.abs(p))), 1e-30)
+        dist = np.maximum(0.0, -(p + mer.c)) / scale
+    penalty = w * (1.0 + dist)
     if mode == "meridian_distance":
         # the surface radius is NaN where it does not exist
         qs = _surface_q_body(f, g, crit, np)
         outside = np.isnan(qs)
-        qbar = float(np.mean(q))
-        if qbar <= 0.0:
-            qbar = 1.0
-        return np.where(outside, penalty, w * (q - np.where(outside, 0.0, qs)) / qbar)
-    if mode != "function_value":
-        raise ValidationError(f"unknown residual mode {mode!r}")
-    inside = np.isfinite(f)
-    f = np.where(inside, f, 0.0)
-    if isinstance(crit.meridian, CapMeridian):
-        floor = 0.01 * crit.meridian.pc
+        r = np.where(outside, penalty, w * (q - np.where(outside, 0.0, qs)) / qbar)
     else:
-        floor = 0.01 * max(float(np.mean(crit.B * q)), 1e-30)
-    F = _yield_body(f, q, g, False, crit, np)
-    s0 = np.maximum(np.maximum(crit.B * q, np.abs(f)), floor)
-    return np.where(inside, w * F / s0, penalty)
+        finite = np.isfinite(f)
+        f0 = np.where(finite, f, 0.0)
+        floor = 0.01 * mer.pc if cap else 0.01 * max(float(np.mean(crit.B * q)), 1e-30)
+        F = _yield_body(f0, q, g, False, crit, np)
+        s0 = np.maximum(np.maximum(crit.B * q, np.abs(f0)), floor)
+        r = np.where(finite, w * F / s0, penalty)
+    if not names:
+        return r, None
 
-
-def residuals(problem: FitProblem, params: Mapping[str, float], dataset: FitDataset) -> np.ndarray:
-    """Residual vector at the given free-parameter values."""
-    for name in params:
-        if name in problem.free:
-            lo, hi = problem.bound_of(name)
-            v = params[name]
-            if not (lo - 1e-12 <= v <= hi + 1e-12):
-                raise ValidationError(f"{name}={v} outside its bounds ({lo}, {hi})")
-    crit = problem.with_values(params)
-    return residual_vector(crit, dataset, problem.residual_mode)
-
-
-def goodness(crit: Criterion, dataset: FitDataset, mode: str = "meridian_distance"):
-    """(rms, max_abs, per_point) residual statistics at fixed parameters."""
-    r = residual_vector(crit, dataset, mode)
-    return float(np.sqrt(np.mean(r * r))), float(np.max(np.abs(r))), r
-
-
-# Residual evaluations allowed per trust-region run.  ``trf`` counts one
-# per trial step and none for a difference Jacobian, so a run with n free
-# parameters spends at most about 200 (n + 1) evaluations in all.
-_MAX_STEPS = 200
-
-
-def _cap_partials(crit: Criterion, dataset: FitDataset, mode: str, names) -> dict:
-    """Closed-form d(residual)/d(name) for cap-meridian parameters.
-
-    Follows the branches of :func:`residual_vector` at fixed branch choice:
-    a point outside the cap sees the derivative of its penalty, and a
-    point where the meridian root vanishes (h = 0, a cap end) gets a zero
-    entry, since sqrt(h) has no derivative there.  Like the residuals, the
-    columns have one row per start for a criterion from
-    :meth:`FitProblem.rows`.
-    """
-    p, q, th = dataset.points.T
-    w = dataset.weights
-    mer = crit.meridian
     span = mer.pc + mer.c
-    phi = (p + mer.c) / span
-    inside = (phi >= 0.0) & (phi <= 1.0)
-    ph = np.where(inside, phi, 0.5)
-    lin = 2.0 * (1.0 - mer.alpha) * ph + mer.alpha
-    phm = ph**mer.m
-    h = (ph - phm) * lin
-    root = np.sqrt(np.maximum(h, 0.0))
-    f = -mer.M * mer.pc * root
     # df/dh = -M pc / (2 sqrt h), set to 0 where h <= 0
     f_h = np.where(h > 0.0, -mer.M * mer.pc / (2.0 * np.where(h > 0.0, root, 1.0)), 0.0)
     df = {}
@@ -393,41 +351,69 @@ def _cap_partials(crit: Criterion, dataset: FitDataset, mode: str, names) -> dic
         df["pc"] = -mer.M * root - f_phi * ph
         df["c"] = f_phi * (1.0 - ph)
     if "m" in names:
+        lin = 2.0 * (1.0 - mer.alpha) * ph + mer.alpha
         df["m"] = -f_h * phm * np.log(np.where(ph > 0.0, ph, 1.0)) * lin
     if "alpha" in names:
         df["alpha"] = f_h * (ph - phm) * (1.0 - 2.0 * ph)
 
     # every residual depends on the parameters through f alone, apart
     # from the pc-scaled floor of s0 in function_value mode
-    g = crit.shape.g(th)
     floor_pc = 0.0
     if mode == "meridian_distance":
-        qbar = float(np.mean(q))
-        if qbar <= 0.0:
-            qbar = 1.0
         # q_surface solves A q^2 + B q / g + f = 0, so dq_surface/df = -1/D
         bg = crit.B / g
-        r_f = w / (qbar * np.sqrt(bg * bg - 4.0 * crit.A * f))
+        r_f = w / (qbar * np.sqrt(bg * bg - 4.0 * crit.A * f_in))
     else:
         # r = w F / s0 with s0 = max(B q, -f, 0.01 pc)
         bq = crit.B * q
-        floor = 0.01 * mer.pc
-        s0 = np.maximum(np.maximum(bq, -f), floor)
-        r_s0 = (crit.A * q**2 + bq / g + f) / s0
-        on_f = (-f >= bq) & (-f >= floor)
+        s0 = np.maximum(np.maximum(bq, -f_in), floor)
+        r_s0 = (crit.A * q**2 + bq / g + f_in) / s0
+        on_f = (-f_in >= bq) & (-f_in >= floor)
         r_f = w / s0 * (1.0 + np.where(on_f, r_s0, 0.0))
         if "pc" in names:
-            floor_pc = np.where(floor > np.maximum(bq, -f), -0.01 * w * r_s0 / s0, 0.0)
+            floor_pc = np.where(floor > np.maximum(bq, -f_in), -0.01 * w * r_s0 / s0, 0.0)
     cols = {n: r_f * df[n] for n in names}
     if "pc" in names:
         cols["pc"] = cols["pc"] + floor_pc
-    if inside.all():
-        return cols
-    # outside the cap the residual is the penalty w (1 + dist(Phi, [0, 1]))
-    w_dist = w * np.where(phi < 0.0, -1.0, 1.0)
-    dphi = {"pc": -phi / span, "c": (1.0 - phi) / span}
-    return {n: np.where(inside, cols[n], w_dist * dphi[n] if n in dphi else 0.0) for n in names}
+    if not inside.all():
+        # outside the cap the residual is the penalty w (1 + dist(Phi, [0, 1]))
+        w_dist = w * np.where(phi < 0.0, -1.0, 1.0)
+        dphi = {"pc": -phi / span, "c": (1.0 - phi) / span}
+        cols = {n: np.where(inside, cols[n], w_dist * dphi[n] if n in dphi else 0.0) for n in names}
+    return r, cols
 
+
+def residual_vector(crit: Criterion, dataset: FitDataset, mode: str) -> np.ndarray:
+    """Weighted, normalized residuals of a criterion against a dataset, one
+    row per row of values for a criterion from :meth:`FitProblem.rows`."""
+    return _model(crit, _columns(dataset, crit.shape), mode)[0]
+
+
+def _cap_partials(crit: Criterion, dataset: FitDataset, mode: str, names) -> dict:
+    """Closed-form d(residual)/d(name) for cap-meridian parameters, from the
+    pass that gives :func:`residual_vector` (see :func:`_model`)."""
+    return _model(crit, _columns(dataset, crit.shape), mode, names)[1]
+
+
+def residuals(problem: FitProblem, params: Mapping[str, float], dataset: FitDataset) -> np.ndarray:
+    """Residual vector at the given free-parameter values."""
+    for name in params:
+        if name in problem.free:
+            lo, hi = problem.bound_of(name)
+            v = params[name]
+            if not (lo - 1e-12 <= v <= hi + 1e-12):
+                raise ValidationError(f"{name}={v} outside its bounds ({lo}, {hi})")
+    return residual_vector(problem.with_values(params), dataset, problem.residual_mode)
+
+
+def goodness(crit: Criterion, dataset: FitDataset, mode: str = "meridian_distance"):
+    """(rms, max_abs, per_point) residual statistics at fixed parameters."""
+    r = residual_vector(crit, dataset, mode)
+    return float(np.sqrt(np.mean(r * r))), float(np.max(np.abs(r))), r
+
+
+# Trial steps per trust-region run: one model call each, and k more per difference Jacobian.
+_MAX_STEPS = 200
 
 # ---------------------------------------------------------------------------
 # Fitting
@@ -437,9 +423,9 @@ def _cap_partials(crit: Criterion, dataset: FitDataset, mode: str, names) -> dic
 @dataclass(frozen=True)
 class FitStart:
     """One start of a fit: where it began, where it ended and the rms there,
-    the residual evaluations it spent (difference Jacobians included) and
-    why it stopped: a ``trf`` stop test ("gtol", "ftol", "xtol",
-    "ftol+xtol"), "budget" once its evaluations ran out, or "nonfinite"
+    its evaluations (one model call per trial step, plus k per difference
+    Jacobian) and why it stopped: a ``trf`` stop test ("gtol", "ftol",
+    "xtol", "ftol+xtol"), "budget" once its steps ran out, or "nonfinite"
     when its initial residuals were not finite and it took no step."""
 
     start: tuple[tuple[str, float], ...]
@@ -468,12 +454,8 @@ class FitResult:
     starts: tuple[FitStart, ...]
 
     def to_dict(self) -> dict:
-        d = self.criterion.to_dict()
-        d["rms"] = self.rms
-        d["converged"] = self.converged
-        d["free"] = {k: v for k, v in self.values}
-        d["iterations"] = self.iterations
-        return d
+        d = {"rms": self.rms, "converged": self.converged, "free": dict(self.values)}
+        return {**self.criterion.to_dict(), **d, "iterations": self.iterations}
 
 
 class _SearchCoordinates:
@@ -499,6 +481,28 @@ class _SearchCoordinates:
         return np.clip(v, self.lo, self.hi)
 
 
+def _one_pass(problem: FitProblem, dataset: FitDataset):
+    """The fit's model: (n, k) values to their (n, m) residuals and, when
+    every free parameter is a cap meridian's, their (n, m, k) Jacobian (else
+    None), in one :func:`_model` pass over dataset columns read once here."""
+    names, mode = problem.free, problem.residual_mode
+    where = {problem._locate(n) for n in names}
+    closed = isinstance(problem.template.meridian, CapMeridian) and where <= {"meridian"}
+    data = _columns(dataset, None if "shape" in where else problem.template.shape)
+
+    def model(v: np.ndarray):
+        r, cols = _model(problem.rows(v), data, mode, names if closed else ())
+        r = np.broadcast_to(r, (len(v), len(dataset)))
+        if cols is None:
+            return r, None
+        J = np.empty(r.shape + (len(names),))
+        for j, name in enumerate(names):
+            J[:, :, j] = cols[name]
+        return r, J
+
+    return model
+
+
 def _rms(r: np.ndarray) -> np.ndarray:
     return np.sqrt(np.mean(r * r, axis=-1))
 
@@ -515,10 +519,11 @@ def fit(
     The search is the Trust Region Reflective method on the box of bounds
     (:mod:`yieldcrit.trf`, a port of scipy's ``trf``, Jacobian-scaled) in
     coordinates that are logarithmic for a parameter whose positive bounds
-    span more than a factor of 10 and linear otherwise.  When every free
-    parameter belongs to a cap meridian (M, pc, c, m, alpha) the Jacobian
-    is closed-form; otherwise it is taken by forward differences.  Each
-    start may make 200 residual evaluations, difference Jacobians aside.
+    span more than a factor of 10 and linear otherwise.  Each step is one
+    model call per batch of trial points, giving residuals and, when every
+    free parameter belongs to a cap meridian (M, pc, c, m, alpha), the
+    closed-form Jacobian; otherwise accepted points take forward
+    differences.  Each start may take 200 trial steps.
     A single start is ``init`` when given; otherwise ``n_starts`` seeded
     starts are drawn uniformly in the search coordinates, inside the
     central 90% of each interval.  All starts run in lockstep, and the
@@ -535,34 +540,19 @@ def fit(
     are free parameters, and ValidationError for an ``init`` that misses a
     free parameter or fewer than one seeded start.
     """
-    names = problem.free
-    k = len(names)
+    names, k = problem.free, len(problem.free)
     if len(dataset) < k:
         raise InsufficientData(f"{len(dataset)} points cannot determine {k} free parameters")
-    mode = problem.residual_mode
     lo = np.array([problem.bound_of(n)[0] for n in names])
     hi = np.array([problem.bound_of(n)[1] for n in names])
     box = _SearchCoordinates(lo, hi)
-    # cap-meridian parameters have closed-form residual derivatives
-    closed = isinstance(problem.template.meridian, CapMeridian) and all(
-        problem._locate(n) == "meridian" for n in names
-    )
+    model = _one_pass(problem, dataset)
 
-    def resid_v(v: np.ndarray) -> np.ndarray:
-        r = residual_vector(problem.rows(v), dataset, mode)
-        return np.broadcast_to(r, (len(v), len(dataset)))
-
-    def resid_u(u: np.ndarray) -> np.ndarray:
-        return resid_v(box.values(u))
-
-    def jac_u(u: np.ndarray, r: np.ndarray) -> np.ndarray:
+    def fun(u: np.ndarray):
         v = box.values(u)
-        if closed:
-            cols = _cap_partials(problem.rows(v), dataset, mode, names)
-            J = np.stack([np.broadcast_to(cols[n], r.shape) for n in names], axis=-1)
-            # chain rule d/du = v d/dv on the log coordinates
-            return J * np.where(box.logs, v, 1.0)[:, None, :]
-        return trf.difference_jacobian(resid_u, u, r, box.ulo, box.uhi)
+        r, J = model(v)
+        # chain rule d/du = v d/dv on the log coordinates
+        return r, None if J is None else J * np.where(box.logs, v, 1.0)[:, None, :]
 
     if init is not None:
         missing = [n for n in names if n not in init]
@@ -570,14 +560,15 @@ def fit(
             raise ValidationError(f"init must cover every free parameter; missing {missing}")
         v0 = np.clip(np.array([[init[n] for n in names]], dtype=float), lo, hi)
         u0 = trf.strictly_feasible(box.coords(v0), box.ulo, box.uhi, 1e-10)
-        f0, r0 = resid_u(u0), resid_v(v0)
     elif n_starts < 1:
         raise ValidationError(f"n_starts must be at least 1, got {n_starts}")
     else:
         rng = np.random.default_rng(seed)
         u0 = box.ulo + (box.uhi - box.ulo) * rng.uniform(0.05, 0.95, size=(n_starts, k))
         v0 = box.values(u0)
-        f0 = r0 = resid_v(v0)
+    f0, J0 = fun(u0)
+    # init is clipped to its bounds and may move inside them for the search
+    r0 = f0 if init is None else model(v0)[0]
 
     n = len(u0)
     rms = _rms(r0)
@@ -588,9 +579,9 @@ def fit(
     ok = np.flatnonzero(np.all(np.isfinite(f0), axis=1))
     if ok.size:
         x, f, nfev[ok], njev, status = trf.solve(
-            resid_u, jac_u, u0[ok], f0[ok], box.ulo, box.uhi, _MAX_STEPS
+            fun, u0[ok], f0[ok], None if J0 is None else J0[ok], box.ulo, box.uhi, _MAX_STEPS
         )
-        evaluations[ok] = nfev[ok] + (0 if closed else k * njev)
+        evaluations[ok] = nfev[ok] + (0 if J0 is not None else k * njev)
         for j, code in zip(ok, status):
             stops[j] = trf.STOPS[code]
         rms1 = _rms(f)
@@ -604,10 +595,8 @@ def fit(
     with np.errstate(invalid="ignore"):  # inf - inf where no start had finite residuals
         agree = (rms == rms[best]) | (np.abs(rms - rms[best]) <= 1e-10 + 1e-6 * rms[best])
     n_agree = int(np.sum(agree))
-    if n > 1:
-        converged = n_agree >= 2
-    else:
-        converged = bool(improved[0]) and stops[0] not in ("budget", "nonfinite")
+    single = bool(improved[0]) and stops[0] not in ("budget", "nonfinite")
+    converged = n_agree >= 2 if n > 1 else single
     starts = tuple(
         FitStart(
             start=tuple(zip(names, map(float, v0[j]))),

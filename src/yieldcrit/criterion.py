@@ -75,10 +75,10 @@ def _number(d: dict, name: str, default=None, of: str = "") -> float:
     """``d[name]`` as a float, ``default`` if absent; else a ValidationError naming the key."""
     if name not in d and default is None:
         raise ValidationError(f"missing parameter {name!r} for {of}")
-    try:
-        return float(d.get(name, default))
-    except (TypeError, ValueError):  # only a given value can fail: every default is a number
-        raise ValidationError(f"{name} must be a number, got {d[name]!r}") from None
+    value = d.get(name, default)
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValidationError(f"{name} must be a number, got {value!r}")
+    return float(value)
 
 
 def _check_finite(record):
@@ -410,11 +410,19 @@ class CapMeridian(_Meridian):
     def phi(self, p: float) -> float:
         return (p + self.c) / (self.pc + self.c)
 
-    def _f(self, p, xp):
+    def _body(self, p, xp):
+        """(Phi, Phi in [0, 1], ph = Phi there and 0.5 elsewhere, ph^m, h(ph),
+        sqrt(h) clipped at 0): what f and the fit's derivatives share."""
         phi = self.phi(p)
         inside = (phi >= 0.0) & (phi <= 1.0)
-        h = xp.maximum(0.0, cap_h(xp.where(inside, phi, 0.5), self.m, self.alpha))
-        return xp.where(inside, -self.M * self.pc * xp.sqrt(h), math.inf)
+        ph = xp.where(inside, phi, 0.5)
+        phm = ph**self.m
+        h = (ph - phm) * (2.0 * (1.0 - self.alpha) * ph + self.alpha)
+        return phi, inside, ph, phm, h, xp.sqrt(xp.maximum(0.0, h))
+
+    def _f(self, p, xp):
+        _, inside, _, _, _, root = self._body(p, xp)
+        return xp.where(inside, -self.M * self.pc * root, math.inf)
 
     def df(self, p):
         """df/dp (a float or an array) on the open interior of the cap; caller guards the ends."""

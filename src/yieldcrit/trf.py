@@ -11,9 +11,10 @@ with the forward-difference Jacobian scipy takes on a box.
 
 Every start runs the algorithm on its own, with its own radius, step
 count and stop test, but all of them advance in lockstep: each step makes
-one residual call over the trial points of the starts still running, one
-Jacobian call over the starts whose trial was accepted, and one stacked
-SVD.  A start leaves the batch when its own stop test fires.
+one model call over the trial points of the starts still running (their
+residuals and, where closed-form, Jacobians; a model without one takes
+forward differences at the accepted points) and one stacked SVD.  A start
+leaves the batch when its own stop test fires.
 """
 
 from __future__ import annotations
@@ -210,8 +211,8 @@ def _select_step(x, J_h, diag_h, g_h, p, p_h, d, Delta, lb, ub, theta):
 
 
 def difference_jacobian(fun, x, f, lb, ub):
-    """Forward-difference Jacobians (n, m, k) at the rows of x, all in one
-    call of ``fun`` over the n k shifted points.
+    """Forward-difference Jacobians (n, m, k) at the rows of x, from the
+    residuals of one call of the model ``fun`` over the n k shifted points.
 
     Steps as scipy's ``approx_derivative(method="2-point")`` takes them on
     a box: sqrt(eps) max(1, |x|) away from zero, turned round where the
@@ -226,7 +227,7 @@ def difference_jacobian(fun, x, f, lb, ub):
     shifted = np.repeat(x[:, None, :], k, axis=1)
     idx = np.arange(k)
     shifted[:, idx, idx] += h
-    df = fun(shifted.reshape(n * k, k)).reshape(n, k, -1) - f[:, None, :]
+    df = fun(shifted.reshape(n * k, k))[0].reshape(n, k, -1) - f[:, None, :]
     dx = (x + h) - x
     return (df / dx[:, :, None]).transpose(0, 2, 1)
 
@@ -247,17 +248,18 @@ def _termination(dF, F, dx_norm, x_norm, ratio):
     return np.where(ftol, np.where(xtol, 4, 2), np.where(xtol, 3, -1))
 
 
-def solve(fun, jac, x0, f0, lb, ub, max_nfev):
+def solve(fun, x0, f0, J0, lb, ub, max_nfev):
     """Run trf from every row of ``x0`` on the box [lb, ub], all in lockstep.
 
-    ``fun`` maps an (n, k) array of points to their (n, m) residuals;
-    ``jac`` maps points and their residuals to (n, m, k) Jacobians.  Every
-    row of ``x0`` lies strictly inside the box and has finite residuals
-    ``f0``.  A start stops at its own stop test, or once it has made
-    ``max_nfev`` residual evaluations, its first one included.
+    ``fun`` maps an (n, k) array of points to their (n, m) residuals and
+    their (n, m, k) Jacobians, or None for forward differences (k more
+    points) at each accepted point.  Every row of ``x0`` lies strictly
+    inside the box and has finite residuals ``f0`` and Jacobians ``J0`` (or
+    None).  A start stops at its own stop test, or once it has made
+    ``max_nfev`` trial evaluations, its first one included.
 
     Returns ``(x, f, nfev, njev, status)`` per row: the final point and its
-    residuals, the residual evaluations and Jacobians made, and scipy's
+    residuals, the trial evaluations and Jacobians taken, and scipy's
     status code (an index into STOPS).
     """
     n, m = f0.shape
@@ -266,7 +268,7 @@ def solve(fun, jac, x0, f0, lb, ub, max_nfev):
     rows = np.arange(n)
     x, f = x0.copy(), f0.copy()
     cost = 0.5 * _dot(f, f)
-    J = jac(x, f)
+    J = difference_jacobian(fun, x, f, lb, ub) if J0 is None else J0.copy()
     g = _rmatvec(J, f)
     scale_inv = np.sqrt(np.einsum("imk,imk->ik", J, J))
     scale_inv[scale_inv == 0] = 1.0
@@ -277,6 +279,7 @@ def solve(fun, jac, x0, f0, lb, ub, max_nfev):
     alpha = np.zeros(n)
     nfev, njev = np.ones(n, dtype=int), np.ones(n, dtype=int)
     status = np.full(n, -1)
+    eye = np.eye(k)
 
     while True:
         # The head of trf's outer loop.  A start whose last trial was
@@ -305,7 +308,7 @@ def solve(fun, jac, x0, f0, lb, ub, max_nfev):
         diag_h = g * dv * scale
         g_h = d * g
         J_h = J * d[:, None, :]
-        aug = np.concatenate([J_h, np.sqrt(diag_h)[:, :, None] * np.eye(k)], axis=1)
+        aug = np.concatenate([J_h, np.sqrt(diag_h)[:, :, None] * eye], axis=1)
         U, sv, Vt = np.linalg.svd(aug, full_matrices=False)
         uf = _rmatvec(U[:, :m], f)
         theta = np.maximum(0.995, 1 - g_norm)
@@ -316,7 +319,7 @@ def solve(fun, jac, x0, f0, lb, ub, max_nfev):
             x, J_h, diag_h, g_h, d * p_h, p_h, d, Delta, lb, ub, theta
         )
         x_new = strictly_feasible(x + step, lb, ub, 0)
-        f_new = fun(x_new)
+        f_new, J_new = fun(x_new)
         nfev += 1
         step_h_norm = _norm(step_h)
         finite = np.all(np.isfinite(f_new), axis=1)
@@ -344,7 +347,7 @@ def solve(fun, jac, x0, f0, lb, ub, max_nfev):
         a = np.flatnonzero(finite & (reduction > 0))
         if a.size:
             x[a], f[a], cost[a] = x_new[a], f_new[a], cost_new[a]
-            J[a] = jac(x[a], f[a])
+            J[a] = difference_jacobian(fun, x[a], f[a], lb, ub) if J_new is None else J_new[a]
             njev[a] += 1
             g[a] = _rmatvec(J[a], f[a])
             scale_inv[a] = np.maximum(np.sqrt(np.einsum("imk,imk->ik", J[a], J[a])), scale_inv[a])

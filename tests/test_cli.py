@@ -172,8 +172,19 @@ class TestNonNumericParams:
                 "beta",
                 "'a'",
             ),
+            ({**CAM_CLAY, "M": True}, "M", "True"),
+            ({**CAM_CLAY, "pc": "12.5"}, "pc", "'12.5'"),
+            ({**CAM_CLAY, "B": False}, "B", "False"),
+            (
+                {
+                    **{k: v for k, v in CAM_CLAY.items() if k not in ("beta", "gamma")},
+                    "deviatoric": {"kind": "bp", "beta": 1.0, "gamma": [0.0]},
+                },
+                "gamma",
+                "[0.0]",
+            ),
         ],
-        ids=["M", "A", "deviatoric-beta"],
+        ids=["M", "A", "deviatoric-beta", "M-bool", "pc-string", "B-bool", "deviatoric-gamma-list"],
     )
     @pytest.mark.parametrize(
         "argv", [["eval", "--stress=-0.5,0,0"], ["eval", "--stress=-0.5,0,0", "--unchecked"], ["check-convexity"]]

@@ -166,6 +166,8 @@ def test_non_finite_field_messages(record, name, bad):
             "PowerLaw.__init__() missing 1 required positional argument: 'n'",
         ),
         ({"kind": "willam-warnke", "e": 0.2}, "e must lie in (0.5, 1], got 0.2"),
+        ({"kind": "willam-warnke", "e": True}, "e must be a number, got True"),
+        ({"kind": "power-law", "beta": 1.0, "n": "3"}, "n must be a number, got '3'"),
     ],
 )
 def test_shape_from_dict_messages(d, message):
@@ -189,9 +191,20 @@ def test_shape_from_dict_messages(d, message):
          "missing parameter 'Gamma' for meridian 'linear'"),
         (dict(NATIVE, beta=3.0, gamma=0.5),
          "beta=3.0 outside the convex interval for gamma=0.5"),
+        (dict(NATIVE, M=True), "M must be a number, got True"),
+        (dict(NATIVE, pc="12.5"), "pc must be a number, got '12.5'"),
+        (dict(NATIVE, A=None), "A must be a number, got None"),
+        ({"meridian": "linear", "Gamma": 1.0, "c": "0", "beta": 1.0, "gamma": 0.0},
+         "c must be a number, got '0'"),
     ],
 )
 def test_criterion_from_dict_messages(d, message):
     with pytest.raises(ValidationError) as info:
         criterion_from_dict(d)
     assert str(info.value) == message
+
+
+def test_integer_parameters_are_numbers():
+    crit = criterion_from_dict({"M": 1, "pc": 2, "c": 0, "m": 2, "alpha": 1, "beta": 1, "gamma": 0})
+    assert crit.meridian == CapMeridian(M=1.0, pc=2.0, c=0.0, m=2.0, alpha=1.0)
+    assert all(type(v) is float for v in crit.to_dict().values() if not isinstance(v, str))

@@ -33,7 +33,8 @@ from yieldcrit import (
     fit,
     surface_q,
 )
-from yieldcrit.calibration import _SearchCoordinates, _cap_partials, residual_vector
+from yieldcrit import calibration, trf
+from yieldcrit.calibration import _SearchCoordinates, _cap_partials, _one_pass, residual_vector
 from test_acceptance import MERIDIAN_ROWS
 
 PI3 = math.pi / 3.0
@@ -131,6 +132,107 @@ def test_batched_cap_jacobian_equals_cap_partials(case, data):
         for name in free:
             batch = np.broadcast_to(cols[name], (len(values), len(dataset)))[j]
             assert batch.tobytes() == np.asarray(one[name], dtype=float).tobytes(), name
+
+
+# ---------------------------------------------------------------------------
+# The fit's one-pass model
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def cap_problems(draw):
+    """A cap template (A = 0 or not), cap-meridian free names, a dataset with
+    points outside the cap and on the axis, and rows of values."""
+    pc = draw(st.floats(0.1, 100.0))
+    meridian = CapMeridian(
+        M=draw(st.floats(0.2, 2.0)),
+        pc=pc,
+        c=draw(st.floats(0.0, 0.5)) * pc,
+        m=draw(st.floats(1.1, 6.0)),
+        alpha=draw(st.floats(0.05, 1.95)),
+    )
+    shape = CosineLode(beta=draw(st.floats(0.0, 2.0)), gamma=draw(st.floats(0.0, 0.99)))
+    span = meridian.pc + meridian.c
+    A = draw(st.sampled_from([0.0, 0.1, 1.0])) / span
+    template = Criterion(meridian=meridian, shape=shape, A=A, B=draw(st.floats(0.5, 2.0)))
+    free = set(draw(st.lists(st.sampled_from(CAP), min_size=1, unique=True)))
+    if draw(st.booleans()):
+        free |= {"pc", "c"}  # the pc-scaled floor of s0 and the penalty's Phi
+    free = tuple(n for n in CAP if n in free)
+    mode = draw(st.sampled_from(MODES))
+    problem = FitProblem(template=template, free=free, residual_mode=mode)
+    lo = -meridian.c
+    drawn = draw(
+        st.lists(
+            st.tuples(
+                st.floats(lo - 0.2 * span, lo + 1.2 * span),
+                st.floats(0.0, span),
+                st.floats(0.0, PI3),
+            ),
+            max_size=10,
+        )
+    )
+    # beyond either end of the cap (the penalty), and near its ends with
+    # q = 0, where f is small and the floor 0.01 pc sets s0
+    fixed = [
+        (lo - 0.1 * span, 0.1 * span, 0.3),
+        (lo + 1.1 * span, 0.1 * span, 0.7),
+        (lo + 1e-4 * span, 0.0, 0.0),
+        (lo + (1.0 - 1e-4) * span, 0.0, PI3),
+    ]
+    points = np.array(fixed + drawn)
+    dataset = FitDataset(points=points, weights=draw(st.sampled_from([1.0, 2.5])) * np.ones(len(points)))
+    bounds = np.array([problem.bound_of(n) for n in free])
+    row = st.lists(st.floats(0.0, 1.0), min_size=len(free), max_size=len(free))
+    t = np.array(draw(st.lists(row, min_size=1, max_size=4)))
+    return problem, dataset, bounds[:, 0] + t * (bounds[:, 1] - bounds[:, 0])
+
+
+@settings(max_examples=200, deadline=None)
+@given(cap_problems())
+def test_one_pass_model_equals_residual_vector_and_cap_partials(case):
+    problem, dataset, values = case
+    free, mode = problem.free, problem.residual_mode
+    with np.errstate(all="ignore"):  # extreme draws overflow alike on both paths
+        r, J = _one_pass(problem, dataset)(values)
+        assert r.shape == (len(values), len(dataset))
+        assert J.shape == r.shape + (len(free),)
+        for j, v in enumerate(values):
+            crit = problem.with_values(dict(zip(free, v)))
+            assert r[j].tobytes() == residual_vector(crit, dataset, mode).tobytes()
+            cols = _cap_partials(crit, dataset, mode, free)
+            stacked = np.column_stack([np.broadcast_to(cols[n], (len(dataset),)) for n in free])
+            assert J[j].tobytes() == stacked.tobytes()
+
+
+def test_one_pass_model_has_no_jacobian_off_the_cap():
+    template = YieldParams(M=0.8, pc=1.3, c=0.2, m=2.5, alpha=0.7, beta=1.0, gamma=0.3).criterion()
+    dataset = meridian_dataset(CLAY)
+    for free in (("M", "gamma"), ("A",), ("beta",)):
+        problem = FitProblem(template=template, free=free)
+        r, J = _one_pass(problem, dataset)(np.array([[problem.value_of(n) for n in free]]))
+        assert J is None and r.shape == (1, len(dataset))
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_closed_fit_makes_one_model_call_per_step(monkeypatch, mode):
+    calls = {"model": 0, "steps": 0}
+
+    def counted(fn, key):
+        def wrapper(*args):
+            calls[key] += 1
+            return fn(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(calibration, "_model", counted(calibration._model, "model"))
+    monkeypatch.setattr(trf, "_subproblem", counted(trf._subproblem, "steps"))
+    row = MERIDIAN_ROWS[0][1]
+    result = fit(moved_problem(row, mode), meridian_dataset(row), seed=1)
+    assert calls["steps"] > 0
+    # the initial call at the starts, then one per lockstep step
+    assert calls["model"] == calls["steps"] + 1
+    assert max(s.evaluations for s in result.starts) <= calls["steps"] + 1
 
 
 # ---------------------------------------------------------------------------
