@@ -1,5 +1,6 @@
-"""The per-state kernel and the fitter against their golden records,
-``tests/golden/kernel.json`` and ``tests/golden/fits.json``.
+"""The per-state kernel, the fitter and convexity certification against
+their golden records, ``tests/golden/kernel.json``, ``tests/golden/fits.json``
+and ``tests/golden/certify.json``.
 
 ``invariants``, ``yield_value``, ``surface_q`` and ``gradient`` must give
 every recorded number to within 1e-12 relative to the state's scale (1 for
@@ -12,6 +13,10 @@ Every recorded fit must give its winning values, rms and every start's
 start point, end point and rms to within 1e-12 relative (1 for an rms,
 which is dimensionless), and its ``n_agree``, ``iterations`` and every
 start's ``evaluations`` and ``stop`` exactly.
+
+Every recorded ``certify`` report must give its verdicts, interval and
+witnesses to within 1e-12 relative (1 for these dimensionless numbers), and
+its notes exactly.
 """
 
 from __future__ import annotations
@@ -29,6 +34,7 @@ from yieldcrit.criterion import SHAPE_KINDS
 GOLDEN = pathlib.Path(__file__).resolve().parent / "golden" / "kernel.json"
 CASES = json.loads(GOLDEN.read_text(encoding="utf-8"))["cases"]
 FITS = json.loads((GOLDEN.parent / "fits.json").read_text(encoding="utf-8"))
+CERTIFY = json.loads((GOLDEN.parent / "certify.json").read_text(encoding="utf-8"))["cases"]
 REL = 1e-12
 
 
@@ -132,3 +138,32 @@ def test_fits_match_golden_record(capsys):
         _check_fit(case, tally)
     with capsys.disabled():
         print(f"\ngolden fit record: {sum(tally)} of {len(tally)} numbers bit-identical")
+
+
+def test_certify_record_covers_every_shape_on_both_meridians():
+    crits = [case["criterion"] for case in CERTIFY]
+    pairs = {(c["meridian"], c.get("deviatoric", {"kind": "bp"})["kind"]) for c in crits}
+    assert pairs == {(m, kind) for m in ("bp", "linear") for kind in SHAPE_KINDS}
+    assert any(c["A"] > 0.0 for c in crits)
+    assert {case["report"]["admissible"] for case in CERTIFY} == {True, False}
+
+
+def _report_numbers(d: dict) -> list:
+    return [
+        d["beta_interval"],
+        [d["meridian_worst"]["phi"], d["meridian_worst"]["margin"]],
+        [d["deviatoric_worst"]["theta"], d["deviatoric_worst"]["margin"]],
+    ]
+
+
+def test_certify_matches_golden_record(capsys):
+    tally: list = []
+    for case in CERTIFY:
+        got = yc.certify(yc.criterion_from_dict(case["criterion"], unchecked=True)).to_dict()
+        want = case["report"]
+        where = case["label"]
+        for key in ("admissible", "meridian_ok", "deviatoric_ok", "notes"):
+            assert got[key] == want[key], f"{where}: {key} {got[key]!r} != {want[key]!r}"
+        _compare(_report_numbers(got), _report_numbers(want), 1.0, f"{where}: numbers", tally)
+    with capsys.disabled():
+        print(f"\ngolden certify record: {sum(tally)} of {len(tally)} numbers bit-identical")
