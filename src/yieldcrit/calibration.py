@@ -201,6 +201,8 @@ class FitProblem:
         if self.residual_mode not in ("meridian_distance", "function_value"):
             raise ValidationError(f"unknown residual mode {self.residual_mode!r}")
         free = tuple(self.free)
+        if not free:
+            raise ValidationError(f"no free parameters to fit; choose from {FITTABLE}")
         if len(set(free)) != len(free):
             raise ValidationError(f"duplicate free parameters in {free}")
         for name in free:

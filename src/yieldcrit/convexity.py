@@ -13,11 +13,13 @@ block to the deviatoric Hessian and never breaks convexity; conversely a
 curvature violation cannot be compensated by it, because the rank-one
 Hessian of q/g blows up like 1/q as the deviatoric origin is approached.
 
-For the native shape the deviatoric condition is equivalent to the closed
-interval 2 - bound(gamma) <= beta <= bound(gamma) (see
-:func:`beta_bound`); for the power-law shape it reduces to a quadratic in
-cos 3 theta whose nonnegativity gives the closed-form
-:func:`powerlaw_beta_max`.
+The paper's two propositions reduce both to closed-form conditions on the
+parameters, which each meridian and shape record states as its
+``convexity()`` and :func:`certify` reads: m > 1 and 0 < alpha < 2 for the
+cap meridian, the beta interval of ``beta_bound`` for the native shape,
+``powerlaw_beta_max``, k >= 7/9 for Gudehus-Argyris and every admissible e
+for Willam-Warnke.  The grid checks and the Hessian below are the oracles
+that the tests hold those conditions against.
 """
 
 from __future__ import annotations
@@ -27,32 +29,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .criterion import (
-    BOUNDARY_TOL,
-    DELTA_PHI,
-    CapMeridian,
-    CosineLode,
-    Criterion,
-    GudehusArgyris,
-    PowerLaw,
-    WillamWarnke,
-    beta_in_convex_interval,
-    cap_h,
-    cap_h1,
-    cap_h2,
-    lode_beta_bound,
-)
+from .criterion import BOUNDARY_TOL, DELTA_PHI, Criterion, _powerlaw_coefficients
+from .criterion import cap_h, cap_h1, cap_h2
 from .errors import DegenerateState, DomainError
 from .invariants import FLOAT, _lode_angle, _theta_in_range, _check_stress
 
-# Grid densities; every scanned quantity is a smooth trigonometric or
-# polynomial expression with few oscillations.
+# Default grid density of the meridian check; h is a smooth polynomial in
+# Phi and Phi^m.
 PHI_GRID_N = 2048
-THETA_GRID_N = 2048
-
-# Convexity bound for the native shape's beta, in (2, 4]: the deviatoric
-# section is convex iff 2 - bound <= beta <= bound.
-beta_bound = lode_beta_bound
 
 def meridian_convexity_check(alpha: float, m: float, grid_n: int = PHI_GRID_N):
     """Grid check of (h')^2 - 2 h'' h >= 0 on (0, 1).
@@ -116,31 +100,17 @@ def hessian_qg(s1: float, s2: float, shape) -> np.ndarray:
     mvec = np.array([s2, -s1])
     return 27.0 / 4.0 * curv / (q**3 * g**3) * np.outer(mvec, mvec)
 
-def powerlaw_beta_max(n: float) -> float:
-    """Largest convex beta for the power-law shape at exponent n.
-
-    n/(9-2n) for 0 < n <= 11/3, and the vertex-analysis expression
-    1 / (-1 + sqrt(1 + 9 (n-2)^2 / (n^2 (4n-13)))) beyond; the two branches
-    agree at n = 11/3.
-    """
-    if n <= 0.0:
-        raise DomainError(f"n must be positive, got {n}")
-    if n <= 11.0 / 3.0:
-        return n / (9.0 - 2.0 * n)
-    return 1.0 / (-1.0 + math.sqrt(1.0 + 9.0 * (n - 2.0) ** 2 / (n * n * (4.0 * n - 13.0))))
-
 def powerlaw_quadratic(x, beta: float, n: float):
-    """Appendix-style quadratic in x = cos 3 theta for power-law convexity.
+    """Appendix-style quadratic in x = -cos 3 theta for power-law convexity.
 
     a x^2 + b x + c with a = beta^2 (n^2 - 9), b = beta n (1+beta)(9-2n)
     and c = n^2 (1+beta)^2 + 9 beta^2 (1-n).  Nonnegative on [-1, 1] iff
     the deviatoric section is convex; the interval is symmetric so the
-    sign of b is immaterial.
+    sign of b does not change that, only which theta a given x is (x = -1
+    is theta = 0 in this Lode convention).
     """
     x = np.asarray(x, dtype=float)
-    a = beta * beta * (n * n - 9.0)
-    b = beta * n * (1.0 + beta) * (9.0 - 2.0 * n)
-    c = n * n * (1.0 + beta) ** 2 + 9.0 * beta * beta * (1.0 - n)
+    a, b, c = _powerlaw_coefficients(beta, n)
     return a * x * x + b * x + c
 
 def nonconvex_demo(p: float, q: float, a: float, b: float) -> float:
@@ -163,13 +133,15 @@ def _finite_or_none(x: float) -> float | None:
 class ConvexityReport:
     """Outcome of certifying a criterion.
 
-    ``beta_interval`` is the convex beta interval of the native shape (or
-    None for the other shapes, whose admissible parameter ranges appear in
-    the notes).  The worst-witness pairs record where each grid scan was
-    tightest; margins within +-1e-9 of zero are flagged as boundary cases
-    in the notes rather than failed.  A scan with no finite witness (a
-    linear meridian, or meridian parameters out of range) carries NaN or
-    infinite values, which :meth:`to_dict` writes as None.
+    ``beta_interval`` is the convex beta interval of the native shape (None
+    for the other shapes).  ``meridian_worst`` (Phi, margin) and
+    ``deviatoric_worst`` (theta, margin) come from the records'
+    ``convexity()``: the margin is the parameter's signed distance from the
+    condition's boundary (beta for the native and power-law shapes, k - 7/9,
+    e - 1/2, min(m - 1, alpha, 2 - alpha) for the cap meridian), noted
+    rather than failed within BOUNDARY_TOL of zero.  A value with no finite witness (the Phi of a meridian, whose
+    condition holds at every Phi; a linear meridian's margin) is NaN or
+    infinite, which :meth:`to_dict` writes as None.
     """
 
     admissible: bool
@@ -198,95 +170,24 @@ class ConvexityReport:
             "notes": list(self.notes),
         }
 
-def _scan_shape(shape) -> tuple[bool, tuple[float, float], list[str]]:
-    """Grid scan of g > 0 and curvature >= 0 over [0, pi/3]."""
-    notes: list[str] = []
-    th = np.linspace(0.0, math.pi / 3.0, THETA_GRID_N)
-    g = np.asarray(shape.g(th))
-    if np.any(g <= 0.0) or not np.all(np.isfinite(g)):
-        bad = np.where(~(np.isfinite(g) & (g > 0.0)))[0][0]
-        notes.append("g(theta) is not positive throughout the sector")
-        return False, (float(th[bad]), float(g[bad])), notes
-    curv = np.asarray(deviatoric_curvature(th, shape))
-    i = int(np.argmin(curv))
-    worst = (float(th[i]), float(curv[i]))
-    if curv[i] < -BOUNDARY_TOL:
-        return False, worst, notes
-    if abs(curv[i]) <= BOUNDARY_TOL:
-        notes.append(f"deviatoric curvature at the convexity boundary (theta={th[i]:.6g})")
-    return True, worst, notes
-
 def certify(crit: Criterion) -> ConvexityReport:
     """Certify convexity of a criterion specification.
 
-    Combines the per-shape parameter interval checks, the meridian grid
-    check and a deviatoric curvature grid scan; the known-convex shapes
-    are still grid-verified as defense in depth.  The quadratic A q^2 term
-    never affects the verdict.
+    Reads the exact condition of the meridian and of the deviatoric shape
+    from their ``convexity()``; F is convex iff both hold.  The quadratic
+    A q^2 term never affects the verdict.
     """
-    notes: list[str] = []
-    beta_interval: tuple[float, float] | None = None
-
-    # Meridian condition.
-    if isinstance(crit.meridian, CapMeridian):
-        mer = crit.meridian
-        meridian_ok, meridian_worst = meridian_convexity_check(mer.alpha, mer.m)
-        if not meridian_ok and math.isnan(meridian_worst[0]):
-            notes.append("meridian parameters outside admissible ranges")
-        elif abs(meridian_worst[1]) <= BOUNDARY_TOL:
-            meridian_ok = True
-            notes.append(
-                f"meridian margin at the convexity boundary (Phi={meridian_worst[0]:.6g})"
-            )
-    else:
-        # Linear meridian: f'' = 0, convex by construction.
-        meridian_ok, meridian_worst = True, (math.nan, math.inf)
-        notes.append("linear meridian is affine in p (f'' = 0)")
-
-    # Shape parameter intervals.
-    interval_ok = True
-    shape = crit.shape
-    if isinstance(shape, CosineLode):
-        interval_ok, lo, hi = beta_in_convex_interval(shape.beta, shape.gamma)
-        beta_interval = (lo, hi)
-        if not interval_ok:
-            notes.append(
-                f"beta={shape.beta:.6g} outside the convex interval "
-                f"[{lo:.6g}, {hi:.6g}] for gamma={shape.gamma:.6g}"
-            )
-        elif shape.beta < lo + BOUNDARY_TOL or shape.beta > hi - BOUNDARY_TOL:
-            notes.append("beta at the convexity boundary")
-    elif isinstance(shape, PowerLaw):
-        bmax = powerlaw_beta_max(shape.n)
-        if shape.beta > bmax + BOUNDARY_TOL:
-            interval_ok = False
-            notes.append(f"beta={shape.beta:.6g} exceeds beta_max={bmax:.6g} for n={shape.n:.6g}")
-        elif shape.beta > bmax - BOUNDARY_TOL:
-            notes.append("beta at the power-law convexity boundary")
-    elif isinstance(shape, WillamWarnke):
-        # Convex for every e in (0.5, 1]; the constructor already enforced it.
-        notes.append("elliptic shape is convex for every admissible eccentricity")
-    elif isinstance(shape, GudehusArgyris):
-        if shape.k < 7.0 / 9.0 - BOUNDARY_TOL:
-            notes.append(
-                f"k={shape.k:.6g} is below the exact curvature boundary 7/9; "
-                "the grid scan decides"
-            )
-
-    # Curvature grid scan (defense in depth for all shapes).
-    deviatoric_ok, deviatoric_worst, scan_notes = _scan_shape(shape)
-    notes.extend(scan_notes)
-    deviatoric_ok = deviatoric_ok and interval_ok
-
+    meridian_ok, meridian_margin, phi, meridian_note = crit.meridian.convexity()
+    deviatoric_ok, deviatoric_margin, theta, deviatoric_note = crit.shape.convexity()
+    notes = [note for note in (meridian_note, deviatoric_note) if note]
     if crit.A > 0.0:
         notes.append("quadratic term A q^2 with A >= 0 preserves convexity")
-
     return ConvexityReport(
-        admissible=bool(meridian_ok and deviatoric_ok),
-        beta_interval=beta_interval,
-        meridian_ok=bool(meridian_ok),
-        meridian_worst=meridian_worst,
-        deviatoric_ok=bool(deviatoric_ok),
-        deviatoric_worst=deviatoric_worst,
+        admissible=meridian_ok and deviatoric_ok,
+        beta_interval=crit.shape.beta_interval,
+        meridian_ok=meridian_ok,
+        meridian_worst=(phi, meridian_margin),
+        deviatoric_ok=deviatoric_ok,
+        deviatoric_worst=(theta, deviatoric_margin),
         notes=tuple(notes),
     )

@@ -94,7 +94,13 @@ def _check_finite(record):
 
 
 class _Shape:
-    """A deviatoric shape; its dict form is its kind and its parameters."""
+    """A deviatoric shape; its dict form is its kind and its parameters.
+    ``convexity()`` gives its exact convexity condition as (ok, signed margin,
+    witness theta, note or None): the margin is the parameter's distance
+    from the condition's boundary, and the witness where the condition binds."""
+
+    # the convex beta interval, which only the native shape has
+    beta_interval = None
 
     def to_dict(self) -> dict:
         return {"kind": self.kind, **_param_dict(self)}
@@ -146,6 +152,28 @@ class CosineLode(_Shape):
         psi2 = -3.0 * self.gamma * c3 / w + 3.0 * self.gamma**3 * c3 * s3**2 / w**3
         return g * ((t * t + g * g) * psi1 * psi1 + t * psi2)
 
+    @property
+    def beta_interval(self) -> tuple[float, float]:
+        return beta_in_convex_interval(self.beta, self.gamma)[1:]
+
+    def convexity(self):
+        """beta in [lo, hi] to within BOUNDARY_TOL (hi binds at theta = pi/3, lo at
+        0), and g positive and finite at theta = 0 and pi/3: psi is monotone in
+        cos 3 theta, so these are its extremes.  That fails only at gamma near 0
+        within BOUNDARY_TOL of an end, where the margin is 1/g."""
+        ok, lo, hi = beta_in_convex_interval(self.beta, self.gamma)
+        margin, theta = min((hi - self.beta, math.pi / 3.0), (self.beta - lo, 0.0))
+        if not ok:
+            return ok, margin, theta, (
+                f"beta={self.beta:.6g} outside the convex interval "
+                f"[{lo:.6g}, {hi:.6g}] for gamma={self.gamma:.6g}"
+            )
+        for end in (0.0, math.pi / 3.0):
+            g = self.g(end)
+            if not 0.0 < g < math.inf:
+                return False, 1.0 / g, end, "g(theta) is not positive throughout the sector"
+        return ok, margin, theta, "beta at the convexity boundary" if margin < BOUNDARY_TOL else None
+
 
 @dataclass(frozen=True)
 class PowerLaw(_Shape):
@@ -187,6 +215,41 @@ class PowerLaw(_Shape):
         v2 = -9.0 * self.beta * xp.cos(3.0 * th)
         e = -1.0 / self.n
         return e * (e - 1.0) * v ** (e - 2.0) * v1 * v1 + e * v ** (e - 1.0) * v2
+
+    def convexity(self):
+        """beta <= powerlaw_beta_max(n) to within BOUNDARY_TOL; the witness is where
+        the quadratic of ``powerlaw_quadratic`` is least, at x = -cos 3 theta."""
+        bmax = powerlaw_beta_max(self.n)
+        a, b, _ = _powerlaw_coefficients(self.beta, self.n)
+        x = max(-1.0, min(1.0, -b / (2.0 * a))) if a > 0.0 else (-1.0 if b > 0.0 else 1.0)
+        margin, theta = bmax - self.beta, math.acos(-x) / 3.0
+        if self.beta > bmax + BOUNDARY_TOL:
+            note = f"beta={self.beta:.6g} exceeds beta_max={bmax:.6g} for n={self.n:.6g}"
+            return False, margin, theta, note
+        note = "beta at the power-law convexity boundary" if margin < BOUNDARY_TOL else None
+        return True, margin, theta, note
+
+
+def _powerlaw_coefficients(beta: float, n: float) -> tuple[float, float, float]:
+    """(a, b, c) of the power-law convexity quadratic a x^2 + b x + c."""
+    a = beta * beta * (n * n - 9.0)
+    b = beta * n * (1.0 + beta) * (9.0 - 2.0 * n)
+    c = n * n * (1.0 + beta) ** 2 + 9.0 * beta * beta * (1.0 - n)
+    return a, b, c
+
+
+def powerlaw_beta_max(n: float) -> float:
+    """Largest convex beta for the power-law shape at exponent n.
+
+    n/(9-2n) for 0 < n <= 11/3, and the vertex-analysis expression
+    1 / (-1 + sqrt(1 + 9 (n-2)^2 / (n^2 (4n-13)))) beyond; the two branches
+    agree at n = 11/3.
+    """
+    if n <= 0.0:
+        raise DomainError(f"n must be positive, got {n}")
+    if n <= 11.0 / 3.0:
+        return n / (9.0 - 2.0 * n)
+    return 1.0 / (-1.0 + math.sqrt(1.0 + 9.0 * (n - 2.0) ** 2 / (n * n * (4.0 * n - 13.0))))
 
 
 @dataclass(frozen=True)
@@ -249,14 +312,19 @@ class WillamWarnke(_Shape):
         s = xp.sin(th)
         return g_uu * s**2 + g_u * (-xp.cos(th))
 
+    def convexity(self):
+        """Convex for every admissible e: the margin is e - 1/2, and the witness
+        theta = 0, the side that flattens towards the triangle as e -> 1/2."""
+        return True, self.e - 0.5, 0.0, "elliptic shape is convex for every admissible eccentricity"
+
 
 @dataclass(frozen=True)
 class GudehusArgyris(_Shape):
     """Rational deviatoric shape 2k / (1 + k + (1-k) cos 3t), k in (0.777, 1].
 
     k = 1 is the circle.  The printed lower bound 0.777 slightly undershoots
-    the exact convexity boundary k = 7/9; certification scans the curvature
-    and will flag k in (0.777, 7/9) as inadmissible.
+    the exact convexity boundary k = 7/9; certification applies k >= 7/9
+    (see :meth:`convexity`) and flags k in (0.777, 7/9) as inadmissible.
     """
 
     k: float
@@ -288,6 +356,14 @@ class GudehusArgyris(_Shape):
         d2 = -9.0 * (1.0 - self.k) * xp.cos(3.0 * th)
         return -2.0 * self.k * d2 / d**2 + 4.0 * self.k * d1 * d1 / d**3
 
+    def convexity(self):
+        """k >= 7/9 to within BOUNDARY_TOL: the curvature 4 k^2 (1 + k - 8 (1-k)
+        cos 3 theta) / D^3 is least at the witness theta = 0, as k^2 (9k - 7) / 2."""
+        margin = self.k - 7.0 / 9.0
+        if margin < -BOUNDARY_TOL:
+            return False, margin, 0.0, f"k={self.k:.6g} is below the exact curvature boundary 7/9"
+        return True, margin, 0.0, "k at the convexity boundary 7/9" if margin < BOUNDARY_TOL else None
+
 
 SHAPE_KINDS = {cls.kind: cls for cls in (CosineLode, PowerLaw, WillamWarnke, GudehusArgyris)}
 
@@ -314,7 +390,7 @@ def shape_from_dict(d: dict):
 # ---------------------------------------------------------------------------
 
 
-def lode_beta_bound(gamma: float) -> float:
+def beta_bound(gamma: float) -> float:
     """Upper end of the convex beta interval for the native shape.
 
     The deviatoric section of the native shape is convex exactly for
@@ -332,7 +408,7 @@ def lode_beta_bound(gamma: float) -> float:
 def beta_in_convex_interval(beta: float, gamma: float) -> tuple[bool, float, float]:
     """(ok, lo, hi): the native shape's convex beta interval [lo, hi] at gamma,
     and whether beta lies in it to within BOUNDARY_TOL."""
-    hi = lode_beta_bound(gamma)
+    hi = beta_bound(gamma)
     lo = 2.0 - hi
     return lo - BOUNDARY_TOL <= beta <= hi + BOUNDARY_TOL, lo, hi
 
@@ -363,7 +439,9 @@ def cap_h2(phi, m: float, alpha: float):
 
 class _Meridian:
     """f(p) for a float and f_array(p) for an array, over one body ``_f(p, xp)``;
-    ``kind`` names it in the dict form and ``scale`` is its stress scale."""
+    ``kind`` names it in the dict form and ``scale`` is its stress scale.
+    ``convexity()`` gives its exact convexity condition as (ok, signed
+    margin, witness Phi, note or None), like a shape's."""
 
     def f(self, p: float) -> float:
         """Meridian value; +inf outside a cap, DomainError for NaN p."""
@@ -432,6 +510,13 @@ class CapMeridian(_Meridian):
         h1 = cap_h1(phi, self.m, self.alpha)
         return -self.M * self.pc * h1 / (2.0 * xp.sqrt(h)) / (self.pc + self.c)
 
+    def convexity(self):
+        """The paper's m > 1 and 0 < alpha < 2, under which f is convex at every
+        Phi: the margin is min(m - 1, alpha, 2 - alpha) and the witness Phi NaN."""
+        margin = min(self.m - 1.0, self.alpha, 2.0 - self.alpha)
+        ok = margin > 0.0
+        return ok, margin, math.nan, None if ok else "meridian parameters outside admissible ranges"
+
 
 @dataclass(frozen=True)
 class LinearMeridian(_Meridian):
@@ -458,6 +543,10 @@ class LinearMeridian(_Meridian):
 
     def df(self, p: float) -> float:
         return -self.Gamma
+
+    def convexity(self):
+        """Affine, so convex: no finite witness or margin."""
+        return True, math.inf, math.nan, "linear meridian is affine in p (f'' = 0)"
 
 
 # ---------------------------------------------------------------------------

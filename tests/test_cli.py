@@ -358,6 +358,15 @@ class TestFit:
         assert out == ""
         assert "line 3" in err
 
+    def test_no_free_parameter_is_refused(self, capsys, tmp_path):
+        data = tmp_path / "d.csv"
+        data.write_text("p,q,theta\n0.5,0.3,0\n0.2,0.4,0\n", encoding="utf-8")
+        problem = tmp_path / "p.json"
+        problem.write_text(json.dumps({"criterion": CAM_CLAY, "free": []}), encoding="utf-8")
+        code, out, err = run(capsys, ["fit", "--data", str(data), "--problem", str(problem)])
+        assert (code, out) == (2, "")
+        assert err.startswith("yieldcrit: no free parameters to fit;")
+
 
 class TestCompare:
     def test_gurson_curves(self, capsys):

@@ -5,6 +5,8 @@
 * No unused module-level imports.  An import kept on purpose (for example
   a module attribute that a tracer wraps by name) carries ``# noqa: F401``.
 * Every module attribute that perfbench's tracer wraps by name exists.
+* ``convexity.py`` never switches on a shape or meridian class with
+  ``isinstance``: each record states its own convexity condition.
 """
 
 import ast
@@ -12,6 +14,8 @@ import importlib
 import pathlib
 
 import pytest
+
+from yieldcrit.criterion import SHAPE_KINDS
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "yieldcrit"
@@ -84,6 +88,36 @@ def test_unused_imports_are_found():
         "x: os.PathLike = arr(1)\n"
     )
     assert _unused_imports(text) == ["math (line 2)"]
+
+
+RECORD_CLASSES = {"CapMeridian", "LinearMeridian", *(cls.__name__ for cls in SHAPE_KINDS.values())}
+
+
+def _record_type_switches(text):
+    """Lines of ``isinstance`` calls whose class argument names a shape or meridian record."""
+    found = []
+    for node in ast.walk(ast.parse(text)):
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance":
+            classes = node.args[1:]
+            if classes and isinstance(classes[0], ast.Tuple):
+                classes = classes[0].elts
+            names = {getattr(c, "id", None) or getattr(c, "attr", None) for c in classes}
+            if names & RECORD_CLASSES:
+                found.append(node.lineno)
+    return found
+
+
+def test_certify_has_no_record_type_switch():
+    assert not _record_type_switches((SRC / "convexity.py").read_text(encoding="utf-8"))
+
+
+def test_record_type_switches_are_found():
+    text = (
+        "isinstance(x, float)\n"
+        "isinstance(s, PowerLaw)\n"
+        "isinstance(m, (int, criterion.CapMeridian))\n"
+    )
+    assert _record_type_switches(text) == [2, 3]
 
 
 def _tracer_patches():
