@@ -360,7 +360,7 @@ class GudehusArgyris(_Shape):
         """k >= 7/9 to within BOUNDARY_TOL: the curvature 4 k^2 (1 + k - 8 (1-k)
         cos 3 theta) / D^3 is least at the witness theta = 0, as k^2 (9k - 7) / 2."""
         margin = self.k - 7.0 / 9.0
-        if margin < -BOUNDARY_TOL:
+        if self.k < 7.0 / 9.0 - BOUNDARY_TOL:
             return False, margin, 0.0, f"k={self.k:.6g} is below the exact curvature boundary 7/9"
         return True, margin, 0.0, "k at the convexity boundary 7/9" if margin < BOUNDARY_TOL else None
 
@@ -789,14 +789,15 @@ def surface_q_array(p, theta, crit: Criterion) -> np.ndarray:
     Raises DomainError for a theta outside [0, pi/3], a NaN p, or shapes
     that do not broadcast.
     """
+    # a single theta is checked as a float, before it becomes an array
+    if not _theta_in_range(theta):
+        raise DomainError(f"theta must lie in [0, pi/3], got {theta}")
     p = np.asarray(p, dtype=float)
     theta = np.asarray(theta, dtype=float)
     try:
-        np.broadcast_shapes(p.shape, theta.shape)
+        np.broadcast(p, theta)
     except ValueError:
         raise DomainError(f"p and theta do not broadcast: shapes {p.shape} and {theta.shape}")
-    if not _theta_in_range(theta):
-        raise DomainError(f"theta must lie in [0, pi/3], got {theta}")
     if np.isnan(p).any():
         raise DomainError("p must be a number, got nan")
     return _surface_q_body(crit.meridian.f_array(p), crit.shape.g(theta), crit, np)
