@@ -183,11 +183,11 @@ def certify(crit: Criterion) -> ConvexityReport:
     if crit.A > 0.0:
         notes.append("quadratic term A q^2 with A >= 0 preserves convexity")
     return ConvexityReport(
-        admissible=meridian_ok and deviatoric_ok,
+        admissible=bool(meridian_ok and deviatoric_ok),
         beta_interval=crit.shape.beta_interval,
-        meridian_ok=meridian_ok,
+        meridian_ok=bool(meridian_ok),
         meridian_worst=(phi, meridian_margin),
-        deviatoric_ok=deviatoric_ok,
+        deviatoric_ok=bool(deviatoric_ok),
         deviatoric_worst=(theta, deviatoric_margin),
         notes=tuple(notes),
     )

@@ -141,3 +141,15 @@ def test_native_shape_with_g_changing_sign_at_the_sector_end():
     assert report.notes == ("g(theta) is not positive throughout the sector",)
     theta, margin = report.deviatoric_worst
     assert theta == 0.0 and margin < 0.0
+
+
+@pytest.mark.parametrize(
+    "shape",
+    [CosineLode(np.float64(1.0), np.float64(0.5)), PowerLaw(np.float64(0.8), np.float64(3.0))],
+    ids=["bp", "power-law"],
+)
+def test_report_of_numpy_parameters_is_plain_json(shape):
+    # numpy scalars compare to numpy bools, which json cannot write
+    report = certify(Criterion(meridian=CAP, shape=shape))
+    assert type(report.admissible) is bool and type(report.deviatoric_ok) is bool
+    json.dumps(report.to_dict(), allow_nan=False)
