@@ -17,18 +17,17 @@ The search is the Trust Region Reflective method (:mod:`yieldcrit.trf`,
 an in-house port of scipy's ``trf``, Jacobian-scaled) on the box of
 parameter bounds itself.  It works in log(value) for a parameter whose
 positive bounds span more than a factor of 10 and in the value otherwise.
-Its Jacobian is taken by forward differences unless every free parameter
-belongs to a cap meridian (M, pc, c, m, alpha); then it is closed-form,
-its partials read from the meridian body the residuals use.  Without an
-initial guess it runs seeded starts drawn uniformly in those coordinates,
-all in lockstep: each step is one model call that gives the residuals,
-and the closed-form Jacobian, of every start in one array evaluation,
-with the free parameters as columns of the criterion
-(:meth:`FitProblem.rows`).  A start whose initial residuals are not
-finite takes no step; there is no fallback search.  A fit reports
-``converged`` only for a convex result that, with several starts, at
-least two starts agree on.  Fits are deterministic given (dataset, init,
-seed).
+Its Jacobian is closed-form: a residual reads the parameters only through
+f(p), g(theta) and A, so each column follows by the chain rule from the
+partials the meridian and shape records give.  Without an initial guess
+it runs seeded starts drawn uniformly in those coordinates, all in
+lockstep: each step is one model call that gives the residuals and the
+Jacobian of every start in one array evaluation, with the free
+parameters as columns of the criterion (:meth:`FitProblem.rows`).  A
+start whose initial residuals or Jacobian are not finite takes no step;
+there is no fallback search.  A fit reports ``converged`` only for a
+convex result that, with several starts, at least two starts agree on.
+Fits are deterministic given (dataset, init, seed).
 """
 
 from __future__ import annotations
@@ -43,7 +42,7 @@ import numpy as np
 
 from . import trf
 from .convexity import ConvexityReport, certify
-from .criterion import CapMeridian, Criterion, _params, _record, _surface_q_body, _yield_body, cap_h1
+from .criterion import Criterion, _params, _record, _surface_q_body, _yield_body
 from .errors import InsufficientData, ParseError, ValidationError
 from .invariants import _theta_in_range, invariants
 
@@ -307,81 +306,67 @@ def _columns(dataset: FitDataset, shape=None) -> tuple:
 def _model(crit: Criterion, data: tuple, mode: str, names=()):
     """(residuals, columns or None): the residuals of a criterion against
     the data and, in the same pass, the closed-form derivative column of
-    each cap-meridian parameter in ``names``.  The derivatives hold the
-    branch fixed: a point outside the cap sees the derivative of its
-    penalty, and one where h = 0 (a cap end) a zero entry.  For a criterion
-    from :meth:`FitProblem.rows` both have one row per row of values."""
+    each parameter in ``names``.  A residual reads the parameters only
+    through f(p), g(theta) and A, so each column is r_f df + r_g dg + r_A
+    over the partials the meridian and shape records give.  The derivatives
+    hold the branch fixed: a point outside the cap or beyond the apex sees
+    the derivative of its penalty, and one where h = 0 (a cap end) a zero
+    df.  For a criterion from :meth:`FitProblem.rows` both have one row per
+    row of values."""
     if mode not in ("meridian_distance", "function_value"):
         raise ValidationError(f"unknown residual mode {mode!r}")
     p, q, th, w, qbar, g = data
     g = crit.shape.g(th) if g is None else g
-    mer = crit.meridian
-    if cap := isinstance(mer, CapMeridian):
-        phi, inside, ph, phm, h, root = mer._body(p, np)
-        f_in = -mer.M * mer.pc * root
-        f = np.where(inside, f_in, math.inf)
-        # the penalty grows with dist(Phi, [0, 1])
-        dist = np.maximum(0.0, np.maximum(-phi, phi - 1.0))
-    else:
-        f = mer.f_array(p)
-        scale = np.maximum(np.maximum(mer.c, np.mean(np.abs(p))), 1e-30)
-        dist = np.maximum(0.0, -(p + mer.c)) / scale
+    mer, shape = crit.meridian, crit.shape
+    of_shape = [n for n in names if n in _params(type(shape))]
+    f, dist, df, ddist = mer._fit_terms(p, [n for n in names if n in _params(type(mer))])
     penalty = w * (1.0 + dist)
     if mode == "meridian_distance":
         # the surface radius is NaN where it does not exist
         qs = _surface_q_body(f, g, crit, np)
         outside = np.isnan(qs)
-        r = np.where(outside, penalty, w * (q - np.where(outside, 0.0, qs)) / qbar)
+        qs = np.where(outside, 0.0, qs)
+        r = np.where(outside, penalty, w * (q - qs) / qbar)
     else:
-        finite = np.isfinite(f)
-        f0 = np.where(finite, f, 0.0)
-        floor = 0.01 * mer.pc if cap else 0.01 * max(float(np.mean(crit.B * q)), 1e-30)
-        F = _yield_body(f0, q, g, False, crit, np)
-        s0 = np.maximum(np.maximum(crit.B * q, np.abs(f0)), floor)
-        r = np.where(finite, w * F / s0, penalty)
+        outside = ~np.isfinite(f)
+        f = np.where(outside, 0.0, f)
+        bq = crit.B * q
+        floor, dfloor = mer._s0_floor(bq)
+        F = _yield_body(f, q, g, False, crit, np)
+        s0 = np.maximum(np.maximum(bq, np.abs(f)), floor)
+        r = np.where(outside, penalty, w * F / s0)
     if not names:
         return r, None
 
-    span = mer.pc + mer.c
-    # df/dh = -M pc / (2 sqrt h), set to 0 where h <= 0
-    f_h = np.where(h > 0.0, -mer.M * mer.pc / (2.0 * np.where(h > 0.0, root, 1.0)), 0.0)
-    df = {}
-    if "M" in names:
-        df["M"] = -mer.pc * root
-    if "pc" in names or "c" in names:
-        f_phi = f_h * cap_h1(ph, mer.m, mer.alpha) / span
-        df["pc"] = -mer.M * root - f_phi * ph
-        df["c"] = f_phi * (1.0 - ph)
-    if "m" in names:
-        lin = 2.0 * (1.0 - mer.alpha) * ph + mer.alpha
-        df["m"] = -f_h * phm * np.log(np.where(ph > 0.0, ph, 1.0)) * lin
-    if "alpha" in names:
-        df["alpha"] = f_h * (ph - phm) * (1.0 - 2.0 * ph)
-
-    # every residual depends on the parameters through f alone, apart
-    # from the pc-scaled floor of s0 in function_value mode
-    floor_pc = 0.0
+    # F = A q^2 + B q / g + f reads the parameters through f, g and A
     if mode == "meridian_distance":
-        # q_surface solves A q^2 + B q / g + f = 0, so dq_surface/df = -1/D
-        bg = crit.B / g
-        r_f = w / (qbar * np.sqrt(bg * bg - 4.0 * crit.A * f_in))
+        # q_surface solves F = 0, so it moves by -dF / (dF/dq), where
+        # dF/dq = 2 A q_surface + B / g
+        r_f = unit = w / (qbar * (2.0 * crit.A * qs + crit.B / g))
+        at = qs
     else:
-        # r = w F / s0 with s0 = max(B q, -f, 0.01 pc)
-        bq = crit.B * q
-        s0 = np.maximum(np.maximum(bq, -f_in), floor)
-        r_s0 = (crit.A * q**2 + bq / g + f_in) / s0
-        on_f = (-f_in >= bq) & (-f_in >= floor)
-        r_f = w / s0 * (1.0 + np.where(on_f, r_s0, 0.0))
-        if "pc" in names:
-            floor_pc = np.where(floor > np.maximum(bq, -f_in), -0.01 * w * r_s0 / s0, 0.0)
-    cols = {n: r_f * df[n] for n in names}
-    if "pc" in names:
-        cols["pc"] = cols["pc"] + floor_pc
-    if not inside.all():
-        # outside the cap the residual is the penalty w (1 + dist(Phi, [0, 1]))
-        w_dist = w * np.where(phi < 0.0, -1.0, 1.0)
-        dphi = {"pc": -phi / span, "c": (1.0 - phi) / span}
-        cols = {n: np.where(inside, cols[n], w_dist * dphi[n] if n in dphi else 0.0) for n in names}
+        # r = w F / s0, and s0 = max(B q, |f|, floor) moves with the largest
+        unit, at = w / s0, q
+        r_s0 = F / s0
+        on_f = (np.abs(f) >= bq) & (np.abs(f) >= floor)
+        r_f = unit * (1.0 - np.where(on_f, np.sign(f) * r_s0, 0.0))
+    cols = {n: r_f * df[n] for n in names if n in df}
+    if of_shape:
+        # where g underflows, r_g and so the column are not finite; trf
+        # then treats the point as one with residuals that are not finite
+        with np.errstate(divide="ignore", invalid="ignore"):
+            r_g = -unit * crit.B * at / (g * g)
+            dg = shape._partials(th)
+            cols.update((n, r_g * dg[n]) for n in of_shape)
+    if "A" in names:
+        cols["A"] = unit * at * at
+    if mode == "function_value":
+        for n in dfloor.keys() & cols.keys():
+            at_floor = floor > np.maximum(bq, np.abs(f))
+            cols[n] = cols[n] + np.where(at_floor, -dfloor[n] * w * r_s0 / s0, 0.0)
+    if outside.any():
+        # there the residual is the penalty w (1 + dist)
+        cols = {n: np.where(outside, w * ddist[n] if n in ddist else 0.0, cols[n]) for n in names}
     return r, cols
 
 
@@ -392,7 +377,7 @@ def residual_vector(crit: Criterion, dataset: FitDataset, mode: str) -> np.ndarr
 
 
 def _cap_partials(crit: Criterion, dataset: FitDataset, mode: str, names) -> dict:
-    """Closed-form d(residual)/d(name) for cap-meridian parameters, from the
+    """Closed-form d(residual)/d(name) for the named parameters, from the
     pass that gives :func:`residual_vector` (see :func:`_model`)."""
     return _model(crit, _columns(dataset, crit.shape), mode, names)[1]
 
@@ -414,7 +399,7 @@ def goodness(crit: Criterion, dataset: FitDataset, mode: str = "meridian_distanc
     return float(np.sqrt(np.mean(r * r))), float(np.max(np.abs(r))), r
 
 
-# Trial steps per trust-region run: one model call each, and k more per difference Jacobian.
+# Trial steps per trust-region run, one model call each.
 _MAX_STEPS = 200
 
 # ---------------------------------------------------------------------------
@@ -425,10 +410,10 @@ _MAX_STEPS = 200
 @dataclass(frozen=True)
 class FitStart:
     """One start of a fit: where it began, where it ended and the rms there,
-    its evaluations (one model call per trial step, plus k per difference
-    Jacobian) and why it stopped: a ``trf`` stop test ("gtol", "ftol",
-    "xtol", "ftol+xtol"), "budget" once its steps ran out, or "nonfinite"
-    when its initial residuals were not finite and it took no step."""
+    its evaluations (one model call per trial step) and why it stopped: a
+    ``trf`` stop test ("gtol", "ftol", "xtol", "ftol+xtol"), "budget" once
+    its steps ran out, or "nonfinite" when its initial residuals or
+    Jacobian were not finite and it took no step."""
 
     start: tuple[tuple[str, float], ...]
     values: tuple[tuple[str, float], ...]
@@ -484,19 +469,16 @@ class _SearchCoordinates:
 
 
 def _one_pass(problem: FitProblem, dataset: FitDataset):
-    """The fit's model: (n, k) values to their (n, m) residuals and, when
-    every free parameter is a cap meridian's, their (n, m, k) Jacobian (else
-    None), in one :func:`_model` pass over dataset columns read once here."""
+    """The fit's model: (n, k) values to their (n, m) residuals and their
+    (n, m, k) Jacobian, in one :func:`_model` pass over dataset columns read
+    once here."""
     names, mode = problem.free, problem.residual_mode
-    where = {problem._locate(n) for n in names}
-    closed = isinstance(problem.template.meridian, CapMeridian) and where <= {"meridian"}
-    data = _columns(dataset, None if "shape" in where else problem.template.shape)
+    shape_free = any(problem._locate(n) == "shape" for n in names)
+    data = _columns(dataset, None if shape_free else problem.template.shape)
 
     def model(v: np.ndarray):
-        r, cols = _model(problem.rows(v), data, mode, names if closed else ())
+        r, cols = _model(problem.rows(v), data, mode, names)
         r = np.broadcast_to(r, (len(v), len(dataset)))
-        if cols is None:
-            return r, None
         J = np.empty(r.shape + (len(names),))
         for j, name in enumerate(names):
             J[:, :, j] = cols[name]
@@ -522,16 +504,15 @@ def fit(
     (:mod:`yieldcrit.trf`, a port of scipy's ``trf``, Jacobian-scaled) in
     coordinates that are logarithmic for a parameter whose positive bounds
     span more than a factor of 10 and linear otherwise.  Each step is one
-    model call per batch of trial points, giving residuals and, when every
-    free parameter belongs to a cap meridian (M, pc, c, m, alpha), the
-    closed-form Jacobian; otherwise accepted points take forward
-    differences.  Each start may take 200 trial steps.
+    model call per batch of trial points, giving their residuals and
+    closed-form Jacobians.  Each start may take 200 trial steps.
     A single start is ``init`` when given; otherwise ``n_starts`` seeded
     starts are drawn uniformly in the search coordinates, inside the
     central 90% of each interval.  All starts run in lockstep, and the
     best result wins, ties broken by start index, so the outcome is
-    deterministic.  A start whose initial residuals are not finite takes
-    no step.  The returned rms never exceeds the rms at the start point.
+    deterministic.  A start whose initial residuals or Jacobian are not
+    finite takes no step.  The returned rms never exceeds the rms at the
+    start point.
 
     ``converged`` needs a convex result (convexity certification) and,
     with two or more starts, at least two starts that agree on the winning
@@ -554,7 +535,7 @@ def fit(
         v = box.values(u)
         r, J = model(v)
         # chain rule d/du = v d/dv on the log coordinates
-        return r, None if J is None else J * np.where(box.logs, v, 1.0)[:, None, :]
+        return r, J * np.where(box.logs, v, 1.0)[:, None, :]
 
     if init is not None:
         missing = [n for n in names if n not in init]
@@ -575,15 +556,12 @@ def fit(
     n = len(u0)
     rms = _rms(r0)
     rms[np.isnan(rms)] = np.inf
-    v, nfev, evaluations = v0.copy(), np.ones(n, dtype=int), np.ones(n, dtype=int)
+    v, nfev = v0.copy(), np.ones(n, dtype=int)
     stops = ["nonfinite"] * n
     improved = np.zeros(n, dtype=bool)
-    ok = np.flatnonzero(np.all(np.isfinite(f0), axis=1))
+    ok = np.flatnonzero(np.all(np.isfinite(f0), axis=1) & np.all(np.isfinite(J0), axis=(1, 2)))
     if ok.size:
-        x, f, nfev[ok], njev, status = trf.solve(
-            fun, u0[ok], f0[ok], None if J0 is None else J0[ok], box.ulo, box.uhi, _MAX_STEPS
-        )
-        evaluations[ok] = nfev[ok] + (0 if J0 is not None else k * njev)
+        x, f, nfev[ok], status = trf.solve(fun, u0[ok], f0[ok], J0[ok], box.ulo, box.uhi, _MAX_STEPS)
         for j, code in zip(ok, status):
             stops[j] = trf.STOPS[code]
         rms1 = _rms(f)
@@ -604,7 +582,7 @@ def fit(
             start=tuple(zip(names, map(float, v0[j]))),
             values=tuple(zip(names, map(float, v[j]))),
             rms=float(rms[j]),
-            evaluations=int(evaluations[j]),
+            evaluations=int(nfev[j]),
             stop=stops[j],
         )
         for j in range(n)

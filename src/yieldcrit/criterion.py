@@ -97,7 +97,8 @@ class _Shape:
     """A deviatoric shape; its dict form is its kind and its parameters.
     ``convexity()`` gives its exact convexity condition as (ok, signed margin,
     witness theta, note or None): the margin is the parameter's distance
-    from the condition's boundary, and the witness where the condition binds."""
+    from the condition's boundary, and the witness where the condition binds.
+    ``_partials(theta)`` gives dg/d(field) over an array of theta, by field."""
 
     # the convex beta interval, which only the native shape has
     beta_interval = None
@@ -139,6 +140,15 @@ class CosineLode(_Shape):
         psi = self._psi(xp, th)
         psi1 = -self.gamma * xp.sin(3.0 * th) / w
         return xp.tan(psi) * psi1 / xp.cos(psi)
+
+    def _partials(self, theta):
+        """dg/dpsi = g tan(psi) times dpsi/dbeta = pi/6 and
+        dpsi/dgamma = cos 3t / (3 sqrt(1 - (gamma cos 3t)^2))."""
+        c3 = np.cos(3.0 * theta)
+        psi = self._psi(np, theta)
+        g_psi = np.tan(psi) / np.cos(psi)
+        u = self.gamma * c3
+        return {"beta": g_psi * (math.pi / 6.0), "gamma": g_psi * c3 / (3.0 * np.sqrt(1.0 - u * u))}
 
     def d2g(self, theta):
         xp, th = namespace(theta)
@@ -208,6 +218,13 @@ class PowerLaw(_Shape):
         v1 = -3.0 * self.beta * xp.sin(3.0 * th)
         return (-1.0 / self.n) * v ** (-1.0 / self.n - 1.0) * v1
 
+    def _partials(self, theta):
+        """dg/dbeta = -g (1 + cos 3t) / (n v) and dg/dn = g ln(v) / n^2."""
+        v = self._v(np, theta)
+        g = v ** (-1.0 / self.n)
+        dn = g * np.log(v) / self.n**2
+        return {"beta": -g * (1.0 + np.cos(3.0 * theta)) / (self.n * v), "n": dn}
+
     def d2g(self, theta):
         xp, th = namespace(theta)
         v = self._v(xp, th)
@@ -271,24 +288,32 @@ class WillamWarnke(_Shape):
             raise ValidationError(f"e must lie in (0.5, 1], got {self.e}")
 
     def _parts(self, xp, u):
+        """c2, t, r and g's numerator and denominator at u = cos theta."""
         c2 = 1.0 - self.e * self.e
         t = 2.0 * self.e - 1.0
         # rho is (2e - 1)^2 > 0 at u = 1/2, where rounding can take it just below 0
         r = xp.sqrt(xp.maximum(0.0, 4.0 * c2 * u * u + 5.0 * self.e * self.e - 4.0 * self.e))
-        return c2, t, r
+        return c2, t, r, 2.0 * c2 * u + t * r, 4.0 * c2 * u * u + t * t
 
     def g(self, theta):
         xp, th = namespace(theta)
-        u = xp.cos(th)
-        c2, t, r = self._parts(xp, u)
-        return (2.0 * c2 * u + t * r) / (4.0 * c2 * u * u + t * t)
+        *_, num, den = self._parts(xp, xp.cos(th))
+        return num / den
+
+    def _partials(self, theta):
+        """dg/de through ``_parts``: c2 = 1 - e^2, t = 2e - 1 and
+        r^2 = 4 c2 u^2 + 5 e^2 - 4 e, with u = cos theta."""
+        u = np.cos(theta)
+        c2, t, r, num, den = self._parts(np, u)
+        r_e = (5.0 * self.e - 2.0 - 4.0 * self.e * u * u) / r
+        num_e = -4.0 * self.e * u + 2.0 * r + t * r_e
+        den_e = 4.0 * t - 8.0 * self.e * u * u
+        return {"e": (num_e * den - num * den_e) / den**2}
 
     def _du(self, xp, u):
         # dg/du and d2g/du2; theta derivatives follow by the chain rule.
-        c2, t, r = self._parts(xp, u)
+        c2, t, r, num, den = self._parts(xp, u)
         rho_u = 8.0 * c2 * u
-        num = 2.0 * c2 * u + t * r
-        den = 4.0 * c2 * u * u + t * t
         num_u = 2.0 * c2 + t * rho_u / (2.0 * r)
         den_u = 8.0 * c2 * u
         num_uu = t * (8.0 * c2 / (2.0 * r) - rho_u * rho_u / (4.0 * r**3))
@@ -348,6 +373,10 @@ class GudehusArgyris(_Shape):
         d = self._d(xp, th)
         d1 = -3.0 * (1.0 - self.k) * xp.sin(3.0 * th)
         return -2.0 * self.k * d1 / d**2
+
+    def _partials(self, theta):
+        """dg/dk = 2 (1 + cos 3t) / D^2."""
+        return {"k": 2.0 * (1.0 + np.cos(3.0 * theta)) / self._d(np, theta) ** 2}
 
     def d2g(self, theta):
         xp, th = namespace(theta)
@@ -441,7 +470,8 @@ class _Meridian:
     """f(p) for a float and f_array(p) for an array, over one body ``_f(p, xp)``;
     ``kind`` names it in the dict form and ``scale`` is its stress scale.
     ``convexity()`` gives its exact convexity condition as (ok, signed
-    margin, witness Phi, note or None), like a shape's."""
+    margin, witness Phi, note or None), like a shape's.  ``_fit_terms`` and
+    ``_s0_floor`` give what the fit's residuals read of it, with partials."""
 
     def f(self, p: float) -> float:
         """Meridian value; +inf outside a cap, DomainError for NaN p."""
@@ -502,6 +532,39 @@ class CapMeridian(_Meridian):
         _, inside, _, _, _, root = self._body(p, xp)
         return xp.where(inside, -self.M * self.pc * root, math.inf)
 
+    def _fit_terms(self, p, names=()):
+        """f (+inf outside the cap), the penalty's dist(Phi, [0, 1]) and, for each
+        of ``names``, df and d(dist) over it with the branch held fixed (df is 0
+        where h = 0, at a cap end): one ``_body`` pass over an array of p."""
+        phi, inside, ph, phm, h, root = self._body(p, np)
+        f = np.where(inside, -self.M * self.pc * root, math.inf)
+        dist = np.maximum(0.0, np.maximum(-phi, phi - 1.0))
+        df, ddist = {}, {}
+        if not names:
+            return f, dist, df, ddist
+        span = self.pc + self.c
+        # df/dh = -M pc / (2 sqrt h), set to 0 where h <= 0
+        f_h = np.where(h > 0.0, -self.M * self.pc / (2.0 * np.where(h > 0.0, root, 1.0)), 0.0)
+        if "M" in names:
+            df["M"] = -self.pc * root
+        if "pc" in names or "c" in names:
+            f_phi = f_h * cap_h1(ph, self.m, self.alpha) / span
+            df["pc"] = -self.M * root - f_phi * ph
+            df["c"] = f_phi * (1.0 - ph)
+            side = np.where(phi < 0.0, -1.0, 1.0)
+            ddist["pc"] = side * (-phi / span)
+            ddist["c"] = side * ((1.0 - phi) / span)
+        if "m" in names:
+            lin = 2.0 * (1.0 - self.alpha) * ph + self.alpha
+            df["m"] = -f_h * phm * np.log(np.where(ph > 0.0, ph, 1.0)) * lin
+        if "alpha" in names:
+            df["alpha"] = f_h * (ph - phm) * (1.0 - 2.0 * ph)
+        return f, dist, df, ddist
+
+    def _s0_floor(self, bq):
+        """The floor 0.01 pc of s0 = max(B q, |f|, floor) and its partials."""
+        return 0.01 * self.pc, {"pc": 0.01}
+
     def df(self, p):
         """df/dp (a float or an array) on the open interior of the cap; caller guards the ends."""
         xp, p = namespace(p)
@@ -544,6 +607,21 @@ class LinearMeridian(_Meridian):
     def df(self, p: float) -> float:
         return -self.Gamma
 
+    def _fit_terms(self, p, names=()):
+        """As the cap's; beyond the apex the penalty grows with dist = -(p + c) /
+        scale, scale = max(c, mean |p|), and d(dist)/dc holds the max's branch."""
+        f = self._f(p, np)
+        scale = np.maximum(np.maximum(self.c, np.mean(np.abs(p))), 1e-30)
+        dist = np.maximum(0.0, -(p + self.c)) / scale
+        # where the scale is c itself, d(dist)/dc = -(1 + dist) / c
+        on_c = np.where(scale == self.c, dist, 0.0)
+        ddist = {"c": np.where(dist > 0.0, -(1.0 + on_c) / scale, 0.0)}
+        return f, dist, {"Gamma": -(p + self.c), "c": -self.Gamma}, ddist
+
+    def _s0_floor(self, bq):
+        """The floor 0.01 mean(B q) of s0 = max(B q, |f|, floor); no partials."""
+        return 0.01 * max(float(np.mean(bq)), 1e-30), {}
+
     def convexity(self):
         """Affine, so convex: no finite witness or margin."""
         return True, math.inf, math.nan, "linear meridian is affine in p (f'' = 0)"
@@ -561,8 +639,9 @@ class YieldParams:
     M > 0 controls pressure sensitivity, pc > 0 and c >= 0 are the
     isotropic compression and tension yield strengths, m > 1 and
     0 < alpha < 2 distort the meridian, beta and gamma shape the deviatoric
-    section.  The default constructor also enforces the convexity interval
-    2 - bound(gamma) <= beta <= bound(gamma); use :meth:`unchecked` to
+    section.  The default constructor also enforces the shape's convexity
+    condition: the interval 2 - bound(gamma) <= beta <= bound(gamma), and g
+    positive at the sector ends; use :meth:`unchecked` to
     build records outside it (for demonstrations or certification tests)
     and :meth:`limit_mode` to clamp the excluded limit values gamma = 1 and
     alpha in {0, 2}.
@@ -580,7 +659,7 @@ class YieldParams:
         # Range checks delegate to the meridian/shape constructors; the
         # validated meridian is kept for meridian().
         object.__setattr__(self, "_meridian", self.meridian())
-        self.shape()
+        shape = self.shape()
         ok, lo, hi = beta_in_convex_interval(self.beta, self.gamma)
         if not ok:
             raise ValidationError(
@@ -588,6 +667,7 @@ class YieldParams:
                 f"[{lo:.6g}, {hi:.6g}] for gamma={self.gamma}; "
                 "use YieldParams.unchecked to bypass"
             )
+        _check_native_shape(shape, "; use YieldParams.unchecked to bypass")
 
     @classmethod
     def unchecked(cls, M, pc, c, m, alpha, beta, gamma) -> "YieldParams":
@@ -672,7 +752,7 @@ def criterion_from_dict(d: dict, unchecked: bool = False) -> Criterion:
 
     Accepted keys: M, pc, c, m, alpha, beta, gamma plus the optional
     meridian ("bp" | "linear"), Gamma, A, B and a "deviatoric" object
-    {"kind": ...}.  ``unchecked`` skips the beta-interval validation of the
+    {"kind": ...}.  ``unchecked`` skips the convexity validation of the
     native seven-parameter record (range checks still apply).
     """
     if not isinstance(d, dict):
@@ -695,7 +775,15 @@ def criterion_from_dict(d: dict, unchecked: bool = False) -> Criterion:
             raise ValidationError(
                 f"beta={shape.beta} outside the convex interval for gamma={shape.gamma}"
             )
+        _check_native_shape(shape)
     return crit
+
+
+def _check_native_shape(shape: CosineLode, hint: str = "") -> None:
+    """ValidationError unless the native shape meets its whole convexity condition."""
+    ok, _, _, note = shape.convexity()
+    if not ok:
+        raise ValidationError(f"{note} at beta={shape.beta}, gamma={shape.gamma}{hint}")
 
 
 # ---------------------------------------------------------------------------
@@ -752,19 +840,11 @@ def _surface_q_body(fp, g, crit: Criterion, xp):
     ok = fp <= 0.0
     f = xp.where(ok, fp, 0.0)
     A = crit.A
-    if isinstance(A, np.ndarray):
-        # a batched fit carries A as a column: the rows where it is 0 take
-        # the linear root, the others the quadratic one below
-        zero = A == 0.0
-        a = np.where(zero, 1.0, A)
-        bg = crit.B / g
-        q = np.where(zero, -f * g / crit.B, (-bg + np.sqrt(bg * bg - 4.0 * a * f)) / (2.0 * a))
-    elif A == 0.0:
-        q = -f * g / crit.B
-    else:
-        # f <= 0, so the discriminant is at least (B/g)^2 and the root is >= 0
-        bg = crit.B / g
-        q = (-bg + xp.sqrt(bg * bg - 4.0 * A * f)) / (2.0 * A)
+    q = -f * g / crit.B
+    if isinstance(A, np.ndarray) or A != 0.0:
+        # the positive root of A q^2 + B q / g + f = 0 as a factor on the
+        # linear root q: it does not cancel as A -> 0, and it is q at A = 0
+        q = 2.0 * q / (1.0 + xp.sqrt(1.0 + 4.0 * A / crit.B * g * q))
     return xp.where(ok, q, math.nan)
 
 

@@ -7,14 +7,13 @@ scaling of the variables, Jacobian column scaling, the exact trust-region
 subproblem solved through an SVD (More's Levenberg-Marquardt iteration),
 the choice among the bounded, the reflected and the Cauchy step, and the
 stop tests with ftol = xtol = gtol = 1e-8.  Only that path is ported,
-with the forward-difference Jacobian scipy takes on a box.
+with the Jacobian the model gives.
 
 Every start runs the algorithm on its own, with its own radius, step
 count and stop test, but all of them advance in lockstep: each step makes
 one model call over the trial points of the starts still running (their
-residuals and, where closed-form, Jacobians; a model without one takes
-forward differences at the accepted points) and one stacked SVD.  A start
-leaves the batch when its own stop test fires.
+residuals and Jacobians) and one stacked SVD.  A start leaves the batch
+when its own stop test fires.
 """
 
 from __future__ import annotations
@@ -210,28 +209,6 @@ def _select_step(x, J_h, diag_h, g_h, p, p_h, d, Delta, lb, ub, theta):
     return step, step_h, predicted
 
 
-def difference_jacobian(fun, x, f, lb, ub):
-    """Forward-difference Jacobians (n, m, k) at the rows of x, from the
-    residuals of one call of the model ``fun`` over the n k shifted points.
-
-    Steps as scipy's ``approx_derivative(method="2-point")`` takes them on
-    a box: sqrt(eps) max(1, |x|) away from zero, turned round where the
-    step would leave the box.
-    """
-    n, k = x.shape
-    h = EPS**0.5 * np.where(x >= 0, 1.0, -1.0) * np.maximum(1.0, np.abs(x))
-    lb_dist, ub_dist = x - lb, ub - x
-    fits = np.abs(h) <= np.maximum(lb_dist, ub_dist)
-    h = np.where(((x + h < lb) | (x + h > ub)) & fits, -h, h)
-    h = np.where(fits, h, np.where(ub_dist >= lb_dist, ub_dist, -lb_dist))
-    shifted = np.repeat(x[:, None, :], k, axis=1)
-    idx = np.arange(k)
-    shifted[:, idx, idx] += h
-    df = fun(shifted.reshape(n * k, k))[0].reshape(n, k, -1) - f[:, None, :]
-    dx = (x + h) - x
-    return (df / dx[:, :, None]).transpose(0, 2, 1)
-
-
 def _cl_scaling(x, g, lb, ub):
     """Coleman-Li scaling v (distance to the bound the descent direction
     points at, else 1) and its derivative sign dv."""
@@ -252,23 +229,23 @@ def solve(fun, x0, f0, J0, lb, ub, max_nfev):
     """Run trf from every row of ``x0`` on the box [lb, ub], all in lockstep.
 
     ``fun`` maps an (n, k) array of points to their (n, m) residuals and
-    their (n, m, k) Jacobians, or None for forward differences (k more
-    points) at each accepted point.  Every row of ``x0`` lies strictly
-    inside the box and has finite residuals ``f0`` and Jacobians ``J0`` (or
-    None).  A start stops at its own stop test, or once it has made
-    ``max_nfev`` trial evaluations, its first one included.
+    their (n, m, k) Jacobians.  Every row of ``x0`` lies strictly inside the
+    box and has finite residuals ``f0`` and Jacobians ``J0``; a trial point
+    whose residuals or Jacobian are not finite is rejected.  A start stops
+    at its own stop test, or once it has made ``max_nfev`` trial
+    evaluations, its first one included.
 
-    Returns ``(x, f, nfev, njev, status)`` per row: the final point and its
-    residuals, the trial evaluations and Jacobians taken, and scipy's
-    status code (an index into STOPS).
+    Returns ``(x, f, nfev, status)`` per row: the final point and its
+    residuals, the trial evaluations taken, and scipy's status code (an
+    index into STOPS).
     """
     n, m = f0.shape
     k = x0.shape[1]
-    out = (np.empty_like(x0), np.empty_like(f0)) + tuple(np.empty(n, int) for _ in range(3))
+    out = (np.empty_like(x0), np.empty_like(f0), np.empty(n, int), np.empty(n, int))
     rows = np.arange(n)
     x, f = x0.copy(), f0.copy()
     cost = 0.5 * _dot(f, f)
-    J = difference_jacobian(fun, x, f, lb, ub) if J0 is None else J0.copy()
+    J = J0.copy()
     g = _rmatvec(J, f)
     scale_inv = np.sqrt(np.einsum("imk,imk->ik", J, J))
     scale_inv[scale_inv == 0] = 1.0
@@ -277,7 +254,7 @@ def solve(fun, x0, f0, J0, lb, ub, max_nfev):
     Delta = _norm(x * scale_inv / v**0.5)
     Delta[Delta == 0] = 1.0
     alpha = np.zeros(n)
-    nfev, njev = np.ones(n, dtype=int), np.ones(n, dtype=int)
+    nfev = np.ones(n, dtype=int)
     status = np.full(n, -1)
     eye = np.eye(k)
 
@@ -291,7 +268,7 @@ def solve(fun, x0, f0, J0, lb, ub, max_nfev):
         done = (status >= 0) | (nfev == max_nfev)
         if done.any():
             status[done & (status < 0)] = 0
-            for o, a in zip(out, (x, f, nfev, njev, status)):
+            for o, a in zip(out, (x, f, nfev, status)):
                 o[rows[done]] = a[done]
             keep = ~done
             if not keep.any():
@@ -299,8 +276,8 @@ def solve(fun, x0, f0, J0, lb, ub, max_nfev):
             rows, x, f, cost, J, g, scale_inv = (
                 a[keep] for a in (rows, x, f, cost, J, g, scale_inv)
             )
-            Delta, alpha, nfev, njev, status, v, dv, g_norm = (
-                a[keep] for a in (Delta, alpha, nfev, njev, status, v, dv, g_norm)
+            Delta, alpha, nfev, status, v, dv, g_norm = (
+                a[keep] for a in (Delta, alpha, nfev, status, v, dv, g_norm)
             )
         v = np.where(dv != 0, v * scale_inv, v)
         scale = 1 / scale_inv
@@ -322,7 +299,8 @@ def solve(fun, x0, f0, J0, lb, ub, max_nfev):
         f_new, J_new = fun(x_new)
         nfev += 1
         step_h_norm = _norm(step_h)
-        finite = np.all(np.isfinite(f_new), axis=1)
+        # an entry of J that is not finite makes its row's sum not finite
+        finite = np.all(np.isfinite(f_new), axis=1) & np.isfinite(J_new.sum(axis=(1, 2)))
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             cost_new = 0.5 * _dot(f_new, f_new)
             reduction = cost - cost_new
@@ -339,7 +317,7 @@ def solve(fun, x0, f0, J0, lb, ub, max_nfev):
             ended = _termination(reduction, cost, _norm(step), _norm(x), ratio)
             ended = np.where(finite, ended, -1)
             going = finite & (ended < 0)
-            # a trial with residuals that are not finite only shrinks the radius
+            # a trial whose residuals or Jacobian are not finite only shrinks the radius
             alpha = np.where(going, alpha * Delta / Delta_new, alpha)
         Delta = np.where(going, Delta_new, np.where(finite, Delta, 0.25 * step_h_norm))
         status = np.maximum(status, ended)
@@ -347,7 +325,6 @@ def solve(fun, x0, f0, J0, lb, ub, max_nfev):
         a = np.flatnonzero(finite & (reduction > 0))
         if a.size:
             x[a], f[a], cost[a] = x_new[a], f_new[a], cost_new[a]
-            J[a] = difference_jacobian(fun, x[a], f[a], lb, ub) if J_new is None else J_new[a]
-            njev[a] += 1
+            J[a] = J_new[a]
             g[a] = _rmatvec(J[a], f[a])
             scale_inv[a] = np.maximum(np.sqrt(np.einsum("imk,imk->ik", J[a], J[a])), scale_inv[a])

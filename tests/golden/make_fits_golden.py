@@ -5,10 +5,10 @@ It records what ``fit`` returns for
   * each of the 13 paper rows of ``MERIDIAN_ROWS`` in both residual modes
     and with seeds 0 and 1, the problem and dataset built as
     ``tests/test_trf.py``'s ``moved_problem`` and ``meridian_dataset``
-    build them (free M, m and alpha: the closed-form Jacobian);
+    build them (free M, m and alpha: the cap meridian's partials);
   * the seven-free fit of
     ``tests/test_calibration.py::test_seven_free_fit_keeps_evaluation_budget``
-    (every native parameter free: the forward-difference Jacobian).
+    (every native parameter free: the shape's partials too).
 
 Each case stores its template criterion, free names, residual mode, seed
 and dataset name, so the test rebuilds the problem from the file alone; each

@@ -16,6 +16,7 @@ from yieldcrit import (
     ValidationError,
     WillamWarnke,
     YieldParams,
+    beta_bound,
     criterion_from_dict,
     deviatoric_g,
     gradient,
@@ -209,6 +210,21 @@ class TestSurfaceQ:
             sig = principal_from_invariants(p, q, th)
             assert yield_value(sig, crit) == pytest.approx(0.0, abs=1e-12)
 
+    @pytest.mark.parametrize("A", [1e-14, 1e-12, 1e-9, 1e-6, 1e-3, 1.0, 1e2])
+    def test_root_solves_F_for_every_A(self, A):
+        # the textbook root (-B/g + sqrt((B/g)^2 - 4 A f)) / 2A cancels for
+        # small A: at A = 1e-14 it gave q = 0.49960036 here, with F = -4.0e-4
+        shapes = [CosineLode(1.0, 0.0), CosineLode(0.3, 0.9), PowerLaw(0.5, 3.0), GudehusArgyris(0.8)]
+        for shape in shapes:
+            crit = Criterion(meridian=CAM_CLAY.meridian(), shape=shape, A=A, B=1.3)
+            for p, th in itertools.product((0.01, 0.3, 0.5, 0.97), (0.0, 0.3, PI3)):
+                q = surface_q(p, th, crit)
+                terms = (A * q * q, crit.B * q / shape.g(th), crit.meridian.f(p))
+                assert abs(sum(terms)) <= 1e-12 * max(map(abs, terms)), (shape, p, th)
+        # f(0.5) = -1/2 and g = 1, so q = 1 / (1 + sqrt(1 + 2 A))
+        crit = YieldParams(M=1, pc=1, c=0, m=2, alpha=1, beta=1, gamma=0).criterion(A=A)
+        assert surface_q(0.5, 0.3, crit) == pytest.approx(1.0 / (1.0 + math.sqrt(1.0 + 2.0 * A)), rel=1e-14)
+
     def test_separable_theta_scaling(self):
         # q(p, theta) / q(p, pi/3) is independent of p for A = 0
         crit = SAND.criterion()
@@ -400,6 +416,25 @@ class TestYieldParams:
             YieldParams(M=1, pc=1, c=0, m=2, alpha=1, beta=2.5, gamma=0.5)
         YieldParams(M=1, pc=1, c=0, m=2, alpha=1, beta=2.3, gamma=0.5)
         YieldParams(M=1, pc=1, c=0, m=2, alpha=1, beta=3.9, gamma=0.0)
+
+    def test_g_positive_at_the_sector_ends_enforced(self):
+        # beta_bound(0) rounds to 4.000000000000001, inside the interval's
+        # tolerance band, but there g(0) is about -1.2e15
+        native = dict(M=1, pc=1, c=0, m=2, alpha=1, beta=beta_bound(0.0), gamma=0.0)
+        for build in (lambda: YieldParams(**native), lambda: criterion_from_dict(native)):
+            with pytest.raises(ValidationError, match="g\\(theta\\) is not positive"):
+                build()
+        assert YieldParams.unchecked(**native).beta == beta_bound(0.0)
+        # the interval messages stay as they were
+        with pytest.raises(ValidationError) as err:
+            YieldParams(**dict(native, beta=4.5))
+        assert str(err.value) == (
+            "beta=4.5 outside the convex interval [-2, 4] for gamma=0.0; "
+            "use YieldParams.unchecked to bypass"
+        )
+        with pytest.raises(ValidationError) as err:
+            criterion_from_dict(dict(native, beta=4.5, gamma=0.5))
+        assert str(err.value) == "beta=4.5 outside the convex interval for gamma=0.5"
 
     def test_unchecked_bypasses(self):
         p = YieldParams.unchecked(M=1, pc=1, c=0, m=2, alpha=1, beta=4.5, gamma=0.5)

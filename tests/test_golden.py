@@ -105,7 +105,7 @@ def test_fit_record_covers_both_jacobians_and_modes():
     assert len({case["dataset"] for case in cases}) == 14
     assert {case["mode"] for case in cases} == {"meridian_distance", "function_value"}
     assert {case["seed"] for case in cases} >= {0, 1}
-    # free parameters outside the meridian take the difference Jacobian
+    # free parameters outside the meridian take the shape's partials
     assert any("beta" in case["free"] for case in cases)
 
 

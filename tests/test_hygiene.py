@@ -7,6 +7,8 @@
 * Every module attribute that perfbench's tracer wraps by name exists.
 * ``convexity.py`` never switches on a shape or meridian class with
   ``isinstance``: each record states its own convexity condition.
+* Nor does ``calibration.py``: each record gives the partials and the
+  penalty terms that the fit's residuals read of it.
 """
 
 import ast
@@ -109,6 +111,10 @@ def _record_type_switches(text):
 
 def test_certify_has_no_record_type_switch():
     assert not _record_type_switches((SRC / "convexity.py").read_text(encoding="utf-8"))
+
+
+def test_fit_model_has_no_record_type_switch():
+    assert not _record_type_switches((SRC / "calibration.py").read_text(encoding="utf-8"))
 
 
 def test_record_type_switches_are_found():

@@ -3,8 +3,9 @@
 ``FitProblem.rows`` puts one row of free-parameter values per fit start
 into the criterion, and ``residual_vector`` then returns one row of
 residuals per start.  Those rows are checked against the one-criterion
-path bit for bit, and the batched closed-form Jacobian against
-``_cap_partials`` start by start.  The solver in ``yieldcrit.trf`` ports
+path bit for bit, the batched closed-form Jacobian against
+``_cap_partials`` start by start, and every parameter's column against
+central differences of the residuals.  The solver in ``yieldcrit.trf`` ports
 scipy's ``least_squares(method="trf", x_scale="jac")``; scipy, installed
 for the tests only, is its oracle, start by start.
 """
@@ -14,7 +15,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import least_squares
 
@@ -35,6 +36,7 @@ from yieldcrit import (
 )
 from yieldcrit import calibration, trf
 from yieldcrit.calibration import _SearchCoordinates, _cap_partials, _one_pass, residual_vector
+from yieldcrit.criterion import _params
 from test_acceptance import MERIDIAN_ROWS
 
 PI3 = math.pi / 3.0
@@ -205,13 +207,104 @@ def test_one_pass_model_equals_residual_vector_and_cap_partials(case):
             assert J[j].tobytes() == stacked.tobytes()
 
 
-def test_one_pass_model_has_no_jacobian_off_the_cap():
+def test_one_pass_model_has_a_jacobian_off_the_cap():
     template = YieldParams(M=0.8, pc=1.3, c=0.2, m=2.5, alpha=0.7, beta=1.0, gamma=0.3).criterion()
     dataset = meridian_dataset(CLAY)
     for free in (("M", "gamma"), ("A",), ("beta",)):
         problem = FitProblem(template=template, free=free)
         r, J = _one_pass(problem, dataset)(np.array([[problem.value_of(n) for n in free]]))
-        assert J is None and r.shape == (1, len(dataset))
+        assert r.shape == (1, len(dataset))
+        assert J.shape == r.shape + (len(free),) and np.all(np.isfinite(J))
+
+
+# Relative distance of a draw from a branch switch of the residuals: a cap
+# end, the linear apex, the linear penalty's scale or the largest two terms
+# of s0 = max(B q, |f|, floor).
+SWITCH_MARGIN = 1e-2
+
+
+def _clear_of(a, b):
+    """a and b differ by more than SWITCH_MARGIN relative to the larger."""
+    return np.all(np.abs(a - b) > SWITCH_MARGIN * np.maximum(np.abs(a), np.abs(b)))
+
+
+@st.composite
+def every_column_problems(draw):
+    """A template of any shape and meridian with every parameter it has
+    free, A = 0 or not, a mode, and points inside and outside the cap or
+    on both sides of the linear apex, away from the branch switches."""
+    kind = draw(st.sampled_from(["bp", "power-law", "willam-warnke", "gudehus-argyris"]))
+    if kind == "bp":
+        shape = CosineLode(beta=draw(st.floats(0.2, 1.8)), gamma=draw(st.floats(0.0, 0.9)))
+    elif kind == "power-law":
+        shape = PowerLaw(beta=draw(st.floats(0.0, 1.5)), n=draw(st.floats(0.5, 8.0)))
+    elif kind == "willam-warnke":
+        shape = WillamWarnke(e=draw(st.floats(0.55, 1.0)))
+    else:
+        shape = GudehusArgyris(k=draw(st.floats(0.8, 1.0)))
+    if draw(st.booleans()):
+        pc = draw(st.floats(0.1, 100.0))
+        meridian = CapMeridian(
+            # a small M keeps |f| under the floor 0.01 pc of s0 across the cap
+            M=draw(st.one_of(st.floats(0.005, 0.015), st.floats(0.2, 2.0))),
+            pc=pc,
+            c=draw(st.floats(0.0, 0.5)) * pc,
+            m=draw(st.floats(1.1, 6.0)),
+            alpha=draw(st.floats(0.05, 1.95)),
+        )
+        lo, hi = -meridian.c, meridian.pc
+    else:
+        meridian = LinearMeridian(Gamma=draw(st.floats(0.2, 2.0)), c=draw(st.floats(0.0, 3.0)))
+        lo, hi = -meridian.c, 2.0
+    span = hi - lo
+    A = draw(st.sampled_from([0.0, 0.1, 1.0])) / span
+    template = Criterion(meridian=meridian, shape=shape, A=A, B=draw(st.floats(0.5, 2.0)))
+    free = (*_params(type(meridian)), *_params(type(shape)), "A")
+    mode = draw(st.sampled_from(MODES))
+    problem = FitProblem(template=template, free=free, residual_mode=mode)
+    point = st.tuples(
+        st.floats(lo - 0.2 * span, hi + 0.2 * span), st.floats(0.0, span), st.floats(0.0, PI3)
+    )
+    # beyond either end of the cap, or beyond the apex of the linear
+    # meridian, and on the axis, where s0 is |f| or its floor
+    fixed = [
+        (lo - 0.1 * span, 0.1 * span, 0.3),
+        (hi + 0.1 * span, 0.2 * span, 0.7),
+        (lo + 0.5 * span, 0.0, 0.0),
+    ]
+    points = np.array(fixed + draw(st.lists(point, max_size=10)))
+    ends = (lo, hi) if isinstance(meridian, CapMeridian) else (lo,)
+    points = points[np.all([np.abs(points[:, 0] - e) > SWITCH_MARGIN * span for e in ends], axis=0)]
+    dataset = FitDataset(points=points, weights=np.ones(len(points)))
+    p, q, _ = points.T
+    if isinstance(meridian, LinearMeridian):
+        assume(_clear_of(meridian.c, np.mean(np.abs(p))))
+    if mode == "function_value":
+        f = meridian.f_array(p)
+        floor, _ = meridian._s0_floor(template.B * q)
+        top = np.sort(np.stack([template.B * q, np.abs(f), np.full_like(q, floor)]), axis=0)
+        finite = np.isfinite(f)
+        assume(_clear_of(top[2][finite], top[1][finite]))
+    return problem, dataset
+
+
+@settings(max_examples=200, deadline=None)
+@given(every_column_problems())
+def test_every_column_matches_central_differences(case):
+    problem, dataset = case
+    values = np.array([problem.value_of(n) for n in problem.free])
+    k = len(values)
+    h = 1e-5 * np.maximum(np.abs(values), 0.1)
+    rows = values + np.concatenate([np.zeros((1, k)), np.diag(h), -np.diag(h)])
+    r, J = _one_pass(problem, dataset)(rows)
+    assert np.all(np.isfinite(J[0]))
+    # the residuals round at about 1e-16 (1 + |r|), and the quotient divides that by h
+    rounding = 1e-14 * (1.0 + np.max(np.abs(r[0]))) / h
+    for j, name in enumerate(problem.free):
+        column = J[0, :, j]
+        difference = (r[1 + j] - r[1 + k + j]) / (2.0 * h[j])
+        err = np.max(np.abs(difference - column))
+        assert err <= 1e-6 * np.max(np.abs(column)) + rounding[j], (name, err, column)
 
 
 @pytest.mark.parametrize("mode", MODES)
@@ -421,3 +514,37 @@ def test_start_with_nonfinite_residuals_takes_no_step():
     assert (record.stop, record.evaluations, record.rms) == ("nonfinite", 1, math.inf)
     assert dict(result.values) == {"n": 1e-3}
     assert result.converged is False
+
+
+@pytest.mark.filterwarnings("ignore:divide by zero:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+def test_start_with_a_nonfinite_jacobian_takes_no_step():
+    # At n near 1e-3, g = (1 + beta (1 + cos 3t))^(-1/n) underflows for some
+    # theta: the meridian_distance residuals stay finite, but d(residual)/dg
+    # divides by g^2.  Such a start takes no step, as one with residuals
+    # that are not finite does, and the other starts find the truth.
+    truth = Criterion(
+        meridian=CapMeridian(M=0.8, pc=1.0, c=0.1, m=2.0, alpha=1.0), shape=PowerLaw(beta=0.5, n=3.0)
+    )
+    rows = [(p, surface_q(p, th, truth), th) for p in (0.2, 0.5, 0.7) for th in np.linspace(0, PI3, 5)]
+    dataset = FitDataset(points=np.array(rows), weights=np.ones(len(rows)))
+    for mode in MODES:
+        problem = FitProblem(template=truth, free=("beta", "n"), residual_mode=mode)
+        result = fit(problem, dataset, seed=0)
+        stuck = [s for s in result.starts if s.stop == "nonfinite"]
+        assert stuck and all(s.evaluations == 1 and dict(s.start)["n"] < 0.01 for s in stuck)
+        values = dict(result.values)
+        assert values == pytest.approx({"beta": 0.5, "n": 3.0}, rel=1e-6), mode
+
+
+def test_trial_with_a_nonfinite_jacobian_is_rejected():
+    # the minimum of (x - 2)^2 lies where the model has no Jacobian, so every
+    # trial that reaches past x = 1.5 is rejected and the start stops below it
+    def fun(x):
+        return x - 2.0, np.where(x > 1.5, np.nan, 1.0)[:, None, :]
+
+    x0 = np.array([[0.5]])
+    x, f, nfev, status = trf.solve(fun, x0, *fun(x0), np.array([0.0]), np.array([10.0]), 200)
+    assert 1.4 < x[0, 0] <= 1.5 and f[0, 0] == x[0, 0] - 2.0
+    assert 1 < nfev[0] < 200 and trf.STOPS[status[0]] != "budget"
+
