@@ -13,21 +13,11 @@ Points falling outside the elastic cap do not see the raw +inf of the
 meridian function; they get a finite penalty residual w (1 + dist) so the
 objective stays continuous for the optimizer.
 
-The search is the Trust Region Reflective method (:mod:`yieldcrit.trf`,
-an in-house port of scipy's ``trf``, Jacobian-scaled) on the box of
-parameter bounds itself.  It works in log(value) for a parameter whose
-positive bounds span more than a factor of 10 and in the value otherwise.
-Its Jacobian is closed-form: a residual reads the parameters only through
-f(p), g(theta) and A, so each column follows by the chain rule from the
-partials the meridian and shape records give.  Without an initial guess
-it runs seeded starts drawn uniformly in those coordinates, all in
-lockstep: each step is one model call that gives the residuals and the
-Jacobian of every start in one array evaluation, with the free
-parameters as columns of the criterion (:meth:`FitProblem.rows`).  A
-start whose initial residuals or Jacobian are not finite takes no step;
-there is no fallback search.  A fit reports ``converged`` only for a
-convex result that, with several starts, at least two starts agree on.
-Fits are deterministic given (dataset, init, seed).
+:func:`fit` runs the Trust Region Reflective method of :mod:`yieldcrit.trf`
+from all its starts in lockstep.  Each step is one :func:`_model` call that
+gives the residuals and the closed-form Jacobian of every start, with the
+free parameters as columns of the criterion (:meth:`FitProblem.rows`).
+There is no fallback search.
 """
 
 from __future__ import annotations
@@ -204,6 +194,10 @@ class FitProblem:
             raise ValidationError(f"no free parameters to fit; choose from {FITTABLE}")
         if len(set(free)) != len(free):
             raise ValidationError(f"duplicate free parameters in {free}")
+        # the record of the template that holds each name, found once
+        t = self.template
+        homes = {n: w for w in ("shape", "meridian") for n in _params(type(getattr(t, w)))}
+        object.__setattr__(self, "_homes", {**homes, "A": "criterion"})
         for name in free:
             if name not in FITTABLE:
                 raise ValidationError(f"unknown parameter {name!r}; choose from {FITTABLE}")
@@ -225,12 +219,9 @@ class FitProblem:
 
     def _locate(self, name: str) -> str:
         """The record of the template that holds ``name``: meridian, shape or criterion."""
-        for where in ("meridian", "shape"):
-            if name in _params(type(getattr(self.template, where))):
-                return where
-        if name == "A":
-            return "criterion"
-        raise ValidationError(f"parameter {name!r} does not apply to this template")
+        if name not in self._homes:
+            raise ValidationError(f"parameter {name!r} does not apply to this template")
+        return self._homes[name]
 
     def bound_of(self, name: str) -> tuple[float, float]:
         for key, interval in self.bounds:
@@ -276,12 +267,8 @@ class FitProblem:
         for name, value in values.items():
             changes[self._locate(name)][name] = value
         t = self.template
-        return rebuild(
-            t,
-            meridian=rebuild(t.meridian, **changes["meridian"]),
-            shape=rebuild(t.shape, **changes["shape"]),
-            **changes["criterion"],
-        )
+        records = {w: rebuild(getattr(t, w), **changes[w]) for w in ("meridian", "shape") if changes[w]}
+        return rebuild(t, **records, **changes["criterion"])
 
 
 def _unvalidated(record, **fields):
@@ -294,13 +281,13 @@ def _unvalidated(record, **fields):
 # ---------------------------------------------------------------------------
 
 
-def _columns(dataset: FitDataset, shape=None) -> tuple:
-    """(p, q, theta, weights, mean(q) or 1 where it is not positive, and
-    g(theta) of ``shape`` or None): what the residuals read of a dataset."""
+def _columns(dataset: FitDataset) -> tuple:
+    """(p, q, theta, weights, mean(q) or 1 where it is not positive, and a dict
+    where :func:`_model` keeps what the free names leave fixed): what the
+    residuals read of a dataset, for one template and one set of free names."""
     p, q, th = dataset.points.T
     qbar = float(np.mean(q))
-    g = None if shape is None else shape.g(th)
-    return p, q, th, dataset.weights, qbar if qbar > 0.0 else 1.0, g
+    return p, q, th, dataset.weights, qbar if qbar > 0.0 else 1.0, {}
 
 
 def _model(crit: Criterion, data: tuple, mode: str, names=()):
@@ -315,26 +302,36 @@ def _model(crit: Criterion, data: tuple, mode: str, names=()):
     row of values."""
     if mode not in ("meridian_distance", "function_value"):
         raise ValidationError(f"unknown residual mode {mode!r}")
-    p, q, th, w, qbar, g = data
-    g = crit.shape.g(th) if g is None else g
+    p, q, th, w, qbar, kept = data
     mer, shape = crit.meridian, crit.shape
     of_shape = [n for n in names if n in _params(type(shape))]
-    f, dist, df, ddist = mer._fit_terms(p, [n for n in names if n in _params(type(mer))])
-    penalty = w * (1.0 + dist)
+    of_mer = [n for n in names if n in _params(type(mer))]
+    # what no free name moves is the same at every call with this data
+    if of_shape or "g" not in kept:
+        kept["g"] = shape.g(th)
+    if any(n in mer._place_fields for n in of_mer) or "place" not in kept:
+        kept["place"] = mer._fit_place(p, of_mer)
+    g, (at, (dist, ddist)) = kept["g"], kept["place"]
+    f, df = mer._fit_terms(at, of_mer)
     if mode == "meridian_distance":
         # the surface radius is NaN where it does not exist
         qs = _surface_q_body(f, g, crit, np)
         outside = np.isnan(qs)
         qs = np.where(outside, 0.0, qs)
-        r = np.where(outside, penalty, w * (q - qs) / qbar)
+        r = w * (q - qs) / qbar
     else:
         outside = ~np.isfinite(f)
         f = np.where(outside, 0.0, f)
         bq = crit.B * q
         floor, dfloor = mer._s0_floor(bq)
         F = _yield_body(f, q, g, False, crit, np)
-        s0 = np.maximum(np.maximum(bq, np.abs(f)), floor)
-        r = np.where(outside, penalty, w * F / s0)
+        abs_f = np.abs(f)
+        s0 = np.maximum(np.maximum(bq, abs_f), floor)
+        r = w * F / s0
+    off = outside.any()
+    if off:
+        # there the residual is the penalty w (1 + dist)
+        r = np.where(outside, w * (1.0 + dist), r)
     if not names:
         return r, None
 
@@ -348,24 +345,22 @@ def _model(crit: Criterion, data: tuple, mode: str, names=()):
         # r = w F / s0, and s0 = max(B q, |f|, floor) moves with the largest
         unit, at = w / s0, q
         r_s0 = F / s0
-        on_f = (np.abs(f) >= bq) & (np.abs(f) >= floor)
+        on_f = (abs_f >= bq) & (abs_f >= floor)
         r_f = unit * (1.0 - np.where(on_f, np.sign(f) * r_s0, 0.0))
     cols = {n: r_f * df[n] for n in names if n in df}
     if of_shape:
-        # where g underflows, r_g and so the column are not finite; trf
-        # then treats the point as one with residuals that are not finite
-        with np.errstate(divide="ignore", invalid="ignore"):
-            r_g = -unit * crit.B * at / (g * g)
-            dg = shape._partials(th)
-            cols.update((n, r_g * dg[n]) for n in of_shape)
+        # where g underflows, r_g and so the column are not finite; the
+        # search treats the point as one with residuals that are not finite
+        r_g = -unit * crit.B * at / (g * g)
+        dg = shape._partials(th)
+        cols.update((n, r_g * dg[n]) for n in of_shape)
     if "A" in names:
         cols["A"] = unit * at * at
     if mode == "function_value":
         for n in dfloor.keys() & cols.keys():
-            at_floor = floor > np.maximum(bq, np.abs(f))
+            at_floor = floor > np.maximum(bq, abs_f)
             cols[n] = cols[n] + np.where(at_floor, -dfloor[n] * w * r_s0 / s0, 0.0)
-    if outside.any():
-        # there the residual is the penalty w (1 + dist)
+    if off:
         cols = {n: np.where(outside, w * ddist[n] if n in ddist else 0.0, cols[n]) for n in names}
     return r, cols
 
@@ -373,13 +368,7 @@ def _model(crit: Criterion, data: tuple, mode: str, names=()):
 def residual_vector(crit: Criterion, dataset: FitDataset, mode: str) -> np.ndarray:
     """Weighted, normalized residuals of a criterion against a dataset, one
     row per row of values for a criterion from :meth:`FitProblem.rows`."""
-    return _model(crit, _columns(dataset, crit.shape), mode)[0]
-
-
-def _cap_partials(crit: Criterion, dataset: FitDataset, mode: str, names) -> dict:
-    """Closed-form d(residual)/d(name) for the named parameters, from the
-    pass that gives :func:`residual_vector` (see :func:`_model`)."""
-    return _model(crit, _columns(dataset, crit.shape), mode, names)[1]
+    return _model(crit, _columns(dataset), mode)[0]
 
 
 def residuals(problem: FitProblem, params: Mapping[str, float], dataset: FitDataset) -> np.ndarray:
@@ -465,23 +454,24 @@ class _SearchCoordinates:
         """Parameter values, clipped so that rounding in exp stays in bounds."""
         v = np.array(u, dtype=float)
         v[:, self.logs] = np.exp(v[:, self.logs])
-        return np.clip(v, self.lo, self.hi)
+        return np.minimum(np.maximum(v, self.lo), self.hi)
 
 
-def _one_pass(problem: FitProblem, dataset: FitDataset):
+def _one_pass(problem: FitProblem, dataset: FitDataset, logs):
     """The fit's model: (n, k) values to their (n, m) residuals and their
     (n, m, k) Jacobian, in one :func:`_model` pass over dataset columns read
-    once here."""
+    once here.  The column of a free name in ``logs`` is the derivative by
+    log(value), the search coordinate of that name."""
     names, mode = problem.free, problem.residual_mode
-    shape_free = any(problem._locate(n) == "shape" for n in names)
-    data = _columns(dataset, None if shape_free else problem.template.shape)
+    data = _columns(dataset)
+    by_log = [name in logs for name in names]
 
     def model(v: np.ndarray):
         r, cols = _model(problem.rows(v), data, mode, names)
-        r = np.broadcast_to(r, (len(v), len(dataset)))
         J = np.empty(r.shape + (len(names),))
         for j, name in enumerate(names):
-            J[:, :, j] = cols[name]
+            # the chain rule d/du = v d/dv for u = log(v); 1.0 is exact
+            np.multiply(cols[name], v[:, j : j + 1] if by_log[j] else 1.0, out=J[:, :, j])
         return r, J
 
     return model
@@ -529,13 +519,10 @@ def fit(
     lo = np.array([problem.bound_of(n)[0] for n in names])
     hi = np.array([problem.bound_of(n)[1] for n in names])
     box = _SearchCoordinates(lo, hi)
-    model = _one_pass(problem, dataset)
+    model = _one_pass(problem, dataset, [n for n, log in zip(names, box.logs) if log])
 
     def fun(u: np.ndarray):
-        v = box.values(u)
-        r, J = model(v)
-        # chain rule d/du = v d/dv on the log coordinates
-        return r, J * np.where(box.logs, v, 1.0)[:, None, :]
+        return model(box.values(u))
 
     if init is not None:
         missing = [n for n in names if n not in init]
@@ -549,31 +536,33 @@ def fit(
         rng = np.random.default_rng(seed)
         u0 = box.ulo + (box.uhi - box.ulo) * rng.uniform(0.05, 0.95, size=(n_starts, k))
         v0 = box.values(u0)
-    f0, J0 = fun(u0)
-    # init is clipped to its bounds and may move inside them for the search
-    r0 = f0 if init is None else model(v0)[0]
-
     n = len(u0)
-    rms = _rms(r0)
-    rms[np.isnan(rms)] = np.inf
     v, nfev = v0.copy(), np.ones(n, dtype=int)
     stops = ["nonfinite"] * n
     improved = np.zeros(n, dtype=bool)
-    ok = np.flatnonzero(np.all(np.isfinite(f0), axis=1) & np.all(np.isfinite(J0), axis=(1, 2)))
-    if ok.size:
-        x, f, nfev[ok], status = trf.solve(fun, u0[ok], f0[ok], J0[ok], box.ulo, box.uhi, _MAX_STEPS)
-        for j, code in zip(ok, status):
-            stops[j] = trf.STOPS[code]
-        rms1 = _rms(f)
-        improved[ok] = won = rms1 <= rms[ok]
-        rms[ok[won]], v[ok[won]] = rms1[won], box.values(x[won])
+    # A start or trial point may overflow, divide by an underflowed g or
+    # meet inf - inf; the search treats it as not finite, so the warnings
+    # stay inside, from the first model call to the agreement test.
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        f0, J0 = fun(u0)
+        # init is clipped to its bounds and may move inside them for the search
+        r0 = f0 if init is None else model(v0)[0]
+        rms = _rms(r0)
+        rms[np.isnan(rms)] = np.inf
+        ok = np.flatnonzero(np.all(np.isfinite(f0), axis=1) & np.all(np.isfinite(J0), axis=(1, 2)))
+        if ok.size:
+            x, f, nfev[ok], status = trf.solve(fun, u0[ok], f0[ok], J0[ok], box.ulo, box.uhi, _MAX_STEPS)
+            for j, code in zip(ok, status):
+                stops[j] = trf.STOPS[code]
+            rms1 = _rms(f)
+            improved[ok] = won = rms1 <= rms[ok]
+            rms[ok[won]], v[ok[won]] = rms1[won], box.values(x[won])
+        best = int(np.argmin(rms))
+        agree = (rms == rms[best]) | (np.abs(rms - rms[best]) <= 1e-10 + 1e-6 * rms[best])
 
-    best = int(np.argmin(rms))
     values = {name: float(x) for name, x in zip(names, v[best])}
     crit = problem.with_values(values)
     report = certify(crit)
-    with np.errstate(invalid="ignore"):  # inf - inf where no start had finite residuals
-        agree = (rms == rms[best]) | (np.abs(rms - rms[best]) <= 1e-10 + 1e-6 * rms[best])
     n_agree = int(np.sum(agree))
     single = bool(improved[0]) and stops[0] not in ("budget", "nonfinite")
     converged = n_agree >= 2 if n > 1 else single

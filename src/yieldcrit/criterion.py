@@ -470,8 +470,10 @@ class _Meridian:
     """f(p) for a float and f_array(p) for an array, over one body ``_f(p, xp)``;
     ``kind`` names it in the dict form and ``scale`` is its stress scale.
     ``convexity()`` gives its exact convexity condition as (ok, signed
-    margin, witness Phi, note or None), like a shape's.  ``_fit_terms`` and
-    ``_s0_floor`` give what the fit's residuals read of it, with partials."""
+    margin, witness Phi, note or None), like a shape's.  For the fit, over an
+    array of p: ``_fit_place`` gives what p and the ``_place_fields`` fix,
+    then the penalty's distance outside the meridian and its partials;
+    ``_fit_terms`` gives f and df from it; ``_s0_floor`` the floor of s0."""
 
     def f(self, p: float) -> float:
         """Meridian value; +inf outside a cap, DomainError for NaN p."""
@@ -518,48 +520,60 @@ class CapMeridian(_Meridian):
     def phi(self, p: float) -> float:
         return (p + self.c) / (self.pc + self.c)
 
-    def _body(self, p, xp):
-        """(Phi, Phi in [0, 1], ph = Phi there and 0.5 elsewhere, ph^m, h(ph),
-        sqrt(h) clipped at 0): what f and the fit's derivatives share."""
+    _place_fields = ("pc", "c")
+
+    def _place(self, p, xp):
+        """(Phi, Phi in [0, 1], ph = Phi there and 0.5 elsewhere)."""
         phi = self.phi(p)
         inside = (phi >= 0.0) & (phi <= 1.0)
-        ph = xp.where(inside, phi, 0.5)
-        phm = ph**self.m
-        h = (ph - phm) * (2.0 * (1.0 - self.alpha) * ph + self.alpha)
-        return phi, inside, ph, phm, h, xp.sqrt(xp.maximum(0.0, h))
+        return phi, inside, xp.where(inside, phi, 0.5)
 
     def _f(self, p, xp):
-        _, inside, _, _, _, root = self._body(p, xp)
+        _, inside, ph = self._place(p, xp)
+        root = xp.sqrt(xp.maximum(0.0, cap_h(ph, self.m, self.alpha)))
         return xp.where(inside, -self.M * self.pc * root, math.inf)
 
-    def _fit_terms(self, p, names=()):
-        """f (+inf outside the cap), the penalty's dist(Phi, [0, 1]) and, for each
-        of ``names``, df and d(dist) over it with the branch held fixed (df is 0
-        where h = 0, at a cap end): one ``_body`` pass over an array of p."""
-        phi, inside, ph, phm, h, root = self._body(p, np)
-        f = np.where(inside, -self.M * self.pc * root, math.inf)
-        dist = np.maximum(0.0, np.maximum(-phi, phi - 1.0))
-        df, ddist = {}, {}
+    def _fit_place(self, p, names):
+        """((inside, ph, ln ph or None, 1 - 2 ph or None), (dist(Phi, [0, 1]),
+        d(dist))): ln ph (0 where ph = 0) if m is in ``names``, 1 - 2 ph if alpha is."""
+        phi, inside, ph = self._place(p, np)
+        ln_ph = np.log(np.where(ph > 0.0, ph, 1.0)) if "m" in names else None
+        tilt = 1.0 - 2.0 * ph if "alpha" in names else None
+        ddist = {}
+        if "pc" in names or "c" in names:
+            side = np.where(phi < 0.0, -1.0, 1.0)
+            ddist["pc"] = side * (-phi / self.scale)
+            ddist["c"] = side * ((1.0 - phi) / self.scale)
+        return (inside, ph, ln_ph, tilt), (np.maximum(0.0, np.maximum(-phi, phi - 1.0)), ddist)
+
+    def _fit_terms(self, at, names):
+        """f (+inf outside the cap) and, for each of ``names``, df with the
+        branch held fixed (0 where h = 0, at a cap end), sharing h's factors."""
+        inside, ph, ln_ph, tilt = at
+        phm = ph**self.m
+        d = ph - phm
+        lin = 2.0 * (1.0 - self.alpha) * ph + self.alpha
+        h = d * lin
+        root = np.sqrt(np.maximum(0.0, h))
+        Mpc = -self.M * self.pc
+        f = np.where(inside, Mpc * root, math.inf)
+        df = {}
         if not names:
-            return f, dist, df, ddist
-        span = self.pc + self.c
+            return f, df
         # df/dh = -M pc / (2 sqrt h), set to 0 where h <= 0
-        f_h = np.where(h > 0.0, -self.M * self.pc / (2.0 * np.where(h > 0.0, root, 1.0)), 0.0)
+        positive = h > 0.0
+        f_h = np.where(positive, Mpc / (2.0 * np.where(positive, root, 1.0)), 0.0)
         if "M" in names:
             df["M"] = -self.pc * root
         if "pc" in names or "c" in names:
-            f_phi = f_h * cap_h1(ph, self.m, self.alpha) / span
+            f_phi = f_h * cap_h1(ph, self.m, self.alpha) / self.scale
             df["pc"] = -self.M * root - f_phi * ph
             df["c"] = f_phi * (1.0 - ph)
-            side = np.where(phi < 0.0, -1.0, 1.0)
-            ddist["pc"] = side * (-phi / span)
-            ddist["c"] = side * ((1.0 - phi) / span)
         if "m" in names:
-            lin = 2.0 * (1.0 - self.alpha) * ph + self.alpha
-            df["m"] = -f_h * phm * np.log(np.where(ph > 0.0, ph, 1.0)) * lin
+            df["m"] = -f_h * phm * ln_ph * lin
         if "alpha" in names:
-            df["alpha"] = f_h * (ph - phm) * (1.0 - 2.0 * ph)
-        return f, dist, df, ddist
+            df["alpha"] = f_h * d * tilt
+        return f, df
 
     def _s0_floor(self, bq):
         """The floor 0.01 pc of s0 = max(B q, |f|, floor) and its partials."""
@@ -607,16 +621,21 @@ class LinearMeridian(_Meridian):
     def df(self, p: float) -> float:
         return -self.Gamma
 
-    def _fit_terms(self, p, names=()):
-        """As the cap's; beyond the apex the penalty grows with dist = -(p + c) /
-        scale, scale = max(c, mean |p|), and d(dist)/dc holds the max's branch."""
-        f = self._f(p, np)
+    _place_fields = ("c",)
+
+    def _fit_place(self, p, names):
+        """As the cap's: (p + c,) and, beyond the apex, dist = -(p + c) / scale,
+        scale = max(c, mean |p|), with d(dist)/dc holding the max's branch."""
+        s = p + self.c
         scale = np.maximum(np.maximum(self.c, np.mean(np.abs(p))), 1e-30)
-        dist = np.maximum(0.0, -(p + self.c)) / scale
+        dist = np.maximum(0.0, -s) / scale
         # where the scale is c itself, d(dist)/dc = -(1 + dist) / c
         on_c = np.where(scale == self.c, dist, 0.0)
-        ddist = {"c": np.where(dist > 0.0, -(1.0 + on_c) / scale, 0.0)}
-        return f, dist, {"Gamma": -(p + self.c), "c": -self.Gamma}, ddist
+        return (s,), (dist, {"c": np.where(dist > 0.0, -(1.0 + on_c) / scale, 0.0)})
+
+    def _fit_terms(self, at, names):
+        """As the cap's: f = -Gamma (p + c), df/dGamma and df/dc."""
+        return -self.Gamma * at[0], {"Gamma": -at[0], "c": -self.Gamma}
 
     def _s0_floor(self, bq):
         """The floor 0.01 mean(B q) of s0 = max(B q, |f|, floor); no partials."""

@@ -36,7 +36,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .criterion import CapMeridian, Criterion, _yield_body, surface_q_array, yield_value
-from .criterion import yield_value_array
 # Unused here; kept because perfbench's --trace 1 wraps sections.surface_q and .invariants by name.
 from .criterion import surface_q  # noqa: F401
 from .errors import (
@@ -47,7 +46,7 @@ from .errors import (
     UnboundedDomain,
     ValidationError,
 )
-from .invariants import _THETA_MAX, FLOAT, STRESS_MAX, _invariant_body, _principal
+from .invariants import _THETA_MAX, FLOAT, STRESS_MAX, _check_stress, _invariant_body, _principal
 from .invariants import invariants  # noqa: F401
 
 
@@ -158,8 +157,13 @@ def sample_deviatoric(
 
 
 def _slice_F(crit: Criterion, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """F at the points (x, y, 0) of the sigma3 = 0 slice, in one batch."""
-    return yield_value_array(np.column_stack([x, y, np.zeros_like(x)]), crit)
+    """F at the points (x, y, 0) of the sigma3 = 0 slice, in one batch, with
+    the DomainError of :func:`yield_value_array` for a stress past STRESS_MAX."""
+    # the largest magnitude is NaN if any component is
+    if not np.maximum.reduce(np.abs(np.concatenate((x, y))), initial=0.0) <= STRESS_MAX:
+        _check_stress(np.column_stack([x, y, np.zeros_like(x)]))
+    p, q, theta, hydrostatic = _invariant_body(x, y, 0.0, np)
+    return _yield_body(crit.meridian.f_array(p), q, crit.shape.g(theta), hydrostatic, crit, np)
 
 
 def _biaxial_center(crit: Criterion) -> tuple[float, float]:

@@ -14,6 +14,10 @@ count and stop test, but all of them advance in lockstep: each step makes
 one model call over the trial points of the starts still running (their
 residuals and Jacobians) and one stacked SVD.  A start leaves the batch
 when its own stop test fires.
+
+Overflow, division by zero and invalid values are expected in the search,
+so :func:`solve` runs its loop, model calls included, in one ``np.errstate``
+scope that ignores them; the functions it calls open none of their own.
 """
 
 from __future__ import annotations
@@ -49,18 +53,13 @@ def _rmatvec(J, f):
 
 
 def strictly_feasible(x, lb, ub, rstep):
-    """Rows of x with every component on or beyond a bound moved just inside
-    it: by rstep max(1, |bound|), or by one ulp when rstep is 0."""
-    if rstep == 0:
-        lower, upper = x <= lb, x >= ub
-        inner_lb, inner_ub = np.nextafter(lb, ub), np.nextafter(ub, lb)
-    else:
-        lb_dist, ub_dist = x - lb, ub - x
-        lb_step, ub_step = rstep * np.maximum(1, abs(lb)), rstep * np.maximum(1, abs(ub))
-        lower = lb_dist <= np.minimum(ub_dist, lb_step)
-        upper = ub_dist <= np.minimum(lb_dist, ub_step)
-        inner_lb, inner_ub = lb + lb_step, ub - ub_step
-    x = np.where(upper, inner_ub, np.where(lower, inner_lb, x))
+    """Rows of x with every component within rstep max(1, |bound|) of a
+    bound, or beyond it, moved that far inside it."""
+    lb_dist, ub_dist = x - lb, ub - x
+    lb_step, ub_step = rstep * np.maximum(1, abs(lb)), rstep * np.maximum(1, abs(ub))
+    lower = lb_dist <= np.minimum(ub_dist, lb_step)
+    upper = ub_dist <= np.minimum(lb_dist, ub_step)
+    x = np.where(upper, ub - ub_step, np.where(lower, lb + lb_step, x))
     return np.where((x < lb) | (x > ub), 0.5 * (lb + ub), x)
 
 
@@ -69,9 +68,8 @@ def _to_bound(x, s, lb, ub):
     on the components that reach a bound there."""
     moving = s != 0
     s_safe = np.where(moving, s, 1.0)
-    with np.errstate(over="ignore"):
-        t = np.where(moving, np.maximum((lb - x) / s_safe, (ub - x) / s_safe), np.inf)
-    t_min = t.min(axis=1)
+    t = np.where(moving, np.maximum((lb - x) / s_safe, (ub - x) / s_safe), np.inf)
+    t_min = np.minimum.reduce(t, axis=1)
     return t_min, (t == t_min[:, None]) * np.sign(s)
 
 
@@ -95,9 +93,8 @@ def _minimize_1d(a, b, lo, hi, c):
     y = t * (a * t + b) + c
     y_hi = hi * (a * hi + b) + c
     t, y = np.where(y_hi < y, hi, t), np.where(y_hi < y, y_hi, y)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        vertex = -0.5 * b / a
-        y_vertex = vertex * (a * vertex + b) + c
+    vertex = -0.5 * b / a
+    y_vertex = vertex * (a * vertex + b) + c
     take = (a != 0) & (lo < vertex) & (vertex < hi) & (y_vertex < y)
     return np.where(take, vertex, t), np.where(take, y_vertex, y)
 
@@ -106,9 +103,8 @@ def _far_crossing(x, s, Delta):
     """Larger t with ||x + t s|| = Delta, per row (x inside the region)."""
     a, b = _dot(s, s), _dot(x, s)
     c = _dot(x, x) - Delta**2
-    with np.errstate(divide="ignore", invalid="ignore"):
-        q = -(b + np.copysign(np.sqrt(b * b - a * c), b))
-        return np.maximum(q / a, c / q)
+    q = -(b + np.copysign(np.sqrt(b * b - a * c), b))
+    return np.maximum(q / a, c / q)
 
 
 def _subproblem(m, uf, s, V, Delta, alpha):
@@ -116,24 +112,23 @@ def _subproblem(m, uf, s, V, Delta, alpha):
     SVD of the augmented J_h, and its Levenberg-Marquardt parameter."""
     suf = s * uf
     full_rank = s[:, -1] > EPS * m * s[:, 0]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        p = -_matvec(V, uf / s)
+    p = -_matvec(V, uf / s)
     inside = full_rank & (_norm(p) <= Delta)
     alpha = np.where(inside, 0.0, alpha)
-    i = np.flatnonzero(~inside)
+    i = (~inside).nonzero()[0]
     if not i.size:
         return p, alpha
     suf, s, V, Delta, full_rank = suf[i], s[i], V[i], Delta[i], full_rank[i]
+    s2, suf2 = s**2, suf**2
 
     def phi(al):
-        denom = s**2 + al[:, None]
+        denom = s2 + al[:, None]
         p_norm = _norm(suf / denom)
-        return p_norm - Delta, -np.sum(suf**2 / denom**3, axis=1) / p_norm
+        return p_norm - Delta, -np.add.reduce(suf2 / denom**3, axis=1) / p_norm
 
     upper = _norm(suf) / Delta
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ph, dph = phi(np.zeros(i.size))
-        lower = np.where(full_rank, -ph / dph, 0.0)
+    ph, dph = phi(np.zeros(i.size))
+    lower = np.where(full_rank, -ph / dph, 0.0)
     al = alpha[i]
     al = np.where(~full_rank & (al == 0), np.maximum(0.001 * upper, np.sqrt(lower * upper)), al)
     going = np.ones(i.size, dtype=bool)
@@ -148,7 +143,7 @@ def _subproblem(m, uf, s, V, Delta, alpha):
         going &= ~(np.abs(ph) < 0.01 * Delta)
         if not going.any():
             break
-    pi = -_matvec(V, suf / (s**2 + al[:, None]))
+    pi = -_matvec(V, suf / (s2 + al[:, None]))
     p[i] = pi * (Delta / _norm(pi))[:, None]
     alpha[i] = al
     return p, alpha
@@ -161,7 +156,8 @@ def _select_step(x, J_h, diag_h, g_h, p, p_h, d, Delta, lb, ub, theta):
     and the reduction the model predicts for it."""
     a, b, _ = _quadratic_1d(J_h, g_h, p_h, diag_h)
     predicted = -(a + b)
-    out = np.flatnonzero(~np.all((x + p >= lb) & (x + p <= ub), axis=1))
+    x_p = x + p
+    out = (~np.logical_and.reduce((x_p >= lb) & (x_p <= ub), axis=1)).nonzero()[0]
     if not out.size:
         return p, p_h, predicted
     step, step_h = p.copy(), p_h.copy()
@@ -176,8 +172,7 @@ def _select_step(x, J_h, diag_h, g_h, p, p_h, d, Delta, lb, ub, theta):
     to_bound, _ = _to_bound(x + p, r, lb, ub)
     r_stride = np.minimum(to_bound, to_tr)
     positive = r_stride > 0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        r_lo = np.where(positive, (1 - theta) * p_stride / r_stride, 0.0)
+    r_lo = np.where(positive, (1 - theta) * p_stride / r_stride, 0.0)
     r_hi = np.where(positive, np.where(r_stride == to_bound, theta * to_bound, to_tr), -1.0)
     a, b, c = _quadratic_1d(J_h, g_h, r_h, diag_h, p_h)
     t, r_value = _minimize_1d(a, b, r_lo, r_hi, c)
@@ -229,7 +224,8 @@ def solve(fun, x0, f0, J0, lb, ub, max_nfev):
     """Run trf from every row of ``x0`` on the box [lb, ub], all in lockstep.
 
     ``fun`` maps an (n, k) array of points to their (n, m) residuals and
-    their (n, m, k) Jacobians.  Every row of ``x0`` lies strictly inside the
+    their (n, m, k) Jacobians, as new arrays that solve may keep and write
+    to.  Every row of ``x0`` lies strictly inside the
     box and has finite residuals ``f0`` and Jacobians ``J0``; a trial point
     whose residuals or Jacobian are not finite is rejected.  A start stops
     at its own stop test, or once it has made ``max_nfev`` trial
@@ -256,52 +252,58 @@ def solve(fun, x0, f0, J0, lb, ub, max_nfev):
     alpha = np.zeros(n)
     nfev = np.ones(n, dtype=int)
     status = np.full(n, -1)
-    eye = np.eye(k)
+    # trial points on or beyond a bound move one ulp inside it
+    inner_lb, inner_ub = np.nextafter(lb, ub), np.nextafter(ub, lb)
+    # each start's [J_h; diag(sqrt(diag_h))], zero off the lower diagonal
+    aug = np.zeros((n, m + k, k))
 
-    while True:
-        # The head of trf's outer loop.  A start whose last trial was
-        # rejected passes it again with the same x, g and J: its gtol test
-        # fails as before, and its scaled problem comes out the same.
-        v, dv = _cl_scaling(x, g, lb, ub)
-        g_norm = np.max(np.abs(g * v), axis=1)
-        status[g_norm < TOL] = 1
-        done = (status >= 0) | (nfev == max_nfev)
-        if done.any():
-            status[done & (status < 0)] = 0
-            for o, a in zip(out, (x, f, nfev, status)):
-                o[rows[done]] = a[done]
-            keep = ~done
-            if not keep.any():
-                return out
-            rows, x, f, cost, J, g, scale_inv = (
-                a[keep] for a in (rows, x, f, cost, J, g, scale_inv)
-            )
-            Delta, alpha, nfev, status, v, dv, g_norm = (
-                a[keep] for a in (Delta, alpha, nfev, status, v, dv, g_norm)
-            )
-        v = np.where(dv != 0, v * scale_inv, v)
-        scale = 1 / scale_inv
-        d = v**0.5 * scale
-        diag_h = g * dv * scale
-        g_h = d * g
-        J_h = J * d[:, None, :]
-        aug = np.concatenate([J_h, np.sqrt(diag_h)[:, :, None] * eye], axis=1)
-        U, sv, Vt = np.linalg.svd(aug, full_matrices=False)
-        uf = _rmatvec(U[:, :m], f)
-        theta = np.maximum(0.995, 1 - g_norm)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        while True:
+            # The head of trf's outer loop.  A start whose last trial was
+            # rejected passes it again with the same x, g and J: its gtol
+            # test fails as before, and its scaled problem comes out the same.
+            v, dv = _cl_scaling(x, g, lb, ub)
+            g_norm = np.maximum.reduce(np.abs(g * v), axis=1)
+            status[g_norm < TOL] = 1
+            done = (status >= 0) | (nfev == max_nfev)
+            if done.any():
+                status[done & (status < 0)] = 0
+                for o, a in zip(out, (x, f, nfev, status)):
+                    o[rows[done]] = a[done]
+                keep = ~done
+                if not keep.any():
+                    return out
+                rows, x, f, cost, J, g, scale_inv, aug = (
+                    a[keep] for a in (rows, x, f, cost, J, g, scale_inv, aug)
+                )
+                Delta, alpha, nfev, status, v, dv, g_norm = (
+                    a[keep] for a in (Delta, alpha, nfev, status, v, dv, g_norm)
+                )
+            v = np.where(dv != 0, v * scale_inv, v)
+            scale = 1 / scale_inv
+            d = v**0.5 * scale
+            diag_h = g * dv * scale
+            g_h = d * g
+            J_h = np.multiply(J, d[:, None, :], out=aug[:, :m])
+            aug.reshape(len(aug), -1)[:, m * k :: k + 1] = np.sqrt(diag_h)
+            U, sv, Vt = np.linalg.svd(aug, full_matrices=False)
+            uf = _rmatvec(U[:, :m], f)
+            theta = np.maximum(0.995, 1 - g_norm)
 
-        # one trial step for every start
-        p_h, alpha = _subproblem(m, uf, sv, Vt.transpose(0, 2, 1), Delta, alpha)
-        step, step_h, predicted = _select_step(
-            x, J_h, diag_h, g_h, d * p_h, p_h, d, Delta, lb, ub, theta
-        )
-        x_new = strictly_feasible(x + step, lb, ub, 0)
-        f_new, J_new = fun(x_new)
-        nfev += 1
-        step_h_norm = _norm(step_h)
-        # an entry of J that is not finite makes its row's sum not finite
-        finite = np.all(np.isfinite(f_new), axis=1) & np.isfinite(J_new.sum(axis=(1, 2)))
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            # one trial step for every start
+            p_h, alpha = _subproblem(m, uf, sv, Vt.transpose(0, 2, 1), Delta, alpha)
+            step, step_h, predicted = _select_step(
+                x, J_h, diag_h, g_h, d * p_h, p_h, d, Delta, lb, ub, theta
+            )
+            x_new = x + step
+            x_new = np.where(x_new >= ub, inner_ub, np.where(x_new <= lb, inner_lb, x_new))
+            f_new, J_new = fun(x_new)
+            nfev += 1
+            step_h_norm = _norm(step_h)
+            # an entry of J that is not finite makes its row's sum not finite
+            finite = np.logical_and.reduce(np.isfinite(f_new), axis=1) & np.isfinite(
+                np.add.reduce(J_new, axis=(1, 2))
+            )
             cost_new = 0.5 * _dot(f_new, f_new)
             reduction = cost - cost_new
             ratio = np.where(
@@ -319,12 +321,18 @@ def solve(fun, x0, f0, J0, lb, ub, max_nfev):
             going = finite & (ended < 0)
             # a trial whose residuals or Jacobian are not finite only shrinks the radius
             alpha = np.where(going, alpha * Delta / Delta_new, alpha)
-        Delta = np.where(going, Delta_new, np.where(finite, Delta, 0.25 * step_h_norm))
-        status = np.maximum(status, ended)
+            Delta = np.where(going, Delta_new, np.where(finite, Delta, 0.25 * step_h_norm))
+            status = np.maximum(status, ended)
 
-        a = np.flatnonzero(finite & (reduction > 0))
-        if a.size:
-            x[a], f[a], cost[a] = x_new[a], f_new[a], cost_new[a]
-            J[a] = J_new[a]
-            g[a] = _rmatvec(J[a], f[a])
-            scale_inv[a] = np.maximum(np.sqrt(np.einsum("imk,imk->ik", J[a], J[a])), scale_inv[a])
+            accepted = finite & (reduction > 0)
+            if accepted.all():
+                x, f, cost, J = x_new, f_new, cost_new, J_new
+                g = _rmatvec(J, f)
+                scale_inv = np.maximum(np.sqrt(np.einsum("imk,imk->ik", J, J)), scale_inv)
+                continue
+            a = accepted.nonzero()[0]
+            if a.size:
+                x[a], f[a], cost[a] = x_new[a], f_new[a], cost_new[a]
+                J[a] = J_a = J_new[a]
+                g[a] = _rmatvec(J_a, f[a])
+                scale_inv[a] = np.maximum(np.sqrt(np.einsum("imk,imk->ik", J_a, J_a)), scale_inv[a])

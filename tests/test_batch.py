@@ -389,22 +389,22 @@ def test_empty_slices_stay_empty():
 # ---------------------------------------------------------------------------
 
 
-def _two_crossings(stress, crit):
+def _two_crossings(crit, x, y):
     """F = r - 1 about the origin, but positive on the band 0.55 <= r <= 0.7.
 
     Doubling from t0 = 1e-3 steps over the band (0.512, then 1.024) and
     bisection converges to r = 1, so only the probe sees the band.
     """
-    r = np.hypot(stress[:, 0], stress[:, 1])
+    r = np.hypot(x, y)
     return np.where((r >= 0.55) & (r <= 0.7), 1.0, r - 1.0)
 
 
 def test_second_sign_change_raises_typed_error(monkeypatch):
     rays = np.array([[1.0, 0.0], [0.0, 1.0]])
-    monkeypatch.setattr(sections, "yield_value_array", lambda s, c: np.hypot(s[:, 0], s[:, 1]) - 1.0)
+    monkeypatch.setattr(sections, "_slice_F", lambda c, x, y: np.hypot(x, y) - 1.0)
     t = sections._ray_crossings(None, 0.0, 0.0, rays, 1e-3)
     np.testing.assert_allclose(t, 1.0, rtol=1e-15)
-    monkeypatch.setattr(sections, "yield_value_array", _two_crossings)
+    monkeypatch.setattr(sections, "_slice_F", _two_crossings)
     with pytest.raises(NonConvexSlice, match="more than once"):
         sections._ray_crossings(None, 0.0, 0.0, rays, 1e-3)
 
@@ -414,7 +414,7 @@ def test_second_sign_change_raises_under_optimize_flag():
         "import numpy as np\n"
         "from yieldcrit import NonConvexSlice, sections\n"
         "from test_batch import _two_crossings\n"
-        "sections.yield_value_array = _two_crossings\n"
+        "sections._slice_F = _two_crossings\n"
         "try:\n"
         "    sections._ray_crossings(None, 0.0, 0.0, np.array([[1.0, 0.0]]), 1e-3)\n"
         "except NonConvexSlice:\n"

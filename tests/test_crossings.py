@@ -17,8 +17,11 @@ from hypothesis import strategies as st
 
 from yieldcrit import (
     CapMeridian,
+    CosineLode,
+    Criterion,
     DomainError,
     EmptySlice,
+    LinearMeridian,
     UnboundedDomain,
     certify,
     criterion_from_dict,
@@ -26,8 +29,8 @@ from yieldcrit import (
     sample_biaxial,
     sections,
     yield_value,
+    yield_value_array,
 )
-from yieldcrit.invariants import _check_stress
 from test_batch import ORACLE_CRITERIA, _oracle_biaxial, _oracle_ray, criteria
 
 
@@ -44,13 +47,13 @@ def _t0(crit):
 def _counted(monkeypatch):
     """A list that counts the batched F calls ``sections`` makes from now on."""
     calls = []
-    inner = sections.yield_value_array
+    inner = sections._slice_F
 
-    def counting(stress, crit):
-        calls.append(len(stress))
-        return inner(stress, crit)
+    def counting(crit, x, y):
+        calls.append(len(x))
+        return inner(crit, x, y)
 
-    monkeypatch.setattr(sections, "yield_value_array", counting)
+    monkeypatch.setattr(sections, "_slice_F", counting)
     return calls
 
 
@@ -186,12 +189,12 @@ def test_a_ray_into_a_cap_apex_quarters_its_bracket(monkeypatch):
 # ---------------------------------------------------------------------------
 
 
-def _radius(stress, crit):
-    return np.hypot(stress[:, 0], stress[:, 1]) - 1.0
+def _radius(crit, x, y):
+    return np.hypot(x, y) - 1.0
 
 
 def test_a_ray_beyond_the_ladder_doubles_one_batch_at_a_time(monkeypatch):
-    monkeypatch.setattr(sections, "yield_value_array", _radius)
+    monkeypatch.setattr(sections, "_slice_F", _radius)
     calls = _counted(monkeypatch)
     d = _rays(5)
     # from t0 = 1e-9 the first rung past r = 1 is 2^30 t0
@@ -212,7 +215,7 @@ def test_a_ray_beyond_the_ladder_on_a_criterion():
 
 
 def test_a_ray_that_never_rises_is_unbounded(monkeypatch):
-    monkeypatch.setattr(sections, "yield_value_array", lambda s, c: np.full(len(s), -1.0))
+    monkeypatch.setattr(sections, "_slice_F", lambda c, x, y: np.full(len(x), -1.0))
     with pytest.raises(UnboundedDomain):
         sections._ray_crossings(None, 0.0, 0.0, _rays(4), 1e-300)
 
@@ -230,16 +233,30 @@ def test_far_rungs_past_the_stress_limit_are_not_evaluated():
 
 
 @pytest.mark.parametrize("t0", [1e98, 1e90])
-def test_a_ray_that_reaches_the_stress_limit_first_raises(t0, monkeypatch):
-    # F < 0 out to r = 1e101: doubling meets a stress past 1e100 before it
-    # finds F > 0, inside the ladder (t0 = 1e98) or beyond it (t0 = 1e90)
-    def checked(stress, crit):
-        _check_stress(stress)
-        return np.hypot(stress[:, 0], stress[:, 1]) - 1e101
-
-    monkeypatch.setattr(sections, "yield_value_array", checked)
+def test_a_ray_that_reaches_the_stress_limit_first_raises(t0):
+    # F = q - (p + 1e101) < 0 out to r = 5e100 on every ray: doubling meets
+    # a stress past 1e100 before it finds F > 0, inside the ladder
+    # (t0 = 1e98) or beyond it (t0 = 1e90)
+    crit = Criterion(meridian=LinearMeridian(Gamma=1.0, c=1e101), shape=CosineLode(1.0, 0.0))
     with pytest.raises(DomainError, match="at most 1e\\+100"):
-        sections._ray_crossings(None, 0.0, 0.0, _rays(4), t0)
+        sections._ray_crossings(crit, 0.0, 0.0, _rays(4), t0)
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_CRITERIA))
+def test_slice_F_is_yield_value_array_on_the_slice(name, rng):
+    # F from the two slice columns, bit for bit as from (N, 3) stresses:
+    # inside, outside and past a cap, on the diagonal and at the origin
+    crit = ORACLE_CRITERIA[name]
+    xy = rng.uniform(-3.0, 3.0, (200, 2)) * crit.meridian.scale
+    x, y = np.append(xy[:, 0], [0.0, 1.0, -2.0]), np.append(xy[:, 1], [0.0, 1.0, -2.0])
+    want = yield_value_array(np.column_stack([x, y, np.zeros_like(x)]), crit)
+    assert sections._slice_F(crit, x, y).tobytes() == want.tobytes()
+    for bad in (1e120, math.nan):
+        with pytest.raises(DomainError) as stack_error:
+            yield_value_array(np.array([[0.0, 0.0, 0.0], [bad, 1.0, 0.0]]), crit)
+        with pytest.raises(DomainError) as slice_error:
+            sections._slice_F(crit, np.array([0.0, bad]), np.array([0.0, 1.0]))
+        assert str(slice_error.value) == str(stack_error.value)
 
 
 # ---------------------------------------------------------------------------

@@ -3,8 +3,8 @@
 ``FitProblem.rows`` puts one row of free-parameter values per fit start
 into the criterion, and ``residual_vector`` then returns one row of
 residuals per start.  Those rows are checked against the one-criterion
-path bit for bit, the batched closed-form Jacobian against
-``_cap_partials`` start by start, and every parameter's column against
+path bit for bit, the batched closed-form Jacobian against the columns
+``_model`` gives one criterion at a time, and every parameter's column against
 central differences of the residuals.  The solver in ``yieldcrit.trf`` ports
 scipy's ``least_squares(method="trf", x_scale="jac")``; scipy, installed
 for the tests only, is its oracle, start by start.
@@ -12,6 +12,10 @@ for the tests only, is its oracle, start by start.
 
 import json
 import math
+import os
+import subprocess
+import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -35,7 +39,7 @@ from yieldcrit import (
     surface_q,
 )
 from yieldcrit import calibration, trf
-from yieldcrit.calibration import _SearchCoordinates, _cap_partials, _one_pass, residual_vector
+from yieldcrit.calibration import _SearchCoordinates, _columns, _model, _one_pass, residual_vector
 from yieldcrit.criterion import _params
 from test_acceptance import MERIDIAN_ROWS
 
@@ -114,6 +118,11 @@ def test_batched_residual_rows_equal_residual_vector(case):
             assert row.tobytes() == one.tobytes()
 
 
+def columns(crit, dataset, mode, names):
+    """The closed-form d(residual)/d(name) of each of ``names``, by name."""
+    return _model(crit, _columns(dataset), mode, names)[1]
+
+
 @settings(max_examples=200, deadline=None)
 @given(batched_problems(), st.data())
 def test_batched_cap_jacobian_equals_cap_partials(case, data):
@@ -127,10 +136,10 @@ def test_batched_cap_jacobian_equals_cap_partials(case, data):
     bounds = np.array([problem.bound_of(n) for n in free])
     t = data.draw(st.lists(st.floats(0.0, 1.0), min_size=len(free), max_size=len(free)))
     values = bounds[:, 0] + np.array([t, [0.5] * len(free)]) * (bounds[:, 1] - bounds[:, 0])
-    cols = _cap_partials(problem.rows(values), dataset, problem.residual_mode, free)
+    cols = columns(problem.rows(values), dataset, problem.residual_mode, free)
     for j, v in enumerate(values):
         crit = problem.with_values(dict(zip(free, v)))
-        one = _cap_partials(crit, dataset, problem.residual_mode, free)
+        one = columns(crit, dataset, problem.residual_mode, free)
         for name in free:
             batch = np.broadcast_to(cols[name], (len(values), len(dataset)))[j]
             assert batch.tobytes() == np.asarray(one[name], dtype=float).tobytes(), name
@@ -196,13 +205,13 @@ def test_one_pass_model_equals_residual_vector_and_cap_partials(case):
     problem, dataset, values = case
     free, mode = problem.free, problem.residual_mode
     with np.errstate(all="ignore"):  # extreme draws overflow alike on both paths
-        r, J = _one_pass(problem, dataset)(values)
+        r, J = _one_pass(problem, dataset, ())(values)
         assert r.shape == (len(values), len(dataset))
         assert J.shape == r.shape + (len(free),)
         for j, v in enumerate(values):
             crit = problem.with_values(dict(zip(free, v)))
             assert r[j].tobytes() == residual_vector(crit, dataset, mode).tobytes()
-            cols = _cap_partials(crit, dataset, mode, free)
+            cols = columns(crit, dataset, mode, free)
             stacked = np.column_stack([np.broadcast_to(cols[n], (len(dataset),)) for n in free])
             assert J[j].tobytes() == stacked.tobytes()
 
@@ -212,7 +221,7 @@ def test_one_pass_model_has_a_jacobian_off_the_cap():
     dataset = meridian_dataset(CLAY)
     for free in (("M", "gamma"), ("A",), ("beta",)):
         problem = FitProblem(template=template, free=free)
-        r, J = _one_pass(problem, dataset)(np.array([[problem.value_of(n) for n in free]]))
+        r, J = _one_pass(problem, dataset, ())(np.array([[problem.value_of(n) for n in free]]))
         assert r.shape == (1, len(dataset))
         assert J.shape == r.shape + (len(free),) and np.all(np.isfinite(J))
 
@@ -296,7 +305,7 @@ def test_every_column_matches_central_differences(case):
     k = len(values)
     h = 1e-5 * np.maximum(np.abs(values), 0.1)
     rows = values + np.concatenate([np.zeros((1, k)), np.diag(h), -np.diag(h)])
-    r, J = _one_pass(problem, dataset)(rows)
+    r, J = _one_pass(problem, dataset, ())(rows)
     assert np.all(np.isfinite(J[0]))
     # the residuals round at about 1e-16 (1 + |r|), and the quotient divides that by h
     rounding = 1e-14 * (1.0 + np.max(np.abs(r[0]))) / h
@@ -369,7 +378,7 @@ def scipy_starts(problem, dataset, seed, n_starts=16):
 
     def jac(u):
         v, crit = crit_at(u)
-        cols = _cap_partials(crit, dataset, mode, names)
+        cols = columns(crit, dataset, mode, names)
         return np.column_stack([cols[n] for n in names]) * np.where(box.logs, v, 1.0)
 
     rng = np.random.default_rng(seed)
@@ -498,7 +507,6 @@ def test_single_start_keeps_its_own_stop_status():
     assert result.converged is True
 
 
-@pytest.mark.filterwarnings("ignore:divide by zero:RuntimeWarning")
 def test_start_with_nonfinite_residuals_takes_no_step():
     # g = (1 + beta (1 + cos 3t))^(-1/n) underflows at n = 1e-3, so F = q / g
     # overflows and the function_value residuals are not finite there.
@@ -516,18 +524,23 @@ def test_start_with_nonfinite_residuals_takes_no_step():
     assert result.converged is False
 
 
-@pytest.mark.filterwarnings("ignore:divide by zero:RuntimeWarning")
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
-def test_start_with_a_nonfinite_jacobian_takes_no_step():
-    # At n near 1e-3, g = (1 + beta (1 + cos 3t))^(-1/n) underflows for some
-    # theta: the meridian_distance residuals stay finite, but d(residual)/dg
-    # divides by g^2.  Such a start takes no step, as one with residuals
-    # that are not finite does, and the other starts find the truth.
+def power_law_case():
+    """A power-law truth and 15 points on its surface; seed 0 draws starts
+    down to n = 0.0017, where g = (1 + beta (1 + cos 3t))^(-1/n) underflows
+    for some theta."""
     truth = Criterion(
         meridian=CapMeridian(M=0.8, pc=1.0, c=0.1, m=2.0, alpha=1.0), shape=PowerLaw(beta=0.5, n=3.0)
     )
     rows = [(p, surface_q(p, th, truth), th) for p in (0.2, 0.5, 0.7) for th in np.linspace(0, PI3, 5)]
-    dataset = FitDataset(points=np.array(rows), weights=np.ones(len(rows)))
+    return truth, FitDataset(points=np.array(rows), weights=np.ones(len(rows)))
+
+
+def test_start_with_a_nonfinite_jacobian_takes_no_step():
+    # Where g underflows the meridian_distance residuals stay finite, but
+    # d(residual)/dg divides by g^2.  Such a start takes no step, as one
+    # with residuals that are not finite does, and the other starts find
+    # the truth.
+    truth, dataset = power_law_case()
     for mode in MODES:
         problem = FitProblem(template=truth, free=("beta", "n"), residual_mode=mode)
         result = fit(problem, dataset, seed=0)
@@ -548,3 +561,74 @@ def test_trial_with_a_nonfinite_jacobian_is_rejected():
     assert 1.4 < x[0, 0] <= 1.5 and f[0, 0] == x[0, 0] - 2.0
     assert 1 < nfev[0] < 200 and trf.STOPS[status[0]] != "budget"
 
+
+
+def test_fit_keeps_the_overflow_of_its_search_inside(tmp_path):
+    # Starts where g underflows overflow and divide by zero; that stays
+    # inside the search, so a fit under -W error ends as it does without.
+    truth, dataset = power_law_case()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for mode in MODES:
+            result = fit(FitProblem(template=truth, free=("beta", "n"), residual_mode=mode), dataset, seed=0)
+            assert any(s.stop == "nonfinite" for s in result.starts), mode
+    rows = "".join(f"{p!r},{q!r},{t!r}\n" for p, q, t in dataset.points.tolist())
+    (tmp_path / "points.csv").write_text("p,q,theta\n" + rows, encoding="utf-8")
+    spec = {"criterion": truth.to_dict(), "free": ["beta", "n"], "seed": 0}
+    (tmp_path / "problem.json").write_text(json.dumps(spec), encoding="utf-8")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join([os.path.dirname(os.path.dirname(cli.__file__)), env.get("PYTHONPATH", "")])
+    args = ["fit", "--data", str(tmp_path / "points.csv"), "--problem", str(tmp_path / "problem.json")]
+    out = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "yieldcrit.cli", *args],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert out.returncode in (0, 3), out.stderr
+    assert "Traceback" not in out.stderr and "Warning" not in out.stderr
+    assert json.loads(out.stdout)["free"]["n"] == pytest.approx(3.0, rel=1e-6)
+
+
+def batch_cases():
+    """The benchmark-style fits in both modes and the noisy clay fit, whose
+    steps often take _select_step's bound branch."""
+    cases = [
+        pytest.param(moved_problem(row, mode), meridian_dataset(row), 1, id=f"{label}-{mode}")
+        for label, row in MERIDIAN_ROWS
+        for mode in MODES
+    ]
+    return cases + [pytest.param(*noisy_clay(), 0, id="noisy-clay")]
+
+
+@pytest.mark.parametrize("problem, dataset, seed", batch_cases())
+def test_each_start_ends_the_same_alone_or_in_the_batch(monkeypatch, problem, dataset, seed):
+    # Every start of trf.solve runs its own arithmetic; the batch only
+    # shares numpy calls.  Run a fit's 16 starts together, then each alone,
+    # and compare x, f, nfev and status bit for bit.
+    runs, branches = [], {"bound": 0, "rejected": 0}
+    solve, select_step, termination = trf.solve, trf._select_step, trf._termination
+
+    def recorded(*args):
+        runs.append(args)
+        return solve(*args)
+
+    def counted_select(x, J_h, diag_h, g_h, p, p_h, d, Delta, lb, ub, theta):
+        branches["bound"] += int(np.sum(~np.all((x + p >= lb) & (x + p <= ub), axis=1)))
+        return select_step(x, J_h, diag_h, g_h, p, p_h, d, Delta, lb, ub, theta)
+
+    def counted_termination(reduction, *rest):
+        branches["rejected"] += int(np.sum(~(reduction > 0)))
+        return termination(reduction, *rest)
+
+    monkeypatch.setattr(trf, "solve", recorded)
+    monkeypatch.setattr(trf, "_select_step", counted_select)
+    monkeypatch.setattr(trf, "_termination", counted_termination)
+    fit(problem, dataset, seed=seed)
+    monkeypatch.undo()
+    # the fit took a step outside the box and rejected a trial point
+    assert branches["bound"] > 0 and branches["rejected"] > 0
+    ((fun, x0, f0, J0, lb, ub, max_nfev),) = runs
+    batch = trf.solve(fun, x0, f0, J0, lb, ub, max_nfev)
+    for j in range(len(x0)):
+        alone = trf.solve(fun, x0[j : j + 1], f0[j : j + 1], J0[j : j + 1], lb, ub, max_nfev)
+        for a, b in zip(alone, batch):
+            assert a[0].tobytes() == b[j].tobytes(), j
