@@ -224,8 +224,7 @@ def solve(fun, x0, f0, J0, lb, ub, max_nfev):
     """Run trf from every row of ``x0`` on the box [lb, ub], all in lockstep.
 
     ``fun`` maps an (n, k) array of points to their (n, m) residuals and
-    their (n, m, k) Jacobians, as new arrays that solve may keep and write
-    to.  Every row of ``x0`` lies strictly inside the
+    their (n, m, k) Jacobians.  Every row of ``x0`` lies strictly inside the
     box and has finite residuals ``f0`` and Jacobians ``J0``; a trial point
     whose residuals or Jacobian are not finite is rejected.  A start stops
     at its own stop test, or once it has made ``max_nfev`` trial
@@ -325,13 +324,9 @@ def solve(fun, x0, f0, J0, lb, ub, max_nfev):
             status = np.maximum(status, ended)
 
             accepted = finite & (reduction > 0)
-            if accepted.all():
-                x, f, cost, J = x_new, f_new, cost_new, J_new
-                g = _rmatvec(J, f)
-                scale_inv = np.maximum(np.sqrt(np.einsum("imk,imk->ik", J, J)), scale_inv)
-                continue
-            a = accepted.nonzero()[0]
-            if a.size:
+            if accepted.any():
+                # a slice, which copies no index, where every start accepts
+                a = slice(None) if accepted.all() else accepted.nonzero()[0]
                 x[a], f[a], cost[a] = x_new[a], f_new[a], cost_new[a]
                 J[a] = J_a = J_new[a]
                 g[a] = _rmatvec(J_a, f[a])
