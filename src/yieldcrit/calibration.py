@@ -32,9 +32,9 @@ import numpy as np
 
 from . import trf
 from .convexity import ConvexityReport, certify
-from .criterion import Criterion, _params, _record, _surface_q_body, _yield_body
+from .criterion import Criterion, _params, _surface_q_body, _yield_body
 from .errors import InsufficientData, ParseError, ValidationError
-from .invariants import _theta_in_range, invariants
+from .invariants import _record, _theta_in_range, invariants
 
 FITTABLE = ("M", "pc", "c", "m", "alpha", "beta", "gamma", "Gamma", "A", "e", "k", "n")
 
@@ -273,7 +273,7 @@ class FitProblem:
 
 def _unvalidated(record, **fields):
     """A frozen record with some fields replaced, without its checks."""
-    return _record(type(record), record.__dict__, **fields)
+    return _record(type(record), {**record.__dict__, **fields})
 
 
 # ---------------------------------------------------------------------------

@@ -32,7 +32,7 @@ from .criterion import (
     surface_q_array,
     yield_value,
 )
-from .errors import DomainError, YieldCritError
+from .errors import DomainError, ParseError, YieldCritError
 from .invariants import invariants
 from .limits import (
     CoulombMohr,
@@ -89,10 +89,24 @@ def _json_dumps(obj) -> str:
         raise YieldCritError(f"result is not finite: {exc}") from None
 
 
+def _load_json(path: str):
+    """The JSON document in the file at ``path``; ParseError naming the path,
+    and the line where it is known, when the file is not UTF-8 JSON."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return json.loads(data.decode("utf-8"))
+    except UnicodeDecodeError as exc:
+        where = f"{exc.reason} at byte {exc.start}"
+        raise ParseError(f"{path} is not UTF-8 text: {where}", data.count(b"\n", 0, exc.start) + 1)
+    except ValueError as exc:  # a JSONDecodeError, or an integer past Python's digit limit
+        msg = getattr(exc, "msg", exc)
+        raise ParseError(f"{path} is not valid JSON: {msg}", getattr(exc, "lineno", None))
+
+
 def _load_criterion(args) -> Criterion:
     if args.params:
-        with open(args.params, encoding="utf-8") as fh:
-            d = json.load(fh)
+        d = _load_json(args.params)
     else:
         names = ("M", "pc", "c", "m", "alpha", "beta", "gamma")
         missing = [n for n in names if getattr(args, n) is None]
@@ -187,17 +201,14 @@ def _cmd_section(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    with open(args.params, encoding="utf-8") as fh:
-        d = json.load(fh)
-    crit = criterion_from_dict(d, unchecked=True)
+    crit = criterion_from_dict(_load_json(args.params), unchecked=True)
     report = certify(crit)
     _emit(_json_dumps(report.to_dict()), args.output)
     return 0 if report.admissible else DOMAIN_EXIT
 
 
 def _cmd_fit(args) -> int:
-    with open(args.problem, encoding="utf-8") as fh:
-        spec = json.load(fh)
+    spec = _load_json(args.problem)
     try:
         template = criterion_from_dict(spec["criterion"], unchecked=True)
         free = tuple(spec["free"])

@@ -18,8 +18,8 @@ parameters, which each meridian and shape record states as its
 ``convexity()`` and :func:`certify` reads: m > 1 and 0 < alpha < 2 for the
 cap meridian, the beta interval of ``beta_bound`` for the native shape,
 ``powerlaw_beta_max``, k >= 7/9 for Gudehus-Argyris and every admissible e
-for Willam-Warnke.  The grid checks and the Hessian below are the oracles
-that the tests hold those conditions against.
+for Willam-Warnke.  The curvature combination and the Hessian below are
+oracles that the tests hold those conditions against.
 """
 
 from __future__ import annotations
@@ -29,34 +29,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .criterion import BOUNDARY_TOL, DELTA_PHI, Criterion, _powerlaw_coefficients
-from .criterion import cap_h, cap_h1, cap_h2
+from .criterion import Criterion, _powerlaw_coefficients
 from .errors import DegenerateState, DomainError
 from .invariants import FLOAT, _lode_angle, _theta_in_range, _check_stress
-
-# Default grid density of the meridian check; h is a smooth polynomial in
-# Phi and Phi^m.
-PHI_GRID_N = 2048
-
-def meridian_convexity_check(alpha: float, m: float, grid_n: int = PHI_GRID_N):
-    """Grid check of (h')^2 - 2 h'' h >= 0 on (0, 1).
-
-    Returns ``(ok, (worst_phi, worst_margin))`` where the margin is the raw
-    minimum of (h')^2 - 2 h'' h.  Out-of-range (alpha, m) is reported as
-    ``(False, (nan, -inf))`` before any grid evaluation.  For admissible
-    parameters the condition holds identically, so ok is expected True.
-    """
-    if grid_n < 2:
-        raise DomainError(f"grid_n must be at least 2, got {grid_n}")
-    if not (0.0 < alpha < 2.0) or m <= 1.0:
-        return False, (math.nan, -math.inf)
-    phi = np.linspace(DELTA_PHI, 1.0 - DELTA_PHI, grid_n)
-    h = cap_h(phi, m, alpha)
-    h1 = cap_h1(phi, m, alpha)
-    h2 = cap_h2(phi, m, alpha)
-    margin = h1 * h1 - 2.0 * h2 * h
-    i = int(np.argmin(margin))
-    return bool(margin[i] >= -BOUNDARY_TOL), (float(phi[i]), float(margin[i]))
 
 def deviatoric_curvature(theta, shape):
     """Curvature combination g^2 + 2 g'^2 - g g'' of a deviatoric shape.

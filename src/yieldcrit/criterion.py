@@ -35,8 +35,8 @@ from functools import cache
 import numpy as np
 
 from .errors import CornerCase, DegenerateState, DomainError, ValidationError
-from .invariants import EPS_MERIDIAN, FLOAT, _invariant_body, _perp, _principal, _theta_in_range
-from .invariants import invariants_array, namespace
+from .invariants import EPS_MERIDIAN, FLOAT, _invariant_body, _perp, _principal, _record
+from .invariants import _theta_in_range, invariants_array, namespace
 # Unused here; kept because perfbench's --trace 1 wraps criterion.invariants by name.
 from .invariants import invariants  # noqa: F401
 
@@ -60,13 +60,6 @@ def _params(cls) -> tuple[str, ...]:
     return tuple(f.name for f in fields(cls) if f.type == "float")
 
 
-def _record(cls, fields=(), **changes):
-    """A ``cls`` record of ``fields`` and ``changes``, made without ``__init__`` or its checks."""
-    obj = object.__new__(cls)
-    obj.__dict__.update(fields, **changes)
-    return obj
-
-
 def _param_dict(record) -> dict:
     return {name: getattr(record, name) for name in _params(type(record))}
 
@@ -78,7 +71,10 @@ def _number(d: dict, name: str, default=None, of: str = "") -> float:
     value = d.get(name, default)
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValidationError(f"{name} must be a number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValidationError(f"{name} must be finite, got an integer too large for a float")
 
 
 def _check_finite(record):
@@ -95,13 +91,23 @@ def _check_finite(record):
 
 class _Shape:
     """A deviatoric shape; its dict form is its kind and its parameters.
-    ``convexity()`` gives its exact convexity condition as (ok, signed margin,
-    witness theta, note or None): the margin is the parameter's distance
-    from the condition's boundary, and the witness where the condition binds.
+    ``g`` and ``dg`` read one body, ``_g(xp, theta, slope)``: g, or (g, dg)
+    from one set of intermediates when ``slope`` is set.  ``convexity()``
+    gives its exact convexity condition as (ok, signed margin, witness
+    theta, note or None): the margin is the parameter's distance from the
+    condition's boundary, and the witness where the condition binds.
     ``_partials(theta)`` gives dg/d(field) over an array of theta, by field."""
 
     # the convex beta interval, which only the native shape has
     beta_interval = None
+
+    def g(self, theta):
+        xp, th = namespace(theta)
+        return self._g(xp, th, False)
+
+    def dg(self, theta):
+        xp, th = namespace(theta)
+        return self._g(xp, th, True)[1]
 
     def to_dict(self) -> dict:
         return {"kind": self.kind, **_param_dict(self)}
@@ -127,35 +133,32 @@ class CosineLode(_Shape):
             raise ValidationError(f"gamma must lie in [0, 1), got {self.gamma}")
 
     def _psi(self, xp, th):
-        return self.beta * math.pi / 6.0 - xp.arccos(self.gamma * xp.cos(3.0 * th)) / 3.0
-
-    def g(self, theta):
-        xp, th = namespace(theta)
-        return 1.0 / xp.cos(self._psi(xp, th))
-
-    def dg(self, theta):
-        xp, th = namespace(theta)
+        """(u, psi) with u = gamma cos 3t and psi = beta pi/6 - acos(u) / 3."""
         u = self.gamma * xp.cos(3.0 * th)
-        w = xp.sqrt(1.0 - u * u)
-        psi = self._psi(xp, th)
-        psi1 = -self.gamma * xp.sin(3.0 * th) / w
-        return xp.tan(psi) * psi1 / xp.cos(psi)
+        return u, self.beta * math.pi / 6.0 - xp.arccos(u) / 3.0
+
+    def _g(self, xp, th, slope):
+        u, psi = self._psi(xp, th)
+        cos_psi = xp.cos(psi)
+        g = 1.0 / cos_psi
+        if not slope:
+            return g
+        psi1 = -self.gamma * xp.sin(3.0 * th) / xp.sqrt(1.0 - u * u)
+        return g, xp.tan(psi) * psi1 / cos_psi
 
     def _partials(self, theta):
         """dg/dpsi = g tan(psi) times dpsi/dbeta = pi/6 and
         dpsi/dgamma = cos 3t / (3 sqrt(1 - (gamma cos 3t)^2))."""
         c3 = np.cos(3.0 * theta)
-        psi = self._psi(np, theta)
+        u, psi = self._psi(np, theta)
         g_psi = np.tan(psi) / np.cos(psi)
-        u = self.gamma * c3
         return {"beta": g_psi * (math.pi / 6.0), "gamma": g_psi * c3 / (3.0 * np.sqrt(1.0 - u * u))}
 
     def d2g(self, theta):
         xp, th = namespace(theta)
         c3, s3 = xp.cos(3.0 * th), xp.sin(3.0 * th)
-        u = self.gamma * c3
+        u, psi = self._psi(xp, th)
         w = xp.sqrt(1.0 - u * u)
-        psi = self._psi(xp, th)
         g = 1.0 / xp.cos(psi)
         t = xp.tan(psi)
         psi1 = -self.gamma * s3 / w
@@ -208,15 +211,13 @@ class PowerLaw(_Shape):
     def _v(self, xp, th):
         return 1.0 + self.beta * (1.0 + xp.cos(3.0 * th))
 
-    def g(self, theta):
-        xp, th = namespace(theta)
-        return self._v(xp, th) ** (-1.0 / self.n)
-
-    def dg(self, theta):
-        xp, th = namespace(theta)
+    def _g(self, xp, th, slope):
         v = self._v(xp, th)
+        g = v ** (-1.0 / self.n)
+        if not slope:
+            return g
         v1 = -3.0 * self.beta * xp.sin(3.0 * th)
-        return (-1.0 / self.n) * v ** (-1.0 / self.n - 1.0) * v1
+        return g, (-1.0 / self.n) * v ** (-1.0 / self.n - 1.0) * v1
 
     def _partials(self, theta):
         """dg/dbeta = -g (1 + cos 3t) / (n v) and dg/dn = g ln(v) / n^2."""
@@ -295,10 +296,13 @@ class WillamWarnke(_Shape):
         r = xp.sqrt(xp.maximum(0.0, 4.0 * c2 * u * u + 5.0 * self.e * self.e - 4.0 * self.e))
         return c2, t, r, 2.0 * c2 * u + t * r, 4.0 * c2 * u * u + t * t
 
-    def g(self, theta):
-        xp, th = namespace(theta)
-        *_, num, den = self._parts(xp, xp.cos(th))
-        return num / den
+    def _g(self, xp, th, slope):
+        u = xp.cos(th)
+        parts = self._parts(xp, u)
+        g = parts[3] / parts[4]
+        if not slope:
+            return g
+        return g, self._du(u, *parts)[3] * (-xp.sin(th))
 
     def _partials(self, theta):
         """dg/de through ``_parts``: c2 = 1 - e^2, t = 2e - 1 and
@@ -310,30 +314,26 @@ class WillamWarnke(_Shape):
         den_e = 4.0 * t - 8.0 * self.e * u * u
         return {"e": (num_e * den - num * den_e) / den**2}
 
-    def _du(self, xp, u):
-        # dg/du and d2g/du2; theta derivatives follow by the chain rule.
-        c2, t, r, num, den = self._parts(xp, u)
+    def _du(self, u, c2, t, r, num, den):
+        """(rho_u, num_u, den_u, dg/du) at u = cos theta from ``_parts``; theta
+        derivatives follow by the chain rule."""
         rho_u = 8.0 * c2 * u
         num_u = 2.0 * c2 + t * rho_u / (2.0 * r)
         den_u = 8.0 * c2 * u
+        return rho_u, num_u, den_u, (num_u * den - num * den_u) / den**2
+
+    def d2g(self, theta):
+        xp, th = namespace(theta)
+        u = xp.cos(th)
+        c2, t, r, num, den = self._parts(xp, u)
+        rho_u, num_u, den_u, g_u = self._du(u, c2, t, r, num, den)
         num_uu = t * (8.0 * c2 / (2.0 * r) - rho_u * rho_u / (4.0 * r**3))
         den_uu = 8.0 * c2
-        g_u = (num_u * den - num * den_u) / den**2
         g_uu = (
             num_uu / den
             - (2.0 * num_u * den_u + num * den_uu) / den**2
             + 2.0 * num * den_u * den_u / den**3
         )
-        return g_u, g_uu
-
-    def dg(self, theta):
-        xp, th = namespace(theta)
-        g_u, _ = self._du(xp, xp.cos(th))
-        return g_u * (-xp.sin(th))
-
-    def d2g(self, theta):
-        xp, th = namespace(theta)
-        g_u, g_uu = self._du(xp, xp.cos(th))
         s = xp.sin(th)
         return g_uu * s**2 + g_u * (-xp.cos(th))
 
@@ -364,15 +364,13 @@ class GudehusArgyris(_Shape):
     def _d(self, xp, th):
         return 1.0 + self.k + (1.0 - self.k) * xp.cos(3.0 * th)
 
-    def g(self, theta):
-        xp, th = namespace(theta)
-        return 2.0 * self.k / self._d(xp, th)
-
-    def dg(self, theta):
-        xp, th = namespace(theta)
+    def _g(self, xp, th, slope):
         d = self._d(xp, th)
+        g = 2.0 * self.k / d
+        if not slope:
+            return g
         d1 = -3.0 * (1.0 - self.k) * xp.sin(3.0 * th)
-        return -2.0 * self.k * d1 / d**2
+        return g, -2.0 * self.k * d1 / d**2
 
     def _partials(self, theta):
         """dg/dk = 2 (1 + cos 3t) / D^2."""
@@ -447,23 +445,16 @@ def beta_in_convex_interval(beta: float, gamma: float) -> tuple[bool, float, flo
 # ---------------------------------------------------------------------------
 
 
-def cap_h(phi, m: float, alpha: float):
-    """h(Phi) = (Phi - Phi^m)(2(1-alpha)Phi + alpha); f = -M pc sqrt(h), Phi in [0, 1]."""
-    return (phi - phi**m) * (2.0 * (1.0 - alpha) * phi + alpha)
+def _cap_factors(phi, m: float, alpha: float):
+    """(Phi^m, Phi - Phi^m, 2 (1-alpha) Phi + alpha): the product of the last two
+    is h(Phi), and f = -M pc sqrt(h) for Phi in [0, 1]."""
+    phm = phi**m
+    return phm, phi - phm, 2.0 * (1.0 - alpha) * phi + alpha
 
 
-def cap_h1(phi, m: float, alpha: float):
-    """First derivative dh/dPhi."""
-    return (1.0 - m * phi ** (m - 1.0)) * (2.0 * (1.0 - alpha) * phi + alpha) + 2.0 * (
-        1.0 - alpha
-    ) * (phi - phi**m)
-
-
-def cap_h2(phi, m: float, alpha: float):
-    """Second derivative d2h/dPhi2."""
-    return -m * (m - 1.0) * phi ** (m - 2.0) * (2.0 * (1.0 - alpha) * phi + alpha) + 4.0 * (
-        1.0 - alpha
-    ) * (1.0 - m * phi ** (m - 1.0))
+def _cap_h1(phi, m: float, alpha: float, d, lin):
+    """dh/dPhi, from Phi and the factors d = Phi - Phi^m and lin of ``_cap_factors``."""
+    return (1.0 - m * phi ** (m - 1.0)) * lin + 2.0 * (1.0 - alpha) * d
 
 
 class _Meridian:
@@ -524,13 +515,14 @@ class CapMeridian(_Meridian):
 
     def _place(self, p, xp):
         """(Phi, Phi in [0, 1], ph = Phi there and 0.5 elsewhere)."""
-        phi = self.phi(p)
+        phi = (p + self.c) / (self.pc + self.c)
         inside = (phi >= 0.0) & (phi <= 1.0)
         return phi, inside, xp.where(inside, phi, 0.5)
 
     def _f(self, p, xp):
         _, inside, ph = self._place(p, xp)
-        root = xp.sqrt(xp.maximum(0.0, cap_h(ph, self.m, self.alpha)))
+        _, d, lin = _cap_factors(ph, self.m, self.alpha)
+        root = xp.sqrt(xp.maximum(0.0, d * lin))
         return xp.where(inside, -self.M * self.pc * root, math.inf)
 
     def _fit_place(self, p, names):
@@ -550,9 +542,7 @@ class CapMeridian(_Meridian):
         """f (+inf outside the cap) and, for each of ``names``, df with the
         branch held fixed (0 where h = 0, at a cap end), sharing h's factors."""
         inside, ph, ln_ph, tilt = at
-        phm = ph**self.m
-        d = ph - phm
-        lin = 2.0 * (1.0 - self.alpha) * ph + self.alpha
+        phm, d, lin = _cap_factors(ph, self.m, self.alpha)
         h = d * lin
         root = np.sqrt(np.maximum(0.0, h))
         Mpc = -self.M * self.pc
@@ -566,7 +556,7 @@ class CapMeridian(_Meridian):
         if "M" in names:
             df["M"] = -self.pc * root
         if "pc" in names or "c" in names:
-            f_phi = f_h * cap_h1(ph, self.m, self.alpha) / self.scale
+            f_phi = f_h * _cap_h1(ph, self.m, self.alpha, d, lin) / self.scale
             df["pc"] = -self.M * root - f_phi * ph
             df["c"] = f_phi * (1.0 - ph)
         if "m" in names:
@@ -583,9 +573,9 @@ class CapMeridian(_Meridian):
         """df/dp (a float or an array) on the open interior of the cap; caller guards the ends."""
         xp, p = namespace(p)
         phi = self.phi(p)
-        h = cap_h(phi, self.m, self.alpha)
-        h1 = cap_h1(phi, self.m, self.alpha)
-        return -self.M * self.pc * h1 / (2.0 * xp.sqrt(h)) / (self.pc + self.c)
+        _, d, lin = _cap_factors(phi, self.m, self.alpha)
+        h1 = _cap_h1(phi, self.m, self.alpha, d, lin)
+        return -self.M * self.pc * h1 / (2.0 * xp.sqrt(d * lin)) / (self.pc + self.c)
 
     def convexity(self):
         """The paper's m > 1 and 0 < alpha < 2, under which f is convex at every
@@ -691,7 +681,7 @@ class YieldParams:
     @classmethod
     def unchecked(cls, M, pc, c, m, alpha, beta, gamma) -> "YieldParams":
         """Construct without any validation.  Downstream code may reject."""
-        return _record(cls, zip(_params(cls), map(float, (M, pc, c, m, alpha, beta, gamma))))
+        return _record(cls, dict(zip(_params(cls), map(float, (M, pc, c, m, alpha, beta, gamma)))))
 
     @classmethod
     def limit_mode(cls, M, pc, c, m, alpha, beta, gamma):
@@ -753,8 +743,6 @@ class Criterion:
             raise ValidationError(f"A must be nonnegative, got {self.A}")
         if self.B <= 0.0:
             raise ValidationError(f"B must be positive, got {self.B}")
-
-    from_params = staticmethod(YieldParams.criterion)
 
     def to_dict(self) -> dict:
         """The parameter-file form; the native shape's beta and gamma go inline."""
@@ -840,7 +828,9 @@ def yield_value(stress, crit: Criterion) -> float:
     hydrostatic states the deviatoric terms vanish and only f(p) remains.
     """
     p, q, theta, hydrostatic = _invariant_body(*_principal(stress), FLOAT)
-    return _yield_body(crit.meridian.f(p), q, crit.shape.g(theta), hydrostatic, crit, FLOAT)
+    # theta is a float here, so the shape's body runs over FLOAT directly
+    g = crit.shape._g(FLOAT, theta, False)
+    return _yield_body(crit.meridian.f(p), q, g, hydrostatic, crit, FLOAT)
 
 
 def yield_value_array(stress, crit: Criterion) -> np.ndarray:
@@ -876,7 +866,8 @@ def surface_q(p: float, theta: float, crit: Criterion) -> float | None:
     """
     if not _theta_in_range(theta):
         raise DomainError(f"theta must lie in [0, pi/3], got {theta}")
-    q = _surface_q_body(crit.meridian.f(p), crit.shape.g(theta), crit, FLOAT)
+    xp, th = namespace(theta)
+    q = _surface_q_body(crit.meridian.f(p), crit.shape._g(xp, th, False), crit, FLOAT)
     return None if math.isnan(q) else q
 
 
@@ -935,24 +926,27 @@ def gradient(stress, crit: Criterion) -> GradientDecomposition:
         if not (DELTA_PHI < phi < 1.0 - DELTA_PHI):
             raise DegenerateState(f"Phi={phi:.3g} too close to the cap ends; use normal_limits")
     a = -crit.meridian.df(p) / 3.0
-    g = crit.shape.g(theta)
+    sin3t = math.sin(3.0 * theta)
+    # a smooth limit on a deviatoric meridian: the c-term drops out, and g' is not needed
+    on_meridian = abs(sin3t) <= EPS_MERIDIAN
+    if on_meridian:
+        g, c = crit.shape._g(FLOAT, theta, False), 0.0
+    else:
+        g, g1 = crit.shape._g(FLOAT, theta, True)
+        c = _SQRT15 * crit.B * g1 / g**2
     b = _SQRT15 * (crit.B / g + 2.0 * crit.A * q)
     u1, u2, u3 = _SQRT15 * (s1 + p) / q, _SQRT15 * (s2 + p) / q, _SQRT15 * (s3 + p) / q
-    sin3t = math.sin(3.0 * theta)
-    if abs(sin3t) <= EPS_MERIDIAN:
-        # Smooth limit on a deviatoric meridian: the c-term drops out.
-        c = 0.0
-        t1, t2, t3 = a + b * u1, a + b * u2, a + b * u3
-    else:
-        c = _SQRT15 * crit.B * crit.shape.dg(theta) / g**2
+    t1, t2, t3 = a + b * u1, a + b * u2, a + b * u3
+    if not on_meridian:
         cos3t = math.cos(3.0 * theta)
-        t1 = a + b * u1 + c * _perp(u1, cos3t, sin3t)
-        t2 = a + b * u2 + c * _perp(u2, cos3t, sin3t)
-        t3 = a + b * u3 + c * _perp(u3, cos3t, sin3t)
+        t1 += c * _perp(u1, cos3t, sin3t)
+        t2 += c * _perp(u2, cos3t, sin3t)
+        t3 += c * _perp(u3, cos3t, sin3t)
     norm = math.sqrt(3.0 * a * a + b * b + c * c)
-    # one array for both fields; a float quotient rounds as numpy's does
-    flat = np.array((t1, t2, t3, t1 / norm, t2 / norm, t3 / norm))
-    return _record(GradientDecomposition, a=a, b=b, c=c, tensor=flat[:3], unit_normal=flat[3:])
+    fields = {"a": a, "b": b, "c": c, "tensor": np.array((t1, t2, t3))}
+    # a float quotient rounds as numpy's does
+    fields["unit_normal"] = np.array((t1 / norm, t2 / norm, t3 / norm))
+    return _record(GradientDecomposition, fields)
 
 
 def normal_limits(which: str, params: YieldParams) -> np.ndarray:

@@ -61,8 +61,9 @@ FLOAT = SimpleNamespace(
     sin=math.sin,
     tan=math.tan,
     where=lambda cond, a, b: a if cond else b,
-    clip=lambda x, lo, hi: min(max(x, lo), hi),  # NaN stays NaN, as in numpy
-    maximum=max,
+    # clip and maximum choose as min(max(x, lo), hi) and max(a, b) do, at less cost per call
+    clip=lambda x, lo, hi: lo if x < lo else hi if x > hi else x,  # NaN stays NaN, as in numpy
+    maximum=lambda a, b: b if b > a else a,
 )
 
 
@@ -102,6 +103,13 @@ class DeviatoricFrame:
     defined: bool
 
 
+def _record(cls, fields: dict):
+    """A frozen ``cls`` record holding ``fields``, made without ``__init__`` or its checks."""
+    obj = object.__new__(cls)
+    obj.__dict__.update(fields)
+    return obj
+
+
 def _check_stress(sig) -> None:
     """DomainError unless every component of ``sig`` (a tuple of three
     floats or an (N, 3) array) is finite and at most STRESS_MAX in magnitude."""
@@ -138,8 +146,8 @@ def _lode_angle(j2, j3, xp):
 def _invariant_body(s1, s2, s3, xp):
     """(p, q, theta, hydrostatic) of principal stresses given as floats or columns."""
     tr = s1 + s2 + s3
-    p = -tr / 3.0
     mean = tr / 3.0
+    p = -mean  # rounds as -tr / 3: division rounds symmetrically about zero
     d1, d2, d3 = s1 - mean, s2 - mean, s3 - mean
     j2 = 0.5 * (d1 * d1 + d2 * d2 + d3 * d3)
     q = xp.sqrt(3.0 * j2)
@@ -169,7 +177,8 @@ def invariants(stress) -> Invariants:
     floating-point drift near triaxial states, and hydrostatic states get
     theta = 0 with the flag set.
     """
-    return Invariants(*_invariant_body(*_principal(stress), FLOAT))
+    p, q, theta, hydrostatic = _invariant_body(*_principal(stress), FLOAT)
+    return _record(Invariants, {"p": p, "q": q, "theta": theta, "hydrostatic": hydrostatic})
 
 
 def invariants_array(stress):

@@ -25,7 +25,7 @@ import numpy as np
 
 from .criterion import Criterion, YieldParams
 from .errors import DomainError, ShapeMismatch
-from .invariants import invariants
+from .invariants import STRESS_MAX, invariants
 
 _GAMMA_LIMIT = 1.0 - 1e-9
 
@@ -142,17 +142,29 @@ def _exponent(scale_exponent) -> int:
     return k
 
 
+def _scale(k: int, strength: float) -> float:
+    """10^k, the factor of the surrogate pc = 10^k ``strength``; DomainError when
+    that pc would exceed STRESS_MAX, the largest stress the library accepts."""
+    try:
+        scale = 10.0**k
+    except OverflowError:
+        scale = math.inf
+    if scale * strength > STRESS_MAX:
+        raise DomainError(f"scale_exponent={k} puts the surrogate pc above {STRESS_MAX:g}")
+    return scale
+
+
 def realize(criterion: ClassicalCriterion, scale_exponent: int = 6) -> LimitRealization:
     """Build the seven-parameter realization of a classical criterion.
 
     The infinite pc limits are replaced by pc = 10^scale_exponent times
     the reference strength, so uniaxial strengths are reproduced with a
-    relative error of order 10^-scale_exponent (k >= 3 required).
+    relative error of order 10^-scale_exponent (k >= 3 required).  A k
+    that puts that pc above STRESS_MAX is a DomainError.
     """
     if not isinstance(criterion, ClassicalCriterion):
         raise DomainError(f"unknown classical criterion {criterion!r}")
     k = _exponent(scale_exponent)
-    scale = 10.0**k
     warn: list[str] = []
 
     if isinstance(criterion, ModifiedCamClay):
@@ -164,7 +176,7 @@ def realize(criterion: ClassicalCriterion, scale_exponent: int = 6) -> LimitReal
 
     if isinstance(criterion, _TensileStrength):
         ft = criterion.ft
-        pc = scale * ft
+        pc = _scale(k, ft) * ft
         if isinstance(criterion, VonMises):
             M = 2.0 * ft / pc
             gamma = 0.0
@@ -204,6 +216,7 @@ def realize(criterion: ClassicalCriterion, scale_exponent: int = 6) -> LimitReal
         beta = (6.0 / math.pi) * math.atan(math.sqrt(3.0) / (2.0 * r + 1.0))
         return coulomb_mohr_generalized(fc, r, beta, k)
 
+    scale = _scale(k, fc)
     alpha = _alpha_corner(k)
     warn.append(f"alpha = 0 realized as {alpha:g} (corner limit)")
     params = YieldParams(
@@ -237,7 +250,7 @@ def coulomb_mohr_generalized(
     c = fc * (c2 + c1) / den
     if M <= 0.0 or c <= 0.0:
         raise DomainError(f"M={M:.6g}, c={c:.6g} not positive for r={r}, beta={beta}")
-    scale = 10.0**k
+    scale = _scale(k, fc)
     alpha = _alpha_corner(k)
     params = YieldParams(
         M=M, pc=scale * fc, c=c, m=scale, alpha=alpha, beta=beta, gamma=_GAMMA_LIMIT

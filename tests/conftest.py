@@ -13,7 +13,15 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from yieldcrit import Criterion, YieldParams, principal_from_invariants, surface_q, yield_value
+from yieldcrit import (
+    Criterion,
+    DomainError,
+    YieldParams,
+    principal_from_invariants,
+    surface_q,
+    yield_value,
+)
+from yieldcrit.criterion import BOUNDARY_TOL, DELTA_PHI
 
 # Property tests draw the same examples on every run (seeded from each
 # test's own source), so no result depends on a lucky draw or on examples
@@ -50,6 +58,29 @@ def fd_hessian(fun, x, h=1e-4):
 
             out[i, j] = (ev(h, h) - ev(h, -h) - ev(-h, h) + ev(-h, -h)) / (4.0 * h * h)
     return out
+
+
+def meridian_convexity_check(alpha: float, m: float, grid_n: int = 2048):
+    """Grid check of the cap meridian's convexity, (h')^2 - 2 h'' h >= 0 on (0, 1),
+    with h(Phi) = (Phi - Phi^m)(2 (1-alpha) Phi + alpha) written out here.
+
+    Returns ``(ok, (worst_phi, worst_margin))`` where the margin is the raw
+    minimum of (h')^2 - 2 h'' h.  Out-of-range (alpha, m) is reported as
+    ``(False, (nan, -inf))`` before any grid evaluation.  For admissible
+    parameters the condition holds identically, so ok is expected True.
+    """
+    if grid_n < 2:
+        raise DomainError(f"grid_n must be at least 2, got {grid_n}")
+    if not (0.0 < alpha < 2.0) or m <= 1.0:
+        return False, (math.nan, -math.inf)
+    phi = np.linspace(DELTA_PHI, 1.0 - DELTA_PHI, grid_n)
+    lin = 2.0 * (1.0 - alpha) * phi + alpha
+    h = (phi - phi**m) * lin
+    h1 = (1.0 - m * phi ** (m - 1.0)) * lin + 2.0 * (1.0 - alpha) * (phi - phi**m)
+    h2 = -m * (m - 1.0) * phi ** (m - 2.0) * lin + 4.0 * (1.0 - alpha) * (1.0 - m * phi ** (m - 1.0))
+    margin = h1 * h1 - 2.0 * h2 * h
+    i = int(np.argmin(margin))
+    return bool(margin[i] >= -BOUNDARY_TOL), (float(phi[i]), float(margin[i]))
 
 
 def random_params(rng) -> YieldParams:

@@ -1,9 +1,9 @@
 """``certify`` against grid oracles, and its one rule at the interval ends.
 
 The verdicts come from each record's closed-form condition.  The oracle
-here is built from the public grid checks instead: g > 0 and the curvature
+here is built from grid checks instead: g > 0 and the curvature
 combination of :func:`deviatoric_curvature` over a theta grid, and
-:func:`meridian_convexity_check` over a Phi grid.  Draws whose condition
+``meridian_convexity_check`` (conftest) over a Phi grid.  Draws whose condition
 margin lies within 1e-6 of its boundary are left to the closed form.
 """
 
@@ -26,11 +26,11 @@ from yieldcrit import (
     beta_bound,
     certify,
     deviatoric_curvature,
-    meridian_convexity_check,
     powerlaw_beta_max,
 )
 from yieldcrit.cli import main
 from yieldcrit.criterion import BOUNDARY_TOL, beta_in_convex_interval
+from conftest import meridian_convexity_check
 
 PI3 = math.pi / 3.0
 THETA = np.linspace(0.0, PI3, 4097)

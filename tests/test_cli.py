@@ -400,6 +400,56 @@ class TestCompare:
         assert row[2] == pytest.approx(1.0)  # sigma3 = 0: q_ref = fc
 
 
+# a file that is empty, one that is not JSON and one that is not UTF-8, with
+# the line each error is reported at
+BROKEN_JSON = {
+    "empty": (b"", 1, "is not valid JSON: Expecting value"),
+    "not-json": (b'{"M": 1.0,\n "pc": \n', 3, "is not valid JSON: Expecting value"),
+    "not-utf8": (b'{"M": 1.0,\n "pc": "\xff"}\n', 2, "is not UTF-8 text: invalid start byte at byte 19"),
+}
+
+
+class TestBrokenJsonFiles:
+    @pytest.mark.parametrize("kind", sorted(BROKEN_JSON))
+    @pytest.mark.parametrize(
+        "argv",
+        [["eval", "--stress=-0.5,0,0", "--params"], ["check-convexity", "--params"],
+         ["section", "meridian", "--params"], ["fit", "--data", "DATA", "--problem"]],
+        ids=["eval", "check-convexity", "section", "fit"],
+    )
+    def test_exit_2_with_the_path_and_line(self, capsys, tmp_path, kind, argv):
+        content, line, message = BROKEN_JSON[kind]
+        path = tmp_path / "broken.json"
+        path.write_bytes(content)
+        data = tmp_path / "d.csv"
+        data.write_text("p,q,theta\n0.5,0.3,0\n0.2,0.4,0\n", encoding="utf-8")
+        argv = [str(data) if a == "DATA" else a for a in argv]
+        code, out, err = run(capsys, argv + [str(path)])
+        assert (code, out) == (2, "")
+        assert err == f"yieldcrit: line {line}: {path} {message}\n"
+
+    @pytest.mark.parametrize("argv", [["eval", "--stress=-0.5,0,0"], ["check-convexity"]])
+    def test_an_integer_too_large_for_a_float_exits_2(self, capsys, tmp_path, argv):
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps({**CAM_CLAY, "M": 10**400}), encoding="utf-8")
+        code, out, err = run(capsys, argv + ["--params", str(path)])
+        assert (code, out) == (2, "")
+        assert err == "yieldcrit: M must be finite, got an integer too large for a float\n"
+
+
+class TestRealizeScaleExponent:
+    def test_last_accepted_k(self, capsys):
+        code, out, _ = run(capsys, ["realize", "von-mises", "--ft", "1", "--k", "100"])
+        assert code == 0
+        assert json.loads(out)["pc"] == 1e100
+
+    @pytest.mark.parametrize("k", ["101", "300", "400"])
+    def test_k_past_the_stress_range_exits_2(self, capsys, k):
+        code, out, err = run(capsys, ["realize", "von-mises", "--ft", "1", "--k", k])
+        assert (code, out) == (2, "")
+        assert err.startswith(f"yieldcrit: scale_exponent={k} puts the surrogate pc")
+
+
 class TestUsageErrors:
     def test_unknown_subcommand(self, capsys):
         assert run(capsys, ["frobnicate"])[0] == 1

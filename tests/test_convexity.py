@@ -18,13 +18,12 @@ from yieldcrit import (
     certify,
     deviatoric_curvature,
     hessian_qg,
-    meridian_convexity_check,
     nonconvex_demo,
     powerlaw_beta_max,
     yield_value,
 )
 from yieldcrit.convexity import ConvexityReport, powerlaw_quadratic
-from conftest import fd_hessian, random_params
+from conftest import fd_hessian, meridian_convexity_check, random_params
 
 PI3 = math.pi / 3.0
 
@@ -279,9 +278,9 @@ class TestPowerLawBound:
 
 class TestCertify:
     def test_sand_row_admissible(self):
-        report = certify(Criterion.from_params(
-            YieldParams(M=0.5, pc=0.961, c=0.0, m=2.6, alpha=0.1, beta=0.0, gamma=0.9999)
-        ))
+        report = certify(
+            YieldParams(M=0.5, pc=0.961, c=0.0, m=2.6, alpha=0.1, beta=0.0, gamma=0.9999).criterion()
+        )
         assert report.admissible
 
     def test_cam_clay_admissible(self):
@@ -293,7 +292,7 @@ class TestCertify:
 
     def test_violating_beta_with_witness(self):
         params = YieldParams.unchecked(M=1, pc=1, c=0, m=2, alpha=1, beta=4.5, gamma=0.5)
-        report = certify(Criterion.from_params(params))
+        report = certify(params.criterion())
         assert not report.admissible
         assert not report.deviatoric_ok
         theta, margin = report.deviatoric_worst
@@ -321,16 +320,13 @@ class TestCertify:
     def test_quadratic_term_never_flips(self, rng):
         for _ in range(20):
             params = random_params(rng)
-            base = certify(Criterion.from_params(params))
-            extended = certify(Criterion.from_params(params, A=float(rng.uniform(0.01, 5.0))))
+            base = certify(params.criterion())
+            extended = certify(params.criterion(A=float(rng.uniform(0.01, 5.0))))
             assert base.admissible
             assert extended.admissible
 
     def test_midpoint_inequality_for_certified_specs(self, rng):
-        crit = Criterion.from_params(
-            YieldParams(M=0.8, pc=1.2, c=0.2, m=2.4, alpha=0.9, beta=0.6, gamma=0.7),
-            A=0.3,
-        )
+        crit = YieldParams(M=0.8, pc=1.2, c=0.2, m=2.4, alpha=0.9, beta=0.6, gamma=0.7).criterion(A=0.3)
         assert certify(crit).admissible
         for _ in range(10000):
             lam = rng.uniform(0.0, 1.0)
@@ -347,7 +343,7 @@ class TestCertify:
         gamma = 0.5
         bound = beta_bound(gamma)
         params = YieldParams.unchecked(M=1, pc=1, c=0, m=2, alpha=1, beta=bound, gamma=gamma)
-        report = certify(Criterion.from_params(params))
+        report = certify(params.criterion())
         assert report.admissible
         assert any("boundary" in note for note in report.notes)
 

@@ -201,7 +201,7 @@ class TestSurfaceQ:
             surface_q(math.nan, 0.3, cone)
 
     def test_quadratic_extension_root(self, rng):
-        crit = Criterion.from_params(CAM_CLAY, A=0.8, B=1.2)
+        crit = CAM_CLAY.criterion(A=0.8, B=1.2)
         for _ in range(30):
             p = rng.uniform(0.05, 0.95)
             th = rng.uniform(0.0, PI3)
@@ -277,7 +277,7 @@ class TestGradient:
                 assert np.linalg.norm(dec.tensor - fd) <= 1e-6 * np.linalg.norm(fd)
 
     def test_quadratic_term_folded_into_b(self, rng):
-        crit = Criterion.from_params(CAM_CLAY, A=0.6, B=1.1)
+        crit = CAM_CLAY.criterion(A=0.6, B=1.1)
         for _ in range(20):
             sig = random_interior_state(rng, crit)
             dec = gradient(sig, crit)
@@ -470,7 +470,7 @@ class TestYieldParams:
 
 class TestParameterSerialization:
     def test_native_round_trip(self):
-        crit = Criterion.from_params(SAND, A=0.0, B=1.0)
+        crit = SAND.criterion(A=0.0, B=1.0)
         d = crit.to_dict()
         assert d["meridian"] == "bp"
         assert set(d) >= {"M", "pc", "c", "m", "alpha", "beta", "gamma", "A", "B"}

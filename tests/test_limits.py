@@ -331,3 +331,23 @@ def test_gurson_refuses_a_nonpositive_flow_stress(call, sigma_m):
 def test_realize_refuses_an_unknown_criterion():
     with pytest.raises(DomainError, match="unknown classical criterion"):
         realize("von-mises")
+
+
+@pytest.mark.parametrize(
+    "realization, last_k",
+    [
+        (lambda k: realize(VonMises(ft=1.0), scale_exponent=k), 100),
+        (lambda k: realize(Tresca(ft=0.5), scale_exponent=k), 100),
+        (lambda k: realize(DruckerPrager(fc=2.0, r=3.0), scale_exponent=k), 99),
+        (lambda k: realize(CoulombMohr(fc=1.0, r=3.0), scale_exponent=k), 100),
+        (lambda k: coulomb_mohr_generalized(3.0, 2.0, 0.5, scale_exponent=k), 99),
+    ],
+    ids=["von-mises", "tresca", "drucker-prager", "coulomb-mohr", "coulomb-mohr-generalized"],
+)
+def test_realize_keeps_the_surrogate_pc_within_the_stress_range(realization, last_k):
+    # pc = 10^k times the strength: the last k leaves it at most 1e100
+    assert realization(last_k).params.pc <= 1e100
+    for k in (last_k + 1, 300, 400):
+        with pytest.raises(DomainError) as info:
+            realization(k)
+        assert str(info.value) == f"scale_exponent={k} puts the surrogate pc above 1e+100"

@@ -6,6 +6,7 @@ and message of every check and that every serializer reads back to an
 equal record.
 """
 
+import dataclasses
 import math
 
 import pytest
@@ -14,13 +15,17 @@ from yieldcrit import (
     CapMeridian,
     CosineLode,
     Criterion,
+    GradientDecomposition,
     GudehusArgyris,
+    Invariants,
     LinearMeridian,
     PowerLaw,
     ValidationError,
     WillamWarnke,
     YieldParams,
     criterion_from_dict,
+    gradient,
+    invariants,
 )
 from yieldcrit.criterion import shape_from_dict
 
@@ -208,3 +213,48 @@ def test_integer_parameters_are_numbers():
     crit = criterion_from_dict({"M": 1, "pc": 2, "c": 0, "m": 2, "alpha": 1, "beta": 1, "gamma": 0})
     assert crit.meridian == CapMeridian(M=1.0, pc=2.0, c=0.0, m=2.0, alpha=1.0)
     assert all(type(v) is float for v in crit.to_dict().values() if not isinstance(v, str))
+
+
+def test_an_integer_too_large_for_a_float_names_its_key():
+    with pytest.raises(ValidationError) as info:
+        criterion_from_dict(dict(NATIVE, M=10**400))
+    assert str(info.value) == "M must be finite, got an integer too large for a float"
+
+
+# ---------------------------------------------------------------------------
+# Records built without __init__
+# ---------------------------------------------------------------------------
+
+
+def _fast_and_constructed():
+    """(a record built without ``__init__``, the same record built by its class)."""
+    stress = (-0.7, -0.2, -0.4)
+    crit = YieldParams(**NATIVE).criterion()
+    dec = gradient(stress, crit)
+    fields = {f.name: getattr(dec, f.name) for f in dataclasses.fields(dec)}
+    inv = invariants(stress)
+    return [
+        (inv, Invariants(inv.p, inv.q, inv.theta, inv.hydrostatic)),
+        (dec, GradientDecomposition(**fields)),
+        (YieldParams.unchecked(**NATIVE), YieldParams(**{k: float(v) for k, v in NATIVE.items()})),
+    ]
+
+
+@pytest.mark.parametrize("pair", range(3), ids=["Invariants", "GradientDecomposition", "YieldParams"])
+def test_records_built_without_init_behave_as_constructed(pair):
+    fast, made = _fast_and_constructed()[pair]
+    assert type(fast) is type(made)
+    assert repr(fast) == repr(made)
+    assert fast == made
+    if isinstance(fast, GradientDecomposition):
+        # its ndarray fields make it unhashable, however it is built
+        for record in (fast, made):
+            with pytest.raises(TypeError, match="unhashable"):
+                hash(record)
+    else:
+        assert hash(fast) == hash(made)
+    name = dataclasses.fields(fast)[0].name
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(fast, name, 1.0)
+    assert repr(dataclasses.replace(fast, **{name: 2.0})) == repr(dataclasses.replace(made, **{name: 2.0}))
+    assert repr(dataclasses.asdict(fast)) == repr(dataclasses.asdict(made))
