@@ -17,6 +17,13 @@ start's ``evaluations`` and ``stop`` exactly.
 Every recorded ``certify`` report must give its verdicts, interval and
 witnesses to within 1e-12 relative (1 for these dimensionless numbers), and
 its notes exactly.
+
+Every recorded command line (``tests/golden/cli.json``) must give its exit
+code and its stderr exactly, and its stdout exactly but for the numbers in
+it, each within 1e-12 relative to the largest number of that output.  A
+usage error (exit code 1) is argparse's text, which changes between Python
+versions, so of its stderr only the ``prog: error:`` prefix of the last
+line is compared.
 """
 
 from __future__ import annotations
@@ -24,17 +31,20 @@ from __future__ import annotations
 import json
 import math
 import pathlib
+import re
 
 import numpy as np
 import pytest
 
 import yieldcrit as yc
+from yieldcrit import cli
 from yieldcrit.criterion import SHAPE_KINDS
 
 GOLDEN = pathlib.Path(__file__).resolve().parent / "golden" / "kernel.json"
 CASES = json.loads(GOLDEN.read_text(encoding="utf-8"))["cases"]
 FITS = json.loads((GOLDEN.parent / "fits.json").read_text(encoding="utf-8"))
 CERTIFY = json.loads((GOLDEN.parent / "certify.json").read_text(encoding="utf-8"))["cases"]
+CLI = json.loads((GOLDEN.parent / "cli.json").read_text(encoding="utf-8"))
 REL = 1e-12
 
 
@@ -167,3 +177,61 @@ def test_certify_matches_golden_record(capsys):
         _compare(_report_numbers(got), _report_numbers(want), 1.0, f"{where}: numbers", tally)
     with capsys.disabled():
         print(f"\ngolden certify record: {sum(tally)} of {len(tally)} numbers bit-identical")
+
+
+def test_cli_record_covers_every_command():
+    argvs = [case["argv"] for case in CLI["cases"]]
+
+    def second(command):
+        return {argv[1] for argv in argvs if len(argv) > 1 and argv[0] == command}
+
+    assert {argv[0] for argv in argvs if argv} >= {
+        "eval", "section", "check-convexity", "fit", "compare", "realize",
+    }
+    assert second("realize") >= set(cli._CLASSICAL)
+    assert second("section") >= {"meridian", "deviatoric", "biaxial"}
+    assert second("compare") == {"gurson", "newman"}
+    assert {case["exit"] for case in CLI["cases"]} == {0, 1, 2, 3}
+    for command in ("eval", "check-convexity"):
+        files = {argv[2] for argv in argvs if argv[:2] == [command, "--params"]}
+        assert {f"{m}-{kind}.json" for m in ("cap", "linear") for kind in SHAPE_KINDS} <= files
+
+
+# a number in CLI output: JSON, CSV, SVG or a message
+_NUMBER = re.compile(r"(-?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?)")
+
+
+def _same_output(got: str, want: str, where: str) -> bool:
+    """Assert ``got`` is ``want`` but for numbers within REL of the largest
+    number in ``want``; True when it is byte-identical."""
+    if got == want:
+        return True
+    g, w = _NUMBER.split(got), _NUMBER.split(want)
+    assert len(g) == len(w) and g[::2] == w[::2], f"{where}: {got!r} != {want!r}"
+    numbers = [float(v) for v in w[1::2]]
+    scale = max(map(abs, numbers), default=0.0)
+    for a, b in zip(g[1::2], numbers):
+        assert abs(float(a) - b) <= REL * max(abs(b), scale), f"{where}: {a} != {b!r}"
+    return False
+
+
+def test_cli_matches_golden_record(tmp_path, monkeypatch, capsys):
+    for name, text in CLI["files"].items():
+        (tmp_path / name).write_text(text, encoding="utf-8")
+    for name, text in CLI["bytes_files"].items():
+        (tmp_path / name).write_bytes(bytes.fromhex(text))
+    monkeypatch.chdir(tmp_path)
+    identical = 0
+    for case in CLI["cases"]:
+        code = cli.main(case["argv"])
+        out, err = capsys.readouterr()
+        where = case["label"]
+        assert code == case["exit"], f"{where}: exit {code}, {err!r}"
+        if code == 1:
+            prefix = case["stderr"].splitlines()[-1].split(" error: ")[0] + " error: "
+            assert err.splitlines()[-1].startswith(prefix), f"{where}: {err!r}"
+        else:
+            assert err == case["stderr"], where
+        identical += _same_output(out, case["stdout"], where)
+    with capsys.disabled():
+        print(f"\ngolden CLI record: {identical} of {len(CLI['cases'])} outputs byte-identical")
