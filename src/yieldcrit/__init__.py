@@ -5,6 +5,8 @@ the classical criteria, section sampling and calibration to experimental
 yield data, all in the Haigh-Westergaard (principal stress) setting.
 """
 
+import importlib
+
 from .errors import (
     CornerCase,
     DegenerateDirection,
@@ -76,26 +78,33 @@ from .limits import (
     newman_strength,
     realize,
 )
-from .calibration import (
-    FitDataset,
-    FitProblem,
-    FitResult,
-    FitStart,
-    fit,
-    goodness,
-    load_dataset,
-    residuals,
-)
-from .sections import (
-    SectionCurve,
-    curve_to_csv,
-    curve_to_svg,
-    normalized_residual,
-    polygon_is_convex,
-    sample_biaxial,
-    sample_deviatoric,
-    sample_meridian,
-)
+
+# The calibration and section modules compute over numpy arrays.  Their
+# names, and the submodules themselves, load on first use (PEP 562), so
+# ``import yieldcrit`` and the scalar CLI commands never import numpy.
+_LAZY = {
+    **dict.fromkeys(
+        ("FitDataset", "FitProblem", "FitResult", "FitStart", "fit", "goodness", "load_dataset",
+         "residuals"),
+        "calibration",
+    ),
+    **dict.fromkeys(
+        ("SectionCurve", "curve_to_csv", "curve_to_svg", "normalized_residual", "polygon_is_convex",
+         "sample_biaxial", "sample_deviatoric", "sample_meridian"),
+        "sections",
+    ),
+    **{module: module for module in ("calibration", "sections", "trf")},
+}
+
+
+def __getattr__(name: str):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = importlib.import_module(f".{_LAZY[name]}", __name__)
+    value = module if _LAZY[name] == name else getattr(module, name)
+    globals()[name] = value  # later lookups find it without this hook
+    return value
+
 
 __version__ = "1.0.0"
 

@@ -9,29 +9,25 @@ SVG; diagnostics go to stderr.  Exit codes: 0 success, 1 usage error,
 Unless --unchecked is passed, any subcommand that consumes criterion
 parameters certifies them for convexity before computing.  Angles are
 radians by default; pass --degrees to use degrees on the command line.
+
+eval, check-convexity and realize run on the scalar core and never import
+numpy; section, fit and compare import the array modules they use when
+they run.
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib
 import json
 import math
 import os
 import sys
 from dataclasses import fields
 
-import numpy as np
-
 from . import __version__
-from .calibration import FitProblem, fit, load_dataset
 from .convexity import certify
-from .criterion import (
-    Criterion,
-    criterion_from_dict,
-    gradient,
-    surface_q_array,
-    yield_value,
-)
+from .criterion import Criterion, _gradient_body, criterion_from_dict, surface_q_array, yield_value
 from .errors import DomainError, ParseError, YieldCritError
 from .invariants import invariants
 from .limits import (
@@ -46,18 +42,25 @@ from .limits import (
     newman_invariants,
     realize,
 )
-from .sections import (
-    check_sample_count,
-    curve_to_csv,
-    curve_to_svg,
-    sample_biaxial,
-    sample_deviatoric,
-    sample_meridian,
-)
 
 USAGE_EXIT = 1
 DOMAIN_EXIT = 2
 NOT_CONVERGED_EXIT = 3
+
+# perfbench's tracer (perfbench/families.py) wraps these module attributes by
+# name; the handlers import what they call, so they resolve only on request
+_TRACED = {
+    "gradient": "criterion",
+    "fit": "calibration",
+    "sample_biaxial": "sections",
+    "curve_to_csv": "sections",
+}
+
+
+def __getattr__(name: str):
+    if name in _TRACED:
+        return getattr(importlib.import_module(f".{_TRACED[name]}", __package__), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -174,9 +177,9 @@ def _cmd_eval(args) -> int:
         "F": _finite_or_str(F),
     }
     try:
-        dec = gradient(parts, crit)
-        out["gradient"] = [float(v) for v in dec.tensor]
-        out["unit_normal"] = [float(v) for v in dec.unit_normal]
+        _, _, _, tensor, unit_normal = _gradient_body(parts, crit)
+        out["gradient"] = list(tensor)
+        out["unit_normal"] = list(unit_normal)
     except YieldCritError as exc:
         out["gradient"] = None
         out["unit_normal"] = None
@@ -186,6 +189,8 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_section(args) -> int:
+    from .sections import curve_to_csv, curve_to_svg, sample_biaxial, sample_deviatoric, sample_meridian
+
     crit = _load_criterion(args)
     theta = math.radians(args.theta) if args.degrees else args.theta
     if args.which == "meridian":
@@ -208,6 +213,8 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_fit(args) -> int:
+    from .calibration import FitProblem, fit, load_dataset
+
     spec = _load_json(args.problem)
     try:
         template = criterion_from_dict(spec["criterion"], unchecked=True)
@@ -232,6 +239,10 @@ def _cmd_fit(args) -> int:
 
 
 def _cmd_compare(args) -> int:
+    import numpy as np
+
+    from .sections import check_sample_count
+
     check_sample_count(args.n)
     if args.which == "gurson":
         # the Gurson-Tvergaard inputs, in the order both limits functions take them

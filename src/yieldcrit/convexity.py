@@ -26,12 +26,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .criterion import Criterion, _powerlaw_coefficients
 from .errors import DegenerateState, DomainError
 from .invariants import FLOAT, _lode_angle, _theta_in_range, _check_stress
+
+if TYPE_CHECKING:
+    import numpy as np
 
 def deviatoric_curvature(theta, shape):
     """Curvature combination g^2 + 2 g'^2 - g g'' of a deviatoric shape.
@@ -41,6 +43,8 @@ def deviatoric_curvature(theta, shape):
     Nonnegative on [0, pi/3] (with g > 0) iff the deviatoric section is
     convex.
     """
+    import numpy as np
+
     if not _theta_in_range(theta):
         raise DomainError(f"theta must lie in [0, pi/3], got {theta}")
     g = shape.g(theta)
@@ -61,6 +65,8 @@ def hessian_qg(s1: float, s2: float, shape) -> np.ndarray:
     deviatoric meridians (sin 3 theta = 0).  Raises DegenerateState at
     q = 0, and DomainError where :func:`invariants` would.
     """
+    import numpy as np
+
     s3 = -s1 - s2
     _check_stress((s1, s2, s3))
     q2 = 3.0 * (s1 * s1 + s1 * s2 + s2 * s2)
@@ -84,6 +90,8 @@ def powerlaw_quadratic(x, beta: float, n: float):
     sign of b does not change that, only which theta a given x is (x = -1
     is theta = 0 in this Lode convention).
     """
+    import numpy as np
+
     x = np.asarray(x, dtype=float)
     a, b, c = _powerlaw_coefficients(beta, n)
     return a * x * x + b * x + c

@@ -31,14 +31,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 from functools import cache
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import CornerCase, DegenerateState, DomainError, ValidationError
 from .invariants import EPS_MERIDIAN, FLOAT, _invariant_body, _perp, _principal, _record
 from .invariants import _theta_in_range, invariants_array, namespace
 # Unused here; kept because perfbench's --trace 1 wraps criterion.invariants by name.
 from .invariants import invariants  # noqa: F401
+
+if TYPE_CHECKING:
+    import numpy as np
 
 # Gradient evaluation margin at the cap ends: inside Phi < DELTA_PHI or
 # Phi > 1 - DELTA_PHI the square root in a(p) loses all precision and the
@@ -149,6 +151,8 @@ class CosineLode(_Shape):
     def _partials(self, theta):
         """dg/dpsi = g tan(psi) times dpsi/dbeta = pi/6 and
         dpsi/dgamma = cos 3t / (3 sqrt(1 - (gamma cos 3t)^2))."""
+        import numpy as np
+
         c3 = np.cos(3.0 * theta)
         u, psi = self._psi(np, theta)
         g_psi = np.tan(psi) / np.cos(psi)
@@ -221,6 +225,8 @@ class PowerLaw(_Shape):
 
     def _partials(self, theta):
         """dg/dbeta = -g (1 + cos 3t) / (n v) and dg/dn = g ln(v) / n^2."""
+        import numpy as np
+
         v = self._v(np, theta)
         g = v ** (-1.0 / self.n)
         dn = g * np.log(v) / self.n**2
@@ -307,6 +313,8 @@ class WillamWarnke(_Shape):
     def _partials(self, theta):
         """dg/de through ``_parts``: c2 = 1 - e^2, t = 2e - 1 and
         r^2 = 4 c2 u^2 + 5 e^2 - 4 e, with u = cos theta."""
+        import numpy as np
+
         u = np.cos(theta)
         c2, t, r, num, den = self._parts(np, u)
         r_e = (5.0 * self.e - 2.0 - 4.0 * self.e * u * u) / r
@@ -374,6 +382,8 @@ class GudehusArgyris(_Shape):
 
     def _partials(self, theta):
         """dg/dk = 2 (1 + cos 3t) / D^2."""
+        import numpy as np
+
         return {"k": 2.0 * (1.0 + np.cos(3.0 * theta)) / self._d(np, theta) ** 2}
 
     def d2g(self, theta):
@@ -474,6 +484,8 @@ class _Meridian:
 
     def f_array(self, p: np.ndarray) -> np.ndarray:
         """Meridian value over an array of pressures; +inf outside a cap."""
+        import numpy as np
+
         return self._f(np.asarray(p, dtype=float), np)
 
     to_dict = _param_dict
@@ -528,6 +540,8 @@ class CapMeridian(_Meridian):
     def _fit_place(self, p, names):
         """((inside, ph, ln ph or None, 1 - 2 ph or None), (dist(Phi, [0, 1]),
         d(dist))): ln ph (0 where ph = 0) if m is in ``names``, 1 - 2 ph if alpha is."""
+        import numpy as np
+
         phi, inside, ph = self._place(p, np)
         ln_ph = np.log(np.where(ph > 0.0, ph, 1.0)) if "m" in names else None
         tilt = 1.0 - 2.0 * ph if "alpha" in names else None
@@ -541,6 +555,8 @@ class CapMeridian(_Meridian):
     def _fit_terms(self, at, names):
         """f (+inf outside the cap) and, for each of ``names``, df with the
         branch held fixed (0 where h = 0, at a cap end), sharing h's factors."""
+        import numpy as np
+
         inside, ph, ln_ph, tilt = at
         phm, d, lin = _cap_factors(ph, self.m, self.alpha)
         h = d * lin
@@ -572,7 +588,10 @@ class CapMeridian(_Meridian):
     def df(self, p):
         """df/dp (a float or an array) on the open interior of the cap; caller guards the ends."""
         xp, p = namespace(p)
-        phi = self.phi(p)
+        return self._df(self.phi(p), xp)
+
+    def _df(self, phi, xp):
+        """df/dp at Phi, from h' = dh/dPhi."""
         _, d, lin = _cap_factors(phi, self.m, self.alpha)
         h1 = _cap_h1(phi, self.m, self.alpha, d, lin)
         return -self.M * self.pc * h1 / (2.0 * xp.sqrt(d * lin)) / (self.pc + self.c)
@@ -616,6 +635,8 @@ class LinearMeridian(_Meridian):
     def _fit_place(self, p, names):
         """As the cap's: (p + c,) and, beyond the apex, dist = -(p + c) / scale,
         scale = max(c, mean |p|), with d(dist)/dc holding the max's branch."""
+        import numpy as np
+
         s = p + self.c
         scale = np.maximum(np.maximum(self.c, np.mean(np.abs(p))), 1e-30)
         dist = np.maximum(0.0, -s) / scale
@@ -629,6 +650,8 @@ class LinearMeridian(_Meridian):
 
     def _s0_floor(self, bq):
         """The floor 0.01 mean(B q) of s0 = max(B q, |f|, floor); no partials."""
+        import numpy as np
+
         return 0.01 * max(float(np.mean(bq)), 1e-30), {}
 
     def convexity(self):
@@ -809,6 +832,8 @@ def deviatoric_g(theta, shape) -> float | np.ndarray:
     theta must lie in [0, pi/3] (scalar or array); raises DomainError
     otherwise.
     """
+    import numpy as np
+
     if not _theta_in_range(theta):
         raise DomainError(f"theta must lie in [0, pi/3], got {theta}")
     out = shape.g(theta)
@@ -839,6 +864,8 @@ def yield_value_array(stress, crit: Criterion) -> np.ndarray:
     The batch form of :func:`yield_value`: +inf outside the effective
     domain of a cap meridian, and only A q^2 + f(p) on hydrostatic states.
     """
+    import numpy as np
+
     p, q, theta, hydrostatic = invariants_array(stress)
     return _yield_body(crit.meridian.f_array(p), q, crit.shape.g(theta), hydrostatic, crit, np)
 
@@ -850,7 +877,7 @@ def _surface_q_body(fp, g, crit: Criterion, xp):
     f = xp.where(ok, fp, 0.0)
     A = crit.A
     q = -f * g / crit.B
-    if isinstance(A, np.ndarray) or A != 0.0:
+    if not isinstance(A, float) or A != 0.0:  # A is a column of the fit's batch
         # the positive root of A q^2 + B q / g + f = 0 as a factor on the
         # linear root q: it does not cancel as A -> 0, and it is q at A = 0
         q = 2.0 * q / (1.0 + xp.sqrt(1.0 + 4.0 * A / crit.B * g * q))
@@ -879,6 +906,8 @@ def surface_q_array(p, theta, crit: Criterion) -> np.ndarray:
     Raises DomainError for a theta outside [0, pi/3], a NaN p, or shapes
     that do not broadcast.
     """
+    import numpy as np
+
     # a single theta is checked as a float, before it becomes an array
     if not _theta_in_range(theta):
         raise DomainError(f"theta must lie in [0, pi/3], got {theta}")
@@ -917,15 +946,28 @@ def gradient(stress, crit: Criterion) -> GradientDecomposition:
         At q = 0 or, for the cap meridian, within DELTA_PHI of the cap
         ends, where the caller should use :func:`normal_limits`.
     """
+    import numpy as np
+
+    a, b, c, tensor, unit_normal = _gradient_body(stress, crit)
+    fields = {"a": a, "b": b, "c": c, "tensor": np.array(tensor), "unit_normal": np.array(unit_normal)}
+    return _record(GradientDecomposition, fields)
+
+
+def _gradient_body(stress, crit: Criterion):
+    """(a, b, c, tensor, unit normal) of :func:`gradient` in plain floats, the
+    last two as triples; the same DegenerateState where it raises one."""
     s1, s2, s3 = _principal(stress)
     p, q, theta, hydrostatic = _invariant_body(s1, s2, s3, FLOAT)
     if hydrostatic:
         raise DegenerateState("gradient decomposition needs q > 0")
-    if isinstance(crit.meridian, CapMeridian):
-        phi = crit.meridian.phi(p)
+    mer = crit.meridian
+    if isinstance(mer, CapMeridian):
+        phi = mer.phi(p)
         if not (DELTA_PHI < phi < 1.0 - DELTA_PHI):
             raise DegenerateState(f"Phi={phi:.3g} too close to the cap ends; use normal_limits")
-    a = -crit.meridian.df(p) / 3.0
+        a = -mer._df(phi, FLOAT) / 3.0
+    else:
+        a = -mer.df(p) / 3.0
     sin3t = math.sin(3.0 * theta)
     # a smooth limit on a deviatoric meridian: the c-term drops out, and g' is not needed
     on_meridian = abs(sin3t) <= EPS_MERIDIAN
@@ -943,10 +985,8 @@ def gradient(stress, crit: Criterion) -> GradientDecomposition:
         t2 += c * _perp(u2, cos3t, sin3t)
         t3 += c * _perp(u3, cos3t, sin3t)
     norm = math.sqrt(3.0 * a * a + b * b + c * c)
-    fields = {"a": a, "b": b, "c": c, "tensor": np.array((t1, t2, t3))}
     # a float quotient rounds as numpy's does
-    fields["unit_normal"] = np.array((t1 / norm, t2 / norm, t3 / norm))
-    return _record(GradientDecomposition, fields)
+    return a, b, c, (t1, t2, t3), (t1 / norm, t2 / norm, t3 / norm)
 
 
 def normal_limits(which: str, params: YieldParams) -> np.ndarray:
@@ -957,6 +997,8 @@ def normal_limits(which: str, params: YieldParams) -> np.ndarray:
     not exist for alpha in {0, 2}, where the surface has a corner; that
     case raises CornerCase.
     """
+    import numpy as np
+
     if not (0.0 < params.alpha < 2.0):
         raise CornerCase(
             f"alpha={params.alpha}: a corner forms at the hydrostatic axis; "

@@ -23,10 +23,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from types import SimpleNamespace
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import DegenerateDirection, DomainError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 # Relative threshold below which a state counts as hydrostatic; under the
 # rounding noise of double-precision invariants.
@@ -49,6 +51,8 @@ _SQRT6 = math.sqrt(6.0)
 
 # Each formula is written once over a namespace ``xp``: numpy for arrays,
 # or FLOAT, the same names over ``math`` for one state in plain floats.
+# numpy is imported only where an array is made or taken, so the scalar
+# paths (and the CLI commands built on them) never load it.
 # Unlike numpy, ``math`` raises on sqrt(-x), float / and ** on a zero
 # divisor or an overflow, and max(0.0, nan) is 0.0, so the bodies keep
 # their arguments in range.  They multiply rather than use ** where both
@@ -71,6 +75,8 @@ def namespace(x):
     """``(FLOAT, x)`` for a real number, ``(numpy, x as a float array)`` otherwise."""
     if isinstance(x, (float, int)):
         return FLOAT, x
+    import numpy as np
+
     return np, np.asarray(x, dtype=float)
 
 
@@ -119,6 +125,8 @@ def _check_stress(sig) -> None:
             return
         bad = list(sig)
     else:
+        import numpy as np
+
         # the largest magnitude is NaN if any component is
         if np.abs(sig).max(initial=0.0) <= STRESS_MAX:
             return
@@ -133,6 +141,8 @@ def _principal(stress) -> tuple[float, float, float]:
     if isinstance(stress, (tuple, list)) and len(stress) == 3:
         sig = float(stress[0]), float(stress[1]), float(stress[2])
     else:
+        import numpy as np
+
         sig = tuple(np.asarray(stress, dtype=float).reshape(3).tolist())
     _check_stress(sig)
     return sig
@@ -161,6 +171,8 @@ def _theta_in_range(theta) -> bool:
     """True when theta (a number or an array) lies in [0, pi/3] to 1e-12; False for NaN."""
     if isinstance(theta, (float, int)):
         return -1e-12 <= theta <= _THETA_MAX + 1e-12
+    import numpy as np
+
     th = np.asarray(theta, dtype=float)
     return bool(np.all((-1e-12 <= th) & (th <= _THETA_MAX + 1e-12)))
 
@@ -189,6 +201,8 @@ def invariants_array(stress):
     A single triple of shape (3,) is taken as a batch of one; any other
     shape than (3,) or (N, 3) raises DomainError.
     """
+    import numpy as np
+
     sig = np.asarray(stress, dtype=float)
     if sig.ndim not in (1, 2) or sig.shape[-1] != 3:
         raise DomainError(f"stress must have shape (3,) or (N, 3), got {sig.shape}")
@@ -213,6 +227,8 @@ def invariant_gradients(stress):
         the caller must switch to the smooth-limit form of the criterion
         gradient instead.
     """
+    import numpy as np
+
     sig = _principal(stress)
     p, q, theta, hydrostatic = _invariant_body(*sig, FLOAT)
     if hydrostatic:
@@ -237,6 +253,8 @@ def deviatoric_frame(stress) -> DeviatoricFrame:
     Raises DegenerateDirection when q = 0.  On a deviatoric meridian the
     perpendicular direction is a 0/0 limit, so ``defined`` is False there.
     """
+    import numpy as np
+
     sig = _principal(stress)
     p, q, theta, hydrostatic = _invariant_body(*sig, FLOAT)
     if hydrostatic:
@@ -255,6 +273,8 @@ def principal_from_invariants(p: float, q: float, theta: float) -> np.ndarray:
     The inverse of :func:`invariants` up to permutation:
     sigma_k = -p + (2q/3) cos(theta - 2 pi k / 3).
     """
+    import numpy as np
+
     if not _theta_in_range(theta):
         raise DomainError(f"theta must lie in [0, pi/3], got {theta}")
     if not (math.isfinite(p) and math.isfinite(q)):

@@ -21,8 +21,6 @@ import math
 import warnings as _warnings
 from dataclasses import dataclass
 
-import numpy as np
-
 from .criterion import Criterion, YieldParams
 from .errors import DomainError, ShapeMismatch
 from .invariants import STRESS_MAX, invariants
@@ -367,6 +365,8 @@ def gurson_meridian_q(
     Vectorized in p; entries where the surface does not reach (cosh term
     too large) come back as NaN.  Raises DomainError for sigma_m <= 0.
     """
+    import numpy as np
+
     _gurson_inputs(f_void=f_void, sigma_m=sigma_m, q1=q1, q2=q2, q3=q3)
     p = np.asarray(p, dtype=float)
     radicand = 1.0 + q3 * f_void**2 - 2.0 * q1 * f_void * np.cosh(3.0 * q2 * p / (2.0 * sigma_m))
