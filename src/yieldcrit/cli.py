@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import importlib
+import io
 import json
 import math
 import os
@@ -28,7 +29,7 @@ from dataclasses import fields
 from . import __version__
 from .convexity import certify
 from .criterion import Criterion, _gradient_body, criterion_from_dict, surface_q_array, yield_value
-from .errors import DomainError, ParseError, YieldCritError
+from .errors import DomainError, ParseError, ValidationError, YieldCritError
 from .invariants import invariants
 from .limits import (
     CoulombMohr,
@@ -92,16 +93,24 @@ def _json_dumps(obj) -> str:
         raise YieldCritError(f"result is not finite: {exc}") from None
 
 
-def _load_json(path: str):
-    """The JSON document in the file at ``path``; ParseError naming the path,
-    and the line where it is known, when the file is not UTF-8 JSON."""
+def _read_text(path: str) -> str:
+    """The text of the file at ``path``; ParseError naming the path, the byte
+    and its line when the file is not UTF-8, OSError when it cannot be read."""
     with open(path, "rb") as fh:
         data = fh.read()
     try:
-        return json.loads(data.decode("utf-8"))
+        return data.decode("utf-8")
     except UnicodeDecodeError as exc:
         where = f"{exc.reason} at byte {exc.start}"
         raise ParseError(f"{path} is not UTF-8 text: {where}", data.count(b"\n", 0, exc.start) + 1)
+
+
+def _load_json(path: str):
+    """The JSON document in the file at ``path``; ParseError naming the path,
+    and the line where it is known, when the file is not UTF-8 JSON."""
+    text = _read_text(path)
+    try:
+        return json.loads(text)
     except ValueError as exc:  # a JSONDecodeError, or an integer past Python's digit limit
         msg = getattr(exc, "msg", exc)
         raise ParseError(f"{path} is not valid JSON: {msg}", getattr(exc, "lineno", None))
@@ -216,21 +225,28 @@ def _cmd_fit(args) -> int:
     from .calibration import FitProblem, fit, load_dataset
 
     spec = _load_json(args.problem)
+    if not isinstance(spec, dict):
+        raise ValidationError(f"problem JSON must be an object, got {type(spec).__name__}")
     try:
         template = criterion_from_dict(spec["criterion"], unchecked=True)
-        free = tuple(spec["free"])
+        free = spec["free"]
     except KeyError as exc:
         raise YieldCritError(f"problem JSON is missing the {exc.args[0]!r} key")
+    if not isinstance(free, list) or not all(isinstance(name, str) for name in free):
+        raise ValidationError(f"free must be a list of parameter names, got {free!r}")
+    seed = spec.get("seed", 0)
+    if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
+        raise ValidationError(f"seed must be a nonnegative integer, got {seed!r}")
     bounds = tuple((k, (float(v[0]), float(v[1]))) for k, v in spec.get("bounds", {}).items())
     problem = FitProblem(
         template=template,
-        free=free,
+        free=tuple(free),
         bounds=bounds,
         residual_mode=spec.get("residual_mode", "meridian_distance"),
     )
-    dataset = load_dataset(args.data)
-    init = spec.get("init")
-    result = fit(problem, dataset, init=init, seed=int(spec.get("seed", 0)))
+    # the CSV text itself, so that a missing path is an error, not CSV
+    dataset = load_dataset(io.StringIO(_read_text(args.data)))
+    result = fit(problem, dataset, init=spec.get("init"), seed=seed)
     _emit(_json_dumps(result.to_dict()), args.output)
     if not result.converged:
         print("fit did not converge; best parameters so far were written", file=sys.stderr)

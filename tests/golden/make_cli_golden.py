@@ -131,12 +131,21 @@ def files() -> dict[str, str]:
     out["problem-unknown-free.json"] = _json({**problem, "free": ["Q"]})
     out["problem-bad-bound.json"] = _json({**problem, "bounds": {"M": [-1.0, 2.0]}})
     out["problem-bad-mode.json"] = _json({**problem, "residual_mode": "nearest"})
+    out["problem-list.json"] = _json([problem])
+    out["problem-free-number.json"] = _json({**problem, "free": 3})
+    out["problem-free-string.json"] = _json({**problem, "free": "M"})
+    out["problem-seed-string.json"] = _json({**problem, "seed": "x"})
+    out["problem-seed-negative.json"] = _json({**problem, "seed": -1})
+    out["problem-seed-fraction.json"] = _json({**problem, "seed": 1.5})
     return out
 
 
 def bytes_files() -> dict[str, bytes]:
     """The input files that are not UTF-8 text, by name."""
-    return {"not-utf8.json": b'{"M": 1.0,\n "pc": "\xff"}\n'}
+    return {
+        "not-utf8.json": b'{"M": 1.0,\n "pc": "\xff"}\n',
+        "not-utf8.csv": b"p,q,theta\n0.5,0.3,0\n0.2,0.4,\xff\n",
+    }
 
 
 def _eval_cases():
@@ -197,9 +206,10 @@ def _fit_cases():
     yield "fit one point", ["fit", "--data", "one-point.csv", "--problem", "problem.json"]
     yield "fit not converged", ["fit", "--data", "scatter.csv", "--problem", "problem-five.json"]
     yield "fit fewer points than free", ["fit", "--data", "one-point.csv", "--problem", "problem-two.json"]
-    for name in ("no-free", "no-free-key", "unknown-free", "bad-bound", "bad-mode"):
+    for name in ("no-free", "no-free-key", "unknown-free", "bad-bound", "bad-mode", "list", "free-number",
+                 "free-string", "seed-string", "seed-negative", "seed-fraction"):
         yield f"fit problem {name}", ["fit", "--data", "points.csv", "--problem", f"problem-{name}.json"]
-    for name in ("nan-row", "bad-header", "short-row"):
+    for name in ("nan-row", "bad-header", "short-row", "not-utf8"):
         yield f"fit data {name}", ["fit", "--data", f"{name}.csv", "--problem", "problem.json"]
     yield "fit data missing", ["fit", "--data", "nope.csv", "--problem", "problem.json"]
     yield "fit problem missing", ["fit", "--data", "points.csv", "--problem", "nope.json"]

@@ -437,6 +437,54 @@ class TestBrokenJsonFiles:
         assert err == "yieldcrit: M must be finite, got an integer too large for a float\n"
 
 
+class TestFitInputFiles:
+    """A problem JSON or a --data CSV that fit cannot read exits 2 with the
+    key or the path in the message, never with a traceback."""
+
+    PROBLEM = {"criterion": CAM_CLAY, "free": ["M"]}
+
+    def _fit(self, capsys, tmp_path, spec, data=b"p,q,theta\n0.5,0.3,0\n0.2,0.4,0\n"):
+        """(exit code, stderr) of fit on a problem file ``spec`` and a CSV of
+        bytes ``data``, or of no CSV file at all for None; stdout must be empty."""
+        (tmp_path / "p.json").write_text(json.dumps(spec), encoding="utf-8")
+        if data is not None:
+            (tmp_path / "d.csv").write_bytes(data)
+        argv = ["fit", "--data", str(tmp_path / "d.csv"), "--problem", str(tmp_path / "p.json")]
+        code, out, err = run(capsys, argv)
+        assert out == ""
+        return code, err
+
+    def test_a_problem_that_is_a_list(self, capsys, tmp_path):
+        assert self._fit(capsys, tmp_path, [self.PROBLEM]) == (
+            2, "yieldcrit: problem JSON must be an object, got list\n"
+        )
+
+    def test_a_seed_that_is_a_string(self, capsys, tmp_path):
+        assert self._fit(capsys, tmp_path, {**self.PROBLEM, "seed": "x"}) == (
+            2, "yieldcrit: seed must be a nonnegative integer, got 'x'\n"
+        )
+
+    def test_a_negative_seed(self, capsys, tmp_path):
+        assert self._fit(capsys, tmp_path, {**self.PROBLEM, "seed": -1}) == (
+            2, "yieldcrit: seed must be a nonnegative integer, got -1\n"
+        )
+
+    def test_free_that_is_a_number(self, capsys, tmp_path):
+        assert self._fit(capsys, tmp_path, {**self.PROBLEM, "free": 3}) == (
+            2, "yieldcrit: free must be a list of parameter names, got 3\n"
+        )
+
+    def test_data_that_is_not_utf8(self, capsys, tmp_path):
+        code, err = self._fit(capsys, tmp_path, self.PROBLEM, b"p,q,theta\n0.5,0.3,0\n0.2,0.4,\xff\n")
+        path = tmp_path / "d.csv"
+        assert (code, err) == (2, f"yieldcrit: line 3: {path} is not UTF-8 text: invalid start byte at byte 28\n")
+
+    def test_missing_data_file(self, capsys, tmp_path):
+        code, err = self._fit(capsys, tmp_path, self.PROBLEM, None)
+        path = str(tmp_path / "d.csv")
+        assert (code, err) == (2, f"yieldcrit: [Errno 2] No such file or directory: {path!r}\n")
+
+
 class TestRealizeScaleExponent:
     def test_last_accepted_k(self, capsys):
         code, out, _ = run(capsys, ["realize", "von-mises", "--ft", "1", "--k", "100"])
