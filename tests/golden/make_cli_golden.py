@@ -71,7 +71,10 @@ LINEAR_STATES = [
     ("beyond-apex", "1.0,1.0,0.5"),
 ]
 
-DATA = "p,q,theta\n0.2,0.3,1.0471975511965976\n0.5,0.375,1.0471975511965976\n0.8,0.3,1.0471975511965976\n"
+DATA = (
+    "p,q,theta\n0.2,0.3,1.0471975511965976\n0.5,0.375,1.0471975511965976\n"
+    "0.8,0.3,1.0471975511965976\n"
+)
 CAM_CLAY = {"M": 0.75, "pc": 1.0, "c": 0.0, "m": 2.0, "alpha": 1.0, "beta": 1.0, "gamma": 0.0}
 
 
@@ -92,15 +95,19 @@ def files() -> dict[str, str]:
                                   "beta": 1.0, "gamma": 0.0})
     # inadmissible, for check-convexity and for the --unchecked bypass
     out["native-above.json"] = _json({**CAP, "beta": 4.5, "gamma": 0.5})
-    out["power-law-above.json"] = _json({**CAP, "deviatoric": {"kind": "power-law", "beta": 1.05, "n": 3.0}})
-    out["gudehus-argyris-low.json"] = _json({**CAP, "deviatoric": {"kind": "gudehus-argyris", "k": 0.7775}})
+    out["power-law-above.json"] = _json(
+        {**CAP, "deviatoric": {"kind": "power-law", "beta": 1.05, "n": 3.0}}
+    )
+    out["gudehus-argyris-low.json"] = _json(
+        {**CAP, "deviatoric": {"kind": "gudehus-argyris", "k": 0.7775}}
+    )
     # refused parameter files
     out["empty.json"] = ""
     out["not-json.json"] = '{"M": 1.0,\n "pc": \n'
-    out["nan.json"] = '{"M": NaN, "pc": 1.0, "c": 0.0, "m": 2.0, "alpha": 1.0, "beta": 1.0, "gamma": 0.0}\n'
+    out["nan.json"] = _json(CAM_CLAY).replace('"M": 0.75', '"M": NaN')
     out["string-param.json"] = _json({**CAM_CLAY, "m": "2"})
     out["bool-param.json"] = _json({**CAM_CLAY, "alpha": True})
-    out["huge-int.json"] = '{"M": 1' + "0" * 400 + ', "pc": 1.0, "c": 0.0, "m": 2.0, "alpha": 1.0, "beta": 1.0, "gamma": 0.0}\n'
+    out["huge-int.json"] = _json(CAM_CLAY).replace('"M": 0.75', '"M": 1' + "0" * 400)
     out["missing-param.json"] = _json({k: v for k, v in CAM_CLAY.items() if k != "pc"})
     out["bad-range.json"] = _json({**CAM_CLAY, "alpha": 2.5})
     out["bad-kind.json"] = _json({**CAM_CLAY, "meridian": "parabolic"})
@@ -108,7 +115,9 @@ def files() -> dict[str, str]:
     out["list.json"] = "[1, 2, 3]\n"
     # fit inputs
     out["points.csv"] = DATA
-    out["principal.csv"] = "# principal stresses, weighted\ns1,s2,s3,w\n-0.2,-0.2,-0.6,1\n-0.3,-0.3,-1.0,2\n-0.1,-0.1,-0.4,1\n"
+    out["principal.csv"] = (
+        "# principal stresses, weighted\ns1,s2,s3,w\n-0.2,-0.2,-0.6,1\n-0.3,-0.3,-1.0,2\n-0.1,-0.1,-0.4,1\n"
+    )
     out["nan-row.csv"] = "p,q,theta\n0.5,0.3,0\nnan,0.3,0.1\n"
     out["bad-header.csv"] = "x,y,z\n1,2,3\n"
     out["short-row.csv"] = "p,q,theta\n0.5,0.3\n"
@@ -148,26 +157,42 @@ def bytes_files() -> dict[str, bytes]:
     }
 
 
+def _eval(params: str, stress: str, *flags: str) -> list[str]:
+    return ["eval", "--params", params, f"--stress={stress}", *flags]
+
+
+def _section(kind: str, params: str, *flags: str) -> list[str]:
+    return ["section", kind, "--params", params, *flags]
+
+
+def _fit(data: str, problem: str) -> list[str]:
+    return ["fit", "--data", data, "--problem", problem]
+
+
+INTERIOR = "-0.6,-0.3,-0.1"
+
+
 def _eval_cases():
     for shape in SHAPES:
         for label, stress in CAP_STATES:
-            yield f"eval {label} on cap {shape}", ["eval", "--params", f"cap-{shape}.json", f"--stress={stress}"]
+            yield f"eval {label} on cap {shape}", _eval(f"cap-{shape}.json", stress)
         for label, stress in LINEAR_STATES:
-            yield f"eval {label} on linear {shape}", ["eval", "--params", f"linear-{shape}.json", f"--stress={stress}"]
+            yield f"eval {label} on linear {shape}", _eval(f"linear-{shape}.json", stress)
     for name in ("cap-bp-A", "cap-power-law-A"):
         for label, stress in CAP_STATES[:3]:
-            yield f"eval {label} on {name}", ["eval", "--params", f"{name}.json", f"--stress={stress}"]
-    yield "eval --degrees", ["eval", "--params", "cap-bp.json", "--stress=-0.6,-0.3,-0.1", "--degrees"]
+            yield f"eval {label} on {name}", _eval(f"{name}.json", stress)
+    yield "eval --degrees", _eval("cap-bp.json", INTERIOR, "--degrees")
     yield "eval spaced stress", ["eval", "--params", "cap-bp.json", "--stress", " -0.6, -0.3 ,-0.1"]
-    inline = ["--M", "0.75", "--pc", "1", "--c", "0.1", "--m", "2", "--alpha", "1", "--beta", "0.6", "--gamma", "0.8"]
-    yield "eval inline flags", ["eval", *inline, "--stress=-0.6,-0.3,-0.1"]
-    yield "eval inline flags with A and B", ["eval", *inline, "--A", "0.3", "--B", "1.5", "--stress=-0.6,-0.3,-0.1"]
-    yield "eval inline flags missing", ["eval", "--M", "0.75", "--pc", "1", "--stress=-0.6,-0.3,-0.1"]
-    yield "eval uncertified", ["eval", "--params", "native-above.json", "--stress=-0.6,-0.3,-0.1"]
-    yield "eval --unchecked", ["eval", "--params", "native-above.json", "--unchecked", "--stress=-0.6,-0.3,-0.1"]
+    inline = ["--M", "0.75", "--pc", "1", "--c", "0.1", "--m", "2", "--alpha", "1", "--beta", "0.6",
+              "--gamma", "0.8"]
+    yield "eval inline flags", ["eval", *inline, f"--stress={INTERIOR}"]
+    yield "eval inline flags with A and B", ["eval", *inline, "--A", "0.3", "--B", "1.5", f"--stress={INTERIOR}"]
+    yield "eval inline flags missing", ["eval", "--M", "0.75", "--pc", "1", f"--stress={INTERIOR}"]
+    yield "eval uncertified", _eval("native-above.json", INTERIOR)
+    yield "eval --unchecked", ["eval", "--params", "native-above.json", "--unchecked", f"--stress={INTERIOR}"]
     for label, stress in (("words", "a,b,c"), ("two components", "1,2"), ("four components", "1,2,3,4"),
                           ("too large", "1e120,0,0"), ("nan", "nan,0,0"), ("inf", "-inf,0,0")):
-        yield f"eval stress {label}", ["eval", "--params", "cap-bp.json", f"--stress={stress}"]
+        yield f"eval stress {label}", _eval("cap-bp.json", stress)
 
 
 def _check_cases():
@@ -180,39 +205,45 @@ def _check_cases():
 
 
 def _section_cases():
-    yield "section meridian", ["section", "meridian", "--params", "cap-bp.json", "-n", "12"]
-    yield "section meridian theta", ["section", "meridian", "--params", "cap-power-law.json", "--theta", "0.5", "-n", "9"]
-    yield "section meridian degrees", ["section", "meridian", "--params", "cap-bp.json", "--theta", "60", "--degrees", "-n", "7"]
-    yield "section meridian p-range", ["section", "meridian", "--params", "linear-willam-warnke.json", "--p-range=-0.2,3", "-n", "8"]
-    yield "section meridian linear without range", ["section", "meridian", "--params", "linear-bp.json"]
-    yield "section meridian bad range", ["section", "meridian", "--params", "cap-bp.json", "--p-range=1,x"]
-    yield "section meridian reversed range", ["section", "meridian", "--params", "cap-bp.json", "--p-range=2,1"]
-    yield "section deviatoric", ["section", "deviatoric", "--params", "cap-gudehus-argyris.json", "--p", "0.4", "-n", "5"]
-    yield "section deviatoric normalize", ["section", "deviatoric", "--params", "cap-bp.json", "--p", "0.4", "-n", "4", "--normalize"]
-    yield "section deviatoric outside the cap", ["section", "deviatoric", "--params", "cap-bp.json", "--p", "2"]
-    yield "section biaxial", ["section", "biaxial", "--params", "cap-bp.json"]
-    yield "section biaxial normalize", ["section", "biaxial", "--params", "cap-willam-warnke.json", "-n", "10", "--normalize"]
-    yield "section biaxial linear", ["section", "biaxial", "--params", "linear-power-law.json", "-n", "10"]
-    yield "section biaxial svg", ["section", "biaxial", "--params", "cam-clay.json", "-n", "8", "--format", "svg"]
-    yield "section meridian svg", ["section", "meridian", "--params", "cam-clay.json", "-n", "6", "--format", "svg"]
-    yield "section meridian n=1", ["section", "meridian", "--params", "cap-bp.json", "-n", "1"]
-    yield "section biaxial n=2", ["section", "biaxial", "--params", "cap-bp.json", "-n", "2"]
+    yield "section meridian", _section("meridian", "cap-bp.json", "-n", "12")
+    yield "section meridian theta", _section("meridian", "cap-power-law.json", "--theta", "0.5", "-n", "9")
+    yield "section meridian degrees", _section(
+        "meridian", "cap-bp.json", "--theta", "60", "--degrees", "-n", "7"
+    )
+    yield "section meridian p-range", _section(
+        "meridian", "linear-willam-warnke.json", "--p-range=-0.2,3", "-n", "8"
+    )
+    yield "section meridian linear without range", _section("meridian", "linear-bp.json")
+    yield "section meridian bad range", _section("meridian", "cap-bp.json", "--p-range=1,x")
+    yield "section meridian reversed range", _section("meridian", "cap-bp.json", "--p-range=2,1")
+    yield "section deviatoric", _section("deviatoric", "cap-gudehus-argyris.json", "--p", "0.4", "-n", "5")
+    yield "section deviatoric normalize", _section(
+        "deviatoric", "cap-bp.json", "--p", "0.4", "-n", "4", "--normalize"
+    )
+    yield "section deviatoric outside the cap", _section("deviatoric", "cap-bp.json", "--p", "2")
+    yield "section biaxial", _section("biaxial", "cap-bp.json")
+    yield "section biaxial normalize", _section("biaxial", "cap-willam-warnke.json", "-n", "10", "--normalize")
+    yield "section biaxial linear", _section("biaxial", "linear-power-law.json", "-n", "10")
+    yield "section biaxial svg", _section("biaxial", "cam-clay.json", "-n", "8", "--format", "svg")
+    yield "section meridian svg", _section("meridian", "cam-clay.json", "-n", "6", "--format", "svg")
+    yield "section meridian n=1", _section("meridian", "cap-bp.json", "-n", "1")
+    yield "section biaxial n=2", _section("biaxial", "cap-bp.json", "-n", "2")
 
 
 def _fit_cases():
-    yield "fit", ["fit", "--data", "points.csv", "--problem", "problem.json"]
-    yield "fit function_value", ["fit", "--data", "principal.csv", "--problem", "problem-fv.json"]
-    yield "fit bounds and init", ["fit", "--data", "points.csv", "--problem", "problem-bounds.json"]
-    yield "fit one point", ["fit", "--data", "one-point.csv", "--problem", "problem.json"]
-    yield "fit not converged", ["fit", "--data", "scatter.csv", "--problem", "problem-five.json"]
-    yield "fit fewer points than free", ["fit", "--data", "one-point.csv", "--problem", "problem-two.json"]
+    yield "fit", _fit("points.csv", "problem.json")
+    yield "fit function_value", _fit("principal.csv", "problem-fv.json")
+    yield "fit bounds and init", _fit("points.csv", "problem-bounds.json")
+    yield "fit one point", _fit("one-point.csv", "problem.json")
+    yield "fit not converged", _fit("scatter.csv", "problem-five.json")
+    yield "fit fewer points than free", _fit("one-point.csv", "problem-two.json")
     for name in ("no-free", "no-free-key", "unknown-free", "bad-bound", "bad-mode", "list", "free-number",
                  "free-string", "seed-string", "seed-negative", "seed-fraction"):
-        yield f"fit problem {name}", ["fit", "--data", "points.csv", "--problem", f"problem-{name}.json"]
+        yield f"fit problem {name}", _fit("points.csv", f"problem-{name}.json")
     for name in ("nan-row", "bad-header", "short-row", "not-utf8"):
-        yield f"fit data {name}", ["fit", "--data", f"{name}.csv", "--problem", "problem.json"]
-    yield "fit data missing", ["fit", "--data", "nope.csv", "--problem", "problem.json"]
-    yield "fit problem missing", ["fit", "--data", "points.csv", "--problem", "nope.json"]
+        yield f"fit data {name}", _fit(f"{name}.csv", "problem.json")
+    yield "fit data missing", _fit("nope.csv", "problem.json")
+    yield "fit problem missing", _fit("points.csv", "nope.json")
 
 
 def _compare_cases():

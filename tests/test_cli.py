@@ -476,8 +476,8 @@ class TestFitInputFiles:
 
     def test_data_that_is_not_utf8(self, capsys, tmp_path):
         code, err = self._fit(capsys, tmp_path, self.PROBLEM, b"p,q,theta\n0.5,0.3,0\n0.2,0.4,\xff\n")
-        path = tmp_path / "d.csv"
-        assert (code, err) == (2, f"yieldcrit: line 3: {path} is not UTF-8 text: invalid start byte at byte 28\n")
+        message = f"line 3: {tmp_path / 'd.csv'} is not UTF-8 text: invalid start byte at byte 28"
+        assert (code, err) == (2, f"yieldcrit: {message}\n")
 
     def test_missing_data_file(self, capsys, tmp_path):
         code, err = self._fit(capsys, tmp_path, self.PROBLEM, None)

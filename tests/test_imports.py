@@ -135,7 +135,8 @@ def test_scalar_commands_load_no_numpy(tmp_path):
     for mer, mer_fields in MERIDIANS.items():
         for shape, shape_fields in SHAPES.items():
             names.append(f"{mer}-{shape}.json")
-            (tmp_path / names[-1]).write_text(json.dumps({**mer_fields, **shape_fields}), encoding="utf-8")
+            params = json.dumps({**mer_fields, **shape_fields})
+            (tmp_path / names[-1]).write_text(params, encoding="utf-8")
     (tmp_path / "points.csv").write_text(
         "p,q,theta\n0.2,0.3,1.0471975511965976\n0.5,0.375,1.0471975511965976\n", encoding="utf-8"
     )
