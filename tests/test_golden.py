@@ -1,6 +1,6 @@
-"""The per-state kernel, the fitter and convexity certification against
-their golden records, ``tests/golden/kernel.json``, ``tests/golden/fits.json``
-and ``tests/golden/certify.json``.
+"""The per-state kernel, the fitter, convexity certification, the section
+samplers and the command line against their golden records in
+``tests/golden``.
 
 ``invariants``, ``yield_value``, ``surface_q`` and ``gradient`` must give
 every recorded number to within 1e-12 relative to the state's scale (1 for
@@ -17,6 +17,11 @@ start's ``evaluations`` and ``stop`` exactly.
 Every recorded ``certify`` report must give its verdicts, interval and
 witnesses to within 1e-12 relative (1 for these dimensionless numbers), and
 its notes exactly.
+
+Every recorded section curve (``tests/golden/sections.json``) must give
+its labels exactly and every sample within 1e-12 relative to the largest
+magnitude in the curve, and a refused curve its error class and message
+exactly.
 
 Every recorded command line (``tests/golden/cli.json``) must give its exit
 code and its stderr exactly, and its stdout exactly but for the numbers in
@@ -45,6 +50,7 @@ CASES = json.loads(GOLDEN.read_text(encoding="utf-8"))["cases"]
 FITS = json.loads((GOLDEN.parent / "fits.json").read_text(encoding="utf-8"))
 CERTIFY = json.loads((GOLDEN.parent / "certify.json").read_text(encoding="utf-8"))["cases"]
 CLI = json.loads((GOLDEN.parent / "cli.json").read_text(encoding="utf-8"))
+SECTIONS = json.loads((GOLDEN.parent / "sections.json").read_text(encoding="utf-8"))
 REL = 1e-12
 
 
@@ -177,6 +183,53 @@ def test_certify_matches_golden_record(capsys):
         _compare(_report_numbers(got), _report_numbers(want), 1.0, f"{where}: numbers", tally)
     with capsys.disabled():
         print(f"\ngolden certify record: {sum(tally)} of {len(tally)} numbers bit-identical")
+
+
+def test_section_record_covers_every_sampler_and_shape():
+    cases = SECTIONS["cases"]
+    assert {case["seed"] for case in cases} == {1, 2, 3, 4, 5}
+    kinds = {case["criterion"].get("deviatoric", {"kind": "bp"})["kind"] for case in cases}
+    assert kinds == set(SHAPE_KINDS)
+    assert any(case["criterion"]["A"] > 0.0 for case in cases)
+    names = {"meridian", "deviatoric", "deviatoric normalize", "biaxial", "biaxial normalize"}
+    assert all(set(case["curves"]) == names for case in cases)
+
+
+def _curve(sample, *args, **kwargs):
+    """(curve, None) or (None, the refusal as the record writes it)."""
+    try:
+        return sample(*args, **kwargs), None
+    except yc.YieldCritError as exc:
+        return None, {"error": type(exc).__name__, "message": str(exc)}
+
+
+def test_sections_match_golden_record(capsys):
+    n = SECTIONS["n"]
+    tally: list = []
+    for case in SECTIONS["cases"]:
+        crit = yc.criterion_from_dict(case["criterion"])
+        theta, at_p = case["theta"], case["at_p"]
+        calls = {
+            "meridian": (yc.sample_meridian, (crit, theta, n), {}),
+            "deviatoric": (yc.sample_deviatoric, (crit, at_p, n), {}),
+            "deviatoric normalize": (yc.sample_deviatoric, (crit, at_p, n), {"normalize": True}),
+            "biaxial": (yc.sample_biaxial, (crit, n), {}),
+            "biaxial normalize": (yc.sample_biaxial, (crit, n), {"normalize": True}),
+        }
+        for name, (sample, args, kwargs) in calls.items():
+            where = f"seed {case['seed']} criterion {case['index']}: {name}"
+            want = case["curves"][name]
+            got, refusal = _curve(sample, *args, **kwargs)
+            if "error" in want:
+                assert refusal == want, where
+                continue
+            assert refusal is None, f"{where}: {refusal}"
+            assert (got.xlabel, got.ylabel) == (want["xlabel"], want["ylabel"]), where
+            numbers = [v for row in want["samples"] for v in row if not isinstance(v, str)]
+            scale = max(map(abs, numbers), default=0.0)
+            _compare(got.samples.tolist(), want["samples"], scale, where, tally)
+    with capsys.disabled():
+        print(f"\ngolden section record: {sum(tally)} of {len(tally)} numbers bit-identical")
 
 
 def test_cli_record_covers_every_command():
