@@ -43,9 +43,7 @@ from .criterion import (
     YieldParams,
     beta_bound,
     criterion_from_dict,
-    deviatoric_g,
     gradient,
-    meridian_f,
     normal_limits,
     powerlaw_beta_max,
     surface_q,
@@ -84,8 +82,7 @@ from .limits import (
 # ``import yieldcrit`` and the scalar CLI commands never import numpy.
 _LAZY = {
     **dict.fromkeys(
-        ("FitDataset", "FitProblem", "FitResult", "FitStart", "fit", "goodness", "load_dataset",
-         "residuals"),
+        ("FitDataset", "FitProblem", "FitResult", "FitStart", "fit", "goodness", "load_dataset"),
         "calibration",
     ),
     **dict.fromkeys(
@@ -156,7 +153,6 @@ __all__ = [
     "deshpande_fleck_to_bp",
     "deviatoric_curvature",
     "deviatoric_frame",
-    "deviatoric_g",
     "fit",
     "goodness",
     "gradient",
@@ -168,7 +164,6 @@ __all__ = [
     "invariants",
     "invariants_array",
     "load_dataset",
-    "meridian_f",
     "newman_invariants",
     "newman_strength",
     "nonconvex_demo",
@@ -178,7 +173,6 @@ __all__ = [
     "powerlaw_beta_max",
     "principal_from_invariants",
     "realize",
-    "residuals",
     "sample_biaxial",
     "sample_deviatoric",
     "sample_meridian",

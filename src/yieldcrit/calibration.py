@@ -308,11 +308,14 @@ def _model(crit: Criterion, data: tuple, mode: str, names=()):
     of_mer = [n for n in names if n in _params(type(mer))]
     # what no free name moves is the same at every call with this data
     if of_shape or "g" not in kept:
-        kept["g"] = shape.g(th)
+        kept["g"] = shape._jet(np, th, 0, of_shape)
     if any(n in mer._place_fields for n in of_mer) or "place" not in kept:
-        kept["place"] = mer._fit_place(p, of_mer)
-    g, (at, (dist, ddist)) = kept["g"], kept["place"]
-    f, df = mer._fit_terms(at, of_mer)
+        at = mer._place(p, np, of_mer)
+        kept["place"] = at, mer._penalty(p, at, of_mer)
+    g_jet, (at, (dist, ddist)) = kept["g"], kept["place"]
+    g = g_jet[0]
+    f_jet = mer._jet(at, np, 0, of_mer)
+    f = f_jet[0]
     if mode == "meridian_distance":
         # the surface radius is NaN where it does not exist
         qs = _surface_q_body(f, g, crit, np)
@@ -347,13 +350,12 @@ def _model(crit: Criterion, data: tuple, mode: str, names=()):
         r_s0 = F / s0
         on_f = (abs_f >= bq) & (abs_f >= floor)
         r_f = unit * (1.0 - np.where(on_f, np.sign(f) * r_s0, 0.0))
-    cols = {n: r_f * df[n] for n in names if n in df}
+    cols = {n: r_f * f_jet[n] for n in of_mer}
     if of_shape:
         # where g underflows, r_g and so the column are not finite; the
         # search treats the point as one with residuals that are not finite
         r_g = -unit * crit.B * at / (g * g)
-        dg = shape._partials(th)
-        cols.update((n, r_g * dg[n]) for n in of_shape)
+        cols.update((n, r_g * g_jet[n]) for n in of_shape)
     if "A" in names:
         cols["A"] = unit * at * at
     if mode == "function_value":
@@ -369,17 +371,6 @@ def residual_vector(crit: Criterion, dataset: FitDataset, mode: str) -> np.ndarr
     """Weighted, normalized residuals of a criterion against a dataset, one
     row per row of values for a criterion from :meth:`FitProblem.rows`."""
     return _model(crit, _columns(dataset), mode)[0]
-
-
-def residuals(problem: FitProblem, params: Mapping[str, float], dataset: FitDataset) -> np.ndarray:
-    """Residual vector at the given free-parameter values."""
-    for name in params:
-        if name in problem.free:
-            lo, hi = problem.bound_of(name)
-            v = params[name]
-            if not (lo - 1e-12 <= v <= hi + 1e-12):
-                raise ValidationError(f"{name}={v} outside its bounds ({lo}, {hi})")
-    return residual_vector(problem.with_values(params), dataset, problem.residual_mode)
 
 
 def goodness(crit: Criterion, dataset: FitDataset, mode: str = "meridian_distance"):

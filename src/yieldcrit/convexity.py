@@ -30,7 +30,7 @@ from typing import TYPE_CHECKING
 
 from .criterion import Criterion, _powerlaw_coefficients
 from .errors import DegenerateState, DomainError
-from .invariants import FLOAT, _lode_angle, _theta_in_range, _check_stress
+from .invariants import FLOAT, _check_stress, _lode_angle, _theta_in_range, namespace
 
 if TYPE_CHECKING:
     import numpy as np
@@ -47,10 +47,9 @@ def deviatoric_curvature(theta, shape):
 
     if not _theta_in_range(theta):
         raise DomainError(f"theta must lie in [0, pi/3], got {theta}")
-    g = shape.g(theta)
-    g1 = shape.dg(theta)
-    g2 = shape.d2g(theta)
-    out = g * g + 2.0 * g1 * g1 - g * g2
+    jet = shape._jet(*namespace(theta), 2)
+    g = jet[0]
+    out = g * g + 2.0 * jet[1] * jet[1] - g * jet[2]
     return float(out) if np.ndim(theta) == 0 else out
 
 def hessian_qg(s1: float, s2: float, shape) -> np.ndarray:

@@ -87,29 +87,34 @@ def _check_finite(record):
 
 
 # ---------------------------------------------------------------------------
-# Deviatoric shapes: g(theta) with hand-differentiated dg and d2g
+# Deviatoric shapes: g(theta) and its hand-differentiated derivatives
 # ---------------------------------------------------------------------------
 
 
 class _Shape:
     """A deviatoric shape; its dict form is its kind and its parameters.
-    ``g`` and ``dg`` read one body, ``_g(xp, theta, slope)``: g, or (g, dg)
-    from one set of intermediates when ``slope`` is set.  ``convexity()``
-    gives its exact convexity condition as (ok, signed margin, witness
-    theta, note or None): the margin is the parameter's distance from the
-    condition's boundary, and the witness where the condition binds.
-    ``_partials(theta)`` gives dg/d(field) over an array of theta, by field."""
+
+    Each shape has one formula body, ``_jet(xp, theta, order=0, by=())``,
+    over floats (``FLOAT``) or arrays (numpy).  It returns a dict with g at
+    key 0, dg/dtheta at key 1 and d2g/dtheta2 at key 2 up to ``order``,
+    and, when ``by`` names any field, dg/d(field) at the key of each field.
+    It builds them from one set of intermediates and computes only what is
+    asked for; ``g``, ``dg`` and ``d2g`` read it.  ``convexity()`` gives
+    the exact convexity condition as (ok, signed margin, witness theta,
+    note or None): the margin is the parameter's distance from the
+    condition's boundary, and the witness where the condition binds."""
 
     # the convex beta interval, which only the native shape has
     beta_interval = None
 
     def g(self, theta):
-        xp, th = namespace(theta)
-        return self._g(xp, th, False)
+        return self._jet(*namespace(theta))[0]
 
     def dg(self, theta):
-        xp, th = namespace(theta)
-        return self._g(xp, th, True)[1]
+        return self._jet(*namespace(theta), 1)[1]
+
+    def d2g(self, theta):
+        return self._jet(*namespace(theta), 2)[2]
 
     def to_dict(self) -> dict:
         return {"kind": self.kind, **_param_dict(self)}
@@ -134,40 +139,31 @@ class CosineLode(_Shape):
         if not (0.0 <= self.gamma < 1.0):
             raise ValidationError(f"gamma must lie in [0, 1), got {self.gamma}")
 
-    def _psi(self, xp, th):
-        """(u, psi) with u = gamma cos 3t and psi = beta pi/6 - acos(u) / 3."""
-        u = self.gamma * xp.cos(3.0 * th)
-        return u, self.beta * math.pi / 6.0 - xp.arccos(u) / 3.0
-
-    def _g(self, xp, th, slope):
-        u, psi = self._psi(xp, th)
+    def _jet(self, xp, th, order=0, by=()):
+        """g = 1 / cos(psi) with u = gamma cos 3t and psi = beta pi/6 - acos(u) / 3;
+        dg/dpsi = g tan(psi), dpsi/dbeta = pi/6 and dpsi/dgamma = cos 3t / (3 w),
+        w = sqrt(1 - u^2)."""
+        c3 = xp.cos(3.0 * th)
+        u = self.gamma * c3
+        psi = self.beta * math.pi / 6.0 - xp.arccos(u) / 3.0
         cos_psi = xp.cos(psi)
         g = 1.0 / cos_psi
-        if not slope:
-            return g
-        psi1 = -self.gamma * xp.sin(3.0 * th) / xp.sqrt(1.0 - u * u)
-        return g, xp.tan(psi) * psi1 / cos_psi
-
-    def _partials(self, theta):
-        """dg/dpsi = g tan(psi) times dpsi/dbeta = pi/6 and
-        dpsi/dgamma = cos 3t / (3 sqrt(1 - (gamma cos 3t)^2))."""
-        import numpy as np
-
-        c3 = np.cos(3.0 * theta)
-        u, psi = self._psi(np, theta)
-        g_psi = np.tan(psi) / np.cos(psi)
-        return {"beta": g_psi * (math.pi / 6.0), "gamma": g_psi * c3 / (3.0 * np.sqrt(1.0 - u * u))}
-
-    def d2g(self, theta):
-        xp, th = namespace(theta)
-        c3, s3 = xp.cos(3.0 * th), xp.sin(3.0 * th)
-        u, psi = self._psi(xp, th)
-        w = xp.sqrt(1.0 - u * u)
-        g = 1.0 / xp.cos(psi)
+        jet = {0: g}
+        if not (order or by):
+            return jet
         t = xp.tan(psi)
-        psi1 = -self.gamma * s3 / w
-        psi2 = -3.0 * self.gamma * c3 / w + 3.0 * self.gamma**3 * c3 * s3**2 / w**3
-        return g * ((t * t + g * g) * psi1 * psi1 + t * psi2)
+        w = xp.sqrt(1.0 - u * u)
+        if order:
+            s3 = xp.sin(3.0 * th)
+            psi1 = -self.gamma * s3 / w
+            jet[1] = t * psi1 / cos_psi
+        if order > 1:
+            psi2 = -3.0 * self.gamma * c3 / w + 3.0 * self.gamma**3 * c3 * s3**2 / w**3
+            jet[2] = g * ((t * t + g * g) * psi1 * psi1 + t * psi2)
+        if by:
+            g_psi = t / cos_psi
+            jet.update(beta=g_psi * (math.pi / 6.0), gamma=g_psi * c3 / (3.0 * w))
+        return jet
 
     @property
     def beta_interval(self) -> tuple[float, float]:
@@ -212,33 +208,24 @@ class PowerLaw(_Shape):
         if self.n <= 0.0:
             raise ValidationError(f"n must be positive, got {self.n}")
 
-    def _v(self, xp, th):
-        return 1.0 + self.beta * (1.0 + xp.cos(3.0 * th))
-
-    def _g(self, xp, th, slope):
-        v = self._v(xp, th)
-        g = v ** (-1.0 / self.n)
-        if not slope:
-            return g
-        v1 = -3.0 * self.beta * xp.sin(3.0 * th)
-        return g, (-1.0 / self.n) * v ** (-1.0 / self.n - 1.0) * v1
-
-    def _partials(self, theta):
-        """dg/dbeta = -g (1 + cos 3t) / (n v) and dg/dn = g ln(v) / n^2."""
-        import numpy as np
-
-        v = self._v(np, theta)
-        g = v ** (-1.0 / self.n)
-        dn = g * np.log(v) / self.n**2
-        return {"beta": -g * (1.0 + np.cos(3.0 * theta)) / (self.n * v), "n": dn}
-
-    def d2g(self, theta):
-        xp, th = namespace(theta)
-        v = self._v(xp, th)
-        v1 = -3.0 * self.beta * xp.sin(3.0 * th)
-        v2 = -9.0 * self.beta * xp.cos(3.0 * th)
+    def _jet(self, xp, th, order=0, by=()):
+        """g = v^e with v = 1 + beta (1 + cos 3t) and e = -1/n;
+        dg/dbeta = -g (1 + cos 3t) / (n v) and dg/dn = g ln(v) / n^2."""
+        c3 = xp.cos(3.0 * th)
+        v = 1.0 + self.beta * (1.0 + c3)
         e = -1.0 / self.n
-        return e * (e - 1.0) * v ** (e - 2.0) * v1 * v1 + e * v ** (e - 1.0) * v2
+        g = v**e
+        jet = {0: g}
+        if order:
+            v1 = -3.0 * self.beta * xp.sin(3.0 * th)
+            v_e1 = v ** (e - 1.0)
+            jet[1] = e * v_e1 * v1
+        if order > 1:
+            v2 = -9.0 * self.beta * c3
+            jet[2] = e * (e - 1.0) * v ** (e - 2.0) * v1 * v1 + e * v_e1 * v2
+        if by:
+            jet.update(beta=-g * (1.0 + c3) / (self.n * v), n=g * xp.log(v) / self.n**2)
+        return jet
 
     def convexity(self):
         """beta <= powerlaw_beta_max(n) to within BOUNDARY_TOL; the witness is where
@@ -294,56 +281,42 @@ class WillamWarnke(_Shape):
         if not (0.5 < self.e <= 1.0):
             raise ValidationError(f"e must lie in (0.5, 1], got {self.e}")
 
-    def _parts(self, xp, u):
-        """c2, t, r and g's numerator and denominator at u = cos theta."""
-        c2 = 1.0 - self.e * self.e
-        t = 2.0 * self.e - 1.0
+    def _jet(self, xp, th, order=0, by=()):
+        """g = num / den at u = cos theta, with num = 2 c2 u + t r,
+        den = 4 c2 u^2 + t^2, c2 = 1 - e^2, t = 2e - 1 and
+        r^2 = rho = 4 c2 u^2 + 5 e^2 - 4 e; theta derivatives follow from
+        those in u by the chain rule."""
+        e = self.e
+        u = xp.cos(th)
+        c2 = 1.0 - e * e
+        t = 2.0 * e - 1.0
         # rho is (2e - 1)^2 > 0 at u = 1/2, where rounding can take it just below 0
-        r = xp.sqrt(xp.maximum(0.0, 4.0 * c2 * u * u + 5.0 * self.e * self.e - 4.0 * self.e))
-        return c2, t, r, 2.0 * c2 * u + t * r, 4.0 * c2 * u * u + t * t
-
-    def _g(self, xp, th, slope):
-        u = xp.cos(th)
-        parts = self._parts(xp, u)
-        g = parts[3] / parts[4]
-        if not slope:
-            return g
-        return g, self._du(u, *parts)[3] * (-xp.sin(th))
-
-    def _partials(self, theta):
-        """dg/de through ``_parts``: c2 = 1 - e^2, t = 2e - 1 and
-        r^2 = 4 c2 u^2 + 5 e^2 - 4 e, with u = cos theta."""
-        import numpy as np
-
-        u = np.cos(theta)
-        c2, t, r, num, den = self._parts(np, u)
-        r_e = (5.0 * self.e - 2.0 - 4.0 * self.e * u * u) / r
-        num_e = -4.0 * self.e * u + 2.0 * r + t * r_e
-        den_e = 4.0 * t - 8.0 * self.e * u * u
-        return {"e": (num_e * den - num * den_e) / den**2}
-
-    def _du(self, u, c2, t, r, num, den):
-        """(rho_u, num_u, den_u, dg/du) at u = cos theta from ``_parts``; theta
-        derivatives follow by the chain rule."""
-        rho_u = 8.0 * c2 * u
-        num_u = 2.0 * c2 + t * rho_u / (2.0 * r)
-        den_u = 8.0 * c2 * u
-        return rho_u, num_u, den_u, (num_u * den - num * den_u) / den**2
-
-    def d2g(self, theta):
-        xp, th = namespace(theta)
-        u = xp.cos(th)
-        c2, t, r, num, den = self._parts(xp, u)
-        rho_u, num_u, den_u, g_u = self._du(u, c2, t, r, num, den)
-        num_uu = t * (8.0 * c2 / (2.0 * r) - rho_u * rho_u / (4.0 * r**3))
-        den_uu = 8.0 * c2
-        g_uu = (
-            num_uu / den
-            - (2.0 * num_u * den_u + num * den_uu) / den**2
-            + 2.0 * num * den_u * den_u / den**3
-        )
-        s = xp.sin(th)
-        return g_uu * s**2 + g_u * (-xp.cos(th))
+        r = xp.sqrt(xp.maximum(0.0, 4.0 * c2 * u * u + 5.0 * e * e - 4.0 * e))
+        num = 2.0 * c2 * u + t * r
+        den = 4.0 * c2 * u * u + t * t
+        jet = {0: num / den}
+        if order:
+            rho_u = 8.0 * c2 * u
+            num_u = 2.0 * c2 + t * rho_u / (2.0 * r)
+            den_u = 8.0 * c2 * u
+            g_u = (num_u * den - num * den_u) / den**2
+            s = xp.sin(th)
+            jet[1] = g_u * (-s)
+        if order > 1:
+            num_uu = t * (8.0 * c2 / (2.0 * r) - rho_u * rho_u / (4.0 * r**3))
+            den_uu = 8.0 * c2
+            g_uu = (
+                num_uu / den
+                - (2.0 * num_u * den_u + num * den_uu) / den**2
+                + 2.0 * num * den_u * den_u / den**3
+            )
+            jet[2] = g_uu * s**2 + g_u * (-u)
+        if by:
+            r_e = (5.0 * e - 2.0 - 4.0 * e * u * u) / r
+            num_e = -4.0 * e * u + 2.0 * r + t * r_e
+            den_e = 4.0 * t - 8.0 * e * u * u
+            jet["e"] = (num_e * den - num * den_e) / den**2
+        return jet
 
     def convexity(self):
         """Convex for every admissible e: the margin is e - 1/2, and the witness
@@ -369,29 +342,21 @@ class GudehusArgyris(_Shape):
         if not (0.777 < self.k <= 1.0):
             raise ValidationError(f"k must lie in (0.777, 1], got {self.k}")
 
-    def _d(self, xp, th):
-        return 1.0 + self.k + (1.0 - self.k) * xp.cos(3.0 * th)
-
-    def _g(self, xp, th, slope):
-        d = self._d(xp, th)
-        g = 2.0 * self.k / d
-        if not slope:
-            return g
-        d1 = -3.0 * (1.0 - self.k) * xp.sin(3.0 * th)
-        return g, -2.0 * self.k * d1 / d**2
-
-    def _partials(self, theta):
-        """dg/dk = 2 (1 + cos 3t) / D^2."""
-        import numpy as np
-
-        return {"k": 2.0 * (1.0 + np.cos(3.0 * theta)) / self._d(np, theta) ** 2}
-
-    def d2g(self, theta):
-        xp, th = namespace(theta)
-        d = self._d(xp, th)
-        d1 = -3.0 * (1.0 - self.k) * xp.sin(3.0 * th)
-        d2 = -9.0 * (1.0 - self.k) * xp.cos(3.0 * th)
-        return -2.0 * self.k * d2 / d**2 + 4.0 * self.k * d1 * d1 / d**3
+    def _jet(self, xp, th, order=0, by=()):
+        """g = 2k / D with D = 1 + k + (1-k) cos 3t; dg/dk = 2 (1 + cos 3t) / D^2."""
+        k = self.k
+        c3 = xp.cos(3.0 * th)
+        d = 1.0 + k + (1.0 - k) * c3
+        jet = {0: 2.0 * k / d}
+        if order:
+            d1 = -3.0 * (1.0 - k) * xp.sin(3.0 * th)
+            jet[1] = -2.0 * k * d1 / d**2
+        if order > 1:
+            d2 = -9.0 * (1.0 - k) * c3
+            jet[2] = -2.0 * k * d2 / d**2 + 4.0 * k * d1 * d1 / d**3
+        if by:
+            jet["k"] = 2.0 * (1.0 + c3) / d**2
+        return jet
 
     def convexity(self):
         """k >= 7/9 to within BOUNDARY_TOL: the curvature 4 k^2 (1 + k - 8 (1-k)
@@ -455,38 +420,41 @@ def beta_in_convex_interval(beta: float, gamma: float) -> tuple[bool, float, flo
 # ---------------------------------------------------------------------------
 
 
-def _cap_factors(phi, m: float, alpha: float):
-    """(Phi^m, Phi - Phi^m, 2 (1-alpha) Phi + alpha): the product of the last two
-    is h(Phi), and f = -M pc sqrt(h) for Phi in [0, 1]."""
-    phm = phi**m
-    return phm, phi - phm, 2.0 * (1.0 - alpha) * phi + alpha
-
-
-def _cap_h1(phi, m: float, alpha: float, d, lin):
-    """dh/dPhi, from Phi and the factors d = Phi - Phi^m and lin of ``_cap_factors``."""
-    return (1.0 - m * phi ** (m - 1.0)) * lin + 2.0 * (1.0 - alpha) * d
-
-
 class _Meridian:
-    """f(p) for a float and f_array(p) for an array, over one body ``_f(p, xp)``;
-    ``kind`` names it in the dict form and ``scale`` is its stress scale.
-    ``convexity()`` gives its exact convexity condition as (ok, signed
-    margin, witness Phi, note or None), like a shape's.  For the fit, over an
-    array of p: ``_fit_place`` gives what p and the ``_place_fields`` fix,
-    then the penalty's distance outside the meridian and its partials;
-    ``_fit_terms`` gives f and df from it; ``_s0_floor`` the floor of s0."""
+    """A meridian function f(p); ``kind`` names it in the dict form and
+    ``scale`` is its stress scale.
+
+    Each meridian has one formula body in two stages, over floats
+    (``FLOAT``) or arrays (numpy).  ``_place(p, xp, by=())`` gives what p
+    and the ``_place_fields`` fix, which the fit keeps while those fields
+    are held.  ``_jet(at, xp, order=0, by=())`` gives, at that place, a dict
+    with f at key 0 (+inf outside a cap), df/dp at key 1 and d2f/dp2 at key
+    2 up to ``order`` (on the open interior of a cap: the caller guards its
+    ends), and, when ``by`` names any field, df/d(field) at the key of each
+    field, with the branch held fixed.  It computes only what is asked for;
+    ``f``, ``f_array`` and ``df`` read it.  ``convexity()`` gives the exact
+    convexity condition as (ok, signed margin, witness Phi, note or None),
+    like a shape's.  For the fit, ``_penalty(p, at, by)`` gives the
+    distance outside the meridian and its partials, and ``_s0_floor`` the
+    floor of s0."""
 
     def f(self, p: float) -> float:
         """Meridian value; +inf outside a cap, DomainError for NaN p."""
         if math.isnan(p):
             raise DomainError(f"p must be a number, got {p}")
-        return self._f(p, FLOAT)
+        return self._jet(self._place(p, FLOAT), FLOAT)[0]
 
     def f_array(self, p: np.ndarray) -> np.ndarray:
         """Meridian value over an array of pressures; +inf outside a cap."""
         import numpy as np
 
-        return self._f(np.asarray(p, dtype=float), np)
+        p = np.asarray(p, dtype=float)
+        return self._jet(self._place(p, np), np)[0]
+
+    def df(self, p):
+        """df/dp (a float or an array) on the open interior of a cap."""
+        xp, p = namespace(p)
+        return self._jet(self._place(p, xp), xp, 1)[1]
 
     to_dict = _param_dict
 
@@ -520,81 +488,73 @@ class CapMeridian(_Meridian):
     def scale(self) -> float:
         return self.pc + self.c
 
-    def phi(self, p: float) -> float:
-        return (p + self.c) / (self.pc + self.c)
-
     _place_fields = ("pc", "c")
 
-    def _place(self, p, xp):
-        """(Phi, Phi in [0, 1], ph = Phi there and 0.5 elsewhere)."""
+    def _place(self, p, xp, by=()):
+        """(Phi, Phi in [0, 1], ph = Phi there and 0.5 elsewhere, ln ph (0 where
+        ph = 0) if m is in ``by``, 1 - 2 ph if alpha is)."""
         phi = (p + self.c) / (self.pc + self.c)
         inside = (phi >= 0.0) & (phi <= 1.0)
-        return phi, inside, xp.where(inside, phi, 0.5)
+        ph = xp.where(inside, phi, 0.5)
+        ln_ph = xp.log(xp.where(ph > 0.0, ph, 1.0)) if "m" in by else None
+        tilt = 1.0 - 2.0 * ph if "alpha" in by else None
+        return phi, inside, ph, ln_ph, tilt
 
-    def _f(self, p, xp):
-        _, inside, ph = self._place(p, xp)
-        _, d, lin = _cap_factors(ph, self.m, self.alpha)
-        root = xp.sqrt(xp.maximum(0.0, d * lin))
-        return xp.where(inside, -self.M * self.pc * root, math.inf)
+    def _jet(self, at, xp, order=0, by=()):
+        """f = -M pc sqrt(h) at ph, with h = d lin, d = Phi - Phi^m and
+        lin = 2 (1-alpha) Phi + alpha; dPhi/dp = 1 / (pc + c).  A partial by
+        field is 0 where h = 0, at a cap end."""
+        _, inside, ph, ln_ph, tilt = at
+        m, alpha, Mpc = self.m, self.alpha, -self.M * self.pc
+        phm = ph**m
+        d = ph - phm
+        lin = 2.0 * (1.0 - alpha) * ph + alpha
+        h = d * lin
+        root = xp.sqrt(xp.maximum(0.0, h))
+        jet = {0: xp.where(inside, Mpc * root, math.inf)}
+        if not (order or by):
+            return jet
+        scale = self.pc + self.c
+        if order or "pc" in by or "c" in by:
+            d_1 = 1.0 - m * ph ** (m - 1.0)
+            h1 = d_1 * lin + 2.0 * (1.0 - alpha) * d
+        if order:
+            jet[1] = Mpc * h1 / (2.0 * root) / scale
+        if order > 1:
+            h2 = -m * (m - 1.0) * ph ** (m - 2.0) * lin + 4.0 * (1.0 - alpha) * d_1
+            jet[2] = Mpc * (2.0 * h2 * h - h1 * h1) / (4.0 * h * root) / (scale * scale)
+        if not by:
+            return jet
+        # df/dh = -M pc / (2 sqrt h), set to 0 where h <= 0
+        positive = h > 0.0
+        f_h = xp.where(positive, Mpc / (2.0 * xp.where(positive, root, 1.0)), 0.0)
+        if "M" in by:
+            jet["M"] = -self.pc * root
+        if "pc" in by or "c" in by:
+            f_phi = f_h * h1 / scale
+            jet["pc"] = -self.M * root - f_phi * ph
+            jet["c"] = f_phi * (1.0 - ph)
+        if "m" in by:
+            jet["m"] = -f_h * phm * ln_ph * lin
+        if "alpha" in by:
+            jet["alpha"] = f_h * d * tilt
+        return jet
 
-    def _fit_place(self, p, names):
-        """((inside, ph, ln ph or None, 1 - 2 ph or None), (dist(Phi, [0, 1]),
-        d(dist))): ln ph (0 where ph = 0) if m is in ``names``, 1 - 2 ph if alpha is."""
+    def _penalty(self, p, at, by):
+        """dist(Phi, [0, 1]) and, if ``by`` names pc or c, its partials by both."""
         import numpy as np
 
-        phi, inside, ph = self._place(p, np)
-        ln_ph = np.log(np.where(ph > 0.0, ph, 1.0)) if "m" in names else None
-        tilt = 1.0 - 2.0 * ph if "alpha" in names else None
+        phi = at[0]
         ddist = {}
-        if "pc" in names or "c" in names:
+        if "pc" in by or "c" in by:
             side = np.where(phi < 0.0, -1.0, 1.0)
             ddist["pc"] = side * (-phi / self.scale)
             ddist["c"] = side * ((1.0 - phi) / self.scale)
-        return (inside, ph, ln_ph, tilt), (np.maximum(0.0, np.maximum(-phi, phi - 1.0)), ddist)
-
-    def _fit_terms(self, at, names):
-        """f (+inf outside the cap) and, for each of ``names``, df with the
-        branch held fixed (0 where h = 0, at a cap end), sharing h's factors."""
-        import numpy as np
-
-        inside, ph, ln_ph, tilt = at
-        phm, d, lin = _cap_factors(ph, self.m, self.alpha)
-        h = d * lin
-        root = np.sqrt(np.maximum(0.0, h))
-        Mpc = -self.M * self.pc
-        f = np.where(inside, Mpc * root, math.inf)
-        df = {}
-        if not names:
-            return f, df
-        # df/dh = -M pc / (2 sqrt h), set to 0 where h <= 0
-        positive = h > 0.0
-        f_h = np.where(positive, Mpc / (2.0 * np.where(positive, root, 1.0)), 0.0)
-        if "M" in names:
-            df["M"] = -self.pc * root
-        if "pc" in names or "c" in names:
-            f_phi = f_h * _cap_h1(ph, self.m, self.alpha, d, lin) / self.scale
-            df["pc"] = -self.M * root - f_phi * ph
-            df["c"] = f_phi * (1.0 - ph)
-        if "m" in names:
-            df["m"] = -f_h * phm * ln_ph * lin
-        if "alpha" in names:
-            df["alpha"] = f_h * d * tilt
-        return f, df
+        return np.maximum(0.0, np.maximum(-phi, phi - 1.0)), ddist
 
     def _s0_floor(self, bq):
         """The floor 0.01 pc of s0 = max(B q, |f|, floor) and its partials."""
         return 0.01 * self.pc, {"pc": 0.01}
-
-    def df(self, p):
-        """df/dp (a float or an array) on the open interior of the cap; caller guards the ends."""
-        xp, p = namespace(p)
-        return self._df(self.phi(p), xp)
-
-    def _df(self, phi, xp):
-        """df/dp at Phi, from h' = dh/dPhi."""
-        _, d, lin = _cap_factors(phi, self.m, self.alpha)
-        h1 = _cap_h1(phi, self.m, self.alpha, d, lin)
-        return -self.M * self.pc * h1 / (2.0 * xp.sqrt(d * lin)) / (self.pc + self.c)
 
     def convexity(self):
         """The paper's m > 1 and 0 < alpha < 2, under which f is convex at every
@@ -624,29 +584,35 @@ class LinearMeridian(_Meridian):
     def scale(self) -> float:
         return self.c + 1.0
 
-    def _f(self, p, xp):
-        return -self.Gamma * (p + self.c)
-
-    def df(self, p: float) -> float:
-        return -self.Gamma
-
     _place_fields = ("c",)
 
-    def _fit_place(self, p, names):
-        """As the cap's: (p + c,) and, beyond the apex, dist = -(p + c) / scale,
-        scale = max(c, mean |p|), with d(dist)/dc holding the max's branch."""
+    def _place(self, p, xp, by=()):
+        """(p + c,)."""
+        return (p + self.c,)
+
+    def _jet(self, at, xp, order=0, by=()):
+        """f = -Gamma (p + c), with df/dp = df/dc = -Gamma and df/dGamma = -(p + c)."""
+        s = at[0]
+        jet = {0: -self.Gamma * s}
+        if order:
+            jet[1] = -self.Gamma
+        if order > 1:
+            jet[2] = 0.0
+        if by:
+            jet.update(Gamma=-s, c=-self.Gamma)
+        return jet
+
+    def _penalty(self, p, at, by):
+        """Beyond the apex, dist = -(p + c) / scale with scale = max(c, mean |p|),
+        and d(dist)/dc holding the max's branch."""
         import numpy as np
 
-        s = p + self.c
+        s = at[0]
         scale = np.maximum(np.maximum(self.c, np.mean(np.abs(p))), 1e-30)
         dist = np.maximum(0.0, -s) / scale
         # where the scale is c itself, d(dist)/dc = -(1 + dist) / c
         on_c = np.where(scale == self.c, dist, 0.0)
-        return (s,), (dist, {"c": np.where(dist > 0.0, -(1.0 + on_c) / scale, 0.0)})
-
-    def _fit_terms(self, at, names):
-        """As the cap's: f = -Gamma (p + c), df/dGamma and df/dc."""
-        return -self.Gamma * at[0], {"Gamma": -at[0], "c": -self.Gamma}
+        return dist, {"c": np.where(dist > 0.0, -(1.0 + on_c) / scale, 0.0)}
 
     def _s0_floor(self, bq):
         """The floor 0.01 mean(B q) of s0 = max(B q, |f|, floor); no partials."""
@@ -821,25 +787,6 @@ def _check_native_shape(shape: CosineLode, hint: str = "") -> None:
 # ---------------------------------------------------------------------------
 
 
-def meridian_f(p: float, params: YieldParams) -> float:
-    """Native meridian function f(p); +inf outside the cap [-c, pc]."""
-    return params.meridian().f(p)
-
-
-def deviatoric_g(theta, shape) -> float | np.ndarray:
-    """Deviatoric function g(theta) for any built-in shape.
-
-    theta must lie in [0, pi/3] (scalar or array); raises DomainError
-    otherwise.
-    """
-    import numpy as np
-
-    if not _theta_in_range(theta):
-        raise DomainError(f"theta must lie in [0, pi/3], got {theta}")
-    out = shape.g(theta)
-    return float(out) if np.ndim(theta) == 0 else out
-
-
 def _yield_body(fp, q, g, hydrostatic, crit: Criterion, xp):
     """F from f(p), q and g(theta), as floats or arrays: +inf wherever f(p)
     is, and no deviatoric term on hydrostatic states."""
@@ -854,7 +801,7 @@ def yield_value(stress, crit: Criterion) -> float:
     """
     p, q, theta, hydrostatic = _invariant_body(*_principal(stress), FLOAT)
     # theta is a float here, so the shape's body runs over FLOAT directly
-    g = crit.shape._g(FLOAT, theta, False)
+    g = crit.shape._jet(FLOAT, theta)[0]
     return _yield_body(crit.meridian.f(p), q, g, hydrostatic, crit, FLOAT)
 
 
@@ -893,8 +840,7 @@ def surface_q(p: float, theta: float, crit: Criterion) -> float | None:
     """
     if not _theta_in_range(theta):
         raise DomainError(f"theta must lie in [0, pi/3], got {theta}")
-    xp, th = namespace(theta)
-    q = _surface_q_body(crit.meridian.f(p), crit.shape._g(xp, th, False), crit, FLOAT)
+    q = _surface_q_body(crit.meridian.f(p), crit.shape.g(theta), crit, FLOAT)
     return None if math.isnan(q) else q
 
 
@@ -961,21 +907,20 @@ def _gradient_body(stress, crit: Criterion):
     if hydrostatic:
         raise DegenerateState("gradient decomposition needs q > 0")
     mer = crit.meridian
-    if isinstance(mer, CapMeridian):
-        phi = mer.phi(p)
-        if not (DELTA_PHI < phi < 1.0 - DELTA_PHI):
-            raise DegenerateState(f"Phi={phi:.3g} too close to the cap ends; use normal_limits")
-        a = -mer._df(phi, FLOAT) / 3.0
-    else:
-        a = -mer.df(p) / 3.0
+    at = mer._place(p, FLOAT)
+    # on a cap, at[0] is Phi
+    if isinstance(mer, CapMeridian) and not (DELTA_PHI < at[0] < 1.0 - DELTA_PHI):
+        raise DegenerateState(f"Phi={at[0]:.3g} too close to the cap ends; use normal_limits")
+    a = -mer._jet(at, FLOAT, 1)[1] / 3.0
     sin3t = math.sin(3.0 * theta)
     # a smooth limit on a deviatoric meridian: the c-term drops out, and g' is not needed
     on_meridian = abs(sin3t) <= EPS_MERIDIAN
     if on_meridian:
-        g, c = crit.shape._g(FLOAT, theta, False), 0.0
+        g, c = crit.shape._jet(FLOAT, theta)[0], 0.0
     else:
-        g, g1 = crit.shape._g(FLOAT, theta, True)
-        c = _SQRT15 * crit.B * g1 / g**2
+        jet = crit.shape._jet(FLOAT, theta, 1)
+        g = jet[0]
+        c = _SQRT15 * crit.B * jet[1] / g**2
     b = _SQRT15 * (crit.B / g + 2.0 * crit.A * q)
     u1, u2, u3 = _SQRT15 * (s1 + p) / q, _SQRT15 * (s2 + p) / q, _SQRT15 * (s3 + p) / q
     t1, t2, t3 = a + b * u1, a + b * u2, a + b * u3

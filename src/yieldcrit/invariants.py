@@ -64,6 +64,7 @@ FLOAT = SimpleNamespace(
     cos=math.cos,
     sin=math.sin,
     tan=math.tan,
+    log=math.log,
     where=lambda cond, a, b: a if cond else b,
     # clip and maximum choose as min(max(x, lo), hi) and max(a, b) do, at less cost per call
     clip=lambda x, lo, hi: lo if x < lo else hi if x > hi else x,  # NaN stays NaN, as in numpy

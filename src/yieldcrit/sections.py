@@ -139,7 +139,7 @@ def sample_deviatoric(
     """
     check_sample_count(n)
     if isinstance(crit.meridian, CapMeridian):
-        phi = crit.meridian.phi(at_p)
+        phi = crit.meridian._place(at_p, FLOAT)[0]
         if not (0.0 < phi < 1.0):
             raise OutsideCap(f"p={at_p} has Phi={phi:.6g} outside (0, 1)")
     thetas = np.linspace(0.0, _THETA_MAX, n)

@@ -21,6 +21,7 @@ from yieldcrit import (
     surface_q,
     yield_value,
 )
+from yieldcrit.calibration import residual_vector
 from yieldcrit.criterion import BOUNDARY_TOL, DELTA_PHI
 
 # Property tests draw the same examples on every run (seeded from each
@@ -81,6 +82,12 @@ def meridian_convexity_check(alpha: float, m: float, grid_n: int = 2048):
     margin = h1 * h1 - 2.0 * h2 * h
     i = int(np.argmin(margin))
     return bool(margin[i] >= -BOUNDARY_TOL), (float(phi[i]), float(margin[i]))
+
+
+def residuals(problem, params, dataset) -> np.ndarray:
+    """The residual vector of ``problem`` with its free parameters set to
+    ``params``; a value outside its record's range is a ValidationError."""
+    return residual_vector(problem.with_values(params), dataset, problem.residual_mode)
 
 
 def random_params(rng) -> YieldParams:

@@ -13,10 +13,10 @@ from yieldcrit import (
     fit,
     goodness,
     load_dataset,
-    residuals,
     surface_q,
 )
 from yieldcrit import calibration
+from conftest import residuals
 from test_acceptance import MERIDIAN_ROWS
 
 PI3 = math.pi / 3.0

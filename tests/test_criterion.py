@@ -1,10 +1,12 @@
 import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from yieldcrit import (
+    CapMeridian,
     CornerCase,
     CosineLode,
     Criterion,
@@ -18,14 +20,14 @@ from yieldcrit import (
     YieldParams,
     beta_bound,
     criterion_from_dict,
-    deviatoric_g,
+    deviatoric_curvature,
     gradient,
-    meridian_f,
     normal_limits,
     principal_from_invariants,
     surface_q,
     yield_value,
 )
+from yieldcrit.invariants import FLOAT
 from conftest import fd_gradient, random_interior_state, random_params
 
 PI3 = math.pi / 3.0
@@ -37,56 +39,56 @@ SAND = YieldParams(M=0.5, pc=0.961, c=0.0, m=2.6, alpha=0.1, beta=0.0, gamma=0.9
 class TestMeridian:
     def test_cam_clay_closed_form(self):
         # m=2, alpha=1, c=0 collapses to -M sqrt(p (pc - p))
-        assert meridian_f(0.5, CAM_CLAY) == pytest.approx(-0.75 / 2.0, abs=1e-15)
+        assert CAM_CLAY.meridian().f(0.5) == pytest.approx(-0.75 / 2.0, abs=1e-15)
         for p in np.linspace(0.05, 0.95, 7):
-            assert meridian_f(p, CAM_CLAY) == pytest.approx(
+            assert CAM_CLAY.meridian().f(p) == pytest.approx(
                 -0.75 * math.sqrt(p * (1.0 - p)), rel=1e-14
             )
 
     def test_zeros_at_apices(self):
         params = YieldParams(M=1.2, pc=2.0, c=0.5, m=3.0, alpha=0.7, beta=1.0, gamma=0.3)
-        assert meridian_f(-0.5, params) == 0.0
-        assert meridian_f(2.0, params) == 0.0
+        assert params.meridian().f(-0.5) == 0.0
+        assert params.meridian().f(2.0) == 0.0
 
     def test_infinite_outside_cap(self):
-        assert meridian_f(CAM_CLAY.pc + 1.0, CAM_CLAY) == math.inf
-        assert meridian_f(-0.1, CAM_CLAY) == math.inf
+        assert CAM_CLAY.meridian().f(CAM_CLAY.pc + 1.0) == math.inf
+        assert CAM_CLAY.meridian().f(-0.1) == math.inf
 
     def test_nonpositive_inside(self, rng):
         for _ in range(20):
             params = random_params(rng)
             for phi in np.linspace(0.0, 1.0, 33):
                 p = phi * (params.pc + params.c) - params.c
-                assert meridian_f(p, params) <= 0.0
+                assert params.meridian().f(p) <= 0.0
 
 
 class TestDeviatoricG:
     def test_circle(self):
         shape = CosineLode(beta=1.0, gamma=0.0)
         for th in np.linspace(0.0, PI3, 9):
-            assert deviatoric_g(float(th), shape) == pytest.approx(1.0, abs=1e-15)
+            assert shape.g(float(th)) == pytest.approx(1.0, abs=1e-15)
 
     def test_rankine_limit(self):
         shape = CosineLode(beta=0.0, gamma=1.0 - 1e-9)
-        assert deviatoric_g(0.0, shape) == pytest.approx(1.0, abs=1e-4)
-        assert deviatoric_g(PI3, shape) == pytest.approx(2.0, abs=1e-4)
+        assert shape.g(0.0) == pytest.approx(1.0, abs=1e-4)
+        assert shape.g(PI3) == pytest.approx(2.0, abs=1e-4)
 
     def test_gudehus_argyris_circle(self):
         shape = GudehusArgyris(k=1.0)
         for th in np.linspace(0.0, PI3, 9):
-            assert deviatoric_g(float(th), shape) == pytest.approx(1.0, abs=1e-15)
+            assert shape.g(float(th)) == pytest.approx(1.0, abs=1e-15)
 
     def test_domain_error(self):
         with pytest.raises(DomainError):
-            deviatoric_g(-0.1, CosineLode(1.0, 0.0))
+            deviatoric_curvature(-0.1, CosineLode(1.0, 0.0))
         with pytest.raises(DomainError):
-            deviatoric_g(PI3 + 0.1, CosineLode(1.0, 0.0))
+            deviatoric_curvature(PI3 + 0.1, CosineLode(1.0, 0.0))
 
     def test_nan_theta_is_a_domain_error(self):
         with pytest.raises(DomainError):
-            deviatoric_g(math.nan, CosineLode(1.0, 0.0))
+            deviatoric_curvature(math.nan, CosineLode(1.0, 0.0))
         with pytest.raises(DomainError):
-            deviatoric_g(np.array([0.1, math.nan]), CosineLode(1.0, 0.0))
+            deviatoric_curvature(np.array([0.1, math.nan]), CosineLode(1.0, 0.0))
 
     def test_positive_for_all_shapes(self, rng):
         shapes = [
@@ -140,6 +142,71 @@ class TestDeviatoricG:
             assert abs(float(shape.dg(PI3))) <= 1e-9
 
 
+class TestFormulaBodies:
+    """Each record's one formula body, ``_jet``, against central differences
+    of its own value, over floats."""
+
+    SHAPES = [CosineLode(1.3, 0.8), PowerLaw(0.9, 3.0), WillamWarnke(0.62), GudehusArgyris(0.85)]
+    MERIDIANS = [CapMeridian(M=0.9, pc=12.5, c=1.3, m=2.2, alpha=0.7), LinearMeridian(Gamma=0.8, c=0.4)]
+
+    @staticmethod
+    def _field_fd(record, name, value_at, h=1e-6):
+        """Central difference of ``value_at(record)`` in the field ``name``."""
+        x = getattr(record, name)
+        step = h * max(1.0, abs(x))
+        up = value_at(replace(record, **{name: x + step}))
+        down = value_at(replace(record, **{name: x - step}))
+        return (up - down) / (2.0 * step)
+
+    def test_shape_partials_by_field(self, rng):
+        for shape in self.SHAPES:
+            fields = [n for n in ("beta", "gamma", "n", "e", "k") if hasattr(shape, n)]
+            for th in rng.uniform(0.02, PI3 - 0.02, 10):
+                jet = shape._jet(FLOAT, float(th), 0, fields)
+                assert jet[0] == shape.g(float(th))
+                for name in fields:
+                    fd = self._field_fd(shape, name, lambda s: s.g(float(th)))
+                    assert jet[name] == pytest.approx(fd, rel=1e-6, abs=1e-8), (shape, name, th)
+
+    def test_meridian_derivatives_in_p(self, rng):
+        h = 1e-4
+        for mer in self.MERIDIANS:
+            for s in rng.uniform(0.05, 0.95, 10):
+                p = s * mer.scale - mer.c
+                jet = mer._jet(mer._place(p, FLOAT), FLOAT, 2)
+                assert jet[0] == mer.f(p) and jet[1] == mer.df(p)
+                fd1 = (mer.f(p + h) - mer.f(p - h)) / (2.0 * h)
+                fd2 = (mer.f(p + h) - 2.0 * mer.f(p) + mer.f(p - h)) / h**2
+                assert jet[1] == pytest.approx(fd1, rel=1e-6, abs=1e-9), (mer, p)
+                assert jet[2] == pytest.approx(fd2, rel=1e-4, abs=1e-6), (mer, p)
+
+    def test_cap_is_convex_in_p(self, rng):
+        # f'' >= 0 on the open cap for every admissible m and alpha
+        for _ in range(20):
+            mer = random_params(rng).meridian()
+            for s in np.linspace(0.01, 0.99, 25):
+                assert mer._jet(mer._place(s * mer.scale - mer.c, FLOAT), FLOAT, 2)[2] >= 0.0
+
+    def test_meridian_partials_by_field(self, rng):
+        for mer in self.MERIDIANS:
+            fields = [n for n in ("M", "pc", "c", "m", "alpha", "Gamma") if hasattr(mer, n)]
+            for s in rng.uniform(0.05, 0.95, 10):
+                p = s * mer.scale - mer.c
+                jet = mer._jet(mer._place(p, FLOAT, fields), FLOAT, 0, fields)
+                for name in fields:
+                    fd = self._field_fd(mer, name, lambda m: m.f(p))
+                    assert jet[name] == pytest.approx(fd, rel=1e-6, abs=1e-8), (mer, name, p)
+
+    def test_only_what_is_asked_for(self):
+        for shape in self.SHAPES:
+            assert set(shape._jet(FLOAT, 0.3)) == {0}
+            assert set(shape._jet(FLOAT, 0.3, 2)) == {0, 1, 2}
+        for mer in self.MERIDIANS:
+            at = mer._place(0.5, FLOAT)
+            assert set(mer._jet(at, FLOAT)) == {0}
+            assert set(mer._jet(at, FLOAT, 1)) == {0, 1}
+
+
 class TestYieldValue:
     def test_tension_apex_on_surface(self):
         # dyadic c so that p = -c is exact in floats and Phi lands on 0
@@ -154,7 +221,7 @@ class TestYieldValue:
     def test_linear_meridian_gudehus_argyris_surface(self):
         crit = Criterion(meridian=LinearMeridian(Gamma=1.0, c=0.0), shape=GudehusArgyris(k=0.9))
         for th in np.linspace(0.0, PI3, 7):
-            g = deviatoric_g(float(th), crit.shape)
+            g = crit.shape.g(float(th))
             sig = principal_from_invariants(1.0 / g, 1.0, float(th))
             assert yield_value(sig, crit) == pytest.approx(0.0, abs=1e-13)
 
@@ -195,7 +262,7 @@ class TestSurfaceQ:
         with pytest.raises(DomainError, match="p must be a number"):
             surface_q(math.nan, 0.3, CAM_CLAY.criterion())
         with pytest.raises(DomainError):
-            meridian_f(math.nan, CAM_CLAY)
+            CAM_CLAY.meridian().f(math.nan)
         cone = Criterion(meridian=LinearMeridian(Gamma=1.0, c=0.1), shape=CosineLode(1.0, 0.0))
         with pytest.raises(DomainError, match="p must be a number"):
             surface_q(math.nan, 0.3, cone)
@@ -242,7 +309,7 @@ class TestSurfaceQ:
             for th in np.linspace(0.0, PI3, 13):
                 q = surface_q(p, float(th), crit)
                 F = yield_value(principal_from_invariants(p, q, float(th)), crit)
-                fp = meridian_f(p, SAND)
+                fp = SAND.meridian().f(p)
                 assert abs(F) <= 1e-10 * (crit.B * q + abs(fp))
 
 

@@ -9,6 +9,9 @@
   ``isinstance``: each record states its own convexity condition.
 * Nor does ``calibration.py``: each record gives the partials and the
   penalty terms that the fit's residuals read of it.
+* Each shape and meridian record has one formula body, ``_jet``, and no
+  record class defines again a reader of it that ``_Shape`` or
+  ``_Meridian`` defines once (``g``, ``dg``, ``d2g``, ``f``, ``df``, ...).
 """
 
 import ast
@@ -124,6 +127,62 @@ def test_record_type_switches_are_found():
         "isinstance(m, (int, criterion.CapMeridian))\n"
     )
     assert _record_type_switches(text) == [2, 3]
+
+
+def _body_readers(tree) -> set:
+    """The methods of ``_Shape`` and ``_Meridian`` that read the formula body ``_jet``."""
+    return {
+        f.name
+        for cls in tree.body
+        if isinstance(cls, ast.ClassDef) and cls.name in ("_Shape", "_Meridian")
+        for f in cls.body
+        if isinstance(f, ast.FunctionDef)
+        and any(isinstance(n, ast.Attribute) and n.attr == "_jet" for n in ast.walk(f))
+    }
+
+
+def _records_methods(tree) -> dict:
+    """The method names of each shape and meridian record class, by class."""
+    return {
+        cls.name: {f.name for f in cls.body if isinstance(f, ast.FunctionDef)}
+        for cls in tree.body
+        if isinstance(cls, ast.ClassDef) and cls.name in RECORD_CLASSES
+    }
+
+
+def _readers_redefined(text) -> list:
+    """``Class.method`` for each record method that shadows a reader of ``_jet``."""
+    tree = ast.parse(text)
+    readers = _body_readers(tree)
+    return [
+        f"{name}.{method}"
+        for name, methods in _records_methods(tree).items()
+        for method in sorted(methods & readers)
+    ]
+
+
+def test_each_record_has_one_formula_body():
+    tree = _tree(SRC / "criterion.py")
+    assert _body_readers(tree) >= {"g", "dg", "d2g", "f", "f_array", "df"}
+    methods = _records_methods(tree)
+    assert set(methods) == RECORD_CLASSES
+    assert all("_jet" in m for m in methods.values()), methods
+    assert not _readers_redefined((SRC / "criterion.py").read_text(encoding="utf-8"))
+
+
+def test_redefined_readers_are_found():
+    text = (
+        "class _Shape:\n"
+        "    def g(self, theta):\n        return self._jet(theta)[0]\n"
+        "    def to_dict(self):\n        return {}\n"
+        "class PowerLaw(_Shape):\n"
+        "    def _jet(self, theta):\n        return {0: 1.0}\n"
+        "    def g(self, theta):\n        return 1.0\n"
+        "    def to_dict(self):\n        return {}\n"
+        "class Other(_Shape):\n"
+        "    def g(self, theta):\n        return 1.0\n"
+    )
+    assert _readers_redefined(text) == ["PowerLaw.g"]
 
 
 def _tracer_patches():

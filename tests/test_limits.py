@@ -16,7 +16,6 @@ from yieldcrit import (
     certify,
     coulomb_mohr_generalized,
     deshpande_fleck_to_bp,
-    deviatoric_g,
     gurson_equivalent,
     gurson_meridian_q,
     gurson_yield,
