@@ -96,7 +96,9 @@ def sample_meridian(
 
     The cap meridian is sampled on [-c, pc] (endpoints land exactly on the
     apices with q = 0).  A linear meridian has no finite cap, so an
-    explicit ``p_range`` is required there.
+    explicit ``p_range`` is required there.  A ``p_range`` must run from
+    low to high (DomainError otherwise), and a sample where the surface has
+    no radius is NaN; EmptySlice when no sample has one.
     """
     check_sample_count(n)
     if p_range is None:
@@ -105,10 +107,16 @@ def sample_meridian(
                 "linear meridian has an unbounded domain; pass an explicit p_range"
             )
         p_range = (-crit.meridian.c, crit.meridian.pc)
-    if not (math.isfinite(p_range[0]) and math.isfinite(p_range[1])):
+    lo, hi = p_range
+    if not (math.isfinite(lo) and math.isfinite(hi)):
         raise DomainError(f"p_range must have finite ends, got {tuple(p_range)}")
-    ps = np.linspace(p_range[0], p_range[1], n)
-    samples = np.column_stack([ps, surface_q_array(ps, theta, crit)])
+    if not lo < hi:
+        raise DomainError(f"p_range must run from low to high, got {(lo, hi)}")
+    ps = np.linspace(lo, hi, n)
+    qs = surface_q_array(ps, theta, crit)
+    if np.isnan(qs).all():
+        raise EmptySlice(f"no sample of p_range {(lo, hi)} lies on the surface; the section is empty")
+    samples = np.column_stack([ps, qs])
     return SectionCurve(
         kind="meridian", samples=samples, xlabel="p", ylabel="q", params_echo=_echo(crit)
     )

@@ -146,6 +146,11 @@ def files() -> dict[str, str]:
     out["problem-seed-string.json"] = _json({**problem, "seed": "x"})
     out["problem-seed-negative.json"] = _json({**problem, "seed": -1})
     out["problem-seed-fraction.json"] = _json({**problem, "seed": 1.5})
+    out["problem-bounds-list.json"] = _json({**problem, "bounds": [1, 2]})
+    out["problem-bound-short.json"] = _json({**problem, "bounds": {"M": [1]}})
+    out["problem-bound-string.json"] = _json({**problem, "bounds": {"M": [0.1, "x"]}})
+    out["problem-init-string.json"] = _json({**problem, "init": {"M": "x"}})
+    out["problem-init-bool.json"] = _json({**problem, "init": {"M": True}})
     return out
 
 
@@ -216,6 +221,7 @@ def _section_cases():
     yield "section meridian linear without range", _section("meridian", "linear-bp.json")
     yield "section meridian bad range", _section("meridian", "cap-bp.json", "--p-range=1,x")
     yield "section meridian reversed range", _section("meridian", "cap-bp.json", "--p-range=2,1")
+    yield "section meridian empty range", _section("meridian", "cap-bp.json", "--p-range=3,5")
     yield "section deviatoric", _section("deviatoric", "cap-gudehus-argyris.json", "--p", "0.4", "-n", "5")
     yield "section deviatoric normalize", _section(
         "deviatoric", "cap-bp.json", "--p", "0.4", "-n", "4", "--normalize"
@@ -238,7 +244,8 @@ def _fit_cases():
     yield "fit not converged", _fit("scatter.csv", "problem-five.json")
     yield "fit fewer points than free", _fit("one-point.csv", "problem-two.json")
     for name in ("no-free", "no-free-key", "unknown-free", "bad-bound", "bad-mode", "list", "free-number",
-                 "free-string", "seed-string", "seed-negative", "seed-fraction"):
+                 "free-string", "seed-string", "seed-negative", "seed-fraction", "bounds-list",
+                 "bound-short", "bound-string", "init-string", "init-bool"):
         yield f"fit problem {name}", _fit("points.csv", f"problem-{name}.json")
     for name in ("nan-row", "bad-header", "short-row", "not-utf8"):
         yield f"fit data {name}", _fit(f"{name}.csv", "problem.json")

@@ -474,6 +474,34 @@ class TestFitInputFiles:
             2, "yieldcrit: free must be a list of parameter names, got 3\n"
         )
 
+    def test_bounds_that_are_a_list(self, capsys, tmp_path):
+        assert self._fit(capsys, tmp_path, {**self.PROBLEM, "bounds": [1, 2]}) == (
+            2, "yieldcrit: bounds must be an object of [low, high] pairs by name, got [1, 2]\n"
+        )
+
+    def test_a_bound_that_is_not_a_pair(self, capsys, tmp_path):
+        assert self._fit(capsys, tmp_path, {**self.PROBLEM, "bounds": {"M": [1]}}) == (
+            2, "yieldcrit: bounds for 'M' must be [low, high], got [1]\n"
+        )
+
+    @pytest.mark.parametrize("end", ["x", True, None])
+    def test_a_bound_that_is_not_a_finite_number(self, capsys, tmp_path, end):
+        spec = {**self.PROBLEM, "bounds": {"M": [0.1, end]}}
+        assert self._fit(capsys, tmp_path, spec) == (
+            2, f"yieldcrit: each bound for 'M' must be a finite number, got {end!r}\n"
+        )
+
+    def test_an_init_value_that_is_a_string(self, capsys, tmp_path):
+        assert self._fit(capsys, tmp_path, {**self.PROBLEM, "init": {"M": "x"}}) == (
+            2, "yieldcrit: init 'M' must be a finite number, got 'x'\n"
+        )
+
+    def test_an_init_value_that_is_a_bool(self, capsys, tmp_path):
+        # a parameter file refuses a bool, and so does init; it is not taken as 1.0
+        assert self._fit(capsys, tmp_path, {**self.PROBLEM, "init": {"M": True}}) == (
+            2, "yieldcrit: init 'M' must be a finite number, got True\n"
+        )
+
     def test_data_that_is_not_utf8(self, capsys, tmp_path):
         code, err = self._fit(capsys, tmp_path, self.PROBLEM, b"p,q,theta\n0.5,0.3,0\n0.2,0.4,\xff\n")
         message = f"line 3: {tmp_path / 'd.csv'} is not UTF-8 text: invalid start byte at byte 28"
@@ -586,6 +614,31 @@ class TestMeridianRange:
         code, out, err = run(capsys, argv)
         assert code == 2
         assert out == "" and "p-range" in err.replace("_", "-")
+
+    @pytest.mark.parametrize("text", ["2,1", "1,1"])
+    def test_reversed_range_exits_2(self, capsys, section_files, text):
+        from yieldcrit import DomainError, criterion_from_dict, sample_meridian
+
+        lo, hi = map(float, text.split(","))
+        with pytest.raises(DomainError, match="p_range must run from low to high"):
+            sample_meridian(criterion_from_dict(SECTION_PARAMS["cap"]), 0.3, 5, p_range=(lo, hi))
+        argv = ["section", "meridian", "--params", section_files["cap"], f"--p-range={text}"]
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (2, "")
+        assert err == f"yieldcrit: p_range must run from low to high, got ({lo}, {hi})\n"
+
+    @pytest.mark.parametrize("params, text", [("cap", "3,5"), ("cap", "-2,-1"), ("linear", "-5,-2")])
+    def test_range_with_no_surface_point_exits_2(self, capsys, section_files, params, text):
+        from yieldcrit import EmptySlice, criterion_from_dict, sample_meridian
+
+        # the cap spans [-0.3, 2] and the cone's apex is at p = -1
+        lo, hi = map(float, text.split(","))
+        with pytest.raises(EmptySlice, match="the section is empty"):
+            sample_meridian(criterion_from_dict(SECTION_PARAMS[params]), 0.3, 5, p_range=(lo, hi))
+        argv = ["section", "meridian", "--params", section_files[params], f"--p-range={text}"]
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"yieldcrit: no sample of p_range ({lo}, {hi}) lies on the surface")
 
 
 special = st.sampled_from([math.nan, math.inf, -math.inf, 0.0])
