@@ -108,13 +108,16 @@ class _Shape:
     beta_interval = None
 
     def g(self, theta):
-        return self._jet(*namespace(theta))[0]
+        xp, th = namespace(theta)
+        return self._jet(xp, th)[0]
 
     def dg(self, theta):
-        return self._jet(*namespace(theta), 1)[1]
+        xp, th = namespace(theta)
+        return self._jet(xp, th, 1)[1]
 
     def d2g(self, theta):
-        return self._jet(*namespace(theta), 2)[2]
+        xp, th = namespace(theta)
+        return self._jet(xp, th, 2)[2]
 
     def to_dict(self) -> dict:
         return {"kind": self.kind, **_param_dict(self)}
@@ -496,6 +499,8 @@ class CapMeridian(_Meridian):
         phi = (p + self.c) / (self.pc + self.c)
         inside = (phi >= 0.0) & (phi <= 1.0)
         ph = xp.where(inside, phi, 0.5)
+        if not by:
+            return phi, inside, ph, None, None
         ln_ph = xp.log(xp.where(ph > 0.0, ph, 1.0)) if "m" in by else None
         tilt = 1.0 - 2.0 * ph if "alpha" in by else None
         return phi, inside, ph, ln_ph, tilt
