@@ -350,12 +350,12 @@ def _model(crit: Criterion, data: tuple, mode: str, names=()):
         r_s0 = F / s0
         on_f = (abs_f >= bq) & (abs_f >= floor)
         r_f = unit * (1.0 - np.where(on_f, np.sign(f) * r_s0, 0.0))
-    cols = {n: r_f * f_jet[n] for n in of_mer}
+    cols = {n: r_f * f_jet[-1][n] for n in of_mer}
     if of_shape:
         # where g underflows, r_g and so the column are not finite; the
         # search treats the point as one with residuals that are not finite
         r_g = -unit * crit.B * at / (g * g)
-        cols.update((n, r_g * g_jet[n]) for n in of_shape)
+        cols.update((n, r_g * g_jet[-1][n]) for n in of_shape)
     if "A" in names:
         cols["A"] = unit * at * at
     if mode == "function_value":

@@ -47,9 +47,9 @@ def deviatoric_curvature(theta, shape):
 
     if not _theta_in_range(theta):
         raise DomainError(f"theta must lie in [0, pi/3], got {theta}")
-    jet = shape._jet(*namespace(theta), 2)
-    g = jet[0]
-    out = g * g + 2.0 * jet[1] * jet[1] - g * jet[2]
+    xp, th = namespace(theta)
+    g, g1, g2 = shape._jet(xp, th, 2)
+    out = g * g + 2.0 * g1 * g1 - g * g2
     return float(out) if np.ndim(theta) == 0 else out
 
 def hessian_qg(s1: float, s2: float, shape) -> np.ndarray:

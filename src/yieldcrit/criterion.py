@@ -95,11 +95,11 @@ class _Shape:
     """A deviatoric shape; its dict form is its kind and its parameters.
 
     Each shape has one formula body, ``_jet(xp, theta, order=0, by=())``,
-    over floats (``FLOAT``) or arrays (numpy).  It returns a dict with g at
-    key 0, dg/dtheta at key 1 and d2g/dtheta2 at key 2 up to ``order``,
-    and, when ``by`` names any field, dg/d(field) at the key of each field.
-    It builds them from one set of intermediates and computes only what is
-    asked for; ``g``, ``dg`` and ``d2g`` read it.  ``convexity()`` gives
+    over floats (``FLOAT``) or arrays (numpy).  It returns the list of g,
+    dg/dtheta and d2g/dtheta2 up to ``order`` and, when ``by`` names any
+    field, a dict of dg/d(field) by field as its last item.  It builds them
+    from one set of intermediates and computes only what is asked for;
+    ``g``, ``dg`` and ``d2g`` read it.  ``convexity()`` gives
     the exact convexity condition as (ok, signed margin, witness theta,
     note or None): the margin is the parameter's distance from the
     condition's boundary, and the witness where the condition binds."""
@@ -151,7 +151,7 @@ class CosineLode(_Shape):
         psi = self.beta * math.pi / 6.0 - xp.arccos(u) / 3.0
         cos_psi = xp.cos(psi)
         g = 1.0 / cos_psi
-        jet = {0: g}
+        jet = [g]
         if not (order or by):
             return jet
         t = xp.tan(psi)
@@ -159,13 +159,13 @@ class CosineLode(_Shape):
         if order:
             s3 = xp.sin(3.0 * th)
             psi1 = -self.gamma * s3 / w
-            jet[1] = t * psi1 / cos_psi
+            jet.append(t * psi1 / cos_psi)
         if order > 1:
             psi2 = -3.0 * self.gamma * c3 / w + 3.0 * self.gamma**3 * c3 * s3**2 / w**3
-            jet[2] = g * ((t * t + g * g) * psi1 * psi1 + t * psi2)
+            jet.append(g * ((t * t + g * g) * psi1 * psi1 + t * psi2))
         if by:
             g_psi = t / cos_psi
-            jet.update(beta=g_psi * (math.pi / 6.0), gamma=g_psi * c3 / (3.0 * w))
+            jet.append({"beta": g_psi * (math.pi / 6.0), "gamma": g_psi * c3 / (3.0 * w)})
         return jet
 
     @property
@@ -218,16 +218,16 @@ class PowerLaw(_Shape):
         v = 1.0 + self.beta * (1.0 + c3)
         e = -1.0 / self.n
         g = v**e
-        jet = {0: g}
+        jet = [g]
         if order:
             v1 = -3.0 * self.beta * xp.sin(3.0 * th)
             v_e1 = v ** (e - 1.0)
-            jet[1] = e * v_e1 * v1
+            jet.append(e * v_e1 * v1)
         if order > 1:
             v2 = -9.0 * self.beta * c3
-            jet[2] = e * (e - 1.0) * v ** (e - 2.0) * v1 * v1 + e * v_e1 * v2
+            jet.append(e * (e - 1.0) * v ** (e - 2.0) * v1 * v1 + e * v_e1 * v2)
         if by:
-            jet.update(beta=-g * (1.0 + c3) / (self.n * v), n=g * xp.log(v) / self.n**2)
+            jet.append({"beta": -g * (1.0 + c3) / (self.n * v), "n": g * xp.log(v) / self.n**2})
         return jet
 
     def convexity(self):
@@ -297,14 +297,14 @@ class WillamWarnke(_Shape):
         r = xp.sqrt(xp.maximum(0.0, 4.0 * c2 * u * u + 5.0 * e * e - 4.0 * e))
         num = 2.0 * c2 * u + t * r
         den = 4.0 * c2 * u * u + t * t
-        jet = {0: num / den}
+        jet = [num / den]
         if order:
             rho_u = 8.0 * c2 * u
             num_u = 2.0 * c2 + t * rho_u / (2.0 * r)
             den_u = 8.0 * c2 * u
             g_u = (num_u * den - num * den_u) / den**2
             s = xp.sin(th)
-            jet[1] = g_u * (-s)
+            jet.append(g_u * (-s))
         if order > 1:
             num_uu = t * (8.0 * c2 / (2.0 * r) - rho_u * rho_u / (4.0 * r**3))
             den_uu = 8.0 * c2
@@ -313,12 +313,12 @@ class WillamWarnke(_Shape):
                 - (2.0 * num_u * den_u + num * den_uu) / den**2
                 + 2.0 * num * den_u * den_u / den**3
             )
-            jet[2] = g_uu * s**2 + g_u * (-u)
+            jet.append(g_uu * s**2 + g_u * (-u))
         if by:
             r_e = (5.0 * e - 2.0 - 4.0 * e * u * u) / r
             num_e = -4.0 * e * u + 2.0 * r + t * r_e
             den_e = 4.0 * t - 8.0 * e * u * u
-            jet["e"] = (num_e * den - num * den_e) / den**2
+            jet.append({"e": (num_e * den - num * den_e) / den**2})
         return jet
 
     def convexity(self):
@@ -350,15 +350,15 @@ class GudehusArgyris(_Shape):
         k = self.k
         c3 = xp.cos(3.0 * th)
         d = 1.0 + k + (1.0 - k) * c3
-        jet = {0: 2.0 * k / d}
+        jet = [2.0 * k / d]
         if order:
             d1 = -3.0 * (1.0 - k) * xp.sin(3.0 * th)
-            jet[1] = -2.0 * k * d1 / d**2
+            jet.append(-2.0 * k * d1 / d**2)
         if order > 1:
             d2 = -9.0 * (1.0 - k) * c3
-            jet[2] = -2.0 * k * d2 / d**2 + 4.0 * k * d1 * d1 / d**3
+            jet.append(-2.0 * k * d2 / d**2 + 4.0 * k * d1 * d1 / d**3)
         if by:
-            jet["k"] = 2.0 * (1.0 + c3) / d**2
+            jet.append({"k": 2.0 * (1.0 + c3) / d**2})
         return jet
 
     def convexity(self):
@@ -430,11 +430,11 @@ class _Meridian:
     Each meridian has one formula body in two stages, over floats
     (``FLOAT``) or arrays (numpy).  ``_place(p, xp, by=())`` gives what p
     and the ``_place_fields`` fix, which the fit keeps while those fields
-    are held.  ``_jet(at, xp, order=0, by=())`` gives, at that place, a dict
-    with f at key 0 (+inf outside a cap), df/dp at key 1 and d2f/dp2 at key
-    2 up to ``order`` (on the open interior of a cap: the caller guards its
-    ends), and, when ``by`` names any field, df/d(field) at the key of each
-    field, with the branch held fixed.  It computes only what is asked for;
+    are held.  ``_jet(at, xp, order=0, by=())`` gives, at that place, the
+    list of f (+inf outside a cap), df/dp and d2f/dp2 up to ``order`` (on
+    the open interior of a cap: the caller guards its ends) and, when
+    ``by`` names any field, a dict of df/d(field) by field as its last
+    item, with the branch held fixed.  It computes only what is asked for;
     ``f``, ``f_array`` and ``df`` read it.  ``convexity()`` gives the exact
     convexity condition as (ok, signed margin, witness Phi, note or None),
     like a shape's.  For the fit, ``_penalty(p, at, by)`` gives the
@@ -516,7 +516,7 @@ class CapMeridian(_Meridian):
         lin = 2.0 * (1.0 - alpha) * ph + alpha
         h = d * lin
         root = xp.sqrt(xp.maximum(0.0, h))
-        jet = {0: xp.where(inside, Mpc * root, math.inf)}
+        jet = [xp.where(inside, Mpc * root, math.inf)]
         if not (order or by):
             return jet
         scale = self.pc + self.c
@@ -524,25 +524,27 @@ class CapMeridian(_Meridian):
             d_1 = 1.0 - m * ph ** (m - 1.0)
             h1 = d_1 * lin + 2.0 * (1.0 - alpha) * d
         if order:
-            jet[1] = Mpc * h1 / (2.0 * root) / scale
+            jet.append(Mpc * h1 / (2.0 * root) / scale)
         if order > 1:
             h2 = -m * (m - 1.0) * ph ** (m - 2.0) * lin + 4.0 * (1.0 - alpha) * d_1
-            jet[2] = Mpc * (2.0 * h2 * h - h1 * h1) / (4.0 * h * root) / (scale * scale)
+            jet.append(Mpc * (2.0 * h2 * h - h1 * h1) / (4.0 * h * root) / (scale * scale))
         if not by:
             return jet
         # df/dh = -M pc / (2 sqrt h), set to 0 where h <= 0
         positive = h > 0.0
         f_h = xp.where(positive, Mpc / (2.0 * xp.where(positive, root, 1.0)), 0.0)
+        df = {}
         if "M" in by:
-            jet["M"] = -self.pc * root
+            df["M"] = -self.pc * root
         if "pc" in by or "c" in by:
             f_phi = f_h * h1 / scale
-            jet["pc"] = -self.M * root - f_phi * ph
-            jet["c"] = f_phi * (1.0 - ph)
+            df["pc"] = -self.M * root - f_phi * ph
+            df["c"] = f_phi * (1.0 - ph)
         if "m" in by:
-            jet["m"] = -f_h * phm * ln_ph * lin
+            df["m"] = -f_h * phm * ln_ph * lin
         if "alpha" in by:
-            jet["alpha"] = f_h * d * tilt
+            df["alpha"] = f_h * d * tilt
+        jet.append(df)
         return jet
 
     def _penalty(self, p, at, by):
@@ -592,27 +594,25 @@ class LinearMeridian(_Meridian):
     _place_fields = ("c",)
 
     def _place(self, p, xp, by=()):
-        """(p + c,)."""
-        return (p + self.c,)
+        """p + c."""
+        return p + self.c
 
-    def _jet(self, at, xp, order=0, by=()):
-        """f = -Gamma (p + c), with df/dp = df/dc = -Gamma and df/dGamma = -(p + c)."""
-        s = at[0]
-        jet = {0: -self.Gamma * s}
+    def _jet(self, s, xp, order=0, by=()):
+        """f = -Gamma s at s = p + c, with df/dp = df/dc = -Gamma and df/dGamma = -s."""
+        jet = [-self.Gamma * s]
         if order:
-            jet[1] = -self.Gamma
+            jet.append(-self.Gamma)
         if order > 1:
-            jet[2] = 0.0
+            jet.append(0.0)
         if by:
-            jet.update(Gamma=-s, c=-self.Gamma)
+            jet.append({"Gamma": -s, "c": -self.Gamma})
         return jet
 
-    def _penalty(self, p, at, by):
+    def _penalty(self, p, s, by):
         """Beyond the apex, dist = -(p + c) / scale with scale = max(c, mean |p|),
         and d(dist)/dc holding the max's branch."""
         import numpy as np
 
-        s = at[0]
         scale = np.maximum(np.maximum(self.c, np.mean(np.abs(p))), 1e-30)
         dist = np.maximum(0.0, -s) / scale
         # where the scale is c itself, d(dist)/dc = -(1 + dist) / c
@@ -845,7 +845,8 @@ def surface_q(p: float, theta: float, crit: Criterion) -> float | None:
     """
     if not _theta_in_range(theta):
         raise DomainError(f"theta must lie in [0, pi/3], got {theta}")
-    q = _surface_q_body(crit.meridian.f(p), crit.shape.g(theta), crit, FLOAT)
+    xp, th = namespace(theta)
+    q = _surface_q_body(crit.meridian.f(p), crit.shape._jet(xp, th)[0], crit, FLOAT)
     return None if math.isnan(q) else q
 
 
@@ -923,9 +924,8 @@ def _gradient_body(stress, crit: Criterion):
     if on_meridian:
         g, c = crit.shape._jet(FLOAT, theta)[0], 0.0
     else:
-        jet = crit.shape._jet(FLOAT, theta, 1)
-        g = jet[0]
-        c = _SQRT15 * crit.B * jet[1] / g**2
+        g, g1 = crit.shape._jet(FLOAT, theta, 1)
+        c = _SQRT15 * crit.B * g1 / g**2
     b = _SQRT15 * (crit.B / g + 2.0 * crit.A * q)
     u1, u2, u3 = _SQRT15 * (s1 + p) / q, _SQRT15 * (s2 + p) / q, _SQRT15 * (s3 + p) / q
     t1, t2, t3 = a + b * u1, a + b * u2, a + b * u3

@@ -166,7 +166,7 @@ class TestFormulaBodies:
                 assert jet[0] == shape.g(float(th))
                 for name in fields:
                     fd = self._field_fd(shape, name, lambda s: s.g(float(th)))
-                    assert jet[name] == pytest.approx(fd, rel=1e-6, abs=1e-8), (shape, name, th)
+                    assert jet[-1][name] == pytest.approx(fd, rel=1e-6, abs=1e-8), (shape, name, th)
 
     def test_meridian_derivatives_in_p(self, rng):
         h = 1e-4
@@ -195,16 +195,16 @@ class TestFormulaBodies:
                 jet = mer._jet(mer._place(p, FLOAT, fields), FLOAT, 0, fields)
                 for name in fields:
                     fd = self._field_fd(mer, name, lambda m: m.f(p))
-                    assert jet[name] == pytest.approx(fd, rel=1e-6, abs=1e-8), (mer, name, p)
+                    assert jet[-1][name] == pytest.approx(fd, rel=1e-6, abs=1e-8), (mer, name, p)
 
     def test_only_what_is_asked_for(self):
         for shape in self.SHAPES:
-            assert set(shape._jet(FLOAT, 0.3)) == {0}
-            assert set(shape._jet(FLOAT, 0.3, 2)) == {0, 1, 2}
+            assert len(shape._jet(FLOAT, 0.3)) == 1
+            assert len(shape._jet(FLOAT, 0.3, 2)) == 3
         for mer in self.MERIDIANS:
             at = mer._place(0.5, FLOAT)
-            assert set(mer._jet(at, FLOAT)) == {0}
-            assert set(mer._jet(at, FLOAT, 1)) == {0, 1}
+            assert len(mer._jet(at, FLOAT)) == 1
+            assert len(mer._jet(at, FLOAT, 1)) == 2
 
 
 class TestYieldValue:
