@@ -32,7 +32,7 @@ import numpy as np
 
 from . import trf
 from .convexity import ConvexityReport, certify
-from .criterion import Criterion, _params, _surface_q_body, _yield_body
+from .criterion import GAMMA_LIMIT, Criterion, _params, _surface_q_body, _yield_body
 from .errors import InsufficientData, ParseError, ValidationError
 from .invariants import _record, _theta_in_range, invariants
 
@@ -85,22 +85,25 @@ class FitDataset:
 def load_dataset(source, meta: Mapping[str, str] | None = None) -> FitDataset:
     """Parse a yield-point CSV into a FitDataset.
 
-    ``source`` may be a path, an open text file, or the CSV text itself.
-    The header row is either "p,q,theta[,w]" (invariants, radians) or
+    ``source`` is the CSV text itself (a ``str``), a path (an
+    ``os.PathLike``) or an open text file (anything with ``read``).  The
+    header row is either "p,q,theta[,w]" (invariants, radians) or
     "s1,s2,s3[,w]" (principal stresses, converted internally).  Lines
     starting with '#' are comments.  Raises ParseError with the offending
     line number for malformed rows and ValidationError for out-of-range
-    values.
+    values or a source of another kind.
     """
-    if hasattr(source, "read"):
+    if isinstance(source, str):
+        text = source
+    elif isinstance(source, os.PathLike):
+        with open(source, encoding="utf-8") as fh:
+            text = fh.read()
+    elif hasattr(source, "read"):
         text = source.read()
     else:
-        s = os.fspath(source) if not isinstance(source, str) else source
-        if isinstance(s, str) and "\n" not in s and os.path.exists(s):
-            with open(s, encoding="utf-8") as fh:
-                text = fh.read()
-        else:
-            text = s
+        raise ValidationError(
+            f"source must be CSV text, a path or a text file, got {type(source).__name__}"
+        )
 
     header = None
     rows: list[tuple[float, float, float]] = []
@@ -164,7 +167,7 @@ _DEFAULT_BOUNDS = {
     "m": (1.0 + 1e-6, 60.0),
     "alpha": (1e-6, 2.0 - 1e-6),
     "beta": (0.0, 2.0),  # convex for every gamma
-    "gamma": (0.0, 1.0 - 1e-9),
+    "gamma": (0.0, GAMMA_LIMIT),
     "Gamma": (1e-4, 1e3),
     "e": (0.5 + 1e-9, 1.0),
     "k": (0.777 + 1e-9, 1.0),
@@ -176,9 +179,9 @@ _DEFAULT_BOUNDS = {
 class FitProblem:
     """A calibration problem: template criterion, free names, bounds, mode.
 
-    A bound given for a free parameter must be admissible at both ends,
-    since the fit may evaluate the criterion there; ValidationError
-    otherwise.
+    A bound must name a parameter of the template, and one given for a
+    free parameter must be admissible at both ends, since the fit may
+    evaluate the criterion there; ValidationError otherwise.
     """
 
     template: Criterion
@@ -205,6 +208,7 @@ class FitProblem:
         object.__setattr__(self, "free", free)
         object.__setattr__(self, "bounds", tuple(self.bounds))
         for name, (lo, hi) in self.bounds:
+            self._locate(name)
             if not (lo < hi):
                 raise ValidationError(f"empty bound interval for {name!r}: ({lo}, {hi})")
             if name in free:
@@ -502,7 +506,8 @@ def fit(
 
     Raises InsufficientData when the dataset has fewer points than there
     are free parameters, and ValidationError for an ``init`` that misses a
-    free parameter or fewer than one seeded start.
+    free parameter or names one that is not free, or for fewer than one
+    seeded start.
     """
     names, k = problem.free, len(problem.free)
     if len(dataset) < k:
@@ -519,6 +524,9 @@ def fit(
         missing = [n for n in names if n not in init]
         if missing:
             raise ValidationError(f"init must cover every free parameter; missing {missing}")
+        held = [n for n in init if n not in names]
+        if held:
+            raise ValidationError(f"init must name only free parameters; not free: {held}")
         v0 = np.clip(np.array([[init[n] for n in names]], dtype=float), lo, hi)
         u0 = trf.strictly_feasible(box.coords(v0), box.ulo, box.uhi, 1e-10)
     elif n_starts < 1:

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import argparse
 import importlib
-import io
 import json
 import math
 import os
@@ -268,8 +267,7 @@ def _cmd_fit(args) -> int:
         bounds=tuple(pairs),
         residual_mode=spec.get("residual_mode", "meridian_distance"),
     )
-    # the CSV text itself, so that a missing path is an error, not CSV
-    dataset = load_dataset(io.StringIO(_read_text(args.data)))
+    dataset = load_dataset(_read_text(args.data))
     result = fit(problem, dataset, init=init, seed=seed)
     _emit(_json_dumps(result.to_dict()), args.output)
     if not result.converged:

@@ -30,7 +30,7 @@ from typing import TYPE_CHECKING
 
 from .criterion import Criterion, _powerlaw_coefficients
 from .errors import DegenerateState, DomainError
-from .invariants import FLOAT, _check_stress, _lode_angle, _theta_in_range, namespace
+from .invariants import FLOAT, _check_stress, _check_theta, _lode_angle, namespace
 
 if TYPE_CHECKING:
     import numpy as np
@@ -45,8 +45,7 @@ def deviatoric_curvature(theta, shape):
     """
     import numpy as np
 
-    if not _theta_in_range(theta):
-        raise DomainError(f"theta must lie in [0, pi/3], got {theta}")
+    _check_theta(theta)
     xp, th = namespace(theta)
     g, g1, g2 = shape._jet(xp, th, 2)
     out = g * g + 2.0 * g1 * g1 - g * g2

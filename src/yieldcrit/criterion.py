@@ -35,7 +35,7 @@ from typing import TYPE_CHECKING
 
 from .errors import CornerCase, DegenerateState, DomainError, ValidationError
 from .invariants import EPS_MERIDIAN, FLOAT, _invariant_body, _perp, _principal, _record
-from .invariants import _theta_in_range, invariants_array, namespace
+from .invariants import _check_theta, invariants_array, namespace
 # Unused here; kept because perfbench's --trace 1 wraps criterion.invariants by name.
 from .invariants import invariants  # noqa: F401
 
@@ -50,6 +50,9 @@ DELTA_PHI = 1e-10
 # Margins within this band of zero are genuine convexity limits: a beta
 # this close outside the native shape's convex interval still counts.
 BOUNDARY_TOL = 1e-9
+
+# The excluded gamma = 1 (piecewise-linear section) is realized as this.
+GAMMA_LIMIT = 1.0 - 1e-9
 
 _SQRT15 = math.sqrt(1.5)
 
@@ -688,7 +691,7 @@ class YieldParams:
         warnings: list[str] = []
         if gamma >= 1.0:
             warnings.append(f"gamma={gamma} replaced by 1-1e-9 (piecewise-linear limit)")
-            gamma = 1.0 - 1e-9
+            gamma = GAMMA_LIMIT
         if alpha <= 0.0:
             warnings.append(f"alpha={alpha} replaced by 1e-8 (corner limit)")
             alpha = 1e-8
@@ -843,8 +846,7 @@ def surface_q(p: float, theta: float, crit: Criterion) -> float | None:
     of A q^2 + B q / g + f(p) = 0.  Returns None when p lies outside the
     effective domain of a cap meridian.
     """
-    if not _theta_in_range(theta):
-        raise DomainError(f"theta must lie in [0, pi/3], got {theta}")
+    _check_theta(theta)
     xp, th = namespace(theta)
     q = _surface_q_body(crit.meridian.f(p), crit.shape._jet(xp, th)[0], crit, FLOAT)
     return None if math.isnan(q) else q
@@ -861,8 +863,7 @@ def surface_q_array(p, theta, crit: Criterion) -> np.ndarray:
     import numpy as np
 
     # a single theta is checked as a float, before it becomes an array
-    if not _theta_in_range(theta):
-        raise DomainError(f"theta must lie in [0, pi/3], got {theta}")
+    _check_theta(theta)
     p = np.asarray(p, dtype=float)
     theta = np.asarray(theta, dtype=float)
     try:

@@ -43,8 +43,10 @@ EPS_MERIDIAN = 1e-12
 # precision, which ends near 2e102.
 STRESS_MAX = 1e100
 
-# Upper end of the Lode angle range [0, pi/3].
+# Upper end of the Lode angle range [0, pi/3], and the ends of the range
+# accepted as theta, 1e-12 wider.
 _THETA_MAX = math.pi / 3.0
+_THETA_LO, _THETA_HI = -1e-12, _THETA_MAX + 1e-12
 
 _LODE = 1.5 * math.sqrt(3.0)
 _SQRT6 = math.sqrt(6.0)
@@ -171,11 +173,19 @@ def _invariant_body(s1, s2, s3, xp):
 def _theta_in_range(theta) -> bool:
     """True when theta (a number or an array) lies in [0, pi/3] to 1e-12; False for NaN."""
     if isinstance(theta, (float, int)):
-        return -1e-12 <= theta <= _THETA_MAX + 1e-12
+        return _THETA_LO <= theta <= _THETA_HI
     import numpy as np
 
     th = np.asarray(theta, dtype=float)
-    return bool(np.all((-1e-12 <= th) & (th <= _THETA_MAX + 1e-12)))
+    return bool(np.all((_THETA_LO <= th) & (th <= _THETA_HI)))
+
+
+def _check_theta(theta) -> None:
+    """DomainError unless :func:`_theta_in_range`; no further call for a number."""
+    if isinstance(theta, (float, int)) and _THETA_LO <= theta <= _THETA_HI:
+        return
+    if not _theta_in_range(theta):
+        raise DomainError(f"theta must lie in [0, pi/3], got {theta}")
 
 
 def _perp(s_tilde, cos3t: float, sin3t: float):
@@ -276,8 +286,7 @@ def principal_from_invariants(p: float, q: float, theta: float) -> np.ndarray:
     """
     import numpy as np
 
-    if not _theta_in_range(theta):
-        raise DomainError(f"theta must lie in [0, pi/3], got {theta}")
+    _check_theta(theta)
     if not (math.isfinite(p) and math.isfinite(q)):
         raise DomainError(f"p and q must be finite, got p={p}, q={q}")
     if q < 0.0:

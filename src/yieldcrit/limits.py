@@ -3,11 +3,11 @@
 The seven-parameter criterion reduces to the classical criteria of
 von Mises, Drucker-Prager, Tresca, modified Tresca, Coulomb-Mohr and
 modified Cam-clay in limit situations.  Several of those limits send
-pc to infinity; here the infinite limits are realized with a finite
-surrogate pc = 10^k times the reference strength, which reproduces the
-uniaxial strengths with a relative error of order 10^-k.  Corner-case
-parameter values (alpha = 0, gamma = 1) are replaced by their limit-mode
-surrogates and the substitutions are recorded as warnings.
+pc to infinity; here that is a finite surrogate pc = 10^k times the
+reference strength, alpha = 0 becomes 10^-2k and gamma = 1 GAMMA_LIMIT, and
+each substitution is recorded as a warning.  An ellipse or a cone, matched
+through g of the realized section, then reproduces the uniaxial strengths
+with a relative error of order 10^-k.
 
 Also provided: the parameter correspondence with the Deshpande-Fleck foam
 surface, equivalent-parameter construction against the Gurson-Tvergaard
@@ -20,20 +20,26 @@ from __future__ import annotations
 import math
 import warnings as _warnings
 from dataclasses import dataclass
+from sys import float_info
 
-from .criterion import Criterion, YieldParams
+from .criterion import GAMMA_LIMIT, CosineLode, Criterion, YieldParams
 from .errors import DomainError, ShapeMismatch
 from .invariants import STRESS_MAX, invariants
 
-_GAMMA_LIMIT = 1.0 - 1e-9
+# The deviatoric sections of the classical criteria.
+_CIRCLE = CosineLode(beta=1.0, gamma=0.0)
+_HEXAGON = CosineLode(beta=1.0, gamma=GAMMA_LIMIT)
 
 
 def _alpha_corner(k: int) -> float:
-    # The alpha = 0 corner surrogate must shrink with the pc surrogate:
-    # the meridian error it introduces scales like alpha/Phi with
-    # Phi ~ 10^-k at the strength states, so a fixed delta would dominate
-    # the 10^-k error budget of the realization.
-    return 10.0 ** -(k + 6)
+    # The alpha = 0 corner surrogate 10^-2k adds about alpha / (4 Phi), so 10^-k,
+    # to the meridian's relative error, with Phi ~ 10^-k at the strength states.
+    # Below the normal floats the meridian's radicand, about 2 Phi^2 + alpha,
+    # loses its digits (6e-3 in the strengths at k = 161); from k = 162 it is 0.
+    alpha = 10.0 ** (-2 * k)
+    if alpha < float_info.min:
+        raise DomainError(f"scale_exponent={k} puts the surrogate alpha below {float_info.min:g}")
+    return alpha
 
 
 def _require_finite(**values):
@@ -80,21 +86,34 @@ class _StrengthRatio:
 class VonMises(_TensileStrength):
     """Pressure-insensitive circle; ft is the uniaxial strength."""
 
+    _section = _CIRCLE
+
 
 class DruckerPrager(_StrengthRatio):
     """Cone with circular section; r = fc/ft >= 1."""
+
+    _section = _CIRCLE
 
 
 class Tresca(_TensileStrength):
     """Pressure-insensitive hexagon; ft is the uniaxial strength."""
 
+    _section = _HEXAGON
+
 
 class ModifiedTresca(_StrengthRatio):
     """Cone with hexagonal section; r = fc/ft >= 1."""
 
+    _section = _HEXAGON
+
 
 class CoulombMohr(_StrengthRatio):
     """Frictional hexagonal pyramid; r = fc/ft >= 1."""
+
+    @property
+    def _section(self) -> CosineLode:
+        beta = (6.0 / math.pi) * math.atan(math.sqrt(3.0) / (2.0 * self.r + 1.0))
+        return CosineLode(beta=beta, gamma=GAMMA_LIMIT)
 
 
 @dataclass(frozen=True)
@@ -152,75 +171,75 @@ def _scale(k: int, strength: float) -> float:
     return scale
 
 
+def _realization(k: int, shape: CosineLode, notes, **meridian) -> LimitRealization:
+    """The meridian on ``shape``; its warnings are the notes, then one for each
+    limit surrogate in it."""
+    warn = list(notes)
+    if shape.gamma == GAMMA_LIMIT:
+        warn.append("gamma -> 1 realized as 1-1e-9 (piecewise-linear limit)")
+    if meridian["alpha"] < 1.0:
+        warn.append(f"alpha = 0 realized as {meridian['alpha']:g} (corner limit)")
+    params = YieldParams(beta=shape.beta, gamma=shape.gamma, **meridian)
+    return LimitRealization(params=params, scale_exponent=k, warnings=tuple(warn))
+
+
+def _ellipse(ft: float, shape: CosineLode, k: int, *notes) -> LimitRealization:
+    """The pressure-insensitive limit: the ellipse c = pc = 10^k ft, whose radius
+    M pc g / 2 at the middle of the cap is ft (g(0) = g(pi/3) on its sections)."""
+    pc = _scale(k, ft) * ft
+    M = 2.0 * ft / (pc * shape.g(0.0))
+    return _realization(k, shape, notes, M=M, pc=pc, c=pc, m=2.0, alpha=1.0)
+
+
+def _cone(fc: float, r: float, shape: CosineLode, k: int) -> LimitRealization:
+    """The pressure-sensitive limit: the cone alpha -> 0, pc = m fc with
+    m = 10^k, where F = q / g + sqrt(2) M (p + c) is 0 at uniaxial tension
+    (q = fc / r, theta = 0) and compression (q = fc, theta = pi/3)."""
+    c0, c3 = 1.0 / shape.g(0.0), 1.0 / shape.g(math.pi / 3.0)
+    den = 3.0 * (r * c3 - c0)
+    if den <= 0.0:
+        raise DomainError(
+            f"c denominator 3 r cos(beta pi/6 - pi/3) - 3 cos(beta pi/6) = {den:.6g} "
+            f"is not positive for r={r}, beta={shape.beta}"
+        )
+    M = den / (math.sqrt(2.0) * (r + 1.0))
+    c = fc * (c0 + c3) / den
+    if M <= 0.0 or c <= 0.0:
+        raise DomainError(f"M={M:.6g}, c={c:.6g} not positive for r={r}, beta={shape.beta}")
+    scale = _scale(k, fc)
+    alpha = _alpha_corner(k)
+    return _realization(k, shape, (), M=M, pc=scale * fc, c=c, m=scale, alpha=alpha)
+
+
 def realize(criterion: ClassicalCriterion, scale_exponent: int = 6) -> LimitRealization:
     """Build the seven-parameter realization of a classical criterion.
 
-    The infinite pc limits are replaced by pc = 10^scale_exponent times
-    the reference strength, so uniaxial strengths are reproduced with a
-    relative error of order 10^-scale_exponent (k >= 3 required).  A k
-    that puts that pc above STRESS_MAX is a DomainError.
+    Von Mises, Tresca and any r = 1 become ellipses with c = pc = 10^k ft,
+    the three pressure-sensitive criteria cones with alpha -> 0 and
+    pc = 10^k fc.  Both match the uniaxial strengths through g of the
+    realized section, and reproduce them with a relative error of order
+    10^-k (k = scale_exponent >= 3 required).  A k that puts that pc above
+    STRESS_MAX, or the alpha surrogate 10^-2k below the normal floats
+    (k >= 154), is a DomainError.
     """
     if not isinstance(criterion, ClassicalCriterion):
         raise DomainError(f"unknown classical criterion {criterion!r}")
     k = _exponent(scale_exponent)
-    warn: list[str] = []
-
     if isinstance(criterion, ModifiedCamClay):
         # Exact: no limit surrogate needed.
-        params = YieldParams(
-            M=criterion.M, pc=criterion.pc, c=0.0, m=2.0, alpha=1.0, beta=1.0, gamma=0.0
+        return _realization(
+            k, _CIRCLE, (), M=criterion.M, pc=criterion.pc, c=0.0, m=2.0, alpha=1.0
         )
-        return LimitRealization(params=params, scale_exponent=k, warnings=())
-
     if isinstance(criterion, _TensileStrength):
-        ft = criterion.ft
-        pc = _scale(k, ft) * ft
-        if isinstance(criterion, VonMises):
-            M = 2.0 * ft / pc
-            gamma = 0.0
-        else:
-            M = math.sqrt(3.0) * ft / pc
-            gamma = _GAMMA_LIMIT
-            warn.append("gamma -> 1 realized as 1-1e-9 (piecewise-linear limit)")
-        params = YieldParams(M=M, pc=pc, c=pc, m=2.0, alpha=1.0, beta=1.0, gamma=gamma)
-        return LimitRealization(params=params, scale_exponent=k, warnings=tuple(warn))
-
-    # The remaining three share the Drucker-Prager meridian structure:
-    # alpha = 0 -> delta, finite c, pc = fc * m -> infinity via m = 10^k.
+        return _ellipse(criterion.ft, criterion._section, k)
     fc, r = criterion.fc, criterion.r
     if r == 1.0:
-        # c = 2 fc / (3 (r-1)) degenerates; the criterion is pressure
-        # insensitive and reduces to its r = 1 counterpart.
+        # The cone's c = 2 fc / (3 (r-1)) degenerates; the criterion is
+        # pressure insensitive and reduces to its r = 1 counterpart.
         if isinstance(criterion, DruckerPrager):
-            sub = realize(VonMises(ft=fc), scale_exponent=k)
-            note = "r=1: Drucker-Prager reduces to von Mises"
-        else:
-            sub = realize(Tresca(ft=fc), scale_exponent=k)
-            note = f"r=1: {type(criterion).__name__} reduces to Tresca"
-        return LimitRealization(
-            params=sub.params, scale_exponent=k, warnings=(note,) + sub.warnings
-        )
-
-    if isinstance(criterion, DruckerPrager):
-        M = 3.0 * (r - 1.0) / (math.sqrt(2.0) * (r + 1.0))
-        c = 2.0 * fc / (3.0 * (r - 1.0))
-        beta, gamma = 1.0, 0.0
-    elif isinstance(criterion, ModifiedTresca):
-        M = 3.0 * math.sqrt(3.0) * (r - 1.0) / (2.0 * math.sqrt(2.0) * (r + 1.0))
-        c = 2.0 * fc / (3.0 * (r - 1.0))
-        beta, gamma = 1.0, _GAMMA_LIMIT
-        warn.append("gamma -> 1 realized as 1-1e-9 (piecewise-linear limit)")
-    else:  # Coulomb-Mohr
-        beta = (6.0 / math.pi) * math.atan(math.sqrt(3.0) / (2.0 * r + 1.0))
-        return coulomb_mohr_generalized(fc, r, beta, k)
-
-    scale = _scale(k, fc)
-    alpha = _alpha_corner(k)
-    warn.append(f"alpha = 0 realized as {alpha:g} (corner limit)")
-    params = YieldParams(
-        M=M, pc=scale * fc, c=c, m=scale, alpha=alpha, beta=beta, gamma=gamma
-    )
-    return LimitRealization(params=params, scale_exponent=k, warnings=tuple(warn))
+            return _ellipse(fc, _CIRCLE, k, "r=1: Drucker-Prager reduces to von Mises")
+        return _ellipse(fc, _HEXAGON, k, f"r=1: {type(criterion).__name__} reduces to Tresca")
+    return _cone(fc, r, criterion._section, k)
 
 
 def coulomb_mohr_generalized(
@@ -228,39 +247,14 @@ def coulomb_mohr_generalized(
 ) -> LimitRealization:
     """Three-parameter Coulomb-Mohr generalization with free beta.
 
-    Uses the Coulomb-Mohr M and c expressions with an arbitrary deviatoric
-    bias beta; choosing beta = (6/pi) atan(sqrt(3)/(2r+1)) recovers the
-    plain Coulomb-Mohr realization.  Raises DomainError when the M or c
-    expressions are not positive for the given (r, beta).
+    The Coulomb-Mohr cone on the hexagonal section with an arbitrary
+    deviatoric bias beta; choosing beta = (6/pi) atan(sqrt(3)/(2r+1))
+    recovers the plain Coulomb-Mohr realization.  Raises DomainError when
+    the cone's M or c is not positive for the given (r, beta).
     """
     CoulombMohr(fc=fc, r=r)  # the same checks on fc and r
     _require_finite(beta=beta)
-    k = _exponent(scale_exponent)
-    # the two projections that enter the Coulomb-Mohr M and c expressions
-    c1, c2 = math.cos(beta * math.pi / 6.0), math.cos(beta * math.pi / 6.0 - math.pi / 3.0)
-    den = 3.0 * r * c2 - 3.0 * c1
-    if den <= 0.0:
-        raise DomainError(
-            f"c denominator 3 r cos(beta pi/6 - pi/3) - 3 cos(beta pi/6) = {den:.6g} "
-            f"is not positive for r={r}, beta={beta}"
-        )
-    M = 3.0 * (r * c2 - c1) / (math.sqrt(2.0) * (r + 1.0))
-    c = fc * (c2 + c1) / den
-    if M <= 0.0 or c <= 0.0:
-        raise DomainError(f"M={M:.6g}, c={c:.6g} not positive for r={r}, beta={beta}")
-    scale = _scale(k, fc)
-    alpha = _alpha_corner(k)
-    params = YieldParams(
-        M=M, pc=scale * fc, c=c, m=scale, alpha=alpha, beta=beta, gamma=_GAMMA_LIMIT
-    )
-    return LimitRealization(
-        params=params,
-        scale_exponent=k,
-        warnings=(
-            "gamma -> 1 realized as 1-1e-9 (piecewise-linear limit)",
-            f"alpha = 0 realized as {alpha:g} (corner limit)",
-        ),
-    )
+    return _cone(fc, r, CosineLode(beta=beta, gamma=GAMMA_LIMIT), _exponent(scale_exponent))
 
 
 # ---------------------------------------------------------------------------

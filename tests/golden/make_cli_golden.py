@@ -151,6 +151,8 @@ def files() -> dict[str, str]:
     out["problem-bound-string.json"] = _json({**problem, "bounds": {"M": [0.1, "x"]}})
     out["problem-init-string.json"] = _json({**problem, "init": {"M": "x"}})
     out["problem-init-bool.json"] = _json({**problem, "init": {"M": True}})
+    out["problem-bound-unknown.json"] = _json({**problem, "bounds": {"Q": [1, 2]}})
+    out["problem-init-not-free.json"] = _json({**problem, "init": {"M": 0.6, "Q": 3}})
     return out
 
 
@@ -245,7 +247,8 @@ def _fit_cases():
     yield "fit fewer points than free", _fit("one-point.csv", "problem-two.json")
     for name in ("no-free", "no-free-key", "unknown-free", "bad-bound", "bad-mode", "list", "free-number",
                  "free-string", "seed-string", "seed-negative", "seed-fraction", "bounds-list",
-                 "bound-short", "bound-string", "init-string", "init-bool"):
+                 "bound-short", "bound-string", "init-string", "init-bool", "bound-unknown",
+                 "init-not-free"):
         yield f"fit problem {name}", _fit("points.csv", f"problem-{name}.json")
     for name in ("nan-row", "bad-header", "short-row", "not-utf8"):
         yield f"fit data {name}", _fit(f"{name}.csv", "problem.json")
@@ -276,6 +279,8 @@ def _realize_cases():
     yield "realize k=100", ["realize", "von-mises", "--ft", "1", "--k", "100"]
     yield "realize k=101", ["realize", "von-mises", "--ft", "1", "--k", "101"]
     yield "realize k=3", ["realize", "coulomb-mohr", "--fc", "2.0", "--r", "3.0", "--k", "3"]
+    yield "realize alpha below normal", ["realize", "drucker-prager", "--fc", "1e-70", "--r", "2",
+                                         "--k", "165"]
     yield "realize missing flag", ["realize", "drucker-prager", "--r", "2.0"]
     yield "realize bad ratio", ["realize", "coulomb-mohr", "--fc", "2.0", "--r", "0.5"]
 

@@ -88,9 +88,21 @@ class TestLoadDataset:
     def test_file_and_handle(self, tmp_path):
         path = tmp_path / "pts.csv"
         path.write_text("p,q,theta\n0.5,0.375,0\n", encoding="utf-8")
-        assert len(load_dataset(str(path))) == 1
+        assert len(load_dataset(path)) == 1
         with open(path, encoding="utf-8") as fh:
             assert len(load_dataset(fh)) == 1
+
+    def test_a_str_is_csv_text_even_when_it_names_a_file(self, tmp_path):
+        path = tmp_path / "pts.csv"
+        path.write_text("p,q,theta\n0.5,0.375,0\n", encoding="utf-8")
+        with pytest.raises(ParseError, match="header must start with") as info:
+            load_dataset(str(path))
+        assert info.value.line == 1
+
+    @pytest.mark.parametrize("source", [b"p,q,theta\n0.5,0.375,0\n", 3, None])
+    def test_a_source_of_no_known_kind_is_refused(self, source):
+        with pytest.raises(ValidationError, match="source must be CSV text, a path or a text file"):
+            load_dataset(source)
 
     def test_empty_file(self):
         with pytest.raises(ParseError):
@@ -184,6 +196,12 @@ class TestFitProblem:
         )
         assert problem.bound_of("m") == (1.5, 10.0)
 
+    @pytest.mark.parametrize("name", ["Q", "Gamma", "B"])
+    def test_a_bound_for_no_parameter_of_the_template_is_refused(self, name):
+        with pytest.raises(ValidationError) as info:
+            FitProblem(template=CAM_CLAY.criterion(), free=("M",), bounds=((name, (1.0, 2.0)),))
+        assert str(info.value) == f"parameter {name!r} does not apply to this template"
+
 
 class TestFit:
     def test_noiseless_round_trip(self):
@@ -265,6 +283,14 @@ class TestFit:
         problem = FitProblem(template=CAM_CLAY.criterion(), free=("M", "m"))
         with pytest.raises(ValidationError):
             fit(problem, ds, init={"M": 0.7})
+
+    @pytest.mark.parametrize("extra", ["m", "Q"])
+    def test_init_must_name_only_free_parameters(self, extra):
+        ds = surface_dataset(CAM_CLAY, n=10)
+        problem = FitProblem(template=CAM_CLAY.criterion(), free=("M",))
+        with pytest.raises(ValidationError) as info:
+            fit(problem, ds, init={"M": 0.7, extra: 3.0})
+        assert str(info.value) == f"init must name only free parameters; not free: [{extra!r}]"
 
     def test_to_dict_contract(self):
         ds = surface_dataset(CAM_CLAY, n=10)

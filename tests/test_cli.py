@@ -502,6 +502,18 @@ class TestFitInputFiles:
             2, "yieldcrit: init 'M' must be a finite number, got True\n"
         )
 
+    def test_a_bound_for_no_parameter_of_the_template(self, capsys, tmp_path):
+        assert self._fit(capsys, tmp_path, {**self.PROBLEM, "bounds": {"Q": [1, 2]}}) == (
+            2, "yieldcrit: parameter 'Q' does not apply to this template\n"
+        )
+
+    @pytest.mark.parametrize("extra", ["m", "Q"])
+    def test_an_init_value_for_a_parameter_that_is_not_free(self, capsys, tmp_path, extra):
+        spec = {**self.PROBLEM, "init": {"M": 0.6, extra: 3}}
+        assert self._fit(capsys, tmp_path, spec) == (
+            2, f"yieldcrit: init must name only free parameters; not free: [{extra!r}]\n"
+        )
+
     def test_data_that_is_not_utf8(self, capsys, tmp_path):
         code, err = self._fit(capsys, tmp_path, self.PROBLEM, b"p,q,theta\n0.5,0.3,0\n0.2,0.4,\xff\n")
         message = f"line 3: {tmp_path / 'd.csv'} is not UTF-8 text: invalid start byte at byte 28"
@@ -524,6 +536,12 @@ class TestRealizeScaleExponent:
         code, out, err = run(capsys, ["realize", "von-mises", "--ft", "1", "--k", k])
         assert (code, out) == (2, "")
         assert err.startswith(f"yieldcrit: scale_exponent={k} puts the surrogate pc")
+
+    def test_k_that_puts_the_alpha_surrogate_below_the_normal_floats_exits_2(self, capsys):
+        argv = ["realize", "drucker-prager", "--fc", "1e-70", "--r", "2", "--k", "165"]
+        assert run(capsys, argv) == (
+            2, "", "yieldcrit: scale_exponent=165 puts the surrogate alpha below 2.22507e-308\n"
+        )
 
 
 class TestUsageErrors:

@@ -7,18 +7,24 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from yieldcrit import (
+    CosineLode,
     DegenerateDirection,
     DomainError,
+    YieldParams,
+    deviatoric_curvature,
     deviatoric_frame,
     invariant_gradients,
     invariants,
     invariants_array,
     principal_from_invariants,
+    surface_q,
+    surface_q_array,
 )
 from yieldcrit.invariants import STRESS_MAX
 from conftest import fd_gradient
 
 PI3 = math.pi / 3.0
+CAM_CLAY = YieldParams(M=0.75, pc=1.0, c=0.0, m=2.0, alpha=1.0, beta=1.0, gamma=0.0).criterion()
 
 
 class TestInvariants:
@@ -260,3 +266,22 @@ def test_deviatoric_frame_cayley_hamilton(sig):
     assume(inv.q > 1e-5 * max(1.0, abs(inv.p)))
     s_tilde = deviatoric_frame(sig).s_tilde
     assert float(np.dot(s_tilde**2, s_tilde**2)) == pytest.approx(0.5, abs=1e-9)
+
+
+@pytest.mark.parametrize("theta", [math.nan, -1e-9, PI3 + 1e-9, 2.0, np.array([0.1, 2.0])])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda th: surface_q(0.5, th, CAM_CLAY),
+        lambda th: surface_q_array(0.5, th, CAM_CLAY),
+        lambda th: deviatoric_curvature(th, CosineLode(beta=0.5, gamma=0.5)),
+        lambda th: principal_from_invariants(0.5, 1.0, th),
+    ],
+    ids=["surface_q", "surface_q_array", "deviatoric_curvature", "principal_from_invariants"],
+)
+def test_theta_outside_the_sector_is_one_message_everywhere(call, theta):
+    # principal_from_invariants and surface_q take a number; an array is
+    # refused there too, by the same check
+    with pytest.raises(DomainError) as info:
+        call(theta)
+    assert str(info.value) == f"theta must lie in [0, pi/3], got {theta}"

@@ -28,6 +28,8 @@ from yieldcrit import (
 )
 
 PI3 = math.pi / 3.0
+HEXAGON = "gamma -> 1 realized as 1-1e-9 (piecewise-linear limit)"
+CORNER = "alpha = 0 realized as 1e-12 (corner limit)"
 
 ALL_CRITERIA = [
     VonMises(ft=2.0),
@@ -107,6 +109,46 @@ class TestRealize:
             errs.append(max(et, ec))
         # the finite-surrogate error shrinks as the exponent grows
         assert errs[1] < max(errs[0], 1e-12)
+
+    @pytest.mark.parametrize("k", [3, 4, 6, 9, 12])
+    @pytest.mark.parametrize(
+        "realization, ft, fc",
+        [
+            (lambda k: realize(VonMises(ft=2.0), scale_exponent=k), 2.0, 2.0),
+            (lambda k: realize(DruckerPrager(fc=3.0, r=2.5), scale_exponent=k), 1.2, 3.0),
+            (lambda k: realize(Tresca(ft=1.5), scale_exponent=k), 1.5, 1.5),
+            (lambda k: realize(ModifiedTresca(fc=2.0, r=1.8), scale_exponent=k), 2.0 / 1.8, 2.0),
+            (lambda k: realize(CoulombMohr(fc=2.5, r=4.0), scale_exponent=k), 0.625, 2.5),
+            (lambda k: coulomb_mohr_generalized(2.0, 3.0, 0.2, scale_exponent=k), 2.0 / 3.0, 2.0),
+            (lambda k: coulomb_mohr_generalized(2.0, 3.0, 1.5, scale_exponent=k), 2.0 / 3.0, 2.0),
+        ],
+        ids=["von-mises", "drucker-prager", "tresca", "modified-tresca", "coulomb-mohr",
+             "coulomb-mohr-generalized-0.2", "coulomb-mohr-generalized-1.5"],
+    )
+    def test_strength_error_is_of_order_ten_to_minus_k(self, realization, ft, fc, k):
+        crit = realization(k).criterion()
+        et = abs(uniaxial_strength(crit, tension=True) - ft) / ft
+        ec = abs(uniaxial_strength(crit, tension=False) - fc) / fc
+        assert max(et, ec) <= 10.0 ** (1 - k)
+
+    @pytest.mark.parametrize(
+        "criterion, warnings",
+        [
+            (VonMises(ft=2.0), ()),
+            (ModifiedCamClay(M=0.9, pc=1.7), ()),
+            (Tresca(ft=2.0), (HEXAGON,)),
+            (DruckerPrager(fc=2.0, r=3.0), (CORNER,)),
+            (ModifiedTresca(fc=2.0, r=3.0), (HEXAGON, CORNER)),
+            (CoulombMohr(fc=2.0, r=3.0), (HEXAGON, CORNER)),
+            (DruckerPrager(fc=2.0, r=1.0), ("r=1: Drucker-Prager reduces to von Mises",)),
+            (ModifiedTresca(fc=2.0, r=1.0), ("r=1: ModifiedTresca reduces to Tresca", HEXAGON)),
+            (CoulombMohr(fc=2.0, r=1.0), ("r=1: CoulombMohr reduces to Tresca", HEXAGON)),
+        ],
+        ids=["von-mises", "cam-clay", "tresca", "drucker-prager", "modified-tresca",
+             "coulomb-mohr", "drucker-prager-r1", "modified-tresca-r1", "coulomb-mohr-r1"],
+    )
+    def test_warnings_name_each_substitution_in_order(self, criterion, warnings):
+        assert realize(criterion).warnings == warnings
 
     def test_drucker_prager_r1_reduces_to_von_mises(self):
         real = realize(DruckerPrager(fc=2.0, r=1.0))
@@ -350,3 +392,25 @@ def test_realize_keeps_the_surrogate_pc_within_the_stress_range(realization, las
         with pytest.raises(DomainError) as info:
             realization(k)
         assert str(info.value) == f"scale_exponent={k} puts the surrogate pc above 1e+100"
+
+
+@pytest.mark.parametrize(
+    "realization",
+    [
+        lambda k: realize(DruckerPrager(fc=1e-70, r=2.0), scale_exponent=k),
+        lambda k: realize(CoulombMohr(fc=1e-70, r=3.0), scale_exponent=k),
+        lambda k: coulomb_mohr_generalized(1e-70, 2.0, 0.5, scale_exponent=k),
+    ],
+    ids=["drucker-prager", "coulomb-mohr", "coulomb-mohr-generalized"],
+)
+def test_a_k_that_puts_the_alpha_surrogate_below_the_normal_floats_is_a_domain_error(
+    realization,
+):
+    # alpha = 10^-2k is subnormal from k = 154 and 0 from k = 162, while
+    # pc = 10^k fc stays below 1e100 for fc = 1e-70 up to k = 170; at k = 161
+    # the strengths were off by up to 6e-3
+    assert realization(153).params.alpha == 1e-306
+    for k in (154, 161, 162, 170):
+        with pytest.raises(DomainError) as info:
+            realization(k)
+        assert str(info.value) == f"scale_exponent={k} puts the surrogate alpha below 2.22507e-308"
