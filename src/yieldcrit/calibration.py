@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import io
 import math
+import numbers
 import os
 from dataclasses import dataclass, replace
 from typing import Mapping
@@ -60,7 +61,6 @@ class FitDataset:
 
     points: np.ndarray  # (n, 3)
     weights: np.ndarray  # (n,)
-    meta: tuple[tuple[str, str], ...] = ()
 
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=float)
@@ -73,6 +73,8 @@ class FitDataset:
             raise ValidationError("points must be finite")
         if not np.all((w > 0.0) & np.isfinite(w)):
             raise ValidationError("weights must be positive and finite")
+        if np.any(pts[:, 1] < 0.0):
+            raise ValidationError("q entries must be nonnegative")
         if not _theta_in_range(pts[:, 2]):
             raise ValidationError("theta entries must lie in [0, pi/3]")
         object.__setattr__(self, "points", pts)
@@ -82,7 +84,7 @@ class FitDataset:
         return self.points.shape[0]
 
 
-def load_dataset(source, meta: Mapping[str, str] | None = None) -> FitDataset:
+def load_dataset(source) -> FitDataset:
     """Parse a yield-point CSV into a FitDataset.
 
     ``source`` is the CSV text itself (a ``str``), a path (an
@@ -152,8 +154,7 @@ def load_dataset(source, meta: Mapping[str, str] | None = None) -> FitDataset:
         weights.append(w)
     if header is None or not rows:
         raise ParseError("no data rows found", None)
-    meta_t = tuple(sorted((meta or {}).items()))
-    return FitDataset(points=np.array(rows, dtype=float), weights=np.array(weights), meta=meta_t)
+    return FitDataset(points=np.array(rows, dtype=float), weights=np.array(weights))
 
 
 # ---------------------------------------------------------------------------
@@ -179,9 +180,10 @@ _DEFAULT_BOUNDS = {
 class FitProblem:
     """A calibration problem: template criterion, free names, bounds, mode.
 
-    A bound must name a parameter of the template, and one given for a
-    free parameter must be admissible at both ends, since the fit may
-    evaluate the criterion there; ValidationError otherwise.
+    ``free`` is a list of names, ``bounds`` one of (name, [low, high]) with
+    finite ends.  A bound must name a parameter of the template, and one for
+    a free parameter be admissible at both ends, since the fit may evaluate
+    the criterion there; ValidationError otherwise.
     """
 
     template: Criterion
@@ -190,6 +192,8 @@ class FitProblem:
     residual_mode: str = "meridian_distance"
 
     def __post_init__(self):
+        if not isinstance(self.free, (list, tuple)) or not all(isinstance(n, str) for n in self.free):
+            raise ValidationError(f"free must be a list of parameter names, got {self.free!r}")
         if self.residual_mode not in ("meridian_distance", "function_value"):
             raise ValidationError(f"unknown residual mode {self.residual_mode!r}")
         free = tuple(self.free)
@@ -206,8 +210,16 @@ class FitProblem:
                 raise ValidationError(f"unknown parameter {name!r}; choose from {FITTABLE}")
             self._locate(name)  # raises if the template has no such field
         object.__setattr__(self, "free", free)
-        object.__setattr__(self, "bounds", tuple(self.bounds))
-        for name, (lo, hi) in self.bounds:
+        if not isinstance(self.bounds, (list, tuple)):
+            raise ValidationError(f"bounds must be a list of (name, [low, high]), got {self.bounds!r}")
+        bounds = []
+        for entry in self.bounds:
+            if not (isinstance(entry, (list, tuple)) and len(entry) == 2 and isinstance(entry[0], str)):
+                raise ValidationError(f"a bounds entry must be a name and [low, high], got {entry!r}")
+            name, pair = entry
+            if not (isinstance(pair, (list, tuple)) and len(pair) == 2):
+                raise ValidationError(f"bounds for {name!r} must be [low, high], got {pair!r}")
+            lo, hi = (_finite(v, f"each bound for {name!r}") for v in pair)
             self._locate(name)
             if not (lo < hi):
                 raise ValidationError(f"empty bound interval for {name!r}: ({lo}, {hi})")
@@ -220,6 +232,8 @@ class FitProblem:
                         raise ValidationError(
                             f"bound ({lo}, {hi}) for {name!r} is not admissible: {exc}"
                         ) from None
+            bounds.append((name, (lo, hi)))
+        object.__setattr__(self, "bounds", tuple(bounds))
 
     def _locate(self, name: str) -> str:
         """The record of the template that holds ``name``: meridian, shape or criterion."""
@@ -273,6 +287,18 @@ class FitProblem:
         t = self.template
         records = {w: rebuild(getattr(t, w), **changes[w]) for w in ("meridian", "shape") if changes[w]}
         return rebuild(t, **records, **changes["criterion"])
+
+
+def _finite(value, what: str) -> float:
+    """``value`` as a float; ValidationError naming ``what`` unless it is a
+    finite real number (a bool is not one, as in a parameter file)."""
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        try:
+            if math.isfinite(value):
+                return float(value)
+        except OverflowError:  # an integer too large for a float
+            pass
+    raise ValidationError(f"{what} must be a finite number, got {value!r}")
 
 
 def _unvalidated(record, **fields):
@@ -505,10 +531,16 @@ def fit(
     best parameters so far are returned either way.
 
     Raises InsufficientData when the dataset has fewer points than there
-    are free parameters, and ValidationError for an ``init`` that misses a
-    free parameter or names one that is not free, or for fewer than one
-    seeded start.
+    are free parameters, and ValidationError for a negative or non-integer
+    ``seed``, an ``n_starts`` that is not a positive integer, or an ``init``
+    holding a value that is not a finite number, missing a free name or naming a held one.
     """
+    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
+        raise ValidationError(f"seed must be a nonnegative integer, got {seed!r}")
+    if isinstance(n_starts, bool) or not isinstance(n_starts, numbers.Integral) or n_starts < 1:
+        raise ValidationError(f"n_starts must be a positive integer, got {n_starts!r}")
+    if init is not None:
+        init = {name: _finite(v, f"init {name!r}") for name, v in init.items()}
     names, k = problem.free, len(problem.free)
     if len(dataset) < k:
         raise InsufficientData(f"{len(dataset)} points cannot determine {k} free parameters")
@@ -529,8 +561,6 @@ def fit(
             raise ValidationError(f"init must name only free parameters; not free: {held}")
         v0 = np.clip(np.array([[init[n] for n in names]], dtype=float), lo, hi)
         u0 = trf.strictly_feasible(box.coords(v0), box.ulo, box.uhi, 1e-10)
-    elif n_starts < 1:
-        raise ValidationError(f"n_starts must be at least 1, got {n_starts}")
     else:
         rng = np.random.default_rng(seed)
         u0 = box.ulo + (box.uhi - box.ulo) * rng.uniform(0.05, 0.95, size=(n_starts, k))

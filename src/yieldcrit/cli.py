@@ -115,18 +115,6 @@ def _load_json(path: str):
         raise ParseError(f"{path} is not valid JSON: {msg}", getattr(exc, "lineno", None))
 
 
-def _finite(value, what: str) -> float:
-    """``value`` as a float; ValidationError naming ``what`` unless it is a
-    finite number (a bool is not one, as in a parameter file)."""
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
-        try:
-            if math.isfinite(value):
-                return float(value)
-        except OverflowError:  # an integer too large for a float
-            pass
-    raise ValidationError(f"{what} must be a finite number, got {value!r}")
-
-
 def _load_criterion(args) -> Criterion:
     if args.params:
         d = _load_json(args.params)
@@ -243,32 +231,20 @@ def _cmd_fit(args) -> int:
         free = spec["free"]
     except KeyError as exc:
         raise YieldCritError(f"problem JSON is missing the {exc.args[0]!r} key")
-    if not isinstance(free, list) or not all(isinstance(name, str) for name in free):
-        raise ValidationError(f"free must be a list of parameter names, got {free!r}")
-    seed = spec.get("seed", 0)
-    if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
-        raise ValidationError(f"seed must be a nonnegative integer, got {seed!r}")
     bounds = spec.get("bounds", {})
     if not isinstance(bounds, dict):
         raise ValidationError(f"bounds must be an object of [low, high] pairs by name, got {bounds!r}")
-    pairs = []
-    for name, pair in bounds.items():
-        if not (isinstance(pair, list) and len(pair) == 2):
-            raise ValidationError(f"bounds for {name!r} must be [low, high], got {pair!r}")
-        pairs.append((name, tuple(_finite(v, f"each bound for {name!r}") for v in pair)))
     init = spec.get("init")
-    if init is not None:
-        if not isinstance(init, dict):
-            raise ValidationError(f"init must be an object of values by name, got {init!r}")
-        init = {name: _finite(v, f"init {name!r}") for name, v in init.items()}
+    if init is not None and not isinstance(init, dict):
+        raise ValidationError(f"init must be an object of values by name, got {init!r}")
     problem = FitProblem(
         template=template,
-        free=tuple(free),
-        bounds=tuple(pairs),
+        free=free,
+        bounds=tuple(bounds.items()),
         residual_mode=spec.get("residual_mode", "meridian_distance"),
     )
     dataset = load_dataset(_read_text(args.data))
-    result = fit(problem, dataset, init=init, seed=seed)
+    result = fit(problem, dataset, init=init, seed=spec.get("seed", 0))
     _emit(_json_dumps(result.to_dict()), args.output)
     if not result.converged:
         print("fit did not converge; best parameters so far were written", file=sys.stderr)

@@ -31,17 +31,6 @@ _CIRCLE = CosineLode(beta=1.0, gamma=0.0)
 _HEXAGON = CosineLode(beta=1.0, gamma=GAMMA_LIMIT)
 
 
-def _alpha_corner(k: int) -> float:
-    # The alpha = 0 corner surrogate 10^-2k adds about alpha / (4 Phi), so 10^-k,
-    # to the meridian's relative error, with Phi ~ 10^-k at the strength states.
-    # Below the normal floats the meridian's radicand, about 2 Phi^2 + alpha,
-    # loses its digits (6e-3 in the strengths at k = 161); from k = 162 it is 0.
-    alpha = 10.0 ** (-2 * k)
-    if alpha < float_info.min:
-        raise DomainError(f"scale_exponent={k} puts the surrogate alpha below {float_info.min:g}")
-    return alpha
-
-
 def _require_finite(**values):
     """DomainError naming the first of the inputs that is not a finite number."""
     for name, value in values.items():
@@ -151,21 +140,18 @@ class LimitRealization:
 
 
 def _exponent(scale_exponent) -> int:
-    """The surrogate exponent k: a finite number of at least 3, as an int."""
+    """The surrogate exponent k: an integer of at least 3, as an int."""
     _require_finite(scale_exponent=scale_exponent)
     k = int(scale_exponent)
-    if k < 3:
-        raise DomainError(f"scale_exponent must be at least 3, got {scale_exponent}")
+    if isinstance(scale_exponent, bool) or k != scale_exponent or k < 3:
+        raise DomainError(f"scale_exponent must be an integer of at least 3, got {scale_exponent}")
     return k
 
 
 def _scale(k: int, strength: float) -> float:
     """10^k, the factor of the surrogate pc = 10^k ``strength``; DomainError when
     that pc would exceed STRESS_MAX, the largest stress the library accepts."""
-    try:
-        scale = 10.0**k
-    except OverflowError:
-        scale = math.inf
+    scale = 10.0**k if k <= float_info.max_10_exp else math.inf
     if scale * strength > STRESS_MAX:
         raise DomainError(f"scale_exponent={k} puts the surrogate pc above {STRESS_MAX:g}")
     return scale
@@ -207,7 +193,15 @@ def _cone(fc: float, r: float, shape: CosineLode, k: int) -> LimitRealization:
     if M <= 0.0 or c <= 0.0:
         raise DomainError(f"M={M:.6g}, c={c:.6g} not positive for r={r}, beta={shape.beta}")
     scale = _scale(k, fc)
-    alpha = _alpha_corner(k)
+    # alpha = 10^-2k adds about alpha / (4 Phi), so 10^-k, to the meridian's relative
+    # error, as Phi ~ 10^-k at compression and 10^-k / r at tension.  The radicand, about
+    # Phi (2 Phi + alpha), loses digits below the normal floats (k >= 154, less for a large r).
+    alpha = 10.0 ** (-2 * k)
+    if alpha < float_info.min:
+        raise DomainError(f"scale_exponent={k} puts the surrogate alpha below {float_info.min:g}")
+    phi = (c - fc / r / 3.0) / (scale * fc + c)
+    if phi * (2.0 * phi + alpha) < float_info.min:
+        raise DomainError(f"scale_exponent={k} puts the radicand at tension below {float_info.min:g}")
     return _realization(k, shape, (), M=M, pc=scale * fc, c=c, m=scale, alpha=alpha)
 
 
@@ -218,9 +212,9 @@ def realize(criterion: ClassicalCriterion, scale_exponent: int = 6) -> LimitReal
     the three pressure-sensitive criteria cones with alpha -> 0 and
     pc = 10^k fc.  Both match the uniaxial strengths through g of the
     realized section, and reproduce them with a relative error of order
-    10^-k (k = scale_exponent >= 3 required).  A k that puts that pc above
-    STRESS_MAX, or the alpha surrogate 10^-2k below the normal floats
-    (k >= 154), is a DomainError.
+    10^-k (k = scale_exponent, an integer >= 3).  A k that puts that pc above
+    STRESS_MAX, or alpha = 10^-2k or the cone's radicand at tension below the
+    normal floats (k >= 154, a few less for a large r), is a DomainError.
     """
     if not isinstance(criterion, ClassicalCriterion):
         raise DomainError(f"unknown classical criterion {criterion!r}")

@@ -434,19 +434,18 @@ def _uniaxial_tensile_intercept(crit: Criterion, scale: float) -> float:
     return float(_ray_crossings(crit, 0.0, 0.0, np.array([[1.0, 0.0]]), 1e-3 * scale)[0])
 
 
-def polygon_is_convex(points: np.ndarray, tol: float = 1e-9) -> bool:
+def polygon_is_convex(points: np.ndarray) -> bool:
     """Cross-product sign test for a closed polygon given as (n, 2) rows.
 
-    Degenerate (zero-length) edges are tolerated; the tolerance is
+    Degenerate (zero-length) edges are tolerated; the tolerance is 1e-9
     relative to the polygon's extent.
     """
     pts = np.asarray(points, dtype=float)
     edges = np.roll(pts, -1, axis=0) - pts
-    cross = edges[:, 0] * np.roll(edges, -1, axis=0)[:, 1] - edges[:, 1] * np.roll(
-        edges, -1, axis=0
-    )[:, 0]
+    after = np.roll(edges, -1, axis=0)
+    cross = edges[:, 0] * after[:, 1] - edges[:, 1] * after[:, 0]
     extent = float(np.max(np.abs(pts))) or 1.0
-    band = tol * extent * extent
+    band = 1e-9 * extent * extent
     return bool(np.all(cross >= -band) or np.all(cross <= band))
 
 
@@ -464,8 +463,8 @@ def curve_to_csv(curve: SectionCurve) -> str:
     return "\n".join(lines) + "\n"
 
 
-def curve_to_svg(curve: SectionCurve, width: int = 640, height: int = 480) -> str:
-    """Self-contained SVG with one closed path, auto-fit viewBox and axes."""
+def curve_to_svg(curve: SectionCurve) -> str:
+    """Self-contained 640 x 480 SVG with one closed path, auto-fit viewBox and axes."""
     pts = curve.samples[np.all(np.isfinite(curve.samples), axis=1)]
     if len(pts) == 0:
         raise EmptySlice(f"the {curve.kind} curve has no finite sample to draw")
@@ -480,7 +479,7 @@ def curve_to_svg(curve: SectionCurve, width: int = 640, height: int = 480) -> st
     path = "M " + " L ".join(f"{float(x)!r} {float(y)!r}" for x, y in zip(xs, ys)) + " Z"
     font = 0.05 * max(dx, dy)
     parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="640" height="480" '
         f'viewBox="{vb[0]!r} {vb[1]!r} {vb[2]!r} {vb[3]!r}">',
         f'<line x1="{vb[0]!r}" y1="0" x2="{vb[0] + vb[2]!r}" y2="0" '
         f'stroke="#888" stroke-width="{stroke / 2!r}"/>',

@@ -119,6 +119,12 @@ class TestFitDataset:
         with pytest.raises(ValidationError, match="weights"):
             FitDataset(points=np.array([[0.5, 0.3, 0.1]]), weights=np.array([weight]))
 
+    def test_a_negative_q_is_refused(self):
+        # the record holds the rule, not only load_dataset's per-line check
+        with pytest.raises(ValidationError) as info:
+            FitDataset(points=[[0.5, 0.2, 0.3], [0.5, -1.0, 0.3]], weights=np.ones(2))
+        assert str(info.value) == "q entries must be nonnegative"
+
 
 class TestResiduals:
     def test_exact_surface_points_are_zero(self):
@@ -203,6 +209,63 @@ class TestFitProblem:
         assert str(info.value) == f"parameter {name!r} does not apply to this template"
 
 
+    @pytest.mark.parametrize("free", ["Mm", "M", 3, None, {"M"}, ["M", 1], ("M", None)])
+    def test_free_must_be_a_list_of_names(self, free):
+        # a string is not split into its letters
+        with pytest.raises(ValidationError) as info:
+            FitProblem(template=CAM_CLAY.criterion(), free=free)
+        assert str(info.value) == f"free must be a list of parameter names, got {free!r}"
+
+    @pytest.mark.parametrize(
+        "pair, message",
+        [
+            ((1.0,), "bounds for 'M' must be [low, high], got (1.0,)"),
+            ((0.1, 1.0, 2.0), "bounds for 'M' must be [low, high], got (0.1, 1.0, 2.0)"),
+            (0.5, "bounds for 'M' must be [low, high], got 0.5"),
+            ("ab", "bounds for 'M' must be [low, high], got 'ab'"),
+            ((True, 2.0), "each bound for 'M' must be a finite number, got True"),
+            (("a", 2.0), "each bound for 'M' must be a finite number, got 'a'"),
+            ((0.1, math.nan), "each bound for 'M' must be a finite number, got nan"),
+            ((0.1, math.inf), "each bound for 'M' must be a finite number, got inf"),
+            ((0.1, None), "each bound for 'M' must be a finite number, got None"),
+            ((0.1, 10**400), "each bound for 'M' must be a finite number, got " + repr(10**400)),
+        ],
+        ids=["short", "long", "number", "str", "bool", "word", "nan", "inf", "none", "huge-int"],
+    )
+    def test_a_bound_must_be_two_finite_numbers(self, pair, message):
+        # a bool is not a number, and a malformed pair is a ValidationError,
+        # not a bare ValueError or TypeError
+        with pytest.raises(ValidationError) as info:
+            FitProblem(template=CAM_CLAY.criterion(), free=("M",), bounds=(("M", pair),))
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize(
+        "bounds, message",
+        [
+            (None, "bounds must be a list of (name, [low, high]), got None"),
+            ({"M": (0.1, 2.0)}, "bounds must be a list of (name, [low, high]), got {'M': (0.1, 2.0)}"),
+            (("M", (0.1, 2.0)), "a bounds entry must be a name and [low, high], got 'M'"),
+            ([("M", 0.1, 2.0)], "a bounds entry must be a name and [low, high], got ('M', 0.1, 2.0)"),
+            ([(["M"], (0.1, 2.0))], "a bounds entry must be a name and [low, high], got (['M'], (0.1, 2.0))"),
+        ],
+        ids=["none", "mapping", "one-entry", "three-items", "list-name"],
+    )
+    def test_bounds_must_be_a_list_of_named_pairs(self, bounds, message):
+        with pytest.raises(ValidationError) as info:
+            FitProblem(template=CAM_CLAY.criterion(), free=("M",), bounds=bounds)
+        assert str(info.value) == message
+
+    def test_bounds_of_lists_and_numpy_numbers_are_read_as_floats(self):
+        problem = FitProblem(
+            template=CAM_CLAY.criterion(),
+            free=["M", "m"],
+            bounds=[["M", [np.float32(0.5), 2]], ("m", (np.int64(2), np.float64(5.0)))],
+        )
+        assert problem.free == ("M", "m")
+        assert problem.bounds == (("M", (0.5, 2.0)), ("m", (2.0, 5.0)))
+        assert all(type(end) is float for _, pair in problem.bounds for end in pair)
+
+
 class TestFit:
     def test_noiseless_round_trip(self):
         ds = surface_dataset(SAND, n=40)
@@ -271,12 +334,43 @@ class TestFit:
         assert values["M"] > 0.0
         assert result.convexity.admissible
 
-    @pytest.mark.parametrize("n_starts", [0, -1])
+    @pytest.mark.parametrize("n_starts", [0, -1, 2.5, 2.0, True, "3", None])
     def test_needs_a_start(self, n_starts):
+        # a count that is not a positive integer, a float or a bool included
         ds = surface_dataset(CAM_CLAY, n=10)
         problem = FitProblem(template=CAM_CLAY.criterion(), free=("M",))
-        with pytest.raises(ValidationError, match="n_starts"):
+        with pytest.raises(ValidationError) as info:
             fit(problem, ds, n_starts=n_starts)
+        assert str(info.value) == f"n_starts must be a positive integer, got {n_starts!r}"
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, 2.0, True, "x", None])
+    def test_seed_must_be_a_nonnegative_integer(self, seed):
+        # None is not a seed either: it would draw fresh entropy
+        ds = surface_dataset(CAM_CLAY, n=10)
+        problem = FitProblem(template=CAM_CLAY.criterion(), free=("M",))
+        with pytest.raises(ValidationError) as info:
+            fit(problem, ds, seed=seed)
+        assert str(info.value) == f"seed must be a nonnegative integer, got {seed!r}"
+
+    @pytest.mark.parametrize(
+        "value",
+        [True, "x", "0.6", None, math.nan, -math.inf, 10**400, [0.6]],
+        ids=["bool", "word", "numeral", "none", "nan", "-inf", "huge-int", "list"],
+    )
+    def test_an_init_value_must_be_a_finite_number(self, value):
+        # no value is converted: True is not 1.0 and "0.6" is not 0.6
+        ds = surface_dataset(CAM_CLAY, n=10)
+        problem = FitProblem(template=CAM_CLAY.criterion(), free=("M",))
+        with pytest.raises(ValidationError) as info:
+            fit(problem, ds, init={"M": value})
+        assert str(info.value) == f"init 'M' must be a finite number, got {value!r}"
+
+    def test_numpy_seeds_and_init_values_are_numbers(self):
+        ds = surface_dataset(CAM_CLAY, n=10, noise=0.02, seed=1)
+        problem = FitProblem(template=CAM_CLAY.criterion(), free=("M",))
+        assert fit(problem, ds, seed=np.int64(4)).values == fit(problem, ds, seed=4).values
+        by_numpy = fit(problem, ds, init={"M": np.float32(0.5)}, n_starts=np.int32(1))
+        assert by_numpy.values == fit(problem, ds, init={"M": float(np.float32(0.5))}).values
 
     def test_init_must_cover_free(self):
         ds = surface_dataset(CAM_CLAY, n=10)

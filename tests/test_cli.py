@@ -525,6 +525,79 @@ class TestFitInputFiles:
         assert (code, err) == (2, f"yieldcrit: [Errno 2] No such file or directory: {path!r}\n")
 
 
+# ---------------------------------------------------------------------------
+# fit problems: each rule is the library's, and the CLI reports it
+# ---------------------------------------------------------------------------
+
+# three Cam-clay-like points, so a fit is quick and up to three names are free
+FIT_DATA = "p,q,theta\n0.2,0.45,0\n0.5,0.55,0\n0.8,0.35,0\n"
+
+_NAMES = st.sampled_from(["M", "m", "pc", "c", "alpha", "beta", "gamma", "A", "Gamma", "Q"])
+_JUNK = st.one_of(
+    st.booleans(), st.none(), st.sampled_from(["x", "1", "", math.nan, math.inf, -math.inf]),
+    st.lists(st.floats(0.1, 2.0), max_size=2),
+)
+_NUMBERS = st.one_of(st.sampled_from([0.0, 0.5, 1.0, 1.5, 2.0, 3.0, -1.0]), st.integers(-2, 5),
+                     st.floats(-2.0, 5.0))
+_VALUES = st.one_of(_NUMBERS, _JUNK)
+_FREE = st.lists(st.sampled_from(["M", "m", "alpha", "c"]), min_size=1, max_size=3, unique=True)
+_ANYTHING = st.one_of(st.lists(_NAMES, max_size=3), st.lists(_VALUES, max_size=2), _NAMES, _JUNK)
+_PROBLEMS = st.fixed_dictionaries(
+    {"criterion": st.just(CAM_CLAY),
+     # names the template fits half the time, anything else the other half
+     "free": st.booleans().flatmap(lambda fits: _FREE if fits else _ANYTHING)},
+    optional={
+        # a bound drawn as two numbers, short, long, as one value or with a bad end
+        "bounds": st.dictionaries(
+            _NAMES, st.one_of(st.lists(_NUMBERS, min_size=2, max_size=2), st.lists(_VALUES, max_size=3), _VALUES),
+            max_size=2,
+        ),
+        "init": st.one_of(st.none(), st.dictionaries(_NAMES, _VALUES, max_size=3)),
+        "seed": st.one_of(st.integers(-2, 2**40), st.floats(-1.0, 3.0), _JUNK),
+        "residual_mode": st.sampled_from(["meridian_distance", "function_value", "nearest", 3]),
+    },
+)
+
+
+@pytest.fixture(scope="module")
+def fit_dir(tmp_path_factory):
+    base = tmp_path_factory.mktemp("fit")
+    (base / "d.csv").write_text(FIT_DATA, encoding="utf-8")
+    return base
+
+
+@given(spec=_PROBLEMS)
+@settings(max_examples=100, deadline=None)
+def test_fit_problem_rules_are_the_librarys(fit_dir, spec):
+    from yieldcrit import FitProblem, YieldCritError, criterion_from_dict, fit, load_dataset
+
+    # the values the CLI reads back, NaN and the infinities included
+    spec = json.loads(json.dumps(spec))
+    (fit_dir / "p.json").write_text(json.dumps(spec), encoding="utf-8")
+    try:
+        problem = FitProblem(
+            template=criterion_from_dict(spec["criterion"], unchecked=True),
+            free=spec["free"],
+            bounds=tuple(spec.get("bounds", {}).items()),
+            residual_mode=spec.get("residual_mode", "meridian_distance"),
+        )
+        result = fit(problem, load_dataset(FIT_DATA), init=spec.get("init"), seed=spec.get("seed", 0))
+        refusal = None
+    except YieldCritError as exc:  # any other exception fails the property
+        refusal = str(exc)
+    argv = ["fit", "--data", str(fit_dir / "d.csv"), "--problem", str(fit_dir / "p.json")]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    out, err = out.getvalue(), err.getvalue()
+    assert code in (0, 2, 3) and "Traceback" not in err, (spec, code, err)
+    if refusal is not None:
+        assert (code, out, err) == (2, "", f"yieldcrit: {refusal}\n"), spec
+    else:
+        assert code == (0 if result.converged else 3), (spec, err)
+        assert json.loads(out) == json.loads(json.dumps(result.to_dict()))
+
+
 class TestRealizeScaleExponent:
     def test_last_accepted_k(self, capsys):
         code, out, _ = run(capsys, ["realize", "von-mises", "--ft", "1", "--k", "100"])

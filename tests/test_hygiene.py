@@ -12,6 +12,8 @@
 * Each shape and meridian record has one formula body, ``_jet``, and no
   record class defines again a reader of it that ``_Shape`` or
   ``_Meridian`` defines once (``g``, ``dg``, ``d2g``, ``f``, ``df``, ...).
+* Each rule of a fit problem's values is stated once, in ``calibration.py``;
+  the CLI reports its message and holds no copy.
 """
 
 import ast
@@ -205,3 +207,21 @@ def test_tracer_patch_targets_exist(mod, attr):
     # AttributeError if a refactor drops one
     module = importlib.import_module(f"yieldcrit.{mod}")
     assert callable(getattr(module, attr, None)), f"yieldcrit.{mod} has no attribute {attr!r}"
+
+
+# a fragment of the message of each fit-problem value rule
+FIT_RULES = (
+    "free must be a list of parameter names",
+    "seed must be a nonnegative integer",
+    "must be [low, high], got",
+    "each bound for",
+    'f"init {name!r}"',
+)
+
+
+def test_each_fit_problem_rule_has_one_home():
+    sites = {
+        rule: [path.name for path in MODULES for line in path.read_text(encoding="utf-8").splitlines() if rule in line]
+        for rule in FIT_RULES
+    }
+    assert sites == {rule: ["calibration.py"] for rule in FIT_RULES}

@@ -414,3 +414,52 @@ def test_a_k_that_puts_the_alpha_surrogate_below_the_normal_floats_is_a_domain_e
         with pytest.raises(DomainError) as info:
             realization(k)
         assert str(info.value) == f"scale_exponent={k} puts the surrogate alpha below 2.22507e-308"
+
+
+@pytest.mark.parametrize(
+    "realization",
+    [
+        lambda r, k: realize(DruckerPrager(fc=1e-70, r=r), scale_exponent=k),
+        lambda r, k: realize(CoulombMohr(fc=1e-70, r=r), scale_exponent=k),
+        lambda r, k: coulomb_mohr_generalized(1e-70, r, 0.5, scale_exponent=k),
+    ],
+    ids=["drucker-prager", "coulomb-mohr", "coulomb-mohr-generalized"],
+)
+@pytest.mark.parametrize("r, last_k", [(1e4, 149), (100.0, 151)])
+def test_a_k_that_puts_the_radicand_at_tension_below_the_normal_floats_is_a_domain_error(
+    realization, r, last_k
+):
+    # Phi at uniaxial tension is about 1 / (3 r 10^k), so the radicand, about
+    # 2 Phi^2, is subnormal for a large r while alpha = 10^-2k is not; that
+    # costs 2.5e-10 of ft at r = 1e4, k = 153
+    fc, ft = 1e-70, 1e-70 / r
+    crit = realization(r, last_k).criterion()
+    assert surface_q(-ft / 3.0, 0.0, crit) == pytest.approx(ft, rel=1e-15)
+    assert surface_q(fc / 3.0, PI3, crit) == pytest.approx(fc, rel=1e-15)
+    for k in (last_k + 1, 153):
+        with pytest.raises(DomainError) as info:
+            realization(r, k)
+        assert str(info.value) == f"scale_exponent={k} puts the radicand at tension below 2.22507e-308"
+
+
+@pytest.mark.parametrize("k", [6.7, 2.5, True, 3.000001])
+@pytest.mark.parametrize(
+    "realization",
+    [
+        lambda k: realize(VonMises(ft=1.0), scale_exponent=k),
+        lambda k: realize(DruckerPrager(fc=2.0, r=3.0), scale_exponent=k),
+        lambda k: coulomb_mohr_generalized(2.0, 3.0, 0.5, scale_exponent=k),
+    ],
+    ids=["von-mises", "drucker-prager", "coulomb-mohr-generalized"],
+)
+def test_a_scale_exponent_that_is_not_an_integer_is_a_domain_error(realization, k):
+    # refused, not truncated to the integer below
+    with pytest.raises(DomainError) as info:
+        realization(k)
+    assert str(info.value) == f"scale_exponent must be an integer of at least 3, got {k}"
+
+
+def test_an_integral_float_scale_exponent_is_that_integer():
+    real = realize(DruckerPrager(fc=2.0, r=3.0), scale_exponent=6.0)
+    assert real.scale_exponent == 6 and type(real.scale_exponent) is int
+    assert real.params == realize(DruckerPrager(fc=2.0, r=3.0), scale_exponent=6).params
