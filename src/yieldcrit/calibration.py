@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import io
 import math
-import numbers
 import os
 from dataclasses import dataclass, replace
 from typing import Mapping
@@ -34,8 +33,8 @@ import numpy as np
 from . import trf
 from .convexity import ConvexityReport, certify
 from .criterion import GAMMA_LIMIT, Criterion, _params, _surface_q_body, _yield_body
-from .errors import InsufficientData, ParseError, ValidationError
-from .invariants import _record, _theta_in_range, invariants
+from .errors import InsufficientData, ParseError, ValidationError, count, real
+from .invariants import _THETA_HI, _THETA_LO, _record, invariants
 
 FITTABLE = ("M", "pc", "c", "m", "alpha", "beta", "gamma", "Gamma", "A", "e", "k", "n")
 
@@ -53,6 +52,16 @@ def __getattr__(name: str):
 # ---------------------------------------------------------------------------
 # Dataset
 # ---------------------------------------------------------------------------
+
+
+def _check_rows(points: np.ndarray, where) -> None:
+    """ValidationError, led by ``where(i)``, for the first row i of (p, q, theta)
+    points whose q is negative or whose theta lies outside [0, pi/3] to 1e-12."""
+    for i, (_, q, th) in enumerate(points.tolist()):
+        if q < 0.0:
+            raise ValidationError(f"{where(i)}: q must be nonnegative, got {q}")
+        if not _THETA_LO <= th <= _THETA_HI:
+            raise ValidationError(f"{where(i)}: theta={th} outside [0, pi/3]")
 
 
 @dataclass(frozen=True)
@@ -73,10 +82,7 @@ class FitDataset:
             raise ValidationError("points must be finite")
         if not np.all((w > 0.0) & np.isfinite(w)):
             raise ValidationError("weights must be positive and finite")
-        if np.any(pts[:, 1] < 0.0):
-            raise ValidationError("q entries must be nonnegative")
-        if not _theta_in_range(pts[:, 2]):
-            raise ValidationError("theta entries must lie in [0, pi/3]")
+        _check_rows(pts, "row {}".format)
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "weights", w)
 
@@ -110,6 +116,7 @@ def load_dataset(source) -> FitDataset:
     header = None
     rows: list[tuple[float, float, float]] = []
     weights: list[float] = []
+    linenos: list[int] = []
     for lineno, raw in enumerate(io.StringIO(text), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -145,16 +152,14 @@ def load_dataset(source) -> FitDataset:
             inv = invariants(values[:3])
             rows.append((inv.p, inv.q, inv.theta))
         else:
-            p, q, th = values[:3]
-            if q < 0.0:
-                raise ValidationError(f"line {lineno}: q must be nonnegative, got {q}")
-            if not _theta_in_range(th):
-                raise ValidationError(f"line {lineno}: theta={th} outside [0, pi/3]")
-            rows.append((p, q, th))
+            rows.append(tuple(values[:3]))
         weights.append(w)
+        linenos.append(lineno)
     if header is None or not rows:
         raise ParseError("no data rows found", None)
-    return FitDataset(points=np.array(rows, dtype=float), weights=np.array(weights))
+    points = np.array(rows, dtype=float)
+    _check_rows(points, lambda i: f"line {linenos[i]}")
+    return FitDataset(points=points, weights=np.array(weights))
 
 
 # ---------------------------------------------------------------------------
@@ -192,6 +197,8 @@ class FitProblem:
     residual_mode: str = "meridian_distance"
 
     def __post_init__(self):
+        if not isinstance(self.template, Criterion):
+            raise ValidationError(f"template must be a Criterion, got {type(self.template).__name__}")
         if not isinstance(self.free, (list, tuple)) or not all(isinstance(n, str) for n in self.free):
             raise ValidationError(f"free must be a list of parameter names, got {self.free!r}")
         if self.residual_mode not in ("meridian_distance", "function_value"):
@@ -219,7 +226,7 @@ class FitProblem:
             name, pair = entry
             if not (isinstance(pair, (list, tuple)) and len(pair) == 2):
                 raise ValidationError(f"bounds for {name!r} must be [low, high], got {pair!r}")
-            lo, hi = (_finite(v, f"each bound for {name!r}") for v in pair)
+            lo, hi = (real(v, f"each bound for {name!r}") for v in pair)
             self._locate(name)
             if not (lo < hi):
                 raise ValidationError(f"empty bound interval for {name!r}: ({lo}, {hi})")
@@ -255,10 +262,9 @@ class FitProblem:
             # c = 0 takes the scale of the meridian: pc for a cap, 1 for a cone
             ref = current if current > 0.0 else self.template.meridian.scale
             return (0.0, 10.0 * ref)
-        if name == "A":
-            ref = current if current > 0.0 else 1.0
-            return (0.0, 1e3 * ref)
-        raise ValidationError(f"no bounds available for {name!r}")
+        # A, the last fittable name with no default
+        ref = current if current > 0.0 else 1.0
+        return (0.0, 1e3 * ref)
 
     def value_of(self, name: str) -> float:
         where = self._locate(name)
@@ -267,7 +273,7 @@ class FitProblem:
 
     def with_values(self, values: Mapping[str, float]) -> Criterion:
         """Template with the given parameter overrides applied."""
-        return self._set({name: float(v) for name, v in values.items()}, replace)
+        return self._set(values, replace)
 
     def rows(self, values: np.ndarray) -> Criterion:
         """The template with free parameter j set to column j of ``values``.
@@ -287,18 +293,6 @@ class FitProblem:
         t = self.template
         records = {w: rebuild(getattr(t, w), **changes[w]) for w in ("meridian", "shape") if changes[w]}
         return rebuild(t, **records, **changes["criterion"])
-
-
-def _finite(value, what: str) -> float:
-    """``value`` as a float; ValidationError naming ``what`` unless it is a
-    finite real number (a bool is not one, as in a parameter file)."""
-    if isinstance(value, numbers.Real) and not isinstance(value, bool):
-        try:
-            if math.isfinite(value):
-                return float(value)
-        except OverflowError:  # an integer too large for a float
-            pass
-    raise ValidationError(f"{what} must be a finite number, got {value!r}")
 
 
 def _unvalidated(record, **fields):
@@ -531,21 +525,22 @@ def fit(
     best parameters so far are returned either way.
 
     Raises InsufficientData when the dataset has fewer points than there
-    are free parameters, and ValidationError for a negative or non-integer
-    ``seed``, an ``n_starts`` that is not a positive integer, or an ``init``
-    holding a value that is not a finite number, missing a free name or naming a held one.
+    are free parameters.  ValidationError for a problem or dataset of another
+    type, a ``seed`` below 0 or ``n_starts`` below 1 under the count rule, or
+    an ``init`` that is not a mapping, holds a value that fails the number
+    rule, misses a free name or names a held one.
     """
-    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
-        raise ValidationError(f"seed must be a nonnegative integer, got {seed!r}")
-    if isinstance(n_starts, bool) or not isinstance(n_starts, numbers.Integral) or n_starts < 1:
-        raise ValidationError(f"n_starts must be a positive integer, got {n_starts!r}")
+    if not (isinstance(problem, FitProblem) and isinstance(dataset, FitDataset)):
+        raise ValidationError(f"fit needs a FitProblem and a FitDataset, got {type(problem).__name__} and {type(dataset).__name__}")
+    seed, n_starts = count(seed, "seed", 0), count(n_starts, "n_starts", 1)
     if init is not None:
-        init = {name: _finite(v, f"init {name!r}") for name, v in init.items()}
+        if not isinstance(init, Mapping):
+            raise ValidationError(f"init must be an object of values by name, got {init!r}")
+        init = {name: real(v, f"init {name!r}") for name, v in init.items()}
     names, k = problem.free, len(problem.free)
     if len(dataset) < k:
         raise InsufficientData(f"{len(dataset)} points cannot determine {k} free parameters")
-    lo = np.array([problem.bound_of(n)[0] for n in names])
-    hi = np.array([problem.bound_of(n)[1] for n in names])
+    lo, hi = np.array([problem.bound_of(n) for n in names]).T
     box = _SearchCoordinates(lo, hi)
     model = _one_pass(problem, dataset, [n for n, log in zip(names, box.logs) if log])
 

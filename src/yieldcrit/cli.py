@@ -28,7 +28,7 @@ from dataclasses import fields
 from . import __version__
 from .convexity import certify
 from .criterion import Criterion, _gradient_body, criterion_from_dict, surface_q_array, yield_value
-from .errors import DomainError, ParseError, ValidationError, YieldCritError
+from .errors import ParseError, ValidationError, YieldCritError, count, real
 from .invariants import invariants
 from .limits import (
     CoulombMohr,
@@ -125,11 +125,7 @@ def _load_criterion(args) -> Criterion:
             raise YieldCritError(
                 f"no --params file given and inline flags missing: {', '.join('--' + n for n in missing)}"
             )
-        d = {n: getattr(args, n) for n in names}
-        if args.A is not None:
-            d["A"] = args.A
-        if args.B is not None:
-            d["B"] = args.B
+        d = {n: getattr(args, n) for n in (*names, "A", "B") if getattr(args, n) is not None}
     crit = criterion_from_dict(d, unchecked=args.unchecked)
     if not args.unchecked:
         report = certify(crit)
@@ -234,9 +230,6 @@ def _cmd_fit(args) -> int:
     bounds = spec.get("bounds", {})
     if not isinstance(bounds, dict):
         raise ValidationError(f"bounds must be an object of [low, high] pairs by name, got {bounds!r}")
-    init = spec.get("init")
-    if init is not None and not isinstance(init, dict):
-        raise ValidationError(f"init must be an object of values by name, got {init!r}")
     problem = FitProblem(
         template=template,
         free=free,
@@ -244,7 +237,7 @@ def _cmd_fit(args) -> int:
         residual_mode=spec.get("residual_mode", "meridian_distance"),
     )
     dataset = load_dataset(_read_text(args.data))
-    result = fit(problem, dataset, init=init, seed=spec.get("seed", 0))
+    result = fit(problem, dataset, init=spec.get("init"), seed=spec.get("seed", 0))
     _emit(_json_dumps(result.to_dict()), args.output)
     if not result.converged:
         print("fit did not converge; best parameters so far were written", file=sys.stderr)
@@ -255,9 +248,7 @@ def _cmd_fit(args) -> int:
 def _cmd_compare(args) -> int:
     import numpy as np
 
-    from .sections import check_sample_count
-
-    check_sample_count(args.n)
+    count(args.n, "n", 2)
     if args.which == "gurson":
         # the Gurson-Tvergaard inputs, in the order both limits functions take them
         inputs = {name: getattr(args, name) for name in ("f", "sigma_m", "q1", "q2", "q3")}
@@ -270,9 +261,7 @@ def _cmd_compare(args) -> int:
     else:
         crit = _load_criterion(args)
         header = {"comparison": "newman", "fc": args.fc, **crit.to_dict()}
-        s3_max = args.sigma3_max * args.fc
-        if not math.isfinite(s3_max):
-            raise DomainError(f"--sigma3-max times --fc must be finite, got {s3_max}")
+        s3_max = real(args.sigma3_max * args.fc, "--sigma3-max times --fc")
         s3s = np.linspace(0.0, s3_max, args.n)
         ps, q_ref, thetas = np.array([newman_invariants(float(s3), args.fc) for s3 in s3s]).T
         qs = surface_q_array(ps, thetas, crit)
@@ -299,11 +288,11 @@ def _cmd_realize(args) -> int:
     for name, v in values.items():
         if v is None:
             raise YieldCritError(f"realize {args.which} requires --{name}")
-    real = realize(cls(**values), scale_exponent=args.k)
-    out = real.criterion().to_dict()
-    out["scale_exponent"] = real.scale_exponent
-    if real.warnings:
-        out["warnings"] = list(real.warnings)
+    realization = realize(cls(**values), scale_exponent=args.k)
+    out = realization.criterion().to_dict()
+    out["scale_exponent"] = realization.scale_exponent
+    if realization.warnings:
+        out["warnings"] = list(realization.warnings)
     _emit(_json_dumps(out), args.output)
     return 0
 
@@ -399,10 +388,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.handler(args)
-    except YieldCritError as exc:
-        print(f"yieldcrit: {exc}", file=sys.stderr)
-        return DOMAIN_EXIT
-    except OSError as exc:
+    except (YieldCritError, OSError) as exc:
         print(f"yieldcrit: {exc}", file=sys.stderr)
         return DOMAIN_EXIT
 

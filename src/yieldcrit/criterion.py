@@ -33,7 +33,7 @@ from dataclasses import dataclass, fields
 from functools import cache
 from typing import TYPE_CHECKING
 
-from .errors import CornerCase, DegenerateState, DomainError, ValidationError
+from .errors import CornerCase, DegenerateState, DomainError, ValidationError, real
 from .invariants import EPS_MERIDIAN, FLOAT, _invariant_body, _perp, _principal, _record
 from .invariants import _check_theta, invariants_array, namespace
 # Unused here; kept because perfbench's --trace 1 wraps criterion.invariants by name.
@@ -60,7 +60,7 @@ _SQRT15 = math.sqrt(1.5)
 @cache
 def _params(cls) -> tuple[str, ...]:
     """The parameter names of a record class: its fields annotated ``float``,
-    in order, the one list of them (read by the finite check, the dict forms
+    in order, the one list of them (read by the number rule, the dict forms
     and the fit's parameter lookup)."""
     return tuple(f.name for f in fields(cls) if f.type == "float")
 
@@ -69,24 +69,17 @@ def _param_dict(record) -> dict:
     return {name: getattr(record, name) for name in _params(type(record))}
 
 
-def _number(d: dict, name: str, default=None, of: str = "") -> float:
-    """``d[name]`` as a float, ``default`` if absent; else a ValidationError naming the key."""
-    if name not in d and default is None:
+def _real_fields(record) -> None:
+    """Put each parameter of ``record`` under the number rule, and store the float it gives."""
+    for name in _params(type(record)):
+        object.__setattr__(record, name, real(getattr(record, name), name))
+
+
+def _entry(d: dict, name: str, of: str) -> float:
+    """``d[name]`` under the number rule; ValidationError when ``d`` has no such key."""
+    if name not in d:
         raise ValidationError(f"missing parameter {name!r} for {of}")
-    value = d.get(name, default)
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValidationError(f"{name} must be a number, got {value!r}")
-    try:
-        return float(value)
-    except OverflowError:
-        raise ValidationError(f"{name} must be finite, got an integer too large for a float")
-
-
-def _check_finite(record):
-    """ValidationError unless every parameter of ``record`` is a finite number."""
-    for name, value in _param_dict(record).items():
-        if not math.isfinite(value):
-            raise ValidationError(f"{name} must be finite, got {value}")
+    return real(d[name], name)
 
 
 # ---------------------------------------------------------------------------
@@ -141,9 +134,11 @@ class CosineLode(_Shape):
     kind = "bp"
 
     def __post_init__(self):
-        _check_finite(self)
+        _real_fields(self)
         if not (0.0 <= self.gamma < 1.0):
             raise ValidationError(f"gamma must lie in [0, 1), got {self.gamma}")
+        if not math.isfinite(self.beta * math.pi):
+            raise ValidationError(f"beta={self.beta} puts the angle beta pi / 6 past the floats")
 
     def _jet(self, xp, th, order=0, by=()):
         """g = 1 / cos(psi) with u = gamma cos 3t and psi = beta pi/6 - acos(u) / 3;
@@ -208,7 +203,7 @@ class PowerLaw(_Shape):
     kind = "power-law"
 
     def __post_init__(self):
-        _check_finite(self)
+        _real_fields(self)
         if self.beta < 0.0:
             raise ValidationError(f"beta must be nonnegative, got {self.beta}")
         if self.n <= 0.0:
@@ -260,12 +255,14 @@ def powerlaw_beta_max(n: float) -> float:
 
     n/(9-2n) for 0 < n <= 11/3, and the vertex-analysis expression
     1 / (-1 + sqrt(1 + 9 (n-2)^2 / (n^2 (4n-13)))) beyond; the two branches
-    agree at n = 11/3.
+    agree at n = 11/3.  Past n = 1e8 it is 8 n / 9 + 7 / 6 to rounding.
     """
     if n <= 0.0:
         raise DomainError(f"n must be positive, got {n}")
     if n <= 11.0 / 3.0:
         return n / (9.0 - 2.0 * n)
+    if n > 1e8:  # the asymptote, exact in floats here, where the form below cancels
+        return 8.0 * n / 9.0 + 7.0 / 6.0
     return 1.0 / (-1.0 + math.sqrt(1.0 + 9.0 * (n - 2.0) ** 2 / (n * n * (4.0 * n - 13.0))))
 
 
@@ -283,7 +280,7 @@ class WillamWarnke(_Shape):
     kind = "willam-warnke"
 
     def __post_init__(self):
-        _check_finite(self)
+        _real_fields(self)
         if not (0.5 < self.e <= 1.0):
             raise ValidationError(f"e must lie in (0.5, 1], got {self.e}")
 
@@ -344,7 +341,7 @@ class GudehusArgyris(_Shape):
     kind = "gudehus-argyris"
 
     def __post_init__(self):
-        _check_finite(self)
+        _real_fields(self)
         if not (0.777 < self.k <= 1.0):
             raise ValidationError(f"k must lie in (0.777, 1], got {self.k}")
 
@@ -384,9 +381,9 @@ def shape_from_dict(d: dict):
         raise ValidationError(f"deviatoric shape needs a 'kind' key, got {d!r}")
     try:
         cls = SHAPE_KINDS[kind]
-    except KeyError:
+    except (KeyError, TypeError):  # a kind that is not a string may be unhashable
         raise ValidationError(f"unknown deviatoric kind {kind!r}")
-    args = {k: _number(d, k) for k in d if k != "kind"}
+    args = {k: real(v, k) for k, v in d.items() if k != "kind"}
     try:
         return cls(**args)
     except TypeError as exc:
@@ -445,9 +442,13 @@ class _Meridian:
     floor of s0."""
 
     def f(self, p: float) -> float:
-        """Meridian value; +inf outside a cap, DomainError for NaN p."""
-        if math.isnan(p):
-            raise DomainError(f"p must be a number, got {p}")
+        """Meridian value; +inf outside a cap, DomainError for a p that is not a number."""
+        try:
+            nan = math.isnan(p)
+        except (TypeError, OverflowError):
+            nan = True
+        if nan:
+            raise DomainError(f"p must be a number, got {p!r}")
         return self._jet(self._place(p, FLOAT), FLOAT)[0]
 
     def f_array(self, p: np.ndarray) -> np.ndarray:
@@ -478,7 +479,7 @@ class CapMeridian(_Meridian):
     kind = "bp"
 
     def __post_init__(self):
-        _check_finite(self)
+        _real_fields(self)
         if self.M <= 0.0:
             raise ValidationError(f"M must be positive, got {self.M}")
         if self.pc <= 0.0:
@@ -584,7 +585,7 @@ class LinearMeridian(_Meridian):
     kind = "linear"
 
     def __post_init__(self):
-        _check_finite(self)
+        _real_fields(self)
         if self.Gamma <= 0.0:
             raise ValidationError(f"Gamma must be positive, got {self.Gamma}")
         if self.c < 0.0:
@@ -662,6 +663,7 @@ class YieldParams:
     gamma: float
 
     def __post_init__(self):
+        _real_fields(self)
         # Range checks delegate to the meridian/shape constructors; the
         # validated meridian is kept for meridian().
         object.__setattr__(self, "_meridian", self.meridian())
@@ -689,10 +691,10 @@ class YieldParams:
         warnings lists the substitutions applied.
         """
         warnings: list[str] = []
-        if gamma >= 1.0:
+        if real(gamma, "gamma") >= 1.0:
             warnings.append(f"gamma={gamma} replaced by 1-1e-9 (piecewise-linear limit)")
             gamma = GAMMA_LIMIT
-        if alpha <= 0.0:
+        if real(alpha, "alpha") <= 0.0:
             warnings.append(f"alpha={alpha} replaced by 1e-8 (corner limit)")
             alpha = 1e-8
         elif alpha >= 2.0:
@@ -735,7 +737,7 @@ class Criterion:
     B: float = 1.0
 
     def __post_init__(self):
-        _check_finite(self)
+        _real_fields(self)
         if self.A < 0.0:
             raise ValidationError(f"A must be nonnegative, got {self.A}")
         if self.B <= 0.0:
@@ -764,16 +766,16 @@ def criterion_from_dict(d: dict, unchecked: bool = False) -> Criterion:
     kind = d.get("meridian", "bp")
     of = f"meridian {kind!r}"
     if kind == "bp":
-        meridian = CapMeridian(*(_number(d, name, of=of) for name in _params(CapMeridian)))
+        meridian = CapMeridian(*(_entry(d, name, of) for name in _params(CapMeridian)))
     elif kind == "linear":
-        meridian = LinearMeridian(Gamma=_number(d, "Gamma", of=of), c=_number(d, "c", 0.0))
+        meridian = LinearMeridian(Gamma=_entry(d, "Gamma", of), c=d.get("c", 0.0))
     else:
         raise ValidationError(f"unknown meridian kind {kind!r}")
     if "deviatoric" in d:
         shape = shape_from_dict(d["deviatoric"])
     else:
-        shape = CosineLode(*(_number(d, k, of="deviatoric shape") for k in _params(CosineLode)))
-    crit = Criterion(meridian=meridian, shape=shape, A=_number(d, "A", 0.0), B=_number(d, "B", 1.0))
+        shape = CosineLode(*(_entry(d, k, "deviatoric shape") for k in _params(CosineLode)))
+    crit = Criterion(meridian=meridian, shape=shape, A=d.get("A", 0.0), B=d.get("B", 1.0))
     if not unchecked and isinstance(meridian, CapMeridian) and isinstance(shape, CosineLode):
         if not beta_in_convex_interval(shape.beta, shape.gamma)[0]:
             raise ValidationError(

@@ -2,8 +2,13 @@
 
 All errors raised by this package derive from :class:`YieldCritError`, so
 callers can catch one base class at API boundaries (the CLI maps them to
-exit code 2).
+exit code 2).  :func:`real` (the number rule) and :func:`count` (the count
+rule) check the numeric inputs of the public API.
 """
+
+import math
+import numbers
+import sys
 
 
 class YieldCritError(Exception):
@@ -60,3 +65,30 @@ class EmptySlice(YieldCritError):
 
 class NonConvexSlice(YieldCritError):
     """A section ray crosses the yield surface more than once."""
+
+
+def real(value, name: str) -> float:
+    """``value`` as a float; ValidationError naming ``name`` unless it is a finite
+    real number.  A bool is not one, a numpy scalar is; a float skips the slow ABC test."""
+    if not isinstance(value, (float, int, numbers.Real)) or isinstance(value, bool):
+        raise ValidationError(f"{name} must be a number, got {value!r}")
+    try:
+        x = float(value)
+    except OverflowError:
+        raise ValidationError(f"{name} must be finite, got an integer too large for a float") from None
+    if not math.isfinite(x):
+        raise ValidationError(f"{name} must be finite, got {x}")
+    return x
+
+
+def count(value, name: str, least: int) -> int:
+    """``value`` as an int; ValidationError naming ``name`` unless it is an integer
+    (not a bool) from ``least`` to sys.maxsize.  A NaN or an infinity fails as a number."""
+    if isinstance(value, (int, numbers.Integral)) and not isinstance(value, bool):
+        if least <= value <= sys.maxsize:
+            return int(value)
+        if abs(value) > sys.maxsize:
+            raise ValidationError(f"{name} must be an integer of at least {least}, got one too large for an index")
+    elif isinstance(value, float):  # a NaN or an infinity gets the number rule's message
+        real(value, name)
+    raise ValidationError(f"{name} must be an integer of at least {least}, got {value!r}")

@@ -141,12 +141,15 @@ def _check_stress(sig) -> None:
 
 def _principal(stress) -> tuple[float, float, float]:
     """A 3-tuple or 3-list, or anything numpy reshapes to (3,), as three checked floats."""
-    if isinstance(stress, (tuple, list)) and len(stress) == 3:
-        sig = float(stress[0]), float(stress[1]), float(stress[2])
-    else:
-        import numpy as np
+    try:
+        if isinstance(stress, (tuple, list)) and len(stress) == 3:
+            sig = float(stress[0]), float(stress[1]), float(stress[2])
+        else:
+            import numpy as np
 
-        sig = tuple(np.asarray(stress, dtype=float).reshape(3).tolist())
+            sig = tuple(np.asarray(stress, dtype=float).reshape(3).tolist())
+    except (TypeError, ValueError, OverflowError):
+        raise DomainError(f"stress must be three numbers, got {stress!r}") from None
     _check_stress(sig)
     return sig
 
@@ -170,21 +173,19 @@ def _invariant_body(s1, s2, s3, xp):
     return p, q, theta, hydrostatic
 
 
-def _theta_in_range(theta) -> bool:
-    """True when theta (a number or an array) lies in [0, pi/3] to 1e-12; False for NaN."""
-    if isinstance(theta, (float, int)):
-        return _THETA_LO <= theta <= _THETA_HI
-    import numpy as np
-
-    th = np.asarray(theta, dtype=float)
-    return bool(np.all((_THETA_LO <= th) & (th <= _THETA_HI)))
-
-
 def _check_theta(theta) -> None:
-    """DomainError unless :func:`_theta_in_range`; no further call for a number."""
-    if isinstance(theta, (float, int)) and _THETA_LO <= theta <= _THETA_HI:
-        return
-    if not _theta_in_range(theta):
+    """DomainError unless theta (a number or an array) lies in [0, pi/3] to 1e-12; numpy-free for a number."""
+    if isinstance(theta, (float, int)):
+        ok = _THETA_LO <= theta <= _THETA_HI
+    else:
+        import numpy as np
+
+        try:
+            th = np.asarray(theta, dtype=float)
+            ok = np.all((_THETA_LO <= th) & (th <= _THETA_HI))
+        except (TypeError, ValueError):  # not a number or an array of them
+            ok = False
+    if not ok:
         raise DomainError(f"theta must lie in [0, pi/3], got {theta}")
 
 
@@ -214,7 +215,10 @@ def invariants_array(stress):
     """
     import numpy as np
 
-    sig = np.asarray(stress, dtype=float)
+    try:
+        sig = np.asarray(stress, dtype=float)
+    except (TypeError, ValueError, OverflowError):  # not numbers, or rows of unequal length
+        raise DomainError(f"stress must be an array of numbers, got {stress!r}") from None
     if sig.ndim not in (1, 2) or sig.shape[-1] != 3:
         raise DomainError(f"stress must have shape (3,) or (N, 3), got {sig.shape}")
     sig = sig.reshape(-1, 3)

@@ -22,8 +22,8 @@ import warnings as _warnings
 from dataclasses import dataclass
 from sys import float_info
 
-from .criterion import GAMMA_LIMIT, CosineLode, Criterion, YieldParams
-from .errors import DomainError, ShapeMismatch
+from .criterion import GAMMA_LIMIT, CosineLode, Criterion, YieldParams, _real_fields
+from .errors import DomainError, ShapeMismatch, count, real
 from .invariants import STRESS_MAX, invariants
 
 # The deviatoric sections of the classical criteria.
@@ -31,18 +31,14 @@ _CIRCLE = CosineLode(beta=1.0, gamma=0.0)
 _HEXAGON = CosineLode(beta=1.0, gamma=GAMMA_LIMIT)
 
 
-def _require_finite(**values):
-    """DomainError naming the first of the inputs that is not a finite number."""
-    for name, value in values.items():
-        if not math.isfinite(value):
-            raise DomainError(f"{name} must be finite, got {value}")
-
-
-def _gurson_inputs(**values):
-    """DomainError unless every input is finite and the matrix flow stress positive."""
-    _require_finite(**values)
-    if values["sigma_m"] <= 0.0:
-        raise DomainError(f"matrix flow stress must be positive, got {values['sigma_m']}")
+def _gurson_inputs(**values) -> list[float]:
+    """The inputs under the number rule; DomainError unless 0 <= f_void < 1 and sigma_m > 0."""
+    floats = {name: real(value, name) for name, value in values.items()}
+    if not 0.0 <= floats["f_void"] < 1.0:
+        raise DomainError(f"void fraction must lie in [0, 1), got {floats['f_void']}")
+    if floats["sigma_m"] <= 0.0:
+        raise DomainError(f"matrix flow stress must be positive, got {floats['sigma_m']}")
+    return list(floats.values())
 
 
 @dataclass(frozen=True)
@@ -52,7 +48,7 @@ class _TensileStrength:
     ft: float
 
     def __post_init__(self):
-        _require_finite(**vars(self))
+        _real_fields(self)
         if self.ft <= 0.0:
             raise DomainError(f"ft must be positive, got {self.ft}")
 
@@ -65,7 +61,7 @@ class _StrengthRatio:
     r: float
 
     def __post_init__(self):
-        _require_finite(**vars(self))
+        _real_fields(self)
         if self.fc <= 0.0:
             raise DomainError(f"fc must be positive, got {self.fc}")
         if self.r < 1.0:
@@ -113,7 +109,7 @@ class ModifiedCamClay:
     pc: float
 
     def __post_init__(self):
-        _require_finite(**vars(self))
+        _real_fields(self)
         if self.M <= 0.0 or self.pc <= 0.0:
             raise DomainError(f"M and pc must be positive, got M={self.M}, pc={self.pc}")
 
@@ -137,15 +133,6 @@ class LimitRealization:
 
     def criterion(self) -> Criterion:
         return self.params.criterion()
-
-
-def _exponent(scale_exponent) -> int:
-    """The surrogate exponent k: an integer of at least 3, as an int."""
-    _require_finite(scale_exponent=scale_exponent)
-    k = int(scale_exponent)
-    if isinstance(scale_exponent, bool) or k != scale_exponent or k < 3:
-        raise DomainError(f"scale_exponent must be an integer of at least 3, got {scale_exponent}")
-    return k
 
 
 def _scale(k: int, strength: float) -> float:
@@ -218,7 +205,7 @@ def realize(criterion: ClassicalCriterion, scale_exponent: int = 6) -> LimitReal
     """
     if not isinstance(criterion, ClassicalCriterion):
         raise DomainError(f"unknown classical criterion {criterion!r}")
-    k = _exponent(scale_exponent)
+    k = count(scale_exponent, "scale_exponent", 3)
     if isinstance(criterion, ModifiedCamClay):
         # Exact: no limit surrogate needed.
         return _realization(
@@ -246,9 +233,9 @@ def coulomb_mohr_generalized(
     recovers the plain Coulomb-Mohr realization.  Raises DomainError when
     the cone's M or c is not positive for the given (r, beta).
     """
-    CoulombMohr(fc=fc, r=r)  # the same checks on fc and r
-    _require_finite(beta=beta)
-    return _cone(fc, r, CosineLode(beta=beta, gamma=GAMMA_LIMIT), _exponent(scale_exponent))
+    cm = CoulombMohr(fc=fc, r=r)  # the same checks on fc and r
+    shape = CosineLode(beta=beta, gamma=GAMMA_LIMIT)  # and the number rule on beta
+    return _cone(cm.fc, cm.r, shape, count(scale_exponent, "scale_exponent", 3))
 
 
 # ---------------------------------------------------------------------------
@@ -263,10 +250,10 @@ def deshpande_fleck_to_bp(Y: float, alpha_df: float) -> YieldParams:
     c = pc = (Y/alpha_df) sqrt(1 + (alpha_df/3)^2), with the elliptic
     meridian (m = 2, alpha = 1) and circular section (beta = 1, gamma = 0).
     """
-    _require_finite(Y=Y, alpha_df=alpha_df)
+    Y, alpha_df = real(Y, "Y"), real(alpha_df, "alpha_df")
     if Y <= 0.0 or alpha_df <= 0.0:
         raise DomainError(f"Y and alpha_df must be positive, got Y={Y}, alpha_df={alpha_df}")
-    pc = (Y / alpha_df) * math.sqrt(1.0 + (alpha_df / 3.0) ** 2)
+    pc = (Y / alpha_df) * math.hypot(1.0, alpha_df / 3.0)
     if pc > 1e6 * Y:
         _warnings.warn(
             "alpha_df is close to the pressure-insensitive foam limit; "
@@ -282,12 +269,12 @@ def bp_to_deshpande_fleck(M: float, pc: float, c: float) -> tuple[float, float]:
     Returns (Y, alpha_df) with alpha_df = M/2 and
     Y = c M / (2 sqrt(1 + (M/6)^2)).
     """
-    _require_finite(M=M, pc=pc, c=c)
+    M, pc, c = real(M, "M"), real(pc, "pc"), real(c, "c")
     if M <= 0.0 or pc <= 0.0 or c <= 0.0:
         raise DomainError(f"M, pc and c must be positive, got M={M}, pc={pc}, c={c}")
     if abs(pc - c) > 1e-12 * max(pc, c):
         raise ShapeMismatch(f"the foam correspondence needs pc = c, got pc={pc}, c={c}")
-    Y = c * M / (2.0 * math.sqrt(1.0 + (M / 6.0) ** 2))
+    Y = c * M / (2.0 * math.hypot(1.0, M / 6.0))
     return Y, M / 2.0
 
 
@@ -310,19 +297,23 @@ def gurson_equivalent(
     the acosh argument drops below 1 or the M radicand is not positive
     (porosity too large for the given q factors).
     """
+    f_void = real(f_void, "f_void")
     if not (0.0 < f_void < 1.0):
         raise DomainError(f"void fraction must lie in (0, 1), got {f_void}")
-    _gurson_inputs(sigma_m=sigma_m, q1=q1, q2=q2, q3=q3)
-    arg = (1.0 + q3 * f_void**2) / (2.0 * f_void * q1)
-    if arg < 1.0:
-        raise DomainError(f"acosh argument {arg:.6g} < 1: porosity too large for q1={q1}, q3={q3}")
-    radicand = 1.0 + q3 * f_void**2 - 2.0 * f_void * q1
-    if radicand <= 0.0:
-        raise DomainError(
-            f"pressure-sensitivity radicand {radicand:.6g} <= 0 at f={f_void}, q1={q1}, q3={q3}"
-        )
-    pc = sigma_m * 2.0 / (3.0 * q2) * math.acosh(arg)
-    M = sigma_m * 2.0 / pc * math.sqrt(radicand)
+    f_void, sigma_m, q1, q2, q3 = _gurson_inputs(f_void=f_void, sigma_m=sigma_m, q1=q1, q2=q2, q3=q3)
+    try:
+        arg = (1.0 + q3 * f_void**2) / (2.0 * f_void * q1)
+        if arg < 1.0:
+            raise DomainError(f"acosh argument {arg:.6g} < 1: porosity too large for q1={q1}, q3={q3}")
+        radicand = 1.0 + q3 * f_void**2 - 2.0 * f_void * q1
+        if radicand <= 0.0:
+            raise DomainError(
+                f"pressure-sensitivity radicand {radicand:.6g} <= 0 at f={f_void}, q1={q1}, q3={q3}"
+            )
+        pc = sigma_m * 2.0 / (3.0 * q2) * math.acosh(arg)
+        M = sigma_m * 2.0 / pc * math.sqrt(radicand)
+    except ZeroDivisionError:  # q1 or q2 is 0, or 2 f q1, 3 q2 or pc underflows to 0
+        raise DomainError(f"q1={q1}, q2={q2} and sigma_m={sigma_m} leave no cap size") from None
     return YieldParams(M=M, pc=pc, c=pc, m=2.0, alpha=1.0, beta=1.0, gamma=0.0)
 
 
@@ -335,14 +326,17 @@ def gurson_yield(
     the compression-positive mean pressure of this library.  Zero porosity
     reduces it to the von Mises form (q/sigma_m)^2 - 1.
     """
-    _gurson_inputs(f_void=f_void, sigma_m=sigma_m, q1=q1, q2=q2, q3=q3)
+    f_void, sigma_m, q1, q2, q3 = _gurson_inputs(f_void=f_void, sigma_m=sigma_m, q1=q1, q2=q2, q3=q3)
     inv = invariants(stress)
-    return (
-        (inv.q / sigma_m) ** 2
-        + 2.0 * q1 * f_void * math.cosh(-3.0 * q2 * inv.p / (2.0 * sigma_m))
-        - 1.0
-        - q3 * f_void**2
-    )
+    try:
+        return (
+            (inv.q / sigma_m) ** 2
+            + 2.0 * q1 * f_void * math.cosh(-3.0 * q2 * inv.p / (2.0 * sigma_m))
+            - 1.0
+            - q3 * f_void**2
+        )
+    except OverflowError:  # q / sigma_m or the cosh argument past the float range
+        raise DomainError(f"the Gurson-Tvergaard function overflows at p={inv.p:g}, q={inv.q:g}") from None
 
 
 def gurson_meridian_q(
@@ -350,13 +344,16 @@ def gurson_meridian_q(
 ):
     """Deviatoric radius of the Gurson-Tvergaard surface at pressure p.
 
-    Vectorized in p; entries where the surface does not reach (cosh term
-    too large) come back as NaN.  Raises DomainError for sigma_m <= 0.
+    Vectorized in p; entries where the surface does not reach (cosh term too
+    large) come back as NaN.  DomainError for sigma_m <= 0 or f_void outside [0, 1).
     """
     import numpy as np
 
-    _gurson_inputs(f_void=f_void, sigma_m=sigma_m, q1=q1, q2=q2, q3=q3)
-    p = np.asarray(p, dtype=float)
+    f_void, sigma_m, q1, q2, q3 = _gurson_inputs(f_void=f_void, sigma_m=sigma_m, q1=q1, q2=q2, q3=q3)
+    try:
+        p = np.asarray(p, dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        raise DomainError(f"p must be a number or an array of numbers, got {p!r}") from None
     radicand = 1.0 + q3 * f_void**2 - 2.0 * q1 * f_void * np.cosh(3.0 * q2 * p / (2.0 * sigma_m))
     out = np.full(p.shape, math.nan)
     ok = radicand >= 0.0
@@ -376,7 +373,7 @@ def newman_strength(sigma3: float, fc: float) -> float:
     pressure and fc > 0 the uniaxial compressive strength, both as
     magnitudes.
     """
-    _require_finite(sigma3=sigma3, fc=fc)
+    sigma3, fc = real(sigma3, "sigma3"), real(fc, "fc")
     if fc <= 0.0:
         raise DomainError(f"fc must be positive, got {fc}")
     if sigma3 < 0.0:

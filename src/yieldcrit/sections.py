@@ -38,14 +38,7 @@ import numpy as np
 from .criterion import CapMeridian, Criterion, _yield_body, surface_q_array, yield_value
 # Unused here; kept because perfbench's --trace 1 wraps sections.surface_q and .invariants by name.
 from .criterion import surface_q  # noqa: F401
-from .errors import (
-    DomainError,
-    EmptySlice,
-    NonConvexSlice,
-    OutsideCap,
-    UnboundedDomain,
-    ValidationError,
-)
+from .errors import DomainError, EmptySlice, NonConvexSlice, OutsideCap, UnboundedDomain, count, real
 from .invariants import _THETA_MAX, FLOAT, STRESS_MAX, _check_stress, _invariant_body, _principal
 from .invariants import invariants  # noqa: F401
 
@@ -59,9 +52,6 @@ class SectionCurve:
     xlabel: str
     ylabel: str
     params_echo: tuple[tuple[str, object], ...]
-
-    def echo_dict(self) -> dict:
-        return {k: v for k, v in self.params_echo}
 
 
 def _echo(crit: Criterion) -> tuple[tuple[str, object], ...]:
@@ -83,33 +73,27 @@ def normalized_residual(crit: Criterion, stress) -> float:
     return abs(F) / s0
 
 
-def check_sample_count(n: int) -> None:
-    """ValidationError unless a curve of ``n`` samples has at least two."""
-    if n < 2:
-        raise ValidationError(f"need at least 2 sample points, got {n}")
-
-
 def sample_meridian(
     crit: Criterion, theta: float, n: int, p_range: tuple[float, float] | None = None
 ) -> SectionCurve:
     """Sample the meridian section q(p) at fixed Lode angle.
 
-    The cap meridian is sampled on [-c, pc] (endpoints land exactly on the
-    apices with q = 0).  A linear meridian has no finite cap, so an
-    explicit ``p_range`` is required there.  A ``p_range`` must run from
-    low to high (DomainError otherwise), and a sample where the surface has
-    no radius is NaN; EmptySlice when no sample has one.
+    n >= 2 samples; the cap meridian is sampled on [-c, pc] (endpoints land
+    exactly on the apices with q = 0).  A linear meridian has no finite cap,
+    so an explicit ``p_range`` is required there.  A ``p_range`` must run
+    from low to high (DomainError otherwise), and a sample where the surface
+    has no radius is NaN; EmptySlice when no sample has one.
     """
-    check_sample_count(n)
+    n = count(n, "n", 2)
     if p_range is None:
         if not isinstance(crit.meridian, CapMeridian):
             raise UnboundedDomain(
                 "linear meridian has an unbounded domain; pass an explicit p_range"
             )
         p_range = (-crit.meridian.c, crit.meridian.pc)
-    lo, hi = p_range
-    if not (math.isfinite(lo) and math.isfinite(hi)):
-        raise DomainError(f"p_range must have finite ends, got {tuple(p_range)}")
+    if not (isinstance(p_range, (tuple, list)) and len(p_range) == 2):
+        raise DomainError(f"p_range must be a pair (low, high), got {p_range!r}")
+    lo, hi = real(p_range[0], "each end of p_range"), real(p_range[1], "each end of p_range")
     if not lo < hi:
         raise DomainError(f"p_range must run from low to high, got {(lo, hi)}")
     ps = np.linspace(lo, hi, n)
@@ -139,13 +123,13 @@ def sample_deviatoric(
 ) -> SectionCurve:
     """Sample the deviatoric section at fixed pressure.
 
-    Computes r(theta) = q_surface on the fundamental sector and reflects
-    it through the six-fold symmetry into a closed curve over the full
-    deviatoric plane (Cartesian coordinates, triaxial-extension meridian
-    along +x).  ``normalize`` divides by the radius at theta = pi/3 so
+    Computes r(theta) = q_surface at n >= 2 angles of the fundamental sector
+    and reflects it through the six-fold symmetry into a closed curve over
+    the full deviatoric plane (Cartesian coordinates, triaxial-extension
+    meridian along +x).  ``normalize`` divides by the radius at theta = pi/3 so
     different shapes coincide at triaxial compression.
     """
-    check_sample_count(n)
+    at_p, n = real(at_p, "at_p"), count(n, "n", 2)
     if isinstance(crit.meridian, CapMeridian):
         phi = crit.meridian._place(at_p, FLOAT)[0]
         if not (0.0 < phi < 1.0):
@@ -396,14 +380,13 @@ def _ray_crossings(
 def sample_biaxial(crit: Criterion, n: int = 200, normalize: bool = False) -> SectionCurve:
     """Trace the biaxial yield locus {F(sigma1, sigma2, 0) = 0}.
 
-    n rays are shot from the interior minimum of F along the diagonal and
-    resolved together to machine precision (see ``_ray_crossings``).
+    n >= 3 rays are shot from the interior minimum of F along the diagonal
+    and resolved together to machine precision (see ``_ray_crossings``).
     ``normalize`` divides both axes by the computed uniaxial tensile
     intercept, which must be positive for the option to make sense.
     Raises NonConvexSlice when F changes sign more than once along a ray.
     """
-    if n < 3:
-        raise ValidationError(f"need at least 3 rays, got {n}")
+    n = count(n, "n", 3)
     s_center, _ = _biaxial_center(crit)
     scale = crit.meridian.scale
     phis = [2.0 * math.pi * j / n for j in range(n)]
@@ -456,7 +439,7 @@ def polygon_is_convex(points: np.ndarray) -> bool:
 
 def curve_to_csv(curve: SectionCurve) -> str:
     """CSV text: '#' header echoing the parameter JSON, then x,y rows."""
-    lines = ["# " + json.dumps(curve.echo_dict())]
+    lines = ["# " + json.dumps(dict(curve.params_echo))]
     lines.append(f"{curve.xlabel},{curve.ylabel}")
     for x, y in curve.samples:
         lines.append(f"{float(x)!r},{float(y)!r}")

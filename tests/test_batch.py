@@ -30,6 +30,7 @@ from yieldcrit import (
     NonConvexSlice,
     OutsideCap,
     PowerLaw,
+    ValidationError,
     VonMises,
     WillamWarnke,
     YieldParams,
@@ -570,7 +571,7 @@ def test_sampler_errors_stay_typed():
         # the ends are refused before numpy can warn about them
         warnings.simplefilter("error")
         for p_range in ((0.0, math.inf), (math.nan, 1.0), (-math.inf, 0.0)):
-            with pytest.raises(DomainError, match="finite"):
+            with pytest.raises(ValidationError, match="finite"):
                 sections.sample_meridian(cone, 0.0, 10, p_range=p_range)
     with pytest.raises(EmptySlice):
         sections.sample_deviatoric(cone, -1.0, 10)
@@ -578,7 +579,7 @@ def test_sampler_errors_stay_typed():
         sections.sample_deviatoric(cone, -0.5, 10, normalize=True)
     with pytest.raises(OutsideCap):
         sections.sample_deviatoric(cap, 2.0, 10)
-    with pytest.raises(DomainError):
+    with pytest.raises(ValidationError, match="at_p must be finite"):
         sections.sample_deviatoric(cone, math.nan, 10)
 
 

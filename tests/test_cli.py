@@ -461,12 +461,12 @@ class TestFitInputFiles:
 
     def test_a_seed_that_is_a_string(self, capsys, tmp_path):
         assert self._fit(capsys, tmp_path, {**self.PROBLEM, "seed": "x"}) == (
-            2, "yieldcrit: seed must be a nonnegative integer, got 'x'\n"
+            2, "yieldcrit: seed must be an integer of at least 0, got 'x'\n"
         )
 
     def test_a_negative_seed(self, capsys, tmp_path):
         assert self._fit(capsys, tmp_path, {**self.PROBLEM, "seed": -1}) == (
-            2, "yieldcrit: seed must be a nonnegative integer, got -1\n"
+            2, "yieldcrit: seed must be an integer of at least 0, got -1\n"
         )
 
     def test_free_that_is_a_number(self, capsys, tmp_path):
@@ -488,18 +488,18 @@ class TestFitInputFiles:
     def test_a_bound_that_is_not_a_finite_number(self, capsys, tmp_path, end):
         spec = {**self.PROBLEM, "bounds": {"M": [0.1, end]}}
         assert self._fit(capsys, tmp_path, spec) == (
-            2, f"yieldcrit: each bound for 'M' must be a finite number, got {end!r}\n"
+            2, f"yieldcrit: each bound for 'M' must be a number, got {end!r}\n"
         )
 
     def test_an_init_value_that_is_a_string(self, capsys, tmp_path):
         assert self._fit(capsys, tmp_path, {**self.PROBLEM, "init": {"M": "x"}}) == (
-            2, "yieldcrit: init 'M' must be a finite number, got 'x'\n"
+            2, "yieldcrit: init 'M' must be a number, got 'x'\n"
         )
 
     def test_an_init_value_that_is_a_bool(self, capsys, tmp_path):
         # a parameter file refuses a bool, and so does init; it is not taken as 1.0
         assert self._fit(capsys, tmp_path, {**self.PROBLEM, "init": {"M": True}}) == (
-            2, "yieldcrit: init 'M' must be a finite number, got True\n"
+            2, "yieldcrit: init 'M' must be a number, got True\n"
         )
 
     def test_a_bound_for_no_parameter_of_the_template(self, capsys, tmp_path):
@@ -552,7 +552,8 @@ _PROBLEMS = st.fixed_dictionaries(
             _NAMES, st.one_of(st.lists(_NUMBERS, min_size=2, max_size=2), st.lists(_VALUES, max_size=3), _VALUES),
             max_size=2,
         ),
-        "init": st.one_of(st.none(), st.dictionaries(_NAMES, _VALUES, max_size=3)),
+        # fit, not the CLI, refuses an init that is not an object
+        "init": st.one_of(st.none(), st.dictionaries(_NAMES, _VALUES, max_size=3), _ANYTHING),
         "seed": st.one_of(st.integers(-2, 2**40), st.floats(-1.0, 3.0), _JUNK),
         "residual_mode": st.sampled_from(["meridian_distance", "function_value", "nearest", 3]),
     },
@@ -646,7 +647,7 @@ def test_compare_refuses_fewer_than_two_samples(capsys, section_files, which, n)
     code, out, err = run(capsys, _compare_argv(which, n, 0.1, 1.0, section_files["cap"]))
     assert code == 2
     assert out == ""
-    assert f"need at least 2 sample points, got {n}" in err
+    assert err == f"yieldcrit: n must be an integer of at least 2, got {n}\n"
 
 
 @pytest.mark.parametrize(
@@ -768,3 +769,131 @@ def test_compare_fuzz(section_files, which, params, n, value, sigma_m, hi):
     rows = [[float(v) for v in line.split(",")] for line in lines[2:-1]]
     assert n >= 2 and len(rows) == n, argv
     assert all(len(r) == len(lines[1].split(",")) for r in rows), argv
+
+
+# ---------------------------------------------------------------------------
+# Random inputs through every input path: no traceback, strict output
+# ---------------------------------------------------------------------------
+
+_FUZZ_BASES = [
+    {**CAM_CLAY, "c": 0.1, "beta": 0.6, "gamma": 0.8},
+    {"M": 0.75, "pc": 1.0, "c": 0.1, "m": 2.0, "alpha": 1.0, "deviatoric": {"kind": "power-law", "beta": 0.8, "n": 3.0}},
+    {"meridian": "linear", "Gamma": 0.8, "c": 0.2, "deviatoric": {"kind": "willam-warnke", "e": 0.7}, "A": 0.5},
+    {"M": 0.75, "pc": 1.0, "c": 0.1, "m": 2.0, "alpha": 1.0, "deviatoric": {"kind": "gudehus-argyris", "k": 0.9}},
+]
+_FUZZ_KEYS = ["M", "pc", "c", "m", "alpha", "beta", "gamma", "Gamma", "A", "B", "meridian", "deviatoric"]
+# numbers of every size, the non-finite ones (NaN and Infinity in the file),
+# integers past the floats, and values that are not numbers
+_FUZZ_VALUES = st.one_of(
+    st.floats(-3.0, 5.0),
+    st.integers(-2, 60),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([10**400, -(10**400), "1", "x", "", True, None, [1.0], {"kind": "bp"}, "linear", "bp"]),
+    st.fixed_dictionaries(
+        {"kind": st.sampled_from(["bp", "power-law", "willam-warnke", "gudehus-argyris", "hexagon", 3])},
+        optional={k: st.one_of(st.floats(-1.0, 5.0), st.floats(allow_nan=True), st.sampled_from([10**400, "1", True]))
+                  for k in ("beta", "gamma", "n", "e", "k")},
+    ),
+)
+
+
+def _params_text(base, changes, dropped):
+    d = {k: v for k, v in {**base, **changes}.items() if k not in dropped}
+    return json.dumps(d)
+
+
+_PARAMS_TEXT = st.builds(
+    _params_text,
+    st.sampled_from(_FUZZ_BASES),
+    st.dictionaries(st.sampled_from(_FUZZ_KEYS), _FUZZ_VALUES, max_size=2),
+    st.lists(st.sampled_from(_FUZZ_KEYS), max_size=1),
+)
+_TOKEN = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+    st.integers(-3, 3).map(str),
+    st.sampled_from(["", "x", "1e400", "-0", " 1", "nan", "0.5", "1.0471975511965976"]),
+)
+# three numbers of a state inside most of the files' caps half the time, anything else the other half
+_STRESS_TEXT = st.one_of(
+    st.lists(st.floats(-1.0, 0.1).map(repr), min_size=3, max_size=3), st.lists(_TOKEN, max_size=4)
+).map(",".join)
+
+
+def _csv_text(header, rows, where, token):
+    """A header and rows of numbers, with ``token`` put in at (row, column) ``where``."""
+    lines = [[token if (i, j) == where else v for j, v in enumerate(row)] for i, row in enumerate(rows)]
+    return "\n".join([header] + [",".join(line) for line in lines]) + "\n"
+
+
+# a few rows of Cam-clay-like points, with a random token put in one of them
+_CSV_TEXT = st.builds(
+    _csv_text,
+    st.sampled_from(["p,q,theta", "p,q,theta", "s1,s2,s3", "p,q,theta,w", "x,y,z", "# comment", ""]),
+    st.lists(st.lists(st.floats(0.0, 1.0).map(repr), min_size=3, max_size=3), max_size=5),
+    st.one_of(st.none(), st.tuples(st.integers(0, 4), st.integers(0, 3))),
+    _TOKEN,
+)
+_FLAG_VALUE = st.one_of(
+    st.floats(0.5, 50.0).map(repr), st.sampled_from(["nan", "inf", "-inf", "1e400", "0", "-1", "x", "1e-320"])
+)
+
+
+def _realize_argv(kind, flags, k):
+    argv = ["realize", kind] + [f"--{name}={value}" for name, value in flags.items()]
+    return argv + ([f"--k={k}"] if k is not None else [])
+
+
+_REALIZE_ARGV = st.builds(
+    _realize_argv,
+    st.sampled_from(["von-mises", "tresca", "drucker-prager", "modified-tresca", "coulomb-mohr", "cam-clay"]),
+    st.dictionaries(st.sampled_from(["ft", "fc", "r", "M", "pc"]), _FLAG_VALUE, min_size=3, max_size=5),
+    st.one_of(st.none(), st.integers(3, 12).map(str), st.integers(-2, 200).map(str), st.sampled_from(["x", "2.5"])),
+)
+
+
+def _strict_json(text):
+    """The JSON document in ``text``; ValueError for NaN or an infinity, which strict JSON has not."""
+
+    def refuse(token):
+        raise ValueError(f"non-standard JSON token {token}")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+@given(
+    command=st.sampled_from(["eval", "check-convexity", "section", "fit", "realize"]),
+    params=_PARAMS_TEXT,
+    stress=_STRESS_TEXT,
+    data=_CSV_TEXT,
+    realize_argv=_REALIZE_ARGV,
+)
+@settings(max_examples=300, deadline=None)
+def test_cli_fuzz(fit_dir, command, params, stress, data, realize_argv):
+    # eval and section read a random parameter file (eval also a random
+    # --stress), check-convexity the file alone, fit a random dataset
+    # against a fixed problem, and realize random flags
+    (fit_dir / "params.json").write_text(params, encoding="utf-8")
+    (fit_dir / "data.csv").write_text(data, encoding="utf-8")
+    (fit_dir / "problem.json").write_text(json.dumps({"criterion": CAM_CLAY, "free": ["M"]}), encoding="utf-8")
+    argv = {
+        "eval": ["eval", "--params", str(fit_dir / "params.json"), f"--stress={stress}"],
+        "check-convexity": ["check-convexity", "--params", str(fit_dir / "params.json")],
+        "section": ["section", "meridian", "--params", str(fit_dir / "params.json"), "-n", "5", "--p-range=-0.5,0.5"],
+        "fit": ["fit", "--data", str(fit_dir / "data.csv"), "--problem", str(fit_dir / "problem.json")],
+        "realize": realize_argv,
+    }[command]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    out, err = out.getvalue(), err.getvalue()
+    assert code in (0, 1, 2, 3) and "Traceback" not in err, (argv, code, err)
+    if code in (1, 2) and not out:
+        # a refusal says why; check-convexity's report of an inadmissible file is on stdout
+        assert err, argv
+    if command == "section" and code == 0:
+        lines = out.split("\n")
+        assert isinstance(json.loads(lines[0][2:]), dict) and lines[1] == "p,q" and lines[-1] == ""
+        assert all(len([float(v) for v in line.split(",")]) == 2 for line in lines[2:-1]), argv
+    elif out:
+        # check-convexity writes its report with exit 2, and fit its best values with exit 3
+        assert isinstance(_strict_json(out), dict), argv

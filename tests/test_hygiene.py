@@ -14,6 +14,9 @@
   ``_Meridian`` defines once (``g``, ``dg``, ``d2g``, ``f``, ``df``, ...).
 * Each rule of a fit problem's values is stated once, in ``calibration.py``;
   the CLI reports its message and holds no copy.
+* The number rule and the count rule are stated once, in ``errors.py``: no
+  other module tests ``isinstance(..., bool)``, ``numbers.Real`` or
+  ``numbers.Integral``, or words a message ``f"{name} must be finite, got ..."``.
 """
 
 import ast
@@ -212,10 +215,11 @@ def test_tracer_patch_targets_exist(mod, attr):
 # a fragment of the message of each fit-problem value rule
 FIT_RULES = (
     "free must be a list of parameter names",
-    "seed must be a nonnegative integer",
+    'count(seed, "seed", 0)',
     "must be [low, high], got",
     "each bound for",
     'f"init {name!r}"',
+    "init must be an object of values by name",
 )
 
 
@@ -225,3 +229,43 @@ def test_each_fit_problem_rule_has_one_home():
         for rule in FIT_RULES
     }
     assert sites == {rule: ["calibration.py"] for rule in FIT_RULES}
+
+
+def _number_rule_sites(text) -> list:
+    """Lines that state a piece of the number or count rule: an ``isinstance``
+    test against ``bool``, a use of ``numbers.Real`` or ``numbers.Integral``, or
+    a message ``f"{name} must be finite, got ..."`` whose subject is a name."""
+    found = set()
+    for node in ast.walk(ast.parse(text)):
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance" and len(node.args) == 2:
+            classes = node.args[1].elts if isinstance(node.args[1], ast.Tuple) else [node.args[1]]
+            if any(getattr(c, "id", None) == "bool" for c in classes):
+                found.add(node.lineno)
+        elif isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "numbers":
+            found.add(node.lineno)
+        elif isinstance(node, ast.JoinedStr):
+            pairs = zip(node.values, node.values[1:])
+            if any(
+                isinstance(a, ast.FormattedValue) and str(getattr(b, "value", "")).startswith(" must be finite, got")
+                for a, b in pairs
+            ):
+                found.add(node.lineno)
+    return sorted(found)
+
+
+def test_the_number_rule_has_one_home():
+    sites = {path.name: _number_rule_sites(path.read_text(encoding="utf-8")) for path in MODULES}
+    assert {name for name, lines in sites.items() if lines} == {"errors.py"}, sites
+
+
+def test_a_second_copy_of_the_number_rule_is_found():
+    text = (
+        "import numbers\n"
+        "def _finite(value, what):\n"
+        "    if isinstance(value, numbers.Real) and not isinstance(value, (bool, str)):\n"
+        "        return float(value)\n"
+        "    raise ValidationError(f\"{what} must be finite, got {value}\")\n"
+        "ok = isinstance(x, (float, int)) and isinstance(n, numbers.Integral)\n"
+        "row = f\"line {n}: values must be finite, got {line!r}\"\n"
+    )
+    assert _number_rule_sites(text) == [3, 5, 6]

@@ -11,6 +11,7 @@ from yieldcrit import (
     ModifiedTresca,
     ShapeMismatch,
     Tresca,
+    ValidationError,
     VonMises,
     bp_to_deshpande_fleck,
     certify,
@@ -177,7 +178,7 @@ class TestRealize:
         assert float(g_hi.g(0.0) / g_hi.g(PI3)) == pytest.approx(2.0, abs=1e-4)
 
     def test_validation(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(ValidationError):
             realize(VonMises(ft=1.0), scale_exponent=2)
         with pytest.raises(DomainError):
             DruckerPrager(fc=1.0, r=0.8)
@@ -346,8 +347,8 @@ NAN, INF = math.nan, math.inf
         (lambda: coulomb_mohr_generalized(NAN, 2.0, 0.5), "fc", NAN),
     ],
 )
-def test_non_finite_input_is_a_domain_error(call, name, bad):
-    with pytest.raises(DomainError) as info:
+def test_non_finite_input_is_a_validation_error(call, name, bad):
+    with pytest.raises(ValidationError) as info:
         call()
     assert str(info.value) == f"{name} must be finite, got {bad}"
 
@@ -442,7 +443,7 @@ def test_a_k_that_puts_the_radicand_at_tension_below_the_normal_floats_is_a_doma
         assert str(info.value) == f"scale_exponent={k} puts the radicand at tension below 2.22507e-308"
 
 
-@pytest.mark.parametrize("k", [6.7, 2.5, True, 3.000001])
+@pytest.mark.parametrize("k", [6.7, 2.5, True, 3.000001, 6.0])
 @pytest.mark.parametrize(
     "realization",
     [
@@ -452,14 +453,9 @@ def test_a_k_that_puts_the_radicand_at_tension_below_the_normal_floats_is_a_doma
     ],
     ids=["von-mises", "drucker-prager", "coulomb-mohr-generalized"],
 )
-def test_a_scale_exponent_that_is_not_an_integer_is_a_domain_error(realization, k):
-    # refused, not truncated to the integer below
-    with pytest.raises(DomainError) as info:
+def test_a_scale_exponent_that_is_not_an_integer_is_a_validation_error(realization, k):
+    # refused, not truncated to the integer below; a float is not a count, even 6.0
+    with pytest.raises(ValidationError) as info:
         realization(k)
     assert str(info.value) == f"scale_exponent must be an integer of at least 3, got {k}"
 
-
-def test_an_integral_float_scale_exponent_is_that_integer():
-    real = realize(DruckerPrager(fc=2.0, r=3.0), scale_exponent=6.0)
-    assert real.scale_exponent == 6 and type(real.scale_exponent) is int
-    assert real.params == realize(DruckerPrager(fc=2.0, r=3.0), scale_exponent=6).params

@@ -1,0 +1,367 @@
+"""The number rule and the count rule at every public entry point.
+
+``errors.real`` holds the number rule (a finite real that is not a bool,
+numpy scalars included, returned as a float) and ``errors.count`` the count
+rule (an integer that is not a bool, at least a given least).  Both raise
+ValidationError naming the input.  A property draws bad values for each
+numeric argument of the record constructors, ``criterion_from_dict``,
+``FitProblem`` and ``fit``, the ``limits`` functions and the samplers, and
+checks that only a YieldCritError escapes and that a record built from an
+accepted value holds a plain float.  Regressions pin each guess that became
+a refusal or a conversion, and each bare Python error that became typed.
+"""
+
+import dataclasses
+import math
+import warnings
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import yieldcrit as yc
+from yieldcrit import (
+    CapMeridian,
+    CosineLode,
+    Criterion,
+    DomainError,
+    FitDataset,
+    FitProblem,
+    GudehusArgyris,
+    LinearMeridian,
+    PowerLaw,
+    ValidationError,
+    VonMises,
+    WillamWarnke,
+    YieldCritError,
+    YieldParams,
+    criterion_from_dict,
+    fit,
+    load_dataset,
+)
+from yieldcrit.criterion import shape_from_dict
+from yieldcrit.errors import count, real
+
+NATIVE = {"M": 0.75, "pc": 1.0, "c": 0.1, "m": 2.0, "alpha": 1.0, "beta": 1.0, "gamma": 0.0}
+CRIT = YieldParams(**NATIVE).criterion()
+CONE = Criterion(LinearMeridian(Gamma=0.8, c=0.2), CosineLode(1.0, 0.3))
+DATA = load_dataset("p,q,theta\n0.2,0.45,0\n0.5,0.55,0\n0.8,0.35,0\n")
+PROBLEM = FitProblem(template=CRIT, free=("M",))
+
+
+# Each public entry point as (call, its valid keyword arguments).  A call
+# takes every argument by name, so one can be swapped for a bad value.
+ENTRIES = {
+    "CapMeridian": (CapMeridian, {k: NATIVE[k] for k in ("M", "pc", "c", "m", "alpha")}),
+    "LinearMeridian": (LinearMeridian, {"Gamma": 0.8, "c": 0.2}),
+    "CosineLode": (CosineLode, {"beta": 1.0, "gamma": 0.3}),
+    "PowerLaw": (PowerLaw, {"beta": 0.5, "n": 3.0}),
+    "WillamWarnke": (WillamWarnke, {"e": 0.7}),
+    "GudehusArgyris": (GudehusArgyris, {"k": 0.9}),
+    "Criterion": (lambda **kw: Criterion(CRIT.meridian, CRIT.shape, **kw), {"A": 0.1, "B": 1.0}),
+    "YieldParams": (YieldParams, NATIVE),
+    "YieldParams.limit_mode": (lambda **kw: YieldParams.limit_mode(**kw)[0], NATIVE),
+    "VonMises": (yc.VonMises, {"ft": 1.0}),
+    "Tresca": (yc.Tresca, {"ft": 1.0}),
+    "DruckerPrager": (yc.DruckerPrager, {"fc": 2.0, "r": 3.0}),
+    "ModifiedTresca": (yc.ModifiedTresca, {"fc": 2.0, "r": 3.0}),
+    "CoulombMohr": (yc.CoulombMohr, {"fc": 2.0, "r": 3.0}),
+    "ModifiedCamClay": (yc.ModifiedCamClay, {"M": 0.75, "pc": 1.0}),
+    "criterion_from_dict": (lambda **kw: criterion_from_dict(kw), dict(NATIVE, A=0.1, B=1.0)),
+    "criterion_from_dict linear": (
+        lambda **kw: criterion_from_dict(dict(kw, meridian="linear")),
+        {"Gamma": 0.8, "c": 0.2, "beta": 1.0, "gamma": 0.3},
+    ),
+    "shape_from_dict": (lambda **kw: shape_from_dict(dict(kw, kind="power-law")), {"beta": 0.5, "n": 3.0}),
+    "FitProblem bounds": (
+        lambda low, high: FitProblem(template=CRIT, free=("M",), bounds=(("M", (low, high)),)),
+        {"low": 0.5, "high": 1.0},
+    ),
+    "fit": (
+        lambda init, seed, n_starts: fit(PROBLEM, DATA, init={"M": init}, seed=seed, n_starts=n_starts),
+        {"init": 0.6, "seed": 0, "n_starts": 2},
+    ),
+    "fit starts": (lambda seed, n_starts: fit(PROBLEM, DATA, seed=seed, n_starts=n_starts), {"seed": 0, "n_starts": 2}),
+    "realize": (lambda k: yc.realize(VonMises(ft=1.0), scale_exponent=k), {"k": 6}),
+    "coulomb_mohr_generalized": (
+        yc.coulomb_mohr_generalized, {"fc": 3.0, "r": 2.0, "beta": 0.5, "scale_exponent": 6}
+    ),
+    "deshpande_fleck_to_bp": (yc.deshpande_fleck_to_bp, {"Y": 1.0, "alpha_df": 0.5}),
+    "bp_to_deshpande_fleck": (yc.bp_to_deshpande_fleck, {"M": 1.0, "pc": 2.0, "c": 2.0}),
+    "gurson_equivalent": (
+        yc.gurson_equivalent, {"f_void": 0.1, "sigma_m": 1.0, "q1": 1.5, "q2": 1.0, "q3": 2.25}
+    ),
+    "gurson_yield": (
+        lambda **kw: yc.gurson_yield((-0.5, 0.2, 0.1), **kw),
+        {"f_void": 0.1, "sigma_m": 1.0, "q1": 1.5, "q2": 1.0, "q3": 2.25},
+    ),
+    "gurson_meridian_q": (
+        yc.gurson_meridian_q, {"p": 0.3, "f_void": 0.1, "sigma_m": 1.0, "q1": 1.5, "q2": 1.0, "q3": 2.25}
+    ),
+    "newman_strength": (yc.newman_strength, {"sigma3": 1.0, "fc": 30.0}),
+    "newman_invariants": (yc.newman_invariants, {"sigma3": 1.0, "fc": 30.0}),
+    "sample_meridian": (
+        lambda theta, n, low, high: yc.sample_meridian(CONE, theta, n, p_range=(low, high)),
+        {"theta": 0.0, "n": 5, "low": -0.5, "high": 0.5},
+    ),
+    "sample_meridian p_range": (lambda p_range: yc.sample_meridian(CONE, 0.0, 5, p_range=p_range), {"p_range": (-0.5, 0.5)}),
+    "sample_deviatoric": (lambda at_p, n: yc.sample_deviatoric(CRIT, at_p, n), {"at_p": 0.3, "n": 5}),
+    "sample_biaxial": (lambda n: yc.sample_biaxial(CRIT, n), {"n": 5}),
+}
+
+# bools, strings, NaN, the infinities, integers too large for a float or an
+# index, numpy scalars and wrong shapes, each tried at every argument
+HARD = [
+    True, False, "x", "0.5", "", None, math.nan, math.inf, -math.inf, 10**400, -(10**400), 2**63,
+    np.float32(0.5), np.float64(2.0), np.int64(3), np.float32(math.nan), np.int32(-1), np.True_,
+    np.array(0.5), np.array([0.5, 0.6]), np.zeros((2, 2)), (0.5,), (0.5, 0.6, 0.7), [], {"x": 1.0},
+]
+# and numbers of every size; a count is drawn no larger than 10, so no call allocates much
+NUMBERS = st.one_of(st.floats(allow_nan=True, allow_infinity=True), st.integers(-5, 10))
+ARGUMENTS = [(entry, name) for entry, (_, valid) in sorted(ENTRIES.items()) for name in sorted(valid)]
+
+
+def _floats_held(value) -> bool:
+    """True unless ``value`` is a record with a parameter that is not a plain float."""
+    if not dataclasses.is_dataclass(value):
+        return True
+    return all(
+        type(getattr(value, f.name)) is float for f in dataclasses.fields(value) if f.type == "float"
+    )
+
+
+def _call_with(entry, name, bad):
+    """Call ``entry`` with ``bad`` for argument ``name``; only a YieldCritError may escape,
+    and a record it returns holds plain floats."""
+    call, valid = ENTRIES[entry]
+    try:
+        out = call(**dict(valid, **{name: bad}))
+    except YieldCritError:
+        return
+    records = out if isinstance(out, tuple) else (out,)
+    for record in records + tuple(getattr(out, w, None) for w in ("meridian", "shape", "params")):
+        assert _floats_held(record), (entry, name, bad, record)
+
+
+@pytest.mark.parametrize("entry, name", ARGUMENTS, ids=[f"{e}:{n}" for e, n in ARGUMENTS])
+@given(number=NUMBERS)
+@settings(max_examples=15, deadline=None)
+def test_only_typed_errors_escape_the_public_api(entry, name, number):
+    with warnings.catch_warnings():
+        # a warning is not an error: numpy's overflow gives an inf or a NaN,
+        # and deshpande_fleck_to_bp warns near the foam limit
+        warnings.simplefilter("ignore")
+        for bad in HARD + [number]:
+            _call_with(entry, name, bad)
+
+
+# ---------------------------------------------------------------------------
+# The two rules
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "value, result",
+    [(1, 1.0), (-2.5, -2.5), (np.float32(0.75), 0.75), (np.int64(3), 3.0), (np.float64(1e300), 1e300)],
+)
+def test_real_accepts_finite_reals_as_floats(value, result):
+    out = real(value, "x")
+    assert out == result and type(out) is float
+
+
+@pytest.mark.parametrize(
+    "value, message",
+    [
+        (True, "x must be a number, got True"),
+        (np.True_, "x must be a number, got np.True_"),
+        ("0.5", "x must be a number, got '0.5'"),
+        (None, "x must be a number, got None"),
+        ([0.5], "x must be a number, got [0.5]"),
+        (math.nan, "x must be finite, got nan"),
+        (-math.inf, "x must be finite, got -inf"),
+        (np.float32(math.inf), "x must be finite, got inf"),
+        (10**400, "x must be finite, got an integer too large for a float"),
+    ],
+)
+def test_real_refuses_with_the_name(value, message):
+    with pytest.raises(ValidationError) as info:
+        real(value, "x")
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("value", [3, 10, np.int64(4), np.int32(3)])
+def test_count_accepts_integers_as_ints(value):
+    out = count(value, "n", 3)
+    assert out == value and type(out) is int
+
+
+@pytest.mark.parametrize(
+    "value, message",
+    [
+        (2, "n must be an integer of at least 3, got 2"),
+        (5.0, "n must be an integer of at least 3, got 5.0"),
+        (5.5, "n must be an integer of at least 3, got 5.5"),
+        (True, "n must be an integer of at least 3, got True"),
+        ("5", "n must be an integer of at least 3, got '5'"),
+        (None, "n must be an integer of at least 3, got None"),
+        (math.nan, "n must be finite, got nan"),
+        (math.inf, "n must be finite, got inf"),
+        (2**63, "n must be an integer of at least 3, got one too large for an index"),
+        (-(10**5000), "n must be an integer of at least 3, got one too large for an index"),
+    ],
+    ids=["below", "float", "fraction", "bool", "str", "none", "nan", "inf", "past-index", "unprintable"],
+)
+def test_count_refuses_with_the_name(value, message):
+    with pytest.raises(ValidationError) as info:
+        count(value, "n", 3)
+    assert str(info.value) == message
+
+
+# ---------------------------------------------------------------------------
+# Guesses that became refusals or conversions
+# ---------------------------------------------------------------------------
+
+
+def test_a_bool_parameter_is_refused_by_the_record():
+    # YieldParams(M=True) was built, and held True
+    with pytest.raises(ValidationError) as info:
+        YieldParams(**dict(NATIVE, M=True))
+    assert str(info.value) == "M must be a number, got True"
+
+
+def test_a_bool_strength_is_refused_by_a_classical_record():
+    # VonMises(ft=True) was built, and realized with ft = 1
+    with pytest.raises(ValidationError) as info:
+        VonMises(ft=True)
+    assert str(info.value) == "ft must be a number, got True"
+
+
+def test_a_string_parameter_is_a_validation_error():
+    # a bare TypeError before
+    with pytest.raises(ValidationError, match="M must be a number, got '0.75'"):
+        YieldParams(**dict(NATIVE, M="0.75"))
+
+
+def test_numpy_scalars_become_floats_in_every_record():
+    # criterion_from_dict refused np.float32 before, and the records stored it
+    params = YieldParams(**{k: np.float32(v) for k, v in NATIVE.items()})
+    assert all(type(getattr(params, k)) is float for k in NATIVE)
+    crit = criterion_from_dict(dict(NATIVE, M=np.float32(0.75), A=np.float64(0.1)))
+    assert crit == criterion_from_dict(dict(NATIVE, A=0.1))
+    assert type(crit.meridian.M) is float and type(crit.A) is float
+
+
+def test_a_fractional_sample_count_is_refused():
+    # sample_biaxial(n=5.5) ended in a TypeError from range()
+    with pytest.raises(ValidationError) as info:
+        yc.sample_biaxial(CRIT, n=5.5)
+    assert str(info.value) == "n must be an integer of at least 3, got 5.5"
+    with pytest.raises(ValidationError, match="n must be an integer of at least 2, got 2.5"):
+        yc.sample_meridian(CRIT, 0.0, n=2.5)
+
+
+# ---------------------------------------------------------------------------
+# Bare Python errors that became typed
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: yc.newman_strength("a", 1.0), "sigma3 must be a number, got 'a'"),
+        (lambda: yc.deshpande_fleck_to_bp("a", 1.0), "Y must be a number, got 'a'"),
+        (lambda: yc.sample_biaxial(CRIT, n="5"), "n must be an integer of at least 3, got '5'"),
+        (lambda: VonMises(ft="1"), "ft must be a number, got '1'"),
+        (lambda: fit(PROBLEM, DATA, init=[0.5]), "init must be an object of values by name, got [0.5]"),
+        (lambda: fit(PROBLEM, "x"), "fit needs a FitProblem and a FitDataset, got FitProblem and str"),
+        (lambda: fit("x", DATA), "fit needs a FitProblem and a FitDataset, got str and FitDataset"),
+        (lambda: FitProblem("x", ("M",)), "template must be a Criterion, got str"),
+    ],
+)
+def test_library_refusals_are_validation_errors(call, message):
+    with pytest.raises(ValidationError) as info:
+        call()
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: yc.yield_value("abc", CRIT), "stress must be three numbers, got 'abc'"),
+        (lambda: yc.yield_value([1, 2], CRIT), "stress must be three numbers, got [1, 2]"),
+        (lambda: yc.yield_value((1, "a", 0), CRIT), "stress must be three numbers, got (1, 'a', 0)"),
+        (lambda: yc.invariants_array([[1, 2, 3], [1, 2]]), "stress must be an array of numbers, got [[1, 2, 3], [1, 2]]"),
+        (lambda: yc.surface_q("a", 0.1, CRIT), "p must be a number, got 'a'"),
+        (lambda: yc.surface_q(0.1, "a", CRIT), "theta must lie in [0, pi/3], got a"),
+    ],
+)
+def test_evaluation_inputs_are_domain_errors(call, message):
+    with pytest.raises(DomainError) as info:
+        call()
+    assert str(info.value) == message
+
+
+# ---------------------------------------------------------------------------
+# The dataset's row rules: one home, named by row or by line
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "row, what",
+    [("0.5,-1.0,0.3", "q must be nonnegative, got -1.0"), ("0.5,0.3,2.0", "theta=2.0 outside [0, pi/3]")],
+)
+def test_a_bad_row_is_named_by_row_and_by_line(row, what):
+    with pytest.raises(ValidationError) as info:
+        FitDataset(points=[[0.5, 0.2, 0.3], [float(v) for v in row.split(",")]], weights=np.ones(2))
+    assert str(info.value) == f"row 1: {what}"
+    with pytest.raises(ValidationError) as info:
+        load_dataset(f"# two points\np,q,theta\n0.5,0.2,0.3\n\n{row}\n")
+    assert str(info.value) == f"line 5: {what}"
+
+
+# ---------------------------------------------------------------------------
+# Arithmetic past the float range, found by the property
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: yc.gurson_equivalent(0.1, 1.0, q1=0.0), "q1=0.0, q2=1.0 and sigma_m=1.0 leave no cap size"),
+        (lambda: yc.gurson_equivalent(0.1, 1.0, q2=0.0), "q1=1.5, q2=0.0 and sigma_m=1.0 leave no cap size"),
+        (lambda: yc.gurson_equivalent(0.1, 1.0, q2=6e307), "q1=1.5, q2=6e+307 and sigma_m=1.0 leave no cap size"),
+        (lambda: yc.gurson_meridian_q(0.3, 1e200, 1.0), "void fraction must lie in [0, 1), got 1e+200"),
+        (lambda: yc.gurson_yield((1.0, 0.0, 0.0), 0.1, 1e-200), "the Gurson-Tvergaard function overflows"),
+        (lambda: yc.gurson_yield((1.0, 0.0, 0.0), 0.1, 1.0, q2=2.0**63), "the Gurson-Tvergaard function overflows"),
+    ],
+)
+def test_gurson_inputs_past_the_float_range_are_domain_errors(call, message):
+    # a ZeroDivisionError or an OverflowError before
+    with pytest.raises(DomainError) as info:
+        call()
+    assert str(info.value).startswith(message)
+
+
+def test_the_foam_correspondence_holds_for_a_large_pressure_sensitivity():
+    # (alpha_df / 3)^2 and (M / 6)^2 overflowed; the hypotenuse does not
+    params = yc.deshpande_fleck_to_bp(1.0, 1e300)
+    assert params.pc == pytest.approx(1.0 / 3.0, rel=1e-15)
+    Y, alpha_df = yc.bp_to_deshpande_fleck(1e300, 2.0, 2.0)
+    assert (Y, alpha_df) == (pytest.approx(6.0, rel=1e-15), 5e299)
+
+
+def test_a_native_shape_angle_past_the_floats_is_refused():
+    # beta pi overflowed to inf, and g(theta) ended in a ValueError from math.cos
+    with pytest.raises(ValidationError, match="puts the angle beta pi / 6 past the floats"):
+        CosineLode(beta=6e307, gamma=0.0)
+    with pytest.raises(ValidationError, match="beta=-1.7976931348623157e"):
+        yc.coulomb_mohr_generalized(3.0, 2.0, -1.7976931348623157e308)
+
+
+@pytest.mark.parametrize("n", [1e9, 1e16, 1e200])
+def test_a_large_power_law_exponent_is_certified(n):
+    # powerlaw_beta_max divided by zero past n = 7e15 and overflowed past 1e154
+    beta_max = yc.powerlaw_beta_max(n)
+    assert beta_max == pytest.approx(8.0 * n / 9.0 + 7.0 / 6.0, rel=1e-15)
+    assert yc.certify(Criterion(CRIT.meridian, PowerLaw(beta=0.5, n=n))).admissible
