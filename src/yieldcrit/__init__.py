@@ -58,28 +58,10 @@ from .convexity import (
     hessian_qg,
     nonconvex_demo,
 )
-from .limits import (
-    CoulombMohr,
-    DruckerPrager,
-    LimitRealization,
-    ModifiedCamClay,
-    ModifiedTresca,
-    Tresca,
-    VonMises,
-    bp_to_deshpande_fleck,
-    coulomb_mohr_generalized,
-    deshpande_fleck_to_bp,
-    gurson_equivalent,
-    gurson_meridian_q,
-    gurson_yield,
-    newman_invariants,
-    newman_strength,
-    realize,
-)
-
-# The calibration and section modules compute over numpy arrays.  Their
-# names, and the submodules themselves, load on first use (PEP 562), so
-# ``import yieldcrit`` and the scalar CLI commands never import numpy.
+# The calibration, section and limits modules load on first use (PEP 562),
+# with their names: ``import yieldcrit`` and the scalar CLI commands never
+# import numpy, and no command but realize and compare runs the limits
+# module's import.
 _LAZY = {
     **dict.fromkeys(
         ("FitDataset", "FitProblem", "FitResult", "FitStart", "fit", "goodness", "load_dataset"),
@@ -90,7 +72,14 @@ _LAZY = {
          "sample_biaxial", "sample_deviatoric", "sample_meridian"),
         "sections",
     ),
-    **{module: module for module in ("calibration", "sections", "trf")},
+    **dict.fromkeys(
+        ("CoulombMohr", "DruckerPrager", "LimitRealization", "ModifiedCamClay", "ModifiedTresca",
+         "Tresca", "VonMises", "bp_to_deshpande_fleck", "coulomb_mohr_generalized",
+         "deshpande_fleck_to_bp", "gurson_equivalent", "gurson_meridian_q", "gurson_yield",
+         "newman_invariants", "newman_strength", "realize"),
+        "limits",
+    ),
+    **{module: module for module in ("calibration", "limits", "sections", "trf")},
 }
 
 

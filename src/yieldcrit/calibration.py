@@ -25,7 +25,7 @@ from __future__ import annotations
 import io
 import math
 import os
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from typing import Mapping
 
 import numpy as np
@@ -34,7 +34,7 @@ from . import trf
 from .convexity import ConvexityReport, certify
 from .criterion import GAMMA_LIMIT, Criterion, _params, _surface_q_body, _yield_body
 from .errors import InsufficientData, ParseError, ValidationError, count, real
-from .invariants import _THETA_HI, _THETA_LO, _record, invariants
+from .invariants import _THETA_HI, _THETA_LO, Record, _record, invariants
 
 FITTABLE = ("M", "pc", "c", "m", "alpha", "beta", "gamma", "Gamma", "A", "e", "k", "n")
 
@@ -64,16 +64,20 @@ def _check_rows(points: np.ndarray, where) -> None:
             raise ValidationError(f"{where(i)}: theta={th} outside [0, pi/3]")
 
 
-@dataclass(frozen=True)
-class FitDataset:
+class FitDataset(Record):
     """Observed yield points as (p, q, theta) rows with positive weights."""
 
     points: np.ndarray  # (n, 3)
     weights: np.ndarray  # (n,)
 
     def __post_init__(self):
-        pts = np.asarray(self.points, dtype=float)
-        w = np.asarray(self.weights, dtype=float)
+        try:
+            pts = np.asarray(self.points, dtype=float)
+            w = np.asarray(self.weights, dtype=float)
+        except (TypeError, ValueError, OverflowError):
+            raise ValidationError(
+                f"points and weights must be arrays of numbers, got {self.points!r} and {self.weights!r}"
+            ) from None
         if pts.ndim != 2 or pts.shape[1] != 3:
             raise ValidationError(f"points must be an (n, 3) array, got shape {pts.shape}")
         if w.shape != (pts.shape[0],):
@@ -181,8 +185,7 @@ _DEFAULT_BOUNDS = {
 }
 
 
-@dataclass(frozen=True)
-class FitProblem:
+class FitProblem(Record):
     """A calibration problem: template criterion, free names, bounds, mode.
 
     ``free`` is a list of names, ``bounds`` one of (name, [low, high]) with
@@ -411,8 +414,7 @@ _MAX_STEPS = 200
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FitStart:
+class FitStart(Record):
     """One start of a fit: where it began, where it ended and the rms there,
     its evaluations (one model call per trial step) and why it stopped: a
     ``trf`` stop test ("gtol", "ftol", "xtol", "ftol+xtol"), "budget" once
@@ -426,13 +428,12 @@ class FitStart:
     stop: str
 
 
-@dataclass(frozen=True)
-class FitResult:
+class FitResult(Record):
     """Calibrated criterion with residual statistics and a convexity audit.
 
     ``n_agree`` counts the starts whose final rms is within
-    1e-10 + 1e-6 rms of the winner's, the winner included; ``starts`` has
-    one record per start.
+    1e-10 + 1e-6 rms of the winner's, the winner included, and is 0 when
+    that rms is not finite; ``starts`` has one record per start.
     """
 
     criterion: Criterion
@@ -573,7 +574,7 @@ def fit(
         r0 = f0 if init is None else model(v0)[0]
         rms = _rms(r0)
         rms[np.isnan(rms)] = np.inf
-        ok = np.flatnonzero(np.all(np.isfinite(f0), axis=1) & np.all(np.isfinite(J0), axis=(1, 2)))
+        ok = np.flatnonzero(trf.measure(f0, J0)[0])
         if ok.size:
             x, f, nfev[ok], status = trf.solve(fun, u0[ok], f0[ok], J0[ok], box.ulo, box.uhi, _MAX_STEPS)
             for j, code in zip(ok, status):
@@ -583,6 +584,7 @@ def fit(
             rms[ok[won]], v[ok[won]] = rms1[won], box.values(x[won])
         best = int(np.argmin(rms))
         agree = (rms == rms[best]) | (np.abs(rms - rms[best]) <= 1e-10 + 1e-6 * rms[best])
+        agree &= np.isfinite(rms)  # no two starts agree on an rms that is not finite
 
     values = {name: float(x) for name, x in zip(names, v[best])}
     crit = problem.with_values(values)

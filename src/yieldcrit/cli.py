@@ -12,7 +12,7 @@ radians by default; pass --degrees to use degrees on the command line.
 
 eval, check-convexity and realize run on the scalar core and never import
 numpy; section, fit and compare import the array modules they use when
-they run.
+they run, and only realize and compare load the classical limits.
 """
 
 from __future__ import annotations
@@ -30,18 +30,6 @@ from .convexity import certify
 from .criterion import Criterion, _gradient_body, criterion_from_dict, surface_q_array, yield_value
 from .errors import ParseError, ValidationError, YieldCritError, count, real
 from .invariants import invariants
-from .limits import (
-    CoulombMohr,
-    DruckerPrager,
-    ModifiedCamClay,
-    ModifiedTresca,
-    Tresca,
-    VonMises,
-    gurson_equivalent,
-    gurson_meridian_q,
-    newman_invariants,
-    realize,
-)
 
 USAGE_EXIT = 1
 DOMAIN_EXIT = 2
@@ -248,6 +236,8 @@ def _cmd_fit(args) -> int:
 def _cmd_compare(args) -> int:
     import numpy as np
 
+    from .limits import gurson_equivalent, gurson_meridian_q, newman_invariants
+
     count(args.n, "n", 2)
     if args.which == "gurson":
         # the Gurson-Tvergaard inputs, in the order both limits functions take them
@@ -271,24 +261,27 @@ def _cmd_compare(args) -> int:
     return 0
 
 
-# realize's kinds; each takes its record's fields from the flags of the same name
+# realize's kinds and the names of their records in the limits module; each
+# record takes its fields from the flags of the same name
 _CLASSICAL = {
-    "von-mises": VonMises,
-    "tresca": Tresca,
-    "drucker-prager": DruckerPrager,
-    "modified-tresca": ModifiedTresca,
-    "coulomb-mohr": CoulombMohr,
-    "cam-clay": ModifiedCamClay,
+    "von-mises": "VonMises",
+    "tresca": "Tresca",
+    "drucker-prager": "DruckerPrager",
+    "modified-tresca": "ModifiedTresca",
+    "coulomb-mohr": "CoulombMohr",
+    "cam-clay": "ModifiedCamClay",
 }
 
 
 def _cmd_realize(args) -> int:
-    cls = _CLASSICAL[args.which]
+    from . import limits
+
+    cls = getattr(limits, _CLASSICAL[args.which])
     values = {f.name: getattr(args, f.name) for f in fields(cls)}
     for name, v in values.items():
         if v is None:
             raise YieldCritError(f"realize {args.which} requires --{name}")
-    realization = realize(cls(**values), scale_exponent=args.k)
+    realization = limits.realize(cls(**values), scale_exponent=args.k)
     out = realization.criterion().to_dict()
     out["scale_exponent"] = realization.scale_exponent
     if realization.warnings:

@@ -25,12 +25,11 @@ oracles that the tests hold those conditions against.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .criterion import Criterion, _powerlaw_coefficients
 from .errors import DegenerateState, DomainError
-from .invariants import FLOAT, _check_stress, _check_theta, _lode_angle, namespace
+from .invariants import FLOAT, Record, _check_stress, _check_theta, _lode_angle, namespace
 
 if TYPE_CHECKING:
     import numpy as np
@@ -110,8 +109,7 @@ def nonconvex_demo(p: float, q: float, a: float, b: float) -> float:
 def _finite_or_none(x: float) -> float | None:
     return x if math.isfinite(x) else None
 
-@dataclass(frozen=True)
-class ConvexityReport:
+class ConvexityReport(Record):
     """Outcome of certifying a criterion.
 
     ``beta_interval`` is the convex beta interval of the native shape (None

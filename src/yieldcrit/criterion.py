@@ -29,12 +29,12 @@ the opposite sign convention).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import fields
 from functools import cache
 from typing import TYPE_CHECKING
 
 from .errors import CornerCase, DegenerateState, DomainError, ValidationError, real
-from .invariants import EPS_MERIDIAN, FLOAT, _invariant_body, _perp, _principal, _record
+from .invariants import EPS_MERIDIAN, FLOAT, Record, _invariant_body, _perp, _principal, _record
 from .invariants import _check_theta, invariants_array, namespace
 # Unused here; kept because perfbench's --trace 1 wraps criterion.invariants by name.
 from .invariants import invariants  # noqa: F401
@@ -119,8 +119,7 @@ class _Shape:
         return {"kind": self.kind, **_param_dict(self)}
 
 
-@dataclass(frozen=True)
-class CosineLode(_Shape):
+class CosineLode(_Shape, Record):
     """Native deviatoric shape 1/cos(beta pi/6 - acos(gamma cos 3t)/3).
 
     gamma in [0, 1) smooths/sharpens the section (gamma -> 1 approaches a
@@ -189,8 +188,7 @@ class CosineLode(_Shape):
         return ok, margin, theta, "beta at the convexity boundary" if margin < BOUNDARY_TOL else None
 
 
-@dataclass(frozen=True)
-class PowerLaw(_Shape):
+class PowerLaw(_Shape, Record):
     """Smooth deviatoric shape (1 + beta (1 + cos 3t))^(-1/n).
 
     Approaches (without reaching) the triangular section as beta grows; it
@@ -266,8 +264,7 @@ def powerlaw_beta_max(n: float) -> float:
     return 1.0 / (-1.0 + math.sqrt(1.0 + 9.0 * (n - 2.0) ** 2 / (n * n * (4.0 * n - 13.0))))
 
 
-@dataclass(frozen=True)
-class WillamWarnke(_Shape):
+class WillamWarnke(_Shape, Record):
     """Elliptic deviatoric interpolation with eccentricity e in (0.5, 1].
 
     e = 1 is the circle; e -> 0.5 approaches the triangular (lower
@@ -327,8 +324,7 @@ class WillamWarnke(_Shape):
         return True, self.e - 0.5, 0.0, "elliptic shape is convex for every admissible eccentricity"
 
 
-@dataclass(frozen=True)
-class GudehusArgyris(_Shape):
+class GudehusArgyris(_Shape, Record):
     """Rational deviatoric shape 2k / (1 + k + (1-k) cos 3t), k in (0.777, 1].
 
     k = 1 is the circle.  The printed lower bound 0.777 slightly undershoots
@@ -466,8 +462,7 @@ class _Meridian:
     to_dict = _param_dict
 
 
-@dataclass(frozen=True)
-class CapMeridian(_Meridian):
+class CapMeridian(_Meridian, Record):
     """Bounded meridian with tension apex at -c and compression apex at pc."""
 
     M: float
@@ -575,8 +570,7 @@ class CapMeridian(_Meridian):
         return ok, margin, math.nan, None if ok else "meridian parameters outside admissible ranges"
 
 
-@dataclass(frozen=True)
-class LinearMeridian(_Meridian):
+class LinearMeridian(_Meridian, Record):
     """Open conical meridian f(p) = -Gamma (p + c)."""
 
     Gamma: float
@@ -639,8 +633,7 @@ class LinearMeridian(_Meridian):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class YieldParams:
+class YieldParams(Record):
     """The seven material parameters of the native criterion.
 
     M > 0 controls pressure sensitivity, pc > 0 and c >= 0 are the
@@ -722,8 +715,7 @@ class YieldParams:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Criterion:
+class Criterion(Record):
     """A yield criterion F = A q^2 + B q / g(theta) + f(p).
 
     A >= 0 (units 1/stress) is the quadratic deviatoric coefficient of the
@@ -859,14 +851,17 @@ def surface_q_array(p, theta, crit: Criterion) -> np.ndarray:
 
     The batch form of :func:`surface_q`: p and theta broadcast against each
     other, and the result is NaN wherever :func:`surface_q` returns None.
-    Raises DomainError for a theta outside [0, pi/3], a NaN p, or shapes
-    that do not broadcast.
+    Raises DomainError for a theta outside [0, pi/3], a p that is not
+    numbers or is NaN, or shapes that do not broadcast.
     """
     import numpy as np
 
     # a single theta is checked as a float, before it becomes an array
     _check_theta(theta)
-    p = np.asarray(p, dtype=float)
+    try:
+        p = np.asarray(p, dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        raise DomainError(f"p must be a number or an array of numbers, got {p!r}") from None
     theta = np.asarray(theta, dtype=float)
     try:
         np.broadcast(p, theta)
@@ -877,8 +872,7 @@ def surface_q_array(p, theta, crit: Criterion) -> np.ndarray:
     return _surface_q_body(crit.meridian.f_array(p), crit.shape.g(theta), crit, np)
 
 
-@dataclass(frozen=True)
-class GradientDecomposition:
+class GradientDecomposition(Record):
     """dF/dsigma = a I + b s_tilde + c s_tilde_perp, plus the unit normal.
 
     c vanishes on the deviatoric meridians (theta = 0 and pi/3); there the

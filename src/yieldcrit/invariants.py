@@ -20,8 +20,9 @@ theta when q = 0.
 
 from __future__ import annotations
 
+import dataclasses
+import inspect
 import math
-from dataclasses import dataclass
 from types import SimpleNamespace
 from typing import TYPE_CHECKING
 
@@ -83,8 +84,111 @@ def namespace(x):
     return np, np.asarray(x, dtype=float)
 
 
-@dataclass(frozen=True)
-class Invariants:
+# the frozen records' own __setattr__ raises
+_setattr = object.__setattr__
+
+
+class Record:
+    """Base of the library's frozen records.
+
+    A subclass declares its fields as annotations, as a frozen dataclass
+    does, and is a dataclass: ``dataclasses.fields``, ``replace``, ``asdict``
+    and ``is_dataclass`` work on it.  The methods that ``@dataclass(frozen=True)``
+    would generate for each class at import (``__init__``, ``__repr__``,
+    ``__eq__``, ``__hash__``, ``__setattr__`` and ``__delattr__``) are written
+    once here instead, with the same behaviour and error messages.
+    ``__init__`` runs the subclass's ``__post_init__``, as there.
+    """
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        # fields, replace and asdict read what this records; it generates no method
+        dataclasses.dataclass(cls, init=False, repr=False, eq=False)
+        fields = dataclasses.fields(cls)
+        cls._field_names = tuple(f.name for f in fields)
+        cls._defaults = {f.name: f.default for f in fields if f.default is not dataclasses.MISSING}
+        cls.__signature__ = inspect.Signature(
+            [
+                inspect.Parameter(f.name, inspect.Parameter.POSITIONAL_OR_KEYWORD, annotation=f.type,
+                                  default=cls._defaults.get(f.name, inspect.Parameter.empty))
+                for f in fields
+            ],
+            return_annotation=None,
+        )
+
+    def __init__(self, *args, **kwargs):
+        # Each field is set on its own, as the generated method sets it:
+        # filling __dict__ would make it a real dict, which slows every read.
+        names = self._field_names
+        if kwargs and not args and len(kwargs) == len(names):
+            try:  # every field by name, the common keyword call
+                for name in names:
+                    _setattr(self, name, kwargs[name])
+            except KeyError:  # some keyword is not a field: raise its TypeError
+                self._bind(args, kwargs)
+        else:
+            if kwargs or len(args) != len(names):
+                args = self._bind(args, kwargs)
+            for name, value in zip(names, args):
+                _setattr(self, name, value)
+        self.__post_init__()
+
+    @classmethod
+    def _bind(cls, args: tuple, kwargs: dict) -> list:
+        """The field values of a call, bound as Python binds one to
+        ``__init__(self, <fields>)``: the same defaults, and a TypeError
+        worded as Python words it for a call that does not bind."""
+        names, defaults = cls._field_names, cls._defaults
+        where = f"{cls.__qualname__}.__init__()"
+        bound = dict(zip(names, args))
+        for name, value in kwargs.items():
+            if name not in names:
+                raise TypeError(f"{where} got an unexpected keyword argument {name!r}")
+            if name in bound:
+                raise TypeError(f"{where} got multiple values for argument {name!r}")
+            bound[name] = value
+        if len(args) > len(names):
+            most = len(names) + 1  # self counts
+            takes = f"from {most - len(defaults)} to {most}" if defaults else str(most)
+            plural = "s" if defaults or most != 1 else ""
+            given = len(args) + 1
+            raise TypeError(f"{where} takes {takes} positional argument{plural} but {given} were given")
+        missing = [repr(name) for name in names if name not in bound and name not in defaults]
+        if missing:
+            if len(missing) > 2:
+                missing[-1] = f"and {missing[-1]}"
+            listed = ", ".join(missing) if len(missing) > 2 else " and ".join(missing)
+            plural = "s" if len(missing) > 1 else ""
+            raise TypeError(f"{where} missing {len(missing)} required positional argument{plural}: {listed}")
+        return [bound[name] if name in bound else defaults[name] for name in names]
+
+    def __post_init__(self):
+        """A subclass checks and converts its fields here."""
+
+    def _key(self) -> tuple:
+        """The field values, in order: what ``==`` and ``hash`` compare."""
+        return tuple([getattr(self, name) for name in self._field_names])
+
+    def __repr__(self):
+        fields = ", ".join([f"{name}={getattr(self, name)!r}" for name in self._field_names])
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key() == other._key()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __setattr__(self, name, value):
+        raise dataclasses.FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise dataclasses.FrozenInstanceError(f"cannot delete field {name!r}")
+
+
+class Invariants(Record):
     """The (p, q, theta) triple of a stress state.
 
     ``hydrostatic`` is set when q vanishes relative to the state's scale;
@@ -97,8 +201,7 @@ class Invariants:
     hydrostatic: bool = False
 
 
-@dataclass(frozen=True)
-class DeviatoricFrame:
+class DeviatoricFrame(Record):
     """Unit deviatoric direction and its in-plane perpendicular.
 
     ``s_tilde`` is sqrt(3/2) S / q.  ``s_tilde_perp`` is the unit tensor

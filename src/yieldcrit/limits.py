@@ -19,12 +19,11 @@ from __future__ import annotations
 
 import math
 import warnings as _warnings
-from dataclasses import dataclass
 from sys import float_info
 
 from .criterion import GAMMA_LIMIT, CosineLode, Criterion, YieldParams, _real_fields
 from .errors import DomainError, ShapeMismatch, count, real
-from .invariants import STRESS_MAX, invariants
+from .invariants import STRESS_MAX, Record, invariants
 
 # The deviatoric sections of the classical criteria.
 _CIRCLE = CosineLode(beta=1.0, gamma=0.0)
@@ -41,8 +40,7 @@ def _gurson_inputs(**values) -> list[float]:
     return list(floats.values())
 
 
-@dataclass(frozen=True)
-class _TensileStrength:
+class _TensileStrength(Record):
     """A pressure-insensitive criterion; ft > 0 is the uniaxial strength."""
 
     ft: float
@@ -53,8 +51,7 @@ class _TensileStrength:
             raise DomainError(f"ft must be positive, got {self.ft}")
 
 
-@dataclass(frozen=True)
-class _StrengthRatio:
+class _StrengthRatio(Record):
     """A pressure-sensitive criterion; fc > 0 and r = fc/ft >= 1."""
 
     fc: float
@@ -101,8 +98,7 @@ class CoulombMohr(_StrengthRatio):
         return CosineLode(beta=beta, gamma=GAMMA_LIMIT)
 
 
-@dataclass(frozen=True)
-class ModifiedCamClay:
+class ModifiedCamClay(Record):
     """Elliptic cap criterion; exact special case, no limit involved."""
 
     M: float
@@ -117,8 +113,7 @@ class ModifiedCamClay:
 ClassicalCriterion = _TensileStrength | _StrengthRatio | ModifiedCamClay
 
 
-@dataclass(frozen=True)
-class LimitRealization:
+class LimitRealization(Record):
     """Seven-parameter realization of a classical criterion.
 
     ``scale_exponent`` k records the finite surrogate pc = 10^k times the

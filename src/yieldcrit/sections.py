@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,12 +38,11 @@ from .criterion import CapMeridian, Criterion, _yield_body, surface_q_array, yie
 # Unused here; kept because perfbench's --trace 1 wraps sections.surface_q and .invariants by name.
 from .criterion import surface_q  # noqa: F401
 from .errors import DomainError, EmptySlice, NonConvexSlice, OutsideCap, UnboundedDomain, count, real
-from .invariants import _THETA_MAX, FLOAT, STRESS_MAX, _check_stress, _invariant_body, _principal
+from .invariants import _THETA_MAX, FLOAT, STRESS_MAX, Record, _check_stress, _invariant_body, _principal
 from .invariants import invariants  # noqa: F401
 
 
-@dataclass(frozen=True)
-class SectionCurve:
+class SectionCurve(Record):
     """An ordered planar sample of one yield-surface section."""
 
     kind: str

@@ -52,6 +52,22 @@ def _rmatvec(J, f):
     return np.matmul(f[:, None, :], J)[:, 0, :]
 
 
+def measure(f, J):
+    """What trf reads of residuals f (n, m) and Jacobians J (n, m, k) at a
+    point, per row: ``(finite, g, col)`` with the gradient g = J^T f, the
+    column norms ``col`` of J, and ``finite`` set where the cost |f|^2 / 2,
+    g and the column norms are all finite, and so f and J too.  The search
+    starts and steps only from such a point, since its scaling, its
+    trust-region subproblem and its reduction ratio need every one of them."""
+    g = _rmatvec(J, f)
+    col = np.sqrt(np.einsum("imk,imk->ik", J, J))
+    # a sum is finite only where each of its terms is
+    finite = np.isfinite(_dot(f, f)) & np.isfinite(np.add.reduce(g, axis=1)) & np.isfinite(
+        np.add.reduce(col, axis=1)
+    )
+    return finite, g, col
+
+
 def strictly_feasible(x, lb, ub, rstep):
     """Rows of x with every component within rstep max(1, |bound|) of a
     bound, or beyond it, moved that far inside it."""
@@ -225,8 +241,8 @@ def solve(fun, x0, f0, J0, lb, ub, max_nfev):
 
     ``fun`` maps an (n, k) array of points to their (n, m) residuals and
     their (n, m, k) Jacobians.  Every row of ``x0`` lies strictly inside the
-    box and has finite residuals ``f0`` and Jacobians ``J0``; a trial point
-    whose residuals or Jacobian are not finite is rejected.  A start stops
+    box, and :func:`measure` finds its residuals ``f0`` and Jacobians ``J0``
+    finite; a trial point that it does not is rejected.  A start stops
     at its own stop test, or once it has made ``max_nfev`` trial
     evaluations, its first one included.
 
@@ -241,8 +257,7 @@ def solve(fun, x0, f0, J0, lb, ub, max_nfev):
     x, f = x0.copy(), f0.copy()
     cost = 0.5 * _dot(f, f)
     J = J0.copy()
-    g = _rmatvec(J, f)
-    scale_inv = np.sqrt(np.einsum("imk,imk->ik", J, J))
+    _, g, scale_inv = measure(f, J)
     scale_inv[scale_inv == 0] = 1.0
     v, dv = _cl_scaling(x, g, lb, ub)
     v = np.where(dv != 0, v * scale_inv, v)
@@ -299,10 +314,7 @@ def solve(fun, x0, f0, J0, lb, ub, max_nfev):
             f_new, J_new = fun(x_new)
             nfev += 1
             step_h_norm = _norm(step_h)
-            # an entry of J that is not finite makes its row's sum not finite
-            finite = np.logical_and.reduce(np.isfinite(f_new), axis=1) & np.isfinite(
-                np.add.reduce(J_new, axis=(1, 2))
-            )
+            finite, g_new, col_new = measure(f_new, J_new)
             cost_new = 0.5 * _dot(f_new, f_new)
             reduction = cost - cost_new
             ratio = np.where(
@@ -328,6 +340,5 @@ def solve(fun, x0, f0, J0, lb, ub, max_nfev):
                 # a slice, which copies no index, where every start accepts
                 a = slice(None) if accepted.all() else accepted.nonzero()[0]
                 x[a], f[a], cost[a] = x_new[a], f_new[a], cost_new[a]
-                J[a] = J_a = J_new[a]
-                g[a] = _rmatvec(J_a, f[a])
-                scale_inv[a] = np.maximum(np.sqrt(np.einsum("imk,imk->ik", J_a, J_a)), scale_inv[a])
+                J[a], g[a] = J_new[a], g_new[a]
+                scale_inv[a] = np.maximum(col_new[a], scale_inv[a])

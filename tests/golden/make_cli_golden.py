@@ -122,6 +122,8 @@ def files() -> dict[str, str]:
     out["bad-header.csv"] = "x,y,z\n1,2,3\n"
     out["short-row.csv"] = "p,q,theta\n0.5,0.3\n"
     out["one-point.csv"] = "p,q,theta\n0.5,0.375,1.0471975511965976\n"
+    # a q so small that the residuals' squares overflow at every start
+    out["tiny-q.csv"] = "p,q,theta\n0.5,1.3778482211687383e-192,0.0\n"
     # scattered points that only one of the 16 starts of a five-parameter fit reaches
     out["scatter.csv"] = ("p,q,theta\n0.283,0.209,0.302\n0.268,0.372,0.432\n0.849,0.355,0.857\n"
                           "0.253,0.495,0.656\n0.162,0.358,1.004\n")
@@ -250,7 +252,7 @@ def _fit_cases():
                  "bound-short", "bound-string", "init-string", "init-bool", "bound-unknown",
                  "init-not-free"):
         yield f"fit problem {name}", _fit("points.csv", f"problem-{name}.json")
-    for name in ("nan-row", "bad-header", "short-row", "not-utf8"):
+    for name in ("nan-row", "bad-header", "short-row", "not-utf8", "tiny-q"):
         yield f"fit data {name}", _fit(f"{name}.csv", "problem.json")
     yield "fit data missing", _fit("nope.csv", "problem.json")
     yield "fit problem missing", _fit("points.csv", "nope.json")

@@ -17,6 +17,9 @@
 * The number rule and the count rule are stated once, in ``errors.py``: no
   other module tests ``isinstance(..., bool)``, ``numbers.Real`` or
   ``numbers.Integral``, or words a message ``f"{name} must be finite, got ..."``.
+* Records are made in one place, ``invariants.Record``: no other module
+  names ``dataclass`` or ``make_dataclass``, whose frozen form generates
+  and compiles the methods of each class at import.
 """
 
 import ast
@@ -269,3 +272,37 @@ def test_a_second_copy_of_the_number_rule_is_found():
         "row = f\"line {n}: values must be finite, got {line!r}\"\n"
     )
     assert _number_rule_sites(text) == [3, 5, 6]
+
+
+def _dataclass_sites(text) -> list:
+    """Lines that name ``dataclass`` or ``make_dataclass``: an import of either,
+    a decorator, a call or an attribute."""
+    makers = ("dataclass", "make_dataclass")
+    found = set()
+    for node in ast.walk(ast.parse(text)):
+        if (
+            (isinstance(node, ast.Name) and node.id in makers)
+            or (isinstance(node, ast.Attribute) and node.attr in makers)
+            or (isinstance(node, ast.ImportFrom) and any(a.name in makers for a in node.names))
+        ):
+            found.add(node.lineno)
+    return sorted(found)
+
+
+def test_records_are_made_in_one_place():
+    sites = {path.name: _dataclass_sites(path.read_text(encoding="utf-8")) for path in MODULES}
+    assert {name for name, lines in sites.items() if lines} == {"invariants.py"}, sites
+
+
+def test_a_second_record_maker_is_found():
+    text = (
+        "from dataclasses import dataclass, fields\n"
+        "import dataclasses\n"
+        "@dataclass(frozen=True)\n"
+        "class Point:\n"
+        "    x: float\n"
+        "Pair = dataclasses.dataclass(type('Pair', (), {}))\n"
+        "Made = dataclasses.make_dataclass('Made', ['x'])\n"
+        "names = [f.name for f in fields(Point)]\n"
+    )
+    assert _dataclass_sites(text) == [1, 3, 6, 7]

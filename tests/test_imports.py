@@ -4,11 +4,15 @@ Importing scipy.optimize would take most of a CLI process's start-up, so
 ``import yieldcrit`` and every command, ``fit`` included, run on numpy
 alone.  Importing numpy takes most of what is left, so ``import yieldcrit``,
 ``import yieldcrit.cli`` and the scalar commands do without it; the
-package resolves the names of its array modules on first use.  The import
-checks run in a fresh interpreter, since the test process itself has
-numpy and scipy loaded; the lazily resolved names are checked in process.
+package resolves the names of its array modules on first use.  Of the
+rest, importing compiles no generated source (the records share methods
+written once), and only realize and compare load the limits module.  The
+import checks run in a fresh interpreter, since the test process itself
+has numpy and scipy loaded; the lazily resolved names are checked in
+process.
 """
 
+import ast
 import json
 import os
 import pathlib
@@ -188,3 +192,74 @@ def test_lazy_names_are_the_module_attributes():
     assert yieldcrit.trf is trf
     with pytest.raises(AttributeError):
         yieldcrit.no_such_name
+
+
+COMPILE_SCRIPT = """
+import importlib, json, sys
+for name in json.loads(sys.argv[1]):
+    importlib.import_module(name)
+compiled = []
+
+def hook(event, args):
+    # source read from a module's file is named by its path; generated code is "<string>"
+    if event == "compile" and str(args[1]).startswith("<"):
+        compiled.append(str(args[1]))
+
+sys.addaudithook(hook)
+counts = {}
+for name in json.loads(sys.argv[2]):
+    before = len(compiled)
+    importlib.import_module(name)
+    counts[name] = len(compiled) - before
+print(json.dumps(counts))
+"""
+
+
+def _outside_imports() -> list:
+    """numpy and the modules outside the package that its modules import at module level."""
+    names = {"numpy"}
+    for path in PACKAGE.glob("*.py"):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, ast.Import):
+                names.update(alias.name for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0 and node.module != "__future__":
+                names.add(node.module)
+    return sorted(names)
+
+
+def test_importing_the_package_compiles_no_generated_source(tmp_path):
+    # stdlib and numpy preloaded, so only the package's own import is counted;
+    # a frozen @dataclass compiled six methods per record class here
+    modules = ["yieldcrit.cli", "yieldcrit"] + [f"yieldcrit.{name}" for name in SUBMODULES + ["invariants"]]
+    counts = _run(COMPILE_SCRIPT, tmp_path, json.dumps(_outside_imports()), json.dumps(modules))
+    assert counts == dict.fromkeys(modules, 0)
+
+
+LIMITS_SCRIPT = """
+import contextlib, io, json, sys
+import yieldcrit.cli
+seen = []
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = yieldcrit.cli.main(argv)
+    seen.append((argv[0], code, "yieldcrit.limits" in sys.modules))
+print(json.dumps(seen))
+"""
+
+
+def test_eval_check_section_and_fit_leave_the_limits_unloaded(tmp_path):
+    (tmp_path / "params.json").write_text(json.dumps(CAM_CLAY), encoding="utf-8")
+    (tmp_path / "points.csv").write_text(
+        "p,q,theta\n0.2,0.3,1.0471975511965976\n0.5,0.375,1.0471975511965976\n", encoding="utf-8"
+    )
+    problem = {"criterion": dict(CAM_CLAY, M=0.5), "free": ["M"], "residual_mode": "meridian_distance"}
+    (tmp_path / "problem.json").write_text(json.dumps(problem), encoding="utf-8")
+    argvs = [
+        ["eval", "--params", "params.json", "--stress=-1,-0.5,-0.2"],
+        ["check-convexity", "--params", "params.json"],
+        ["section", "biaxial", "--params", "params.json", "-n", "16"],
+        ["fit", "--data", "points.csv", "--problem", "problem.json"],
+        ["realize", "cam-clay", "--M", "0.75", "--pc", "1"],
+    ]
+    seen = _run(LIMITS_SCRIPT, tmp_path, json.dumps(argvs))
+    assert seen == [[cmd, 0, cmd == "realize"] for cmd, *_ in argvs]

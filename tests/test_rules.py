@@ -108,6 +108,11 @@ ENTRIES = {
     "sample_meridian p_range": (lambda p_range: yc.sample_meridian(CONE, 0.0, 5, p_range=p_range), {"p_range": (-0.5, 0.5)}),
     "sample_deviatoric": (lambda at_p, n: yc.sample_deviatoric(CRIT, at_p, n), {"at_p": 0.3, "n": 5}),
     "sample_biaxial": (lambda n: yc.sample_biaxial(CRIT, n), {"n": 5}),
+    "surface_q_array": (lambda p, theta: yc.surface_q_array(p, theta, CRIT), {"p": 0.3, "theta": 0.1}),
+    "FitDataset": (
+        lambda points, weights: FitDataset(points=points, weights=weights),
+        {"points": [[0.2, 0.45, 0.0]], "weights": [1.0]},
+    ),
 }
 
 # bools, strings, NaN, the infinities, integers too large for a float or an
@@ -277,6 +282,10 @@ def test_a_fractional_sample_count_is_refused():
         (lambda: fit(PROBLEM, "x"), "fit needs a FitProblem and a FitDataset, got FitProblem and str"),
         (lambda: fit("x", DATA), "fit needs a FitProblem and a FitDataset, got str and FitDataset"),
         (lambda: FitProblem("x", ("M",)), "template must be a Criterion, got str"),
+        (
+            lambda: FitDataset(points="x", weights=[1.0]),
+            "points and weights must be arrays of numbers, got 'x' and [1.0]",
+        ),
     ],
 )
 def test_library_refusals_are_validation_errors(call, message):
@@ -294,6 +303,7 @@ def test_library_refusals_are_validation_errors(call, message):
         (lambda: yc.invariants_array([[1, 2, 3], [1, 2]]), "stress must be an array of numbers, got [[1, 2, 3], [1, 2]]"),
         (lambda: yc.surface_q("a", 0.1, CRIT), "p must be a number, got 'a'"),
         (lambda: yc.surface_q(0.1, "a", CRIT), "theta must lie in [0, pi/3], got a"),
+        (lambda: yc.surface_q_array("a", 0.1, CRIT), "p must be a number or an array of numbers, got 'a'"),
     ],
 )
 def test_evaluation_inputs_are_domain_errors(call, message):

@@ -36,6 +36,7 @@ from yieldcrit import (
     YieldParams,
     cli,
     fit,
+    load_dataset,
     surface_q,
 )
 from yieldcrit import calibration, trf
@@ -561,6 +562,34 @@ def test_trial_with_a_nonfinite_jacobian_is_rejected():
     assert 1.4 < x[0, 0] <= 1.5 and f[0, 0] == x[0, 0] - 2.0
     assert 1 < nfev[0] < 200 and trf.STOPS[status[0]] != "budget"
 
+
+def test_measure_finds_what_overflows_from_finite_residuals():
+    # finite f and J whose cost, J^T f or column norms overflow
+    f = np.array([[1.0, 2.0], [1e200, 0.0], [1e160, 1.0], [1.0, 1.0], [1.0, 1.0]])
+    J = np.array([[[1.0], [1.0]], [[0.0], [1.0]], [[1e160], [0.0]], [[1e200], [0.0]], [[np.inf], [0.0]]])
+    with np.errstate(over="ignore", invalid="ignore"):  # as in the search
+        finite, g, col = trf.measure(f, J)
+    assert finite.tolist() == [True, False, False, False, False]
+    assert g[0].tolist() == [3.0] and col[0].tolist() == [math.sqrt(2.0)]
+
+
+def test_start_whose_gradient_overflows_takes_no_step(tmp_path, capsys):
+    # At q = 1.4e-192 the meridian_distance residuals divide by mean(q), so
+    # they are finite but their squares and J^T f overflow at every start.
+    # No start takes a step (the search met NaN in its SVD before), and the
+    # command line refuses the infinite rms with one line.
+    cam_clay = {"M": 0.75, "pc": 1.0, "c": 0.0, "m": 2.0, "alpha": 1.0, "beta": 1.0, "gamma": 0.0}
+    data = "p,q,theta\n0.5,1.3778482211687383e-192,0.0\n"
+    problem = FitProblem(template=YieldParams(**cam_clay).criterion(), free=("M",))
+    result = fit(problem, load_dataset(data))
+    assert {(s.stop, s.evaluations) for s in result.starts} == {("nonfinite", 1)}
+    assert (result.rms, result.n_agree, result.converged) == (math.inf, 0, False)
+    (tmp_path / "points.csv").write_text(data, encoding="utf-8")
+    (tmp_path / "problem.json").write_text(json.dumps({"criterion": cam_clay, "free": ["M"]}), encoding="utf-8")
+    args = ["fit", "--data", str(tmp_path / "points.csv"), "--problem", str(tmp_path / "problem.json")]
+    assert cli.main(args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("yieldcrit: result is not finite") and err.count("\n") == 1
 
 
 def test_fit_keeps_the_overflow_of_its_search_inside(tmp_path):
