@@ -34,7 +34,7 @@ from functools import cache
 from typing import TYPE_CHECKING
 
 from .errors import CornerCase, DegenerateState, DomainError, ValidationError, real
-from .invariants import EPS_MERIDIAN, FLOAT, Record, _invariant_body, _perp, _principal, _record
+from .invariants import _SQRT15, FLOAT, Record, _frame, _invariant_body, _principal, _record
 from .invariants import _check_theta, invariants_array, namespace
 # Unused here; kept because perfbench's --trace 1 wraps criterion.invariants by name.
 from .invariants import invariants  # noqa: F401
@@ -53,8 +53,6 @@ BOUNDARY_TOL = 1e-9
 
 # The excluded gamma = 1 (piecewise-linear section) is realized as this.
 GAMMA_LIMIT = 1.0 - 1e-9
-
-_SQRT15 = math.sqrt(1.5)
 
 
 @cache
@@ -804,7 +802,10 @@ def yield_value(stress, crit: Criterion) -> float:
     p, q, theta, hydrostatic = _invariant_body(*_principal(stress), FLOAT)
     # theta is a float here, so the shape's body runs over FLOAT directly
     g = crit.shape._jet(FLOAT, theta)[0]
-    return _yield_body(crit.meridian.f(p), q, g, hydrostatic, crit, FLOAT)
+    # where g underflows to 0, B q / g is +inf off the axis, as on the array path, and dropped on it
+    if g == 0.0 and not hydrostatic:
+        return math.inf
+    return _yield_body(crit.meridian.f(p), q, g or 1.0, hydrostatic, crit, FLOAT)
 
 
 def yield_value_array(stress, crit: Criterion) -> np.ndarray:
@@ -905,9 +906,8 @@ def gradient(stress, crit: Criterion) -> GradientDecomposition:
 def _gradient_body(stress, crit: Criterion):
     """(a, b, c, tensor, unit normal) of :func:`gradient` in plain floats, the
     last two as triples; the same DegenerateState where it raises one."""
-    s1, s2, s3 = _principal(stress)
-    p, q, theta, hydrostatic = _invariant_body(s1, s2, s3, FLOAT)
-    if hydrostatic:
+    p, q, theta, _, s_tilde, s_tilde_perp = _frame(stress)
+    if s_tilde is None:
         raise DegenerateState("gradient decomposition needs q > 0")
     mer = crit.meridian
     at = mer._place(p, FLOAT)
@@ -915,22 +915,19 @@ def _gradient_body(stress, crit: Criterion):
     if isinstance(mer, CapMeridian) and not (DELTA_PHI < at[0] < 1.0 - DELTA_PHI):
         raise DegenerateState(f"Phi={at[0]:.3g} too close to the cap ends; use normal_limits")
     a = -mer._jet(at, FLOAT, 1)[1] / 3.0
-    sin3t = math.sin(3.0 * theta)
     # a smooth limit on a deviatoric meridian: the c-term drops out, and g' is not needed
-    on_meridian = abs(sin3t) <= EPS_MERIDIAN
-    if on_meridian:
-        g, c = crit.shape._jet(FLOAT, theta)[0], 0.0
-    else:
-        g, g1 = crit.shape._jet(FLOAT, theta, 1)
-        c = _SQRT15 * crit.B * g1 / g**2
+    on_meridian = s_tilde_perp is None
+    jet = crit.shape._jet(FLOAT, theta, 0 if on_meridian else 1)
+    g = jet[0]
+    if g**2 == 0.0:  # b divides by g and c by g^2; F is +inf where g is 0
+        raise DegenerateState(f"g(theta)={g:.3g} at theta={theta:.6g}: its square underflows to 0")
     b = _SQRT15 * (crit.B / g + 2.0 * crit.A * q)
-    u1, u2, u3 = _SQRT15 * (s1 + p) / q, _SQRT15 * (s2 + p) / q, _SQRT15 * (s3 + p) / q
+    c = 0.0 if on_meridian else _SQRT15 * crit.B * jet[1] / g**2
+    u1, u2, u3 = s_tilde
     t1, t2, t3 = a + b * u1, a + b * u2, a + b * u3
     if not on_meridian:
-        cos3t = math.cos(3.0 * theta)
-        t1 += c * _perp(u1, cos3t, sin3t)
-        t2 += c * _perp(u2, cos3t, sin3t)
-        t3 += c * _perp(u3, cos3t, sin3t)
+        v1, v2, v3 = s_tilde_perp
+        t1, t2, t3 = t1 + c * v1, t2 + c * v2, t3 + c * v3
     norm = math.sqrt(3.0 * a * a + b * b + c * c)
     # a float quotient rounds as numpy's does
     return a, b, c, (t1, t2, t3), (t1 / norm, t2 / norm, t3 / norm)

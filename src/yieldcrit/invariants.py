@@ -51,6 +51,7 @@ _THETA_LO, _THETA_HI = -1e-12, _THETA_MAX + 1e-12
 
 _LODE = 1.5 * math.sqrt(3.0)
 _SQRT6 = math.sqrt(6.0)
+_SQRT15 = math.sqrt(1.5)
 
 # Each formula is written once over a namespace ``xp``: numpy for arrays,
 # or FLOAT, the same names over ``math`` for one state in plain floats.
@@ -205,9 +206,9 @@ class DeviatoricFrame(Record):
     """Unit deviatoric direction and its in-plane perpendicular.
 
     ``s_tilde`` is sqrt(3/2) S / q.  ``s_tilde_perp`` is the unit tensor
-    coaxial with S, deviatoric, and orthogonal to s_tilde; it is undefined
-    on the deviatoric meridians (sin 3*theta = 0), where ``defined`` is
-    False and ``s_tilde_perp`` is a zero triple.
+    coaxial with S, deviatoric, and orthogonal to s_tilde: -sqrt(2/3) q
+    dtheta/dsigma.  On the deviatoric meridians (sin 3*theta = 0) it is a
+    0/0 limit, ``defined`` is False and ``s_tilde_perp`` a zero triple.
     """
 
     s_tilde: np.ndarray
@@ -292,11 +293,6 @@ def _check_theta(theta) -> None:
         raise DomainError(f"theta must lie in [0, pi/3], got {theta}")
 
 
-def _perp(s_tilde, cos3t: float, sin3t: float):
-    """s_tilde_perp from s_tilde, componentwise (floats or arrays), off the meridians."""
-    return (_SQRT6 * (s_tilde * s_tilde - 1.0 / 3.0) - cos3t * s_tilde) / sin3t
-
-
 def invariants(stress) -> Invariants:
     """Compute (p, q, theta) from principal stresses.
 
@@ -329,6 +325,26 @@ def invariants_array(stress):
     return _invariant_body(sig[:, 0], sig[:, 1], sig[:, 2], np)
 
 
+def _frame(stress):
+    """(p, q, theta, S, s_tilde, s_tilde_perp) of one state in plain floats, the
+    last three as triples (see :class:`DeviatoricFrame`): s_tilde is None at a
+    hydrostatic state, s_tilde_perp on a deviatoric meridian.  Written out, as
+    a comprehension per triple would double the cost of ``gradient``."""
+    s1, s2, s3 = _principal(stress)
+    p, q, theta, hydrostatic = _invariant_body(s1, s2, s3, FLOAT)
+    S = d1, d2, d3 = s1 + p, s2 + p, s3 + p
+    if hydrostatic:
+        return p, q, theta, S, None, None
+    s_tilde = u1, u2, u3 = _SQRT15 * d1 / q, _SQRT15 * d2 / q, _SQRT15 * d3 / q
+    sin3t = math.sin(3.0 * theta)
+    if abs(sin3t) <= EPS_MERIDIAN:
+        return p, q, theta, S, s_tilde, None
+    cos3t = math.cos(3.0 * theta)
+    return p, q, theta, S, s_tilde, ((_SQRT6 * (u1 * u1 - 1.0 / 3.0) - cos3t * u1) / sin3t,
+                                     (_SQRT6 * (u2 * u2 - 1.0 / 3.0) - cos3t * u2) / sin3t,
+                                     (_SQRT6 * (u3 * u3 - 1.0 / 3.0) - cos3t * u3) / sin3t)
+
+
 def invariant_gradients(stress):
     """Gradients of p, J2, J3 and theta with respect to principal stress.
 
@@ -336,7 +352,8 @@ def invariant_gradients(stress):
     -------
     (dp, dJ2, dJ3, dtheta) : tuple of ndarray, shape (3,)
         dp = -I/3, dJ2 = S, dJ3 = S^2 - (tr S^2 / 3) I and
-        dtheta = -9/(2 q^3 sin 3t) * (S^2 - (tr S^2/3) I - q cos(3t)/3 S).
+        dtheta = -sqrt(3/2) s_tilde_perp / q (of :func:`deviatoric_frame`),
+        which is -9/(2 q^3 sin 3t) * (dJ3 - q cos(3t)/3 S).
 
     Raises
     ------
@@ -347,42 +364,26 @@ def invariant_gradients(stress):
     """
     import numpy as np
 
-    sig = _principal(stress)
-    p, q, theta, hydrostatic = _invariant_body(*sig, FLOAT)
-    if hydrostatic:
+    _, q, theta, S, s_tilde, s_tilde_perp = _frame(stress)
+    if s_tilde is None:
         raise DegenerateDirection("theta gradient undefined at a hydrostatic state")
-    dj2 = np.array(sig) + p  # S
-    dp = np.full(3, -1.0 / 3.0)
+    if s_tilde_perp is None:
+        raise DegenerateDirection(f"theta gradient undefined on a deviatoric meridian (theta={theta:.6g})")
+    dj2 = np.array(S)
     s2 = dj2 * dj2
     dj3 = s2 - s2.sum() / 3.0
-    sin3t = math.sin(3.0 * theta)
-    if abs(sin3t) <= EPS_MERIDIAN:
-        raise DegenerateDirection(
-            f"theta gradient undefined on a deviatoric meridian (theta={theta:.6g})"
-        )
-    cos3t = math.cos(3.0 * theta)
-    dtheta = -9.0 / (2.0 * q**3 * sin3t) * (dj3 - q * cos3t / 3.0 * dj2)
-    return dp, dj2, dj3, dtheta
+    return np.full(3, -1.0 / 3.0), dj2, dj3, -_SQRT15 * np.array(s_tilde_perp) / q
 
 
 def deviatoric_frame(stress) -> DeviatoricFrame:
-    """Unit-norm deviatoric frame (s_tilde, s_tilde_perp) of a state.
-
-    Raises DegenerateDirection when q = 0.  On a deviatoric meridian the
-    perpendicular direction is a 0/0 limit, so ``defined`` is False there.
-    """
+    """The :class:`DeviatoricFrame` of a state; DegenerateDirection when q = 0."""
     import numpy as np
 
-    sig = _principal(stress)
-    p, q, theta, hydrostatic = _invariant_body(*sig, FLOAT)
-    if hydrostatic:
+    s_tilde, s_tilde_perp = _frame(stress)[4:]
+    if s_tilde is None:
         raise DegenerateDirection("deviatoric direction undefined at q = 0")
-    s_tilde = math.sqrt(1.5) * (np.array(sig) + p) / q
-    sin3t = math.sin(3.0 * theta)
-    if abs(sin3t) <= EPS_MERIDIAN:
-        return DeviatoricFrame(s_tilde=s_tilde, s_tilde_perp=np.zeros(3), defined=False)
-    cos3t = math.cos(3.0 * theta)
-    return DeviatoricFrame(s_tilde=s_tilde, s_tilde_perp=_perp(s_tilde, cos3t, sin3t), defined=True)
+    return DeviatoricFrame(s_tilde=np.array(s_tilde), s_tilde_perp=np.array(s_tilde_perp or (0.0,) * 3),
+                           defined=s_tilde_perp is not None)
 
 
 def principal_from_invariants(p: float, q: float, theta: float) -> np.ndarray:

@@ -58,11 +58,11 @@ def _echo(crit: Criterion) -> tuple[tuple[str, object], ...]:
 
 def normalized_residual(crit: Criterion, stress) -> float:
     """|F| normalized by the local magnitude of the competing terms."""
-    p, q, theta, hydrostatic = _invariant_body(*_principal(stress), FLOAT)
-    f = crit.meridian.f(p)
-    F = _yield_body(f, q, crit.shape.g(theta), hydrostatic, crit, FLOAT)
+    F = yield_value(stress, crit)
     if math.isinf(F):
         return math.inf
+    p, q = _invariant_body(*_principal(stress), FLOAT)[:2]
+    f = crit.meridian.f(p)
     if isinstance(crit.meridian, CapMeridian):
         floor = 0.01 * crit.meridian.pc
     else:
@@ -375,6 +375,8 @@ def _ray_crossings(
     return t
 
 
+# F is +inf where g(theta) underflows to 0, and numpy's warning for B q / 0 adds nothing
+@np.errstate(divide="ignore", invalid="ignore")
 def sample_biaxial(crit: Criterion, n: int = 200, normalize: bool = False) -> SectionCurve:
     """Trace the biaxial yield locus {F(sigma1, sigma2, 0) = 0}.
 

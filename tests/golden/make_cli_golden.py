@@ -6,7 +6,8 @@ It records the exit code, stdout and stderr of ``yieldcrit.cli.main`` for
     meridians, with A = 0 and, for two shapes, A > 0; ``eval`` at an
     interior state, on the theta = 0 and theta = pi/3 meridians, on the
     hydrostatic axis, at a cap end, outside the cap or beyond a linear
-    meridian's apex, with ``--degrees`` and with inline parameter flags;
+    meridian's apex, with ``--degrees`` and with inline parameter flags,
+    and where g(theta) underflows to 0;
   * ``section`` (all three kinds, ``--normalize``, ``--p-range``, SVG),
     ``fit`` (both residual modes, bounds, init, a fit that does not
     converge), ``compare`` (both kinds) and every ``realize`` kind;
@@ -100,6 +101,10 @@ def files() -> dict[str, str]:
     )
     out["gudehus-argyris-low.json"] = _json(
         {**CAP, "deviatoric": {"kind": "gudehus-argyris", "k": 0.7775}}
+    )
+    # g(theta) = (1 + 1000 (1 + cos 3 theta))^-1000 underflows to 0: F is +inf
+    out["power-law-underflow.json"] = _json(
+        {**LINEAR, "c": 0.5, "Gamma": 1.0, "deviatoric": {"kind": "power-law", "beta": 1000.0, "n": 0.001}}
     )
     # refused parameter files
     out["empty.json"] = ""
@@ -199,6 +204,8 @@ def _eval_cases():
     yield "eval inline flags missing", ["eval", "--M", "0.75", "--pc", "1", f"--stress={INTERIOR}"]
     yield "eval uncertified", _eval("native-above.json", INTERIOR)
     yield "eval --unchecked", ["eval", "--params", "native-above.json", "--unchecked", f"--stress={INTERIOR}"]
+    yield "eval g underflow --unchecked", ["eval", "--params", "power-law-underflow.json", "--unchecked",
+                                           "--stress=-0.5,0.2,0.1"]
     for label, stress in (("words", "a,b,c"), ("two components", "1,2"), ("four components", "1,2,3,4"),
                           ("too large", "1e120,0,0"), ("nan", "nan,0,0"), ("inf", "-inf,0,0")):
         yield f"eval stress {label}", _eval("cap-bp.json", stress)
@@ -238,6 +245,9 @@ def _section_cases():
     yield "section meridian svg", _section("meridian", "cam-clay.json", "-n", "6", "--format", "svg")
     yield "section meridian n=1", _section("meridian", "cap-bp.json", "-n", "1")
     yield "section biaxial n=2", _section("biaxial", "cap-bp.json", "-n", "2")
+    yield "section biaxial g underflow --unchecked", _section(
+        "biaxial", "power-law-underflow.json", "--unchecked", "-n", "8"
+    )
 
 
 def _fit_cases():

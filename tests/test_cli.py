@@ -780,6 +780,8 @@ _FUZZ_BASES = [
     {"M": 0.75, "pc": 1.0, "c": 0.1, "m": 2.0, "alpha": 1.0, "deviatoric": {"kind": "power-law", "beta": 0.8, "n": 3.0}},
     {"meridian": "linear", "Gamma": 0.8, "c": 0.2, "deviatoric": {"kind": "willam-warnke", "e": 0.7}, "A": 0.5},
     {"M": 0.75, "pc": 1.0, "c": 0.1, "m": 2.0, "alpha": 1.0, "deviatoric": {"kind": "gudehus-argyris", "k": 0.9}},
+    # g(theta) underflows to 0 at most states, where F is +inf and the gradient undefined
+    {"meridian": "linear", "Gamma": 1.0, "c": 0.5, "deviatoric": {"kind": "power-law", "beta": 1000.0, "n": 0.001}},
 ]
 _FUZZ_KEYS = ["M", "pc", "c", "m", "alpha", "beta", "gamma", "Gamma", "A", "B", "meridian", "deviatoric"]
 # numbers of every size, the non-finite ones (NaN and Infinity in the file),
@@ -870,13 +872,14 @@ def _strict_json(text):
 @settings(max_examples=300, deadline=None)
 def test_cli_fuzz(fit_dir, command, params, stress, data, realize_argv):
     # eval and section read a random parameter file (eval also a random
-    # --stress), check-convexity the file alone, fit a random dataset
+    # --stress, with --unchecked, so that uncertified files reach F and the
+    # gradient), check-convexity the file alone, fit a random dataset
     # against a fixed problem, and realize random flags
     (fit_dir / "params.json").write_text(params, encoding="utf-8")
     (fit_dir / "data.csv").write_text(data, encoding="utf-8")
     (fit_dir / "problem.json").write_text(json.dumps({"criterion": CAM_CLAY, "free": ["M"]}), encoding="utf-8")
     argv = {
-        "eval": ["eval", "--params", str(fit_dir / "params.json"), f"--stress={stress}"],
+        "eval": ["eval", "--params", str(fit_dir / "params.json"), "--unchecked", f"--stress={stress}"],
         "check-convexity": ["check-convexity", "--params", str(fit_dir / "params.json")],
         "section": ["section", "meridian", "--params", str(fit_dir / "params.json"), "-n", "5", "--p-range=-0.5,0.5"],
         "fit": ["fit", "--data", str(fit_dir / "data.csv"), "--problem", str(fit_dir / "problem.json")],

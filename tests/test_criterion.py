@@ -4,6 +4,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from yieldcrit import (
     CapMeridian,
@@ -21,11 +23,14 @@ from yieldcrit import (
     beta_bound,
     criterion_from_dict,
     deviatoric_curvature,
+    deviatoric_frame,
     gradient,
+    invariants,
     normal_limits,
     principal_from_invariants,
     surface_q,
     yield_value,
+    yield_value_array,
 )
 from yieldcrit.invariants import FLOAT
 from conftest import fd_gradient, random_interior_state, random_params
@@ -229,6 +234,18 @@ class TestYieldValue:
         sig = principal_from_invariants(CAM_CLAY.pc * 2.0, 0.3, 0.2)
         assert yield_value(sig, CAM_CLAY.criterion()) == math.inf
 
+    def test_g_underflow_is_inf_as_on_the_array_path(self):
+        # g = (1 + 1000 (1 + cos 3 theta))^-1000 underflows to 0 at both states
+        crit = Criterion(LinearMeridian(1.0, 0.5), PowerLaw(beta=1000.0, n=0.001))
+        for sig in [(-0.5, 0.2, 0.1), (-0.4, -0.4, -0.4)]:
+            assert crit.shape.g(invariants(sig).theta) == 0.0
+            with np.errstate(divide="ignore", invalid="ignore"):
+                want = yield_value_array([sig], crit)[0]
+            assert yield_value(sig, crit) == want
+        assert yield_value((-0.5, 0.2, 0.1), crit) == math.inf
+        with pytest.raises(DegenerateState, match="underflows to 0"):
+            gradient((-0.5, 0.2, 0.1), crit)
+
     def test_isotropy(self, rng):
         crit = random_params(rng).criterion()
         for _ in range(50):
@@ -386,6 +403,44 @@ class TestGradient:
         apex = principal_from_invariants(1.0 - 1e-12, 1e-13, 0.0)
         with pytest.raises(DegenerateState):
             gradient(apex, crit)
+
+
+# a + b s_tilde + c s_tilde_perp for each shape on both meridians, A > 0 on one
+FRAME_CRITERIA = [
+    SAND.criterion(),
+    CAM_CLAY.criterion(A=0.6, B=1.1),
+    Criterion(meridian=LinearMeridian(Gamma=0.8, c=0.2), shape=PowerLaw(beta=0.9, n=3.0)),
+    Criterion(meridian=LinearMeridian(Gamma=0.8, c=0.2), shape=WillamWarnke(e=0.7)),
+    Criterion(meridian=CapMeridian(1.0, 2.0, 0.5, 3.0, 0.7), shape=GudehusArgyris(k=0.85)),
+]
+_COMPONENT = st.floats(-2.0, 0.5)
+
+
+@given(
+    st.sampled_from(FRAME_CRITERIA),
+    st.one_of(
+        st.tuples(_COMPONENT, _COMPONENT, _COMPONENT),
+        # (x, y, y) lies on theta = 0 for x > y and on theta = pi/3 for x < y
+        st.tuples(_COMPONENT, _COMPONENT).map(lambda xy: (xy[0], xy[1], xy[1])),
+    ),
+)
+@example(FRAME_CRITERIA[0], (-0.2, -0.5, -0.5))
+@example(FRAME_CRITERIA[0], (-0.2, -0.2, -0.6))
+@example(FRAME_CRITERIA[2], tuple(principal_from_invariants(0.4, 0.3, 0.0)))
+@example(FRAME_CRITERIA[2], tuple(principal_from_invariants(0.4, 0.3, PI3)))
+@settings(max_examples=300, deadline=None)
+def test_gradient_is_built_on_the_deviatoric_frame(crit, sig):
+    # gradient and deviatoric_frame read one frame, so the tensor is
+    # a I + b s_tilde + c s_tilde_perp of the public frame, bit for bit
+    try:
+        dec = gradient(sig, crit)
+    except DegenerateState:
+        assume(False)
+    frame = deviatoric_frame(sig)
+    perp = frame.s_tilde_perp if frame.defined else np.zeros(3)
+    assert np.array_equal(dec.tensor, dec.a + dec.b * frame.s_tilde + dec.c * perp)
+    if not frame.defined:
+        assert dec.c == 0.0
 
 
 class TestNormalLimits:

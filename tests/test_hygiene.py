@@ -20,6 +20,10 @@
 * Records are made in one place, ``invariants.Record``: no other module
   names ``dataclass`` or ``make_dataclass``, whose frozen form generates
   and compiles the methods of each class at import.
+* The deviatoric frame is built once, in ``invariants._frame``: the
+  package compares against ``EPS_MERIDIAN`` once, divides by sin 3 theta
+  (the s_tilde_perp formula, and so the theta gradient) in one statement,
+  and writes ``sqrt(1.5)`` once.
 """
 
 import ast
@@ -306,3 +310,68 @@ def test_a_second_record_maker_is_found():
         "names = [f.name for f in fields(Point)]\n"
     )
     assert _dataclass_sites(text) == [1, 3, 6, 7]
+
+
+def _is_sin3(node) -> bool:
+    """Whether ``node`` is sin 3 theta: a name ``sin3...`` or a call ``sin(3.0 * ...)``."""
+    if isinstance(node, ast.Name):
+        return node.id.startswith("sin3")
+    if isinstance(node, ast.Call) and (getattr(node.func, "attr", None) or getattr(node.func, "id", None)) == "sin":
+        arg = node.args[0] if node.args else None
+        return isinstance(arg, ast.BinOp) and any(
+            isinstance(side, ast.Constant) and side.value == 3 for side in (arg.left, arg.right)
+        )
+    return False
+
+
+def _frame_sites(text) -> dict:
+    """The first lines of the statements that compare against ``EPS_MERIDIAN``,
+    that divide by sin 3 theta, and that call ``sqrt(1.5)``."""
+    found = {"meridian test": set(), "quotient by sin 3 theta": set(), "sqrt(1.5)": set()}
+    for stmt in ast.walk(ast.parse(text)):
+        if not isinstance(stmt, ast.stmt):
+            continue
+        # a compound statement owns its test, not its body
+        own = stmt.test if isinstance(stmt, (ast.If, ast.While)) else None if hasattr(stmt, "body") else stmt
+        for node in ast.walk(own) if own is not None else ():
+            if isinstance(node, ast.Compare) and any(
+                getattr(n, "id", None) == "EPS_MERIDIAN" for n in [node.left, *node.comparators]
+            ):
+                found["meridian test"].add(stmt.lineno)
+            elif isinstance(node, ast.BinOp) and isinstance(node.op, ast.Div):
+                if any(_is_sin3(n) for n in ast.walk(node.right)):
+                    found["quotient by sin 3 theta"].add(stmt.lineno)
+            elif isinstance(node, ast.Call) and (getattr(node.func, "attr", None) or getattr(node.func, "id", None)) == "sqrt":
+                if [getattr(a, "value", None) for a in node.args] == [1.5]:
+                    found["sqrt(1.5)"].add(stmt.lineno)
+    return {rule: sorted(lines) for rule, lines in found.items()}
+
+
+def test_the_deviatoric_frame_has_one_home():
+    sites = {rule: [] for rule in _frame_sites("")}
+    for path in MODULES:
+        for rule, lines in _frame_sites(path.read_text(encoding="utf-8")).items():
+            sites[rule] += [f"{path.name}:{line}" for line in lines]
+    assert {rule: len(where) for rule, where in sites.items()} == dict.fromkeys(sites, 1), sites
+    assert {where[0].split(":")[0] for where in sites.values()} == {"invariants.py"}, sites
+
+
+def test_a_second_deviatoric_frame_is_found():
+    text = (
+        "import math\n"
+        "_SQRT15 = math.sqrt(1.5)\n"
+        "def frame(u, theta):\n"
+        "    sin3t = math.sin(3.0 * theta)\n"
+        "    if abs(sin3t) <= EPS_MERIDIAN:\n"
+        "        return None\n"
+        "    return (_SQRT6 * (u * u - 1.0 / 3.0) - math.cos(3.0 * theta) * u) / sin3t\n"
+        "def dtheta(q, theta, dj3, s):\n"
+        "    on = EPS_MERIDIAN >= abs(math.sin(3.0 * theta))\n"
+        "    return -9.0 / (2.0 * q**3 * math.sin(3.0 * theta)) * (dj3 - q / 3.0 * s) * sqrt(1.5)\n"
+        "x = math.sin(theta) / math.sin(2.0 * theta)\n"
+    )
+    assert _frame_sites(text) == {
+        "meridian test": [5, 9],
+        "quotient by sin 3 theta": [7, 10],
+        "sqrt(1.5)": [2, 10],
+    }

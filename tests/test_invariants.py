@@ -243,17 +243,22 @@ class TestDeviatoricFrame:
             deviatoric_frame((-1.0, -1.0, -1.0))
 
     def test_perp_is_normalized_theta_gradient(self, rng):
-        # s_tilde_perp = -sqrt(2/3) q dtheta/dsigma at every regular state
+        # s_tilde_perp = -sqrt(2/3) q dtheta/dsigma at every regular state.  The
+        # oracle is dtheta's J3 closed form, which the library does not use:
+        # dtheta = -9 / (2 q^3 sin 3t) (dJ3 - q cos 3t / 3 S)
         for _ in range(100):
             sig = rng.uniform(-2.0, 2.0, 3)
             inv = invariants(sig)
             if inv.hydrostatic or inv.q < 0.05 or min(inv.theta, PI3 - inv.theta) < 0.01:
                 continue
-            frame = deviatoric_frame(sig)
+            q, t3 = inv.q, 3.0 * inv.theta
+            s = sig - np.sum(sig) / 3.0
+            dj3 = s * s - np.sum(s * s) / 3.0
+            oracle = -9.0 / (2.0 * q**3 * math.sin(t3)) * (dj3 - q * math.cos(t3) / 3.0 * s)
+            want = -math.sqrt(2.0 / 3.0) * q * oracle
+            np.testing.assert_allclose(deviatoric_frame(sig).s_tilde_perp, want, atol=1e-10)
             _, _, _, dtheta = invariant_gradients(sig)
-            np.testing.assert_allclose(
-                frame.s_tilde_perp, -math.sqrt(2.0 / 3.0) * inv.q * dtheta, atol=1e-10
-            )
+            np.testing.assert_allclose(-math.sqrt(2.0 / 3.0) * q * dtheta, want, atol=1e-10)
 
 
 @given(st.tuples(st.floats(-1e6, 1e6), st.floats(-1e6, 1e6), st.floats(-1e6, 1e6)))
