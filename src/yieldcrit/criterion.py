@@ -915,17 +915,17 @@ def _gradient_body(stress, crit: Criterion):
     if isinstance(mer, CapMeridian) and not (DELTA_PHI < at[0] < 1.0 - DELTA_PHI):
         raise DegenerateState(f"Phi={at[0]:.3g} too close to the cap ends; use normal_limits")
     a = -mer._jet(at, FLOAT, 1)[1] / 3.0
-    # a smooth limit on a deviatoric meridian: the c-term drops out, and g' is not needed
-    on_meridian = s_tilde_perp is None
-    jet = crit.shape._jet(FLOAT, theta, 0 if on_meridian else 1)
+    # a smooth limit on a deviatoric meridian (no s_tilde_perp): the c-term drops out, and g' is not needed
+    jet = crit.shape._jet(FLOAT, theta, 0 if s_tilde_perp is None else 1)
     g = jet[0]
-    if g**2 == 0.0:  # b divides by g and c by g^2; F is +inf where g is 0
+    g2 = g**2
+    if g2 == 0.0:  # b divides by g and c by g^2; F is +inf where g is 0
         raise DegenerateState(f"g(theta)={g:.3g} at theta={theta:.6g}: its square underflows to 0")
     b = _SQRT15 * (crit.B / g + 2.0 * crit.A * q)
-    c = 0.0 if on_meridian else _SQRT15 * crit.B * jet[1] / g**2
+    c = 0.0 if s_tilde_perp is None else _SQRT15 * crit.B * jet[1] / g2
     u1, u2, u3 = s_tilde
     t1, t2, t3 = a + b * u1, a + b * u2, a + b * u3
-    if not on_meridian:
+    if s_tilde_perp is not None:
         v1, v2, v3 = s_tilde_perp
         t1, t2, t3 = t1 + c * v1, t2 + c * v2, t3 + c * v3
     norm = math.sqrt(3.0 * a * a + b * b + c * c)
