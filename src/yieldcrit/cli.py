@@ -23,7 +23,6 @@ import json
 import math
 import os
 import sys
-from dataclasses import fields
 
 from . import __version__
 from .convexity import certify
@@ -277,7 +276,7 @@ def _cmd_realize(args) -> int:
     from . import limits
 
     cls = getattr(limits, _CLASSICAL[args.which])
-    values = {f.name: getattr(args, f.name) for f in fields(cls)}
+    values = {name: getattr(args, name) for name in cls._field_names}
     for name, v in values.items():
         if v is None:
             raise YieldCritError(f"realize {args.which} requires --{name}")

@@ -29,7 +29,6 @@ the opposite sign convention).
 from __future__ import annotations
 
 import math
-from dataclasses import fields
 from functools import cache
 from typing import TYPE_CHECKING
 
@@ -60,7 +59,7 @@ def _params(cls) -> tuple[str, ...]:
     """The parameter names of a record class: its fields annotated ``float``,
     in order, the one list of them (read by the number rule, the dict forms
     and the fit's parameter lookup)."""
-    return tuple(f.name for f in fields(cls) if f.type == "float")
+    return tuple(name for name, annotation in cls._field_types.items() if annotation == "float")
 
 
 def _param_dict(record) -> dict:
@@ -817,7 +816,10 @@ def yield_value_array(stress, crit: Criterion) -> np.ndarray:
     import numpy as np
 
     p, q, theta, hydrostatic = invariants_array(stress)
-    return _yield_body(crit.meridian.f_array(p), q, crit.shape.g(theta), hydrostatic, crit, np)
+    fp, g = crit.meridian.f_array(p), crit.shape.g(theta)
+    # where g underflows to 0, B q / g is +inf off the axis and NaN on it, which the body drops
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return _yield_body(fp, q, g, hydrostatic, crit, np)
 
 
 def _surface_q_body(fp, g, crit: Criterion, xp):

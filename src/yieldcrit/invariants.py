@@ -20,9 +20,8 @@ theta when q = 0.
 
 from __future__ import annotations
 
-import dataclasses
-import inspect
 import math
+from operator import attrgetter
 from types import SimpleNamespace
 from typing import TYPE_CHECKING
 
@@ -89,6 +88,39 @@ def namespace(x):
 _setattr = object.__setattr__
 
 
+class _OnFirstRead:
+    """A dataclass attribute or the signature of a record class, made on first read.
+
+    Each record class holds one under each of ``names`` in its own
+    ``__dict__``, so that a base made a dataclass first does not answer for
+    its subclasses.  The first read makes the class a dataclass (its record
+    bases first, whose fields ``dataclass`` reads), which generates no method
+    and puts the real attributes in their place.
+    """
+
+    names = ("__dataclass_fields__", "__dataclass_params__", "__match_args__", "__signature__")
+
+    def __init__(self, name: str):
+        self.name = name
+
+    def __get__(self, obj, cls):
+        import dataclasses
+        import inspect
+
+        # dataclass sets no __match_args__ where the class holds one
+        cls.__match_args__ = cls._field_names
+        cls.__signature__ = inspect.Signature(
+            [
+                inspect.Parameter(name, inspect.Parameter.POSITIONAL_OR_KEYWORD, annotation=annotation,
+                                  default=cls._defaults.get(name, inspect.Parameter.empty))
+                for name, annotation in cls._field_types.items()
+            ],
+            return_annotation=None,
+        )
+        dataclasses.dataclass(cls, init=False, repr=False, eq=False)
+        return cls.__dict__[self.name]
+
+
 class Record:
     """Base of the library's frozen records.
 
@@ -98,24 +130,29 @@ class Record:
     would generate for each class at import (``__init__``, ``__repr__``,
     ``__eq__``, ``__hash__``, ``__setattr__`` and ``__delattr__``) are written
     once here instead, with the same behaviour and error messages.
-    ``__init__`` runs the subclass's ``__post_init__``, as there.
+    ``__init__`` runs the subclass's ``__post_init__``, as there.  A class
+    becomes a dataclass when its dataclass attributes or its signature are
+    first read, so that the package imports neither ``dataclasses`` nor
+    ``inspect`` until then.
     """
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
-        # fields, replace and asdict read what this records; it generates no method
-        dataclasses.dataclass(cls, init=False, repr=False, eq=False)
-        fields = dataclasses.fields(cls)
-        cls._field_names = tuple(f.name for f in fields)
-        cls._defaults = {f.name: f.default for f in fields if f.default is not dataclasses.MISSING}
-        cls.__signature__ = inspect.Signature(
-            [
-                inspect.Parameter(f.name, inspect.Parameter.POSITIONAL_OR_KEYWORD, annotation=f.type,
-                                  default=cls._defaults.get(f.name, inspect.Parameter.empty))
-                for f in fields
-            ],
-            return_annotation=None,
-        )
+        # the fields as @dataclass collects them: the annotations of each record class
+        # in the MRO, farthest first, with a class attribute of the annotating class as default
+        owner = {
+            name: base
+            for base in cls.__mro__[::-1] if issubclass(base, Record)
+            for name in vars(base).get("__annotations__", ())
+        }
+        cls._field_names = names = tuple(owner)
+        cls._field_types = {name: base.__annotations__[name] for name, base in owner.items()}
+        cls._defaults = {name: getattr(base, name) for name, base in owner.items() if hasattr(base, name)}
+        # what == and hash compare: the tuple of the field values, as the generated methods do
+        get = attrgetter(*names) if names else lambda record: ()
+        cls._key = staticmethod(get if len(names) != 1 else lambda record: (get(record),))
+        for name in _OnFirstRead.names:
+            setattr(cls, name, _OnFirstRead(name))
 
     def __init__(self, *args, **kwargs):
         # Each field is set on its own, as the generated method sets it:
@@ -166,27 +203,28 @@ class Record:
     def __post_init__(self):
         """A subclass checks and converts its fields here."""
 
-    def _key(self) -> tuple:
-        """The field values, in order: what ``==`` and ``hash`` compare."""
-        return tuple([getattr(self, name) for name in self._field_names])
-
     def __repr__(self):
         fields = ", ".join([f"{name}={getattr(self, name)!r}" for name in self._field_names])
         return f"{self.__class__.__qualname__}({fields})"
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
-            return self._key() == other._key()
+            key = self._key
+            return key(self) == key(other)
         return NotImplemented
 
     def __hash__(self):
-        return hash(self._key())
+        return hash(self._key(self))
 
     def __setattr__(self, name, value):
-        raise dataclasses.FrozenInstanceError(f"cannot assign to field {name!r}")
+        from dataclasses import FrozenInstanceError
+
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
 
     def __delattr__(self, name):
-        raise dataclasses.FrozenInstanceError(f"cannot delete field {name!r}")
+        from dataclasses import FrozenInstanceError
+
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
 
 
 class Invariants(Record):

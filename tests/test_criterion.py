@@ -1,5 +1,6 @@
 import itertools
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -239,7 +240,8 @@ class TestYieldValue:
         crit = Criterion(LinearMeridian(1.0, 0.5), PowerLaw(beta=1000.0, n=0.001))
         for sig in [(-0.5, 0.2, 0.1), (-0.4, -0.4, -0.4)]:
             assert crit.shape.g(invariants(sig).theta) == 0.0
-            with np.errstate(divide="ignore", invalid="ignore"):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")  # the array path divides by that 0 without a RuntimeWarning
                 want = yield_value_array([sig], crit)[0]
             assert yield_value(sig, crit) == want
         assert yield_value((-0.5, 0.2, 0.1), crit) == math.inf

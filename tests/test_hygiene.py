@@ -20,6 +20,9 @@
 * Records are made in one place, ``invariants.Record``: no other module
   names ``dataclass`` or ``make_dataclass``, whose frozen form generates
   and compiles the methods of each class at import.
+* No module that the scalar commands or realize load imports
+  ``dataclasses`` or ``inspect`` when it runs: a record class becomes a
+  dataclass on first use, and only then are they imported.
 * The deviatoric frame is built once, in ``invariants._frame``: the
   package compares against ``EPS_MERIDIAN`` once, divides by sin 3 theta
   (the s_tilde_perp formula, and so the theta gradient) in one statement,
@@ -310,6 +313,49 @@ def test_a_second_record_maker_is_found():
         "names = [f.name for f in fields(Point)]\n"
     )
     assert _dataclass_sites(text) == [1, 3, 6, 7]
+
+
+# the modules every command loads, and limits, which realize loads
+SCALAR_PATH = ["__init__.py", "errors.py", "invariants.py", "criterion.py", "convexity.py", "cli.py", "limits.py"]
+
+
+def _eager_imports(text, modules=("dataclasses", "inspect")) -> list:
+    """Lines that import one of ``modules`` when the module runs: at module
+    level or in a class body, not inside a function."""
+    found = []
+    todo = list(ast.parse(text).body)
+    while todo:
+        node = todo.pop()
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [node.module] if node.level == 0 else []
+        else:
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                todo.extend(ast.iter_child_nodes(node))
+            continue
+        if any(name.split(".")[0] in modules for name in names):
+            found.append(node.lineno)
+    return sorted(found)
+
+
+@pytest.mark.parametrize("name", SCALAR_PATH)
+def test_the_scalar_path_imports_no_dataclasses_or_inspect(name):
+    assert not _eager_imports((SRC / name).read_text(encoding="utf-8"))
+
+
+def test_eager_imports_are_found():
+    text = (
+        "import os, inspect\n"
+        "from dataclasses import replace\n"
+        "import dataclasses.x as dc\n"
+        "if True:\n    import inspect\n"
+        "class R:\n    from dataclasses import fields\n"
+        "def f():\n    import dataclasses\n"
+        "from .inspect import x\n"
+        "import inspector\n"
+    )
+    assert _eager_imports(text) == [1, 2, 3, 5, 7]
 
 
 def _is_sin3(node) -> bool:

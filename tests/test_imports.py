@@ -5,7 +5,9 @@ Importing scipy.optimize would take most of a CLI process's start-up, so
 alone.  Importing numpy takes most of what is left, so ``import yieldcrit``,
 ``import yieldcrit.cli`` and the scalar commands do without it; the
 package resolves the names of its array modules on first use.  Of the
-rest, importing compiles no generated source (the records share methods
+rest, ``dataclasses`` and ``inspect`` load only when a record class is
+first read as a dataclass, which neither the scalar commands nor realize
+do; importing compiles no generated source (the records share methods
 written once), and only realize and compare load the limits module.  The
 import checks run in a fresh interpreter, since the test process itself
 has numpy and scipy loaded; the lazily resolved names are checked in
@@ -105,21 +107,23 @@ STRESSES = ("-0.6,-0.3,-0.1", "-0.2,-0.2,-0.6", "-0.4,-0.4,-0.4", "0.5,0.5,0.2")
 NUMPY_SCRIPT = """
 import contextlib, io, json, sys
 
-def numpy_loaded():
-    return "numpy" in sys.modules
+def loaded():
+    return [name for name in ("numpy", "dataclasses", "inspect") if name in sys.modules]
 
 import yieldcrit
-seen = {"import yieldcrit": numpy_loaded()}
+seen = {"import yieldcrit": loaded()}
 import yieldcrit.cli
-seen["import yieldcrit.cli"] = numpy_loaded()
+seen["import yieldcrit.cli"] = loaded()
 scalar = []
 for name in json.loads(sys.argv[1]):
     for argv in [["eval", "--params", name, "--stress=" + s] for s in json.loads(sys.argv[2])] + [
         ["check-convexity", "--params", name], ["eval", "--params", name, "--stress=1e120,0,0"],
     ]:
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-            scalar.append((argv, yieldcrit.cli.main(argv), numpy_loaded()))
+            scalar.append((argv, yieldcrit.cli.main(argv), loaded()))
 seen["scalar"] = scalar
+with contextlib.redirect_stdout(io.StringIO()):
+    seen["realize"] = (yieldcrit.cli.main(["realize", "cam-clay", "--M", "0.75", "--pc", "1"]), loaded())
 seen["array"] = []
 for argv in (
     ["section", "biaxial", "--params", "cap-bp.json", "-n", "16"],
@@ -147,12 +151,14 @@ def test_scalar_commands_load_no_numpy(tmp_path):
     problem = {"criterion": dict(CAM_CLAY, M=0.5), "free": ["M"], "residual_mode": "meridian_distance"}
     (tmp_path / "problem.json").write_text(json.dumps(problem), encoding="utf-8")
     seen = _run(NUMPY_SCRIPT, tmp_path, json.dumps(names), json.dumps(STRESSES))
-    assert seen["import yieldcrit"] is False
-    assert seen["import yieldcrit.cli"] is False
+    # nor dataclasses and inspect: a record becomes a dataclass when one of them reads it
+    assert seen["import yieldcrit"] == []
+    assert seen["import yieldcrit.cli"] == []
     assert len(seen["scalar"]) == len(names) * (len(STRESSES) + 2)
     for argv, code, loaded in seen["scalar"]:
         assert code == (2 if "--stress=1e120,0,0" in argv else 0), argv
-        assert loaded is False, argv
+        assert loaded == [], argv
+    assert seen["realize"] == [0, []]
     # the array commands still run, in the same process, once numpy loads
     assert seen["array"] == [["section", 0], ["section", 0], ["compare", 0], ["fit", 0], ["realize", 0]]
 
@@ -233,6 +239,61 @@ def test_importing_the_package_compiles_no_generated_source(tmp_path):
     modules = ["yieldcrit.cli", "yieldcrit"] + [f"yieldcrit.{name}" for name in SUBMODULES + ["invariants"]]
     counts = _run(COMPILE_SCRIPT, tmp_path, json.dumps(_outside_imports()), json.dumps(modules))
     assert counts == dict.fromkeys(modules, 0)
+
+
+FIRST_USE_SCRIPT = """
+import json, sys
+import yieldcrit
+
+def first_uses():
+    import dataclasses, inspect
+    from yieldcrit import CosineLode, Criterion, Invariants, invariants
+    from yieldcrit.invariants import Record
+    from yieldcrit.limits import DruckerPrager, VonMises, _StrengthRatio, _TensileStrength
+
+    def fields(cls):
+        return [(f.name, f.type, None if f.default is dataclasses.MISSING else f.default)
+                for f in dataclasses.fields(cls)]
+
+    seen = {"VonMises fields": fields(VonMises), "_TensileStrength fields": fields(_TensileStrength)}
+    seen["Criterion signature"] = str(inspect.signature(Criterion))
+    match invariants((-0.7, -0.2, -0.4)):
+        case Invariants(p, q, theta, h):
+            seen["Invariants pattern"] = [p, q, theta, h]
+    shape = CosineLode(beta=0.4, gamma=0.7)
+    seen["CosineLode replace"] = repr(dataclasses.replace(shape, gamma=0.5))
+    seen["CosineLode asdict"] = dataclasses.asdict(shape)
+    seen["Record is a dataclass"] = dataclasses.is_dataclass(Record)
+    # a base made a dataclass first: its subclass still becomes one of its own
+    seen["_StrengthRatio fields"] = fields(_StrengthRatio)
+    seen["DruckerPrager is a dataclass"] = dataclasses.is_dataclass(DruckerPrager)
+    seen["DruckerPrager's own"] = [type(vars(DruckerPrager).get(name)).__name__ for name in (
+        "__dataclass_fields__", "__dataclass_params__", "__match_args__", "__signature__")]
+    return seen
+
+before = [name for name in ("dataclasses", "inspect") if name in sys.modules]
+first = first_uses()
+print(json.dumps({"loaded before": before, "first": first, "again": first_uses()}))
+"""
+
+
+def test_a_record_class_becomes_a_dataclass_on_first_use(tmp_path):
+    seen = _run(FIRST_USE_SCRIPT, tmp_path)
+    assert seen["loaded before"] == []
+    assert seen["first"] == seen["again"]
+    first = seen["first"]
+    assert first["VonMises fields"] == first["_TensileStrength fields"] == [["ft", "float", None]]
+    assert first["Criterion signature"] == (
+        "(meridian: 'CapMeridian | LinearMeridian', shape: 'CosineLode | PowerLaw | WillamWarnke | GudehusArgyris', "
+        "A: 'float' = 0.0, B: 'float' = 1.0) -> None"
+    )
+    assert first["Invariants pattern"][3] is False
+    assert first["CosineLode replace"] == "CosineLode(beta=0.4, gamma=0.5)"
+    assert first["CosineLode asdict"] == {"beta": 0.4, "gamma": 0.7}
+    assert first["Record is a dataclass"] is False
+    assert first["_StrengthRatio fields"] == [["fc", "float", None], ["r", "float", None]]
+    assert first["DruckerPrager is a dataclass"] is True
+    assert first["DruckerPrager's own"] == ["dict", "_DataclassParams", "tuple", "Signature"]
 
 
 LIMITS_SCRIPT = """
