@@ -33,7 +33,7 @@ from functools import cache
 from typing import TYPE_CHECKING
 
 from .errors import CornerCase, DegenerateState, DomainError, ValidationError, real
-from .invariants import _SQRT15, FLOAT, Record, _frame, _invariant_body, _principal, _record
+from .invariants import _SQRT15, FLOAT, Record, _frame, _record, _state
 from .invariants import _check_theta, invariants_array, namespace
 # Unused here; kept because perfbench's --trace 1 wraps criterion.invariants by name.
 from .invariants import invariants  # noqa: F401
@@ -798,7 +798,7 @@ def yield_value(stress, crit: Criterion) -> float:
     Returns +inf outside the effective domain of a cap meridian.  For
     hydrostatic states the deviatoric terms vanish and only f(p) remains.
     """
-    p, q, theta, hydrostatic = _invariant_body(*_principal(stress), FLOAT)
+    p, q, theta, hydrostatic = _state(stress)[1]
     # theta is a float here, so the shape's body runs over FLOAT directly
     g = crit.shape._jet(FLOAT, theta)[0]
     # where g underflows to 0, B q / g is +inf off the axis, as on the array path, and dropped on it

@@ -281,21 +281,6 @@ def _check_stress(sig) -> None:
     )
 
 
-def _principal(stress) -> tuple[float, float, float]:
-    """A 3-tuple or 3-list, or anything numpy reshapes to (3,), as three checked floats."""
-    try:
-        if isinstance(stress, (tuple, list)) and len(stress) == 3:
-            sig = float(stress[0]), float(stress[1]), float(stress[2])
-        else:
-            import numpy as np
-
-            sig = tuple(np.asarray(stress, dtype=float).reshape(3).tolist())
-    except (TypeError, ValueError, OverflowError):
-        raise DomainError(f"stress must be three numbers, got {stress!r}") from None
-    _check_stress(sig)
-    return sig
-
-
 def _lode_angle(j2, j3, xp):
     """theta = acos(3 sqrt(3)/2 J3 / J2^(3/2)) / 3, the argument clamped to [-1, 1]."""
     return xp.arccos(xp.clip(_LODE * j3 / (j2 * xp.sqrt(j2)), -1.0, 1.0)) / 3.0
@@ -313,6 +298,39 @@ def _invariant_body(s1, s2, s3, xp):
     j3 = (d1 * d1 * d1 + d2 * d2 * d2 + d3 * d3 * d3) / 3.0
     theta = xp.where(hydrostatic, 0.0, _lode_angle(xp.where(hydrostatic, 1.0, j2), j3, xp))
     return p, q, theta, hydrostatic
+
+
+# The last scalar state and its invariants as one pair, which a reader takes
+# whole: another thread replaces the pair, never half of it, so no lock.
+_last = ((), ())
+
+
+def _state(stress):
+    """(principal triple, (p, q, theta, hydrostatic)) of one state in plain floats,
+    from a 3-tuple or 3-list, or anything numpy reshapes to (3,).
+
+    The last state's pair is kept: F and its gradient ask for one state's in
+    turn.  A hit has the bits of a fresh computation: floats equal to the key
+    have its bits, except zeros, whose sign ``==`` ignores and p does not (p of
+    (0, 0, 0) is -0.0, of (-0, -0, -0) 0.0), so a triple that holds a zero is
+    never a hit.  A triple equal to the key is in range, as the key was checked.
+    """
+    global _last
+    try:
+        if isinstance(stress, (tuple, list)) and len(stress) == 3:
+            sig = float(stress[0]), float(stress[1]), float(stress[2])
+        else:
+            import numpy as np
+
+            sig = tuple(np.asarray(stress, dtype=float).reshape(3).tolist())
+    except (TypeError, ValueError, OverflowError):
+        raise DomainError(f"stress must be three numbers, got {stress!r}") from None
+    last = _last
+    if sig == last[0] and 0.0 not in sig:
+        return last
+    _check_stress(sig)
+    last = _last = sig, _invariant_body(*sig, FLOAT)
+    return last
 
 
 def _check_theta(theta) -> None:
@@ -338,7 +356,7 @@ def invariants(stress) -> Invariants:
     floating-point drift near triaxial states, and hydrostatic states get
     theta = 0 with the flag set.
     """
-    p, q, theta, hydrostatic = _invariant_body(*_principal(stress), FLOAT)
+    p, q, theta, hydrostatic = _state(stress)[1]
     return _record(Invariants, {"p": p, "q": q, "theta": theta, "hydrostatic": hydrostatic})
 
 
@@ -368,8 +386,7 @@ def _frame(stress):
     last three as triples (see :class:`DeviatoricFrame`): s_tilde is None at a
     hydrostatic state, s_tilde_perp on a deviatoric meridian.  Written out, as
     a comprehension per triple would double the cost of ``gradient``."""
-    s1, s2, s3 = _principal(stress)
-    p, q, theta, hydrostatic = _invariant_body(s1, s2, s3, FLOAT)
+    (s1, s2, s3), (p, q, theta, hydrostatic) = _state(stress)
     S = d1, d2, d3 = s1 + p, s2 + p, s3 + p
     if hydrostatic:
         return p, q, theta, S, None, None

@@ -38,7 +38,7 @@ from .criterion import CapMeridian, Criterion, _yield_body, surface_q_array, yie
 # Unused here; kept because perfbench's --trace 1 wraps sections.surface_q and .invariants by name.
 from .criterion import surface_q  # noqa: F401
 from .errors import DomainError, EmptySlice, NonConvexSlice, OutsideCap, UnboundedDomain, count, real
-from .invariants import _THETA_MAX, FLOAT, STRESS_MAX, Record, _check_stress, _invariant_body, _principal
+from .invariants import _THETA_MAX, FLOAT, STRESS_MAX, Record, _check_stress, _invariant_body, _state
 from .invariants import invariants  # noqa: F401
 
 
@@ -61,7 +61,7 @@ def normalized_residual(crit: Criterion, stress) -> float:
     F = yield_value(stress, crit)
     if math.isinf(F):
         return math.inf
-    p, q = _invariant_body(*_principal(stress), FLOAT)[:2]
+    p, q = _state(stress)[1][:2]
     f = crit.meridian.f(p)
     if isinstance(crit.meridian, CapMeridian):
         floor = 0.01 * crit.meridian.pc
@@ -156,8 +156,31 @@ def _slice_F(crit: Criterion, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return _yield_body(crit.meridian.f_array(p), q, crit.shape.g(theta), hydrostatic, crit, np)
 
 
+# Lode angles at which a cone's slice is tested for a direction that never leaves it
+_CONE_THETAS = np.linspace(0.0, _THETA_MAX, 241)
+
+
+def _unbounded(crit: Criterion) -> bool:
+    """Whether the sigma3 = 0 slice of ``crit`` is unbounded; only that of a cone
+    (a linear meridian with A = 0) can be.  Far along a plane-stress direction
+    F grows as q (B / g(theta) - Gamma p / q), with p / q = (2/3) cos(theta -
+    2 pi k / 3) for the principal k that is zero, largest at k = 0: the slice is
+    unbounded iff 1.5 B <= Gamma g(theta) cos(theta) for some theta in [0, pi/3].
+    On a convex shape the largest g(theta) cos(theta) is at theta = 0, an angle tested."""
+    if crit.meridian.kind == "bp" or crit.A != 0.0:
+        return False
+    reach = crit.shape.g(_CONE_THETAS) * np.cos(_CONE_THETAS)
+    return bool(1.5 * crit.B <= crit.meridian.Gamma * reach.max())
+
+
 def _biaxial_center(crit: Criterion) -> tuple[float, float]:
-    """Interior point of the sigma3 = 0 slice, found on the diagonal."""
+    """Interior point of the sigma3 = 0 slice, found on the diagonal;
+    UnboundedDomain when the slice is unbounded (see :func:`_unbounded`)."""
+    if _unbounded(crit):
+        raise UnboundedDomain(
+            "the sigma3 = 0 slice is unbounded: F falls without bound along a compressive direction "
+            "of this cone (1.5 B <= Gamma g(theta) cos(theta))"
+        )
     if crit.meridian.kind == "bp":
         # p = -2s/3 along (s, s, 0); the cap bounds the search bracket.
         s_lo = -1.5 * crit.meridian.pc

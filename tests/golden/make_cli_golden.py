@@ -106,6 +106,11 @@ def files() -> dict[str, str]:
     out["power-law-underflow.json"] = _json(
         {**LINEAR, "c": 0.5, "Gamma": 1.0, "deviatoric": {"kind": "power-law", "beta": 1000.0, "n": 0.001}}
     )
+    # a certified cone whose sigma3 = 0 slice is unbounded along equibiaxial compression
+    out["linear-unbounded.json"] = _json(
+        {"meridian": "linear", "Gamma": 1, "c": 0, "deviatoric": {"kind": "bp", "beta": 0, "gamma": 0},
+         "A": 0, "B": 0.5}
+    )
     # refused parameter files
     out["empty.json"] = ""
     out["not-json.json"] = '{"M": 1.0,\n "pc": \n'
@@ -248,6 +253,7 @@ def _section_cases():
     yield "section biaxial g underflow --unchecked", _section(
         "biaxial", "power-law-underflow.json", "--unchecked", "-n", "8"
     )
+    yield "section biaxial unbounded n=4", _section("biaxial", "linear-unbounded.json", "-n", "4")
 
 
 def _fit_cases():

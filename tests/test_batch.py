@@ -30,6 +30,7 @@ from yieldcrit import (
     NonConvexSlice,
     OutsideCap,
     PowerLaw,
+    UnboundedDomain,
     ValidationError,
     VonMises,
     WillamWarnke,
@@ -309,8 +310,8 @@ def _center_and_steps(crit, search):
     sections.minimize_scalar = logged
     try:
         center = tuple(v.hex() for v in sections._biaxial_center(crit))
-    except EmptySlice:
-        center = "EmptySlice"
+    except (EmptySlice, UnboundedDomain) as exc:  # an unbounded cone is refused before any search
+        center = type(exc).__name__
     finally:
         sections.minimize_scalar = saved
     return center, [float(s).hex() for s in tried]

@@ -67,6 +67,11 @@ def _counted(monkeypatch):
 def test_crossings_match_the_bisection_oracle(crit_span, n, phase):
     crit = crit_span[0]
     assume(certify(crit).admissible)
+    # a cone whose slice is unbounded is refused before any ray, and only such a cone
+    if sections._unbounded(crit):
+        with pytest.raises(UnboundedDomain):
+            sections._biaxial_center(crit)
+        return
     try:
         s, _ = sections._biaxial_center(crit)
     except EmptySlice:

@@ -27,6 +27,10 @@
   package compares against ``EPS_MERIDIAN`` once, divides by sin 3 theta
   (the s_tilde_perp formula, and so the theta gradient) in one statement,
   and writes ``sqrt(1.5)`` once.
+* The invariants of one scalar state are computed in one place,
+  ``invariants._state``, which keeps the last state's: no other function
+  calls ``_invariant_body`` on plain floats (the array paths call it with
+  numpy).
 """
 
 import ast
@@ -421,3 +425,53 @@ def test_a_second_deviatoric_frame_is_found():
         "quotient by sin 3 theta": [7, 10],
         "sqrt(1.5)": [2, 10],
     }
+
+
+def _scalar_body_calls(text) -> list:
+    """``function:line`` of each call of ``_invariant_body`` with any namespace
+    but numpy (``np``), as its last argument or as ``xp``; ``<module>`` for a
+    call outside any function."""
+    found = []
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if isinstance(child, ast.Call) and (
+                getattr(child.func, "id", None) or getattr(child.func, "attr", None)
+            ) == "_invariant_body":
+                xp = [k.value for k in child.keywords if k.arg == "xp"] or child.args[-1:]
+                if not (xp and getattr(xp[0], "id", None) == "np"):
+                    found.append(f"{where}:{child.lineno}")
+            visit(child, where)
+
+    visit(ast.parse(text), "<module>")
+    return found
+
+
+def test_the_scalar_invariants_have_one_home():
+    sites = [
+        f"{path.name}:{site.split(':')[0]}"
+        for path in MODULES
+        for site in _scalar_body_calls(path.read_text(encoding="utf-8"))
+    ]
+    assert sites == ["invariants.py:_state"], sites
+
+
+def test_a_second_scalar_invariant_call_is_found():
+    text = (
+        "def _state(stress):\n"
+        "    sig = _principal(stress)\n"
+        "    return sig, _invariant_body(*sig, FLOAT)\n"
+        "def yield_value(stress, crit):\n"
+        "    p, q, theta, h = _invariant_body(*_principal(stress), FLOAT)\n"
+        "def batch(sig):\n"
+        "    return _invariant_body(sig[:, 0], sig[:, 1], sig[:, 2], np)\n"
+        "def frame(s1, s2, s3):\n"
+        "    def inner():\n"
+        "        return invariants._invariant_body(s1, s2, s3, xp=FLOAT)\n"
+        "    return inner(), _invariant_body(s1, s2, 0.0, np)\n"
+        "x = _invariant_body(1.0, 2.0, 3.0, FLOAT)\n"
+    )
+    assert _scalar_body_calls(text) == ["_state:3", "yield_value:5", "inner:10", "<module>:12"]

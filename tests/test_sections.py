@@ -1,17 +1,23 @@
+import json
 import math
 import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from yieldcrit import (
     CosineLode,
     Criterion,
+    EmptySlice,
     LinearMeridian,
     OutsideCap,
     UnboundedDomain,
     VonMises,
     YieldParams,
+    certify,
+    criterion_from_dict,
     curve_to_csv,
     curve_to_svg,
     normalized_residual,
@@ -21,7 +27,11 @@ from yieldcrit import (
     sample_biaxial,
     sample_deviatoric,
     sample_meridian,
+    sections,
+    yield_value_array,
 )
+from yieldcrit.cli import main
+from test_batch import criteria
 
 PI3 = math.pi / 3.0
 
@@ -156,6 +166,82 @@ class TestBiaxial:
         s1, s2 = curve.samples[:, 0], curve.samples[:, 1]
         np.testing.assert_allclose(np.sqrt(s1**2 - s1 * s2 + s2**2), 1.0, atol=1e-4)
         assert curve.xlabel.endswith("/ft")
+
+
+def _cone(shape, Gamma, c=0.5, B=1.0):
+    return Criterion(meridian=LinearMeridian(Gamma=Gamma, c=c), shape=shape, B=B)
+
+
+# certified admissible, and its slice unbounded: F = t (B / g(0) - 2 Gamma / 3) < 0
+# along equibiaxial compression (-t, -t, 0)
+UNBOUNDED = {"meridian": "linear", "Gamma": 1, "c": 0, "deviatoric": {"kind": "bp", "beta": 0, "gamma": 0},
+             "A": 0, "B": 0.5}
+
+
+def _far_slopes(crit):
+    """dF/dt far along 1440 directions of the sigma3 = 0 slice and along
+    equibiaxial compression: F is affine in t there on a cone with A = 0."""
+    phis = np.linspace(0.0, 2.0 * math.pi, 1440, endpoint=False)
+    d = np.vstack([np.column_stack([np.cos(phis), np.sin(phis)]), [-math.sqrt(0.5), -math.sqrt(0.5)]])
+    R = 1e6 * crit.meridian.scale
+
+    def F(t):
+        return yield_value_array(np.column_stack([t * d, np.zeros(len(d))]), crit)
+
+    return (F(2.0 * R) - F(R)) / R
+
+
+class TestUnboundedSlice:
+    @pytest.mark.parametrize("n", [3, 4, 8, 200])
+    def test_an_unbounded_cone_is_refused_for_every_n(self, n, capsys, tmp_path):
+        with pytest.raises(UnboundedDomain):
+            sample_biaxial(criterion_from_dict(UNBOUNDED), n)
+        path = tmp_path / "cone.json"
+        path.write_text(json.dumps(UNBOUNDED), encoding="utf-8")
+        code = main(["section", "biaxial", "--params", str(path), "-n", str(n)])
+        out, err = capsys.readouterr()
+        assert (code, out) == (2, "")
+        assert err.startswith("yieldcrit: the sigma3 = 0 slice is unbounded") and err.count("\n") == 1
+
+    def test_the_boundary_of_the_condition(self):
+        # g = 1 at every theta, so the slice is unbounded from Gamma = 1.5 B on
+        shape = CosineLode(1.0, 0.0)
+        assert np.all(shape.g(sections._CONE_THETAS) == 1.0)
+        assert sections._unbounded(_cone(shape, 1.5))
+        assert not sections._unbounded(_cone(shape, math.nextafter(1.5, 0.0)))
+        with pytest.raises(UnboundedDomain):
+            sample_biaxial(_cone(shape, 1.5), 8)
+        # bounded 1e-6 inside it: the curve reaches s = -Gamma c / (B - 2 Gamma / 3) on the diagonal
+        near = _cone(shape, 1.5 * (1.0 - 1e-6))
+        curve = sample_biaxial(near, 8)
+        assert max(normalized_residual(near, (x, y, 0.0)) for x, y in curve.samples) <= 1e-10
+        assert curve.samples[5] == pytest.approx([-0.75e6, -0.75e6], rel=1e-6)
+        assert polygon_is_convex(curve.samples)
+
+    def test_caps_and_A_above_zero_are_bounded(self):
+        shape = CosineLode(0.0, 0.0)
+        assert not sections._unbounded(Criterion(meridian=CAM_CLAY.criterion().meridian, shape=shape))
+        assert not sections._unbounded(Criterion(meridian=LinearMeridian(Gamma=1.0, c=0.0), shape=shape, A=1e-9))
+
+    @given(criteria(), st.floats(-0.5, 0.5), st.floats(0.0, 1.0), st.integers(3, 24))
+    @settings(max_examples=150, deadline=None)
+    def test_the_condition_is_what_F_does_along_far_rays(self, crit_span, u, c, n):
+        # a cone from the drawn shape and B, with Gamma 10^u times the value
+        # at which equibiaxial compression stops being bounded
+        shape, B = crit_span[0].shape, crit_span[0].B
+        crit = _cone(shape, 1.5 * B / float(shape.g(0.0)) * 10.0**u, c, B)
+        assume(certify(crit).admissible)
+        slope = float(_far_slopes(crit).min())
+        assume(abs(slope) > 1e-9 * B)  # F along far rays cannot settle a tie
+        assert sections._unbounded(crit) == (slope < 0.0)
+        try:
+            sample_biaxial(crit, n)
+        except UnboundedDomain:
+            assert slope < 0.0
+        except EmptySlice:  # c = 0, or nearly: the slice is the apex
+            assert slope > 0.0
+        else:
+            assert slope > 0.0
 
 
 class TestSerialization:
