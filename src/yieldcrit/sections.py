@@ -7,7 +7,7 @@ Sampling strategies:
   * deviatoric: the polar curve r(theta) = q_surface(at_p, theta) on the
     fundamental sector [0, pi/3], again one batched call, expanded to the
     full deviatoric plane by the six-fold symmetry of isotropy in one
-    array expression;
+    gather and two products;
   * biaxial (sigma3 = 0): convex ray-shooting from an interior point.
     Convexity of a certified criterion makes the sublevel set convex, so
     each ray crosses the surface exactly once.  All rays are resolved
@@ -17,10 +17,15 @@ Sampling strategies:
     root that the convexity of F places on either side of the crossing,
     until the bracket is two adjacent floats (about ten steps for 200 rays,
     where bisection took about 55).  A batched probe along every ray checks
-    the one-crossing contract (NonConvexSlice otherwise).  The interior point
+    the one-crossing contract: NonConvexSlice if it fails, UnboundedDomain
+    if it fails only within F's own rounding.  The interior point
     is the minimum of F along the diagonal sigma1 = sigma2, found by a
     bounded Brent search ported from scipy's ``minimize_scalar(...,
     method="bounded")`` step for step, so this module needs no scipy.
+
+The sector grid and the ray fan depend only on n: each is computed once
+per n, read-only, and kept for the last four n, so the cache's memory is
+bounded.
 
 Every emitted sample satisfies the yield condition to a normalized
 residual of 1e-10 or better.  Curves serialize to CSV (with a '#' header
@@ -29,6 +34,7 @@ echoing the parameter JSON) or to a self-contained SVG.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 
@@ -104,16 +110,26 @@ def sample_meridian(
     )
 
 
-def _six_fold(thetas: np.ndarray, radii: np.ndarray) -> np.ndarray:
-    """The closed curve of the polar sector r(theta), theta in [0, pi/3], in
-    the full deviatoric plane: sectors alternate direct and mirrored copies,
-    and the joints they share (with phi = 2 pi, which is phi = 0) appear once."""
+@functools.lru_cache(maxsize=4)
+def _sector_grid(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The n angles theta in [0, pi/3] and, per point of the closed curve over the full
+    deviatoric plane, the index of its radius and its (cos, sin), all read-only.  Sectors
+    alternate direct and mirrored copies; their joints (phi = 2 pi is phi = 0) appear once."""
+    thetas = np.linspace(0.0, _THETA_MAX, n)
     sector = np.arange(6)[:, None]
     odd = sector % 2 == 1
     phis = sector * _THETA_MAX + np.where(odd, _THETA_MAX - thetas[::-1], thetas)
-    rr = np.where(odd, radii[::-1], radii)
-    xy = np.stack([rr * np.cos(phis), rr * np.sin(phis)], axis=-1)  # (6, n, 2)
-    return np.concatenate([xy[0, :1], xy[:, 1:].reshape(-1, 2)[:-1]])
+    curve = np.delete(np.arange(6 * n), [*range(n, 6 * n, n), 6 * n - 1])
+    at = np.where(odd, np.arange(n)[::-1], np.arange(n)).ravel()[curve]
+    cs = np.stack([np.cos(phis), np.sin(phis)], axis=-1).reshape(-1, 2)[curve]
+    thetas.flags.writeable = at.flags.writeable = cs.flags.writeable = False
+    return thetas, at, cs
+
+
+def _six_fold(radii: np.ndarray) -> np.ndarray:
+    """The closed curve of the sector radii r(theta) at the angles of :func:`_sector_grid`."""
+    _, at, cs = _sector_grid(len(radii))
+    return radii[at, None] * cs
 
 
 def sample_deviatoric(
@@ -132,15 +148,14 @@ def sample_deviatoric(
         phi = crit.meridian._place(at_p, FLOAT)[0]
         if not (0.0 < phi < 1.0):
             raise OutsideCap(f"p={at_p} has Phi={phi:.6g} outside (0, 1)")
-    thetas = np.linspace(0.0, _THETA_MAX, n)
-    radii = surface_q_array(at_p, thetas, crit)
+    radii = surface_q_array(at_p, _sector_grid(n)[0], crit)
     if np.isnan(radii).any():
         raise EmptySlice(f"p={at_p} lies beyond the apex of the meridian; the section is empty")
     if normalize:
         if not radii[-1] > 0.0:
             raise DomainError(f"p={at_p} is the apex of the meridian; no radius to normalize by")
         radii = radii / radii[-1]
-    samples = _six_fold(thetas, radii)
+    samples = _six_fold(radii)
     return SectionCurve(
         kind="deviatoric", samples=samples, xlabel="x", ylabel="y", params_echo=_echo(crit)
     )
@@ -156,8 +171,15 @@ def _slice_F(crit: Criterion, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return _yield_body(crit.meridian.f_array(p), q, crit.shape.g(theta), hydrostatic, crit, np)
 
 
+def _slice_size(crit: Criterion, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """A q^2 + B q / g + |f(p)| at the points (x, y, 0): the magnitudes of F's terms."""
+    p, q, theta, hydrostatic = _invariant_body(x, y, 0.0, np)
+    return _yield_body(np.abs(crit.meridian.f_array(p)), q, crit.shape.g(theta), hydrostatic, crit, np)
+
+
 # Lode angles at which a cone's slice is tested for a direction that never leaves it
 _CONE_THETAS = np.linspace(0.0, _THETA_MAX, 241)
+_CONE_COS = np.cos(_CONE_THETAS)
 
 
 def _unbounded(crit: Criterion) -> bool:
@@ -169,7 +191,7 @@ def _unbounded(crit: Criterion) -> bool:
     On a convex shape the largest g(theta) cos(theta) is at theta = 0, an angle tested."""
     if crit.meridian.kind == "bp" or crit.A != 0.0:
         return False
-    reach = crit.shape.g(_CONE_THETAS) * np.cos(_CONE_THETAS)
+    reach = crit.shape.g(_CONE_THETAS) * _CONE_COS
     return bool(1.5 * crit.B <= crit.meridian.Gamma * reach.max())
 
 
@@ -273,11 +295,15 @@ def minimize_scalar(fun, a: float, b: float, xatol: float) -> tuple[float, float
 
 # The first _LADDER doubling rungs of every ray take one batch.
 _LADDER = 16
+_RUNGS = 2.0 ** np.arange(_LADDER)
 # Stand-ins for a chord or secant root outside the bracket, as fractions
 # of it (the midpoint, last, is always inside).
 _QUARTERS = np.array([[0.25], [0.75], [0.5]])
 # Chord and secant roots are moved this far outward (2 to 4 ulp).
 _DOWN, _UP = 1.0 - 2.0**-51, 1.0 + 2.0**-51
+_PROBES = np.linspace(0.05, 0.95, 19)
+# F's rounding is taken to be at most this times the magnitudes of its terms (_slice_size)
+_ROUNDING = 8.0 * np.finfo(float).eps
 
 
 def _narrow(ends: np.ndarray, pts: np.ndarray, fp: np.ndarray) -> None:
@@ -323,7 +349,7 @@ def _ray_crossings(
     n = len(d)
     dx, dy = d[:, 0], d[:, 1]
     # -- doubling ----------------------------------------------------------
-    rungs = t0 * 2.0 ** np.arange(_LADDER)  # t0 doubled k times, exactly
+    rungs = t0 * _RUNGS  # t0 doubled k times, exactly
     x, y = cx + rungs * dx[:, None], cy + rungs * dy[:, None]
     # Doubling reaches a rung only after every rung below it, so the batch
     # stops short of the first rung past STRESS_MAX (where F would raise).
@@ -386,16 +412,29 @@ def _ray_crossings(
     # rays still open after 200 steps, as bisection would leave them
     t[rays] = np.where(ends[0] > 0.0, ends[0], ends[2])
     # Convexity contract: F < 0 strictly between the center and the crossing.
-    tp = (t[:, None] * np.linspace(0.05, 0.95, 19)).ravel()
-    fp = _slice_F(crit, cx + tp * np.repeat(dx, 19), cy + tp * np.repeat(dy, 19))
+    tp = (t[:, None] * _PROBES).ravel()
+    px, py = cx + tp * np.repeat(dx, 19), cy + tp * np.repeat(dy, 19)
+    fp = _slice_F(crit, px, py)
     if not np.all(fp < 0.0):
-        bad = int(np.argmin(fp < 0.0)) // 19
-        raise NonConvexSlice(
-            f"F changed sign more than once along ray {bad} "
-            f"(direction {d[bad, 0]:.6g}, {d[bad, 1]:.6g}); "
-            "the criterion is not convex"
-        )
+        bad = ~(fp < 0.0)
+        ray = int(np.argmax(bad)) // 19
+        where = f"along ray {ray} (direction {d[ray, 0]:.6g}, {d[ray, 1]:.6g})"
+        if np.all(fp[bad] < _ROUNDING * _slice_size(crit, px[bad], py[bad])):
+            raise UnboundedDomain(
+                f"F is within its own rounding {where}: the sigma3 = 0 slice reaches too far "
+                "for floating point to tell its sign"
+            )
+        raise NonConvexSlice(f"F changed sign more than once {where}; the criterion is not convex")
     return t
+
+
+@functools.lru_cache(maxsize=4)
+def _ray_fan(n: int) -> np.ndarray:
+    """The n unit directions (cos, sin)(2 pi j / n) of the biaxial rays, read-only."""
+    phis = [2.0 * math.pi * j / n for j in range(n)]
+    d = np.array([(math.cos(phi), math.sin(phi)) for phi in phis])
+    d.flags.writeable = False
+    return d
 
 
 # F is +inf where g(theta) underflows to 0, and numpy's warning for B q / 0 adds nothing
@@ -407,13 +446,13 @@ def sample_biaxial(crit: Criterion, n: int = 200, normalize: bool = False) -> Se
     and resolved together to machine precision (see ``_ray_crossings``).
     ``normalize`` divides both axes by the computed uniaxial tensile
     intercept, which must be positive for the option to make sense.
-    Raises NonConvexSlice when F changes sign more than once along a ray.
+    Raises NonConvexSlice when F changes sign more than once along a ray,
+    and UnboundedDomain when it does so only within F's own rounding.
     """
     n = count(n, "n", 3)
     s_center, _ = _biaxial_center(crit)
     scale = crit.meridian.scale
-    phis = [2.0 * math.pi * j / n for j in range(n)]
-    d = np.array([(math.cos(phi), math.sin(phi)) for phi in phis])
+    d = _ray_fan(n)
     t = _ray_crossings(crit, s_center, s_center, d, 1e-3 * scale)
     pts = s_center + t[:, None] * d
     # A ray that lands on a cap apex (the origin, for c = 0) stops a

@@ -12,6 +12,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import settings
+from hypothesis.internal.conjecture import providers
 
 from yieldcrit import (
     Criterion,
@@ -29,6 +30,19 @@ from yieldcrit.criterion import BOUNDARY_TOL, DELTA_PHI
 # saved from an earlier run.
 settings.register_profile("derandomized", derandomize=True)
 settings.load_profile("derandomized")
+
+# Hypothesis also draws the literals of every loaded local module, and re-reads
+# them whenever a module loads, so the test files a run collects would change
+# each property's examples.  Draw from Hypothesis's own constants alone.  The
+# names are private: should an upgrade rename them, stop here rather than let
+# the draws depend on the selection again.
+if not (callable(getattr(providers, "_get_local_constants", None)) and hasattr(providers, "Constants")):
+    raise ImportError(
+        "hypothesis.internal.conjecture.providers has no _get_local_constants or Constants; "
+        "tests/conftest.py cannot keep property draws independent of the selected tests"
+    )
+NO_LOCAL_CONSTANTS = providers.Constants()
+providers._get_local_constants = lambda: NO_LOCAL_CONSTANTS
 
 
 def fd_gradient(fun, x, h=None):

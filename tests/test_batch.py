@@ -401,24 +401,29 @@ def _two_crossings(crit, x, y):
     return np.where((r >= 0.55) & (r <= 0.7), 1.0, r - 1.0)
 
 
+# F is patched; the terms of this cone near the origin, of order 1, set the
+# rounding bound that a sign change must exceed to be non-convexity
+BAND_CONE = Criterion(meridian=LinearMeridian(Gamma=1.0, c=1.0), shape=CosineLode(1.0, 0.0))
+
+
 def test_second_sign_change_raises_typed_error(monkeypatch):
     rays = np.array([[1.0, 0.0], [0.0, 1.0]])
     monkeypatch.setattr(sections, "_slice_F", lambda c, x, y: np.hypot(x, y) - 1.0)
-    t = sections._ray_crossings(None, 0.0, 0.0, rays, 1e-3)
+    t = sections._ray_crossings(BAND_CONE, 0.0, 0.0, rays, 1e-3)
     np.testing.assert_allclose(t, 1.0, rtol=1e-15)
     monkeypatch.setattr(sections, "_slice_F", _two_crossings)
     with pytest.raises(NonConvexSlice, match="more than once"):
-        sections._ray_crossings(None, 0.0, 0.0, rays, 1e-3)
+        sections._ray_crossings(BAND_CONE, 0.0, 0.0, rays, 1e-3)
 
 
 def test_second_sign_change_raises_under_optimize_flag():
     script = (
         "import numpy as np\n"
         "from yieldcrit import NonConvexSlice, sections\n"
-        "from test_batch import _two_crossings\n"
+        "from test_batch import BAND_CONE, _two_crossings\n"
         "sections._slice_F = _two_crossings\n"
         "try:\n"
-        "    sections._ray_crossings(None, 0.0, 0.0, np.array([[1.0, 0.0]]), 1e-3)\n"
+        "    sections._ray_crossings(BAND_CONE, 0.0, 0.0, np.array([[1.0, 0.0]]), 1e-3)\n"
         "except NonConvexSlice:\n"
         "    print('raised', __debug__)\n"
     )
@@ -560,7 +565,7 @@ def test_deviatoric_matches_scalar_loop(crit_span, x, n, normalize):
 def test_six_fold_expansion_is_the_sector_loop_bit_for_bit(n, rng):
     thetas = np.linspace(0.0, PI3, n)
     radii = rng.uniform(0.5, 2.0, n)
-    np.testing.assert_array_equal(sections._six_fold(thetas, radii), _oracle_six_fold(thetas, radii))
+    np.testing.assert_array_equal(sections._six_fold(radii), _oracle_six_fold(thetas, radii))
 
 
 def test_sampler_errors_stay_typed():

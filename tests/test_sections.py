@@ -12,6 +12,7 @@ from yieldcrit import (
     Criterion,
     EmptySlice,
     LinearMeridian,
+    NonConvexSlice,
     OutsideCap,
     UnboundedDomain,
     VonMises,
@@ -223,6 +224,41 @@ class TestUnboundedSlice:
         assert not sections._unbounded(Criterion(meridian=CAM_CLAY.criterion().meridian, shape=shape))
         assert not sections._unbounded(Criterion(meridian=LinearMeridian(Gamma=1.0, c=0.0), shape=shape, A=1e-9))
 
+    @pytest.mark.parametrize("n", [8, 200])
+    def test_a_cone_one_ulp_inside_is_refused_for_its_rounding(self, n, capsys, tmp_path):
+        # bounded and convex, but its diagonal crossing lies near 1e16, where
+        # F is smaller than its own rounding: no sign of F there can be told
+        crit = _cone(CosineLode(1.0, 0.0), math.nextafter(1.5, 0.0))
+        assert not sections._unbounded(crit)
+        with pytest.raises(UnboundedDomain, match="within its own rounding along ray"):
+            sample_biaxial(crit, n)
+        path = tmp_path / "cone.json"
+        path.write_text(json.dumps(crit.to_dict()), encoding="utf-8")
+        code = main(["section", "biaxial", "--params", str(path), "-n", str(n)])
+        out, err = capsys.readouterr()
+        assert (code, out) == (2, "")
+        assert err.startswith("yieldcrit: F is within its own rounding") and err.count("\n") == 1
+
+    @given(
+        criteria(),
+        st.one_of(st.floats(-1e-12, 1e-12), st.sampled_from([0.0, -2.0**-52, 2.0**-52])),
+        st.floats(0.0, 1.0),
+        st.one_of(st.integers(3, 24), st.just(200)),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_cones_at_the_boundary_are_never_called_non_convex(self, crit_span, r, c, n):
+        # a certified cone within 1e-12 relative of the boundary: bounded,
+        # refused as unbounded, or refused for rounding, but never non-convex
+        shape, B = crit_span[0].shape, crit_span[0].B
+        crit = _cone(shape, 1.5 * B / float(shape.g(0.0)) * (1.0 + r), c, B)
+        assume(certify(crit).admissible)
+        try:
+            sample_biaxial(crit, n)
+        except NonConvexSlice as err:
+            pytest.fail(f"a convex cone was called non-convex: {err}")
+        except (UnboundedDomain, EmptySlice):
+            pass
+
     @given(criteria(), st.floats(-0.5, 0.5), st.floats(0.0, 1.0), st.integers(3, 24))
     @settings(max_examples=150, deadline=None)
     def test_the_condition_is_what_F_does_along_far_rays(self, crit_span, u, c, n):
@@ -242,6 +278,55 @@ class TestUnboundedSlice:
             assert slope > 0.0
         else:
             assert slope > 0.0
+
+
+class TestGeometryCache:
+    """The angles, radius index and (cos, sin) of a deviatoric curve, and the
+    ray directions of a biaxial one, depend on n alone and are cached per n."""
+
+    CRIT = YieldParams(M=0.8, pc=1.0, c=0.2, m=3.0, alpha=0.5, beta=0.3, gamma=0.9).criterion()
+
+    def test_cached_geometry_is_read_only(self):
+        sample_deviatoric(self.CRIT, 0.4, 200)
+        sample_biaxial(self.CRIT, 16)
+        for a in (*sections._sector_grid(200), sections._ray_fan(16)):
+            assert not a.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 0
+
+    @pytest.mark.parametrize("sample", [
+        lambda crit: sample_deviatoric(crit, 0.4, 200),
+        lambda crit: sample_biaxial(crit, 16),
+    ])
+    def test_mutating_a_curve_leaves_the_next_one_alone(self, sample):
+        first = sample(self.CRIT)
+        want = first.samples.tobytes()
+        first.samples[:] = math.nan
+        assert sample(self.CRIT).samples.tobytes() == want
+
+    def _bits(self, n, normalize):
+        return (
+            sample_deviatoric(self.CRIT, 0.4, n, normalize=normalize).samples.tobytes(),
+            sample_biaxial(self.CRIT, n, normalize=normalize).samples.tobytes(),
+        )
+
+    def test_interleaved_n_give_the_bits_of_fresh_calls(self):
+        runs = [(n, normalize) for normalize in (False, True) for n in (200, 3, 200, 7, 200)]
+        got = [self._bits(*run) for run in runs]
+        for run, bits in zip(runs, got):
+            sections._sector_grid.cache_clear()
+            sections._ray_fan.cache_clear()
+            assert self._bits(*run) == bits, run
+
+    def test_the_cache_stays_within_its_bound(self):
+        # more distinct n than the caches hold, the first of them large
+        for n in (10**5, 200, 3, 7, 11, 13):
+            sample_deviatoric(self.CRIT, 0.4, n)
+            sample_biaxial(self.CRIT, min(n, 1000))
+        for cached in (sections._sector_grid, sections._ray_fan):
+            info = cached.cache_info()
+            assert info.maxsize is not None and info.currsize <= info.maxsize
+        assert sample_deviatoric(self.CRIT, 0.4, 200).samples.shape == (6 * 199, 2)
 
 
 class TestSerialization:
