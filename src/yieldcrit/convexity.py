@@ -29,7 +29,7 @@ from typing import TYPE_CHECKING
 
 from .criterion import Criterion, _powerlaw_coefficients
 from .errors import DegenerateState, DomainError
-from .invariants import FLOAT, Record, _check_stress, _check_theta, _lode_angle, namespace
+from .invariants import Record, _check_theta, _state, namespace
 
 if TYPE_CHECKING:
     import numpy as np
@@ -59,20 +59,15 @@ def hessian_qg(s1: float, s2: float, shape) -> np.ndarray:
 
     a rank-one matrix.  The mixed q-theta terms cancel identically, which
     is what makes this compact form possible.  Continuous across the
-    deviatoric meridians (sin 3 theta = 0).  Raises DegenerateState at
-    q = 0, and DomainError where :func:`invariants` would.
+    deviatoric meridians (sin 3 theta = 0).  q and theta are those of
+    :func:`invariants`, which raises DomainError; DegenerateState where it
+    flags the state hydrostatic.
     """
     import numpy as np
 
-    s3 = -s1 - s2
-    _check_stress((s1, s2, s3))
-    q2 = 3.0 * (s1 * s1 + s1 * s2 + s2 * s2)
-    if q2 <= 0.0:
+    _, q, theta, hydrostatic = _state((s1, s2, -s1 - s2))[1]
+    if hydrostatic:
         raise DegenerateState("Hessian of q/g undefined at q = 0")
-    q = math.sqrt(q2)
-    j2 = 0.5 * (s1 * s1 + s2 * s2 + s3 * s3)
-    j3 = s1 * s2 * s3
-    theta = _lode_angle(j2, j3, FLOAT)
     g = shape.g(theta)
     curv = deviatoric_curvature(theta, shape)
     mvec = np.array([s2, -s1])

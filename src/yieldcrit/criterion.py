@@ -841,11 +841,14 @@ def surface_q(p: float, theta: float, crit: Criterion) -> float | None:
 
     For A = 0 this is q = -f(p) g(theta) / B; for A > 0 the positive root
     of A q^2 + B q / g + f(p) = 0.  Returns None when p lies outside the
-    effective domain of a cap meridian.
+    effective domain of a cap meridian; :func:`surface_q_array` takes arrays.
     """
     _check_theta(theta)
-    xp, th = namespace(theta)
-    q = _surface_q_body(crit.meridian.f(p), crit.shape._jet(xp, th)[0], crit, FLOAT)
+    try:
+        th = real(theta, "theta")
+    except ValidationError:
+        raise DomainError(f"theta must be one number, got {theta!r}; surface_q_array takes arrays") from None
+    q = _surface_q_body(crit.meridian.f(p), crit.shape._jet(FLOAT, th)[0], crit, FLOAT)
     return None if math.isnan(q) else q
 
 

@@ -16,6 +16,11 @@ The Lode angle lives in ``[0, pi/3]``: theta = 0 is triaxial extension and
 theta = pi/3 is triaxial compression.  Hydrostatic states carry the
 convention ``theta = 0`` plus a flag, since nothing downstream depends on
 theta when q = 0.
+
+theta is defined by the acos and computed as atan2(sqrt(3) (b - c),
+(a - b) + (a - c)) of the sorted principals a >= b >= c: differences do not
+cancel, so theta is good to a few ulp, and exact (0 or pi/3) where two
+principals are equal.
 """
 
 from __future__ import annotations
@@ -38,9 +43,9 @@ EPS_HYDROSTATIC = 1e-12
 # and the perpendicular direction is undefined.
 EPS_MERIDIAN = 1e-12
 
-# Largest stress component magnitude accepted.  The Lode angle needs
-# J2^(3/2) and J3, up to about 15 max|sigma|^3, to stay finite in double
-# precision, which ends near 2e102.
+# Largest stress component magnitude accepted.  The Hessian of q/g needs
+# q^3, up to about 5 max|sigma|^3, to stay finite in double precision,
+# which ends near 3e102.
 STRESS_MAX = 1e100
 
 # Upper end of the Lode angle range [0, pi/3], and the ends of the range
@@ -48,8 +53,7 @@ STRESS_MAX = 1e100
 _THETA_MAX = math.pi / 3.0
 _THETA_LO, _THETA_HI = -1e-12, _THETA_MAX + 1e-12
 
-_LODE = 1.5 * math.sqrt(3.0)
-_SQRT6 = math.sqrt(6.0)
+_SQRT3 = math.sqrt(3.0)
 _SQRT15 = math.sqrt(1.5)
 
 # Each formula is written once over a namespace ``xp``: numpy for arrays,
@@ -64,14 +68,15 @@ _SQRT15 = math.sqrt(1.5)
 FLOAT = SimpleNamespace(
     sqrt=math.sqrt,
     arccos=math.acos,
+    arctan2=math.atan2,
     cos=math.cos,
     sin=math.sin,
     tan=math.tan,
     log=math.log,
     where=lambda cond, a, b: a if cond else b,
-    # clip and maximum choose as min(max(x, lo), hi) and max(a, b) do, at less cost per call
-    clip=lambda x, lo, hi: lo if x < lo else hi if x > hi else x,  # NaN stays NaN, as in numpy
+    # maximum and minimum choose as max(a, b) and min(a, b) do, at less cost per call
     maximum=lambda a, b: b if b > a else a,
+    minimum=lambda a, b: b if b < a else a,
 )
 
 
@@ -245,8 +250,9 @@ class DeviatoricFrame(Record):
 
     ``s_tilde`` is sqrt(3/2) S / q.  ``s_tilde_perp`` is the unit tensor
     coaxial with S, deviatoric, and orthogonal to s_tilde: -sqrt(2/3) q
-    dtheta/dsigma.  On the deviatoric meridians (sin 3*theta = 0) it is a
-    0/0 limit, ``defined`` is False and ``s_tilde_perp`` a zero triple.
+    dtheta/dsigma, computed as +-(u3 - u2, u1 - u3, u2 - u1) / sqrt(3) from
+    s_tilde = (u1, u2, u3).  On the deviatoric meridians (sin 3*theta = 0)
+    theta has a kink, ``defined`` is False and ``s_tilde_perp`` a zero triple.
     """
 
     s_tilde: np.ndarray
@@ -281,11 +287,6 @@ def _check_stress(sig) -> None:
     )
 
 
-def _lode_angle(j2, j3, xp):
-    """theta = acos(3 sqrt(3)/2 J3 / J2^(3/2)) / 3, the argument clamped to [-1, 1]."""
-    return xp.arccos(xp.clip(_LODE * j3 / (j2 * xp.sqrt(j2)), -1.0, 1.0)) / 3.0
-
-
 def _invariant_body(s1, s2, s3, xp):
     """(p, q, theta, hydrostatic) of principal stresses given as floats or columns."""
     tr = s1 + s2 + s3
@@ -295,9 +296,12 @@ def _invariant_body(s1, s2, s3, xp):
     j2 = 0.5 * (d1 * d1 + d2 * d2 + d3 * d3)
     q = xp.sqrt(3.0 * j2)
     hydrostatic = q <= EPS_HYDROSTATIC * xp.maximum(1.0, abs(p))
-    j3 = (d1 * d1 * d1 + d2 * d2 * d2 + d3 * d3 * d3) / 3.0
-    theta = xp.where(hydrostatic, 0.0, _lode_angle(xp.where(hydrostatic, 1.0, j2), j3, xp))
-    return p, q, theta, hydrostatic
+    # the principals sorted as a >= b >= c; b - c is +0.0 where b equals c, so theta is never -0.0
+    hi, lo = xp.maximum(s1, s2), xp.minimum(s1, s2)
+    a, b, c = xp.maximum(hi, s3), xp.maximum(lo, xp.minimum(hi, s3)), xp.minimum(lo, s3)
+    # atan2 rounds one ulp past pi/3 for some a = b
+    theta = xp.minimum(xp.arctan2(_SQRT3 * (b - c), (a - b) + (a - c)), _THETA_MAX)
+    return p, q, xp.where(hydrostatic, 0.0, theta), hydrostatic
 
 
 # The last scalar state and its invariants as one pair, which a reader takes
@@ -352,9 +356,7 @@ def _check_theta(theta) -> None:
 def invariants(stress) -> Invariants:
     """Compute (p, q, theta) from principal stresses.
 
-    Total function: the acos argument is clamped to [-1, 1] to absorb
-    floating-point drift near triaxial states, and hydrostatic states get
-    theta = 0 with the flag set.
+    Total function: hydrostatic states get theta = 0 with the flag set.
     """
     p, q, theta, hydrostatic = _state(stress)[1]
     return _record(Invariants, {"p": p, "q": q, "theta": theta, "hydrostatic": hydrostatic})
@@ -363,7 +365,7 @@ def invariants(stress) -> Invariants:
 def invariants_array(stress):
     """(p, q, theta, hydrostatic) arrays for an (N, 3) batch of principal stresses.
 
-    The batch form of :func:`invariants`, with the same clamp and the same
+    The batch form of :func:`invariants`, with the same formula and the same
     hydrostatic threshold and convention (theta = 0 where the flag is set).
     A single triple of shape (3,) is taken as a batch of one; any other
     shape than (3,) or (N, 3) raises DomainError.
@@ -391,13 +393,12 @@ def _frame(stress):
     if hydrostatic:
         return p, q, theta, S, None, None
     s_tilde = u1, u2, u3 = _SQRT15 * d1 / q, _SQRT15 * d2 / q, _SQRT15 * d3 / q
-    sin3t = math.sin(3.0 * theta)
-    if abs(sin3t) <= EPS_MERIDIAN:
+    if abs(math.sin(3.0 * theta)) <= EPS_MERIDIAN:
         return p, q, theta, S, s_tilde, None
-    cos3t = math.cos(3.0 * theta)
-    return p, q, theta, S, s_tilde, ((_SQRT6 * (u1 * u1 - 1.0 / 3.0) - cos3t * u1) / sin3t,
-                                     (_SQRT6 * (u2 * u2 - 1.0 / 3.0) - cos3t * u2) / sin3t,
-                                     (_SQRT6 * (u3 * u3 - 1.0 / 3.0) - cos3t * u3) / sin3t)
+    # s_tilde turned a right angle in the deviatoric plane; its sign flips with each swap
+    # of two principals, which are compared, as a product of their differences can underflow
+    k = (1.0 if (s1 > s2) ^ (s2 > s3) ^ (s3 > s1) else -1.0) / _SQRT3
+    return p, q, theta, S, s_tilde, (k * (u3 - u2), k * (u1 - u3), k * (u2 - u1))
 
 
 def invariant_gradients(stress):

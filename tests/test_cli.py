@@ -68,7 +68,7 @@ class TestEval:
         d = json.loads(out)
         assert d["p"] == pytest.approx(-1.0 / 3.0)
         assert d["q"] == pytest.approx(1.0)
-        assert d["theta"] == pytest.approx(0.0, abs=1e-8)
+        assert d["theta"] == 0.0
         # outside the cap: p < -c, so F is the infinite sentinel
         assert d["F"] == "+inf"
         assert d["gradient"] is None
@@ -380,7 +380,7 @@ class TestCompare:
         assert len(lines) == 2 + 21
         first = [float(v) for v in lines[2].split(",")]
         # hydrostatic intercept: both surfaces close at p = -pc
-        assert first[1] == pytest.approx(0.0, abs=1e-8)
+        assert first[1] == 0.0
 
     def test_newman_curves(self, capsys, tmp_path):
         params = {

@@ -228,6 +228,9 @@ class TestHessian:
     def test_degenerate(self):
         with pytest.raises(DegenerateState):
             hessian_qg(0.0, 0.0, CosineLode(1.0, 0.0))
+        # a q that invariants flags hydrostatic, where theta is only a convention
+        with pytest.raises(DegenerateState):
+            hessian_qg(1e-13, 0.0, CosineLode(1.0, 0.0))
 
     @pytest.mark.parametrize("s1, s2", [(1e120, 0.0), (math.nan, 0.0), (0.0, math.inf)])
     def test_overflowing_or_nonfinite_state(self, s1, s2):

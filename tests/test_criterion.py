@@ -276,6 +276,12 @@ class TestSurfaceQ:
         with pytest.raises(DomainError, match="theta"):
             surface_q(0.5, math.nan, CAM_CLAY.criterion())
 
+    @pytest.mark.parametrize("theta", [[0.1], np.array([0.1]), np.array([0.1, 0.2]), "0.1"])
+    def test_theta_that_is_not_one_number_is_a_domain_error(self, theta):
+        # each lies in the sector, so the range check lets it through
+        with pytest.raises(DomainError, match="theta must be one number, .*; surface_q_array takes arrays"):
+            surface_q(0.5, theta, CAM_CLAY.criterion())
+
     def test_nan_pressure_is_a_domain_error(self):
         # not a point on the cap apex (f = 0, q = 0)
         with pytest.raises(DomainError, match="p must be a number"):

@@ -376,14 +376,17 @@ def _is_sin3(node) -> bool:
 
 def _frame_sites(text) -> dict:
     """The first lines of the statements that compare against ``EPS_MERIDIAN``,
-    that divide by sin 3 theta, and that call ``sqrt(1.5)``."""
-    found = {"meridian test": set(), "quotient by sin 3 theta": set(), "sqrt(1.5)": set()}
+    that divide by sin 3 theta, that call ``sqrt(1.5)``, and that compute a
+    Lode angle: a call of ``atan2`` or ``arctan2``, or a read of a name ``j3``
+    (the acos form reads J3, directly or through a helper)."""
+    found = {"meridian test": set(), "quotient by sin 3 theta": set(), "sqrt(1.5)": set(), "Lode angle": set()}
     for stmt in ast.walk(ast.parse(text)):
         if not isinstance(stmt, ast.stmt):
             continue
         # a compound statement owns its test, not its body
         own = stmt.test if isinstance(stmt, (ast.If, ast.While)) else None if hasattr(stmt, "body") else stmt
         for node in ast.walk(own) if own is not None else ():
+            called = isinstance(node, ast.Call) and (getattr(node.func, "attr", None) or getattr(node.func, "id", None))
             if isinstance(node, ast.Compare) and any(
                 getattr(n, "id", None) == "EPS_MERIDIAN" for n in [node.left, *node.comparators]
             ):
@@ -391,19 +394,25 @@ def _frame_sites(text) -> dict:
             elif isinstance(node, ast.BinOp) and isinstance(node.op, ast.Div):
                 if any(_is_sin3(n) for n in ast.walk(node.right)):
                     found["quotient by sin 3 theta"].add(stmt.lineno)
-            elif isinstance(node, ast.Call) and (getattr(node.func, "attr", None) or getattr(node.func, "id", None)) == "sqrt":
+            elif called == "sqrt":
                 if [getattr(a, "value", None) for a in node.args] == [1.5]:
                     found["sqrt(1.5)"].add(stmt.lineno)
+            elif called in ("atan2", "arctan2") or (isinstance(node, ast.Name) and node.id.lower() == "j3"):
+                found["Lode angle"].add(stmt.lineno)
     return {rule: sorted(lines) for rule, lines in found.items()}
 
 
 def test_the_deviatoric_frame_has_one_home():
+    # one meridian test, one sqrt(1.5) and one Lode angle, all in invariants.py,
+    # and no quotient by sin 3 theta anywhere: s_tilde_perp is a difference of
+    # s_tilde's components and theta an atan2 of differences of principals
     sites = {rule: [] for rule in _frame_sites("")}
     for path in MODULES:
         for rule, lines in _frame_sites(path.read_text(encoding="utf-8")).items():
             sites[rule] += [f"{path.name}:{line}" for line in lines]
-    assert {rule: len(where) for rule, where in sites.items()} == dict.fromkeys(sites, 1), sites
-    assert {where[0].split(":")[0] for where in sites.values()} == {"invariants.py"}, sites
+    want = {"meridian test": 1, "quotient by sin 3 theta": 0, "sqrt(1.5)": 1, "Lode angle": 1}
+    assert {rule: len(where) for rule, where in sites.items()} == want, sites
+    assert {where.split(":")[0] for lines in sites.values() for where in lines} == {"invariants.py"}, sites
 
 
 def test_a_second_deviatoric_frame_is_found():
@@ -419,11 +428,16 @@ def test_a_second_deviatoric_frame_is_found():
         "    on = EPS_MERIDIAN >= abs(math.sin(3.0 * theta))\n"
         "    return -9.0 / (2.0 * q**3 * math.sin(3.0 * theta)) * (dj3 - q / 3.0 * s) * sqrt(1.5)\n"
         "x = math.sin(theta) / math.sin(2.0 * theta)\n"
+        "def lode(a, b, c, j2, J3, xp):\n"
+        "    t = xp.arctan2(_SQRT3 * (b - c), (a - b) + (a - c))\n"
+        "    return math.acos(_LODE * J3 / j2**1.5) / 3.0 + math.atan2(b, a) + math.acos(b)\n"
+        "theta = _lode_angle(j2, j3, FLOAT)\n"
     )
     assert _frame_sites(text) == {
         "meridian test": [5, 9],
         "quotient by sin 3 theta": [7, 10],
         "sqrt(1.5)": [2, 10],
+        "Lode angle": [13, 14, 15],
     }
 
 

@@ -1,3 +1,4 @@
+import decimal
 import itertools
 import math
 
@@ -40,14 +41,14 @@ class TestInvariants:
         inv = invariants((1.0, 0.0, 0.0))
         assert inv.p == pytest.approx(-1.0 / 3.0, abs=1e-15)
         assert inv.q == pytest.approx(1.0, abs=1e-15)
-        assert inv.theta == pytest.approx(0.0, abs=1e-8)
+        assert inv.theta == 0.0
         assert not inv.hydrostatic
 
     def test_uniaxial_compression(self):
         inv = invariants((-1.0, 0.0, 0.0))
         assert inv.p == pytest.approx(1.0 / 3.0, abs=1e-15)
         assert inv.q == pytest.approx(1.0, abs=1e-15)
-        assert inv.theta == pytest.approx(PI3, abs=1e-8)
+        assert inv.theta == PI3
 
     def test_nonfinite_rejected(self):
         with pytest.raises(DomainError):
@@ -55,7 +56,7 @@ class TestInvariants:
 
     @pytest.mark.parametrize("sig", [(1e120, 0.0, 0.0), (0.0, -2e100, 1.0), (1e308, 1e308, 1e308)])
     def test_overflowing_stress_rejected(self, sig):
-        # J2^(3/2) would overflow, leaving theta NaN
+        # beyond STRESS_MAX, below which q^3 of the Hessian of q/g stays finite
         with pytest.raises(DomainError, match="at most 1e\\+100"):
             invariants(sig)
         with pytest.raises(DomainError, match="at most 1e\\+100"):
@@ -79,14 +80,13 @@ class TestInvariants:
     def test_permutation_invariance(self, sig):
         ref = invariants(sig)
         norm = max(1.0, math.sqrt(sum(s * s for s in sig)))
-        # the Lode angle's conditioning degrades like sqrt(eps * |sigma|/q)
-        theta_tol = max(1e-8, 5.0 * math.sqrt(2.3e-16 * norm / max(ref.q, 1e-300)))
         for perm in itertools.permutations(sig):
             inv = invariants(perm)
             assert inv.p == pytest.approx(ref.p, abs=1e-9 * max(1.0, abs(ref.p)))
             assert inv.q == pytest.approx(ref.q, abs=1e-9 * norm)
             if not ref.hydrostatic:
-                assert inv.theta == pytest.approx(ref.theta, abs=theta_tol)
+                # theta is computed from the sorted principals, so it has the same bits
+                assert inv.theta == ref.theta
 
     @given(
         st.tuples(st.floats(-100, 100), st.floats(-100, 100), st.floats(-100, 100)),
@@ -99,29 +99,25 @@ class TestInvariants:
         norm = max(1.0, math.sqrt(sum(s * s for s in sig)))
         assert scaled.p == pytest.approx(lam * ref.p, rel=1e-12, abs=1e-11 * lam * norm)
         assert scaled.q == pytest.approx(lam * ref.q, rel=1e-12, abs=1e-11 * lam * norm)
-        well_conditioned = (
-            not ref.hydrostatic
-            and not scaled.hydrostatic
-            and ref.q > 1e-6 * norm
-            and min(ref.theta, PI3 - ref.theta) > 1e-6
-        )
-        if well_conditioned:
-            # theta is homogeneous of degree zero; away from the sector
-            # ends and the hydrostatic axis the acos is well conditioned
-            assert scaled.theta == pytest.approx(ref.theta, abs=1e-8)
+        if not ref.hydrostatic and not scaled.hydrostatic:
+            # theta is homogeneous of degree zero.  Scaling rounds each principal
+            # by eps |sigma|, which moves theta by about eps |sigma| / q: the angle
+            # is conditioned by the distance from the hydrostatic axis alone
+            size = math.sqrt(sum(s * s for s in sig))
+            assert scaled.theta == pytest.approx(ref.theta, abs=1e-15 * (1.0 + size / ref.q))
 
     def test_round_trip_identity(self, rng):
-        # p and q round-trip to 1e-12 everywhere; theta does too away from
-        # the sector ends, where acos conditioning caps it at ~sqrt(eps)
-        for _ in range(300):
+        # p and q round-trip to 1e-12 everywhere, and theta to a few eps (1 + |p| / q),
+        # also at the sector ends: principal_from_invariants rounds each principal
+        # by about eps max(|p|, q), which moves theta by about that over q
+        ends = [0.0, PI3, *rng.uniform(0.0, 1e-6, 50), *(PI3 - rng.uniform(0.0, 1e-6, 50))]
+        for theta in [*rng.uniform(0.0, PI3, 300), *ends]:
             p = rng.uniform(-2.0, 2.0)
             q = rng.uniform(1e-3, 3.0)
-            theta = rng.uniform(0.0, PI3)
             inv = invariants(principal_from_invariants(p, q, theta))
             assert inv.p == pytest.approx(p, abs=1e-12 * max(1.0, abs(p)))
             assert inv.q == pytest.approx(q, abs=1e-12 * max(1.0, q))
-            tol = 1e-12 if 0.01 < theta < PI3 - 0.01 else 5e-8
-            assert inv.theta == pytest.approx(theta, abs=tol)
+            assert inv.theta == pytest.approx(theta, abs=min(1e-12, 1e-15 * (1.0 + abs(p) / q)))
 
 
 class TestPrincipalFromInvariants:
@@ -186,7 +182,10 @@ class TestInvariantGradients:
             inv = invariants(sig)
             if inv.hydrostatic or inv.q < 0.05:
                 continue
-            if min(inv.theta, PI3 - inv.theta) < 0.01:
+            # theta has a kink on the meridians; a central difference of step
+            # 1e-6 |sigma| moves theta by up to 1e-4 at q = 0.05, so one within
+            # 1e-3 of a meridian could straddle it
+            if min(inv.theta, PI3 - inv.theta) < 1e-3:
                 continue
             count += 1
             dp, dj2, dj3, dtheta = invariant_gradients(sig)
@@ -213,7 +212,7 @@ class TestInvariantGradients:
         for _ in range(200):
             sig = rng.uniform(-2.0, 2.0, 3)
             inv = invariants(sig)
-            if inv.hydrostatic or inv.q < 0.05 or min(inv.theta, PI3 - inv.theta) < 0.01:
+            if inv.hydrostatic or inv.q < 0.05:
                 continue
             _, _, _, dtheta = invariant_gradients(sig)
             s = np.asarray(sig) - np.sum(sig) / 3.0
@@ -245,7 +244,9 @@ class TestDeviatoricFrame:
     def test_perp_is_normalized_theta_gradient(self, rng):
         # s_tilde_perp = -sqrt(2/3) q dtheta/dsigma at every regular state.  The
         # oracle is dtheta's J3 closed form, which the library does not use:
-        # dtheta = -9 / (2 q^3 sin 3t) (dJ3 - q cos 3t / 3 S)
+        # dtheta = -9 / (2 q^3 sin 3t) (dJ3 - q cos 3t / 3 S).  It divides by
+        # sin 3t, so it is the oracle that loses digits near a meridian, and
+        # states within 0.01 of one are left out (TestExactLodeAngle checks them)
         for _ in range(100):
             sig = rng.uniform(-2.0, 2.0, 3)
             inv = invariants(sig)
@@ -259,6 +260,73 @@ class TestDeviatoricFrame:
             np.testing.assert_allclose(deviatoric_frame(sig).s_tilde_perp, want, atol=1e-10)
             _, _, _, dtheta = invariant_gradients(sig)
             np.testing.assert_allclose(-math.sqrt(2.0 / 3.0) * q * dtheta, want, atol=1e-10)
+
+
+class TestExactLodeAngle:
+    # theta is atan2(sqrt(3) (b - c), (a - b) + (a - c)) of the sorted principals
+    # a >= b >= c: exact where two principals are equal, a few ulp elsewhere
+
+    @staticmethod
+    def thetas(states) -> list:
+        """theta of each state on the scalar path, then on the array path."""
+        return [[invariants(s).theta for s in states], invariants_array(np.array(states))[2].tolist()]
+
+    @given(st.floats(-1e6, 1e6), st.floats(-1e6, 1e6))
+    @settings(max_examples=200)
+    def test_two_equal_principals_give_a_meridian_exactly(self, x, y):
+        assume(not invariants((x, y, y)).hydrostatic and not invariants((y, x, x)).hydrostatic)
+        # a lone principal above the pair is triaxial extension, below it triaxial compression
+        above, below = 0.0, PI3
+        for lone, pair in [(x, y), (y, x)]:
+            want = above if lone > pair else below
+            for got in self.thetas([(lone, pair, pair), (pair, lone, pair), (pair, pair, lone)]):
+                assert got == [want] * 3
+                assert all(math.copysign(1.0, th) == 1.0 for th in got)  # never -0.0
+
+    @given(st.integers(-2**40, 2**40), st.integers(1, 2**40), st.integers(-60, 60))
+    @settings(max_examples=200)
+    def test_the_midpoint_gives_pi_over_6(self, shift, step, exponent):
+        # (x, m, z) with m the midpoint of x and z, shifted and scaled by a power
+        # of two so that each principal and each difference is a float exactly
+        x, m, z = (math.ldexp(float(shift + k * step), exponent) for k in (2, 1, 0))
+        states = list(itertools.permutations((x, m, z)))
+        assume(not invariants(states[0]).hydrostatic)
+        for got in self.thetas(states):
+            assert max(abs(th - math.pi / 6.0) for th in got) <= 2 * math.ulp(math.pi / 6.0)
+
+    def test_a_meridian_state_has_no_perpendicular(self):
+        # theta must be exactly 0 here for the meridian test to see the meridian
+        frame = deviatoric_frame((-0.2, -0.5, -0.5))
+        assert not frame.defined
+        assert frame.s_tilde_perp.tolist() == [0.0, 0.0, 0.0]
+        with pytest.raises(DegenerateDirection):
+            invariant_gradients((-0.2, -0.5, -0.5))
+
+    # a gap of 3.75e-8 puts (0.5, -0.3) at (0.5, -0.3, -0.30000003)
+    @pytest.mark.parametrize("gap", [1e-5, 3.75e-8, 1e-9, 1e-11, 1e-12])
+    @pytest.mark.parametrize("x, y", [(0.5, -0.3), (-0.2, -0.5), (2.0, 7.0), (-1.5, 3.25)])
+    def test_the_frame_near_a_meridian(self, x, y, gap):
+        # the third principal a relative gap from the pair of (x, y, y)
+        for sig in itertools.permutations((x, y, y + gap * (y - x))):
+            frame = deviatoric_frame(sig)
+            assert frame.defined
+            u, v = frame.s_tilde, frame.s_tilde_perp
+            assert abs(float(v @ v) - 1.0) <= 1e-15
+            assert abs(float(v.sum())) <= 1e-15
+            assert abs(float(u @ v)) <= 1e-15
+            # a 50-digit oracle up to sign: s_tilde_perp is parallel to (s3 - s2, s1 - s3, s2 - s1)
+            with decimal.localcontext(prec=50):
+                s1, s2, s3 = map(decimal.Decimal, sig)
+                d = [s3 - s2, s1 - s3, s2 - s1]
+                norm = sum(c * c for c in d).sqrt()
+                want = np.array([float(c / norm) for c in d])
+            assert np.abs(v - math.copysign(1.0, v @ want) * want).max() <= 4e-16
+            # and the sign: theta decreases along s_tilde_perp, so a step along it
+            # leaves pi/3 and a step against it leaves 0
+            inv = invariants(sig)
+            step = (1e-3 if inv.theta > PI3 / 2 else -1e-3) * inv.q * v
+            moved = invariants(tuple(np.asarray(sig) + step)).theta
+            assert moved < inv.theta if inv.theta > PI3 / 2 else moved > inv.theta
 
 
 @given(st.tuples(st.floats(-1e6, 1e6), st.floats(-1e6, 1e6), st.floats(-1e6, 1e6)))

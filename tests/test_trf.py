@@ -137,10 +137,12 @@ def test_batched_cap_jacobian_equals_cap_partials(case, data):
     bounds = np.array([problem.bound_of(n) for n in free])
     t = data.draw(st.lists(st.floats(0.0, 1.0), min_size=len(free), max_size=len(free)))
     values = bounds[:, 0] + np.array([t, [0.5] * len(free)]) * (bounds[:, 1] - bounds[:, 0])
-    cols = columns(problem.rows(values), dataset, problem.residual_mode, free)
+    with np.errstate(all="ignore"):  # extreme draws overflow alike on both paths
+        cols = columns(problem.rows(values), dataset, problem.residual_mode, free)
     for j, v in enumerate(values):
         crit = problem.with_values(dict(zip(free, v)))
-        one = columns(crit, dataset, problem.residual_mode, free)
+        with np.errstate(all="ignore"):
+            one = columns(crit, dataset, problem.residual_mode, free)
         for name in free:
             batch = np.broadcast_to(cols[name], (len(values), len(dataset)))[j]
             assert batch.tobytes() == np.asarray(one[name], dtype=float).tobytes(), name
