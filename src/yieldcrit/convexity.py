@@ -28,7 +28,7 @@ import math
 from typing import TYPE_CHECKING
 
 from .criterion import Criterion, _powerlaw_coefficients
-from .errors import DegenerateState, DomainError
+from .errors import DegenerateState, DomainError, real
 from .invariants import Record, _check_theta, _state, namespace
 
 if TYPE_CHECKING:
@@ -42,13 +42,10 @@ def deviatoric_curvature(theta, shape):
     Nonnegative on [0, pi/3] (with g > 0) iff the deviatoric section is
     convex.
     """
-    import numpy as np
-
-    _check_theta(theta)
-    xp, th = namespace(theta)
+    xp, th = _check_theta(theta)
     g, g1, g2 = shape._jet(xp, th, 2)
     out = g * g + 2.0 * g1 * g1 - g * g2
-    return float(out) if np.ndim(theta) == 0 else out
+    return out if getattr(out, "ndim", 0) else float(out)
 
 def hessian_qg(s1: float, s2: float, shape) -> np.ndarray:
     """Closed-form Hessian of q/g(theta) in two deviatoric components.
@@ -65,6 +62,7 @@ def hessian_qg(s1: float, s2: float, shape) -> np.ndarray:
     """
     import numpy as np
 
+    s1, s2 = namespace(s1, "s1")[1], namespace(s2, "s2")[1]
     _, q, theta, hydrostatic = _state((s1, s2, -s1 - s2))[1]
     if hydrostatic:
         raise DegenerateState("Hessian of q/g undefined at q = 0")
@@ -97,9 +95,11 @@ def nonconvex_demo(p: float, q: float, a: float, b: float) -> float:
     yield surface does not imply a convex, or even quasi-convex, yield
     function.
     """
+    a, b = real(a, "a"), real(b, "b")
     if a <= 0.0 or b <= 0.0:
         raise DomainError(f"a and b must be positive, got a={a}, b={b}")
-    return (p / a) ** 4 - (p / a) ** 2 + (q / b) ** 2
+    x, y = namespace(p, "p")[1] / a, namespace(q, "q")[1] / b
+    return x * x * x * x - x * x + y * y  # multiplied out: a float ** raises where it overflows
 
 def _finite_or_none(x: float) -> float | None:
     return x if math.isfinite(x) else None

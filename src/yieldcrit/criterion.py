@@ -34,7 +34,7 @@ from typing import TYPE_CHECKING
 
 from .errors import CornerCase, DegenerateState, DomainError, ValidationError, real
 from .invariants import _SQRT15, FLOAT, Record, _frame, _record, _state
-from .invariants import _check_theta, invariants_array, namespace
+from .invariants import _check_theta, _floats, invariants_array, namespace
 # Unused here; kept because perfbench's --trace 1 wraps criterion.invariants by name.
 from .invariants import invariants  # noqa: F401
 
@@ -101,16 +101,13 @@ class _Shape:
     beta_interval = None
 
     def g(self, theta):
-        xp, th = namespace(theta)
-        return self._jet(xp, th)[0]
+        return self._jet(*_check_theta(theta))[0]
 
     def dg(self, theta):
-        xp, th = namespace(theta)
-        return self._jet(xp, th, 1)[1]
+        return self._jet(*_check_theta(theta), 1)[1]
 
     def d2g(self, theta):
-        xp, th = namespace(theta)
-        return self._jet(xp, th, 2)[2]
+        return self._jet(*_check_theta(theta), 2)[2]
 
     def to_dict(self) -> dict:
         return {"kind": self.kind, **_param_dict(self)}
@@ -252,6 +249,7 @@ def powerlaw_beta_max(n: float) -> float:
     1 / (-1 + sqrt(1 + 9 (n-2)^2 / (n^2 (4n-13)))) beyond; the two branches
     agree at n = 11/3.  Past n = 1e8 it is 8 n / 9 + 7 / 6 to rounding.
     """
+    n = real(n, "n")
     if n <= 0.0:
         raise DomainError(f"n must be positive, got {n}")
     if n <= 11.0 / 3.0:
@@ -292,6 +290,8 @@ class WillamWarnke(_Shape, Record):
         num = 2.0 * c2 * u + t * r
         den = 4.0 * c2 * u * u + t * t
         jet = [num / den]
+        if order or by:  # t / r tends to 1 where rho rounds to 0, at u = 1/2 for e near 1/2
+            r = xp.where(r > 0.0, r, t)
         if order:
             rho_u = 8.0 * c2 * u
             num_u = 2.0 * c2 + t * rho_u / (2.0 * r)
@@ -395,6 +395,7 @@ def beta_bound(gamma: float) -> float:
     2 - bound <= beta <= bound.  Takes values in (2, 4] for gamma in [0, 1),
     equal to 4 at gamma = 0 and decreasing towards 2 as gamma -> 1.
     """
+    gamma = real(gamma, "gamma")
     if not (0.0 <= gamma < 1.0):
         raise DomainError(f"gamma must lie in [0, 1), got {gamma}")
     z = (2.0 / 3.0) * (math.pi - math.acos(gamma))
@@ -448,13 +449,16 @@ class _Meridian:
         """Meridian value over an array of pressures; +inf outside a cap."""
         import numpy as np
 
-        p = np.asarray(p, dtype=float)
+        p = _floats(p, "p")
         return self._jet(self._place(p, np), np)[0]
 
     def df(self, p):
-        """df/dp (a float or an array) on the open interior of a cap."""
-        xp, p = namespace(p)
-        return self._jet(self._place(p, xp), xp, 1)[1]
+        """df/dp (a float or an array) on the open interior of a cap; DomainError for one p at a cap end."""
+        xp, p = namespace(p, "p")
+        try:
+            return self._jet(self._place(p, xp), xp, 1)[1]
+        except ZeroDivisionError:
+            raise DomainError(f"df/dp is infinite at p={p}, an end of the cap") from None
 
     to_dict = _param_dict
 
@@ -816,7 +820,7 @@ def yield_value_array(stress, crit: Criterion) -> np.ndarray:
     import numpy as np
 
     p, q, theta, hydrostatic = invariants_array(stress)
-    fp, g = crit.meridian.f_array(p), crit.shape.g(theta)
+    fp, g = crit.meridian.f_array(p), crit.shape._jet(np, theta)[0]
     # where g underflows to 0, B q / g is +inf off the axis and NaN on it, which the body drops
     with np.errstate(divide="ignore", invalid="ignore"):
         return _yield_body(fp, q, g, hydrostatic, crit, np)
@@ -864,18 +868,14 @@ def surface_q_array(p, theta, crit: Criterion) -> np.ndarray:
 
     # a single theta is checked as a float, before it becomes an array
     _check_theta(theta)
-    try:
-        p = np.asarray(p, dtype=float)
-    except (TypeError, ValueError, OverflowError):
-        raise DomainError(f"p must be a number or an array of numbers, got {p!r}") from None
-    theta = np.asarray(theta, dtype=float)
+    p, theta = _floats(p, "p"), np.asarray(theta, dtype=float)
     try:
         np.broadcast(p, theta)
     except ValueError:
         raise DomainError(f"p and theta do not broadcast: shapes {p.shape} and {theta.shape}")
     if np.isnan(p).any():
         raise DomainError("p must be a number, got nan")
-    return _surface_q_body(crit.meridian.f_array(p), crit.shape.g(theta), crit, np)
+    return _surface_q_body(crit.meridian.f_array(p), crit.shape._jet(np, theta)[0], crit, np)
 
 
 class GradientDecomposition(Record):

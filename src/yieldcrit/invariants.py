@@ -30,7 +30,7 @@ from operator import attrgetter
 from types import SimpleNamespace
 from typing import TYPE_CHECKING
 
-from .errors import DegenerateDirection, DomainError
+from .errors import DegenerateDirection, DomainError, ValidationError, real
 
 if TYPE_CHECKING:
     import numpy as np
@@ -80,13 +80,29 @@ FLOAT = SimpleNamespace(
 )
 
 
-def namespace(x):
-    """``(FLOAT, x)`` for a real number, ``(numpy, x as a float array)`` otherwise."""
+def namespace(x, name: str):
+    """``(FLOAT, x as a float)`` for a float or an int, ``(numpy, x as a float array)``
+    otherwise: the rule of an evaluation input, a DomainError naming ``name`` for an
+    ``x`` that is not a number or an array of numbers (see :func:`_floats`)."""
     if isinstance(x, (float, int)):
-        return FLOAT, x
+        try:
+            return FLOAT, float(x)
+        except OverflowError:
+            what = "an integer too large for a float"
+            raise DomainError(f"{name} must be a number or an array of numbers, got {what}") from None
     import numpy as np
 
-    return np, np.asarray(x, dtype=float)
+    return np, _floats(x, name)
+
+
+def _floats(x, name: str):
+    """``x`` as a float array; DomainError naming ``name`` unless it is a number or an array of numbers."""
+    import numpy as np
+
+    try:
+        return np.asarray(x, dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        raise DomainError(f"{name} must be a number or an array of numbers, got {x!r}") from None
 
 
 # the frozen records' own __setattr__ raises
@@ -97,10 +113,9 @@ class _OnFirstRead:
     """A dataclass attribute or the signature of a record class, made on first read.
 
     Each record class holds one under each of ``names`` in its own
-    ``__dict__``, so that a base made a dataclass first does not answer for
-    its subclasses.  The first read makes the class a dataclass (its record
-    bases first, whose fields ``dataclass`` reads), which generates no method
-    and puts the real attributes in their place.
+    ``__dict__``, so that a base read first does not answer for its
+    subclasses.  The first read copies all four from the class's twin (see
+    :meth:`Record._twin`), which puts the real attributes in their place.
     """
 
     names = ("__dataclass_fields__", "__dataclass_params__", "__match_args__", "__signature__")
@@ -109,20 +124,12 @@ class _OnFirstRead:
         self.name = name
 
     def __get__(self, obj, cls):
-        import dataclasses
         import inspect
 
-        # dataclass sets no __match_args__ where the class holds one
-        cls.__match_args__ = cls._field_names
-        cls.__signature__ = inspect.Signature(
-            [
-                inspect.Parameter(name, inspect.Parameter.POSITIONAL_OR_KEYWORD, annotation=annotation,
-                                  default=cls._defaults.get(name, inspect.Parameter.empty))
-                for name, annotation in cls._field_types.items()
-            ],
-            return_annotation=None,
-        )
-        dataclasses.dataclass(cls, init=False, repr=False, eq=False)
+        twin = cls._twin()
+        for name in self.names[:-1]:  # the dataclass attributes; the signature comes last
+            setattr(cls, name, twin.__dict__[name])
+        cls.__signature__ = inspect.signature(twin)
         return cls.__dict__[self.name]
 
 
@@ -135,10 +142,11 @@ class Record:
     would generate for each class at import (``__init__``, ``__repr__``,
     ``__eq__``, ``__hash__``, ``__setattr__`` and ``__delattr__``) are written
     once here instead, with the same behaviour and error messages.
-    ``__init__`` runs the subclass's ``__post_init__``, as there.  A class
-    becomes a dataclass when its dataclass attributes or its signature are
-    first read, so that the package imports neither ``dataclasses`` nor
-    ``inspect`` until then.
+    ``__init__`` runs the subclass's ``__post_init__``, as there.  A call
+    that does not bind, the signature and the dataclass attributes come from
+    the class's twin, a plain dataclass with the same fields made on first
+    use, so that the package imports neither ``dataclasses`` nor ``inspect``
+    until then.
     """
 
     def __init_subclass__(cls, **kwargs):
@@ -167,43 +175,27 @@ class Record:
             try:  # every field by name, the common keyword call
                 for name in names:
                     _setattr(self, name, kwargs[name])
-            except KeyError:  # some keyword is not a field: raise its TypeError
-                self._bind(args, kwargs)
+            except KeyError:  # some keyword is not a field: the twin raises its TypeError
+                self._twin()(**kwargs)
         else:
-            if kwargs or len(args) != len(names):
-                args = self._bind(args, kwargs)
+            if kwargs or len(args) != len(names):  # the twin binds the call, or raises its TypeError
+                args = self._key(self._twin()(*args, **kwargs))
             for name, value in zip(names, args):
                 _setattr(self, name, value)
         self.__post_init__()
 
     @classmethod
-    def _bind(cls, args: tuple, kwargs: dict) -> list:
-        """The field values of a call, bound as Python binds one to
-        ``__init__(self, <fields>)``: the same defaults, and a TypeError
-        worded as Python words it for a call that does not bind."""
-        names, defaults = cls._field_names, cls._defaults
-        where = f"{cls.__qualname__}.__init__()"
-        bound = dict(zip(names, args))
-        for name, value in kwargs.items():
-            if name not in names:
-                raise TypeError(f"{where} got an unexpected keyword argument {name!r}")
-            if name in bound:
-                raise TypeError(f"{where} got multiple values for argument {name!r}")
-            bound[name] = value
-        if len(args) > len(names):
-            most = len(names) + 1  # self counts
-            takes = f"from {most - len(defaults)} to {most}" if defaults else str(most)
-            plural = "s" if defaults or most != 1 else ""
-            given = len(args) + 1
-            raise TypeError(f"{where} takes {takes} positional argument{plural} but {given} were given")
-        missing = [repr(name) for name in names if name not in bound and name not in defaults]
-        if missing:
-            if len(missing) > 2:
-                missing[-1] = f"and {missing[-1]}"
-            listed = ", ".join(missing) if len(missing) > 2 else " and ".join(missing)
-            plural = "s" if len(missing) > 1 else ""
-            raise TypeError(f"{where} missing {len(missing)} required positional argument{plural}: {listed}")
-        return [bound[name] if name in bound else defaults[name] for name in names]
+    def _twin(cls):
+        """The plain dataclass with this class's name, fields and defaults, made on
+        first use and kept in the class's own ``__dict__``; it generates only ``__init__``."""
+        twin = cls.__dict__.get("_dataclass")
+        if twin is None:
+            import dataclasses
+
+            cls._dataclass = twin = dataclasses.make_dataclass(
+                cls.__qualname__, cls._field_types.items(), namespace=cls._defaults, repr=False, eq=False
+            )
+        return twin
 
     def __post_init__(self):
         """A subclass checks and converts its fields here."""
@@ -337,20 +329,23 @@ def _state(stress):
     return last
 
 
-def _check_theta(theta) -> None:
-    """DomainError unless theta (a number or an array) lies in [0, pi/3] to 1e-12; numpy-free for a number."""
+def _check_theta(theta):
+    """``(FLOAT, theta)`` for a number and ``(numpy, theta as a float array)`` otherwise,
+    as :func:`namespace` gives them; DomainError unless theta lies in [0, pi/3] to
+    1e-12.  numpy-free for a number."""
     if isinstance(theta, (float, int)):
-        ok = _THETA_LO <= theta <= _THETA_HI
+        xp, th, ok = FLOAT, theta, _THETA_LO <= theta <= _THETA_HI
     else:
-        import numpy as np
+        import numpy as xp
 
         try:
-            th = np.asarray(theta, dtype=float)
-            ok = np.all((_THETA_LO <= th) & (th <= _THETA_HI))
-        except (TypeError, ValueError):  # not a number or an array of them
+            th = xp.asarray(theta, dtype=float)
+            ok = xp.all((_THETA_LO <= th) & (th <= _THETA_HI))
+        except (TypeError, ValueError, OverflowError):  # not a number or an array of them
             ok = False
     if not ok:
         raise DomainError(f"theta must lie in [0, pi/3], got {theta}")
+    return xp, th
 
 
 def invariants(stress) -> Invariants:
@@ -446,13 +441,16 @@ def principal_from_invariants(p: float, q: float, theta: float) -> np.ndarray:
     """Reconstruct a principal triple from (p, q, theta).
 
     The inverse of :func:`invariants` up to permutation:
-    sigma_k = -p + (2q/3) cos(theta - 2 pi k / 3).
+    sigma_k = -p + (2q/3) cos(theta - 2 pi k / 3).  Each of p, q and theta
+    is one finite number; anything else is a DomainError.
     """
     import numpy as np
 
     _check_theta(theta)
-    if not (math.isfinite(p) and math.isfinite(q)):
-        raise DomainError(f"p and q must be finite, got p={p}, q={q}")
+    try:  # the number rule, with a DomainError for evaluation inputs
+        p, q, theta = real(p, "p"), real(q, "q"), real(theta, "theta")
+    except ValidationError as exc:
+        raise DomainError(str(exc)) from None
     if q < 0.0:
         raise DomainError(f"q must be nonnegative, got {q}")
     k = np.arange(3)

@@ -23,7 +23,7 @@ from sys import float_info
 
 from .criterion import GAMMA_LIMIT, CosineLode, Criterion, YieldParams, _real_fields
 from .errors import DomainError, ShapeMismatch, count, real
-from .invariants import STRESS_MAX, Record, invariants
+from .invariants import STRESS_MAX, Record, _floats, invariants
 
 # The deviatoric sections of the classical criteria.
 _CIRCLE = CosineLode(beta=1.0, gamma=0.0)
@@ -345,10 +345,7 @@ def gurson_meridian_q(
     import numpy as np
 
     f_void, sigma_m, q1, q2, q3 = _gurson_inputs(f_void=f_void, sigma_m=sigma_m, q1=q1, q2=q2, q3=q3)
-    try:
-        p = np.asarray(p, dtype=float)
-    except (TypeError, ValueError, OverflowError):
-        raise DomainError(f"p must be a number or an array of numbers, got {p!r}") from None
+    p = _floats(p, "p")
     radicand = 1.0 + q3 * f_void**2 - 2.0 * q1 * f_void * np.cosh(3.0 * q2 * p / (2.0 * sigma_m))
     out = np.full(p.shape, math.nan)
     ok = radicand >= 0.0

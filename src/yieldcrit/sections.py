@@ -44,7 +44,7 @@ from .criterion import CapMeridian, Criterion, _yield_body, surface_q_array, yie
 # Unused here; kept because perfbench's --trace 1 wraps sections.surface_q and .invariants by name.
 from .criterion import surface_q  # noqa: F401
 from .errors import DomainError, EmptySlice, NonConvexSlice, OutsideCap, UnboundedDomain, count, real
-from .invariants import _THETA_MAX, FLOAT, STRESS_MAX, Record, _check_stress, _invariant_body, _state
+from .invariants import _THETA_MAX, FLOAT, STRESS_MAX, Record, _check_stress, _floats, _invariant_body, _state
 from .invariants import invariants  # noqa: F401
 
 
@@ -168,13 +168,13 @@ def _slice_F(crit: Criterion, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     if not np.maximum.reduce(np.abs(np.concatenate((x, y))), initial=0.0) <= STRESS_MAX:
         _check_stress(np.column_stack([x, y, np.zeros_like(x)]))
     p, q, theta, hydrostatic = _invariant_body(x, y, 0.0, np)
-    return _yield_body(crit.meridian.f_array(p), q, crit.shape.g(theta), hydrostatic, crit, np)
+    return _yield_body(crit.meridian.f_array(p), q, crit.shape._jet(np, theta)[0], hydrostatic, crit, np)
 
 
 def _slice_size(crit: Criterion, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """A q^2 + B q / g + |f(p)| at the points (x, y, 0): the magnitudes of F's terms."""
     p, q, theta, hydrostatic = _invariant_body(x, y, 0.0, np)
-    return _yield_body(np.abs(crit.meridian.f_array(p)), q, crit.shape.g(theta), hydrostatic, crit, np)
+    return _yield_body(np.abs(crit.meridian.f_array(p)), q, crit.shape._jet(np, theta)[0], hydrostatic, crit, np)
 
 
 # Lode angles at which a cone's slice is tested for a direction that never leaves it
@@ -191,7 +191,7 @@ def _unbounded(crit: Criterion) -> bool:
     On a convex shape the largest g(theta) cos(theta) is at theta = 0, an angle tested."""
     if crit.meridian.kind == "bp" or crit.A != 0.0:
         return False
-    reach = crit.shape.g(_CONE_THETAS) * _CONE_COS
+    reach = crit.shape._jet(np, _CONE_THETAS)[0] * _CONE_COS
     return bool(1.5 * crit.B <= crit.meridian.Gamma * reach.max())
 
 
@@ -483,13 +483,15 @@ def polygon_is_convex(points: np.ndarray) -> bool:
     """Cross-product sign test for a closed polygon given as (n, 2) rows.
 
     Degenerate (zero-length) edges are tolerated; the tolerance is 1e-9
-    relative to the polygon's extent.
+    relative to the polygon's extent; points that are not (n, 2) numbers are a DomainError.
     """
-    pts = np.asarray(points, dtype=float)
+    pts = _floats(points, "points")
+    if pts.ndim != 2 or pts.shape[1] != 2:
+        raise DomainError(f"points must be an (n, 2) array, got shape {pts.shape}")
     edges = np.roll(pts, -1, axis=0) - pts
     after = np.roll(edges, -1, axis=0)
     cross = edges[:, 0] * after[:, 1] - edges[:, 1] * after[:, 0]
-    extent = float(np.max(np.abs(pts))) or 1.0
+    extent = float(np.max(np.abs(pts), initial=0.0)) or 1.0
     band = 1e-9 * extent * extent
     return bool(np.all(cross >= -band) or np.all(cross <= band))
 

@@ -630,6 +630,37 @@ class TestUsageErrors:
         assert code == 2
 
 
+class TestOutputDir:
+    """YIELDCRIT_OUTPUT_DIR puts a relative -o path inside it; an absolute -o
+    path, or an unset variable, writes where -o says."""
+
+    def _check(self, capsys, cam_clay_file, output):
+        code, out, _ = run(capsys, ["check-convexity", "--params", cam_clay_file, "-o", output])
+        assert (code, out) == (0, "")
+
+    def test_a_relative_output_lands_in_the_directory(self, capsys, cam_clay_file, tmp_path, monkeypatch):
+        (tmp_path / "cwd").mkdir()
+        (tmp_path / "out").mkdir()
+        monkeypatch.chdir(tmp_path / "cwd")
+        monkeypatch.setenv("YIELDCRIT_OUTPUT_DIR", str(tmp_path / "out"))
+        self._check(capsys, cam_clay_file, "report.json")
+        assert json.loads((tmp_path / "out" / "report.json").read_text(encoding="utf-8"))["admissible"]
+        assert not (tmp_path / "cwd" / "report.json").exists()
+
+    def test_an_absolute_output_ignores_the_directory(self, capsys, cam_clay_file, tmp_path, monkeypatch):
+        (tmp_path / "out").mkdir()
+        monkeypatch.setenv("YIELDCRIT_OUTPUT_DIR", str(tmp_path / "out"))
+        self._check(capsys, cam_clay_file, str(tmp_path / "report.json"))
+        assert (tmp_path / "report.json").exists()
+        assert not list((tmp_path / "out").iterdir())
+
+    def test_unset_writes_to_the_working_directory(self, capsys, cam_clay_file, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.delenv("YIELDCRIT_OUTPUT_DIR", raising=False)
+        self._check(capsys, cam_clay_file, "report.json")
+        assert json.loads((tmp_path / "report.json").read_text(encoding="utf-8"))["admissible"]
+
+
 # ---------------------------------------------------------------------------
 # compare and the meridian --p-range: sample counts, ranges and fuzz
 # ---------------------------------------------------------------------------

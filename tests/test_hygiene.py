@@ -20,6 +20,9 @@
 * Records are made in one place, ``invariants.Record``: no other module
   names ``dataclass`` or ``make_dataclass``, whose frozen form generates
   and compiles the methods of each class at import.
+* No module holds CPython's wording for a call that does not bind: a
+  record binds a call through its twin, a plain dataclass with the same
+  fields, whose TypeError Python words for the running version.
 * No module that the scalar commands or realize load imports
   ``dataclasses`` or ``inspect`` when it runs: a record class becomes a
   dataclass on first use, and only then are they imported.
@@ -317,6 +320,61 @@ def test_a_second_record_maker_is_found():
         "names = [f.name for f in fields(Point)]\n"
     )
     assert _dataclass_sites(text) == [1, 3, 6, 7]
+
+
+# the pieces of CPython's wording for a call that does not bind
+BINDING_WORDS = (
+    "required positional argument",
+    "unexpected keyword argument",
+    "multiple values for argument",
+    "positional argument",
+)
+
+
+def _binding_wording(text) -> list:
+    """Lines that hold a piece of CPython's binding wording, in code, a string or a comment."""
+    return [n for n, line in enumerate(text.splitlines(), 1) if any(w in line for w in BINDING_WORDS)]
+
+
+def test_no_module_words_a_binding_error():
+    sites = {path.name: _binding_wording(path.read_text(encoding="utf-8")) for path in MODULES}
+    assert not any(sites.values()), sites
+
+
+def test_a_copy_of_the_binding_wording_is_found():
+    # the hand-written binder that the records' twins replaced
+    text = (
+        '    @classmethod\n'
+        '    def _bind(cls, args: tuple, kwargs: dict) -> list:\n'
+        '        """The field values of a call, bound as Python binds one to\n'
+        '        ``__init__(self, <fields>)``: the same defaults, and a TypeError\n'
+        '        worded as Python words it for a call that does not bind."""\n'
+        '        names, defaults = cls._field_names, cls._defaults\n'
+        '        where = f"{cls.__qualname__}.__init__()"\n'
+        '        bound = dict(zip(names, args))\n'
+        '        for name, value in kwargs.items():\n'
+        '            if name not in names:\n'
+        '                raise TypeError(f"{where} got an unexpected keyword argument {name!r}")\n'
+        '            if name in bound:\n'
+        '                raise TypeError(f"{where} got multiple values for argument {name!r}")\n'
+        '            bound[name] = value\n'
+        '        if len(args) > len(names):\n'
+        '            most = len(names) + 1  # self counts\n'
+        '            takes = f"from {most - len(defaults)} to {most}" if defaults else str(most)\n'
+        '            plural = "s" if defaults or most != 1 else ""\n'
+        '            given = len(args) + 1\n'
+        '            raise TypeError(f"{where} takes {takes} positional argument{plural} but {given} were given")\n'
+        '        missing = [repr(name) for name in names if name not in bound and name not in defaults]\n'
+        '        if missing:\n'
+        '            if len(missing) > 2:\n'
+        '                missing[-1] = f"and {missing[-1]}"\n'
+        '            listed = ", ".join(missing) if len(missing) > 2 else " and ".join(missing)\n'
+        '            plural = "s" if len(missing) > 1 else ""\n'
+        '            raise TypeError(f"{where} missing {len(missing)} required positional argument{plural}: {listed}")\n'
+        '        return [bound[name] if name in bound else defaults[name] for name in names]\n'
+    )
+    assert _binding_wording(text) == [11, 13, 20, 27]
+    assert not _binding_wording("raise TypeError(f'{where} takes {takes} arguments')\n# a keyword argument\n")
 
 
 # the modules every command loads, and limits, which realize loads

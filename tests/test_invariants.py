@@ -144,6 +144,28 @@ class TestPrincipalFromInvariants:
         with pytest.raises(DomainError):
             principal_from_invariants(p, q, 0.3)
 
+    @pytest.mark.parametrize(
+        "theta, message",
+        [
+            ([0.1, 0.2, 0.3], "theta must be a number, got [0.1, 0.2, 0.3]"),
+            (np.array([0.1, 0.2, 0.3]), "theta must be a number, got array([0.1, 0.2, 0.3])"),
+            ("0.1", "theta must be a number, got '0.1'"),
+            ("x", "theta must lie in [0, pi/3], got x"),
+        ],
+    )
+    def test_theta_that_is_not_one_number(self, theta, message):
+        # an array paired angle k with principal k: theta [0.1, 0.2, 0.3] gave a state of theta 0.2324
+        with pytest.raises(DomainError) as info:
+            principal_from_invariants(0.0, 1.0, theta)
+        assert str(info.value) == message
+
+    def test_p_or_q_that_is_not_a_number(self):
+        # a bare TypeError from math.isfinite before
+        with pytest.raises(DomainError, match="p must be a number, got 'x'"):
+            principal_from_invariants("x", 1.0, 0.3)
+        with pytest.raises(DomainError, match="q must be a number, got 'x'"):
+            principal_from_invariants(0.0, "x", 0.3)
+
 
 class TestInvariantGradients:
     def test_dp_constant(self):
@@ -349,8 +371,9 @@ def test_deviatoric_frame_cayley_hamilton(sig):
         lambda th: surface_q_array(0.5, th, CAM_CLAY),
         lambda th: deviatoric_curvature(th, CosineLode(beta=0.5, gamma=0.5)),
         lambda th: principal_from_invariants(0.5, 1.0, th),
+        lambda th: CosineLode(beta=0.5, gamma=0.5).dg(th),
     ],
-    ids=["surface_q", "surface_q_array", "deviatoric_curvature", "principal_from_invariants"],
+    ids=["surface_q", "surface_q_array", "deviatoric_curvature", "principal_from_invariants", "shape.dg"],
 )
 def test_theta_outside_the_sector_is_one_message_everywhere(call, theta):
     # principal_from_invariants and surface_q take a number; an array is

@@ -5,7 +5,8 @@ numpy scalars included, returned as a float) and ``errors.count`` the count
 rule (an integer that is not a bool, at least a given least).  Both raise
 ValidationError naming the input.  A property draws bad values for each
 numeric argument of the record constructors, ``criterion_from_dict``,
-``FitProblem`` and ``fit``, the ``limits`` functions and the samplers, and
+``FitProblem`` and ``fit``, the ``limits`` functions, the samplers, the
+convexity oracles and the readers of the shapes and meridians, and
 checks that only a YieldCritError escapes and that a record built from an
 accepted value holds a plain float.  Regressions pin each guess that became
 a refusal or a conversion, and each bare Python error that became typed.
@@ -113,6 +114,25 @@ ENTRIES = {
         lambda points, weights: FitDataset(points=points, weights=weights),
         {"points": [[0.2, 0.45, 0.0]], "weights": [1.0]},
     ),
+    "beta_bound": (yc.beta_bound, {"gamma": 0.3}),
+    "powerlaw_beta_max": (yc.powerlaw_beta_max, {"n": 3.0}),
+    "nonconvex_demo": (yc.nonconvex_demo, {"p": 0.3, "q": 0.1, "a": 1.0, "b": 1.0}),
+    "hessian_qg": (lambda s1, s2: yc.hessian_qg(s1, s2, CosineLode(1.0, 0.3)), {"s1": 0.3, "s2": -0.1}),
+    "deviatoric_curvature": (lambda theta: yc.deviatoric_curvature(theta, CosineLode(1.0, 0.3)), {"theta": 0.3}),
+    "principal_from_invariants": (yc.principal_from_invariants, {"p": 0.3, "q": 0.5, "theta": 0.3}),
+    "surface_q": (lambda p, theta: yc.surface_q(p, theta, CRIT), {"p": 0.3, "theta": 0.1}),
+    "polygon_is_convex": (yc.polygon_is_convex, {"points": [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]}),
+    # the readers of each shape's and each meridian's formula body
+    **{
+        f"{type(shape).__name__}.{reader}": (getattr(shape, reader), {"theta": 0.3})
+        for shape in (CosineLode(1.0, 0.3), PowerLaw(0.5, 3.0), WillamWarnke(0.7), GudehusArgyris(0.9))
+        for reader in ("g", "dg", "d2g")
+    },
+    **{
+        f"{type(meridian).__name__}.{reader}": (getattr(meridian, reader), {"p": 0.3})
+        for meridian in (CRIT.meridian, CONE.meridian)
+        for reader in ("f", "f_array", "df")
+    },
 }
 
 # bools, strings, NaN, the infinities, integers too large for a float or an
@@ -257,6 +277,14 @@ def test_numpy_scalars_become_floats_in_every_record():
     assert type(crit.meridian.M) is float and type(crit.A) is float
 
 
+def test_a_bool_shape_parameter_is_refused():
+    # beta_bound(True) was a DomainError of gamma's range, and powerlaw_beta_max(True) 1/7
+    with pytest.raises(ValidationError, match="gamma must be a number, got True"):
+        yc.beta_bound(True)
+    with pytest.raises(ValidationError, match="n must be a number, got True"):
+        yc.powerlaw_beta_max(True)
+
+
 def test_a_fractional_sample_count_is_refused():
     # sample_biaxial(n=5.5) ended in a TypeError from range()
     with pytest.raises(ValidationError) as info:
@@ -274,6 +302,9 @@ def test_a_fractional_sample_count_is_refused():
 @pytest.mark.parametrize(
     "call, message",
     [
+        (lambda: yc.beta_bound("x"), "gamma must be a number, got 'x'"),
+        (lambda: yc.powerlaw_beta_max("x"), "n must be a number, got 'x'"),
+        (lambda: yc.nonconvex_demo(0.1, 0.1, "x", 1.0), "a must be a number, got 'x'"),
         (lambda: yc.newman_strength("a", 1.0), "sigma3 must be a number, got 'a'"),
         (lambda: yc.deshpande_fleck_to_bp("a", 1.0), "Y must be a number, got 'a'"),
         (lambda: yc.sample_biaxial(CRIT, n="5"), "n must be an integer of at least 3, got '5'"),
@@ -304,6 +335,17 @@ def test_library_refusals_are_validation_errors(call, message):
         (lambda: yc.surface_q("a", 0.1, CRIT), "p must be a number, got 'a'"),
         (lambda: yc.surface_q(0.1, "a", CRIT), "theta must lie in [0, pi/3], got a"),
         (lambda: yc.surface_q_array("a", 0.1, CRIT), "p must be a number or an array of numbers, got 'a'"),
+        (lambda: yc.hessian_qg("x", 1.0, CRIT.shape), "s1 must be a number or an array of numbers, got 'x'"),
+        (lambda: CRIT.shape.g("x"), "theta must lie in [0, pi/3], got x"),
+        (lambda: CRIT.shape.dg([0.1, "x"]), "theta must lie in [0, pi/3], got [0.1, 'x']"),
+        (lambda: CRIT.shape.d2g(None), "theta must lie in [0, pi/3], got None"),
+        (lambda: CRIT.meridian.df("x"), "p must be a number or an array of numbers, got 'x'"),
+        (lambda: CRIT.meridian.df(10**400), "p must be a number or an array of numbers, got an integer too large for a float"),
+        (lambda: CRIT.meridian.df(1.0), "df/dp is infinite at p=1.0, an end of the cap"),
+        (lambda: CRIT.meridian.f_array("x"), "p must be a number or an array of numbers, got 'x'"),
+        (lambda: yc.nonconvex_demo("x", 0.1, 1.0, 1.0), "p must be a number or an array of numbers, got 'x'"),
+        (lambda: yc.polygon_is_convex("x"), "points must be a number or an array of numbers, got 'x'"),
+        (lambda: yc.polygon_is_convex([0.0, 1.0]), "points must be an (n, 2) array, got shape (2,)"),
     ],
 )
 def test_evaluation_inputs_are_domain_errors(call, message):
