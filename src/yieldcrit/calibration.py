@@ -34,7 +34,7 @@ from . import trf
 from .convexity import ConvexityReport, certify
 from .criterion import GAMMA_LIMIT, Criterion, _params, _surface_q_body, _yield_body
 from .errors import InsufficientData, ParseError, ValidationError, count, real
-from .invariants import _THETA_HI, _THETA_LO, Record, _record, invariants
+from .invariants import _THETA_HI, _THETA_LO, Record, _float_array, _record, invariants
 
 FITTABLE = ("M", "pc", "c", "m", "alpha", "beta", "gamma", "Gamma", "A", "e", "k", "n")
 
@@ -72,8 +72,7 @@ class FitDataset(Record):
 
     def __post_init__(self):
         try:
-            pts = np.asarray(self.points, dtype=float)
-            w = np.asarray(self.weights, dtype=float)
+            pts, w = _float_array(self.points), _float_array(self.weights)
         except (TypeError, ValueError, OverflowError):
             raise ValidationError(
                 f"points and weights must be arrays of numbers, got {self.points!r} and {self.weights!r}"

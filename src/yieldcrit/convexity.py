@@ -29,7 +29,7 @@ from typing import TYPE_CHECKING
 
 from .criterion import Criterion, _powerlaw_coefficients
 from .errors import DegenerateState, DomainError, real
-from .invariants import Record, _check_theta, _state, namespace
+from .invariants import Record, _check_theta, _floats, _state, namespace
 
 if TYPE_CHECKING:
     import numpy as np
@@ -80,9 +80,7 @@ def powerlaw_quadratic(x, beta: float, n: float):
     sign of b does not change that, only which theta a given x is (x = -1
     is theta = 0 in this Lode convention).
     """
-    import numpy as np
-
-    x = np.asarray(x, dtype=float)
+    x = _floats(x, "x")
     a, b, c = _powerlaw_coefficients(beta, n)
     return a * x * x + b * x + c
 

@@ -33,7 +33,7 @@ from functools import cache
 from typing import TYPE_CHECKING
 
 from .errors import CornerCase, DegenerateState, DomainError, ValidationError, real
-from .invariants import _SQRT15, FLOAT, Record, _frame, _record, _state
+from .invariants import _SQRT15, FLOAT, Record, _frame, _on_meridian, _record, _state
 from .invariants import _check_theta, _floats, invariants_array, namespace
 # Unused here; kept because perfbench's --trace 1 wraps criterion.invariants by name.
 from .invariants import invariants  # noqa: F401
@@ -453,12 +453,21 @@ class _Meridian:
         return self._jet(self._place(p, np), np)[0]
 
     def df(self, p):
-        """df/dp (a float or an array) on the open interior of a cap; DomainError for one p at a cap end."""
+        """df/dp (a float or an array) on the open interior of a cap: a DomainError
+        for one p that is not inside it, NaN at such entries of an array."""
         xp, p = namespace(p, "p")
+        at = self._place(p, xp)
+        inner, interior = self._open(at, xp)
+        if xp is FLOAT and not inner:
+            # f is finite at an end of the cap and +inf beyond it, or at a NaN p
+            if self._jet(at, xp)[0] < math.inf:
+                raise DomainError(f"df/dp is infinite at p={p}, an end of the cap")
+            raise DomainError(f"df/dp is undefined at p={p}, which is not inside the cap")
         try:
-            return self._jet(self._place(p, xp), xp, 1)[1]
-        except ZeroDivisionError:
+            slope = self._jet(interior, xp, 1)[1]
+        except ZeroDivisionError:  # h underflows to 0 next to an end
             raise DomainError(f"df/dp is infinite at p={p}, an end of the cap") from None
+        return slope if inner is True else xp.where(inner, slope, math.nan)
 
     to_dict = _param_dict
 
@@ -504,6 +513,13 @@ class CapMeridian(_Meridian, Record):
         ln_ph = xp.log(xp.where(ph > 0.0, ph, 1.0)) if "m" in by else None
         tilt = 1.0 - 2.0 * ph if "alpha" in by else None
         return phi, inside, ph, ln_ph, tilt
+
+    def _open(self, at, xp):
+        """(where Phi lies in the open cap (0, 1), ``at`` with ph = 1/2 elsewhere):
+        where df/dp is finite, and a place for it that divides by no zero."""
+        phi, _, ph, ln_ph, tilt = at
+        inner = (phi > 0.0) & (phi < 1.0)
+        return inner, (phi, inner, xp.where(inner, ph, 0.5), ln_ph, tilt)
 
     def _jet(self, at, xp, order=0, by=()):
         """f = -M pc sqrt(h) at ph, with h = d lin, d = Phi - Phi^m and
@@ -595,6 +611,10 @@ class LinearMeridian(_Meridian, Record):
     def _place(self, p, xp, by=()):
         """p + c."""
         return p + self.c
+
+    def _open(self, s, xp):
+        """Every p is inside an open meridian."""
+        return True, s
 
     def _jet(self, s, xp, order=0, by=()):
         """f = -Gamma s at s = p + c, with df/dp = df/dc = -Gamma and df/dGamma = -s."""
@@ -796,19 +816,55 @@ def _yield_body(fp, q, g, hydrostatic, crit: Criterion, xp):
     return crit.A * q * q + xp.where(hydrostatic, 0.0, crit.B * q / g) + fp
 
 
+def _scalar_F(fp, q, g, hydrostatic, crit: Criterion) -> float:
+    """F of one state in plain floats from f(p), q and g(theta)."""
+    # where g underflows to 0, B q / g is +inf off the axis, as on the array path, and dropped on it
+    if g == 0.0 and not hydrostatic:
+        return math.inf
+    return _yield_body(fp, q, g or 1.0, hydrostatic, crit, FLOAT)
+
+
+# The formulas at the state of the last scalar F: (criterion, p, theta, the
+# meridian's jet, the shape's jet), each jet [value] or [value, slope].  One
+# tuple, replaced whole and read whole as invariants._last is, so no lock.
+_jets = (object(), None, None, (), ())
+
+
+def _with_slope(jet, *args) -> list:
+    """``jet(*args, 1)`` where its slope is finite, else the value alone, ``jet(*args)``."""
+    try:
+        out = jet(*args, 1)
+        if math.isfinite(out[1]):
+            return out
+    except (ArithmeticError, ValueError):
+        pass
+    return jet(*args)
+
+
 def yield_value(stress, crit: Criterion) -> float:
     """Evaluate F at a stress state given by principal values.
 
     Returns +inf outside the effective domain of a cap meridian.  For
     hydrostatic states the deviatoric terms vanish and only f(p) remains.
+    The formula values at this state are kept for :func:`surface_q` and
+    :func:`gradient` at the same state and criterion.
     """
+    global _jets
     p, q, theta, hydrostatic = _state(stress)[1]
-    # theta is a float here, so the shape's body runs over FLOAT directly
-    g = crit.shape._jet(FLOAT, theta)[0]
-    # where g underflows to 0, B q / g is +inf off the axis, as on the array path, and dropped on it
-    if g == 0.0 and not hydrostatic:
-        return math.inf
-    return _yield_body(crit.meridian.f(p), q, g or 1.0, hydrostatic, crit, FLOAT)
+    mer, shape = crit.meridian, crit.shape
+    at = mer._place(p, FLOAT)
+    # theta is a float here, so the bodies run over FLOAT directly; f' and g' are
+    # computed where gradient asks for them (see _gradient_body), and kept for it
+    if hydrostatic or _on_meridian(theta):
+        gjet = shape._jet(FLOAT, theta)
+    else:
+        gjet = _with_slope(shape._jet, FLOAT, theta)
+    if hydrostatic or isinstance(mer, CapMeridian) and not DELTA_PHI < at[0] < 1.0 - DELTA_PHI:
+        fjet = mer._jet(at, FLOAT)
+    else:
+        fjet = _with_slope(mer._jet, at, FLOAT)
+    _jets = crit, p, theta, fjet, gjet
+    return _scalar_F(fjet[0], q, gjet[0], hydrostatic, crit)
 
 
 def yield_value_array(stress, crit: Criterion) -> np.ndarray:
@@ -847,12 +903,16 @@ def surface_q(p: float, theta: float, crit: Criterion) -> float | None:
     of A q^2 + B q / g + f(p) = 0.  Returns None when p lies outside the
     effective domain of a cap meridian; :func:`surface_q_array` takes arrays.
     """
-    _check_theta(theta)
-    try:
-        th = real(theta, "theta")
-    except ValidationError:
-        raise DomainError(f"theta must be one number, got {theta!r}; surface_q_array takes arrays") from None
-    q = _surface_q_body(crit.meridian.f(p), crit.shape._jet(FLOAT, th)[0], crit, FLOAT)
+    kept, kept_p, kept_theta, fjet, gjet = _jets
+    # the p and theta objects of the last scalar F's state give its f and g
+    if not (kept is crit and kept_p is p and kept_theta is theta):
+        _check_theta(theta)
+        try:
+            th = real(theta, "theta")
+        except ValidationError:
+            raise DomainError(f"theta must be one number, got {theta!r}; surface_q_array takes arrays") from None
+        fjet, gjet = [crit.meridian.f(p)], crit.shape._jet(FLOAT, th)
+    q = _surface_q_body(fjet[0], gjet[0], crit, FLOAT)
     return None if math.isnan(q) else q
 
 
@@ -914,14 +974,21 @@ def _gradient_body(stress, crit: Criterion):
     p, q, theta, _, s_tilde, s_tilde_perp = _frame(stress)
     if s_tilde is None:
         raise DegenerateState("gradient decomposition needs q > 0")
+    kept, kept_p, kept_theta, fjet, gjet = _jets
+    # the p and theta objects of the last scalar F's state give the jets it kept
+    if not (kept is crit and kept_p is p and kept_theta is theta):
+        fjet = gjet = ()
     mer = crit.meridian
-    at = mer._place(p, FLOAT)
-    # on a cap, at[0] is Phi
-    if isinstance(mer, CapMeridian) and not (DELTA_PHI < at[0] < 1.0 - DELTA_PHI):
-        raise DegenerateState(f"Phi={at[0]:.3g} too close to the cap ends; use normal_limits")
-    a = -mer._jet(at, FLOAT, 1)[1] / 3.0
+    if len(fjet) < 2:
+        at = mer._place(p, FLOAT)
+        # on a cap, at[0] is Phi
+        if isinstance(mer, CapMeridian) and not (DELTA_PHI < at[0] < 1.0 - DELTA_PHI):
+            raise DegenerateState(f"Phi={at[0]:.3g} too close to the cap ends; use normal_limits")
+        fjet = mer._jet(at, FLOAT, 1)
+    a = -fjet[1] / 3.0
     # a smooth limit on a deviatoric meridian (no s_tilde_perp): the c-term drops out, and g' is not needed
-    jet = crit.shape._jet(FLOAT, theta, 0 if s_tilde_perp is None else 1)
+    order = 0 if s_tilde_perp is None else 1
+    jet = gjet if len(gjet) > order else crit.shape._jet(FLOAT, theta, order)
     g = jet[0]
     g2 = g**2
     if g2 == 0.0:  # b divides by g and c by g^2; F is +inf where g is 0

@@ -97,12 +97,24 @@ def namespace(x, name: str):
 
 def _floats(x, name: str):
     """``x`` as a float array; DomainError naming ``name`` unless it is a number or an array of numbers."""
-    import numpy as np
-
     try:
-        return np.asarray(x, dtype=float)
+        return _float_array(x)
     except (TypeError, ValueError, OverflowError):
         raise DomainError(f"{name} must be a number or an array of numbers, got {x!r}") from None
+
+
+def _float_array(x):
+    """``np.asarray(x, dtype=float)``, but a TypeError where ``x`` holds a str or
+    bytes: a string is not a number, though numpy parses one that reads as one."""
+    import numpy as np
+
+    a = np.asarray(x)
+    kind = a.dtype.kind
+    if kind in "biuf":  # bools and numbers, which the cast rounds as float() does
+        return a.astype(float, copy=False)
+    if kind in "SU" or kind == "O" and any(isinstance(v, (str, bytes)) for v in a.flat):
+        raise TypeError("a string is not a number")
+    return np.asarray(x, dtype=float)
 
 
 # the frozen records' own __setattr__ raises
@@ -316,9 +328,7 @@ def _state(stress):
         if isinstance(stress, (tuple, list)) and len(stress) == 3:
             sig = float(stress[0]), float(stress[1]), float(stress[2])
         else:
-            import numpy as np
-
-            sig = tuple(np.asarray(stress, dtype=float).reshape(3).tolist())
+            sig = tuple(_float_array(stress).reshape(3).tolist())
     except (TypeError, ValueError, OverflowError):
         raise DomainError(f"stress must be three numbers, got {stress!r}") from None
     last = _last
@@ -335,11 +345,13 @@ def _check_theta(theta):
     1e-12.  numpy-free for a number."""
     if isinstance(theta, (float, int)):
         xp, th, ok = FLOAT, theta, _THETA_LO <= theta <= _THETA_HI
+    elif isinstance(theta, (str, bytes)):  # numpy would read "0.5" as a number
+        raise DomainError(f"theta must be a number, got {theta!r}")
     else:
         import numpy as xp
 
         try:
-            th = xp.asarray(theta, dtype=float)
+            th = _float_array(theta)
             ok = xp.all((_THETA_LO <= th) & (th <= _THETA_HI))
         except (TypeError, ValueError, OverflowError):  # not a number or an array of them
             ok = False
@@ -368,7 +380,7 @@ def invariants_array(stress):
     import numpy as np
 
     try:
-        sig = np.asarray(stress, dtype=float)
+        sig = _float_array(stress)
     except (TypeError, ValueError, OverflowError):  # not numbers, or rows of unequal length
         raise DomainError(f"stress must be an array of numbers, got {stress!r}") from None
     if sig.ndim not in (1, 2) or sig.shape[-1] != 3:
@@ -376,6 +388,11 @@ def invariants_array(stress):
     sig = sig.reshape(-1, 3)
     _check_stress(sig)
     return _invariant_body(sig[:, 0], sig[:, 1], sig[:, 2], np)
+
+
+def _on_meridian(theta) -> bool:
+    """Whether a Lode angle lies on a deviatoric meridian, where s_tilde_perp is undefined."""
+    return abs(math.sin(3.0 * theta)) <= EPS_MERIDIAN
 
 
 def _frame(stress):
@@ -388,7 +405,7 @@ def _frame(stress):
     if hydrostatic:
         return p, q, theta, S, None, None
     s_tilde = u1, u2, u3 = _SQRT15 * d1 / q, _SQRT15 * d2 / q, _SQRT15 * d3 / q
-    if abs(math.sin(3.0 * theta)) <= EPS_MERIDIAN:
+    if _on_meridian(theta):
         return p, q, theta, S, s_tilde, None
     # s_tilde turned a right angle in the deviatoric plane; its sign flips with each swap
     # of two principals, which are compared, as a product of their differences can underflow

@@ -41,6 +41,7 @@ from yieldcrit import (
     fit,
     load_dataset,
 )
+from yieldcrit.convexity import powerlaw_quadratic
 from yieldcrit.criterion import shape_from_dict
 from yieldcrit.errors import count, real
 
@@ -110,6 +111,8 @@ ENTRIES = {
     "sample_deviatoric": (lambda at_p, n: yc.sample_deviatoric(CRIT, at_p, n), {"at_p": 0.3, "n": 5}),
     "sample_biaxial": (lambda n: yc.sample_biaxial(CRIT, n), {"n": 5}),
     "surface_q_array": (lambda p, theta: yc.surface_q_array(p, theta, CRIT), {"p": 0.3, "theta": 0.1}),
+    "yield_value_array": (lambda stress: yc.yield_value_array(stress, CRIT), {"stress": [[-0.5, 0.2, 0.1]]}),
+    "invariants_array": (yc.invariants_array, {"stress": [[-0.5, 0.2, 0.1]]}),
     "FitDataset": (
         lambda points, weights: FitDataset(points=points, weights=weights),
         {"points": [[0.2, 0.45, 0.0]], "weights": [1.0]},
@@ -141,6 +144,8 @@ HARD = [
     True, False, "x", "0.5", "", None, math.nan, math.inf, -math.inf, 10**400, -(10**400), 2**63,
     np.float32(0.5), np.float64(2.0), np.int64(3), np.float32(math.nan), np.int32(-1), np.True_,
     np.array(0.5), np.array([0.5, 0.6]), np.zeros((2, 2)), (0.5,), (0.5, 0.6, 0.7), [], {"x": 1.0},
+    # strings that numpy reads as numbers, alone and in arrays
+    b"0.5", ["0.5"], [["1", "2", "3"]], np.array(["0.5"]), np.array([0.5, "0.6"], dtype=object),
 ]
 # and numbers of every size; a count is drawn no larger than 10, so no call allocates much
 NUMBERS = st.one_of(st.floats(allow_nan=True, allow_infinity=True), st.integers(-5, 10))
@@ -156,14 +161,24 @@ def _floats_held(value) -> bool:
     )
 
 
+def _holds_text(value) -> bool:
+    """Whether ``value`` is a str or bytes, or an array or a list that holds one."""
+    if isinstance(value, (str, bytes)):
+        return True
+    if isinstance(value, np.ndarray):
+        return value.dtype.kind in "SU" or value.dtype == object and any(map(_holds_text, value.flat))
+    return isinstance(value, (list, tuple)) and any(map(_holds_text, value))
+
+
 def _call_with(entry, name, bad):
     """Call ``entry`` with ``bad`` for argument ``name``; only a YieldCritError may escape,
-    and a record it returns holds plain floats."""
+    text is refused, and a record it returns holds plain floats."""
     call, valid = ENTRIES[entry]
     try:
         out = call(**dict(valid, **{name: bad}))
     except YieldCritError:
         return
+    assert not _holds_text(bad), (entry, name, bad)
     records = out if isinstance(out, tuple) else (out,)
     for record in records + tuple(getattr(out, w, None) for w in ("meridian", "shape", "params")):
         assert _floats_held(record), (entry, name, bad, record)
@@ -333,10 +348,10 @@ def test_library_refusals_are_validation_errors(call, message):
         (lambda: yc.yield_value((1, "a", 0), CRIT), "stress must be three numbers, got (1, 'a', 0)"),
         (lambda: yc.invariants_array([[1, 2, 3], [1, 2]]), "stress must be an array of numbers, got [[1, 2, 3], [1, 2]]"),
         (lambda: yc.surface_q("a", 0.1, CRIT), "p must be a number, got 'a'"),
-        (lambda: yc.surface_q(0.1, "a", CRIT), "theta must lie in [0, pi/3], got a"),
+        (lambda: yc.surface_q(0.1, "a", CRIT), "theta must be a number, got 'a'"),
         (lambda: yc.surface_q_array("a", 0.1, CRIT), "p must be a number or an array of numbers, got 'a'"),
         (lambda: yc.hessian_qg("x", 1.0, CRIT.shape), "s1 must be a number or an array of numbers, got 'x'"),
-        (lambda: CRIT.shape.g("x"), "theta must lie in [0, pi/3], got x"),
+        (lambda: CRIT.shape.g("x"), "theta must be a number, got 'x'"),
         (lambda: CRIT.shape.dg([0.1, "x"]), "theta must lie in [0, pi/3], got [0.1, 'x']"),
         (lambda: CRIT.shape.d2g(None), "theta must lie in [0, pi/3], got None"),
         (lambda: CRIT.meridian.df("x"), "p must be a number or an array of numbers, got 'x'"),
@@ -352,6 +367,70 @@ def test_evaluation_inputs_are_domain_errors(call, message):
     with pytest.raises(DomainError) as info:
         call()
     assert str(info.value) == message
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: yc.surface_q_array("0.5", 0.1, CRIT), "p must be a number or an array of numbers, got '0.5'"),
+        (lambda: yc.surface_q_array(0.5, ["0.1"], CRIT), "theta must lie in [0, pi/3], got ['0.1']"),
+        (lambda: CRIT.meridian.f_array(["0.5"]), "p must be a number or an array of numbers, got ['0.5']"),
+        (lambda: CRIT.meridian.df(b"0.5"), "p must be a number or an array of numbers, got b'0.5'"),
+        (
+            lambda: yc.yield_value_array([["1", "2", "3"]], CRIT),
+            "stress must be an array of numbers, got [['1', '2', '3']]",
+        ),
+        (lambda: yc.invariants(np.array(["1", "2", "3"])), "stress must be three numbers, got array(['1', '2', '3'], dtype='<U1')"),
+        (lambda: yc.hessian_qg("0.3", -0.1, CRIT.shape), "s1 must be a number or an array of numbers, got '0.3'"),
+        (lambda: yc.nonconvex_demo("0.3", 0.1, 1.0, 1.0), "p must be a number or an array of numbers, got '0.3'"),
+        (lambda: CRIT.shape.g("0.3"), "theta must be a number, got '0.3'"),
+        (lambda: CRIT.shape.dg(np.array(["0.3"], dtype=object)), "theta must lie in [0, pi/3], got ['0.3']"),
+        (lambda: yc.principal_from_invariants(0.0, 1.0, b"0.3"), "theta must be a number, got b'0.3'"),
+        (lambda: powerlaw_quadratic("0.3", 0.5, 3.0), "x must be a number or an array of numbers, got '0.3'"),
+    ],
+)
+def test_numeric_strings_are_not_numbers(call, message):
+    # numpy reads each string as a number; the number rule refuses them
+    with pytest.raises(DomainError) as info:
+        call()
+    assert str(info.value) == message
+
+
+def test_a_fit_dataset_of_numeric_strings_is_refused():
+    with pytest.raises(ValidationError, match="points and weights must be arrays of numbers"):
+        FitDataset(points=[["0.2", "0.45", "0"]], weights=[1.0])
+
+
+CAP = CapMeridian(M=0.75, pc=1.0, c=0.1, m=2.0, alpha=1.0)
+
+
+@pytest.mark.parametrize(
+    "p, message",
+    [
+        (5.0, "df/dp is undefined at p=5.0, which is not inside the cap"),
+        (-0.5, "df/dp is undefined at p=-0.5, which is not inside the cap"),
+        (math.nan, "df/dp is undefined at p=nan, which is not inside the cap"),
+        (math.inf, "df/dp is undefined at p=inf, which is not inside the cap"),
+        (-0.1, "df/dp is infinite at p=-0.1, an end of the cap"),
+        (1.0, "df/dp is infinite at p=1.0, an end of the cap"),
+    ],
+)
+def test_df_outside_the_open_cap_is_a_domain_error(p, message):
+    # it gave the slope at Phi = 1/2 outside the cap, where f is +inf
+    with pytest.raises(DomainError) as info:
+        CAP.df(p)
+    assert str(info.value) == message
+
+
+def test_df_of_an_array_is_nan_outside_the_open_cap_with_no_warning():
+    p = np.array([5.0, 1.0, 0.5, -0.1, -0.5, math.nan, 0.2])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = CAP.df(p)
+    inside = [False, False, True, False, False, False, True]
+    assert np.isnan(got[~np.array(inside)]).all()
+    assert got[2] == CAP.df(0.5) and got[6] == CAP.df(0.2)
+    assert np.isfinite(got[np.array(inside)]).all()
 
 
 # ---------------------------------------------------------------------------
