@@ -33,7 +33,7 @@ from functools import cache
 from typing import TYPE_CHECKING
 
 from .errors import CornerCase, DegenerateState, DomainError, ValidationError, real
-from .invariants import _SQRT15, FLOAT, Record, _frame, _on_meridian, _record, _state
+from .invariants import _SQRT15, FLOAT, Record, _frame, _record, _state
 from .invariants import _check_theta, _floats, invariants_array, namespace
 # Unused here; kept because perfbench's --trace 1 wraps criterion.invariants by name.
 from .invariants import invariants  # noqa: F401
@@ -816,29 +816,9 @@ def _yield_body(fp, q, g, hydrostatic, crit: Criterion, xp):
     return crit.A * q * q + xp.where(hydrostatic, 0.0, crit.B * q / g) + fp
 
 
-def _scalar_F(fp, q, g, hydrostatic, crit: Criterion) -> float:
-    """F of one state in plain floats from f(p), q and g(theta)."""
-    # where g underflows to 0, B q / g is +inf off the axis, as on the array path, and dropped on it
-    if g == 0.0 and not hydrostatic:
-        return math.inf
-    return _yield_body(fp, q, g or 1.0, hydrostatic, crit, FLOAT)
-
-
-# The formulas at the state of the last scalar F: (criterion, p, theta, the
-# meridian's jet, the shape's jet), each jet [value] or [value, slope].  One
-# tuple, replaced whole and read whole as invariants._last is, so no lock.
-_jets = (object(), None, None, (), ())
-
-
-def _with_slope(jet, *args) -> list:
-    """``jet(*args, 1)`` where its slope is finite, else the value alone, ``jet(*args)``."""
-    try:
-        out = jet(*args, 1)
-        if math.isfinite(out[1]):
-            return out
-    except (ArithmeticError, ValueError):
-        pass
-    return jet(*args)
+# f(p) and g(theta) at the state of the last scalar F: (criterion, p, theta, f, g).
+# One tuple, replaced whole and read whole as invariants._last is, so no lock.
+_values = (object(), None, None, 0.0, 0.0)
 
 
 def yield_value(stress, crit: Criterion) -> float:
@@ -846,25 +826,19 @@ def yield_value(stress, crit: Criterion) -> float:
 
     Returns +inf outside the effective domain of a cap meridian.  For
     hydrostatic states the deviatoric terms vanish and only f(p) remains.
-    The formula values at this state are kept for :func:`surface_q` and
-    :func:`gradient` at the same state and criterion.
+    f(p) and g(theta) are kept for :func:`surface_q` at this state's p and
+    theta under the same criterion.
     """
-    global _jets
+    global _values
     p, q, theta, hydrostatic = _state(stress)[1]
-    mer, shape = crit.meridian, crit.shape
-    at = mer._place(p, FLOAT)
-    # theta is a float here, so the bodies run over FLOAT directly; f' and g' are
-    # computed where gradient asks for them (see _gradient_body), and kept for it
-    if hydrostatic or _on_meridian(theta):
-        gjet = shape._jet(FLOAT, theta)
-    else:
-        gjet = _with_slope(shape._jet, FLOAT, theta)
-    if hydrostatic or isinstance(mer, CapMeridian) and not DELTA_PHI < at[0] < 1.0 - DELTA_PHI:
-        fjet = mer._jet(at, FLOAT)
-    else:
-        fjet = _with_slope(mer._jet, at, FLOAT)
-    _jets = crit, p, theta, fjet, gjet
-    return _scalar_F(fjet[0], q, gjet[0], hydrostatic, crit)
+    mer = crit.meridian
+    # p and theta are floats here, so the bodies run over FLOAT directly
+    fp, g = mer._jet(mer._place(p, FLOAT), FLOAT)[0], crit.shape._jet(FLOAT, theta)[0]
+    _values = crit, p, theta, fp, g
+    # where g underflows to 0, B q / g is +inf off the axis, as on the array path, and dropped on it
+    if g == 0.0 and not hydrostatic:
+        return math.inf
+    return _yield_body(fp, q, g or 1.0, hydrostatic, crit, FLOAT)
 
 
 def yield_value_array(stress, crit: Criterion) -> np.ndarray:
@@ -903,16 +877,16 @@ def surface_q(p: float, theta: float, crit: Criterion) -> float | None:
     of A q^2 + B q / g + f(p) = 0.  Returns None when p lies outside the
     effective domain of a cap meridian; :func:`surface_q_array` takes arrays.
     """
-    kept, kept_p, kept_theta, fjet, gjet = _jets
-    # the p and theta objects of the last scalar F's state give its f and g
+    kept, kept_p, kept_theta, fp, g = _values
+    # the very p and theta objects of the last scalar F's state, which were checked, give its f and g
     if not (kept is crit and kept_p is p and kept_theta is theta):
         _check_theta(theta)
         try:
             th = real(theta, "theta")
         except ValidationError:
             raise DomainError(f"theta must be one number, got {theta!r}; surface_q_array takes arrays") from None
-        fjet, gjet = [crit.meridian.f(p)], crit.shape._jet(FLOAT, th)
-    q = _surface_q_body(fjet[0], gjet[0], crit, FLOAT)
+        fp, g = crit.meridian.f(p), crit.shape._jet(FLOAT, th)[0]
+    q = _surface_q_body(fp, g, crit, FLOAT)
     return None if math.isnan(q) else q
 
 
@@ -974,21 +948,14 @@ def _gradient_body(stress, crit: Criterion):
     p, q, theta, _, s_tilde, s_tilde_perp = _frame(stress)
     if s_tilde is None:
         raise DegenerateState("gradient decomposition needs q > 0")
-    kept, kept_p, kept_theta, fjet, gjet = _jets
-    # the p and theta objects of the last scalar F's state give the jets it kept
-    if not (kept is crit and kept_p is p and kept_theta is theta):
-        fjet = gjet = ()
     mer = crit.meridian
-    if len(fjet) < 2:
-        at = mer._place(p, FLOAT)
-        # on a cap, at[0] is Phi
-        if isinstance(mer, CapMeridian) and not (DELTA_PHI < at[0] < 1.0 - DELTA_PHI):
-            raise DegenerateState(f"Phi={at[0]:.3g} too close to the cap ends; use normal_limits")
-        fjet = mer._jet(at, FLOAT, 1)
-    a = -fjet[1] / 3.0
+    at = mer._place(p, FLOAT)
+    # on a cap, at[0] is Phi
+    if isinstance(mer, CapMeridian) and not (DELTA_PHI < at[0] < 1.0 - DELTA_PHI):
+        raise DegenerateState(f"Phi={at[0]:.3g} too close to the cap ends; use normal_limits")
+    a = -mer._jet(at, FLOAT, 1)[1] / 3.0
     # a smooth limit on a deviatoric meridian (no s_tilde_perp): the c-term drops out, and g' is not needed
-    order = 0 if s_tilde_perp is None else 1
-    jet = gjet if len(gjet) > order else crit.shape._jet(FLOAT, theta, order)
+    jet = crit.shape._jet(FLOAT, theta, 0 if s_tilde_perp is None else 1)
     g = jet[0]
     g2 = g**2
     if g2 == 0.0:  # b divides by g and c by g^2; F is +inf where g is 0

@@ -103,6 +103,11 @@ def _floats(x, name: str):
         raise DomainError(f"{name} must be a number or an array of numbers, got {x!r}") from None
 
 
+def _holds_text(values) -> bool:
+    """Whether any of ``values`` is a str or bytes, which float() and numpy read as a number."""
+    return any(isinstance(v, (str, bytes)) for v in values)
+
+
 def _float_array(x):
     """``np.asarray(x, dtype=float)``, but a TypeError where ``x`` holds a str or
     bytes: a string is not a number, though numpy parses one that reads as one."""
@@ -112,7 +117,7 @@ def _float_array(x):
     kind = a.dtype.kind
     if kind in "biuf":  # bools and numbers, which the cast rounds as float() does
         return a.astype(float, copy=False)
-    if kind in "SU" or kind == "O" and any(isinstance(v, (str, bytes)) for v in a.flat):
+    if kind in "SU" or kind == "O" and _holds_text(a.flat):
         raise TypeError("a string is not a number")
     return np.asarray(x, dtype=float)
 
@@ -326,7 +331,11 @@ def _state(stress):
     global _last
     try:
         if isinstance(stress, (tuple, list)) and len(stress) == 3:
-            sig = float(stress[0]), float(stress[1]), float(stress[2])
+            s1, s2, s3 = stress
+            # float() reads a numeric string; three floats, the usual case, skip the check
+            if not type(s1) is type(s2) is type(s3) is float and _holds_text(stress):
+                raise TypeError("a string is not a number")
+            sig = float(s1), float(s2), float(s3)
         else:
             sig = tuple(_float_array(stress).reshape(3).tolist())
     except (TypeError, ValueError, OverflowError):
@@ -390,11 +399,6 @@ def invariants_array(stress):
     return _invariant_body(sig[:, 0], sig[:, 1], sig[:, 2], np)
 
 
-def _on_meridian(theta) -> bool:
-    """Whether a Lode angle lies on a deviatoric meridian, where s_tilde_perp is undefined."""
-    return abs(math.sin(3.0 * theta)) <= EPS_MERIDIAN
-
-
 def _frame(stress):
     """(p, q, theta, S, s_tilde, s_tilde_perp) of one state in plain floats, the
     last three as triples (see :class:`DeviatoricFrame`): s_tilde is None at a
@@ -405,7 +409,7 @@ def _frame(stress):
     if hydrostatic:
         return p, q, theta, S, None, None
     s_tilde = u1, u2, u3 = _SQRT15 * d1 / q, _SQRT15 * d2 / q, _SQRT15 * d3 / q
-    if _on_meridian(theta):
+    if abs(math.sin(3.0 * theta)) <= EPS_MERIDIAN:
         return p, q, theta, S, s_tilde, None
     # s_tilde turned a right angle in the deviatoric plane; its sign flips with each swap
     # of two principals, which are compared, as a product of their differences can underflow

@@ -40,7 +40,7 @@ import math
 
 import numpy as np
 
-from .criterion import CapMeridian, Criterion, _scalar_F, _yield_body, surface_q_array, yield_value
+from .criterion import CapMeridian, Criterion, _yield_body, surface_q_array, yield_value
 # Unused here; kept because perfbench's --trace 1 wraps sections.surface_q and .invariants by name.
 from .criterion import surface_q  # noqa: F401
 from .errors import DomainError, EmptySlice, NonConvexSlice, OutsideCap, UnboundedDomain, count, real
@@ -195,17 +195,6 @@ def _unbounded(crit: Criterion) -> bool:
     return bool(1.5 * crit.B <= crit.meridian.Gamma * reach.max())
 
 
-def _diagonal_F(s: float, crit: Criterion) -> float:
-    """F at (s, s, 0), with the bits and errors of ``yield_value((s, s, 0.0), crit)``
-    but none of its memos: a triple holding a zero is never a hit, and the search
-    asks for no slope."""
-    if not abs(s) <= STRESS_MAX:
-        _check_stress((s, s, 0.0))
-    p, q, theta, hydrostatic = _invariant_body(s, s, 0.0, FLOAT)
-    mer = crit.meridian
-    return _scalar_F(mer._jet(mer._place(p, FLOAT), FLOAT)[0], q, crit.shape._jet(FLOAT, theta)[0], hydrostatic, crit)
-
-
 def _biaxial_center(crit: Criterion) -> tuple[float, float]:
     """Interior point of the sigma3 = 0 slice, found on the diagonal;
     UnboundedDomain when the slice is unbounded (see :func:`_unbounded`)."""
@@ -224,7 +213,7 @@ def _biaxial_center(crit: Criterion) -> tuple[float, float]:
     else:
         s_lo, s_hi = -1e3 * crit.meridian.scale, 1.5 * crit.meridian.c
     s, F = minimize_scalar(
-        lambda s: _diagonal_F(s, crit), s_lo, s_hi,
+        lambda s: yield_value((s, s, 0.0), crit), s_lo, s_hi,
         xatol=1e-12 * max(1.0, abs(s_lo), abs(s_hi)),
     )
     if not (F < 0.0):

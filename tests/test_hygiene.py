@@ -528,10 +528,7 @@ def test_the_scalar_invariants_have_one_home():
         for path in MODULES
         for site in _scalar_body_calls(path.read_text(encoding="utf-8"))
     ]
-    # _state, which checks the stress and keeps the last state, and the diagonal
-    # objective of the biaxial center's search, whose triples (s, s, 0) hold a
-    # zero and so never hit that memo
-    assert sites == ["invariants.py:_state", "sections.py:_diagonal_F"], sites
+    assert sites == ["invariants.py:_state"], sites
 
 
 def test_a_second_scalar_invariant_call_is_found():

@@ -1,17 +1,16 @@
-"""The memos of the last scalar state: ``invariants._state`` and ``criterion._jets``.
+"""The memos of the last scalar state: ``invariants._state`` and ``criterion._values``.
 
 ``invariants``, ``yield_value``, ``gradient``, ``deviatoric_frame``,
 ``invariant_gradients`` and ``normalized_residual`` read the invariants of
-their stress through the first.  ``yield_value`` keeps the meridian's and
-the shape's values, and the slopes that ``gradient`` asks for, in the
-second, and ``surface_q`` and ``gradient`` at that state read them.  A hit
-of either must give the bits of a fresh computation: whatever state came
-before, in whatever form (int, tuple, list or numpy), under whichever of
-two equal records, from whichever thread, and with zeros of either sign.
+their stress through the first.  ``yield_value`` keeps f(p) and g(theta) of
+its state in the second, and ``surface_q`` at that state's p and theta
+reads them.  A hit of either must give the bits of a fresh computation:
+whatever state came before, in whatever form (int, tuple, list or numpy),
+under whichever of two equal records, from whichever thread, and with
+zeros of either sign.
 """
 
 import importlib
-import math
 import sys
 import threading
 
@@ -86,7 +85,7 @@ OPERATIONS = {
 def _forget():
     """Empty both memos, as at import."""
     inv_module._last = ((), ())
-    crit_module._jets = (object(), None, None, (), ())
+    crit_module._values = (object(), None, None, 0.0, 0.0)
 
 
 def _fresh(name, s, crit):
@@ -208,7 +207,7 @@ def test_threads_get_the_single_thread_results():
 
 
 # ---------------------------------------------------------------------------
-# The formulas kept by yield_value for surface_q and gradient
+# The values kept by yield_value for surface_q
 # ---------------------------------------------------------------------------
 
 # a cap, and a record equal to it but distinct, which the memo tells apart
@@ -216,7 +215,7 @@ CAP = CRITERIA[1]
 CAP_TWIN = Criterion(meridian=CAP.meridian, shape=CAP.shape, A=CAP.A, B=CAP.B)
 # g(theta) underflows to 0 off theta = pi/3, where F is +inf and gradient raises
 UNDERFLOW = Criterion(meridian=LinearMeridian(1.0, 0.5), shape=PowerLaw(beta=1000.0, n=0.001))
-JET_CRITERIA = [CAP, CAP_TWIN, CRITERIA[0], CRITERIA[-1], UNDERFLOW]
+KEPT_CRITERIA = [CAP, CAP_TWIN, CRITERIA[0], CRITERIA[-1], UNDERFLOW]
 
 
 def _cap_end_state(phi: float, theta: float):
@@ -225,7 +224,7 @@ def _cap_end_state(phi: float, theta: float):
     return tuple(principal_from_invariants(phi * mer.scale - mer.c, 1e-3, theta).tolist())
 
 
-JET_STATES = [
+KEPT_STATES = [
     *SIGNED_ZEROS,
     # on the meridians: two equal principals
     (-0.2, -0.5, -0.5), (-0.5, -0.5, -0.2), (1.0, 1.0, -2.0), (-0.3, -0.3, -0.3),
@@ -245,7 +244,7 @@ def _surface_q_at(s, crit):
     return _call(surface_q, inv.p, inv.theta, crit)
 
 
-JET_OPERATIONS = {
+KEPT_OPERATIONS = {
     "yield_value": lambda s, crit: _call(yield_value, s, crit),
     "surface_q": _surface_q_at,
     "gradient": lambda s, crit: _call(gradient, s, crit),
@@ -253,12 +252,12 @@ JET_OPERATIONS = {
        for pair in SIGNED_PAIRS},
 }
 
-jet_triples = st.one_of(
-    st.sampled_from(JET_STATES),
+kept_triples = st.one_of(
+    st.sampled_from(KEPT_STATES),
     st.tuples(*[st.floats(-3.0, 3.0)] * 3),
 )
-jet_steps = st.lists(
-    st.tuples(st.integers(0, 3), st.integers(0, len(JET_CRITERIA) - 1), st.sampled_from(sorted(JET_OPERATIONS))),
+kept_steps = st.lists(
+    st.tuples(st.integers(0, 3), st.integers(0, len(KEPT_CRITERIA) - 1), st.sampled_from(sorted(KEPT_OPERATIONS))),
     min_size=1,
     max_size=16,
 )
@@ -270,13 +269,13 @@ def _expected(pool, steps):
     for index, crit_index, name in steps:
         key = index % len(pool), crit_index, name
         if key not in want:
-            want[key] = _fresh_jet(name, pool[key[0]], JET_CRITERIA[crit_index])
+            want[key] = _fresh_kept(name, pool[key[0]], KEPT_CRITERIA[crit_index])
     return want
 
 
-def _fresh_jet(name, s, crit):
+def _fresh_kept(name, s, crit):
     _forget()
-    return JET_OPERATIONS[name](s, crit)
+    return KEPT_OPERATIONS[name](s, crit)
 
 
 def _run(pool, steps, want, wrong):
@@ -284,13 +283,13 @@ def _run(pool, steps, want, wrong):
     is not the fresh one goes to ``wrong``."""
     for index, crit_index, name in steps:
         key = index % len(pool), crit_index, name
-        if JET_OPERATIONS[name](pool[key[0]], JET_CRITERIA[crit_index]) != want[key]:
+        if KEPT_OPERATIONS[name](pool[key[0]], KEPT_CRITERIA[crit_index]) != want[key]:
             wrong.append((pool[key[0]], crit_index, name))
 
 
-@given(st.lists(jet_triples, min_size=1, max_size=4), jet_steps)
+@given(st.lists(kept_triples, min_size=1, max_size=4), kept_steps)
 @settings(max_examples=300, deadline=None)
-def test_the_kept_formulas_give_the_bits_of_a_fresh_call(pool, steps):
+def test_the_kept_values_give_the_bits_of_a_fresh_call(pool, steps):
     # states drawn from a small pool, so that they repeat and alternate
     want = _expected(pool, steps)
     wrong = []
@@ -298,9 +297,9 @@ def test_the_kept_formulas_give_the_bits_of_a_fresh_call(pool, steps):
     assert wrong == []
 
 
-@given(st.lists(jet_triples, min_size=1, max_size=4), jet_steps, jet_steps)
+@given(st.lists(kept_triples, min_size=1, max_size=4), kept_steps, kept_steps)
 @settings(max_examples=40, deadline=None)
-def test_the_kept_formulas_from_two_threads(pool, steps_a, steps_b):
+def test_the_kept_values_from_two_threads(pool, steps_a, steps_b):
     # each thread runs its steps over and over while the other replaces the memos
     want = {**_expected(pool, steps_a), **_expected(pool, steps_b)}
     wrong = []
@@ -325,75 +324,45 @@ def test_the_kept_formulas_from_two_threads(pool, steps_a, steps_b):
     assert wrong == []
 
 
-def test_surface_q_and_gradient_read_what_yield_value_kept():
+def test_surface_q_reads_what_yield_value_kept():
     # planted values show which calls read the memo: only those at the kept
     # state's own p and theta objects, under the very same record
     s = (-0.6, -0.3, -0.1)
     inv = invariants(s)
     yield_value(s, CAP)
-    kept = crit_module._jets
+    kept = crit_module._values
     assert kept[:3] == (CAP, inv.p, inv.theta) and kept[1] is inv.p and kept[2] is inv.theta
-    assert len(kept[3]) == 2 and len(kept[4]) == 2  # f, f' and g, g'
-    crit_module._jets = (CAP, inv.p, inv.theta, [-1.0, -3.0], [2.0, 0.0])
+    assert kept[3:] == (CAP.meridian.f(inv.p), CAP.shape.g(inv.theta))
+    grad = _bits(gradient(s, CAP))
+    crit_module._values = (CAP, inv.p, inv.theta, -1.0, 2.0)
     assert surface_q(inv.p, inv.theta, CAP) == 2.0  # -f g / B
-    assert gradient(s, CAP).a == 1.0  # -f' / 3
-    assert gradient(s, CAP).c == 0.0  # g' = 0
     assert surface_q(inv.p, inv.theta, CAP_TWIN) != 2.0
-    assert surface_q(float(inv.p), inv.theta + 0.0, CAP) == surface_q(inv.p, inv.theta, CAP_TWIN)
-    assert gradient(s, CAP_TWIN).a != 1.0
+    assert surface_q(inv.p + 0.0, inv.theta + 0.0, CAP) == surface_q(inv.p, inv.theta, CAP_TWIN)
+    assert _bits(gradient(s, CAP)) == grad  # gradient computes its own slopes
     _forget()
 
 
-@pytest.mark.parametrize("s, crit, slopes", [
-    ((-0.6, -0.3, -0.1), CAP, (2, 2)),
-    ((-0.2, -0.5, -0.5), CAP, (2, 1)),  # on a meridian: no g'
-    ((-0.3, -0.3, -0.3), CAP, (1, 1)),  # hydrostatic: gradient raises first
-    (_cap_end_state(0.5 * DELTA_PHI, 0.4), CAP, (1, 2)),  # within DELTA_PHI of the tension apex
-    (_cap_end_state(1.0 - 0.5 * DELTA_PHI, 0.4), CAP, (1, 2)),  # and of the compression apex
-    ((2.0, 2.1, 2.2), CAP, (1, 2)),  # outside the cap, where f is +inf
-    ((-0.5, 0.2, 0.1), UNDERFLOW, (2, 2)),
+@pytest.mark.parametrize("s, crit", [
+    ((-0.6, -0.3, -0.1), CAP),
+    ((-0.3, -0.3, -0.3), CAP),  # hydrostatic: theta is 0.0
+    ((2.0, 2.1, 2.2), CAP),  # outside the cap, where f is +inf
+    ((-0.5, 0.2, 0.1), UNDERFLOW),  # g underflows to 0
 ])
-def test_yield_value_keeps_the_slopes_gradient_asks_for(s, crit, slopes):
+def test_yield_value_keeps_f_and_g_of_its_state(s, crit):
     _forget()
     yield_value(s, crit)
-    assert tuple(map(len, crit_module._jets[3:])) == slopes
+    inv = invariants(s)
+    kept = crit_module._values
+    assert (kept[3].hex(), kept[4].hex()) == (crit.meridian.f(inv.p).hex(), crit.shape.g(inv.theta).hex())
 
 
-def test_the_biaxial_search_keeps_no_formulas():
-    # F on the diagonal goes straight to the formulas: its triples hold a zero
-    # and it asks for no slope, so it neither reads nor replaces either memo
+def test_surface_q_after_the_biaxial_search_is_a_fresh_call():
+    # the biaxial search evaluates F on the diagonal and so replaces the kept
+    # values; surface_q at the earlier state then misses and computes afresh
     crit = Criterion(meridian=CapMeridian(M=0.8, pc=2.0, c=0.3, m=2.0, alpha=1.0), shape=CosineLode(1.0, 0.5))
     s = (-0.6, -0.3, -0.1)
+    inv = invariants(s)
     yield_value(s, crit)
-    last, jets = inv_module._last, crit_module._jets
     sample_biaxial(crit, 8)
-    assert inv_module._last is last and crit_module._jets is jets
-
-
-class _SlopeFails(CosineLode):
-    """The native shape, with a slope that raises or is not finite at order 1."""
-
-    def _jet(self, xp, th, order=0, by=()):
-        if order and self.beta == 1.0:
-            raise ZeroDivisionError("float division by zero")
-        jet = super()._jet(xp, th, order, by)
-        return jet[:1] + [math.inf] * order if order else jet
-
-
-@pytest.mark.parametrize("beta", [1.0, 0.9])
-def test_a_slope_that_raises_or_is_not_finite_is_not_kept(beta):
-    crit = Criterion(meridian=CAP.meridian, shape=_SlopeFails(beta, 0.5))
-    s = (-0.6, -0.3, -0.1)
-
-    def grad():  # the gradient, or the error it raises as a fresh call does
-        try:
-            return _bits(gradient(s, crit))
-        except ZeroDivisionError as exc:
-            return _bits(exc)
-
-    _forget()
-    want = grad()
-    F = yield_value(s, crit)  # no error, and F as at a fresh call
-    assert F.hex() == _fresh("yield_value", s, crit)
-    assert len(crit_module._jets[4]) == 1
-    assert grad() == want
+    assert crit_module._values[1] is not inv.p
+    assert _call(surface_q, inv.p, inv.theta, crit) == _fresh_kept("surface_q", s, crit)

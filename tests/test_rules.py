@@ -113,6 +113,9 @@ ENTRIES = {
     "surface_q_array": (lambda p, theta: yc.surface_q_array(p, theta, CRIT), {"p": 0.3, "theta": 0.1}),
     "yield_value_array": (lambda stress: yc.yield_value_array(stress, CRIT), {"stress": [[-0.5, 0.2, 0.1]]}),
     "invariants_array": (yc.invariants_array, {"stress": [[-0.5, 0.2, 0.1]]}),
+    "yield_value": (lambda stress: yc.yield_value(stress, CRIT), {"stress": (-0.5, 0.2, 0.1)}),
+    "invariants": (yc.invariants, {"stress": (-0.5, 0.2, 0.1)}),
+    "gradient": (lambda stress: yc.gradient(stress, CRIT), {"stress": (-0.5, 0.2, 0.1)}),
     "FitDataset": (
         lambda points, weights: FitDataset(points=points, weights=weights),
         {"points": [[0.2, 0.45, 0.0]], "weights": [1.0]},
@@ -146,6 +149,7 @@ HARD = [
     np.array(0.5), np.array([0.5, 0.6]), np.zeros((2, 2)), (0.5,), (0.5, 0.6, 0.7), [], {"x": 1.0},
     # strings that numpy reads as numbers, alone and in arrays
     b"0.5", ["0.5"], [["1", "2", "3"]], np.array(["0.5"]), np.array([0.5, "0.6"], dtype=object),
+    ("0.5", "0.6", "0.7"), [0.5, 0.6, b"0.7"],
 ]
 # and numbers of every size; a count is drawn no larger than 10, so no call allocates much
 NUMBERS = st.one_of(st.floats(allow_nan=True, allow_infinity=True), st.integers(-5, 10))
@@ -381,6 +385,10 @@ def test_evaluation_inputs_are_domain_errors(call, message):
             "stress must be an array of numbers, got [['1', '2', '3']]",
         ),
         (lambda: yc.invariants(np.array(["1", "2", "3"])), "stress must be three numbers, got array(['1', '2', '3'], dtype='<U1')"),
+        # a 3-tuple or 3-list goes through float(), which reads a numeric string too
+        (lambda: yc.yield_value(("-0.5", "-0.2", "-0.1"), CRIT), "stress must be three numbers, got ('-0.5', '-0.2', '-0.1')"),
+        (lambda: yc.invariants([1.0, 2.0, b"3"]), "stress must be three numbers, got [1.0, 2.0, b'3']"),
+        (lambda: yc.gradient((-0.5, "-0.2", -0.1), CRIT), "stress must be three numbers, got (-0.5, '-0.2', -0.1)"),
         (lambda: yc.hessian_qg("0.3", -0.1, CRIT.shape), "s1 must be a number or an array of numbers, got '0.3'"),
         (lambda: yc.nonconvex_demo("0.3", 0.1, 1.0, 1.0), "p must be a number or an array of numbers, got '0.3'"),
         (lambda: CRIT.shape.g("0.3"), "theta must be a number, got '0.3'"),

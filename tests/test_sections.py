@@ -1,6 +1,5 @@
 import json
 import math
-import pathlib
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -17,7 +16,6 @@ from yieldcrit import (
     LinearMeridian,
     NonConvexSlice,
     OutsideCap,
-    PowerLaw,
     UnboundedDomain,
     VonMises,
     YieldParams,
@@ -33,7 +31,6 @@ from yieldcrit import (
     sample_deviatoric,
     sample_meridian,
     sections,
-    yield_value,
     yield_value_array,
 )
 from yieldcrit.cli import main
@@ -392,58 +389,6 @@ class TestNormalizedResidual:
         crit = CAM_CLAY.criterion()
         assert normalized_residual(crit, (-2.0, -2.0, -2.0)) == math.inf
         assert normalized_residual(crit, (-2.0, -1.0, -3.0)) == math.inf
-
-
-# ---------------------------------------------------------------------------
-# The diagonal objective of the biaxial center
-# ---------------------------------------------------------------------------
-
-SECTION_GOLDEN = json.loads((pathlib.Path(__file__).parent / "golden" / "sections.json").read_text(encoding="utf-8"))
-
-
-def _brent_points(crit):
-    """Every s at which _biaxial_center(crit) evaluates F along (s, s, 0)."""
-    tried = []
-    search = sections.minimize_scalar
-
-    def logged(fun, a, b, xatol):
-        return search(lambda s: tried.append(s) or fun(s), a, b, xatol)
-
-    sections.minimize_scalar = logged
-    try:
-        sections._biaxial_center(crit)
-    except (EmptySlice, UnboundedDomain):  # after the search, or before it for an unbounded cone
-        pass
-    finally:
-        sections.minimize_scalar = search
-    return tried
-
-
-def _F_or_error(F, *args):
-    try:
-        return F(*args).hex()
-    except DomainError as exc:
-        return str(exc)
-
-
-@pytest.mark.parametrize("crit", [
-    *(criterion_from_dict(case["criterion"]) for case in SECTION_GOLDEN["cases"]),
-    Criterion(LinearMeridian(Gamma=0.8, c=0.2), CosineLode(1.0, 0.3), A=0.1),
-    Criterion(LinearMeridian(Gamma=0.5, c=0.2), CosineLode(1.0, 0.3)),
-    # g(theta) underflows to 0 at theta = 0, where F is +inf
-    Criterion(LinearMeridian(Gamma=1.0, c=0.5), PowerLaw(beta=1000.0, n=0.001), A=0.1),
-], ids=lambda crit: f"{crit.meridian.kind}-{crit.shape.kind}")
-def test_the_diagonal_objective_is_yield_value_bit_for_bit(crit):
-    points = _brent_points(crit)
-    assert points or sections._unbounded(crit)
-    for s in points + [0.0, -0.0, 1e-300, 2e100, -math.inf, math.nan]:
-        assert _F_or_error(sections._diagonal_F, s, crit) == _F_or_error(yield_value, (s, s, 0.0), crit), s
-
-
-def test_the_diagonal_objective_covers_an_underflowing_g():
-    crit = Criterion(LinearMeridian(Gamma=1.0, c=0.5), PowerLaw(beta=1000.0, n=0.001), A=0.1)
-    values = [sections._diagonal_F(s, crit) for s in _brent_points(crit)]
-    assert math.inf in values and min(values) < 0.0
 
 
 def test_a_bracket_past_the_stress_range_is_refused_as_yield_value_refuses_it():
