@@ -34,7 +34,7 @@ from typing import TYPE_CHECKING
 
 from .errors import CornerCase, DegenerateState, DomainError, ValidationError, real
 from .invariants import _SQRT15, FLOAT, Record, _frame, _record, _state
-from .invariants import _check_theta, _floats, invariants_array, namespace
+from .invariants import _check_theta, invariants_array, namespace
 # Unused here; kept because perfbench's --trace 1 wraps criterion.invariants by name.
 from .invariants import invariants  # noqa: F401
 
@@ -417,6 +417,14 @@ def beta_in_convex_interval(beta: float, gamma: float) -> tuple[bool, float, flo
 # ---------------------------------------------------------------------------
 
 
+def _pressure(p):
+    """``namespace(p, "p")``, and a DomainError for a NaN p or NaN entry: the one rule for a pressure."""
+    xp, p = namespace(p, "p")
+    if (p != p) if xp is FLOAT else xp.isnan(p).any():
+        raise DomainError("p must be a number, got nan")
+    return xp, p
+
+
 class _Meridian:
     """A meridian function f(p); ``kind`` names it in the dict form and
     ``scale`` is its stress scale.
@@ -429,37 +437,27 @@ class _Meridian:
     the open interior of a cap: the caller guards its ends) and, when
     ``by`` names any field, a dict of df/d(field) by field as its last
     item, with the branch held fixed.  It computes only what is asked for;
-    ``f``, ``f_array`` and ``df`` read it.  ``convexity()`` gives the exact
+    ``f`` and ``df`` read it, and take p as the shapes' readers take theta:
+    a float gives a float and an array an array of its shape, under the one
+    rule of :func:`_pressure`.  ``convexity()`` gives the exact
     convexity condition as (ok, signed margin, witness Phi, note or None),
     like a shape's.  For the fit, ``_penalty(p, at, by)`` gives the
     distance outside the meridian and its partials, and ``_s0_floor`` the
     floor of s0."""
 
-    def f(self, p: float) -> float:
-        """Meridian value; +inf outside a cap, DomainError for a p that is not a number."""
-        try:
-            nan = math.isnan(p)
-        except (TypeError, OverflowError):
-            nan = True
-        if nan:
-            raise DomainError(f"p must be a number, got {p!r}")
-        return self._jet(self._place(p, FLOAT), FLOAT)[0]
-
-    def f_array(self, p: np.ndarray) -> np.ndarray:
-        """Meridian value over an array of pressures; +inf outside a cap."""
-        import numpy as np
-
-        p = _floats(p, "p")
-        return self._jet(self._place(p, np), np)[0]
+    def f(self, p):
+        """Meridian value (a float or an array); +inf outside a cap."""
+        xp, p = _pressure(p)
+        return self._jet(self._place(p, xp), xp)[0]
 
     def df(self, p):
         """df/dp (a float or an array) on the open interior of a cap: a DomainError
         for one p that is not inside it, NaN at such entries of an array."""
-        xp, p = namespace(p, "p")
+        xp, p = _pressure(p)
         at = self._place(p, xp)
         inner, interior = self._open(at, xp)
         if xp is FLOAT and not inner:
-            # f is finite at an end of the cap and +inf beyond it, or at a NaN p
+            # f is finite at an end of the cap and +inf beyond it
             if self._jet(at, xp)[0] < math.inf:
                 raise DomainError(f"df/dp is infinite at p={p}, an end of the cap")
             raise DomainError(f"df/dp is undefined at p={p}, which is not inside the cap")
@@ -467,7 +465,7 @@ class _Meridian:
             slope = self._jet(interior, xp, 1)[1]
         except ZeroDivisionError:  # h underflows to 0 next to an end
             raise DomainError(f"df/dp is infinite at p={p}, an end of the cap") from None
-        return slope if inner is True else xp.where(inner, slope, math.nan)
+        return xp.where(inner, slope, math.nan)
 
     to_dict = _param_dict
 
@@ -620,9 +618,9 @@ class LinearMeridian(_Meridian, Record):
         """f = -Gamma s at s = p + c, with df/dp = df/dc = -Gamma and df/dGamma = -s."""
         jet = [-self.Gamma * s]
         if order:
-            jet.append(-self.Gamma)
+            jet.append(xp.full_like(s, -self.Gamma))
         if order > 1:
-            jet.append(0.0)
+            jet.append(xp.full_like(s, 0.0))
         if by:
             jet.append({"Gamma": -s, "c": -self.Gamma})
         return jet
@@ -850,7 +848,8 @@ def yield_value_array(stress, crit: Criterion) -> np.ndarray:
     import numpy as np
 
     p, q, theta, hydrostatic = invariants_array(stress)
-    fp, g = crit.meridian.f_array(p), crit.shape._jet(np, theta)[0]
+    # p comes from finite stresses, so the body runs on it directly, as in yield_value
+    fp, g = crit.meridian._jet(crit.meridian._place(p, np), np)[0], crit.shape._jet(np, theta)[0]
     # where g underflows to 0, B q / g is +inf off the axis and NaN on it, which the body drops
     with np.errstate(divide="ignore", invalid="ignore"):
         return _yield_body(fp, q, g, hydrostatic, crit, np)
@@ -875,17 +874,20 @@ def surface_q(p: float, theta: float, crit: Criterion) -> float | None:
 
     For A = 0 this is q = -f(p) g(theta) / B; for A > 0 the positive root
     of A q^2 + B q / g + f(p) = 0.  Returns None when p lies outside the
-    effective domain of a cap meridian; :func:`surface_q_array` takes arrays.
+    effective domain of a cap meridian.  p and theta are one number each,
+    read as the meridians' ``f`` and the shapes' ``g`` read them; an array
+    of either (other than 0-d) is a DomainError that points to
+    :func:`surface_q_array`.
     """
     kept, kept_p, kept_theta, fp, g = _values
     # the very p and theta objects of the last scalar F's state, which were checked, give its f and g
     if not (kept is crit and kept_p is p and kept_theta is theta):
-        _check_theta(theta)
-        try:
-            th = real(theta, "theta")
-        except ValidationError:
-            raise DomainError(f"theta must be one number, got {theta!r}; surface_q_array takes arrays") from None
-        fp, g = crit.meridian.f(p), crit.shape._jet(FLOAT, th)[0]
+        (xt, th), (xp, at) = _check_theta(theta), _pressure(p)
+        for name, x, value, given in (("theta", xt, th, theta), ("p", xp, at, p)):
+            if x is not FLOAT and value.ndim:  # a numpy number is read as a 0-d array
+                raise DomainError(f"{name} must be one number, got {given!r}; surface_q_array takes arrays")
+        mer = crit.meridian
+        fp, g = mer._jet(mer._place(float(at), FLOAT), FLOAT)[0], crit.shape._jet(FLOAT, float(th))[0]
     q = _surface_q_body(fp, g, crit, FLOAT)
     return None if math.isnan(q) else q
 
@@ -900,16 +902,13 @@ def surface_q_array(p, theta, crit: Criterion) -> np.ndarray:
     """
     import numpy as np
 
-    # a single theta is checked as a float, before it becomes an array
-    _check_theta(theta)
-    p, theta = _floats(p, "p"), np.asarray(theta, dtype=float)
+    theta, p = _check_theta(theta)[1], _pressure(p)[1]
     try:
         np.broadcast(p, theta)
     except ValueError:
-        raise DomainError(f"p and theta do not broadcast: shapes {p.shape} and {theta.shape}")
-    if np.isnan(p).any():
-        raise DomainError("p must be a number, got nan")
-    return _surface_q_body(crit.meridian.f_array(p), crit.shape._jet(np, theta)[0], crit, np)
+        raise DomainError(f"p and theta do not broadcast: shapes {np.shape(p)} and {np.shape(theta)}")
+    mer = crit.meridian
+    return _surface_q_body(mer._jet(mer._place(p, np), np)[0], crit.shape._jet(np, theta)[0], crit, np)
 
 
 class GradientDecomposition(Record):

@@ -74,6 +74,7 @@ FLOAT = SimpleNamespace(
     tan=math.tan,
     log=math.log,
     where=lambda cond, a, b: a if cond else b,
+    full_like=lambda a, value: value,
     # maximum and minimum choose as max(a, b) and min(a, b) do, at less cost per call
     maximum=lambda a, b: b if b > a else a,
     minimum=lambda a, b: b if b < a else a,
@@ -103,22 +104,22 @@ def _floats(x, name: str):
         raise DomainError(f"{name} must be a number or an array of numbers, got {x!r}") from None
 
 
-def _holds_text(values) -> bool:
-    """Whether any of ``values`` is a str or bytes, which float() and numpy read as a number."""
-    return any(isinstance(v, (str, bytes)) for v in values)
+def _holds_non_numbers(values) -> bool:
+    """Whether any of ``values`` is a str or bytes, which numpy reads as a number, or None, its NaN."""
+    return any(v is None or isinstance(v, (str, bytes)) for v in values)
 
 
 def _float_array(x):
-    """``np.asarray(x, dtype=float)``, but a TypeError where ``x`` holds a str or
-    bytes: a string is not a number, though numpy parses one that reads as one."""
+    """``np.asarray(x, dtype=float)``, but a TypeError where ``x`` holds a str, bytes or None:
+    none is a number, though numpy parses a string that reads as one and casts None to NaN."""
     import numpy as np
 
     a = np.asarray(x)
     kind = a.dtype.kind
     if kind in "biuf":  # bools and numbers, which the cast rounds as float() does
         return a.astype(float, copy=False)
-    if kind in "SU" or kind == "O" and _holds_text(a.flat):
-        raise TypeError("a string is not a number")
+    if kind in "SU" or kind == "O" and _holds_non_numbers(a.flat):
+        raise TypeError("not a number")
     return np.asarray(x, dtype=float)
 
 
@@ -333,8 +334,8 @@ def _state(stress):
         if isinstance(stress, (tuple, list)) and len(stress) == 3:
             s1, s2, s3 = stress
             # float() reads a numeric string; three floats, the usual case, skip the check
-            if not type(s1) is type(s2) is type(s3) is float and _holds_text(stress):
-                raise TypeError("a string is not a number")
+            if not type(s1) is type(s2) is type(s3) is float and _holds_non_numbers(stress):
+                raise TypeError("not a number")
             sig = float(s1), float(s2), float(s3)
         else:
             sig = tuple(_float_array(stress).reshape(3).tolist())

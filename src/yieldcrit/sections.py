@@ -68,11 +68,9 @@ def normalized_residual(crit: Criterion, stress) -> float:
     if math.isinf(F):
         return math.inf
     p, q = _state(stress)[1][:2]
-    f = crit.meridian.f(p)
-    if isinstance(crit.meridian, CapMeridian):
-        floor = 0.01 * crit.meridian.pc
-    else:
-        floor = 0.01 * crit.meridian.Gamma * (abs(p) + crit.meridian.c)
+    mer = crit.meridian
+    f = mer.f(p)
+    floor = 0.01 * mer.pc if isinstance(mer, CapMeridian) else 0.01 * mer.Gamma * (abs(p) + mer.c)
     s0 = max(crit.B * q, abs(f), floor, 1e-300)
     return abs(F) / s0
 
@@ -161,20 +159,19 @@ def sample_deviatoric(
     )
 
 
+def _slice_terms(crit: Criterion, x: np.ndarray, y: np.ndarray):
+    """(f(p), q, g(theta), hydrostatic) at the finite points (x, y, 0) of the sigma3 = 0 slice."""
+    p, q, theta, hydrostatic = _invariant_body(x, y, 0.0, np)
+    return crit.meridian._jet(crit.meridian._place(p, np), np)[0], q, crit.shape._jet(np, theta)[0], hydrostatic
+
+
 def _slice_F(crit: Criterion, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """F at the points (x, y, 0) of the sigma3 = 0 slice, in one batch, with
     the DomainError of :func:`yield_value_array` for a stress past STRESS_MAX."""
     # the largest magnitude is NaN if any component is
     if not np.maximum.reduce(np.abs(np.concatenate((x, y))), initial=0.0) <= STRESS_MAX:
         _check_stress(np.column_stack([x, y, np.zeros_like(x)]))
-    p, q, theta, hydrostatic = _invariant_body(x, y, 0.0, np)
-    return _yield_body(crit.meridian.f_array(p), q, crit.shape._jet(np, theta)[0], hydrostatic, crit, np)
-
-
-def _slice_size(crit: Criterion, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """A q^2 + B q / g + |f(p)| at the points (x, y, 0): the magnitudes of F's terms."""
-    p, q, theta, hydrostatic = _invariant_body(x, y, 0.0, np)
-    return _yield_body(np.abs(crit.meridian.f_array(p)), q, crit.shape._jet(np, theta)[0], hydrostatic, crit, np)
+    return _yield_body(*_slice_terms(crit, x, y), crit, np)
 
 
 # Lode angles at which a cone's slice is tested for a direction that never leaves it
@@ -204,12 +201,12 @@ def _biaxial_center(crit: Criterion) -> tuple[float, float]:
             "of this cone (1.5 B <= Gamma g(theta) cos(theta))"
         )
     if crit.meridian.kind == "bp":
-        # p = -2s/3 along (s, s, 0); the cap bounds the search bracket.
-        s_lo = -1.5 * crit.meridian.pc
-        s_hi = 1.5 * crit.meridian.c
-        span = s_hi - s_lo
-        s_lo += 1e-9 * span
-        s_hi -= 1e-9 * span
+        # p = -2s/3 along (s, s, 0); the cap bounds the search bracket.  Each end steps 1e-9 of the span
+        # inward, but at most half its distance from the origin, unless it is the origin (c = 0).
+        s_lo, s_hi = -1.5 * crit.meridian.pc, 1.5 * crit.meridian.c
+        step = 1e-9 * (s_hi - s_lo)
+        s_lo += min(step, -0.5 * s_lo)
+        s_hi -= min(step, 0.5 * s_hi) if s_hi > 0.0 else step
     else:
         s_lo, s_hi = -1e3 * crit.meridian.scale, 1.5 * crit.meridian.c
     s, F = minimize_scalar(
@@ -302,7 +299,7 @@ _QUARTERS = np.array([[0.25], [0.75], [0.5]])
 # Chord and secant roots are moved this far outward (2 to 4 ulp).
 _DOWN, _UP = 1.0 - 2.0**-51, 1.0 + 2.0**-51
 _PROBES = np.linspace(0.05, 0.95, 19)
-# F's rounding is taken to be at most this times the magnitudes of its terms (_slice_size)
+# F's rounding is taken to be at most this times A q^2 + B q / g + |f(p)|, the magnitudes of its terms
 _ROUNDING = 8.0 * np.finfo(float).eps
 
 
@@ -419,7 +416,8 @@ def _ray_crossings(
         bad = ~(fp < 0.0)
         ray = int(np.argmax(bad)) // 19
         where = f"along ray {ray} (direction {d[ray, 0]:.6g}, {d[ray, 1]:.6g})"
-        if np.all(fp[bad] < _ROUNDING * _slice_size(crit, px[bad], py[bad])):
+        f, q, g, hydrostatic = _slice_terms(crit, px[bad], py[bad])
+        if np.all(fp[bad] < _ROUNDING * _yield_body(np.abs(f), q, g, hydrostatic, crit, np)):
             raise UnboundedDomain(
                 f"F is within its own rounding {where}: the sigma3 = 0 slice reaches too far "
                 "for floating point to tell its sign"

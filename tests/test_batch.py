@@ -194,7 +194,7 @@ def test_float_path_matches_one_row_array(crit_span, state):
     assert hydrostatic[0] == inv.hydrostatic
 
     f = crit.meridian.f(inv.p)
-    _agree(f, crit.meridian.f_array(p), size)
+    _agree(f, crit.meridian.f(p), size)
     if not isinstance(crit.meridian, CapMeridian) or DELTA_PHI < (inv.p + crit.meridian.c) / crit.meridian.scale < 1.0 - DELTA_PHI:
         _agree(crit.meridian.df(inv.p), crit.meridian.df(p))
     for th in (inv.theta, 0.0, PI3):
@@ -206,7 +206,7 @@ def test_float_path_matches_one_row_array(crit_span, state):
     scale = crit.A * inv.q**2 + crit.B * inv.q / g + (0.0 if math.isinf(f) else abs(f))
     _agree(yield_value(sig, crit), yield_value_array(row, crit), scale)
     qs = surface_q(inv.p, inv.theta, crit)
-    qs_array = _surface_q_body(crit.meridian.f_array(p), crit.shape.g(theta), crit, np)
+    qs_array = _surface_q_body(crit.meridian.f(p), crit.shape.g(theta), crit, np)
     assert (qs is None) == bool(np.isnan(qs_array[0]))
     if qs is not None:
         _agree(qs, qs_array, size)

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 import warnings
@@ -211,6 +212,66 @@ class TestFormulaBodies:
             at = mer._place(0.5, FLOAT)
             assert len(mer._jet(at, FLOAT)) == 1
             assert len(mer._jet(at, FLOAT, 1)) == 2
+
+
+class TestReaders:
+    """The readers of the formula bodies, the shapes' g, dg and d2g and the
+    meridians' f and df, each take a number or an array: a float for a
+    number, and an array of the input's shape for an array, whose entries
+    match the number path to 1e-12 of the larger of the value and the
+    reader's largest magnitude on its domain (the paths are not bit-equal:
+    numpy's vector functions round apart from libm's)."""
+
+    READERS = [
+        (record, name)
+        for record, names in [(shape, ("g", "dg", "d2g")) for shape in TestFormulaBodies.SHAPES]
+        + [(mer, ("f", "df")) for mer in TestFormulaBodies.MERIDIANS]
+        for name in names
+    ]
+
+    @staticmethod
+    def _domain(record):
+        """The sector for a shape; for a meridian, p from -c + 0.01 scale to -c + 0.99 scale
+        (Phi in [0.01, 0.99] on a cap)."""
+        if isinstance(record, (CapMeridian, LinearMeridian)):
+            return -record.c + 0.01 * record.scale, -record.c + 0.99 * record.scale
+        return 0.0, PI3
+
+    @staticmethod
+    @functools.cache
+    def _largest(record, name):
+        lo, hi = TestReaders._domain(record)
+        return float(np.abs(getattr(record, name)(np.linspace(lo, hi, 2001))).max())
+
+    @pytest.mark.parametrize("record, name", READERS, ids=[f"{type(r).__name__}.{n}" for r, n in READERS])
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_a_number_gives_a_float_and_an_array_its_shape(self, record, name, data):
+        reader = getattr(record, name)
+        lo, hi = self._domain(record)
+        values = st.floats(lo, hi)
+        x = data.draw(values)
+        whole = data.draw(st.integers(math.ceil(lo), math.floor(hi)))
+        for number in (x, whole):
+            assert type(reader(number)) is float, (number, reader(number))
+        assert reader(whole) == reader(float(whole))
+        size = self._largest(record, name)
+        for shape in [(3,), (3, 1), ()]:
+            arg = np.array(data.draw(st.lists(values, min_size=3, max_size=3))).reshape(shape) if shape else np.array(x)
+            got = reader(arg)
+            assert np.shape(got) == arg.shape, (arg, got)
+            for entry, value in zip(arg.ravel(), np.ravel(got)):
+                want = reader(float(entry))
+                assert abs(value - want) <= 1e-12 * max(abs(want), size), (entry, value, want)
+
+    @pytest.mark.parametrize("mer", TestFormulaBodies.MERIDIANS, ids=lambda m: type(m).__name__)
+    @pytest.mark.parametrize("name", ["f", "df"])
+    @pytest.mark.parametrize("p", [math.nan, np.float32(math.nan), np.array(math.nan), [0.2, math.nan], np.full((2, 1), math.nan)])
+    def test_a_nan_pressure_is_a_domain_error(self, mer, name, p):
+        # LinearMeridian.df(nan) was -0.8, CapMeridian.df([0.2, nan]) NaN at the NaN
+        with pytest.raises(DomainError) as info:
+            getattr(mer, name)(p)
+        assert str(info.value) == "p must be a number, got nan"
 
 
 class TestYieldValue:

@@ -185,7 +185,7 @@ def _readers_redefined(text) -> list:
 
 def test_each_record_has_one_formula_body():
     tree = _tree(SRC / "criterion.py")
-    assert _body_readers(tree) >= {"g", "dg", "d2g", "f", "f_array", "df"}
+    assert _body_readers(tree) == {"g", "dg", "d2g", "f", "df"}
     methods = _records_methods(tree)
     assert set(methods) == RECORD_CLASSES
     assert all("_jet" in m for m in methods.values()), methods

@@ -137,7 +137,7 @@ ENTRIES = {
     **{
         f"{type(meridian).__name__}.{reader}": (getattr(meridian, reader), {"p": 0.3})
         for meridian in (CRIT.meridian, CONE.meridian)
-        for reader in ("f", "f_array", "df")
+        for reader in ("f", "df")
     },
 }
 
@@ -150,6 +150,8 @@ HARD = [
     # strings that numpy reads as numbers, alone and in arrays
     b"0.5", ["0.5"], [["1", "2", "3"]], np.array(["0.5"]), np.array([0.5, "0.6"], dtype=object),
     ("0.5", "0.6", "0.7"), [0.5, 0.6, b"0.7"],
+    # None in an array, which numpy reads as NaN
+    [0.1, None],
 ]
 # and numbers of every size; a count is drawn no larger than 10, so no call allocates much
 NUMBERS = st.one_of(st.floats(allow_nan=True, allow_infinity=True), st.integers(-5, 10))
@@ -165,24 +167,24 @@ def _floats_held(value) -> bool:
     )
 
 
-def _holds_text(value) -> bool:
-    """Whether ``value`` is a str or bytes, or an array or a list that holds one."""
-    if isinstance(value, (str, bytes)):
+def _holds_non_numbers(value) -> bool:
+    """Whether ``value`` is a str, bytes or None, or an array or a list that holds one."""
+    if value is None or isinstance(value, (str, bytes)):
         return True
     if isinstance(value, np.ndarray):
-        return value.dtype.kind in "SU" or value.dtype == object and any(map(_holds_text, value.flat))
-    return isinstance(value, (list, tuple)) and any(map(_holds_text, value))
+        return value.dtype.kind in "SU" or value.dtype == object and any(map(_holds_non_numbers, value.flat))
+    return isinstance(value, (list, tuple)) and any(map(_holds_non_numbers, value))
 
 
 def _call_with(entry, name, bad):
     """Call ``entry`` with ``bad`` for argument ``name``; only a YieldCritError may escape,
-    text is refused, and a record it returns holds plain floats."""
+    text and None are refused, and a record it returns holds plain floats."""
     call, valid = ENTRIES[entry]
     try:
         out = call(**dict(valid, **{name: bad}))
     except YieldCritError:
         return
-    assert not _holds_text(bad), (entry, name, bad)
+    assert not _holds_non_numbers(bad), (entry, name, bad)
     records = out if isinstance(out, tuple) else (out,)
     for record in records + tuple(getattr(out, w, None) for w in ("meridian", "shape", "params")):
         assert _floats_held(record), (entry, name, bad, record)
@@ -351,7 +353,8 @@ def test_library_refusals_are_validation_errors(call, message):
         (lambda: yc.yield_value([1, 2], CRIT), "stress must be three numbers, got [1, 2]"),
         (lambda: yc.yield_value((1, "a", 0), CRIT), "stress must be three numbers, got (1, 'a', 0)"),
         (lambda: yc.invariants_array([[1, 2, 3], [1, 2]]), "stress must be an array of numbers, got [[1, 2, 3], [1, 2]]"),
-        (lambda: yc.surface_q("a", 0.1, CRIT), "p must be a number, got 'a'"),
+        (lambda: yc.surface_q("a", 0.1, CRIT), "p must be a number or an array of numbers, got 'a'"),
+        (lambda: yc.surface_q([0.1, 0.2], 0.1, CRIT), "p must be one number, got [0.1, 0.2]; surface_q_array takes arrays"),
         (lambda: yc.surface_q(0.1, "a", CRIT), "theta must be a number, got 'a'"),
         (lambda: yc.surface_q_array("a", 0.1, CRIT), "p must be a number or an array of numbers, got 'a'"),
         (lambda: yc.hessian_qg("x", 1.0, CRIT.shape), "s1 must be a number or an array of numbers, got 'x'"),
@@ -361,7 +364,7 @@ def test_library_refusals_are_validation_errors(call, message):
         (lambda: CRIT.meridian.df("x"), "p must be a number or an array of numbers, got 'x'"),
         (lambda: CRIT.meridian.df(10**400), "p must be a number or an array of numbers, got an integer too large for a float"),
         (lambda: CRIT.meridian.df(1.0), "df/dp is infinite at p=1.0, an end of the cap"),
-        (lambda: CRIT.meridian.f_array("x"), "p must be a number or an array of numbers, got 'x'"),
+        (lambda: CRIT.meridian.f("x"), "p must be a number or an array of numbers, got 'x'"),
         (lambda: yc.nonconvex_demo("x", 0.1, 1.0, 1.0), "p must be a number or an array of numbers, got 'x'"),
         (lambda: yc.polygon_is_convex("x"), "points must be a number or an array of numbers, got 'x'"),
         (lambda: yc.polygon_is_convex([0.0, 1.0]), "points must be an (n, 2) array, got shape (2,)"),
@@ -378,7 +381,7 @@ def test_evaluation_inputs_are_domain_errors(call, message):
     [
         (lambda: yc.surface_q_array("0.5", 0.1, CRIT), "p must be a number or an array of numbers, got '0.5'"),
         (lambda: yc.surface_q_array(0.5, ["0.1"], CRIT), "theta must lie in [0, pi/3], got ['0.1']"),
-        (lambda: CRIT.meridian.f_array(["0.5"]), "p must be a number or an array of numbers, got ['0.5']"),
+        (lambda: CRIT.meridian.f(["0.5"]), "p must be a number or an array of numbers, got ['0.5']"),
         (lambda: CRIT.meridian.df(b"0.5"), "p must be a number or an array of numbers, got b'0.5'"),
         (
             lambda: yc.yield_value_array([["1", "2", "3"]], CRIT),
@@ -417,7 +420,6 @@ CAP = CapMeridian(M=0.75, pc=1.0, c=0.1, m=2.0, alpha=1.0)
     [
         (5.0, "df/dp is undefined at p=5.0, which is not inside the cap"),
         (-0.5, "df/dp is undefined at p=-0.5, which is not inside the cap"),
-        (math.nan, "df/dp is undefined at p=nan, which is not inside the cap"),
         (math.inf, "df/dp is undefined at p=inf, which is not inside the cap"),
         (-0.1, "df/dp is infinite at p=-0.1, an end of the cap"),
         (1.0, "df/dp is infinite at p=1.0, an end of the cap"),
@@ -431,7 +433,7 @@ def test_df_outside_the_open_cap_is_a_domain_error(p, message):
 
 
 def test_df_of_an_array_is_nan_outside_the_open_cap_with_no_warning():
-    p = np.array([5.0, 1.0, 0.5, -0.1, -0.5, math.nan, 0.2])
+    p = np.array([5.0, 1.0, 0.5, -0.1, -0.5, math.inf, 0.2])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         got = CAP.df(p)

@@ -10,12 +10,17 @@ from hypothesis import strategies as st
 from yieldcrit import (
     CapMeridian,
     CosineLode,
+    CoulombMohr,
     Criterion,
     DomainError,
+    DruckerPrager,
     EmptySlice,
     LinearMeridian,
+    ModifiedCamClay,
+    ModifiedTresca,
     NonConvexSlice,
     OutsideCap,
+    Tresca,
     UnboundedDomain,
     VonMises,
     YieldParams,
@@ -31,6 +36,7 @@ from yieldcrit import (
     sample_deviatoric,
     sample_meridian,
     sections,
+    yield_value,
     yield_value_array,
 )
 from yieldcrit.cli import main
@@ -161,6 +167,24 @@ class TestBiaxial:
         params = YieldParams(M=0.9, pc=1.3, c=0.3, m=2.2, alpha=0.9, beta=0.5, gamma=0.7)
         curve = sample_biaxial(params.criterion(), n=90)
         assert polygon_is_convex(curve.samples)
+
+    CLASSICAL = [
+        VonMises(ft=1.0), Tresca(ft=1.0), DruckerPrager(fc=2.5, r=4.0), ModifiedTresca(fc=2.5, r=4.0),
+        CoulombMohr(fc=2.5, r=4.0), ModifiedCamClay(M=0.75, pc=1.0),
+    ]
+
+    @pytest.mark.parametrize("k", range(3, 13))
+    @pytest.mark.parametrize("classical", CLASSICAL, ids=lambda c: type(c).__name__)
+    def test_every_realized_classical_criterion_samples(self, classical, k):
+        # Coulomb-Mohr from k = 9 (pc / c past 1e9) was an EmptySlice, though F(0, 0, 0) < 0:
+        # the search bracket's upper end stepped 1e-9 of the span inward, past the whole interior
+        crit = realize(classical, scale_exponent=k).criterion()
+        s, F = sections._biaxial_center(crit)
+        assert F < 0.0
+        for x, y in sample_biaxial(crit, n=8).samples:
+            # along the ray from the center, F < 0 just short of each sample and F > 0 just past it
+            short, past = [(s + t * (x - s), s + t * (y - s), 0.0) for t in (1.0 - 1e-6, 1.0 + 1e-6)]
+            assert yield_value(short, crit) < 0.0 < yield_value(past, crit), (x, y)
 
     def test_normalized_by_tensile_intercept(self):
         ft = 2.5

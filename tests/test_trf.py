@@ -292,7 +292,7 @@ def every_column_problems(draw):
     if isinstance(meridian, LinearMeridian):
         assume(_clear_of(meridian.c, np.mean(np.abs(p))))
     if mode == "function_value":
-        f = meridian.f_array(p)
+        f = meridian.f(p)
         floor, _ = meridian._s0_floor(template.B * q)
         top = np.sort(np.stack([template.B * q, np.abs(f), np.full_like(q, floor)]), axis=0)
         finite = np.isfinite(f)
