@@ -33,7 +33,7 @@ import numpy as np
 from . import trf
 from .convexity import ConvexityReport, certify
 from .criterion import GAMMA_LIMIT, Criterion, _params, _surface_q_body, _yield_body
-from .errors import InsufficientData, ParseError, ValidationError, count, real
+from .errors import InsufficientData, ParseError, ValidationError, _typed, count, real
 from .invariants import _THETA_HI, _THETA_LO, Record, _float_array, _record, invariants
 
 FITTABLE = ("M", "pc", "c", "m", "alpha", "beta", "gamma", "Gamma", "A", "e", "k", "n")
@@ -530,8 +530,7 @@ def fit(
     an ``init`` that is not a mapping, holds a value that fails the number
     rule, misses a free name or names a held one.
     """
-    if not (isinstance(problem, FitProblem) and isinstance(dataset, FitDataset)):
-        raise ValidationError(f"fit needs a FitProblem and a FitDataset, got {type(problem).__name__} and {type(dataset).__name__}")
+    _typed("fit", (problem, FitProblem), (dataset, FitDataset))
     seed, n_starts = count(seed, "seed", 0), count(n_starts, "n_starts", 1)
     if init is not None:
         if not isinstance(init, Mapping):

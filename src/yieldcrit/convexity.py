@@ -28,7 +28,7 @@ import math
 from typing import TYPE_CHECKING
 
 from .criterion import Criterion, _powerlaw_coefficients
-from .errors import DegenerateState, DomainError, real
+from .errors import DegenerateState, DomainError, _typed, real
 from .invariants import Record, _check_theta, _floats, _state, namespace
 
 if TYPE_CHECKING:
@@ -149,6 +149,7 @@ def certify(crit: Criterion) -> ConvexityReport:
     from their ``convexity()``; F is convex iff both hold.  The quadratic
     A q^2 term never affects the verdict.
     """
+    _typed("certify", (crit, Criterion))
     meridian_ok, meridian_margin, phi, meridian_note = crit.meridian.convexity()
     deviatoric_ok, deviatoric_margin, theta, deviatoric_note = crit.shape.convexity()
     notes = [note for note in (meridian_note, deviatoric_note) if note]

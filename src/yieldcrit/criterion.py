@@ -32,7 +32,7 @@ import math
 from functools import cache
 from typing import TYPE_CHECKING
 
-from .errors import CornerCase, DegenerateState, DomainError, ValidationError, real
+from .errors import CornerCase, DegenerateState, DomainError, ValidationError, _typed, real
 from .invariants import _SQRT15, FLOAT, Record, _frame, _record, _state
 from .invariants import _check_theta, invariants_array, namespace
 # Unused here; kept because perfbench's --trace 1 wraps criterion.invariants by name.
@@ -52,6 +52,23 @@ BOUNDARY_TOL = 1e-9
 
 # The excluded gamma = 1 (piecewise-linear section) is realized as this.
 GAMMA_LIMIT = 1.0 - 1e-9
+
+
+def _excluded_limits(gamma: float, alpha: float, corner: float):
+    """The one rule for the paper's excluded limits: gamma >= 1 becomes GAMMA_LIMIT,
+    alpha <= 0 becomes ``corner`` and alpha >= 2 becomes 2 - ``corner``.  Returns
+    ``(gamma, alpha, notes)`` with a note for each substitution."""
+    notes = []
+    if gamma >= 1.0:
+        gamma = GAMMA_LIMIT
+        notes.append("gamma -> 1 realized as 1-1e-9 (piecewise-linear limit)")
+    if alpha <= 0.0:
+        alpha = corner
+        notes.append(f"alpha = 0 realized as {corner:g} (corner limit)")
+    elif alpha >= 2.0:
+        alpha = 2.0 - corner
+        notes.append(f"alpha = 2 realized as 2-{corner:g} (corner limit)")
+    return gamma, alpha, tuple(notes)
 
 
 @cache
@@ -662,8 +679,8 @@ class YieldParams(Record):
     condition: the interval 2 - bound(gamma) <= beta <= bound(gamma), and g
     positive at the sector ends; use :meth:`unchecked` to
     build records outside it (for demonstrations or certification tests)
-    and :meth:`limit_mode` to clamp the excluded limit values gamma = 1 and
-    alpha in {0, 2}.
+    and :meth:`limit_mode` to substitute the excluded limit values gamma = 1
+    and alpha in {0, 2}.  :meth:`meridian` builds, and so checks, the meridian.
     """
 
     M: float
@@ -676,9 +693,7 @@ class YieldParams(Record):
 
     def __post_init__(self):
         _real_fields(self)
-        # Range checks delegate to the meridian/shape constructors; the
-        # validated meridian is kept for meridian().
-        object.__setattr__(self, "_meridian", self.meridian())
+        self.meridian()  # its range checks
         shape = self.shape()
         ok, lo, hi = beta_in_convex_interval(self.beta, self.gamma)
         if not ok:
@@ -698,27 +713,15 @@ class YieldParams(Record):
     def limit_mode(cls, M, pc, c, m, alpha, beta, gamma):
         """Build params, substituting the excluded limit values.
 
-        gamma >= 1 becomes 1 - 1e-9, alpha <= 0 becomes 1e-8 and
-        alpha >= 2 becomes 2 - 1e-8.  Returns ``(params, warnings)`` where
-        warnings lists the substitutions applied.
+        gamma >= 1 becomes 1 - 1e-9, alpha <= 0 becomes 1e-8 and alpha >= 2
+        becomes 2 - 1e-8, by ``realize``'s rule.  Returns ``(params, warnings)``
+        where warnings lists the substitutions applied, in realize's words.
         """
-        warnings: list[str] = []
-        if real(gamma, "gamma") >= 1.0:
-            warnings.append(f"gamma={gamma} replaced by 1-1e-9 (piecewise-linear limit)")
-            gamma = GAMMA_LIMIT
-        if real(alpha, "alpha") <= 0.0:
-            warnings.append(f"alpha={alpha} replaced by 1e-8 (corner limit)")
-            alpha = 1e-8
-        elif alpha >= 2.0:
-            warnings.append(f"alpha={alpha} replaced by 2-1e-8 (corner limit)")
-            alpha = 2.0 - 1e-8
-        return cls(M, pc, c, m, alpha, beta, gamma), tuple(warnings)
+        gamma, alpha, warnings = _excluded_limits(real(gamma, "gamma"), real(alpha, "alpha"), 1e-8)
+        return cls(M, pc, c, m, alpha, beta, gamma), warnings
 
     def meridian(self) -> CapMeridian:
-        # a record from unchecked() has none kept, and is validated here
-        return self.__dict__.get("_meridian") or CapMeridian(
-            self.M, self.pc, self.c, self.m, self.alpha
-        )
+        return CapMeridian(self.M, self.pc, self.c, self.m, self.alpha)
 
     def shape(self) -> CosineLode:
         return CosineLode(self.beta, self.gamma)
@@ -981,6 +984,7 @@ def normal_limits(which: str, params: YieldParams) -> np.ndarray:
     """
     import numpy as np
 
+    _typed("normal_limits", (params, YieldParams))
     if not (0.0 < params.alpha < 2.0):
         raise CornerCase(
             f"alpha={params.alpha}: a corner forms at the hydrostatic axis; "

@@ -3,7 +3,7 @@
 All errors raised by this package derive from :class:`YieldCritError`, so
 callers can catch one base class at API boundaries (the CLI maps them to
 exit code 2).  :func:`real` (the number rule) and :func:`count` (the count
-rule) check the numeric inputs of the public API.
+rule) check the numeric inputs of the public API, :func:`_typed` its records.
 """
 
 import math
@@ -79,6 +79,16 @@ def real(value, name: str) -> float:
     if not math.isfinite(x):
         raise ValidationError(f"{name} must be finite, got {x}")
     return x
+
+
+def _typed(call: str, *pairs) -> None:
+    """ValidationError unless each ``(value, cls)`` of ``pairs`` has ``value`` a ``cls``,
+    naming the expected and the given types (``certify needs a Criterion, got str``)."""
+    for value, cls in pairs:  # a loop, not all(), which costs a generator on each sampler call
+        if not isinstance(value, cls):
+            want = " and ".join(f"a {c.__name__}" for _, c in pairs)
+            given = " and ".join(type(v).__name__ for v, _ in pairs)
+            raise ValidationError(f"{call} needs {want}, got {given}")
 
 
 def count(value, name: str, least: int) -> int:

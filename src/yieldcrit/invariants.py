@@ -350,22 +350,11 @@ def _state(stress):
 
 
 def _check_theta(theta):
-    """``(FLOAT, theta)`` for a number and ``(numpy, theta as a float array)`` otherwise,
-    as :func:`namespace` gives them; DomainError unless theta lies in [0, pi/3] to
-    1e-12.  numpy-free for a number."""
-    if isinstance(theta, (float, int)):
-        xp, th, ok = FLOAT, theta, _THETA_LO <= theta <= _THETA_HI
-    elif isinstance(theta, (str, bytes)):  # numpy would read "0.5" as a number
-        raise DomainError(f"theta must be a number, got {theta!r}")
-    else:
-        import numpy as xp
-
-        try:
-            th = _float_array(theta)
-            ok = xp.all((_THETA_LO <= th) & (th <= _THETA_HI))
-        except (TypeError, ValueError, OverflowError):  # not a number or an array of them
-            ok = False
-    if not ok:
+    """:func:`namespace` of theta, and a DomainError unless theta lies in [0, pi/3] to
+    1e-12: the one rule for a Lode angle, as :func:`yieldcrit.criterion._pressure` is for
+    a pressure.  numpy-free for a number."""
+    xp, th = namespace(theta, "theta")
+    if not ((_THETA_LO <= th <= _THETA_HI) if xp is FLOAT else xp.all((_THETA_LO <= th) & (th <= _THETA_HI))):
         raise DomainError(f"theta must lie in [0, pi/3], got {theta}")
     return xp, th
 

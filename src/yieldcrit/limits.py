@@ -4,8 +4,8 @@ The seven-parameter criterion reduces to the classical criteria of
 von Mises, Drucker-Prager, Tresca, modified Tresca, Coulomb-Mohr and
 modified Cam-clay in limit situations.  Several of those limits send
 pc to infinity; here that is a finite surrogate pc = 10^k times the
-reference strength, alpha = 0 becomes 10^-2k and gamma = 1 GAMMA_LIMIT, and
-each substitution is recorded as a warning.  An ellipse or a cone, matched
+reference strength, and ``criterion._excluded_limits`` realizes gamma = 1 as
+1 - 1e-9 and alpha = 0 as 10^-2k, each with a warning.  An ellipse or a cone, matched
 through g of the realized section, then reproduces the uniaxial strengths
 with a relative error of order 10^-k.
 
@@ -21,13 +21,13 @@ import math
 import warnings as _warnings
 from sys import float_info
 
-from .criterion import GAMMA_LIMIT, CosineLode, Criterion, YieldParams, _real_fields
+from .criterion import CosineLode, Criterion, YieldParams, _excluded_limits, _real_fields
 from .errors import DomainError, ShapeMismatch, count, real
 from .invariants import STRESS_MAX, Record, _floats, invariants
 
-# The deviatoric sections of the classical criteria.
-_CIRCLE = CosineLode(beta=1.0, gamma=0.0)
-_HEXAGON = CosineLode(beta=1.0, gamma=GAMMA_LIMIT)
+# The deviatoric sections of the classical criteria as (beta, gamma), the hexagon at gamma = 1.
+_CIRCLE = (1.0, 0.0)
+_HEXAGON = (1.0, 1.0)
 
 
 def _gurson_inputs(**values) -> list[float]:
@@ -93,9 +93,8 @@ class CoulombMohr(_StrengthRatio):
     """Frictional hexagonal pyramid; r = fc/ft >= 1."""
 
     @property
-    def _section(self) -> CosineLode:
-        beta = (6.0 / math.pi) * math.atan(math.sqrt(3.0) / (2.0 * self.r + 1.0))
-        return CosineLode(beta=beta, gamma=GAMMA_LIMIT)
+    def _section(self) -> tuple[float, float]:
+        return (6.0 / math.pi) * math.atan(math.sqrt(3.0) / (2.0 * self.r + 1.0)), 1.0
 
 
 class ModifiedCamClay(Record):
@@ -139,30 +138,23 @@ def _scale(k: int, strength: float) -> float:
     return scale
 
 
-def _realization(k: int, shape: CosineLode, notes, **meridian) -> LimitRealization:
-    """The meridian on ``shape``; its warnings are the notes, then one for each
-    limit surrogate in it."""
-    warn = list(notes)
-    if shape.gamma == GAMMA_LIMIT:
-        warn.append("gamma -> 1 realized as 1-1e-9 (piecewise-linear limit)")
-    if meridian["alpha"] < 1.0:
-        warn.append(f"alpha = 0 realized as {meridian['alpha']:g} (corner limit)")
-    params = YieldParams(beta=shape.beta, gamma=shape.gamma, **meridian)
-    return LimitRealization(params=params, scale_exponent=k, warnings=tuple(warn))
-
-
-def _ellipse(ft: float, shape: CosineLode, k: int, *notes) -> LimitRealization:
+def _ellipse(ft: float, section, k: int, *notes) -> LimitRealization:
     """The pressure-insensitive limit: the ellipse c = pc = 10^k ft, whose radius
     M pc g / 2 at the middle of the cap is ft (g(0) = g(pi/3) on its sections)."""
+    gamma, alpha, limits = _excluded_limits(section[1], 1.0, 10.0 ** (-2 * k))
+    shape = CosineLode(beta=section[0], gamma=gamma)
     pc = _scale(k, ft) * ft
     M = 2.0 * ft / (pc * shape.g(0.0))
-    return _realization(k, shape, notes, M=M, pc=pc, c=pc, m=2.0, alpha=1.0)
+    params = YieldParams(M=M, pc=pc, c=pc, m=2.0, alpha=alpha, beta=shape.beta, gamma=shape.gamma)
+    return LimitRealization(params=params, scale_exponent=k, warnings=notes + limits)
 
 
-def _cone(fc: float, r: float, shape: CosineLode, k: int) -> LimitRealization:
+def _cone(fc: float, r: float, section, k: int) -> LimitRealization:
     """The pressure-sensitive limit: the cone alpha -> 0, pc = m fc with
     m = 10^k, where F = q / g + sqrt(2) M (p + c) is 0 at uniaxial tension
     (q = fc / r, theta = 0) and compression (q = fc, theta = pi/3)."""
+    gamma, alpha, notes = _excluded_limits(section[1], 0.0, 10.0 ** (-2 * k))
+    shape = CosineLode(beta=section[0], gamma=gamma)
     c0, c3 = 1.0 / shape.g(0.0), 1.0 / shape.g(math.pi / 3.0)
     den = 3.0 * (r * c3 - c0)
     if den <= 0.0:
@@ -174,17 +166,20 @@ def _cone(fc: float, r: float, shape: CosineLode, k: int) -> LimitRealization:
     c = fc * (c0 + c3) / den
     if M <= 0.0 or c <= 0.0:
         raise DomainError(f"M={M:.6g}, c={c:.6g} not positive for r={r}, beta={shape.beta}")
+    ok, _, _, note = shape.convexity()  # only coulomb_mohr_generalized's free beta can fail it
+    if not ok:
+        raise DomainError(note)
     scale = _scale(k, fc)
     # alpha = 10^-2k adds about alpha / (4 Phi), so 10^-k, to the meridian's relative
     # error, as Phi ~ 10^-k at compression and 10^-k / r at tension.  The radicand, about
     # Phi (2 Phi + alpha), loses digits below the normal floats (k >= 154, less for a large r).
-    alpha = 10.0 ** (-2 * k)
     if alpha < float_info.min:
         raise DomainError(f"scale_exponent={k} puts the surrogate alpha below {float_info.min:g}")
     phi = (c - fc / r / 3.0) / (scale * fc + c)
     if phi * (2.0 * phi + alpha) < float_info.min:
         raise DomainError(f"scale_exponent={k} puts the radicand at tension below {float_info.min:g}")
-    return _realization(k, shape, (), M=M, pc=scale * fc, c=c, m=scale, alpha=alpha)
+    params = YieldParams(M=M, pc=scale * fc, c=c, m=scale, alpha=alpha, beta=shape.beta, gamma=shape.gamma)
+    return LimitRealization(params=params, scale_exponent=k, warnings=notes)
 
 
 def realize(criterion: ClassicalCriterion, scale_exponent: int = 6) -> LimitRealization:
@@ -203,9 +198,8 @@ def realize(criterion: ClassicalCriterion, scale_exponent: int = 6) -> LimitReal
     k = count(scale_exponent, "scale_exponent", 3)
     if isinstance(criterion, ModifiedCamClay):
         # Exact: no limit surrogate needed.
-        return _realization(
-            k, _CIRCLE, (), M=criterion.M, pc=criterion.pc, c=0.0, m=2.0, alpha=1.0
-        )
+        params = YieldParams(M=criterion.M, pc=criterion.pc, c=0.0, m=2.0, alpha=1.0, beta=1.0, gamma=0.0)
+        return LimitRealization(params=params, scale_exponent=k, warnings=())
     if isinstance(criterion, _TensileStrength):
         return _ellipse(criterion.ft, criterion._section, k)
     fc, r = criterion.fc, criterion.r
@@ -226,11 +220,10 @@ def coulomb_mohr_generalized(
     The Coulomb-Mohr cone on the hexagonal section with an arbitrary
     deviatoric bias beta; choosing beta = (6/pi) atan(sqrt(3)/(2r+1))
     recovers the plain Coulomb-Mohr realization.  Raises DomainError when
-    the cone's M or c is not positive for the given (r, beta).
+    the cone's M or c is not positive for (r, beta), or beta is outside the convex interval.
     """
     cm = CoulombMohr(fc=fc, r=r)  # the same checks on fc and r
-    shape = CosineLode(beta=beta, gamma=GAMMA_LIMIT)  # and the number rule on beta
-    return _cone(cm.fc, cm.r, shape, count(scale_exponent, "scale_exponent", 3))
+    return _cone(cm.fc, cm.r, (beta, 1.0), count(scale_exponent, "scale_exponent", 3))
 
 
 # ---------------------------------------------------------------------------

@@ -43,7 +43,7 @@ import numpy as np
 from .criterion import CapMeridian, Criterion, _yield_body, surface_q_array, yield_value
 # Unused here; kept because perfbench's --trace 1 wraps sections.surface_q and .invariants by name.
 from .criterion import surface_q  # noqa: F401
-from .errors import DomainError, EmptySlice, NonConvexSlice, OutsideCap, UnboundedDomain, count, real
+from .errors import DomainError, EmptySlice, NonConvexSlice, OutsideCap, UnboundedDomain, _typed, count, real
 from .invariants import _THETA_MAX, FLOAT, STRESS_MAX, Record, _check_stress, _floats, _invariant_body, _state
 from .invariants import invariants  # noqa: F401
 
@@ -86,6 +86,7 @@ def sample_meridian(
     from low to high (DomainError otherwise), and a sample where the surface
     has no radius is NaN; EmptySlice when no sample has one.
     """
+    _typed("sample_meridian", (crit, Criterion))
     n = count(n, "n", 2)
     if p_range is None:
         if not isinstance(crit.meridian, CapMeridian):
@@ -141,6 +142,7 @@ def sample_deviatoric(
     meridian along +x).  ``normalize`` divides by the radius at theta = pi/3 so
     different shapes coincide at triaxial compression.
     """
+    _typed("sample_deviatoric", (crit, Criterion))
     at_p, n = real(at_p, "at_p"), count(n, "n", 2)
     if isinstance(crit.meridian, CapMeridian):
         phi = crit.meridian._place(at_p, FLOAT)[0]
@@ -447,6 +449,7 @@ def sample_biaxial(crit: Criterion, n: int = 200, normalize: bool = False) -> Se
     Raises NonConvexSlice when F changes sign more than once along a ray,
     and UnboundedDomain when it does so only within F's own rounding.
     """
+    _typed("sample_biaxial", (crit, Criterion))
     n = count(n, "n", 3)
     s_center, _ = _biaxial_center(crit)
     scale = crit.meridian.scale

@@ -344,9 +344,9 @@ class TestSurfaceQ:
             surface_q(0.5, theta, CAM_CLAY.criterion())
 
     @pytest.mark.parametrize("theta, message", [
-        ("0.1", "theta must be a number, got '0.1'"),
-        (b"0.1", "theta must be a number, got b'0.1'"),
-        (["0.1"], "theta must lie in [0, pi/3], got ['0.1']"),
+        ("0.1", "theta must be a number or an array of numbers, got '0.1'"),
+        (b"0.1", "theta must be a number or an array of numbers, got b'0.1'"),
+        (["0.1"], "theta must be a number or an array of numbers, got ['0.1']"),
     ])
     def test_a_numeric_string_theta_is_refused(self, theta, message):
         # numpy would read each as 0.1, which lies in the sector
@@ -668,6 +668,41 @@ class TestYieldParams:
         assert p.gamma == 1.0 - 1e-9
         assert p.alpha == 1e-8
         assert len(warnings) == 2
+
+    @pytest.mark.parametrize(
+        "alpha, gamma, realized, warnings",
+        [
+            (1.0, 1.0, (1.0, 1.0 - 1e-9), ("gamma -> 1 realized as 1-1e-9 (piecewise-linear limit)",)),
+            (1.0, 1.5, (1.0, 1.0 - 1e-9), ("gamma -> 1 realized as 1-1e-9 (piecewise-linear limit)",)),
+            (0.0, 0.5, (1e-8, 0.5), ("alpha = 0 realized as 1e-08 (corner limit)",)),
+            (-1.0, 0.5, (1e-8, 0.5), ("alpha = 0 realized as 1e-08 (corner limit)",)),
+            # 2 - 1e-8 prints as 2 under :g, so the note names the surrogate's offset
+            (2.0, 0.5, (2.0 - 1e-8, 0.5), ("alpha = 2 realized as 2-1e-08 (corner limit)",)),
+            (2.5, 0.5, (2.0 - 1e-8, 0.5), ("alpha = 2 realized as 2-1e-08 (corner limit)",)),
+            (
+                2.0,
+                1.0,
+                (2.0 - 1e-8, 1.0 - 1e-9),
+                (
+                    "gamma -> 1 realized as 1-1e-9 (piecewise-linear limit)",
+                    "alpha = 2 realized as 2-1e-08 (corner limit)",
+                ),
+            ),
+            (1.0, 0.5, (1.0, 0.5), ()),
+        ],
+    )
+    def test_limit_mode_warnings(self, alpha, gamma, realized, warnings):
+        p, got = YieldParams.limit_mode(M=1, pc=1, c=0, m=2, alpha=alpha, beta=1, gamma=gamma)
+        assert ((p.alpha, p.gamma), got) == (realized, warnings)
+
+    def test_a_record_keeps_no_meridian_of_its_own(self):
+        # meridian() builds, and so checks, the CapMeridian for checked and unchecked records alike
+        native = dict(M=1.0, pc=1.0, c=0.1, m=2.0, alpha=1.0, beta=1.0, gamma=0.0)
+        checked, unchecked = YieldParams(**native), YieldParams.unchecked(**native)
+        assert "_meridian" not in vars(checked)
+        assert checked.meridian() == unchecked.meridian() == CapMeridian(1.0, 1.0, 0.1, 2.0, 1.0)
+        with pytest.raises(ValidationError, match="m must exceed 1, got 0.5"):
+            YieldParams.unchecked(**{**native, "m": 0.5}).meridian()
 
 
 class TestParameterSerialization:

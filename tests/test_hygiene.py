@@ -34,6 +34,13 @@
   ``invariants._state``, which keeps the last state's: no other function
   calls ``_invariant_body`` on plain floats (the array paths call it with
   numpy).
+* The paper's excluded limits (gamma = 1, alpha in {0, 2}) are substituted
+  by one rule, ``criterion._excluded_limits``: no other function holds the
+  surrogate wording (``1-1e-9``, ``(piecewise-linear limit)``, ``(corner
+  limit)``) or compares against ``GAMMA_LIMIT``.
+* A Lode angle has one input rule: ``invariants._check_theta`` is
+  ``namespace`` plus the range check, with no str/bytes branch and no
+  ``_float_array`` call of its own.
 """
 
 import ast
@@ -547,3 +554,97 @@ def test_a_second_scalar_invariant_call_is_found():
         "x = _invariant_body(1.0, 2.0, 3.0, FLOAT)\n"
     )
     assert _scalar_body_calls(text) == ["_state:3", "yield_value:5", "inner:10", "<module>:12"]
+
+
+# the wording of a limit surrogate
+SURROGATE_WORDS = ("1-1e-9", "(piecewise-linear limit)", "(corner limit)")
+
+
+def _limit_rule_sites(text) -> list:
+    """``function:line`` of each string (not a docstring) that holds a piece of the
+    surrogate wording, and of each comparison against ``GAMMA_LIMIT``; ``<module>``
+    outside any function."""
+    found, tree = [], ast.parse(text)
+    docstrings = {
+        id(node.body[0].value)
+        for node in ast.walk(tree)
+        if isinstance(getattr(node, "body", None), list) and node.body and isinstance(node.body[0], ast.Expr)
+    }
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            worded = (
+                isinstance(child, ast.Constant)
+                and id(child) not in docstrings
+                and isinstance(child.value, str)
+                and any(w in child.value for w in SURROGATE_WORDS)
+            )
+            compared = isinstance(child, ast.Compare) and any(
+                (getattr(n, "id", None) or getattr(n, "attr", None)) == "GAMMA_LIMIT"
+                for n in [child.left, *child.comparators]
+            )
+            if worded or compared:
+                found.append(f"{where}:{child.lineno}")
+            visit(child, where)
+
+    visit(tree, "<module>")
+    return found
+
+
+def test_the_excluded_limits_have_one_rule():
+    sites = {
+        f"{path.name}:{site.split(':')[0]}"
+        for path in MODULES
+        for site in _limit_rule_sites(path.read_text(encoding="utf-8"))
+    }
+    assert sites == {"criterion.py:_excluded_limits"}, sites
+
+
+def test_a_second_limit_rule_is_found():
+    text = (
+        'def _excluded_limits(gamma, alpha, corner):\n'
+        '    """gamma -> 1 realized as 1-1e-9 (piecewise-linear limit)"""\n'
+        '    return "gamma -> 1 realized as 1-1e-9 (piecewise-linear limit)"\n'
+        "def _realization(shape, alpha, warn):\n"
+        "    if shape.gamma == GAMMA_LIMIT:\n"
+        '        warn.append("gamma -> 1 realized as 1-1e-9")\n'
+        "    if alpha < 1.0:\n"
+        '        warn.append(f"alpha = 0 realized as {alpha:g} (corner limit)")\n'
+        "    return criterion.GAMMA_LIMIT > shape.gamma\n"
+        'NOTE = "(piecewise-linear limit)"\n'
+    )
+    assert _limit_rule_sites(text) == [
+        "_excluded_limits:3", "_realization:5", "_realization:6", "_realization:8", "_realization:9", "<module>:10"
+    ]
+
+
+def _theta_rule_faults(text) -> list:
+    """What ``_check_theta`` in ``text`` does besides ``namespace`` plus a range check:
+    no call of ``namespace``, a branch on ``str`` or ``bytes``, or a call of ``_float_array``."""
+    (func,) = [n for n in ast.walk(ast.parse(text)) if isinstance(n, ast.FunctionDef) and n.name == "_check_theta"]
+    called = {getattr(n.func, "id", None) or getattr(n.func, "attr", None) for n in ast.walk(func) if isinstance(n, ast.Call)}
+    names = {n.id for n in ast.walk(func) if isinstance(n, ast.Name)}
+    faults = [] if "namespace" in called else ["no namespace call"]
+    faults += ["str/bytes branch"] if names & {"str", "bytes"} else []
+    return faults + (["_float_array call"] if "_float_array" in called else [])
+
+
+def test_theta_has_one_input_rule():
+    assert _theta_rule_faults((SRC / "invariants.py").read_text(encoding="utf-8")) == []
+
+
+def test_a_second_theta_rule_is_found():
+    text = (
+        "def _check_theta(theta):\n"
+        "    if isinstance(theta, (float, int)):\n"
+        "        xp, th, ok = FLOAT, theta, _THETA_LO <= theta <= _THETA_HI\n"
+        "    elif isinstance(theta, (str, bytes)):\n"
+        "        raise DomainError(f'theta must be a number, got {theta!r}')\n"
+        "    else:\n"
+        "        th = invariants._float_array(theta)\n"
+        "    return xp, th\n"
+    )
+    assert _theta_rule_faults(text) == ["no namespace call", "str/bytes branch", "_float_array call"]

@@ -149,8 +149,8 @@ class TestPrincipalFromInvariants:
         [
             ([0.1, 0.2, 0.3], "theta must be a number, got [0.1, 0.2, 0.3]"),
             (np.array([0.1, 0.2, 0.3]), "theta must be a number, got array([0.1, 0.2, 0.3])"),
-            ("0.1", "theta must be a number, got '0.1'"),
-            ("x", "theta must be a number, got 'x'"),
+            ("0.1", "theta must be a number or an array of numbers, got '0.1'"),
+            ("x", "theta must be a number or an array of numbers, got 'x'"),
         ],
     )
     def test_theta_that_is_not_one_number(self, theta, message):

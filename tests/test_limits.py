@@ -210,6 +210,13 @@ class TestCoulombMohrGeneralized:
         assert abs(yield_value(sig_t, crit)) <= 1e-3 * fc
         assert abs(yield_value(sig_c, crit)) <= 1e-3 * fc
 
+    def test_a_beta_outside_the_convex_interval_is_a_domain_error(self):
+        # a ValidationError that pointed to YieldParams.unchecked, which the caller never called
+        with pytest.raises(DomainError) as info:
+            coulomb_mohr_generalized(2.0, 3.0, 2.5)
+        assert type(info.value) is DomainError
+        assert str(info.value) == "beta=2.5 outside the convex interval [-1.68754e-14, 2] for gamma=1"
+
     def test_denominator_sign_error(self):
         # beta = -2 turns the c denominator negative at r = 1
         with pytest.raises(DomainError):

@@ -334,6 +334,12 @@ def test_a_fractional_sample_count_is_refused():
         (lambda: fit(PROBLEM, "x"), "fit needs a FitProblem and a FitDataset, got FitProblem and str"),
         (lambda: fit("x", DATA), "fit needs a FitProblem and a FitDataset, got str and FitDataset"),
         (lambda: FitProblem("x", ("M",)), "template must be a Criterion, got str"),
+        # certify ended in an AttributeError, the samplers in one or in a false UnboundedDomain
+        (lambda: yc.certify(YieldParams(**NATIVE)), "certify needs a Criterion, got YieldParams"),
+        (lambda: yc.sample_biaxial(YieldParams(**NATIVE), 5), "sample_biaxial needs a Criterion, got YieldParams"),
+        (lambda: yc.sample_meridian(YieldParams(**NATIVE), 0.1, 5), "sample_meridian needs a Criterion, got YieldParams"),
+        (lambda: yc.sample_deviatoric(YieldParams(**NATIVE), 0.5, 5), "sample_deviatoric needs a Criterion, got YieldParams"),
+        (lambda: yc.normal_limits("tension_apex", CRIT), "normal_limits needs a YieldParams, got Criterion"),
         (
             lambda: FitDataset(points="x", weights=[1.0]),
             "points and weights must be arrays of numbers, got 'x' and [1.0]",
@@ -355,12 +361,12 @@ def test_library_refusals_are_validation_errors(call, message):
         (lambda: yc.invariants_array([[1, 2, 3], [1, 2]]), "stress must be an array of numbers, got [[1, 2, 3], [1, 2]]"),
         (lambda: yc.surface_q("a", 0.1, CRIT), "p must be a number or an array of numbers, got 'a'"),
         (lambda: yc.surface_q([0.1, 0.2], 0.1, CRIT), "p must be one number, got [0.1, 0.2]; surface_q_array takes arrays"),
-        (lambda: yc.surface_q(0.1, "a", CRIT), "theta must be a number, got 'a'"),
+        (lambda: yc.surface_q(0.1, "a", CRIT), "theta must be a number or an array of numbers, got 'a'"),
         (lambda: yc.surface_q_array("a", 0.1, CRIT), "p must be a number or an array of numbers, got 'a'"),
         (lambda: yc.hessian_qg("x", 1.0, CRIT.shape), "s1 must be a number or an array of numbers, got 'x'"),
-        (lambda: CRIT.shape.g("x"), "theta must be a number, got 'x'"),
-        (lambda: CRIT.shape.dg([0.1, "x"]), "theta must lie in [0, pi/3], got [0.1, 'x']"),
-        (lambda: CRIT.shape.d2g(None), "theta must lie in [0, pi/3], got None"),
+        (lambda: CRIT.shape.g("x"), "theta must be a number or an array of numbers, got 'x'"),
+        (lambda: CRIT.shape.dg([0.1, "x"]), "theta must be a number or an array of numbers, got [0.1, 'x']"),
+        (lambda: CRIT.shape.d2g(None), "theta must be a number or an array of numbers, got None"),
         (lambda: CRIT.meridian.df("x"), "p must be a number or an array of numbers, got 'x'"),
         (lambda: CRIT.meridian.df(10**400), "p must be a number or an array of numbers, got an integer too large for a float"),
         (lambda: CRIT.meridian.df(1.0), "df/dp is infinite at p=1.0, an end of the cap"),
@@ -380,7 +386,7 @@ def test_evaluation_inputs_are_domain_errors(call, message):
     "call, message",
     [
         (lambda: yc.surface_q_array("0.5", 0.1, CRIT), "p must be a number or an array of numbers, got '0.5'"),
-        (lambda: yc.surface_q_array(0.5, ["0.1"], CRIT), "theta must lie in [0, pi/3], got ['0.1']"),
+        (lambda: yc.surface_q_array(0.5, ["0.1"], CRIT), "theta must be a number or an array of numbers, got ['0.1']"),
         (lambda: CRIT.meridian.f(["0.5"]), "p must be a number or an array of numbers, got ['0.5']"),
         (lambda: CRIT.meridian.df(b"0.5"), "p must be a number or an array of numbers, got b'0.5'"),
         (
@@ -394,9 +400,9 @@ def test_evaluation_inputs_are_domain_errors(call, message):
         (lambda: yc.gradient((-0.5, "-0.2", -0.1), CRIT), "stress must be three numbers, got (-0.5, '-0.2', -0.1)"),
         (lambda: yc.hessian_qg("0.3", -0.1, CRIT.shape), "s1 must be a number or an array of numbers, got '0.3'"),
         (lambda: yc.nonconvex_demo("0.3", 0.1, 1.0, 1.0), "p must be a number or an array of numbers, got '0.3'"),
-        (lambda: CRIT.shape.g("0.3"), "theta must be a number, got '0.3'"),
-        (lambda: CRIT.shape.dg(np.array(["0.3"], dtype=object)), "theta must lie in [0, pi/3], got ['0.3']"),
-        (lambda: yc.principal_from_invariants(0.0, 1.0, b"0.3"), "theta must be a number, got b'0.3'"),
+        (lambda: CRIT.shape.g("0.3"), "theta must be a number or an array of numbers, got '0.3'"),
+        (lambda: CRIT.shape.dg(np.array(["0.3"], dtype=object)), "theta must be a number or an array of numbers, got array(['0.3'], dtype=object)"),
+        (lambda: yc.principal_from_invariants(0.0, 1.0, b"0.3"), "theta must be a number or an array of numbers, got b'0.3'"),
         (lambda: powerlaw_quadratic("0.3", 0.5, 3.0), "x must be a number or an array of numbers, got '0.3'"),
     ],
 )
