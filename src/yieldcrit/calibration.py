@@ -33,8 +33,8 @@ import numpy as np
 from . import trf
 from .convexity import ConvexityReport, certify
 from .criterion import GAMMA_LIMIT, Criterion, _params, _surface_q_body, _yield_body
-from .errors import InsufficientData, ParseError, ValidationError, _typed, count, real
-from .invariants import _THETA_HI, _THETA_LO, Record, _float_array, _record, invariants
+from .errors import DomainError, InsufficientData, ParseError, ValidationError, _typed, count, real
+from .invariants import Record, _check_theta, _float_array, _record, invariants
 
 FITTABLE = ("M", "pc", "c", "m", "alpha", "beta", "gamma", "Gamma", "A", "e", "k", "n")
 
@@ -55,13 +55,15 @@ def __getattr__(name: str):
 
 
 def _check_rows(points: np.ndarray, where) -> None:
-    """ValidationError, led by ``where(i)``, for the first row i of (p, q, theta)
-    points whose q is negative or whose theta lies outside [0, pi/3] to 1e-12."""
+    """ValidationError, led by ``where(i)``, for the first row i of (p, q, theta) points whose
+    q is negative or whose theta fails the Lode-angle rule, :func:`invariants._check_theta`."""
     for i, (_, q, th) in enumerate(points.tolist()):
         if q < 0.0:
             raise ValidationError(f"{where(i)}: q must be nonnegative, got {q}")
-        if not _THETA_LO <= th <= _THETA_HI:
-            raise ValidationError(f"{where(i)}: theta={th} outside [0, pi/3]")
+        try:
+            _check_theta(th)
+        except DomainError as exc:
+            raise ValidationError(f"{where(i)}: {exc}") from None
 
 
 class FitDataset(Record):
@@ -199,8 +201,7 @@ class FitProblem(Record):
     residual_mode: str = "meridian_distance"
 
     def __post_init__(self):
-        if not isinstance(self.template, Criterion):
-            raise ValidationError(f"template must be a Criterion, got {type(self.template).__name__}")
+        _typed("FitProblem", (self.template, Criterion))
         if not isinstance(self.free, (list, tuple)) or not all(isinstance(n, str) for n in self.free):
             raise ValidationError(f"free must be a list of parameter names, got {self.free!r}")
         if self.residual_mode not in ("meridian_distance", "function_value"):

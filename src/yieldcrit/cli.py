@@ -26,7 +26,8 @@ import sys
 
 from . import __version__
 from .convexity import certify
-from .criterion import Criterion, _gradient_body, criterion_from_dict, surface_q_array, yield_value
+from .criterion import Criterion, YieldParams, _gradient_body, _params, criterion_from_dict, surface_q_array
+from .criterion import yield_value
 from .errors import ParseError, ValidationError, YieldCritError, count, real
 from .invariants import invariants
 
@@ -106,13 +107,10 @@ def _load_criterion(args) -> Criterion:
     if args.params:
         d = _load_json(args.params)
     else:
-        names = ("M", "pc", "c", "m", "alpha", "beta", "gamma")
-        missing = [n for n in names if getattr(args, n) is None]
+        missing = ", ".join(f"--{n}" for n in _params(YieldParams) if getattr(args, n) is None)
         if missing:
-            raise YieldCritError(
-                f"no --params file given and inline flags missing: {', '.join('--' + n for n in missing)}"
-            )
-        d = {n: getattr(args, n) for n in (*names, "A", "B") if getattr(args, n) is not None}
+            raise YieldCritError(f"no --params file given and inline flags missing: {missing}")
+        d = {n: v for n in _params(YieldParams) + _params(Criterion) if (v := getattr(args, n)) is not None}
     crit = criterion_from_dict(d, unchecked=args.unchecked)
     if not args.unchecked:
         report = certify(crit)
@@ -126,7 +124,7 @@ def _load_criterion(args) -> Criterion:
 
 def _add_params_args(p: argparse.ArgumentParser):
     p.add_argument("--params", help="criterion parameter JSON file")
-    for name in ("M", "pc", "c", "m", "alpha", "beta", "gamma", "A", "B"):
+    for name in _params(YieldParams) + _params(Criterion):
         p.add_argument(f"--{name}", type=float, default=None, help=argparse.SUPPRESS)
     p.add_argument(
         "--unchecked", action="store_true", help="skip convexity certification of the parameters"

@@ -89,11 +89,11 @@ def _real_fields(record) -> None:
         object.__setattr__(record, name, real(getattr(record, name), name))
 
 
-def _entry(d: dict, name: str, of: str) -> float:
-    """``d[name]`` under the number rule; ValidationError when ``d`` has no such key."""
+def _entry(d: dict, name: str, of: str):
+    """``d[name]`` as given, for its record's number rule; ValidationError when ``d`` has no such key."""
     if name not in d:
         raise ValidationError(f"missing parameter {name!r} for {of}")
-    return real(d[name], name)
+    return d[name]
 
 
 # ---------------------------------------------------------------------------
@@ -182,9 +182,7 @@ class CosineLode(_Shape, Record):
 
     def convexity(self):
         """beta in [lo, hi] to within BOUNDARY_TOL (hi binds at theta = pi/3, lo at
-        0), and g positive and finite at theta = 0 and pi/3: psi is monotone in
-        cos 3 theta, so these are its extremes.  That fails only at gamma near 0
-        within BOUNDARY_TOL of an end, where the margin is 1/g."""
+        0), and g positive and finite at the sector ends (:meth:`_end_fault`)."""
         ok, lo, hi = beta_in_convex_interval(self.beta, self.gamma)
         margin, theta = min((hi - self.beta, math.pi / 3.0), (self.beta - lo, 0.0))
         if not ok:
@@ -192,11 +190,17 @@ class CosineLode(_Shape, Record):
                 f"beta={self.beta:.6g} outside the convex interval "
                 f"[{lo:.6g}, {hi:.6g}] for gamma={self.gamma:.6g}"
             )
+        note = "beta at the convexity boundary" if margin < BOUNDARY_TOL else None
+        return self._end_fault() or (ok, margin, theta, note)
+
+    def _end_fault(self):
+        """:meth:`convexity`'s result where g is not positive and finite at theta = 0 or
+        pi/3, the extremes of psi (monotone in cos 3 theta), else None.  In the beta
+        interval that is only at gamma near 0 within BOUNDARY_TOL of an end; the margin is 1/g."""
         for end in (0.0, math.pi / 3.0):
             g = self.g(end)
             if not 0.0 < g < math.inf:
                 return False, 1.0 / g, end, "g(theta) is not positive throughout the sector"
-        return ok, margin, theta, "beta at the convexity boundary" if margin < BOUNDARY_TOL else None
 
 
 class PowerLaw(_Shape, Record):
@@ -384,7 +388,7 @@ SHAPE_KINDS = {cls.kind: cls for cls in (CosineLode, PowerLaw, WillamWarnke, Gud
 
 
 def shape_from_dict(d: dict):
-    """Build a deviatoric shape from its JSON dict form."""
+    """Build a deviatoric shape from its JSON dict form; the shape puts each value under the number rule."""
     try:
         kind = d["kind"]
     except (KeyError, TypeError):
@@ -393,9 +397,8 @@ def shape_from_dict(d: dict):
         cls = SHAPE_KINDS[kind]
     except (KeyError, TypeError):  # a kind that is not a string may be unhashable
         raise ValidationError(f"unknown deviatoric kind {kind!r}")
-    args = {k: real(v, k) for k, v in d.items() if k != "kind"}
     try:
-        return cls(**args)
+        return cls(**{k: v for k, v in d.items() if k != "kind"})
     except TypeError as exc:
         raise ValidationError(f"bad parameters for deviatoric kind {kind!r}: {exc}")
 
@@ -469,20 +472,24 @@ class _Meridian:
 
     def df(self, p):
         """df/dp (a float or an array) on the open interior of a cap: a DomainError
-        for one p that is not inside it, NaN at such entries of an array."""
+        for one p that is not inside it or where h underflows to 0 next to an end,
+        so that df/dp is infinite; NaN at such entries of an array, with no warning."""
         xp, p = _pressure(p)
         at = self._place(p, xp)
         inner, interior = self._open(at, xp)
-        if xp is FLOAT and not inner:
-            # f is finite at an end of the cap and +inf beyond it
-            if self._jet(at, xp)[0] < math.inf:
-                raise DomainError(f"df/dp is infinite at p={p}, an end of the cap")
-            raise DomainError(f"df/dp is undefined at p={p}, which is not inside the cap")
-        try:
-            slope = self._jet(interior, xp, 1)[1]
-        except ZeroDivisionError:  # h underflows to 0 next to an end
-            raise DomainError(f"df/dp is infinite at p={p}, an end of the cap") from None
-        return xp.where(inner, slope, math.nan)
+        if xp is not FLOAT:
+            with xp.errstate(divide="ignore"):  # where h underflows the slope is infinite
+                slope = self._jet(interior, xp, 1)[1]
+            return xp.where(inner & (xp.abs(slope) < math.inf), slope, math.nan)
+        if inner:
+            try:
+                return self._jet(interior, xp, 1)[1]
+            except ZeroDivisionError:  # h underflows to 0 next to an end, where f is finite
+                pass
+        # f is finite at an end of the cap and +inf beyond it
+        if self._jet(at, xp)[0] < math.inf:
+            raise DomainError(f"df/dp is infinite at p={p}, an end of the cap")
+        raise DomainError(f"df/dp is undefined at p={p}, which is not inside the cap")
 
     to_dict = _param_dict
 
@@ -675,9 +682,9 @@ class YieldParams(Record):
     M > 0 controls pressure sensitivity, pc > 0 and c >= 0 are the
     isotropic compression and tension yield strengths, m > 1 and
     0 < alpha < 2 distort the meridian, beta and gamma shape the deviatoric
-    section.  The default constructor also enforces the shape's convexity
-    condition: the interval 2 - bound(gamma) <= beta <= bound(gamma), and g
-    positive at the sector ends; use :meth:`unchecked` to
+    section.  The default constructor also passes the shape through the one
+    convexity gate, :func:`_check_native_shape` (2 - bound(gamma) <= beta <=
+    bound(gamma), g positive at the sector ends); use :meth:`unchecked` to
     build records outside it (for demonstrations or certification tests)
     and :meth:`limit_mode` to substitute the excluded limit values gamma = 1
     and alpha in {0, 2}.  :meth:`meridian` builds, and so checks, the meridian.
@@ -694,15 +701,7 @@ class YieldParams(Record):
     def __post_init__(self):
         _real_fields(self)
         self.meridian()  # its range checks
-        shape = self.shape()
-        ok, lo, hi = beta_in_convex_interval(self.beta, self.gamma)
-        if not ok:
-            raise ValidationError(
-                f"beta={self.beta} outside the convex interval "
-                f"[{lo:.6g}, {hi:.6g}] for gamma={self.gamma}; "
-                "use YieldParams.unchecked to bypass"
-            )
-        _check_native_shape(shape, "; use YieldParams.unchecked to bypass")
+        _check_native_shape(self.shape(), "; use YieldParams.unchecked to bypass")
 
     @classmethod
     def unchecked(cls, M, pc, c, m, alpha, beta, gamma) -> "YieldParams":
@@ -772,8 +771,8 @@ def criterion_from_dict(d: dict, unchecked: bool = False) -> Criterion:
 
     Accepted keys: M, pc, c, m, alpha, beta, gamma plus the optional
     meridian ("bp" | "linear"), Gamma, A, B and a "deviatoric" object
-    {"kind": ...}.  ``unchecked`` skips the convexity validation of the
-    native seven-parameter record (range checks still apply).
+    {"kind": ...}, each value under the number rule once, in its record.  ``unchecked``
+    skips the gate :func:`_check_native_shape` (range checks still apply).
     """
     if not isinstance(d, dict):
         raise ValidationError(f"parameter JSON must be an object, got {type(d).__name__}")
@@ -791,19 +790,18 @@ def criterion_from_dict(d: dict, unchecked: bool = False) -> Criterion:
         shape = CosineLode(*(_entry(d, k, "deviatoric shape") for k in _params(CosineLode)))
     crit = Criterion(meridian=meridian, shape=shape, A=d.get("A", 0.0), B=d.get("B", 1.0))
     if not unchecked and isinstance(meridian, CapMeridian) and isinstance(shape, CosineLode):
-        if not beta_in_convex_interval(shape.beta, shape.gamma)[0]:
-            raise ValidationError(
-                f"beta={shape.beta} outside the convex interval for gamma={shape.gamma}"
-            )
         _check_native_shape(shape)
     return crit
 
 
 def _check_native_shape(shape: CosineLode, hint: str = "") -> None:
-    """ValidationError unless the native shape meets its whole convexity condition."""
-    ok, _, _, note = shape.convexity()
-    if not ok:
-        raise ValidationError(f"{note} at beta={shape.beta}, gamma={shape.gamma}{hint}")
+    """The one gate for a native shape's convexity: a ValidationError, then ``hint``, unless
+    beta is in the convex interval, tested once (``beta=4.5 outside the convex interval for
+    gamma=0.5``), and g is positive and finite at the sector ends (:meth:`CosineLode._end_fault`)."""
+    if not beta_in_convex_interval(shape.beta, shape.gamma)[0]:
+        raise ValidationError(f"beta={shape.beta} outside the convex interval for gamma={shape.gamma}{hint}")
+    if fault := shape._end_fault():
+        raise ValidationError(f"{fault[3]} at beta={shape.beta}, gamma={shape.gamma}{hint}")
 
 
 # ---------------------------------------------------------------------------

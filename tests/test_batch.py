@@ -379,6 +379,19 @@ def test_bounded_search_matches_scipy_on_plain_functions(name, bracket, xatol):
     assert runs[0] == runs[1]
 
 
+def test_bounded_search_stops_at_scipys_500_evaluations():
+    # |x| with xatol = 0: the stop tolerance shrinks with |x| at the kink, so only the budget ends it
+    runs = []
+    for search in (sections.minimize_scalar, _scipy_bounded):
+        tried = []
+        x, fx = search(lambda s: tried.append(s) or abs(s), -1.0, 2.0, 0.0)
+        runs.append((x.hex(), fx.hex(), [float(s).hex() for s in tried]))
+    assert runs[0] == runs[1]
+    assert len(runs[0][2]) == 500
+    res = scipy.optimize.minimize_scalar(abs, bounds=(-1.0, 2.0), method="bounded", options={"xatol": 0.0})
+    assert (res.status, res.nfev) == (1, 500)
+
+
 def test_empty_slices_stay_empty():
     # F >= 0 all along the diagonal: a cone too narrow to hold (s, s, 0)
     cone = Criterion(meridian=LinearMeridian(Gamma=0.2, c=0.0), shape=CosineLode(1.0, 0.0))

@@ -85,6 +85,13 @@ class TestLoadDataset:
         with pytest.raises(ParseError):
             load_dataset("a,b,c\n1,2,3\n")
 
+    @pytest.mark.parametrize("header", ["p,q,theta,x", "s1,s2,s3,w,x", "P,Q,THETA,W,W"])
+    def test_unexpected_columns_in_header(self, header):
+        with pytest.raises(ParseError) as info:
+            load_dataset(f"# points\n{header}\n0.5,0.3,0.1,1\n")
+        assert str(info.value) == f"line 2: unexpected columns in header {header!r}"
+        assert info.value.line == 2
+
     def test_file_and_handle(self, tmp_path):
         path = tmp_path / "pts.csv"
         path.write_text("p,q,theta\n0.5,0.375,0\n", encoding="utf-8")
@@ -464,6 +471,14 @@ class TestGoodness:
         ds = surface_dataset(row, n=30)
         rms, _, _ = goodness(row.criterion(), ds)
         assert rms == pytest.approx(0.0, abs=1e-14)
+
+    @pytest.mark.parametrize("mode", ["bogus", "Meridian_distance", None])
+    def test_an_unknown_residual_mode_is_refused(self, mode):
+        ds = surface_dataset(CAM_CLAY, n=5)
+        for call in (calibration.residual_vector, goodness):
+            with pytest.raises(ValidationError) as info:
+                call(CAM_CLAY.criterion(), ds, mode)
+            assert str(info.value) == f"unknown residual mode {mode!r}"
 
     def test_perturbation_increases_rms(self):
         ds = surface_dataset(CAM_CLAY, n=30)

@@ -97,6 +97,23 @@ class TestEval:
         assert code == 0
         assert json.loads(out)["F"] < 0.0
 
+    def test_inline_flags_are_the_record_parameters_and_stay_out_of_help(self, capsys):
+        import argparse
+
+        from yieldcrit.cli import build_parser
+
+        parser = build_parser()
+        (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        hidden = [a.option_strings[0] for a in sub.choices["eval"]._actions if a.help == argparse.SUPPRESS]
+        assert hidden == ["--M", "--pc", "--c", "--m", "--alpha", "--beta", "--gamma", "--A", "--B"]
+        assert not any(flag in sub.choices["eval"].format_help() for flag in ("--M", "--gamma", "--A"))
+        code, out, err = run(capsys, ["eval", "--A", "0.1", "--stress=-0.4,-0.5,-0.6"])
+        assert (code, out) == (2, "")
+        assert err == (
+            "yieldcrit: no --params file given and inline flags missing: "
+            "--M, --pc, --c, --m, --alpha, --beta, --gamma\n"
+        )
+
     def test_degrees_flag(self, capsys, cam_clay_file):
         code, out, _ = run(
             capsys, ["eval", "--params", cam_clay_file, "--stress=-1,0,0", "--degrees"]

@@ -627,11 +627,11 @@ class TestYieldParams:
             with pytest.raises(ValidationError, match="g\\(theta\\) is not positive"):
                 build()
         assert YieldParams.unchecked(**native).beta == beta_bound(0.0)
-        # the interval messages stay as they were
+        # one gate words the interval for both, YieldParams adding its hint
         with pytest.raises(ValidationError) as err:
             YieldParams(**dict(native, beta=4.5))
         assert str(err.value) == (
-            "beta=4.5 outside the convex interval [-2, 4] for gamma=0.0; "
+            "beta=4.5 outside the convex interval for gamma=0.0; "
             "use YieldParams.unchecked to bypass"
         )
         with pytest.raises(ValidationError) as err:

@@ -40,12 +40,19 @@
   limit)``) or compares against ``GAMMA_LIMIT``.
 * A Lode angle has one input rule: ``invariants._check_theta`` is
   ``namespace`` plus the range check, with no str/bytes branch and no
-  ``_float_array`` call of its own.
+  ``_float_array`` call of its own, and only ``invariants.py`` names its
+  range ends ``_THETA_LO`` and ``_THETA_HI``.
+* The native shape's convexity has one gate, ``criterion._check_native_shape``:
+  no other function words ``outside the convex interval for gamma``.
+* A record of the wrong type is refused in one wording, ``errors._typed``'s
+  (``certify needs a Criterion, got str``): no other module words one as
+  ``must be a Criterion, got`` or ``needs a Criterion, got``.
 """
 
 import ast
 import importlib
 import pathlib
+import re
 
 import pytest
 
@@ -648,3 +655,95 @@ def test_a_second_theta_rule_is_found():
         "    return xp, th\n"
     )
     assert _theta_rule_faults(text) == ["no namespace call", "str/bytes branch", "_float_array call"]
+
+
+def _name_sites(text, names=("_THETA_LO", "_THETA_HI")) -> list:
+    """Line numbers where ``text`` names any of ``names``: a name, an attribute or an import."""
+    found = set()
+    for node in ast.walk(ast.parse(text)):
+        if isinstance(node, ast.alias):
+            hit = node.name in names or node.asname in names
+        else:
+            hit = getattr(node, "id", None) in names or getattr(node, "attr", None) in names
+        if hit:
+            found.add(node.lineno)
+    return sorted(found)
+
+
+def test_only_invariants_names_the_theta_range_ends():
+    sites = [path.name for path in MODULES if _name_sites(path.read_text(encoding="utf-8"))]
+    assert sites == ["invariants.py"]
+
+
+def test_a_second_theta_range_is_found():
+    text = (
+        "from .invariants import _THETA_HI, _THETA_LO\n"
+        "from . import invariants\n"
+        "def rows(th):\n"
+        "    if not _THETA_LO <= th <= invariants._THETA_HI:\n"
+        "        raise ValueError(th)\n"
+    )
+    assert _name_sites(text) == [1, 4]
+
+
+def _interval_wording_sites(text, wording="outside the convex interval for gamma") -> list:
+    """The functions (or ``<module>``) of ``text`` holding a string with ``wording``."""
+    found = []
+
+    def visit(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = node.name
+        if isinstance(node, ast.Constant) and isinstance(node.value, str) and wording in node.value:
+            found.append(where)
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    visit(ast.parse(text), "<module>")
+    return list(dict.fromkeys(found))
+
+
+def test_the_native_shape_has_one_convexity_gate():
+    sites = [
+        f"{path.name}:{site}"
+        for path in MODULES
+        for site in _interval_wording_sites(path.read_text(encoding="utf-8"))
+    ]
+    assert sites == ["criterion.py:_check_native_shape"]
+
+
+def test_a_second_convexity_gate_is_found():
+    text = (
+        "def _check_native_shape(shape, hint=''):\n"
+        "    raise ValidationError(f'beta={shape.beta} outside the convex interval for gamma={shape.gamma}{hint}')\n"
+        "class YieldParams:\n"
+        "    def __post_init__(self):\n"
+        "        if not beta_in_convex_interval(self.beta, self.gamma)[0]:\n"
+        "            raise ValidationError(f'beta={self.beta} outside the convex interval for gamma={self.gamma}')\n"
+        "        _check_native_shape(self.shape())\n"
+    )
+    assert _interval_wording_sites(text) == ["_check_native_shape", "__post_init__"]
+
+
+# a record-type refusal: "<what> must be a Criterion, got" or "<call> needs a FitDataset, got"
+_TYPE_REFUSAL = re.compile(r"\b(?:must be|needs) an? [A-Z]\w*(?: and an? [A-Z]\w*)*, got")
+
+
+def _type_refusal_lines(text) -> list:
+    """Line numbers of ``text`` that word a refusal of a record of the wrong type."""
+    return [i for i, line in enumerate(text.splitlines(), start=1) if _TYPE_REFUSAL.search(line)]
+
+
+def test_record_type_refusals_are_worded_only_in_errors():
+    sites = {path.name for path in MODULES if _type_refusal_lines(path.read_text(encoding="utf-8"))}
+    assert sites <= {"errors.py"}
+
+
+def test_a_second_record_type_refusal_is_found():
+    text = (
+        "if not isinstance(self.template, Criterion):\n"
+        "    raise ValidationError(f'template must be a Criterion, got {type(self.template).__name__}')\n"
+        "_typed('fit', (problem, FitProblem))\n"
+        "raise ValidationError('fit needs a FitProblem and a FitDataset, got str')\n"
+        "raise ValidationError(f'parameter JSON must be an object, got {type(d).__name__}')\n"
+    )
+    assert _type_refusal_lines(text) == [2, 4]

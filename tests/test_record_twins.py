@@ -11,12 +11,16 @@ report the same fields, ``__match_args__``, signature and errors, and each
 error must be the one a frozen dataclass with the same fields raises.
 """
 
+import dataclasses
 import json
 import os
 import subprocess
 import sys
 
+import pytest
+
 import yieldcrit
+from yieldcrit import CapMeridian, CosineLode, Criterion, WillamWarnke
 
 SCRIPT = """
 import dataclasses, inspect, json, sys
@@ -108,3 +112,31 @@ def test_binding_first_and_reading_first_agree_with_a_frozen_dataclass():
         assert seen["errors"] == seen["oracle_errors"], name
         assert all(error and error.startswith(f"{name}.__init__() ") for error in seen["errors"]), name
         assert seen["is_dataclass"] and seen["match_args"] == [f[0] for f in seen["fields"]], name
+
+
+@pytest.mark.parametrize(
+    "cls, kwargs",
+    [
+        (CosineLode, {"beta": 1.0, "zeta": 0.0}),
+        (WillamWarnke, {"eccentricity": 0.8}),
+        (CapMeridian, {"M": 1.0, "pc": 1.0, "c": 0.0, "m": 2.0, "Alpha": 1.0}),
+        (Criterion, {"meridian": None, "shape": None, "A": 0.0, "b": 1.0}),
+    ],
+)
+def test_every_keyword_with_one_wrong_name_raises_the_dataclass_error(cls, kwargs):
+    # as many keywords as fields take the keyword path, which hands a wrong name to the twin
+    assert len(kwargs) == len(cls._field_names)
+    fields = dataclasses.fields(cls)
+    oracle = dataclasses.make_dataclass(
+        cls.__qualname__,
+        [(f.name, f.type) if f.default is dataclasses.MISSING else (f.name, f.type, f.default) for f in fields],
+        frozen=True,
+    )
+    errors = []
+    for call in (cls, oracle):
+        try:
+            call(**kwargs)
+        except TypeError as exc:
+            errors.append(str(exc))
+    assert len(errors) == 2 and errors[0] == errors[1]
+    assert errors[0].startswith(f"{cls.__qualname__}.__init__() got an unexpected keyword argument")

@@ -333,7 +333,7 @@ def test_a_fractional_sample_count_is_refused():
         (lambda: fit(PROBLEM, DATA, init=[0.5]), "init must be an object of values by name, got [0.5]"),
         (lambda: fit(PROBLEM, "x"), "fit needs a FitProblem and a FitDataset, got FitProblem and str"),
         (lambda: fit("x", DATA), "fit needs a FitProblem and a FitDataset, got str and FitDataset"),
-        (lambda: FitProblem("x", ("M",)), "template must be a Criterion, got str"),
+        (lambda: FitProblem("x", ("M",)), "FitProblem needs a Criterion, got str"),
         # certify ended in an AttributeError, the samplers in one or in a false UnboundedDomain
         (lambda: yc.certify(YieldParams(**NATIVE)), "certify needs a Criterion, got YieldParams"),
         (lambda: yc.sample_biaxial(YieldParams(**NATIVE), 5), "sample_biaxial needs a Criterion, got YieldParams"),
@@ -438,6 +438,18 @@ def test_df_outside_the_open_cap_is_a_domain_error(p, message):
     assert str(info.value) == message
 
 
+def test_df_where_h_underflows_next_to_an_end_is_refused_or_nan_with_no_warning():
+    # Phi = 5e-324 is inside the cap, but h = Phi (1 - Phi) alpha rounds to 0 there
+    cap = CapMeridian(M=1.0, pc=1.0, c=0.0, m=2.0, alpha=0.5)
+    with pytest.raises(DomainError) as info:
+        cap.df(5e-324)
+    assert str(info.value) == "df/dp is infinite at p=5e-324, an end of the cap"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = cap.df(np.array([5e-324, 0.5]))
+    assert np.isnan(got[0]) and got[1] == cap.df(0.5) == -0.25
+
+
 def test_df_of_an_array_is_nan_outside_the_open_cap_with_no_warning():
     p = np.array([5.0, 1.0, 0.5, -0.1, -0.5, math.inf, 0.2])
     with warnings.catch_warnings():
@@ -450,13 +462,70 @@ def test_df_of_an_array_is_nan_outside_the_open_cap_with_no_warning():
 
 
 # ---------------------------------------------------------------------------
+# One convexity gate, and one number pass per file parameter
+# ---------------------------------------------------------------------------
+
+NATIVE_FILE = dict(NATIVE, A=0.0, B=1.0)
+
+
+def _calls(monkeypatch, name) -> list:
+    """The argument tuple of each call of ``criterion.<name>`` from now on."""
+    from yieldcrit import criterion
+
+    seen, inner = [], getattr(criterion, name)
+
+    def counted(*args):
+        seen.append(args)
+        return inner(*args)
+
+    monkeypatch.setattr(criterion, name, counted)
+    return seen
+
+
+def test_a_checked_native_record_evaluates_beta_bound_once(monkeypatch):
+    bounds = _calls(monkeypatch, "beta_bound")
+    YieldParams(**NATIVE)
+    assert bounds == [(0.0,)]
+    bounds.clear()
+    criterion_from_dict(NATIVE_FILE)
+    assert bounds == [(0.0,)]
+    bounds.clear()
+    criterion_from_dict(NATIVE_FILE, unchecked=True)
+    assert bounds == []
+
+
+def test_each_file_parameter_meets_the_number_rule_once(monkeypatch):
+    reals = _calls(monkeypatch, "real")
+    criterion_from_dict(NATIVE_FILE)
+    # the nine parameters in their records, then gamma in the gate's beta_bound
+    assert [name for _, name in reals] == ["M", "pc", "c", "m", "alpha", "beta", "gamma", "A", "B", "gamma"]
+
+
+@pytest.mark.parametrize(
+    "d",
+    [
+        {"kind": "bp", "beta": 1.0, "gamma": 0.3},
+        {"kind": "power-law", "beta": 0.5, "n": 2},
+        {"kind": "willam-warnke", "e": 0.8},
+        {"kind": "gudehus-argyris", "k": 0.9},
+    ],
+    ids=lambda d: d["kind"],
+)
+def test_shape_from_dict_puts_each_field_under_the_number_rule_once(monkeypatch, d):
+    reals = _calls(monkeypatch, "real")
+    shape = shape_from_dict(d)
+    assert [name for _, name in reals] == [k for k in d if k != "kind"]
+    assert shape.to_dict() == {k: (v if k == "kind" else float(v)) for k, v in d.items()}
+
+
+# ---------------------------------------------------------------------------
 # The dataset's row rules: one home, named by row or by line
 # ---------------------------------------------------------------------------
 
 
 @pytest.mark.parametrize(
     "row, what",
-    [("0.5,-1.0,0.3", "q must be nonnegative, got -1.0"), ("0.5,0.3,2.0", "theta=2.0 outside [0, pi/3]")],
+    [("0.5,-1.0,0.3", "q must be nonnegative, got -1.0"), ("0.5,0.3,2.0", "theta must lie in [0, pi/3], got 2.0")],
 )
 def test_a_bad_row_is_named_by_row_and_by_line(row, what):
     with pytest.raises(ValidationError) as info:

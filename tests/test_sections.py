@@ -385,6 +385,14 @@ class TestSerialization:
         assert paths[0].attrib["d"].endswith(" Z")
         assert "http" not in paths[0].attrib["d"]
 
+    @pytest.mark.parametrize("samples", [np.full((4, 2), np.nan), [[np.inf, 0.0], [0.0, np.nan]], np.empty((0, 2))])
+    def test_svg_of_a_curve_with_no_finite_sample_is_refused(self, samples):
+        curve = sample_deviatoric(CAM_CLAY.criterion(), at_p=0.5, n=4)
+        empty = sections.SectionCurve(curve.kind, np.array(samples, dtype=float), curve.xlabel, curve.ylabel, ())
+        with pytest.raises(EmptySlice) as info:
+            curve_to_svg(empty)
+        assert str(info.value) == "the deviatoric curve has no finite sample to draw"
+
 
 class TestPolygonHelper:
     def test_square_is_convex(self):
